@@ -52,20 +52,21 @@ struct Options {
     /// Crash-safe journal directory (ScanOptions::journal_dir, DESIGN.md
     /// §11); empty disables journaling.
     std::string journal_dir;
-    /// Worker processes (--procs=N, DESIGN.md §13): the map pass forks N
+    /// Worker processes (--procs=N, DESIGN.md §11): the map pass forks N
     /// crash-isolated workers over a shared journal, then reduces. 0 = the
     /// classic single-process run. Byte-identical output for every value.
     unsigned procs = 0;
     /// True when --procs had to synthesize journal_dir (no --journal given);
     /// run_campaign removes the directory after a successful reduce.
     bool journal_is_temp = false;
-    /// Resume from the journal left by a killed run (--resume; requires
-    /// --journal). Output is byte-identical to an uninterrupted run.
+    /// Continue the journal left by a killed run (--resume; requires
+    /// --journal): Campaign::reduce replays what it holds and scans the
+    /// rest. Output is byte-identical to an uninterrupted run.
     bool resume = false;
     /// Verify-and-repair the journal before running (--scrub; requires
-    /// --journal, DESIGN.md §16): torn tails are truncated away, corrupt
-    /// records quarantined into <journal>/corrupt/, and the scrub report
-    /// printed. Combine with --resume to pick a damaged campaign back up.
+    /// --journal, DESIGN.md §16): corrupt record files are quarantined into
+    /// <journal>/corrupt/ and the scrub report printed. Combine with
+    /// --resume to pick a damaged campaign back up.
     bool scrub = false;
     /// Flight-recorder output (--trace=FILE, off by default): run_campaign
     /// records the campaign timeline and writes FILE (deterministic sim
@@ -158,7 +159,20 @@ inline Options parse_options(int argc, char** argv, std::uint64_t default_count 
     return options;
 }
 
-/// Runs (or, with --resume, resumes) a campaign honouring the harness's
+/// RAII wall-clock section timer.
+class Stopwatch {
+public:
+    Stopwatch() : start_{std::chrono::steady_clock::now()} {}
+    [[nodiscard]] double seconds() const {
+        return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+            .count();
+    }
+
+private:
+    std::chrono::steady_clock::time_point start_;
+};
+
+/// Runs (or, with --resume, continues) a campaign honouring the harness's
 /// journal, flight-recorder and progress options. Benches that drive a
 /// Campaign route it through here so every table/figure binary gets
 /// kill-and-resume, --trace and --progress for free.
@@ -178,32 +192,38 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
     scanner::CampaignStats stats;
     if (options.scrub) {
         // Offline verify/repair before touching the journal (DESIGN.md §16):
-        // after this, resume/reduce sees either a clean journal or an
-        // explicit rescan list — never a torn or corrupt record.
+        // after this, reduce sees either a clean journal or an explicit
+        // rescan list — never a torn or corrupt record.
         const scanner::ScrubReport report =
             scanner::scrub_journal(options.journal_dir);
         std::printf("%s", report.render().c_str());
     }
     if (options.procs > 0) {
-        // Crash-isolated map pass (DESIGN.md §13): fork N workers over a
+        // Crash-isolated map pass (DESIGN.md §11): fork N workers over a
         // shared journal, then reduce it through the caller's sink. --resume
         // keeps whatever chunks a previous (possibly killed) run journaled.
+        // The two phases are timed apart and the run's rate covers both.
         scanner::ProcPoolOptions pool;
         pool.procs = options.procs;
         pool.fresh = !options.resume;
         if (options.resume) {
             std::printf("resuming from journal %s\n", options.journal_dir.c_str());
         }
+        const Stopwatch map_watch;
         const scanner::ProcPoolReport report = scanner::run_procs(campaign, pool);
+        const double map_seconds = map_watch.seconds();
         std::printf("map pass: %u worker procs, %llu/%llu chunks journaled "
-                    "(%llu proc restarts, %llu hang kills, %llu quarantined)\n",
+                    "(%llu proc restarts, %llu hang kills, %llu quarantined) in %.2f s\n",
                     report.procs,
                     static_cast<unsigned long long>(report.chunks_recorded),
                     static_cast<unsigned long long>(report.chunks_total),
                     static_cast<unsigned long long>(report.proc_restarts),
                     static_cast<unsigned long long>(report.hang_kills),
-                    static_cast<unsigned long long>(report.chunks_quarantined));
+                    static_cast<unsigned long long>(report.chunks_quarantined), map_seconds);
         stats = campaign.reduce(sink);
+        std::printf("reduce: %.2f s; map pass + reduce %.2f s\n", stats.wall_seconds,
+                    map_seconds + stats.wall_seconds);
+        stats.wall_seconds += map_seconds;
         stats.proc_restarts = report.proc_restarts;
         if (options.journal_is_temp) {
             std::error_code ec;
@@ -211,7 +231,7 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
         }
     } else if (options.resume) {
         std::printf("resuming from journal %s\n", options.journal_dir.c_str());
-        stats = campaign.resume(sink);
+        stats = campaign.reduce(sink);
     } else {
         stats = campaign.run(sink);
     }
@@ -255,19 +275,6 @@ inline void write_telemetry(const Options& options, const char* name,
         std::fprintf(stderr, "failed to write %s\n", path.c_str());
     }
 }
-
-/// RAII wall-clock section timer.
-class Stopwatch {
-public:
-    Stopwatch() : start_{std::chrono::steady_clock::now()} {}
-    [[nodiscard]] double seconds() const {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-            .count();
-    }
-
-private:
-    std::chrono::steady_clock::time_point start_;
-};
 
 /// Writes `content` to `<prefix><name>` atomically (write-temp + rename, so
 /// a crash mid-export never leaves a torn CSV) and reports the path.

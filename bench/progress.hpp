@@ -2,9 +2,9 @@
 //
 // Live campaign progress line for the table/figure harnesses, driven by
 // Campaign::set_progress (merge-thread callbacks, monotonic stats snapshots):
-// completion, scan rate, ETA, resident set, quarantine count and journal
-// durability lag. Written to stderr with carriage-return refresh so piped
-// stdout (tables, CSV paths) stays clean.
+// completion, scan rate, ETA, resident set and quarantine count. Written to
+// stderr with carriage-return refresh so piped stdout (tables, CSV paths)
+// stays clean.
 
 #pragma once
 
@@ -36,12 +36,11 @@ public:
             static_cast<double>(telemetry::current_rss_bytes()) / (1024.0 * 1024.0);
         std::fprintf(out_,
                      "\r[%5.1f%%] %llu/%llu domains | %.0f dom/s | ETA %.1fs | "
-                     "RSS %.0f MB | quarantined %llu | journal lag %.1f KB",
+                     "RSS %.0f MB | quarantined %llu",
                      done * 100.0,
                      static_cast<unsigned long long>(stats.domains_scanned),
                      static_cast<unsigned long long>(total_), rate, eta, rss_mb,
-                     static_cast<unsigned long long>(stats.domains_quarantined),
-                     static_cast<double>(stats.journal_open_bytes) / 1024.0);
+                     static_cast<unsigned long long>(stats.domains_quarantined));
         std::fflush(out_);
         dirty_ = true;
     }

@@ -32,7 +32,7 @@ struct Trajectory {
     std::uint64_t peak_rss_bytes = 0;
     double allocs_per_domain = 0.0;
     double alloc_bytes_per_domain = 0.0;
-    /// Multi-process context (--procs runs, DESIGN.md §13): worker process
+    /// Multi-process context (--procs runs, DESIGN.md §11): worker process
     /// count and the high-water worker RSS the supervisor observed over the
     /// heartbeat channel. Both stay 0 for classic single-process runs;
     /// bench_check.py skips a zero/absent peak_worker_rss_bytes baseline.

@@ -35,7 +35,7 @@ POLICY = {
     "peak_rss_bytes": (False, 0.40),
     "allocs_per_domain": (False, 0.10),
     "alloc_bytes_per_domain": (False, 0.10),
-    # Multi-process map pass (--procs, DESIGN.md §13): high-water worker RSS
+    # Multi-process map pass (--procs, DESIGN.md §11): high-water worker RSS
     # reported over the heartbeat channel. Wall-clock noisy, so wide.
     "peak_worker_rss_bytes": (False, 0.50),
 }

@@ -11,7 +11,8 @@
 #                              # (REGEN=1 scripts/ci.sh bench re-baselines)
 #   scripts/ci.sh chaos        # crash-isolation lane: the multi-process kill
 #                              # sweep (SIGKILL workers at every lifecycle
-#                              # point), journal/lease and proc-plumbing suites
+#                              # point), journal/lease and proc-plumbing suites,
+#                              # and a kill-then---resume bench smoke test
 #   scripts/ci.sh diskchaos    # lying-disk lane: the full storage-fault-plan
 #                              # x injection-point sweep (ENOSPC, EIO, short
 #                              # writes, power loss, bit flips — incl. FaultIo
@@ -90,25 +91,57 @@ run_bench_lane() {
 
 # Chaos lane: the crash-isolation suites on their own — the kill sweep
 # (SIGKILL at every worker lifecycle point x {1,2,4} procs, reduced output
-# must stay byte-identical), hang/poison/RSS supervision, journal + lease
-# invariants and the process plumbing underneath. All of this also runs in
-# the default lane's ctest; this lane is the focused, fast repro loop.
+# must stay byte-identical), the in-process kill-at-every-chunk-boundary
+# sweep, hang/poison/RSS supervision, journal + lease invariants and the
+# process plumbing underneath. All of this also runs in the default lane's
+# ctest; this lane is the focused, fast repro loop. It ends with an
+# end-to-end bench smoke test of the journal wiring.
 run_chaos_lane() {
     echo "=== lane: chaos ==="
     cmake --preset default >/dev/null
     cmake --build --preset default -j "${JOBS}" \
-        --target test_scanner_procpool test_scanner_journal test_util_misc
+        --target test_scanner_procpool test_scanner_journal test_util_misc bench_table1
     ./build/tests/test_scanner_procpool
     ./build/tests/test_scanner_journal
     ./build/tests/test_util_misc
+    run_resume_smoke
     echo "=== lane chaos: OK ==="
+}
+
+# A journaled Table 1 sweep is SIGKILLed once its first batch file is
+# published, then rerun with --resume; the printed table must equal an
+# unjournaled run's (the timing and "resuming" lines aside).
+run_resume_smoke() {
+    local work bench=./build/bench/bench_table1
+    local args=(--scale=2000 --telemetry=off --threads=2)
+    local table_only=(grep -v -e "domains/sec" -e "^resuming from journal")
+    work="$(mktemp -d)"
+    "${bench}" "${args[@]}" | "${table_only[@]}" >"${work}/plain.txt"
+    "${bench}" "${args[@]}" --journal="${work}/journal" >/dev/null &
+    local pid=$!
+    for _ in $(seq 1 400); do
+        compgen -G "${work}/journal/chunk-*.rec" >/dev/null && break
+        sleep 0.05
+    done
+    kill -9 "${pid}" 2>/dev/null || true
+    wait "${pid}" 2>/dev/null || true
+    if ! compgen -G "${work}/journal/chunk-*.rec" >/dev/null; then
+        echo "resume smoke: the killed run published no batch" >&2
+        exit 1
+    fi
+    "${bench}" "${args[@]}" --journal="${work}/journal" --resume |
+        "${table_only[@]}" >"${work}/resumed.txt"
+    diff -u "${work}/plain.txt" "${work}/resumed.txt"
+    rm -rf "${work}"
+    echo "resume smoke: killed + resumed table matches the unjournaled run"
 }
 
 # Disk-chaos lane: campaigns on a lying disk (DESIGN.md §16). Runs the
 # storage-seam unit suite, the FULL fault-plan x injection-point sweep
 # (SPINSCOPE_DISKCHAOS_FULL widens the matrix the default ctest lane runs
 # reduced: more write/power-loss ordinals, threads {1,2,8}, procs {1,2}),
-# and the journal scrub corruption corpus. Green means: no fault plan can
+# and the journal scrub corruption corpus (torn, bit-flipped and corrupt
+# record files). Green means: no fault plan can
 # make a campaign produce silently-wrong output.
 run_diskchaos_lane() {
     echo "=== lane: diskchaos ==="

@@ -57,10 +57,6 @@ void ScanOptions::validate() {
     if (max_attempt_records == 0) {
         throw std::invalid_argument("scanner: ScanOptions.max_attempt_records must be >= 1");
     }
-    if (journal_segment_bytes == 0) {
-        throw std::invalid_argument(
-            "scanner: ScanOptions.journal_segment_bytes must be >= 1");
-    }
     retry.validate();
     worker_restart.validate();
     journal_retry.validate();
@@ -388,7 +384,7 @@ std::vector<std::uint32_t> Campaign::chunk_domain_ids(std::size_t chunk_index) c
     return ids;
 }
 
-ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
+Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
     const ShardPlan plan{model_->domain_count(), options_.chunk_domains};
     if (chunk_index >= plan.chunk_count()) {
         throw std::out_of_range("scanner: scan_chunk index past chunk_count()");
@@ -400,18 +396,24 @@ ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
     const web::DomainBlock block = model_->materialize(
         static_cast<std::uint32_t>(plan.chunk_begin(chunk_index)),
         static_cast<std::uint32_t>(plan.chunk_end(chunk_index)));
-    // Chunk-private registry and pool, exactly as run()'s workers build them:
-    // the snapshot below must be byte-identical to what run() journals for
-    // this chunk, or the reducer's merged telemetry would drift.
-    std::unique_ptr<telemetry::MetricsRegistry> metrics;
-    if (metrics_ != nullptr) metrics = std::make_unique<telemetry::MetricsRegistry>();
+    ChunkScan out;
+    if (metrics_ != nullptr) out.metrics = std::make_unique<telemetry::MetricsRegistry>();
+    // Chunk-private datagram pool, same ownership story as the chunk
+    // registry: touched by exactly one worker, so no locking. Datagram
+    // storage recycles across every attempt of the chunk's domains; all
+    // buffers are dead by the time the chunk completes (each attempt's
+    // simulator drains before the next starts), so the pool can die here.
+    // Pool counters depend on chunk geometry, which is why
+    // deterministic_csv excludes the bytes.pool prefix.
     bytes::BufferPool pool;
-    ScannedChunk out;
     out.scans.reserve(block.size());
     for (const web::Domain& domain : block.domains) {
+        // Per-domain fault isolation: one pathological target must cost one
+        // scan record, never the sweep. Telemetry may be partially written
+        // for the failed domain; counters stay monotonic either way.
         DomainScan scan;
         try {
-            scan = scan_domain_into(domain, metrics.get(), &pool);
+            scan = scan_domain_into(domain, out.metrics.get(), &pool);
         } catch (const std::exception& e) {
             scan = DomainScan{};
             scan.domain_id = domain.id;
@@ -419,9 +421,16 @@ ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
         }
         out.scans.push_back(std::move(scan));
     }
-    if (metrics != nullptr) {
-        pool.publish_metrics(*metrics);
-        out.telemetry_snapshot = telemetry::snapshot(*metrics);
+    if (out.metrics != nullptr) pool.publish_metrics(*out.metrics);
+    return out;
+}
+
+ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
+    ChunkScan scanned = scan_chunk_into(chunk_index);
+    ScannedChunk out;
+    out.scans = std::move(scanned.scans);
+    if (scanned.metrics != nullptr) {
+        out.telemetry_snapshot = telemetry::snapshot(*scanned.metrics);
     }
     return out;
 }
@@ -539,15 +548,7 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
 
 CampaignStats Campaign::run(
     const std::function<void(const web::Domain&, DomainScan&&)>& sink) const {
-    return run_impl(sink, RunMode::fresh);
-}
-
-CampaignStats Campaign::resume(
-    const std::function<void(const web::Domain&, DomainScan&&)>& sink) const {
-    if (options_.journal_dir.empty()) {
-        throw std::invalid_argument("scanner: resume() requires ScanOptions.journal_dir");
-    }
-    return run_impl(sink, RunMode::resume);
+    return run_impl(sink, /*reuse_journal=*/false);
 }
 
 CampaignStats Campaign::reduce(
@@ -555,12 +556,12 @@ CampaignStats Campaign::reduce(
     if (options_.journal_dir.empty()) {
         throw std::invalid_argument("scanner: reduce() requires ScanOptions.journal_dir");
     }
-    return run_impl(sink, RunMode::reduce);
+    return run_impl(sink, /*reuse_journal=*/true);
 }
 
 CampaignStats Campaign::run_impl(
     const std::function<void(const web::Domain&, DomainScan&&)>& sink,
-    RunMode mode) const {
+    bool reuse_journal) const {
     CampaignStats stats;
     const auto wall_start = std::chrono::steady_clock::now();
     const auto wall_elapsed = [&wall_start] {
@@ -572,7 +573,6 @@ CampaignStats Campaign::run_impl(
     // the model's closed-form geometry and regenerates single domains on
     // demand, so run_impl's footprint is O(merge window), not O(universe).
     const std::size_t universe = model_->domain_count();
-    const ShardConfig shard{options_.threads, options_.chunk_domains};
     const ShardPlan plan{universe, options_.chunk_domains};
 
     // Whole-sweep host-resource observation: wall time, allocation traffic
@@ -586,7 +586,7 @@ CampaignStats Campaign::run_impl(
     // Simulated-time events are recorded ONLY here on the merge thread, in
     // ascending chunk order, positioned at cumulative simulated-nanosecond
     // offsets — a pure function of the scan results, so the sim trace is
-    // byte-identical for every thread count and across kill/resume. Worker
+    // byte-identical for every thread count and across kill/reduce. Worker
     // scheduling, merge and journal latencies go to the wall clock (the
     // recorder's sidecar file).
     telemetry::TraceRecorder* const trace = trace_;
@@ -600,16 +600,11 @@ CampaignStats Campaign::run_impl(
     std::uint64_t traced_domains = 0;
     std::uint64_t traced_quic_ok = 0;
 
-    // Declared before merge_scan so the progress snapshot can report journal
-    // durability; assigned in the journal setup block below.
-    std::unique_ptr<JournalWriter> journal;
-
     // One chunk's sim-timeline events: a span covering the chunk's total
     // simulated time, instants for retries/watchdog kills/quarantine at the
-    // owning domain's offset, and cumulative counter tracks. Shared verbatim
-    // between the live merge path, the quarantine path and journal replay —
-    // the `replayed` arg is ALWAYS present (0 or 1) so a resume trace equals
-    // the uninterrupted one after flipping that single flag.
+    // owning domain's offset, and cumulative counter tracks. The `replayed`
+    // arg is ALWAYS present (0 or 1) so a reduce trace equals the
+    // uninterrupted one after flipping that single flag.
     const auto trace_chunk = [&](std::size_t chunk_index,
                                  const std::vector<DomainScan>& scans, bool replayed,
                                  bool quarantined) {
@@ -669,10 +664,9 @@ CampaignStats Campaign::run_impl(
                        static_cast<double>(traced_quic_ok));
     };
 
-    // Per-scan merge bookkeeping, shared verbatim between the live merge
-    // path and journal replay: replayed chunks re-drive exactly the counters
-    // an uninterrupted merge would have driven, which is what makes resumed
-    // output byte-identical.
+    // Per-scan merge bookkeeping, identical for scanned and replayed chunks:
+    // replayed chunks re-drive exactly the counters an uninterrupted merge
+    // would have driven, which is what makes reduced output byte-identical.
     const auto merge_scan = [&](std::size_t domain_index, DomainScan&& scan) {
         // Regenerated, not looked up: the sink's Domain is a pure function of
         // (seed, id), so handing it a fresh copy keeps the merge thread free
@@ -726,79 +720,71 @@ CampaignStats Campaign::run_impl(
         if (progress_ && progress_every_ > 0 &&
             stats.domains_scanned % progress_every_ == 0) {
             stats.wall_seconds = wall_elapsed();
-            if (journal != nullptr) {
-                stats.journal_records_appended = journal->records_appended();
-                stats.journal_open_bytes = journal->open_bytes();
-            }
             progress_(stats);
         }
     };
 
-    // ---- journal lock, replay (resume/reduce) and writer setup --------------
-    const bool journaling = !options_.journal_dir.empty();
-    CampaignHeader header;
-    header.seed = options_.seed;
-    header.week = options_.week;
-    header.ipv6 = options_.ipv6;
-    header.chunk_domains = options_.chunk_domains;
-    header.domain_count = universe;
-    header.has_telemetry = metrics_ != nullptr;
+    // One chunk on its way to the merge: scanned (its registry handed over
+    // in memory), replayed from the journal (telemetry in the record's
+    // snapshot) or a quarantine placeholder.
+    struct ChunkItem {
+        ChunkRecord record;
+        std::unique_ptr<telemetry::MetricsRegistry> metrics;
+        std::int64_t scan_done_ns = 0;  ///< wall instant the scan finished
+    };
 
-    // Exactly one campaign may write a journal directory at a time: two
-    // writers interleaving appends (or a reduce racing a scan) would corrupt
-    // it. Held until this run returns; a stale lock whose owner died is
-    // broken silently, a live owner makes this run refuse loudly.
-    util::PidLockFile journal_lock;
-    if (journaling) {
-        std::filesystem::create_directories(options_.journal_dir);
-        try {
-            journal_lock.acquire(journal_lock_path(options_.journal_dir));
-        } catch (const std::runtime_error& e) {
-            throw std::runtime_error(std::string{"scanner: journal dir '"} +
-                                     options_.journal_dir +
-                                     "' is in use by another campaign (" + e.what() +
-                                     "); this campaign spans domains [0, " +
-                                     std::to_string(universe) + ") in " +
-                                     std::to_string(plan.chunk_count()) + " chunks");
-        }
-    }
-
-    // Re-drives the merge bookkeeping for one journaled chunk record —
-    // telemetry, quarantine accounting, trace and per-scan merge — exactly
-    // as the live path would have. Shared by resume (segment journal) and
-    // reduce (map journal): replayed chunks producing the same counters the
-    // uninterrupted merge would have produced is what makes recovered output
-    // byte-identical.
-    const auto replay_record = [&](ChunkRecord& record) {
+    const auto merge_chunk = [&](ChunkItem& item, bool replayed) {
+        ChunkRecord& record = item.record;
         const std::size_t begin = plan.chunk_begin(record.chunk_index);
-        const std::size_t end = plan.chunk_end(record.chunk_index);
-        if (record.scans.size() != end - begin) {
+        if (record.scans.size() != plan.chunk_end(record.chunk_index) - begin) {
             throw std::invalid_argument(
                 "scanner: journal chunk geometry does not match the population at " +
                 describe_chunk(plan, record.chunk_index) + ": record holds " +
                 std::to_string(record.scans.size()) + " scans");
         }
-        // Same merge order as the live path: chunk telemetry first, then
-        // per-scan bookkeeping.
-        if (metrics_ != nullptr && !record.telemetry_snapshot.empty()) {
-            auto parsed = telemetry::parse_snapshot(record.telemetry_snapshot);
-            if (!parsed) {
-                throw std::invalid_argument(
-                    "scanner: journal telemetry snapshot is malformed");
+        const std::int64_t merge_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
+        if (trace != nullptr && item.metrics != nullptr) {
+            // Chunk-local efficiency, sampled from the chunk's private
+            // registry before it merges away: datagram-pool hit rate and the
+            // simulator event-queue high-water mark. Read-only probes — the
+            // merged registry must not grow instruments just because a
+            // recorder is attached.
+            const auto* hits = item.metrics->find_counter("bytes.pool.hits");
+            const auto* acquires = item.metrics->find_counter("bytes.pool.acquires");
+            if (hits != nullptr && acquires != nullptr && acquires->value() > 0) {
+                trace->counter(TraceClock::wall, "pool hit rate", merge_start_ns,
+                               static_cast<double>(hits->value()) /
+                                   static_cast<double>(acquires->value()));
             }
-            metrics_->merge_from(*parsed);
+            if (const auto* hwm = item.metrics->find_gauge("netsim.sim.queue_depth_hwm");
+                hwm != nullptr && hwm->has_value()) {
+                trace->counter(TraceClock::wall, "event queue hwm", merge_start_ns,
+                               hwm->value());
+            }
+        }
+        // Chunk telemetry first, then per-scan bookkeeping.
+        if (metrics_ != nullptr) {
+            if (item.metrics != nullptr) {
+                metrics_->merge_from(*item.metrics);
+            } else if (!record.telemetry_snapshot.empty()) {
+                auto parsed = telemetry::parse_snapshot(record.telemetry_snapshot);
+                if (!parsed) {
+                    throw std::invalid_argument(
+                        "scanner: journal telemetry snapshot is malformed at " +
+                        describe_chunk(plan, record.chunk_index));
+                }
+                metrics_->merge_from(*parsed);
+            }
         }
         if (record.quarantined) {
             ++stats.chunks_quarantined;
             stats.domains_quarantined += record.scans.size();
             if (metrics_ != nullptr) {
                 metrics_->counter("campaign.quarantined_chunks").add(1);
-                metrics_->counter("campaign.quarantined_domains")
-                    .add(record.scans.size());
+                metrics_->counter("campaign.quarantined_domains").add(record.scans.size());
             }
         }
-        trace_chunk(record.chunk_index, record.scans, /*replayed=*/true,
-                    record.quarantined);
+        trace_chunk(record.chunk_index, record.scans, replayed, record.quarantined);
         for (std::size_t j = 0; j < record.scans.size(); ++j) {
             // Model ids are global indices, so the expected id is arithmetic.
             if (record.scans[j].domain_id != begin + j) {
@@ -808,460 +794,16 @@ CampaignStats Campaign::run_impl(
             }
             merge_scan(begin + j, std::move(record.scans[j]));
         }
-    };
-
-    if (mode == RunMode::reduce) {
-        // ---- multi-process reducer (map-layout journal, DESIGN.md §13) ------
-        // Recorded chunks may be ANY subset — worker processes finish out of
-        // order and die mid-campaign — so the reducer interleaves replays of
-        // recorded chunks with fresh scans of missing ones, keeping merges in
-        // strict ascending chunk order. Chunks it scans are published back
-        // into the map journal BEFORE merging (atomic, idempotent), so a
-        // killed reduce rescans nothing it already published.
-        // Only chunk PRESENCE is loaded eagerly (one byte per chunk): each
-        // recorded chunk's bytes are read when its turn to merge comes and
-        // die with the merge, so the reducer's RSS is bounded by the merge
-        // window — never by how many chunks the workers already published.
-        util::Io& map_io = util::resolve_io(options_.io);
-        init_map_journal(map_io, options_.journal_dir, header, /*wipe=*/false);
-        std::vector<char> recorded(plan.chunk_count(), 0);
-        for (const std::size_t index : list_map_chunks(options_.journal_dir)) {
-            if (index >= plan.chunk_count()) {
-                throw std::invalid_argument(
-                    "scanner: map journal chunk index " + std::to_string(index) +
-                    " is past this campaign's chunk count (" +
-                    std::to_string(plan.chunk_count()) + " chunks over " +
-                    std::to_string(universe) + " domains)");
-            }
-            recorded[index] = 1;
-        }
-        std::vector<std::size_t> missing;
-        for (std::size_t c = 0; c < plan.chunk_count(); ++c) {
-            if (recorded[c] == 0) missing.push_back(c);
-        }
-
-        std::uint64_t records_replayed = 0;
-        std::uint64_t corrupt_chunks = 0;
-        // Next global chunk whose replay is still pending; recorded chunks
-        // below a freshly-scanned chunk replay right before it merges.
-        std::size_t replay_cursor = 0;
-        // Storage-retry jitter stream (wall-clock backoff); independent of
-        // every scan-facing RNG, so disk stutter never perturbs the output.
-        util::Rng io_retry_rng{util::derive_stream_seed(options_.seed, 0xd15cULL)};
-        const auto io_backoff = [&](int retry_index) {
-            const Duration delay =
-                options_.journal_retry.backoff_delay(retry_index, io_retry_rng);
-            if (delay.count_nanos() > 0) {
-                std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
-            }
-        };
-        // Set when a non-transient publish failure disabled the map journal:
-        // merging continues (the sink output stays byte-identical); only
-        // durability is lost, and loudly so.
-        bool map_degraded = false;
-        const auto degrade_map_journal = [&](const std::string& what, int err) {
-            map_degraded = true;
-            stats.journal_degraded = true;
-            stats.journal_degraded_error = what;
-            if (metrics_ != nullptr) {
-                metrics_->counter("campaign.journal.degraded").add(1);
-                metrics_->counter(std::string{"campaign.journal.io_errors."} +
-                                  util::to_cstring(util::classify_io_error(err)))
-                    .add(1);
-            }
-            if (trace != nullptr) {
-                trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
-                               trace->wall_now_ns(), {TraceArg::str("error", what)});
-            }
-        };
-        const auto publish_and_merge = [&](ChunkRecord&& record) {
-            if (!map_degraded) {
-                util::IoResult published;
-                for (int attempt = 0;; ++attempt) {
-                    published = write_map_chunk(map_io, options_.journal_dir, record);
-                    if (published) break;
-                    if (util::classify_io_error(published.err) !=
-                            util::IoErrorClass::transient ||
-                        attempt + 1 >= options_.journal_retry.max_attempts) {
-                        break;
-                    }
-                    io_backoff(attempt + 1);
-                }
-                if (published) {
-                    ++stats.journal_records_appended;
-                } else {
-                    degrade_map_journal(
-                        "scanner: cannot publish map chunk record for " +
-                            describe_chunk(plan, record.chunk_index) + " in " +
-                            options_.journal_dir + ": " + published.message(),
-                        published.err);
-                }
-            }
-            if (metrics_ != nullptr && !record.telemetry_snapshot.empty()) {
-                auto parsed = telemetry::parse_snapshot(record.telemetry_snapshot);
-                if (parsed) metrics_->merge_from(*parsed);
-            }
-            trace_chunk(record.chunk_index, record.scans, /*replayed=*/false,
-                        record.quarantined);
-            const std::size_t begin = plan.chunk_begin(record.chunk_index);
-            for (std::size_t j = 0; j < record.scans.size(); ++j) {
-                merge_scan(begin + j, std::move(record.scans[j]));
-            }
-            replay_cursor = record.chunk_index + 1;
-        };
-        const auto replay_up_to = [&](std::size_t limit) {
-            while (replay_cursor < limit) {
-                const std::size_t c = replay_cursor;
-                if (recorded[c] != 0) {
-                    auto record = read_map_chunk(options_.journal_dir, c);
-                    if (record) {
-                        replay_record(*record);
-                        ++records_replayed;
-                    } else {
-                        // Present at the presence scan but unreadable now
-                        // (torn publish of a killed worker): rescan inline on
-                        // the merge thread and republish — byte-identical by
-                        // the purity contract, so the repair is idempotent.
-                        ++corrupt_chunks;
-                        ScannedChunk rescan = scan_chunk(c);
-                        ChunkRecord fresh;
-                        fresh.chunk_index = c;
-                        fresh.scans = std::move(rescan.scans);
-                        fresh.telemetry_snapshot = std::move(rescan.telemetry_snapshot);
-                        publish_and_merge(std::move(fresh));
-                        continue;  // publish_and_merge advanced replay_cursor
-                    }
-                }
-                replay_cursor = c + 1;
-            }
-        };
-
-        // One missing chunk per work item: the campaign chunk is already the
-        // unit of journaling, so the reducer's shard layer must not regroup.
-        const ShardConfig reduce_shard{options_.threads, 1};
-        const ShardPlan missing_plan{missing.size(), 1};
-        // Scanned-chunk ring sized to the shard merge window: backpressure in
-        // run_supervised guarantees at most `window` scanned-but-unmerged
-        // chunks are live, so slot c % window is free by the time chunk
-        // c + window is admitted.
-        const std::size_t window = std::max<std::size_t>(
-            std::min<std::size_t>(reduce_shard.resolved_merge_window(), missing.size()),
-            1);
-        std::vector<ScannedChunk> scanned(window);
-        const auto scan_missing = [&](std::size_t c) {
-            const std::int64_t scan_start_ns =
-                trace != nullptr ? trace->wall_now_ns() : 0;
-            scanned[c % window] = scan_chunk(missing[c]);
-            if (trace != nullptr) {
-                const std::int64_t end_ns = trace->wall_now_ns();
-                trace->complete(
-                    TraceClock::wall, trace->wall_lane_for_current_thread("worker"),
-                    "scan chunk", scan_start_ns, end_ns - scan_start_ns,
-                    {TraceArg::num("chunk", static_cast<std::uint64_t>(missing[c])),
-                     TraceArg::num("domains", static_cast<std::uint64_t>(
-                                                  scanned[c % window].scans.size()))});
-            }
-        };
-        const auto merge_missing = [&](std::size_t c) {
-            const std::size_t g = missing[c];
-            replay_up_to(g);
-            ChunkRecord record;
-            record.chunk_index = g;
-            record.scans = std::move(scanned[c % window].scans);
-            record.telemetry_snapshot = std::move(scanned[c % window].telemetry_snapshot);
-            scanned[c % window] = ScannedChunk{};  // release the slot's storage
-            publish_and_merge(std::move(record));
-        };
-        const auto quarantine_missing = [&](const ChunkFailure& failure) {
-            const std::size_t g = missing[failure.chunk];
-            replay_up_to(g);
-            ChunkRecord record;
-            record.chunk_index = g;
-            record.quarantined = true;
-            record.quarantine_error = failure.error;
-            record.scans.reserve(plan.chunk_end(g) - plan.chunk_begin(g));
-            for (std::size_t i = plan.chunk_begin(g); i < plan.chunk_end(g); ++i) {
-                DomainScan scan;
-                scan.domain_id = static_cast<std::uint32_t>(i);
-                scan.error = "chunk quarantined: " + failure.error;
-                record.scans.push_back(std::move(scan));
-            }
-            ++stats.chunks_quarantined;
-            stats.domains_quarantined += record.scans.size();
-            if (metrics_ != nullptr) {
-                metrics_->counter("campaign.quarantined_chunks").add(1);
-                metrics_->counter("campaign.quarantined_domains")
-                    .add(record.scans.size());
-            }
-            publish_and_merge(std::move(record));
-        };
-
-        SupervisorConfig supervisor;
-        supervisor.restart = options_.worker_restart;
-        supervisor.seed = options_.seed;
-        const SupervisionReport report =
-            run_supervised(reduce_shard, missing_plan, supervisor, scan_missing,
-                           merge_missing, quarantine_missing);
-        replay_up_to(plan.chunk_count());
-        stats.worker_restarts = report.restarts;
-        if (metrics_ != nullptr) {
-            if (report.restarts > 0) {
-                metrics_->counter("campaign.restarted_workers").add(report.restarts);
-            }
-            metrics_->counter("campaign.journal.records_replayed")
-                .add(records_replayed);
-            if (corrupt_chunks > 0) {
-                metrics_->counter("campaign.journal.corrupt_map_chunks")
-                    .add(corrupt_chunks);
-            }
-        }
-        stats.wall_seconds = wall_elapsed();
-        if (metrics_ != nullptr) {
-            metrics_->gauge("scanner.domains_per_sec").set(stats.domains_per_sec());
-            metrics_->gauge("scanner.quic_ok_rate").set(stats.quic_ok_rate());
-            if (resource_probe) resource_probe->publish(*metrics_);
-            if (trace != nullptr) trace->publish_metrics(*metrics_);
-        }
-        return stats;
-    }
-
-    std::size_t chunks_replayed = 0;
-    if (journaling) {
-        JournalOptions journal_options;
-        journal_options.segment_bytes = options_.journal_segment_bytes;
-        journal_options.io = options_.io;
-        journal_options.io_retry = options_.journal_retry;
-        journal_options.io_retry_seed = options_.seed;
-        if (mode == RunMode::resume) {
-            // Streaming replay: each journaled chunk is parsed, merged and
-            // dropped in one step — the header is vetted before the first
-            // record so a foreign journal is refused without consuming any.
-            const ReplayStreamResult replayed = replay_journal(
-                options_.journal_dir,
-                [&header](const CampaignHeader& stored) {
-                    if (!(stored == header)) {
-                        throw std::invalid_argument(
-                            "scanner: resume() journal belongs to a different "
-                            "campaign (options or population changed since it was "
-                            "written)");
-                    }
-                },
-                [&replay_record](ChunkRecord&& record) { replay_record(record); });
-            if (replayed.has_header) {
-                chunks_replayed = static_cast<std::size_t>(replayed.chunks_replayed);
-                if (metrics_ != nullptr) {
-                    metrics_->counter("campaign.journal.records_replayed")
-                        .add(chunks_replayed);
-                    if (replayed.torn_bytes_discarded > 0) {
-                        metrics_->counter("campaign.journal.torn_bytes_discarded")
-                            .add(replayed.torn_bytes_discarded);
-                    }
-                }
-            }
-            journal = std::make_unique<JournalWriter>(options_.journal_dir, header,
-                                                      JournalWriter::Mode::attach,
-                                                      journal_options);
-        } else {
-            journal = std::make_unique<JournalWriter>(options_.journal_dir, header,
-                                                      JournalWriter::Mode::fresh,
-                                                      journal_options);
-        }
-    }
-
-    // ---- scan the remaining chunks ------------------------------------------
-    // Chunk indices stay GLOBAL (replayed prefix + local index): the journal,
-    // quarantine notes and chunk-keyed restart streams all name campaign
-    // chunks, not positions within this (possibly partial) run.
-    const std::size_t base_domain =
-        std::min(plan.chunk_begin(chunks_replayed), universe);
-    const ShardPlan rest_plan{universe - base_domain, options_.chunk_domains};
-
-    // Slot c % window is written by exactly one worker (inside scan(c)) and
-    // read by the merge thread only after run_supervised reports the chunk
-    // done. A restarted scan rebuilds and overwrites its slot from scratch.
-    // Rings, not per-chunk vectors: the shard merge window bounds how many
-    // chunks are ever live past the merge frontier, so slot c % window is
-    // free again by the time chunk c + window is admitted — in-flight results
-    // cost O(window), never O(chunk count).
-    struct ChunkResult {
-        std::vector<DomainScan> scans;
-        /// Chunk-private telemetry; null when the campaign has no registry.
-        std::unique_ptr<telemetry::MetricsRegistry> metrics;
-    };
-    const std::size_t window = std::max<std::size_t>(
-        std::min<std::size_t>(shard.resolved_merge_window(), rest_plan.chunk_count()),
-        1);
-    std::vector<ChunkResult> chunks(window);
-    // Wall-clock instant each chunk's scan finished (same single-writer slot
-    // discipline as `chunks`): the merge span reports its distance to this as
-    // the chunk's time spent queued for merge.
-    std::vector<std::int64_t> scan_done_ns(window, 0);
-
-    const auto scan_chunk = [&](std::size_t c) {
-        const std::int64_t scan_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        if (options_.chunk_fault_hook) options_.chunk_fault_hook(c + chunks_replayed);
-        // Regenerate exactly this chunk's domains from the model and drop
-        // them with this frame — workers never touch a shared domain span.
-        const web::DomainBlock block = model_->materialize(
-            static_cast<std::uint32_t>(base_domain + rest_plan.chunk_begin(c)),
-            static_cast<std::uint32_t>(base_domain + rest_plan.chunk_end(c)));
-        ChunkResult result;
-        if (metrics_ != nullptr) {
-            result.metrics = std::make_unique<telemetry::MetricsRegistry>();
-        }
-        // Chunk-private datagram pool, same ownership story as the chunk
-        // registry: touched by exactly one worker, so no locking. Datagram
-        // storage recycles across every attempt of the chunk's domains; all
-        // buffers are dead by the time the chunk completes (each attempt's
-        // simulator drains before the next starts), so the pool can die
-        // here. Pool counters depend on chunk geometry, which is why
-        // deterministic_csv excludes the bytes.pool prefix.
-        bytes::BufferPool pool;
-        result.scans.reserve(block.size());
-        for (const web::Domain& domain : block.domains) {
-            // Per-domain fault isolation: one pathological target must cost
-            // one scan record, never the sweep. Telemetry/stats may be
-            // partially written for the failed domain; counters stay
-            // monotonic either way.
-            DomainScan scan;
-            try {
-                scan = scan_domain_into(domain, result.metrics.get(), &pool);
-            } catch (const std::exception& e) {
-                scan = DomainScan{};
-                scan.domain_id = domain.id;
-                scan.error = e.what();
-            }
-            result.scans.push_back(std::move(scan));
-        }
-        if (result.metrics != nullptr) pool.publish_metrics(*result.metrics);
-        chunks[c % window] = std::move(result);
         if (trace != nullptr) {
             const std::int64_t end_ns = trace->wall_now_ns();
-            scan_done_ns[c % window] = end_ns;
-            trace->complete(
-                TraceClock::wall, trace->wall_lane_for_current_thread("worker"),
-                "scan chunk", scan_start_ns, end_ns - scan_start_ns,
-                {TraceArg::num("chunk",
-                               static_cast<std::uint64_t>(c + chunks_replayed)),
-                 TraceArg::num("domains",
-                               static_cast<std::uint64_t>(rest_plan.chunk_end(c) -
-                                                          rest_plan.chunk_begin(c)))});
-        }
-    };
-
-    // Journal degrade (DESIGN.md §16): a non-transient storage error must not
-    // kill a sweep whose OUTPUT is still perfectly computable. The journal is
-    // shut down — sealing the durable prefix when the tail is clean,
-    // abandoning the .open tail for scrub otherwise — the cause is attributed
-    // loudly (stats flag + campaign.journal.* telemetry), and scanning
-    // continues journal-free. Construction-time failures still throw: before
-    // any work is done, refusing loudly beats running without durability the
-    // caller explicitly asked for.
-    const auto degrade_journal = [&](const JournalIoError& e) {
-        if (journal == nullptr) return;
-        stats.journal_records_appended = journal->records_appended();
-        stats.journal_open_bytes = 0;
-        stats.journal_degraded = true;
-        stats.journal_degraded_error = e.what();
-        if (journal->tail_clean()) {
-            // The failed append rolled back cleanly: everything on disk is
-            // intact records, so best-effort seal the durable prefix.
-            try {
-                journal->close();
-            } catch (const std::exception&) {  // NOLINT(bugprone-empty-catch)
-                journal->abandon();
+            std::vector<TraceArg> args{
+                TraceArg::num("chunk", static_cast<std::uint64_t>(record.chunk_index))};
+            if (item.scan_done_ns > 0) {
+                args.push_back(TraceArg::num(
+                    "queued_ms", static_cast<double>(merge_start_ns - item.scan_done_ns) / 1e6));
             }
-        } else {
-            // The tail may hold a torn frame; leave it .open for scrub.
-            journal->abandon();
-        }
-        if (metrics_ != nullptr) {
-            metrics_->counter("campaign.journal.records_appended")
-                .add(journal->records_appended());
-            metrics_->counter("campaign.journal.segments_sealed")
-                .add(journal->segments_sealed());
-            metrics_->counter("campaign.journal.degraded").add(1);
-            metrics_->counter(std::string{"campaign.journal.io_errors."} +
-                              util::to_cstring(e.error_class()))
-                .add(1);
-        }
-        journal.reset();
-        if (trace != nullptr) {
-            trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
-                           trace->wall_now_ns(), {TraceArg::str("error", e.what())});
-        }
-    };
-
-    const auto merge_chunk = [&](std::size_t c) {
-        const std::int64_t merge_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        ChunkResult result = std::move(chunks[c % window]);
-        chunks[c % window] = ChunkResult{};  // release the slot's storage
-        // Journal FIRST, then merge: a crash in between costs nothing (the
-        // record is durable; resume re-drives the merge from it), while the
-        // opposite order could emit sink output that a resume then repeats.
-        if (journal != nullptr) {
-            ChunkRecord record;
-            record.chunk_index = c + chunks_replayed;
-            record.scans = std::move(result.scans);
-            if (metrics_ != nullptr && result.metrics != nullptr) {
-                record.telemetry_snapshot = telemetry::snapshot(*result.metrics);
-            }
-            const std::int64_t append_start_ns =
-                trace != nullptr ? trace->wall_now_ns() : 0;
-            try {
-                journal->append_chunk(record);
-            } catch (const JournalIoError& e) {
-                degrade_journal(e);
-            }
-            if (trace != nullptr && journal != nullptr) {
-                trace->complete(
-                    TraceClock::wall, wall_merge_lane, "journal append",
-                    append_start_ns, trace->wall_now_ns() - append_start_ns,
-                    {TraceArg::num("chunk", static_cast<std::uint64_t>(
-                                                record.chunk_index)),
-                     TraceArg::num("open_bytes", journal->open_bytes())});
-            }
-            result.scans = std::move(record.scans);
-        }
-        if (trace != nullptr && result.metrics != nullptr) {
-            // Chunk-local efficiency, sampled from the chunk's private
-            // registry before it merges away: datagram-pool hit rate and the
-            // simulator event-queue high-water mark. Read-only probes — the
-            // merged registry must not grow instruments just because a
-            // recorder is attached.
-            const auto* hits = result.metrics->find_counter("bytes.pool.hits");
-            const auto* acquires = result.metrics->find_counter("bytes.pool.acquires");
-            if (hits != nullptr && acquires != nullptr && acquires->value() > 0) {
-                trace->counter(TraceClock::wall, "pool hit rate",
-                               trace->wall_now_ns(),
-                               static_cast<double>(hits->value()) /
-                                   static_cast<double>(acquires->value()));
-            }
-            if (const auto* hwm =
-                    result.metrics->find_gauge("netsim.sim.queue_depth_hwm");
-                hwm != nullptr && hwm->has_value()) {
-                trace->counter(TraceClock::wall, "event queue hwm",
-                               trace->wall_now_ns(), hwm->value());
-            }
-        }
-        if (metrics_ != nullptr && result.metrics != nullptr) {
-            metrics_->merge_from(*result.metrics);
-        }
-        trace_chunk(c + chunks_replayed, result.scans, /*replayed=*/false,
-                    /*quarantined=*/false);
-        for (std::size_t j = 0; j < result.scans.size(); ++j) {
-            merge_scan(base_domain + rest_plan.chunk_begin(c) + j,
-                       std::move(result.scans[j]));
-        }
-        if (trace != nullptr) {
-            const std::int64_t end_ns = trace->wall_now_ns();
-            const double queued_ms =
-                static_cast<double>(merge_start_ns - scan_done_ns[c % window]) / 1e6;
-            trace->complete(TraceClock::wall, wall_merge_lane, "merge chunk",
-                            merge_start_ns, end_ns - merge_start_ns,
-                            {TraceArg::num("chunk", static_cast<std::uint64_t>(
-                                                        c + chunks_replayed)),
-                             TraceArg::num("queued_ms", queued_ms)});
+            trace->complete(TraceClock::wall, wall_merge_lane, "merge chunk", merge_start_ns,
+                            end_ns - merge_start_ns, std::move(args));
             const double elapsed = wall_elapsed();
             if (elapsed > 0.0) {
                 trace->counter(TraceClock::wall, "domains_per_sec", end_ns,
@@ -1270,85 +812,267 @@ CampaignStats Campaign::run_impl(
         }
     };
 
-    const auto quarantine_chunk = [&](const ChunkFailure& failure) {
+    // ---- journal: lock, header, recorded chunks -----------------------------
+    const bool journaling = !options_.journal_dir.empty();
+    const std::filesystem::path dir = options_.journal_dir;
+    util::Io& io = util::resolve_io(options_.io);
+    // Exactly one campaign may write a journal directory at a time: a reduce
+    // racing a run would merge records the run is about to wipe. Held until
+    // this run returns; a stale lock whose owner died is broken silently, a
+    // live owner makes this run refuse loudly.
+    util::PidLockFile journal_lock;
+    std::vector<MapBatch> recorded;  // ascending, disjoint
+    if (journaling) {
+        std::filesystem::create_directories(dir);
+        try {
+            journal_lock.acquire(journal_lock_path(dir));
+        } catch (const std::runtime_error& e) {
+            throw std::runtime_error(std::string{"scanner: journal dir '"} +
+                                     options_.journal_dir +
+                                     "' is in use by another campaign (" + e.what() +
+                                     "); this campaign spans domains [0, " +
+                                     std::to_string(universe) + ") in " +
+                                     std::to_string(plan.chunk_count()) + " chunks");
+        }
+        CampaignHeader header;
+        header.seed = options_.seed;
+        header.week = options_.week;
+        header.ipv6 = options_.ipv6;
+        header.chunk_domains = options_.chunk_domains;
+        header.domain_count = universe;
+        header.has_telemetry = metrics_ != nullptr;
+        init_map_journal(io, dir, header, /*wipe=*/!reuse_journal);
+        // Only chunk PRESENCE is loaded eagerly: each recorded batch is read
+        // when its turn to merge comes and dies with the merge, so RSS is
+        // bounded by the merge window, never by how much was published.
+        if (reuse_journal) recorded = list_map_batches(dir);
+        if (!recorded.empty() && recorded.back().last >= plan.chunk_count()) {
+            throw std::invalid_argument(
+                "scanner: journal chunk index " + std::to_string(recorded.back().last) +
+                " is past this campaign's chunk count (" +
+                std::to_string(plan.chunk_count()) + " chunks over " +
+                std::to_string(universe) + " domains)");
+        }
+    }
+    std::vector<std::size_t> missing;
+    {
+        std::size_t c = 0;
+        for (const MapBatch& batch : recorded) {
+            for (; c < batch.first; ++c) missing.push_back(c);
+            c = batch.last + 1;
+        }
+        for (; c < plan.chunk_count(); ++c) missing.push_back(c);
+    }
+
+    // ---- publishing ---------------------------------------------------------
+    // Journal-before-merge: a batch is durable before any of its chunks
+    // reaches the sink, so a crash in between costs nothing (reduce replays
+    // it) while the opposite order could emit output a reduce then repeats.
+    // A non-transient storage error must not kill a sweep whose OUTPUT is
+    // still perfectly computable (DESIGN.md §16): publishing stops, the
+    // cause is attributed loudly (stats flag + campaign.journal.* telemetry)
+    // and merging continues. Failures before any work — lock, header — still
+    // throw: refusing loudly beats running without the durability the caller
+    // asked for.
+    bool publishing = journaling;
+    // Storage-retry jitter stream (wall-clock backoff); independent of every
+    // scan-facing RNG, so disk stutter never perturbs the output.
+    util::Rng io_retry_rng{util::derive_stream_seed(options_.seed, 0xd15cULL)};
+    const auto publish = [&](const MapBatch& batch, std::string_view framed) {
+        if (!publishing) return;
+        const std::int64_t start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
+        util::IoResult published;
+        for (int attempt = 0;; ++attempt) {
+            published = write_map_batch(io, dir, batch, framed);
+            if (published ||
+                util::classify_io_error(published.err) != util::IoErrorClass::transient ||
+                attempt + 1 >= options_.journal_retry.max_attempts) {
+                break;
+            }
+            const Duration delay =
+                options_.journal_retry.backoff_delay(attempt + 1, io_retry_rng);
+            std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
+        }
+        if (published) {
+            stats.journal_records_appended += batch.size();
+            if (trace != nullptr) {
+                trace->complete(
+                    TraceClock::wall, wall_merge_lane, "journal publish", start_ns,
+                    trace->wall_now_ns() - start_ns,
+                    {TraceArg::num("first", static_cast<std::uint64_t>(batch.first)),
+                     TraceArg::num("last", static_cast<std::uint64_t>(batch.last)),
+                     TraceArg::num("bytes", static_cast<std::uint64_t>(framed.size()))});
+            }
+            return;
+        }
+        publishing = false;
+        stats.journal_degraded = true;
+        stats.journal_degraded_error =
+            "scanner: cannot publish journal records for chunks " +
+            std::to_string(batch.first) + ".." + std::to_string(batch.last) + " (domains [" +
+            std::to_string(plan.chunk_begin(batch.first)) + ", " +
+            std::to_string(plan.chunk_end(batch.last)) + ")) in " + options_.journal_dir +
+            ": " + published.message();
+        if (metrics_ != nullptr) {
+            metrics_->counter("campaign.journal.degraded").add(1);
+            metrics_->counter(std::string{"campaign.journal.io_errors."} +
+                              util::to_cstring(util::classify_io_error(published.err)))
+                .add(1);
+        }
+        if (trace != nullptr) {
+            trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
+                           trace->wall_now_ns(),
+                           {TraceArg::str("error", stats.journal_degraded_error)});
+        }
+    };
+    // Thread-safe: runs on shard workers (and inline on the merge thread).
+    const auto scan_item = [this](std::size_t chunk_index) {
+        ChunkScan scanned = scan_chunk_into(chunk_index);
+        ChunkItem item;
+        item.record.chunk_index = chunk_index;
+        item.record.scans = std::move(scanned.scans);
+        item.metrics = std::move(scanned.metrics);
+        return item;
+    };
+
+    // ---- the merge loop -----------------------------------------------------
+    // Recorded batches replay right before the first scanned chunk past
+    // them; scanned chunks collect into `pending` (consecutive indices, at
+    // most kMapBatchChunks) and are published as one file, then merged.
+    // Records are encoded here on the merge thread, in parallel with the
+    // workers' scans: a run on N threads keeps N + 1 cores busy.
+    std::size_t next_recorded = 0;
+    std::uint64_t records_replayed = 0;
+    std::uint64_t corrupt_chunks = 0;
+    std::vector<ChunkItem> pending;
+    const auto commit = [&](std::vector<ChunkItem>& items) {
+        if (items.empty()) return;
+        if (publishing) {
+            std::string framed;
+            for (ChunkItem& item : items) {
+                if (item.metrics != nullptr) {
+                    item.record.telemetry_snapshot = telemetry::snapshot(*item.metrics);
+                }
+                framed += frame_record(serialize_chunk_record(item.record));
+            }
+            publish({items.front().record.chunk_index, items.back().record.chunk_index},
+                    framed);
+        }
+        for (ChunkItem& item : items) merge_chunk(item, /*replayed=*/false);
+        items.clear();
+    };
+    const auto replay_up_to = [&](std::size_t limit) {
+        for (; next_recorded < recorded.size() && recorded[next_recorded].first < limit;
+             ++next_recorded) {
+            const MapBatch& batch = recorded[next_recorded];
+            if (auto records = read_map_batch(dir, batch)) {
+                for (ChunkRecord& record : *records) {
+                    ChunkItem item;
+                    item.record = std::move(record);
+                    merge_chunk(item, /*replayed=*/true);
+                }
+                records_replayed += batch.size();
+                continue;
+            }
+            // Listed but unreadable (torn or bit-flipped): rescan the batch
+            // inline and republish it under the same name — byte-identical
+            // by the purity contract, so the repair is idempotent.
+            corrupt_chunks += batch.size();
+            std::vector<ChunkItem> rescanned;
+            for (std::size_t c = batch.first; c <= batch.last; ++c) {
+                rescanned.push_back(scan_item(c));
+            }
+            commit(rescanned);
+        }
+    };
+    const auto take = [&](ChunkItem&& item) {
+        const std::size_t c = item.record.chunk_index;
+        if (!pending.empty() && c != pending.back().record.chunk_index + 1) commit(pending);
+        replay_up_to(c);
+        pending.push_back(std::move(item));
+        if (!publishing || pending.size() == kMapBatchChunks) commit(pending);
+    };
+
+    // One missing chunk per work item: the campaign chunk is the unit of
+    // journaling, so the shard layer must not regroup. Slot m % window is
+    // written by exactly one worker (inside scan_missing(m)) and read by the
+    // merge thread only after run_supervised reports the chunk done; the
+    // shard merge window bounds how many chunks are live past the merge
+    // frontier, so in-flight results cost O(window), never O(chunk count).
+    const ShardConfig shard{options_.threads, 1};
+    const ShardPlan missing_plan{missing.size(), 1};
+    const std::size_t window = std::max<std::size_t>(
+        std::min<std::size_t>(shard.resolved_merge_window(), missing.size()), 1);
+    std::vector<ChunkItem> scanned(window);
+    const auto scan_missing = [&](std::size_t m) {
+        const std::int64_t start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
+        ChunkItem item = scan_item(missing[m]);
+        if (trace != nullptr) {
+            item.scan_done_ns = trace->wall_now_ns();
+            trace->complete(
+                TraceClock::wall, trace->wall_lane_for_current_thread("worker"),
+                "scan chunk", start_ns, item.scan_done_ns - start_ns,
+                {TraceArg::num("chunk", static_cast<std::uint64_t>(missing[m])),
+                 TraceArg::num("domains",
+                               static_cast<std::uint64_t>(item.record.scans.size()))});
+        }
+        scanned[m % window] = std::move(item);
+    };
+    const auto merge_missing = [&](std::size_t m) {
+        ChunkItem item = std::move(scanned[m % window]);
+        scanned[m % window] = ChunkItem{};  // release the slot's storage
+        take(std::move(item));
+    };
+    const auto quarantine_missing = [&](const ChunkFailure& failure) {
         // The chunk crashed repeatedly even after restarts: give its domains
         // placeholder error scans and complete the campaign degraded rather
         // than losing the sweep.
-        const std::size_t begin = base_domain + rest_plan.chunk_begin(failure.chunk);
-        const std::size_t end = base_domain + rest_plan.chunk_end(failure.chunk);
-        std::vector<DomainScan> placeholders;
-        placeholders.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t c = missing[failure.chunk];
+        ChunkItem item;
+        item.record.chunk_index = c;
+        item.record.quarantined = true;
+        item.record.quarantine_error = failure.error;
+        for (std::size_t i = plan.chunk_begin(c); i < plan.chunk_end(c); ++i) {
             DomainScan scan;
             scan.domain_id = static_cast<std::uint32_t>(i);
             scan.error = "chunk quarantined: " + failure.error;
-            placeholders.push_back(std::move(scan));
+            item.record.scans.push_back(std::move(scan));
         }
-        if (journal != nullptr) {
-            ChunkRecord record;
-            record.chunk_index = failure.chunk + chunks_replayed;
-            record.quarantined = true;
-            record.quarantine_error = failure.error;
-            record.scans = std::move(placeholders);
-            try {
-                journal->append_chunk(record);
-            } catch (const JournalIoError& e) {
-                degrade_journal(e);
-            }
-            placeholders = std::move(record.scans);
-        }
-        ++stats.chunks_quarantined;
-        stats.domains_quarantined += end - begin;
-        if (metrics_ != nullptr) {
-            metrics_->counter("campaign.quarantined_chunks").add(1);
-            metrics_->counter("campaign.quarantined_domains").add(end - begin);
-        }
-        trace_chunk(failure.chunk + chunks_replayed, placeholders, /*replayed=*/false,
-                    /*quarantined=*/true);
         if (trace != nullptr) {
             trace->instant(
                 TraceClock::wall, wall_merge_lane, "quarantine", trace->wall_now_ns(),
-                {TraceArg::num("chunk",
-                               static_cast<std::uint64_t>(failure.chunk +
-                                                          chunks_replayed)),
+                {TraceArg::num("chunk", static_cast<std::uint64_t>(c)),
                  TraceArg::num("attempts", static_cast<std::uint64_t>(failure.attempts)),
                  TraceArg::str("error", failure.error)});
         }
-        for (std::size_t j = 0; j < placeholders.size(); ++j) {
-            merge_scan(begin + j, std::move(placeholders[j]));
-        }
+        take(std::move(item));
     };
 
     SupervisorConfig supervisor;
     supervisor.restart = options_.worker_restart;
     supervisor.seed = options_.seed;
-    const SupervisionReport report =
-        run_supervised(shard, rest_plan, supervisor, scan_chunk, merge_chunk,
-                       quarantine_chunk);
-    stats.worker_restarts = report.restarts;
-    // restarted_workers = thread-level scan re-executions (run_supervised);
-    // its sibling campaign.restarted_procs counts worker PROCESS re-forks
-    // and is published by scanner::run_procs — keeping the two attribution
-    // paths distinct for the progress reporter and the flight recorder.
-    if (metrics_ != nullptr && report.restarts > 0) {
-        metrics_->counter("campaign.restarted_workers").add(report.restarts);
-    }
+    const SupervisionReport report = run_supervised(
+        shard, missing_plan, supervisor, scan_missing, merge_missing, quarantine_missing);
+    commit(pending);
+    replay_up_to(plan.chunk_count());
 
-    if (journal != nullptr) {
-        try {
-            journal->close();
-        } catch (const JournalIoError& e) {
-            degrade_journal(e);  // resets `journal`
+    stats.worker_restarts = report.restarts;
+    if (metrics_ != nullptr) {
+        // restarted_workers = thread-level scan re-executions (run_supervised);
+        // its sibling campaign.restarted_procs counts worker PROCESS re-forks
+        // and is published by scanner::run_procs.
+        if (report.restarts > 0) {
+            metrics_->counter("campaign.restarted_workers").add(report.restarts);
         }
-    }
-    if (journal != nullptr) {
-        stats.journal_records_appended = journal->records_appended();
-        stats.journal_open_bytes = 0;  // everything sealed and durable
-        if (metrics_ != nullptr) {
+        if (journaling) {
             metrics_->counter("campaign.journal.records_appended")
-                .add(journal->records_appended());
-            metrics_->counter("campaign.journal.segments_sealed")
-                .add(journal->segments_sealed());
+                .add(stats.journal_records_appended);
+        }
+        if (records_replayed > 0) {
+            metrics_->counter("campaign.journal.records_replayed").add(records_replayed);
+        }
+        if (corrupt_chunks > 0) {
+            metrics_->counter("campaign.journal.corrupt_map_chunks").add(corrupt_chunks);
         }
     }
 

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,14 +83,13 @@ struct ScanOptions {
     std::size_t chunk_domains = 16;
     /// Crash-safe journal directory (DESIGN.md §11); empty disables
     /// journaling. run() starts a FRESH journal here (removing a previous
-    /// one); resume() replays it and continues.
+    /// one); reduce() folds what a killed run or a run_procs map pass left
+    /// behind and scans the rest.
     std::string journal_dir;
-    /// Journal segment rotation threshold, in bytes.
-    std::size_t journal_segment_bytes = 4u << 20;
-    /// Storage seam for every journal write (DESIGN.md §16): segment
-    /// appends/seals, map-layout publishes, leases, locks. nullptr means the
-    /// real disk; tests inject faults::FaultIo. Not owned; must be
-    /// thread-safe and outlive the campaign run.
+    /// Storage seam for every journal write (DESIGN.md §16): record
+    /// publishes, leases, locks. nullptr means the real disk; tests inject
+    /// faults::FaultIo. Not owned; must be thread-safe and outlive the
+    /// campaign run.
     util::Io* io = nullptr;
     /// Retry schedule for TRANSIENT journal storage errors (wall-clock
     /// backoff; see util::classify_io_error). Non-transient failures degrade
@@ -156,8 +156,8 @@ struct DomainScan {
     /// was reached (0 for every sane scan).
     std::uint64_t attempts_truncated = 0;
     /// Total simulated time this domain consumed (every attempt plus every
-    /// retry backoff — the watchdog's accounting). Journaled, so a resumed
-    /// campaign rebuilds the exact flight-recorder timeline of the original.
+    /// retry backoff — the watchdog's accounting). Journaled, so a reduce
+    /// over a killed run rebuilds the exact flight-recorder timeline.
     util::Duration sim_time = util::Duration::zero();
     /// Set when scanning this domain threw; the domain was skipped, the
     /// sweep continued (graceful degradation). Quarantined chunks produce
@@ -192,17 +192,14 @@ struct CampaignStats {
     /// the caller after a run_procs + reduce pair (reduce itself cannot
     /// observe process deaths — they happened in an earlier pass).
     std::uint64_t proc_restarts = 0;
-    /// Journal records appended by this run so far (0 without journaling).
+    /// Chunk records this run published to the journal so far (0 without
+    /// journaling).
     std::uint64_t journal_records_appended = 0;
-    /// Bytes sitting in the journal's active (unsealed) segment — the
-    /// durability lag a progress reporter surfaces. Resets at every segment
-    /// seal (NOT monotonic); 0 in the final stats (everything sealed).
-    std::uint64_t journal_open_bytes = 0;
-    /// The journal hit a non-transient storage error mid-sweep and was shut
-    /// down (durable prefix sealed where possible) while scanning continued —
-    /// the sweep's OUTPUT is complete and correct, but the journal on disk
-    /// is only a prefix and the campaign is not resumable past it. Also
-    /// surfaced as `campaign.journal.degraded` telemetry.
+    /// The journal hit a non-transient storage error mid-sweep and publishing
+    /// stopped while scanning continued — the sweep's OUTPUT is complete and
+    /// correct, but the journal on disk holds only the chunks published
+    /// before the error (a later reduce rescans the rest). Also surfaced as
+    /// `campaign.journal.degraded` telemetry.
     bool journal_degraded = false;
     /// The attributed cause of the degrade (empty when not degraded).
     std::string journal_degraded_error;
@@ -235,7 +232,7 @@ struct CampaignStats {
 /// One chunk's worth of scan output in journal-ready form: the scans of the
 /// chunk's domains in domain-id order plus the chunk-private telemetry
 /// snapshot (empty when the campaign has no registry attached). This is what
-/// a multi-process worker publishes as one map-journal record
+/// a multi-process worker publishes as one journal record
 /// (scanner::run_procs) and what Campaign::reduce folds back together.
 struct ScannedChunk {
     std::vector<DomainScan> scans;
@@ -270,12 +267,12 @@ public:
     /// runs; it is written to even from const scan methods.
     void set_metrics(telemetry::MetricsRegistry* registry) noexcept { metrics_ = registry; }
 
-    /// Attaches a flight recorder: run()/resume() then record the campaign
+    /// Attaches a flight recorder: run()/reduce() then record the campaign
     /// timeline into it (pass nullptr to detach; must outlive the runs).
     /// Simulated-time events — chunk spans at cumulative sim offsets plus
     /// retry/watchdog/quarantine instants — are recorded only on the merge
     /// thread and are byte-identical for every thread count and across
-    /// kill/resume (replayed chunks re-drive identical spans, flagged
+    /// kill/reduce (replayed chunks re-drive identical spans, flagged
     /// `"replayed":1`). Wall-clock worker/merge/journal spans land in the
     /// recorder's wall sidecar. The campaign only records; the owner calls
     /// TraceRecorder::write after the run.
@@ -307,14 +304,14 @@ public:
     /// Scans a single domain (resolution, connection, redirects).
     [[nodiscard]] DomainScan scan_domain(const web::Domain& domain) const;
 
-    /// Scans one GLOBAL chunk into journal-ready form: per-domain fault
-    /// isolation, a chunk-private telemetry registry (snapshotted; only when
-    /// a registry is attached to the campaign) and a chunk-private buffer
-    /// pool — byte-identical to what run() produces and journals for the
-    /// same chunk. This is the unit of work a multi-process worker executes
-    /// under a lease (DESIGN.md §13). ScanOptions::chunk_fault_hook fires at
-    /// entry with the global chunk index, OUTSIDE the per-domain isolation.
-    /// Throws std::out_of_range for an index past chunk_count().
+    /// Scans one GLOBAL chunk into journal-ready form: the chunk scan run()
+    /// merges, with its chunk-private telemetry registry snapshotted (only
+    /// when a registry is attached to the campaign) — byte-identical to what
+    /// run() produces and journals for the same chunk. This is the unit of
+    /// work a multi-process worker executes under a lease (DESIGN.md §11).
+    /// ScanOptions::chunk_fault_hook fires at entry with the global chunk
+    /// index, OUTSIDE the per-domain isolation. Throws std::out_of_range for
+    /// an index past chunk_count().
     [[nodiscard]] ScannedChunk scan_chunk(std::size_t chunk_index) const;
 
     /// Scans every domain, streaming results to `sink` in domain-id order
@@ -327,35 +324,25 @@ public:
     /// per-chunk registry; the calling thread merges chunks strictly in
     /// domain-id order — stats accumulation, telemetry merge_from, sink and
     /// progress all happen there. wall_seconds is aggregated once at merge
-    /// time, not per domain.
+    /// time, not per domain. With ScanOptions::journal_dir set, the run
+    /// starts a fresh journal there and group-commits every
+    /// kMapBatchChunks consecutive chunk records into one file BEFORE
+    /// merging them, so a killed run continues with reduce().
     CampaignStats run(const std::function<void(const web::Domain&, DomainScan&&)>& sink) const;
 
-    /// Crash recovery: replays the journal at ScanOptions::journal_dir (the
-    /// one a killed run() left behind), re-driving stats, telemetry, sink
-    /// and progress from the journaled records, then scans only the
-    /// remaining chunks — continuing the journal. The merged output (sink
-    /// stream, stats, deterministic telemetry) is byte-identical to an
-    /// uninterrupted run(). Torn journal tails are detected, discarded and
-    /// repaired; an empty or missing journal degenerates to run(). Throws
-    /// std::invalid_argument when journal_dir is empty or the journal
-    /// belongs to a different campaign (options/population mismatch).
-    CampaignStats resume(
-        const std::function<void(const web::Domain&, DomainScan&&)>& sink) const;
-
-    /// Multi-process reducer: folds the MAP-layout journal at
-    /// ScanOptions::journal_dir (the per-chunk record files N worker
-    /// processes published, see scanner::run_procs) into one merged result —
-    /// replaying recorded chunks and scanning any missing ones in strict
-    /// ascending chunk order through the exact merge bookkeeping run() uses,
-    /// so the sink stream, stats and deterministic telemetry are
-    /// byte-identical to an uninterrupted single-process run(). Chunks it
-    /// scans itself are published back into the map journal first
-    /// (journal-before-merge, idempotent), so a killed reduce is rerunnable.
-    /// An empty or headerless directory degenerates to a full scan that
-    /// builds the map journal. Holds the journal.lock for the duration;
-    /// throws std::invalid_argument when journal_dir is empty or the journal
-    /// belongs to a different campaign, std::runtime_error when the
-    /// directory is locked by a live campaign.
+    /// Folds the journal at ScanOptions::journal_dir — the record files a
+    /// killed run() or a run_procs map pass published — into one merged
+    /// result: replaying recorded chunks and scanning missing ones in strict
+    /// ascending chunk order through the exact merge loop run() uses, so the
+    /// sink stream, stats and deterministic telemetry are byte-identical to
+    /// an uninterrupted run(). Chunks it scans are published back into the
+    /// journal first (journal-before-merge, idempotent), so a killed reduce
+    /// is rerunnable; a file that fails validation is rescanned and
+    /// republished. An empty or headerless directory degenerates to a full
+    /// scan that builds the journal. Holds the journal.lock for the
+    /// duration; throws std::invalid_argument when journal_dir is empty or
+    /// the journal belongs to a different campaign, std::runtime_error when
+    /// the directory is locked by a live campaign.
     CampaignStats reduce(
         const std::function<void(const web::Domain&, DomainScan&&)>& sink) const;
 
@@ -375,6 +362,19 @@ private:
         /// Simulated time the attempt consumed (watchdog accounting).
         util::Duration sim_elapsed = util::Duration::zero();
     };
+
+    /// One scanned chunk as the merge loop receives it: the scans in
+    /// domain-id order and the chunk-private telemetry registry (null when
+    /// the campaign has no registry), handed over in memory.
+    struct ChunkScan {
+        std::vector<DomainScan> scans;
+        std::unique_ptr<telemetry::MetricsRegistry> metrics;
+    };
+
+    /// The chunk scan behind scan_chunk() and every run()/reduce() worker:
+    /// per-domain fault isolation over a freshly materialized block, with a
+    /// chunk-private registry and buffer pool. Fires chunk_fault_hook first.
+    [[nodiscard]] ChunkScan scan_chunk_into(std::size_t chunk_index) const;
 
     /// scan_domain with telemetry routed into an explicit registry (the
     /// worker's chunk-private one; nullptr disables), so shard workers never
@@ -401,15 +401,11 @@ private:
                                              bytes::BufferPool* pool,
                                              core::ConstrainedMonitor* observer) const;
 
-    /// How run_impl interacts with ScanOptions::journal_dir.
-    enum class RunMode {
-        fresh,   ///< run(): fresh segment journal (when journaling at all)
-        resume,  ///< resume(): replay + continue the segment journal
-        reduce,  ///< reduce(): replay + complete the map-layout journal
-    };
-
+    /// The one merge loop: replays the journal's recorded chunks
+    /// (`reuse_journal`, reduce) or starts it fresh (run), scans every chunk
+    /// not recorded, and publishes when journaling.
     CampaignStats run_impl(const std::function<void(const web::Domain&, DomainScan&&)>& sink,
-                           RunMode mode) const;
+                           bool reuse_journal) const;
 
     const web::PopulationModel* model_;
     ScanOptions options_;

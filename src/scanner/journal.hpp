@@ -1,51 +1,50 @@
 // spinscope/scanner/journal.hpp
 //
-// Crash-safe campaign journal: an append-only record log that lets a killed
-// sweep resume without rescanning finished work (DESIGN.md §11).
+// Crash-safe campaign journal (DESIGN.md §11): a directory of atomically
+// published chunk-record files that lets a killed sweep continue where it
+// stopped without rescanning finished work.
 //
-// The paper's sweeps run for days over >200 M domains; the repro's campaigns
-// are long-running too, and a crash that forfeits hours of finished scans is
-// an operational non-starter. The journal records every merged chunk of
-// DomainScans (plus the chunk's telemetry snapshot) as one framed,
-// checksummed record. Records are appended on the MERGE thread in ascending
-// chunk order, so an intact journal always holds a contiguous chunk prefix
-// of the campaign — exactly the resume invariant Campaign::resume needs.
+// The paper's sweeps run for days over >200 M domains; a crash that forfeits
+// hours of finished scans is an operational non-starter. The journal records
+// every scanned chunk of DomainScans (plus the chunk's telemetry snapshot) as
+// one framed, checksummed record:
 //
-// Format. A journal is a directory of segments:
-//
-//   segment-00000.jsonl        sealed (complete, fsynced, atomically renamed)
-//   segment-00002.jsonl.open   the active tail segment
+//   header.rec               frame_record(serialize_header(...))
+//   chunk-00042.rec          one record: chunk 42 (a multi-process worker)
+//   chunk-00048-00063.rec    a batch: chunks 48..63 back to back (a run()'s
+//                            merge thread group-commits kMapBatchChunks)
+//   chunk-00042.lease        claim marker of the worker scanning chunk 42
 //
 // Each record is framed as
 //
 //   #rec <payload_bytes> <crc32-hex>\n<payload>
 //
-// where the CRC-32 (IEEE, reflected) covers exactly the payload bytes.
-// Records never span segments. Record 0 of segment 0 is the campaign header
-// (seed, week, family, chunk geometry, domain count); every later record is
-// one chunk. A crash can tear at most the record being appended: replay
-// stops at the first frame whose length, checksum or body fails to parse
-// and reports everything from there on as the torn tail, which the writer
-// discards via write-to-temp + atomic rename before appending again.
+// where the CRC-32 (IEEE, reflected) covers exactly the payload bytes. Every
+// file is published with one write, one fsync and one rename
+// (util::write_file_atomic), so a crash leaves a file either whole or absent.
+// "Chunk 42 is done" ⇔ a file whose range holds 42 exists and parses. Chunk
+// scans are pure functions of (options, chunk geometry) — DESIGN.md §9 — so
+// two publishers of the same chunk write byte-identical records; publishing
+// is idempotent and a double scan is wasted work, never corruption.
+// Campaign::reduce folds the files into the ordinary merge path in strict
+// chunk order, scanning whatever is missing.
 
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "faults/retry_policy.hpp"
 #include "scanner/campaign.hpp"
 #include "util/io.hpp"
-#include "util/rng.hpp"
 
 namespace spinscope::scanner {
 
-/// Identity of the campaign a journal belongs to. Resume refuses to mix
+/// Identity of the campaign a journal belongs to. Reduce refuses to mix
 /// journals across campaigns: every field here changes the scan stream, so
 /// replaying records produced under different options would silently corrupt
 /// the output.
@@ -75,29 +74,10 @@ struct ChunkRecord {
     std::string telemetry_snapshot;
 };
 
-/// Journal knobs.
-struct JournalOptions {
-    /// Segment rotation threshold: the active segment is sealed and a new one
-    /// opened once its payload size reaches this many bytes.
-    std::size_t segment_bytes = 4u << 20;
-    /// Storage seam (DESIGN.md §16). nullptr means the real disk; tests
-    /// inject faults::FaultIo. Not owned; must outlive the writer.
-    util::Io* io = nullptr;
-    /// Retry schedule for TRANSIENT storage errors (EINTR, ENOMEM, fd
-    /// exhaustion — util::classify_io_error). Backoff runs in wall time, not
-    /// simulated time: the disk is a real resource even in simulation.
-    faults::RetryPolicy io_retry{3, util::Duration::millis(1), 4.0,
-                                 util::Duration::millis(20), true};
-    /// Seed for the io-retry jitter stream. Storage retries never touch any
-    /// scan-facing RNG, so the determinism contract (DESIGN.md §9) holds
-    /// whether or not the disk stutters.
-    std::uint64_t io_retry_seed = 0;
-};
-
 /// A storage operation failed past the point of retrying. Carries the errno
-/// result and its reaction class so catch sites can decide between degrading
-/// (fatal: seal what is durable, scan on without a journal) and distrusting
-/// the tail (corrupting: what is on media is unknown — scrub before reuse).
+/// result and its reaction class so catch sites can tell a full or dying
+/// disk (fatal) from one whose contents can no longer be trusted
+/// (corrupting: scrub before reuse).
 class JournalIoError : public std::runtime_error {
 public:
     JournalIoError(std::string what, util::IoResult result)
@@ -113,126 +93,9 @@ private:
     util::IoErrorClass error_class_;
 };
 
-/// Everything replay_journal recovered from a journal directory.
-struct ReplayResult {
-    /// False when the directory holds no intact header record (missing,
-    /// empty, or torn before the first frame) — resume then starts fresh.
-    bool has_header = false;
-    CampaignHeader header;
-    /// Intact chunk records in append order. Because appends happen in
-    /// ascending chunk order, this is a contiguous prefix 0..N-1 of the
-    /// campaign's chunks.
-    std::vector<ChunkRecord> chunks;
-    /// Bytes after the last intact record (torn tail + anything behind it).
-    std::uint64_t torn_bytes_discarded = 0;
-};
-
-/// Reads every intact record of the journal at `dir`. Never modifies the
-/// directory. Replay stops at the first frame that fails length, checksum
-/// or body validation; everything from that byte on (including any later
-/// segments) counts as torn. A missing or empty directory yields an empty
-/// result with has_header == false.
-[[nodiscard]] ReplayResult replay_journal(const std::filesystem::path& dir);
-
-/// What the streaming replay recovered — everything ReplayResult reports
-/// except the chunk records themselves, which went to the sink.
-struct ReplayStreamResult {
-    bool has_header = false;
-    CampaignHeader header;
-    /// Intact chunk records delivered to the sink (a contiguous prefix
-    /// 0..N-1 of the campaign's chunks, in ascending order).
-    std::uint64_t chunks_replayed = 0;
-    std::uint64_t torn_bytes_discarded = 0;
-};
-
-/// Streaming form of replay_journal: identical validation and tear handling,
-/// but each intact chunk record is handed to `on_chunk` (in ascending chunk
-/// order) instead of being accumulated, so replaying an arbitrarily long
-/// journal holds at most one segment plus one record in memory. `on_header`
-/// (may be null) fires once, after the header record parses and before any
-/// chunk is delivered — a caller that must refuse a foreign journal throws
-/// from it, and the exception propagates before any record is consumed.
-[[nodiscard]] ReplayStreamResult replay_journal(
-    const std::filesystem::path& dir,
-    const std::function<void(const CampaignHeader&)>& on_header,
-    const std::function<void(ChunkRecord&&)>& on_chunk);
-
-/// Appends campaign records crash-safely. Storage failures surface as
-/// JournalIoError after transient errors have been retried per
-/// JournalOptions::io_retry; a failed append first rolls the segment back to
-/// the previous record boundary (ftruncate) so the on-disk tail never holds
-/// a torn frame that the writer itself produced.
-class JournalWriter {
-public:
-    enum class Mode {
-        /// Start a new journal: create `dir`, remove any previous segments,
-        /// write `header` as record 0. Used by Campaign::run — a fresh run
-        /// rescans everything, so stale records must not survive.
-        fresh,
-        /// Continue an interrupted journal: validate that the stored header
-        /// equals `header` (std::invalid_argument otherwise), repair the
-        /// torn tail atomically (intact prefix → temp file → rename), drop
-        /// any segments past the tear, and append after the last intact
-        /// record. An empty directory degenerates to `fresh`.
-        attach,
-    };
-
-    JournalWriter(std::filesystem::path dir, const CampaignHeader& header, Mode mode,
-                  JournalOptions options = {});
-    ~JournalWriter();
-
-    JournalWriter(const JournalWriter&) = delete;
-    JournalWriter& operator=(const JournalWriter&) = delete;
-
-    /// Appends one chunk record and flushes it (a crash after append can
-    /// tear at most a LATER record). Rolls the segment when full.
-    void append_chunk(const ChunkRecord& record);
-
-    /// Seals the active segment (fsync + atomic rename to its final name).
-    /// A failed fsync FAILS the seal — the segment keeps its .open name so
-    /// no maybe-torn bytes are ever published as sealed. Idempotent; also
-    /// run by the destructor (which swallows errors).
-    void close();
-
-    /// Gives up on the journal without sealing: closes the descriptor
-    /// best-effort and leaves the active segment under its .open name for a
-    /// later scrub. Used by the degrade path when close() itself cannot be
-    /// trusted (e.g. the device refuses fsync). Never throws; the writer is
-    /// dead afterwards.
-    void abandon() noexcept;
-
-    [[nodiscard]] std::uint64_t records_appended() const noexcept { return records_appended_; }
-    [[nodiscard]] std::uint64_t segments_sealed() const noexcept { return segments_sealed_; }
-    /// Bytes written to the active (unsealed) segment so far — the durability
-    /// lag surfaced by progress reporting. Resets at every seal.
-    [[nodiscard]] std::uint64_t open_bytes() const noexcept { return current_bytes_; }
-    /// False when a failed append could not be rolled back to the previous
-    /// record boundary — the active segment may end in a torn frame, so the
-    /// degrade path must abandon() rather than seal.
-    [[nodiscard]] bool tail_clean() const noexcept { return tail_clean_; }
-
-private:
-    void open_segment(std::size_t index, bool truncate);
-    void seal_current_segment();
-    void append_record(const std::string& payload);
-    void close_fd() noexcept;
-
-    std::filesystem::path dir_;
-    JournalOptions options_;
-    util::Io* io_ = nullptr;         ///< resolved: never null after construction
-    util::Rng retry_rng_;
-    int fd_ = util::Io::kBadFile;    ///< the active segment, append mode
-    std::size_t segment_index_ = 0;  ///< index of the ACTIVE segment
-    std::size_t current_bytes_ = 0;  ///< bytes written to the active segment
-    std::uint64_t records_appended_ = 0;
-    std::uint64_t segments_sealed_ = 0;
-    bool failed_ = false;            ///< a storage error killed this writer
-    bool tail_clean_ = true;
-};
-
-/// Serialization of one record payload (exposed for tests and tooling; the
-/// writer/replayer use these internally). parse_* return nullopt on any
-/// malformed input and never throw on bad bytes.
+/// Serialization of one record payload (exposed for tests and tooling).
+/// parse_* return nullopt on any malformed input and never throw on bad
+/// bytes.
 [[nodiscard]] std::string serialize_header(const CampaignHeader& header);
 [[nodiscard]] std::optional<CampaignHeader> parse_header(std::string_view payload);
 [[nodiscard]] std::string serialize_chunk_record(const ChunkRecord& record);
@@ -244,53 +107,50 @@ private:
 // ---------------------------------------------------------------------------
 // Journal-directory lock
 //
-// Exactly one campaign may write a journal directory at a time: two writers
-// interleaving appends (or one resuming while another scans) would corrupt
-// the contiguous-prefix invariant. The lock is a pid file created with
-// O_EXCL; a lock whose owner is dead is stale and silently broken, a lock
-// whose owner is alive makes Campaign::run/resume and the benches refuse
-// with a clear error instead of corrupting.
+// Exactly one campaign may write a journal directory at a time: a reduce
+// racing a run would merge records the run is about to wipe. The lock is a
+// pid file created with O_EXCL; a lock whose owner is dead is stale and
+// silently broken, a lock whose owner is alive makes Campaign::run/reduce,
+// run_procs and the benches refuse with a clear error instead of corrupting.
 
 /// `journal.lock` inside `dir`.
 [[nodiscard]] std::filesystem::path journal_lock_path(const std::filesystem::path& dir);
 
 // ---------------------------------------------------------------------------
-// Map-layout journal (multi-process campaigns, DESIGN.md §13)
-//
-// The segment journal above is an append-only log owned by ONE merge thread.
-// N worker processes cannot share an append stream without ordering writes,
-// so the multi-process path uses a second, order-free layout in the same
-// directory: one atomically-published file per chunk,
-//
-//   header.rec          frame_record(serialize_header(...))
-//   chunk-00042.rec     frame_record(serialize_chunk_record(...))
-//   chunk-00042.lease   claim marker of the worker scanning chunk 42
-//
-// "Chunk 42 is done" ⇔ chunk-00042.rec exists and parses. Because chunk
-// scans are pure functions of (options, chunk geometry) — DESIGN.md §9 —
-// two workers racing to publish the same chunk write byte-identical files,
-// so the atomic-rename publish is idempotent and double-scans are merely
-// wasted work, never corruption. Leases exist for efficiency and liveness
-// (workers avoid double-scanning; a dead worker's chunks are re-leased),
-// NOT for correctness. Campaign::reduce folds the per-chunk files into the
-// ordinary merge path in strict chunk order.
+// Chunk-record files
+
+/// Chunks a run()'s merge thread collects into one group-committed batch
+/// file: one write + fsync + rename per 16 chunks instead of per chunk.
+inline constexpr std::size_t kMapBatchChunks = 16;
+
+/// The chunk range [first, last] one record file holds.
+struct MapBatch {
+    std::size_t first = 0;
+    std::size_t last = 0;
+
+    [[nodiscard]] std::size_t size() const noexcept { return last - first + 1; }
+    friend bool operator==(const MapBatch&, const MapBatch&) = default;
+};
 
 /// `header.rec` inside `dir`.
 [[nodiscard]] std::filesystem::path map_header_path(const std::filesystem::path& dir);
-/// `chunk-NNNNN.rec` inside `dir`.
+/// `chunk-NNNNN.rec` inside `dir` (a batch of one).
 [[nodiscard]] std::filesystem::path map_chunk_path(const std::filesystem::path& dir,
                                                    std::size_t chunk_index);
+/// `chunk-AAAAA-BBBBB.rec` inside `dir`; `chunk-AAAAA.rec` when the batch
+/// holds a single chunk.
+[[nodiscard]] std::filesystem::path map_batch_path(const std::filesystem::path& dir,
+                                                   const MapBatch& batch);
 /// `chunk-NNNNN.lease` inside `dir`.
 [[nodiscard]] std::filesystem::path lease_path(const std::filesystem::path& dir,
                                                std::size_t chunk_index);
 
-/// Prepares `dir` as a map-layout journal. With `wipe`, removes every
-/// existing chunk/lease/header file first (a fresh run rescans everything);
-/// without it, an existing header must equal `header`
-/// (std::invalid_argument otherwise — the journal belongs to a different
-/// campaign) and finished chunks are kept for reuse. The header file is
-/// published atomically and the directory entry fsynced. Throws
-/// std::runtime_error on I/O failure.
+/// Prepares `dir` as a journal. With `wipe`, removes every existing
+/// chunk/lease/header file first (a fresh run rescans everything); without
+/// it, an existing header must equal `header` (std::invalid_argument
+/// otherwise — the journal belongs to a different campaign) and finished
+/// chunks are kept for reuse. The header file is published atomically and
+/// the directory entry fsynced. Throws std::runtime_error on I/O failure.
 void init_map_journal(const std::filesystem::path& dir, const CampaignHeader& header,
                       bool wipe);
 /// Io-threaded form; throws JournalIoError (with the real errno) instead of
@@ -298,41 +158,58 @@ void init_map_journal(const std::filesystem::path& dir, const CampaignHeader& he
 void init_map_journal(util::Io& io, const std::filesystem::path& dir,
                       const CampaignHeader& header, bool wipe);
 
-/// Atomically publishes one finished chunk (write-temp + fsync + rename).
-/// Idempotent: republishing the same chunk is harmless. Returns false on
-/// I/O failure.
+/// Atomically publishes one finished chunk as `chunk-NNNNN.rec`
+/// (write-temp + fsync + rename). Idempotent: republishing the same chunk is
+/// harmless. Returns false on I/O failure.
 [[nodiscard]] bool write_map_chunk(const std::filesystem::path& dir,
                                    const ChunkRecord& record);
 /// Io-threaded form with the real cause (ENOSPC vs EIO vs ...).
 [[nodiscard]] util::IoResult write_map_chunk(util::Io& io, const std::filesystem::path& dir,
                                              const ChunkRecord& record);
 
-/// Reads one published chunk; nullopt when absent, torn, or failing
+/// Atomically publishes `framed` — the frame_record'ed chunk records of
+/// `batch`, in chunk order, back to back — as the batch's one file.
+[[nodiscard]] util::IoResult write_map_batch(util::Io& io, const std::filesystem::path& dir,
+                                             const MapBatch& batch, std::string_view framed);
+
+/// Reads `chunk-NNNNN.rec`; nullopt when absent, torn, or failing
 /// frame/CRC/body validation (all treated as "not scanned yet").
 [[nodiscard]] std::optional<ChunkRecord> read_map_chunk(const std::filesystem::path& dir,
                                                         std::size_t chunk_index);
 
-/// Indices of the chunk-*.rec files present in `dir`, ascending and deduped.
-/// Presence only — a listed chunk may still fail validation when read with
-/// read_map_chunk. This is the fixed-RSS way to find what a reducer can
-/// reuse: O(chunks) indices instead of O(chunks) full records.
+/// Reads every record of one batch file. nullopt — the whole batch counts
+/// as unscanned — when the file is absent, any frame fails length/CRC/body
+/// validation, a record names the wrong chunk, or bytes trail the last frame.
+[[nodiscard]] std::optional<std::vector<ChunkRecord>> read_map_batch(
+    const std::filesystem::path& dir, const MapBatch& batch);
+
+/// The chunk-record files in `dir` that a reducer folds: ascending and
+/// disjoint. A file whose range overlaps an earlier-starting (or, at the
+/// same start, wider) one is left out; the writers here never produce such
+/// overlaps. Presence only — a listed batch may still fail validation when
+/// read. This is the fixed-RSS way to find what a reducer can reuse:
+/// O(files) ranges instead of O(chunks) full records.
+[[nodiscard]] std::vector<MapBatch> list_map_batches(const std::filesystem::path& dir);
+
+/// Indices of every chunk some chunk-record file in `dir` holds, ascending
+/// and deduped (presence only, like list_map_batches).
 [[nodiscard]] std::vector<std::size_t> list_map_chunks(const std::filesystem::path& dir);
 
-/// Everything intact in a map-layout journal directory.
+/// Everything intact in a journal directory.
 struct MapReplayResult {
     /// False when header.rec is absent or fails validation.
     bool has_header = false;
     CampaignHeader header;
-    /// Intact chunks in ascending chunk order. Unlike the segment journal
-    /// this need NOT be a contiguous prefix — workers finish out of order.
+    /// Intact chunks in ascending chunk order. Need NOT be a contiguous
+    /// prefix — workers finish out of order.
     std::vector<ChunkRecord> chunks;
-    /// chunk-*.rec files that failed frame/CRC/body validation (counted,
-    /// then treated as missing — the reducer rescans them).
+    /// Chunks whose file failed frame/CRC/body validation (counted, then
+    /// treated as missing — the reducer rescans them).
     std::uint64_t corrupt_chunks = 0;
 };
 
-/// Reads every intact record of the map-layout journal at `dir`. Never
-/// modifies the directory.
+/// Reads every intact record of the journal at `dir`. Never modifies the
+/// directory.
 [[nodiscard]] MapReplayResult read_map_journal(const std::filesystem::path& dir);
 
 // ---------------------------------------------------------------------------
@@ -384,37 +261,21 @@ bool release_lease(const std::filesystem::path& dir, std::size_t chunk_index,
 // ---------------------------------------------------------------------------
 // Scrub: offline verify / repair (DESIGN.md §16)
 //
-// Replay is deliberately forgiving — it stops at the first bad frame and
-// treats everything behind it as a torn tail, which is the right call for a
-// crash but silently forfeits good records when the damage is a bit flip in
-// the middle of a sealed segment. scrub_journal is the forensic pass: it
-// CRC-checks every frame of every segment and every map-layout record,
-// classifies the damage, repairs what is provably safe (truncating a torn
-// tail to the intact prefix — the same repair the attach path performs),
-// quarantines what is not (moved under corrupt/, never deleted), and writes
-// a machine-readable report naming exactly which chunks a subsequent
-// resume/reduce must rescan.
+// Reduce is deliberately forgiving — it rescans any chunk whose file fails
+// to parse — which is the right call for a crash but says nothing about how
+// much of the journal a lying disk damaged. scrub_journal is the forensic
+// pass: it CRC-checks every frame of every record file, classifies the
+// damage, quarantines what fails (moved under corrupt/, never deleted), and
+// writes a machine-readable report naming exactly which chunks a
+// subsequent reduce must rescan.
 
 /// What kind of damage one finding describes.
 enum class ScrubDamage {
-    /// Frame torn at the very end of the journal — the classic crash shape.
-    /// Repair: truncate to the intact prefix (provably safe: appends are
-    /// ordered, nothing can live past a tear at the tail).
-    torn_tail,
-    /// A bad frame with intact records after it (in the same segment or a
-    /// later one): a bit flip or hole in the middle. The records behind the
-    /// damage violate the contiguous-prefix invariant, so they are
-    /// quarantined, not replayed.
-    mid_segment_corruption,
-    /// Record 0 (the campaign header) is unreadable — nothing in the journal
-    /// can be attributed to a campaign, so every segment is quarantined.
+    /// header.rec is unreadable. Quarantined; reduce republishes the header
+    /// and keeps the chunk files, which carry their own chunk indices.
     header_corrupt,
-    /// A gap in the segment numbering: a whole sealed segment vanished.
-    /// Segments after the gap are quarantined (their records are past the
-    /// hole in the prefix).
-    missing_segment,
-    /// A map-layout chunk-NNNNN.rec failing frame/CRC/body validation or
-    /// naming the wrong chunk index. Quarantined; the chunk is rescanned.
+    /// A chunk-record file failing frame/CRC/body validation or naming the
+    /// wrong chunk. Quarantined; every chunk of its range is rescanned.
     corrupt_map_chunk,
 };
 
@@ -422,22 +283,17 @@ enum class ScrubDamage {
 
 /// One piece of damage the scrub found.
 struct ScrubFinding {
-    ScrubDamage damage = ScrubDamage::torn_tail;
-    /// File the damage was found in (segment or map record), relative name.
+    ScrubDamage damage = ScrubDamage::corrupt_map_chunk;
+    /// File the damage was found in, relative name.
     std::string file;
-    /// Byte offset of the first bad byte within `file` (0 when the whole
-    /// file is the finding, e.g. missing segments and map records).
-    std::uint64_t offset = 0;
     std::string detail;
-    bool repaired = false;     ///< damage removed in place (tail truncation)
-    bool quarantined = false;  ///< bytes moved under corrupt/
+    bool quarantined = false;  ///< file moved under corrupt/
 };
 
 struct ScrubOptions {
-    /// With repair, torn tails are truncated to the intact prefix and
-    /// unsafe bytes are moved under corrupt/ with a scrub.report; without
-    /// it the scrub only inspects and classifies (the bench's --scrub uses
-    /// repair; a dry-run caller can pass false).
+    /// With repair, damaged files are moved under corrupt/ with a
+    /// scrub.report; without it the scrub only inspects and classifies (the
+    /// bench's --scrub uses repair; a dry-run caller can pass false).
     bool repair = true;
     /// Storage seam for the repair writes; nullptr = real disk.
     util::Io* io = nullptr;
@@ -445,24 +301,21 @@ struct ScrubOptions {
 
 /// Scrub outcome. `clean()` means the journal needed nothing; otherwise
 /// `findings` says what was wrong and what was done, and `chunks_to_rescan`
-/// / `resume_from_chunk` tell resume/reduce exactly what work remains.
+/// tells reduce exactly what work remains.
 struct ScrubReport {
     bool has_header = false;
     CampaignHeader header;
-    std::uint64_t segments_checked = 0;
-    std::uint64_t map_chunks_checked = 0;
-    /// Intact records across all segments (including the header record).
+    /// Record files examined, header.rec included.
+    std::uint64_t files_checked = 0;
+    /// Intact records, the header record included.
     std::uint64_t records_intact = 0;
-    /// Intact chunk records: contiguous prefix for the segment layout,
-    /// total intact count for the map layout.
+    /// Intact chunk records.
     std::uint64_t chunks_intact = 0;
     std::uint64_t bytes_discarded = 0;
     std::vector<ScrubFinding> findings;
-    /// Map-layout chunk indices whose records were quarantined (reduce will
-    /// rescan exactly these).
+    /// Chunk indices whose records were quarantined (reduce will rescan
+    /// exactly these), ascending.
     std::vector<std::size_t> chunks_to_rescan;
-    /// First chunk a segment-layout resume must rescan (== chunks_intact).
-    std::uint64_t resume_from_chunk = 0;
 
     [[nodiscard]] bool clean() const noexcept { return findings.empty(); }
     /// Human-readable multi-line summary (the bench prints this).
@@ -472,11 +325,10 @@ struct ScrubReport {
     [[nodiscard]] std::string machine_report() const;
 };
 
-/// Walks the journal at `dir` (segment and map layouts alike), CRC-checks
-/// every frame, classifies damage, repairs/quarantines per `options`, and
-/// reports. A missing or empty directory yields a clean report with
-/// has_header == false. Throws JournalIoError when the scrub's own repair
-/// writes fail.
+/// Walks the journal at `dir`, CRC-checks every frame of every record file,
+/// classifies damage, quarantines per `options`, and reports. A missing or
+/// empty directory yields a clean report with has_header == false. Throws
+/// JournalIoError when the scrub's own repair writes fail.
 [[nodiscard]] ScrubReport scrub_journal(const std::filesystem::path& dir,
                                         const ScrubOptions& options = {});
 

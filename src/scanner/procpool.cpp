@@ -85,6 +85,15 @@ std::optional<std::int64_t> lease_age_ns(const std::filesystem::path& path) {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(now - written).count();
 }
 
+/// True once `chunk` has a record: a file that held it when the pass
+/// started (`at_start` — possibly a run()'s batch file) or the single-chunk
+/// file a worker published since.
+bool chunk_recorded(const std::filesystem::path& dir, const std::vector<char>& at_start,
+                    std::size_t chunk) {
+    std::error_code ec;
+    return at_start[chunk] != 0 || std::filesystem::exists(map_chunk_path(dir, chunk), ec);
+}
+
 /// Placeholder record for a chunk whose scans keep killing worker processes:
 /// the process-level analogue of run_supervised's quarantine, with the same
 /// "chunk quarantined: <error>" placeholder text per domain.
@@ -197,6 +206,7 @@ struct WorkerContext {
     const ProcPoolOptions* options = nullptr;
     util::Io* io = nullptr;  // the campaign's storage seam (DESIGN.md §16)
     std::filesystem::path dir;
+    const std::vector<char>* recorded_at_start = nullptr;
     unsigned slot = 0;
     std::uint64_t token = 0;
     int pipe_fd = -1;
@@ -238,8 +248,7 @@ int worker_main(const WorkerContext& ctx) noexcept {
             bool any_pending = false;
             for (std::size_t step = 0; step < total && claimed.size() < batch; ++step) {
                 const std::size_t c = (cursor + step) % total;
-                std::error_code ec;
-                if (std::filesystem::exists(map_chunk_path(ctx.dir, c), ec)) continue;
+                if (chunk_recorded(ctx.dir, *ctx.recorded_at_start, c)) continue;
                 any_pending = true;
                 std::uint64_t quarantined = 0;
                 const auto prior =
@@ -368,6 +377,12 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     header.domain_count = campaign.domain_count();
     header.has_telemetry = campaign.metrics() != nullptr;
     init_map_journal(io, dir, header, options.fresh);
+    // Only this pass's workers publish while it runs, so one listing covers
+    // every file they did not write themselves.
+    std::vector<char> recorded_at_start(campaign.chunk_count(), 0);
+    for (const std::size_t c : list_map_chunks(dir)) {
+        if (c < recorded_at_start.size()) recorded_at_start[c] = 1;
+    }
 
     // Exclusive campaign ownership of the directory for the whole map pass.
     // Forked children inherit the held flag but _exit without running
@@ -412,6 +427,7 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
             ctx.options = &options;
             ctx.io = &io;
             ctx.dir = dir;
+            ctx.recorded_at_start = &recorded_at_start;
             ctx.slot = index;
             ctx.token = token;
             ctx.pipe_fd = pipe.write_fd();
@@ -567,8 +583,7 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     // Chunks still missing a record are finished inline, with the same
     // attempts bookkeeping the workers apply.
     for (std::size_t c = 0; c < report.chunks_total; ++c) {
-        std::error_code ec;
-        if (std::filesystem::exists(map_chunk_path(dir, c), ec)) continue;
+        if (chunk_recorded(dir, recorded_at_start, c)) continue;
         std::uint64_t quarantined = 0;
         (void)clear_stale_lease(io, campaign, options, dir, c, &quarantined);
         if (quarantined > 0) {
@@ -600,10 +615,7 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     }
 
     for (std::size_t c = 0; c < report.chunks_total; ++c) {
-        std::error_code ec;
-        if (std::filesystem::exists(map_chunk_path(dir, c), ec)) {
-            ++report.chunks_recorded;
-        }
+        if (chunk_recorded(dir, recorded_at_start, c)) ++report.chunks_recorded;
     }
     if (report.chunks_recorded != report.chunks_total) {
         throw std::runtime_error("procpool: map pass finished with missing chunks");

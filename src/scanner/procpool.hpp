@@ -1,8 +1,8 @@
 // spinscope/scanner/procpool.hpp
 //
 // Multi-process campaign execution: a supervisor that forks N worker
-// processes, each scanning leased chunks into one shared map-layout journal
-// directory (DESIGN.md §13).
+// processes, each scanning leased chunks into one shared journal directory
+// (DESIGN.md §11).
 //
 // PR 5's in-process supervision survives a chunk whose scan THROWS; it
 // cannot survive the failures that dominate week-long full-machine sweeps —
@@ -123,14 +123,14 @@ struct ProcPoolReport {
 };
 
 /// Runs the map pass: forks `options.procs` workers that lease and scan
-/// every chunk of `campaign` into the map-layout journal at
+/// every chunk of `campaign` into the journal at
 /// ScanOptions::journal_dir, supervising them until every chunk has a
 /// published record. The campaign's metrics registry (if attached) receives
 /// process-level observability — campaign.restarted_procs,
 /// campaign.restarted_workers, obs.proc.* gauges — and its trace recorder
 /// (if attached) gets wall-clock worker-incarnation lanes; neither perturbs
 /// deterministic output (both prefixes are excluded from
-/// telemetry::deterministic_csv). Returns once the map journal is complete.
+/// telemetry::deterministic_csv). Returns once the journal is complete.
 ///
 /// Holds the journal.lock while running. Call Campaign::reduce afterwards
 /// for the merged result. Throws std::invalid_argument on bad options or an

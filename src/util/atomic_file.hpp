@@ -3,7 +3,7 @@
 // Crash-safe file publication: write-to-temp + fsync + rename.
 //
 // The campaign pipeline persists state a crash must never tear — telemetry
-// sidecars, qlog dataset shards, journal segments. POSIX rename() within one
+// sidecars, qlog dataset shards, journal record files. POSIX rename() within one
 // filesystem is atomic, so a reader (or a resumed campaign) only ever
 // observes the old file or the complete new file, never a partial write.
 // fsync-before-rename closes the remaining window where the rename survives
@@ -54,7 +54,7 @@ namespace spinscope::util {
 bool fsync_dir(const std::filesystem::path& dir);
 
 /// Best-effort fsync of an already-written file by path (opens, fsyncs,
-/// closes). Used by append-mode writers before sealing a segment. Fails when
+/// closes). Used by append-mode writers before sealing a file. Fails when
 /// the file cannot be opened or synced.
 [[nodiscard]] IoResult fsync_file(Io& io, const std::filesystem::path& path);
 bool fsync_file(const std::filesystem::path& path);

@@ -2,8 +2,8 @@
 //
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for record-level
 // integrity checks: the campaign journal frames every record with a length
-// and a checksum so that a crash mid-append is detectable as a torn tail and
-// bit rot in older segments never replays as valid data.
+// and a checksum so that a torn write is detectable and bit rot in a
+// published record file never replays as valid data.
 //
 // Header-only and constexpr: the lookup table is generated at compile time
 // and checksums of compile-time constants can be folded into constants.

@@ -1,8 +1,8 @@
 // spinscope/util/io.hpp
 //
 // Injectable storage seam (DESIGN.md §16): every write-side filesystem
-// operation the campaign pipeline performs — journal segment appends, seals,
-// atomic publishes, lease claims — goes through an Io instance instead of
+// operation the campaign pipeline performs — journal record publishes,
+// lease claims, lock files — goes through an Io instance instead of
 // calling the OS directly. Production code uses Io::real(); tests inject
 // faults::FaultIo to make the disk lie deterministically (ENOSPC, EIO on
 // fsync, short writes, power loss) and assert that every write path reacts

@@ -5,7 +5,7 @@
 // pid lock file with stale-owner detection.
 //
 // Everything here is POSIX-first (the procpool supervisor is a fork-based
-// design, DESIGN.md §13); on platforms without fork/pipes the helpers
+// design, DESIGN.md §11); on platforms without fork/pipes the helpers
 // degrade explicitly — Pipe construction throws and process_alive reports
 // true (never falsely declare a process dead, which would break a lease).
 

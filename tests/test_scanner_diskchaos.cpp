@@ -4,7 +4,7 @@
 // point, a journaled campaign either completes with output byte-identical to
 // the fault-free run (possibly with the journal degraded and a loud,
 // attributed error in CampaignStats), or refuses loudly with an attributed
-// error — and scrub + resume on a REAL disk then completes byte-identically.
+// error — and scrub + reduce on a REAL disk then completes byte-identically.
 // No silent corruption, ever.
 //
 // The default run sweeps a reduced fault matrix so the tier-1 ctest lane
@@ -33,8 +33,9 @@ namespace {
 
 using spinscope::testing::render_scan_stream;
 
-// ~110 domains at seed 1 — 7 chunks at chunk_domains=16; small segments make
-// every fault ordinal land inside the journal's busy write window.
+// ~110 domains at seed 1 — 7 chunks at chunk_domains=16, one batch file;
+// chunk_domains=2 spreads them over four batch files (five publishes with the
+// header), so the fault ordinals land inside the journal's busy write window.
 web::Population tiny_population() { return web::Population{{2'000'000.0, 1}}; }
 
 bool full_sweep() { return std::getenv("SPINSCOPE_DISKCHAOS_FULL") != nullptr; }
@@ -60,10 +61,10 @@ struct SweepResult {
     std::string telemetry;  ///< telemetry::deterministic_csv
 };
 
-/// One campaign pass. `io` may be null (real disk); `resume` replays the
-/// journal first.
+/// One campaign pass. `io` may be null (real disk); `reduce` folds the
+/// journal instead of starting a fresh one.
 SweepResult run_campaign(const web::Population& population, ScanOptions options,
-                         util::Io* io, bool resume) {
+                         util::Io* io, bool reduce) {
     options.io = io;
     Campaign campaign{population, options};
     telemetry::MetricsRegistry registry;
@@ -72,7 +73,7 @@ SweepResult run_campaign(const web::Population& population, ScanOptions options,
     const auto sink = [&](const web::Domain&, DomainScan&& scan) {
         result.stream += render_scan_stream(scan);
     };
-    result.stats = resume ? campaign.resume(sink) : campaign.run(sink);
+    result.stats = reduce ? campaign.reduce(sink) : campaign.run(sink);
     result.telemetry = telemetry::deterministic_csv(registry);
     return result;
 }
@@ -89,7 +90,7 @@ FaultOutcome run_faulted(const web::Population& population, const ScanOptions& o
     faults::FaultIo io{util::Io::real(), plan};
     FaultOutcome outcome;
     try {
-        outcome.result = run_campaign(population, options, &io, /*resume=*/false);
+        outcome.result = run_campaign(population, options, &io, /*reduce=*/false);
     } catch (const std::exception& e) {
         outcome.threw = true;
         outcome.error = e.what();
@@ -118,14 +119,14 @@ char expect_no_silent_corruption(const web::Population& population,
         return 'c';
     }
     // Refused: the error must be attributed (never a bare what()), and
-    // scrub + resume on the real disk must complete byte-identically.
+    // scrub + reduce on the real disk must complete byte-identically.
     EXPECT_FALSE(outcome.error.empty()) << label;
     const ScrubReport scrubbed = scrub_journal(options.journal_dir);
-    (void)scrubbed;  // any classification is fine; resume is the proof
-    const SweepResult resumed =
-        run_campaign(population, options, /*io=*/nullptr, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream) << label << " (post-scrub resume)";
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry) << label << " (post-scrub resume)";
+    (void)scrubbed;  // any classification is fine; reduce is the proof
+    const SweepResult reduced =
+        run_campaign(population, options, /*io=*/nullptr, /*reduce=*/true);
+    EXPECT_EQ(reduced.stream, baseline.stream) << label << " (post-scrub reduce)";
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry) << label << " (post-scrub reduce)";
     return 't';
 }
 
@@ -134,11 +135,11 @@ char expect_no_silent_corruption(const web::Population& population,
 TEST_F(DiskChaosTest, EveryFaultPlanCompletesIdenticallyOrRefusesLoudly) {
     const web::Population population = tiny_population();
     ScanOptions base;
-    base.journal_segment_bytes = 1024;  // several segments → seals mid-run
+    base.chunk_domains = 2;  // several batch files → publishes mid-run
     base.journal_retry.initial_backoff = util::Duration::millis(1);
     base.journal_retry.max_backoff = util::Duration::millis(2);
     const SweepResult baseline =
-        run_campaign(population, base, /*io=*/nullptr, /*resume=*/false);
+        run_campaign(population, base, /*io=*/nullptr, /*reduce=*/false);
     ASSERT_GT(baseline.stream.size(), 0u);
 
     struct Cell {
@@ -204,17 +205,22 @@ TEST_F(DiskChaosTest, DegradedCampaignIsLoudAndItsJournalPrefixIsUsable) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "degraded").string();
-    options.journal_segment_bytes = 1024;
+    options.chunk_domains = 2;
     options.journal_retry.initial_backoff = util::Duration::millis(1);
     options.journal_retry.max_backoff = util::Duration::millis(2);
     const SweepResult baseline =
-        run_campaign(population, options, /*io=*/nullptr, /*resume=*/false);
+        run_campaign(population, options, /*io=*/nullptr, /*reduce=*/false);
+    const auto header_bytes = std::filesystem::file_size(map_header_path(options.journal_dir));
+    const auto batch_bytes = std::filesystem::file_size(
+        map_batch_path(options.journal_dir, {0, kMapBatchChunks - 1}));
     std::filesystem::remove_all(options.journal_dir);
 
-    // The disk fills after ~3 KB: a few records land, then every append
-    // fails with ENOSPC (fatal, not transient) and the campaign degrades.
+    // The disk fills half way into the second batch: the header and the
+    // first batch land, then a publish fails with ENOSPC (fatal, not
+    // transient) and the campaign degrades. (Half a batch of slack: the
+    // records' wall-clock phase timers vary their length run to run.)
     faults::StorageFaultPlan plan;
-    plan.enospc_after_bytes = 3000;
+    plan.enospc_after_bytes = header_bytes + batch_bytes + batch_bytes / 2;
     faults::FaultIo io{util::Io::real(), plan};
     Campaign campaign{population, [&] {
         ScanOptions faulted = options;
@@ -233,55 +239,52 @@ TEST_F(DiskChaosTest, DegradedCampaignIsLoudAndItsJournalPrefixIsUsable) {
     EXPECT_TRUE(stats.journal_degraded);
     EXPECT_NE(stats.journal_degraded_error.find("No space left"), std::string::npos)
         << stats.journal_degraded_error;
+    EXPECT_GT(stats.journal_records_appended, 0u);
     EXPECT_EQ(stream, baseline.stream);
     const auto* degraded = registry.find_counter("campaign.journal.degraded");
     ASSERT_NE(degraded, nullptr);
     EXPECT_EQ(degraded->value(), 1u);
     EXPECT_NE(registry.find_counter("campaign.journal.io_errors.fatal"), nullptr);
 
-    // The sealed prefix the degrade left behind is an ordinary valid journal:
-    // scrub finds it intact-or-torn (never corrupt), resume completes.
-    const ScrubReport report = scrub_journal(options.journal_dir);
-    for (const ScrubFinding& finding : report.findings) {
-        EXPECT_NE(finding.damage, ScrubDamage::mid_segment_corruption)
-            << "degrade published a corrupt record";
-        EXPECT_NE(finding.damage, ScrubDamage::header_corrupt);
-    }
-    const SweepResult resumed =
-        run_campaign(population, options, /*io=*/nullptr, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
+    // The batches the degrade left behind are an ordinary valid journal:
+    // scrub finds nothing corrupt, reduce completes.
+    EXPECT_TRUE(scrub_journal(options.journal_dir).clean());
+    EXPECT_EQ(list_map_chunks(options.journal_dir).size(), stats.journal_records_appended);
+    const SweepResult reduced =
+        run_campaign(population, options, /*io=*/nullptr, /*reduce=*/true);
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
 }
 
 TEST_F(DiskChaosTest, BitFlipAfterSealIsCaughtByScrubAndResumeIsIdentical) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "flip").string();
-    options.journal_segment_bytes = 1024;
+    options.chunk_domains = 2;
     const SweepResult baseline =
-        run_campaign(population, options, /*io=*/nullptr, /*resume=*/false);
+        run_campaign(population, options, /*io=*/nullptr, /*reduce=*/false);
     std::filesystem::remove_all(options.journal_dir);
 
-    // The first seal's rename flips one bit in the sealed segment. The
-    // campaign itself cannot notice (the syscall succeeded) — this is the
-    // silent-corruption case that scrub exists to catch.
+    // The second rename (the first batch's publish; the header is the
+    // first) flips one bit in the published file. The campaign itself
+    // cannot notice (the syscall succeeded) — this is the silent-corruption
+    // case that scrub exists to catch.
     faults::StorageFaultPlan plan;
-    plan.flip_bit_at_rename = 1;
+    plan.flip_bit_at_rename = 2;
     const FaultOutcome outcome = run_faulted(population, options, plan);
     ASSERT_FALSE(outcome.threw) << outcome.error;
     EXPECT_EQ(outcome.result.stream, baseline.stream);
 
     const ScrubReport report = scrub_journal(options.journal_dir);
     ASSERT_FALSE(report.clean()) << "scrub missed the flipped bit";
-    EXPECT_TRUE(report.findings[0].damage == ScrubDamage::mid_segment_corruption ||
-                report.findings[0].damage == ScrubDamage::header_corrupt ||
-                report.findings[0].damage == ScrubDamage::torn_tail)
+    EXPECT_EQ(report.findings[0].damage, ScrubDamage::corrupt_map_chunk)
         << to_cstring(report.findings[0].damage);
+    EXPECT_EQ(report.chunks_to_rescan.size(), kMapBatchChunks);
 
-    const SweepResult resumed =
-        run_campaign(population, options, /*io=*/nullptr, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
+    const SweepResult reduced =
+        run_campaign(population, options, /*io=*/nullptr, /*reduce=*/true);
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
 }
 
 TEST_F(DiskChaosTest, TransientWriteErrorsAreRetriedInvisibly) {
@@ -293,11 +296,11 @@ TEST_F(DiskChaosTest, TransientWriteErrorsAreRetriedInvisibly) {
     options.journal_retry.initial_backoff = util::Duration::millis(1);
     options.journal_retry.max_backoff = util::Duration::millis(2);
     const SweepResult baseline =
-        run_campaign(population, options, /*io=*/nullptr, /*resume=*/false);
+        run_campaign(population, options, /*io=*/nullptr, /*reduce=*/false);
     std::filesystem::remove_all(options.journal_dir);
 
     faults::StorageFaultPlan plan;
-    plan.fail_write_at = 3;
+    plan.fail_write_at = 2;  // the batch publish (the header is write 1)
     plan.write_error = EINTR;
     const FaultOutcome outcome = run_faulted(population, options, plan);
     ASSERT_FALSE(outcome.threw) << outcome.error;
@@ -305,9 +308,9 @@ TEST_F(DiskChaosTest, TransientWriteErrorsAreRetriedInvisibly) {
         << outcome.result.stats.journal_degraded_error;
     EXPECT_EQ(outcome.result.stream, baseline.stream);
 
-    const ReplayResult replay = replay_journal(options.journal_dir);
+    const MapReplayResult replay = read_map_journal(options.journal_dir);
     EXPECT_TRUE(replay.has_header);
-    EXPECT_EQ(replay.torn_bytes_discarded, 0u);
+    EXPECT_EQ(replay.corrupt_chunks, 0u);
     const std::size_t chunk_count =
         (outcome.result.stats.domains_scanned + options.chunk_domains - 1) /
         options.chunk_domains;
@@ -327,7 +330,7 @@ TEST_F(DiskChaosTest, ProcsOnAFullDiskRefuseLoudlyAndRecoverAfterScrub) {
             ScanOptions plain = options;
             plain.journal_dir.clear();
             return plain;
-        }(), /*io=*/nullptr, /*resume=*/false);
+        }(), /*io=*/nullptr, /*reduce=*/false);
 
     for (const unsigned procs : full_sweep() ? std::vector<unsigned>{1, 2}
                                              : std::vector<unsigned>{2}) {
@@ -400,7 +403,7 @@ TEST_F(DiskChaosTest, ProcsAbsorbAOneShotPublishFaultAndStayByteIdentical) {
             ScanOptions plain = options;
             plain.journal_dir.clear();
             return plain;
-        }(), /*io=*/nullptr, /*resume=*/false);
+        }(), /*io=*/nullptr, /*reduce=*/false);
 
     faults::StorageFaultPlan plan;
     plan.fail_write_at = 4;  // lands on an early lease bump or publish

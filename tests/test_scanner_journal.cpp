@@ -1,9 +1,9 @@
-// Crash-safe campaign suite (DESIGN.md §11): journal round-trips, torn-tail
-// detection and repair, kill-and-resume byte-identity, worker supervision
-// (restart + quarantine) and the hung-scan watchdog.
+// Crash-safe campaign suite (DESIGN.md §11): record round-trips, batch-file
+// naming and validation, kill-and-reduce byte-identity, worker supervision
+// (restart + quarantine), scrub, and the hung-scan watchdog.
 //
-// The recovery contract under test: a campaign killed at ANY byte of its
-// journal and resumed produces byte-identical sink streams, stats and
+// The recovery contract under test: a journaled campaign killed at ANY chunk
+// boundary and then reduced produces byte-identical sink streams, stats and
 // deterministic telemetry to an uninterrupted run, at every thread count —
 // and a campaign whose chunks crash or hang completes degraded instead of
 // dying.
@@ -34,7 +34,7 @@ namespace {
 using spinscope::testing::render_scan_stream;
 
 // ~110 domains at seed 1 — 7 chunks at the default chunk_domains=16, small
-// enough that the boundary × thread-count resume sweep stays fast.
+// enough that the boundary × thread-count kill sweep stays fast.
 web::Population tiny_population() { return web::Population{{2'000'000.0, 1}}; }
 
 class JournalTest : public ::testing::Test {
@@ -99,6 +99,25 @@ ChunkRecord sample_chunk(std::size_t index) {
     return record;
 }
 
+/// The framed records of chunks [first, last], back to back — a batch file's
+/// content.
+std::string framed_batch(std::size_t first, std::size_t last) {
+    std::string framed;
+    for (std::size_t c = first; c <= last; ++c) {
+        framed += frame_record(serialize_chunk_record(sample_chunk(c)));
+    }
+    return framed;
+}
+
+void flip_byte(const std::filesystem::path& path, std::uint64_t offset) {
+    std::fstream file{path, std::ios::binary | std::ios::in | std::ios::out};
+    char byte = 0;
+    file.seekg(static_cast<std::streamoff>(offset));
+    file.get(byte);
+    file.seekp(static_cast<std::streamoff>(offset));
+    file.put(static_cast<char>(byte ^ 0x01));
+}
+
 // --- Payload round-trips -----------------------------------------------------
 
 TEST_F(JournalTest, HeaderPayloadRoundTrips) {
@@ -138,7 +157,7 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
     EXPECT_EQ(scan.attempts[0].backoff, util::Duration::millis(7));
     ASSERT_EQ(scan.connections.size(), 1u);
     // The trace must re-serialize to the exact bytes the journal stored —
-    // this is what makes resumed golden streams byte-identical.
+    // this is what makes reduced golden streams byte-identical.
     EXPECT_EQ(qlog::to_jsonl(scan.connections[0]),
               qlog::to_jsonl(record.scans[0].connections[0]));
     EXPECT_EQ(parsed->telemetry_snapshot, record.telemetry_snapshot);
@@ -151,120 +170,89 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
     EXPECT_FALSE(parse_chunk_record(clipped).has_value());
 }
 
-// --- Writer / replay ---------------------------------------------------------
+// --- Record files ------------------------------------------------------------
 
-TEST_F(JournalTest, WriterReplayRoundTripWithSegmentRotation) {
-    const CampaignHeader header = sample_header();
-    {
-        // Tiny segments force rotation: every record seals a segment.
-        JournalWriter writer{dir_, header, JournalWriter::Mode::fresh,
-                             JournalOptions{256}};
-        for (std::size_t c = 0; c < 5; ++c) writer.append_chunk(sample_chunk(c));
-        EXPECT_GE(writer.segments_sealed(), 4u);
-        writer.close();
-    }
-    std::size_t sealed = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-        const auto name = entry.path().filename().string();
-        EXPECT_TRUE(name.ends_with(".jsonl")) << name << " left unsealed after close()";
-        if (name.ends_with(".jsonl")) ++sealed;
-    }
-    EXPECT_GE(sealed, 5u);
+TEST_F(JournalTest, BatchFilesRoundTripAndAChunkFileIsABatchOfOne) {
+    init_map_journal(dir_, sample_header(), /*wipe=*/true);
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {0, 2}, framed_batch(0, 2)));
+    ASSERT_TRUE(write_map_chunk(dir_, sample_chunk(5)));
+    EXPECT_EQ(map_batch_path(dir_, {0, 2}).filename(), "chunk-00000-00002.rec");
+    EXPECT_EQ(map_batch_path(dir_, {5, 5}), map_chunk_path(dir_, 5));
+    EXPECT_EQ(map_chunk_path(dir_, 5).filename(), "chunk-00005.rec");
+    // Neither an interrupted publish's temp file nor a lease is a record.
+    std::ofstream{dir_ / "chunk-00007.rec.tmp.1.2"} << "partial";
+    std::ofstream{lease_path(dir_, 8)} << "lease\n";
 
-    const ReplayResult replay = replay_journal(dir_);
-    ASSERT_TRUE(replay.has_header);
-    EXPECT_TRUE(replay.header == header);
-    EXPECT_EQ(replay.torn_bytes_discarded, 0u);
-    ASSERT_EQ(replay.chunks.size(), 5u);
-    for (std::size_t c = 0; c < 5; ++c) {
-        EXPECT_EQ(replay.chunks[c].chunk_index, c);
-        EXPECT_EQ(replay.chunks[c].telemetry_snapshot, "counter scanner.connections 5\n");
+    EXPECT_EQ(list_map_batches(dir_), (std::vector<MapBatch>{{0, 2}, {5, 5}}));
+    EXPECT_EQ(list_map_chunks(dir_), (std::vector<std::size_t>{0, 1, 2, 5}));
+    const auto batch = read_map_batch(dir_, {0, 2});
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_EQ(batch->size(), 3u);
+    for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_EQ((*batch)[c].chunk_index, c);
+        EXPECT_EQ((*batch)[c].telemetry_snapshot, "counter scanner.connections 5\n");
     }
+    ASSERT_TRUE(read_map_chunk(dir_, 5).has_value());
+    EXPECT_EQ(read_map_batch(dir_, {5, 5})->front().chunk_index, 5u);
+    // A chunk inside a batch has no file of its own.
+    EXPECT_FALSE(read_map_chunk(dir_, 1).has_value());
+    const MapReplayResult replay = read_map_journal(dir_);
+    EXPECT_TRUE(replay.has_header);
+    EXPECT_EQ(replay.chunks.size(), 4u);
+    EXPECT_EQ(replay.corrupt_chunks, 0u);
 }
 
 TEST_F(JournalTest, ReplayOfMissingOrEmptyDirectoryIsEmpty) {
-    const ReplayResult missing = replay_journal(dir_ / "nope");
+    const MapReplayResult missing = read_map_journal(dir_ / "nope");
     EXPECT_FALSE(missing.has_header);
     EXPECT_TRUE(missing.chunks.empty());
-    EXPECT_EQ(missing.torn_bytes_discarded, 0u);
-}
+    EXPECT_EQ(missing.corrupt_chunks, 0u);
+    EXPECT_TRUE(list_map_batches(dir_ / "nope").empty());
 
-TEST_F(JournalTest, TornTailIsDetectedDiscardedAndRepaired) {
-    const CampaignHeader header = sample_header();
-    {
-        JournalWriter writer{dir_, header, JournalWriter::Mode::fresh};
-        for (std::size_t c = 0; c < 3; ++c) writer.append_chunk(sample_chunk(c));
-    }
-    // Reconstruct the crash state: the destructor sealed the segment, but a
-    // killed process leaves it under the .open name — rename it back and
-    // append half a framed record at the tail.
-    auto open_segment = dir_ / "segment-00000.jsonl.open";
-    std::filesystem::rename(dir_ / "segment-00000.jsonl", open_segment);
-    ASSERT_TRUE(std::filesystem::exists(open_segment));
-    const auto intact_size = std::filesystem::file_size(open_segment);
-    {
-        std::ofstream out{open_segment, std::ios::binary | std::ios::app};
-        const std::string torn = frame_record(serialize_chunk_record(sample_chunk(3)));
-        out << torn.substr(0, torn.size() / 2);
-    }
-
-    const ReplayResult replay = replay_journal(dir_);
-    ASSERT_TRUE(replay.has_header);
-    EXPECT_EQ(replay.chunks.size(), 3u);
-    EXPECT_GT(replay.torn_bytes_discarded, 0u);
-
-    // Attach repairs the tail (write-temp + rename) and appends cleanly.
-    {
-        JournalWriter writer{dir_, header, JournalWriter::Mode::attach};
-        EXPECT_EQ(std::filesystem::file_size(open_segment), intact_size);
-        writer.append_chunk(sample_chunk(3));
-        writer.close();
-    }
-    const ReplayResult repaired = replay_journal(dir_);
-    EXPECT_EQ(repaired.torn_bytes_discarded, 0u);
-    ASSERT_EQ(repaired.chunks.size(), 4u);
-    EXPECT_EQ(repaired.chunks[3].chunk_index, 3u);
+    std::filesystem::create_directories(dir_);
+    EXPECT_FALSE(read_map_journal(dir_).has_header);
+    EXPECT_TRUE(scrub_journal(dir_).clean());
 }
 
 TEST_F(JournalTest, ChecksumCorruptionCutsReplayAtTheCorruptRecord) {
-    const CampaignHeader header = sample_header();
-    {
-        JournalWriter writer{dir_, header, JournalWriter::Mode::fresh};
-        for (std::size_t c = 0; c < 4; ++c) writer.append_chunk(sample_chunk(c));
-        writer.close();
-    }
-    const auto segment = dir_ / "segment-00000.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(segment));
-    // Flip one payload byte in the middle of the file: the CRC of that
-    // record fails, and replay must stop THERE, keeping the prefix.
-    const auto size = std::filesystem::file_size(segment);
-    {
-        std::fstream file{segment, std::ios::binary | std::ios::in | std::ios::out};
-        file.seekp(static_cast<std::streamoff>(size / 2));
-        file.put('\xff');
-    }
-    const ReplayResult replay = replay_journal(dir_);
+    init_map_journal(dir_, sample_header(), /*wipe=*/true);
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {0, 3}, framed_batch(0, 3)));
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {4, 5}, framed_batch(4, 5)));
+    // Flip one payload byte in the middle of the first batch: its CRC fails,
+    // and the WHOLE batch counts as unscanned — never a partial batch.
+    const auto victim = map_batch_path(dir_, {0, 3});
+    flip_byte(victim, std::filesystem::file_size(victim) / 2);
+    EXPECT_FALSE(read_map_batch(dir_, {0, 3}).has_value());
+
+    const MapReplayResult replay = read_map_journal(dir_);
     ASSERT_TRUE(replay.has_header);
-    EXPECT_LT(replay.chunks.size(), 4u);
-    EXPECT_GT(replay.torn_bytes_discarded, 0u);
-    for (std::size_t c = 0; c < replay.chunks.size(); ++c) {
-        EXPECT_EQ(replay.chunks[c].chunk_index, c);
+    EXPECT_EQ(replay.corrupt_chunks, 4u);
+    ASSERT_EQ(replay.chunks.size(), 2u);
+    EXPECT_EQ(replay.chunks[0].chunk_index, 4u);
+    EXPECT_EQ(replay.chunks[1].chunk_index, 5u);
+
+    // Trailing bytes past the last frame and a file whose records do not
+    // match its name are rejected the same way.
+    {
+        std::ofstream out{map_batch_path(dir_, {4, 5}), std::ios::binary | std::ios::app};
+        out << "#rec";
     }
+    EXPECT_FALSE(read_map_batch(dir_, {4, 5}).has_value());
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {6, 7}, framed_batch(7, 8)));
+    EXPECT_FALSE(read_map_batch(dir_, {6, 7}).has_value());
 }
 
 TEST_F(JournalTest, AttachRejectsAForeignCampaignHeader) {
-    {
-        JournalWriter writer{dir_, sample_header(), JournalWriter::Mode::fresh};
-        writer.append_chunk(sample_chunk(0));
-        writer.close();
-    }
+    init_map_journal(dir_, sample_header(), /*wipe=*/true);
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {0, 1}, framed_batch(0, 1)));
     CampaignHeader other = sample_header();
     other.seed ^= 1;
-    EXPECT_THROW(JournalWriter(dir_, other, JournalWriter::Mode::attach),
-                 std::invalid_argument);
+    EXPECT_THROW(init_map_journal(dir_, other, /*wipe=*/false), std::invalid_argument);
+    // The refusal touches nothing: the batch still reads.
+    EXPECT_TRUE(read_map_batch(dir_, {0, 1}).has_value());
 }
 
-// --- Kill-and-resume byte-identity -------------------------------------------
+// --- Kill-and-reduce byte-identity -------------------------------------------
 
 struct SweepResult {
     std::string stream;                ///< concatenated render_scan_stream, sink order
@@ -287,7 +275,7 @@ void expect_same_stats(const CampaignStats& a, const CampaignStats& b) {
 }
 
 SweepResult run_to_completion(const web::Population& population, const ScanOptions& options,
-                              bool resume) {
+                              bool reduce) {
     Campaign campaign{population, options};
     telemetry::MetricsRegistry registry;
     campaign.set_metrics(&registry);
@@ -296,7 +284,7 @@ SweepResult run_to_completion(const web::Population& population, const ScanOptio
         result.order.push_back(domain.id);
         result.stream += render_scan_stream(scan);
     };
-    result.stats = resume ? campaign.resume(sink) : campaign.run(sink);
+    result.stats = reduce ? campaign.reduce(sink) : campaign.run(sink);
     result.telemetry = telemetry::deterministic_csv(registry);
     return result;
 }
@@ -326,13 +314,14 @@ bool run_and_kill(const web::Population& population, const ScanOptions& options,
 TEST_F(JournalTest, ResumeAfterKillAtEveryChunkBoundaryIsByteIdentical) {
     const web::Population population = tiny_population();
     ScanOptions options;
-    options.retry.max_attempts = 2;  // exercise backoff streams across resume
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    options.retry.max_attempts = 2;  // exercise backoff streams across the kill
+    options.chunk_domains = 4;       // two batch files
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
     const std::size_t domain_count = baseline.order.size();
     ASSERT_GT(domain_count, 80u);
     const std::size_t chunk_count =
         (domain_count + options.chunk_domains - 1) / options.chunk_domains;
-    ASSERT_GE(chunk_count, 5u);
+    ASSERT_GT(chunk_count, kMapBatchChunks);
 
     for (const unsigned threads : {1u, 2u, 8u}) {
         for (std::size_t boundary = 0; boundary <= chunk_count; ++boundary) {
@@ -349,41 +338,79 @@ TEST_F(JournalTest, ResumeAfterKillAtEveryChunkBoundaryIsByteIdentical) {
                 ASSERT_TRUE(killed_early);
             }
 
-            const SweepResult resumed =
-                run_to_completion(population, killed, /*resume=*/true);
-            EXPECT_EQ(resumed.order, baseline.order)
+            const SweepResult reduced =
+                run_to_completion(population, killed, /*reduce=*/true);
+            EXPECT_EQ(reduced.order, baseline.order)
                 << "threads=" << threads << " boundary=" << boundary;
-            EXPECT_EQ(resumed.stream, baseline.stream)
+            EXPECT_EQ(reduced.stream, baseline.stream)
                 << "threads=" << threads << " boundary=" << boundary;
-            EXPECT_EQ(resumed.telemetry, baseline.telemetry)
+            EXPECT_EQ(reduced.telemetry, baseline.telemetry)
                 << "threads=" << threads << " boundary=" << boundary;
-            expect_same_stats(resumed.stats, baseline.stats);
+            expect_same_stats(reduced.stats, baseline.stats);
         }
+    }
+}
+
+TEST_F(JournalTest, RunKilledBetweenBatchesLeavesOnlyWholeBatchFiles) {
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    options.chunk_domains = 2;  // four batch files
+    options.threads = 2;
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
+    const std::size_t chunk_count = (baseline.order.size() + 1) / 2;
+    const std::uint64_t batch_domains = kMapBatchChunks * options.chunk_domains;
+
+    // Kill on the last domain of each batch: the next batch is not yet
+    // published, so the journal holds exactly the batches before it.
+    for (std::uint64_t batches = 1; batches * kMapBatchChunks < chunk_count; ++batches) {
+        ScanOptions killed = options;
+        killed.journal_dir = (dir_ / ("killed_" + std::to_string(batches))).string();
+        ASSERT_TRUE(run_and_kill(population, killed, batches * batch_domains - 1));
+
+        std::vector<std::string> names;
+        for (const auto& entry : std::filesystem::directory_iterator(killed.journal_dir)) {
+            names.push_back(entry.path().filename().string());
+        }
+        std::sort(names.begin(), names.end());
+        std::vector<std::string> expected;
+        for (std::uint64_t b = 0; b < batches; ++b) {
+            const MapBatch batch{b * kMapBatchChunks, (b + 1) * kMapBatchChunks - 1};
+            expected.push_back(map_batch_path(killed.journal_dir, batch).filename().string());
+            EXPECT_TRUE(read_map_batch(killed.journal_dir, batch).has_value())
+                << expected.back();
+        }
+        expected.push_back("header.rec");  // no lock, no temp file, no partial batch
+        EXPECT_EQ(names, expected) << "killed after " << batches << " batch(es)";
+
+        const SweepResult reduced = run_to_completion(population, killed, /*reduce=*/true);
+        EXPECT_EQ(reduced.stream, baseline.stream) << batches;
+        EXPECT_EQ(reduced.telemetry, baseline.telemetry) << batches;
     }
 }
 
 TEST_F(JournalTest, ResumeFromJournalTruncatedMidRecordIsByteIdentical) {
     const web::Population population = tiny_population();
     ScanOptions options;
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
-    // A complete single-segment journal to truncate at hostile offsets.
+    // A complete journal — its 7 chunks are one batch file — to truncate at
+    // hostile offsets.
     const auto complete_dir = dir_ / "complete";
     ScanOptions journaled = options;
     journaled.journal_dir = complete_dir.string();
-    (void)run_to_completion(population, journaled, /*resume=*/false);
-    const auto sealed = complete_dir / "segment-00000.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(sealed));
+    (void)run_to_completion(population, journaled, /*reduce=*/false);
+    const std::vector<MapBatch> batches = list_map_batches(complete_dir);
+    ASSERT_EQ(batches.size(), 1u);
+    const auto batch_path = map_batch_path(complete_dir, batches[0]);
     std::string bytes;
     {
-        std::ifstream in{sealed, std::ios::binary};
-        bytes.assign(std::istreambuf_iterator<char>{in},
-                     std::istreambuf_iterator<char>{});
+        std::ifstream in{batch_path, std::ios::binary};
+        bytes.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
     }
 
-    // Truncation corpus: mid-header, mid-record, one byte short, and a few
-    // proportional cuts. Every prefix must resume to byte-identical output —
-    // a cut before the first intact record simply rescans everything.
+    // Truncation corpus: empty, mid-frame-header, one byte short, and a few
+    // proportional cuts. Every torn batch is rescanned and republished —
+    // byte-identical output either way.
     const std::size_t offsets[] = {0,
                                    3,
                                    bytes.size() / 7,
@@ -394,20 +421,21 @@ TEST_F(JournalTest, ResumeFromJournalTruncatedMidRecordIsByteIdentical) {
     for (const std::size_t offset : offsets) {
         const auto trunc_dir = dir_ / ("trunc_" + std::to_string(offset));
         std::filesystem::create_directories(trunc_dir);
+        std::filesystem::copy_file(map_header_path(complete_dir), map_header_path(trunc_dir));
         {
-            // The truncated copy is written under the OPEN name — a sealed
-            // segment is by definition complete, a crash tears the open one.
-            std::ofstream out{trunc_dir / "segment-00000.jsonl.open",
+            std::ofstream out{map_batch_path(trunc_dir, batches[0]),
                               std::ios::binary | std::ios::trunc};
             out.write(bytes.data(), static_cast<std::streamsize>(offset));
         }
-        ScanOptions resume_options = options;
-        resume_options.journal_dir = trunc_dir.string();
-        const SweepResult resumed =
-            run_to_completion(population, resume_options, /*resume=*/true);
-        EXPECT_EQ(resumed.stream, baseline.stream) << "offset=" << offset;
-        EXPECT_EQ(resumed.telemetry, baseline.telemetry) << "offset=" << offset;
-        expect_same_stats(resumed.stats, baseline.stats);
+        ScanOptions reduce_options = options;
+        reduce_options.journal_dir = trunc_dir.string();
+        const SweepResult reduced =
+            run_to_completion(population, reduce_options, /*reduce=*/true);
+        EXPECT_EQ(reduced.stream, baseline.stream) << "offset=" << offset;
+        EXPECT_EQ(reduced.telemetry, baseline.telemetry) << "offset=" << offset;
+        expect_same_stats(reduced.stats, baseline.stats);
+        EXPECT_TRUE(read_map_batch(trunc_dir, batches[0]).has_value())
+            << "offset=" << offset << ": the torn batch was not republished";
     }
 }
 
@@ -415,34 +443,34 @@ TEST_F(JournalTest, ResumeOfCompleteJournalRescansNothing) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "full").string();
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
     std::atomic<std::size_t> chunks_scanned{0};
-    ScanOptions resume_options = options;
-    resume_options.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
-    const SweepResult resumed =
-        run_to_completion(population, resume_options, /*resume=*/true);
+    ScanOptions reduce_options = options;
+    reduce_options.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
+    const SweepResult reduced =
+        run_to_completion(population, reduce_options, /*reduce=*/true);
     EXPECT_EQ(chunks_scanned.load(), 0u) << "a complete journal must replay, not rescan";
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
+    expect_same_stats(reduced.stats, baseline.stats);
 }
 
 TEST_F(JournalTest, ResumeRejectsMismatchedCampaignOptions) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "mismatch").string();
-    (void)run_to_completion(population, options, /*resume=*/false);
+    (void)run_to_completion(population, options, /*reduce=*/false);
 
     ScanOptions other = options;
     other.week = 5;  // a different sweep: its scans are NOT interchangeable
     Campaign campaign{population, other};
-    EXPECT_THROW((void)campaign.resume([](const web::Domain&, DomainScan&&) {}),
+    EXPECT_THROW((void)campaign.reduce([](const web::Domain&, DomainScan&&) {}),
                  std::invalid_argument);
 
     ScanOptions no_journal;
     Campaign without{population, no_journal};
-    EXPECT_THROW((void)without.resume([](const web::Domain&, DomainScan&&) {}),
+    EXPECT_THROW((void)without.reduce([](const web::Domain&, DomainScan&&) {}),
                  std::invalid_argument);
 }
 
@@ -451,7 +479,7 @@ TEST_F(JournalTest, ResumeRejectsMismatchedCampaignOptions) {
 TEST_F(JournalTest, TransientChunkCrashIsRestartedWithIdenticalOutput) {
     const web::Population population = tiny_population();
     ScanOptions options;
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
     ScanOptions faulty = options;
     faulty.worker_restart.initial_backoff = util::Duration::millis(1);
@@ -464,7 +492,7 @@ TEST_F(JournalTest, TransientChunkCrashIsRestartedWithIdenticalOutput) {
             throw std::runtime_error("injected transient chunk crash");
         }
     };
-    const SweepResult recovered = run_to_completion(population, faulty, /*resume=*/false);
+    const SweepResult recovered = run_to_completion(population, faulty, /*reduce=*/false);
     EXPECT_EQ(recovered.stats.worker_restarts, 1u);
     EXPECT_EQ(recovered.stats.chunks_quarantined, 0u);
     EXPECT_EQ(recovered.stream, baseline.stream);
@@ -503,20 +531,20 @@ TEST_F(JournalTest, PersistentChunkCrashIsQuarantinedAndTheCampaignCompletes) {
     ASSERT_NE(quarantine_counter, nullptr);
     EXPECT_EQ(quarantine_counter->value(), 1u);
 
-    // The quarantine is journaled: a resume replays the degraded state
+    // The quarantine is journaled: a reduce replays the degraded state
     // instead of rescanning (and re-crashing on) the poisoned chunk.
-    ScanOptions resume_options = options;
-    resume_options.chunk_fault_hook = nullptr;
-    Campaign resumed{population, resume_options};
-    telemetry::MetricsRegistry resume_registry;
-    resumed.set_metrics(&resume_registry);
-    std::uint64_t resumed_quarantined = 0;
-    const CampaignStats resumed_stats =
-        resumed.resume([&](const web::Domain&, DomainScan&& scan) {
-            if (scan.error.rfind("chunk quarantined:", 0) == 0) ++resumed_quarantined;
+    ScanOptions reduce_options = options;
+    reduce_options.chunk_fault_hook = nullptr;
+    Campaign reduced{population, reduce_options};
+    telemetry::MetricsRegistry reduce_registry;
+    reduced.set_metrics(&reduce_registry);
+    std::uint64_t reduced_quarantined = 0;
+    const CampaignStats reduced_stats =
+        reduced.reduce([&](const web::Domain&, DomainScan&& scan) {
+            if (scan.error.rfind("chunk quarantined:", 0) == 0) ++reduced_quarantined;
         });
-    EXPECT_EQ(resumed_stats.chunks_quarantined, 1u);
-    EXPECT_EQ(resumed_quarantined, options.chunk_domains);
+    EXPECT_EQ(reduced_stats.chunks_quarantined, 1u);
+    EXPECT_EQ(reduced_quarantined, options.chunk_domains);
 }
 
 TEST(RunSupervisedTest, QuarantinesInAscendingOrderAndKeepsMerging) {
@@ -567,140 +595,110 @@ TEST(RunSupervisedTest, MergeExceptionStillCancelsAndRethrows) {
 // --- Scrub: offline verify / repair (DESIGN.md §16) --------------------------
 //
 // The corruption corpus: each case damages a journal in a distinct way, then
-// asserts that scrub_journal classifies the damage correctly, repairs or
-// quarantines it (never deletes bytes), and that a resume over the scrubbed
-// journal is byte-identical to an uninterrupted run — the no-silent-
-// corruption invariant end to end.
+// asserts that scrub_journal classifies the damage correctly, quarantines it
+// (never deletes bytes), and that a reduce over the scrubbed journal is
+// byte-identical to an uninterrupted run — the no-silent-corruption
+// invariant end to end.
 
 TEST_F(JournalTest, ScrubOfCleanJournalFindsNothing) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "clean").string();
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
     const ScrubReport report = scrub_journal(options.journal_dir);
     EXPECT_TRUE(report.clean());
     EXPECT_TRUE(report.has_header);
     EXPECT_EQ(report.bytes_discarded, 0u);
-    EXPECT_GE(report.chunks_intact, 5u);
-    EXPECT_EQ(report.resume_from_chunk, report.chunks_intact);
+    EXPECT_EQ(report.chunks_intact, 7u);
+    EXPECT_EQ(report.records_intact, 8u);  // the header too
+    EXPECT_EQ(report.files_checked, 2u);   // header.rec + one batch
+    EXPECT_TRUE(report.chunks_to_rescan.empty());
     EXPECT_FALSE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
                                          "corrupt"));
 
-    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
+    const SweepResult reduced = run_to_completion(population, options, /*reduce=*/true);
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
 }
 
-TEST_F(JournalTest, ScrubClassifiesHeaderCorruptionAndQuarantinesEverything) {
+TEST_F(JournalTest, ScrubQuarantinesACorruptHeaderAndReduceKeepsTheChunks) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "hdr").string();
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
-    // Garble the frame marker of record 0: the campaign header no longer
-    // parses, so NOTHING in the journal can be attributed to a campaign.
-    const auto segment = std::filesystem::path{options.journal_dir} / "segment-00000.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(segment));
+    // Garble the frame marker of the header: it no longer parses.
+    const auto header = map_header_path(options.journal_dir);
     {
-        std::fstream file{segment, std::ios::binary | std::ios::in | std::ios::out};
+        std::fstream file{header, std::ios::binary | std::ios::in | std::ios::out};
         file.write("XXXX", 4);
     }
 
     const ScrubReport report = scrub_journal(options.journal_dir);
-    ASSERT_FALSE(report.clean());
+    ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_FALSE(report.has_header);
     EXPECT_EQ(report.findings[0].damage, ScrubDamage::header_corrupt);
     EXPECT_TRUE(report.findings[0].quarantined);
-    EXPECT_EQ(report.chunks_intact, 0u);
-    EXPECT_EQ(report.resume_from_chunk, 0u);
+    EXPECT_EQ(report.chunks_intact, 7u);  // chunk records name their own chunks
+    EXPECT_TRUE(report.chunks_to_rescan.empty());
     EXPECT_GT(report.bytes_discarded, 0u);
-    // Quarantined, never deleted: the damaged segment lives under corrupt/.
+    // Quarantined, never deleted: the damaged header lives under corrupt/.
     EXPECT_TRUE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
-                                        "corrupt" / "segment-00000.jsonl"));
-    EXPECT_FALSE(std::filesystem::exists(segment));
+                                        "corrupt" / "header.rec"));
+    EXPECT_FALSE(std::filesystem::exists(header));
 
-    // Resume over the emptied journal rescans everything — byte-identical.
-    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
+    // Reduce republishes the header and replays every chunk.
+    std::atomic<std::size_t> chunks_scanned{0};
+    ScanOptions reduce_options = options;
+    reduce_options.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
+    const SweepResult reduced =
+        run_to_completion(population, reduce_options, /*reduce=*/true);
+    EXPECT_EQ(chunks_scanned.load(), 0u);
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
+    expect_same_stats(reduced.stats, baseline.stats);
+    EXPECT_TRUE(read_map_journal(options.journal_dir).has_header);
 }
 
-TEST_F(JournalTest, ScrubClassifiesBitFlipInASealedSegmentAsMidSegmentCorruption) {
+TEST_F(JournalTest, ScrubListsEveryChunkOfABitFlippedBatchAndReduceIsIdentical) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "flip").string();
-    options.journal_segment_bytes = 1024;  // force several sealed segments
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    options.chunk_domains = 4;  // two batch files: chunks 0..15 and the rest
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
+    const std::size_t chunk_count = (baseline.order.size() + 3) / 4;
+    ASSERT_EQ(list_map_batches(options.journal_dir),
+              (std::vector<MapBatch>{{0, 15}, {16, chunk_count - 1}}));
 
-    std::vector<std::filesystem::path> sealed;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(options.journal_dir)) {
-        if (entry.path().filename().string().ends_with(".jsonl")) {
-            sealed.push_back(entry.path());
-        }
-    }
-    std::sort(sealed.begin(), sealed.end());
-    ASSERT_GE(sealed.size(), 3u);
-
-    // Flip one payload byte in the MIDDLE sealed segment: records after it
-    // are intact on disk but behind the damage in the prefix order.
-    const auto& victim = sealed[1];
-    const auto size = std::filesystem::file_size(victim);
-    {
-        std::fstream file{victim, std::ios::binary | std::ios::in | std::ios::out};
-        file.seekp(static_cast<std::streamoff>(size / 2));
-        char byte = 0;
-        file.seekg(static_cast<std::streamoff>(size / 2));
-        file.get(byte);
-        file.seekp(static_cast<std::streamoff>(size / 2));
-        file.put(static_cast<char>(byte ^ 0x01));
-    }
+    // Flip one byte in the middle of the first batch file.
+    const auto victim = map_batch_path(options.journal_dir, {0, 15});
+    flip_byte(victim, std::filesystem::file_size(victim) / 2);
 
     const ScrubReport report = scrub_journal(options.journal_dir);
-    ASSERT_FALSE(report.clean());
-    EXPECT_EQ(report.findings[0].damage, ScrubDamage::mid_segment_corruption);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].damage, ScrubDamage::corrupt_map_chunk);
+    EXPECT_EQ(report.findings[0].file, victim.filename().string());
     EXPECT_TRUE(report.findings[0].quarantined);
+    std::vector<std::size_t> whole_batch(16);
+    for (std::size_t c = 0; c < 16; ++c) whole_batch[c] = c;
+    EXPECT_EQ(report.chunks_to_rescan, whole_batch);
+    EXPECT_EQ(report.chunks_intact, chunk_count - 16);
     EXPECT_GT(report.bytes_discarded, 0u);
-    EXPECT_GE(report.chunks_intact, 1u);  // segment 0's records survive
-    EXPECT_EQ(report.resume_from_chunk, report.chunks_intact);
-    EXPECT_TRUE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
-                                        "corrupt" / "scrub.report"));
+    const auto corrupt = std::filesystem::path{options.journal_dir} / "corrupt";
+    EXPECT_TRUE(std::filesystem::exists(corrupt / victim.filename()));
+    EXPECT_TRUE(std::filesystem::exists(corrupt / "scrub.report"));
 
-    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
-}
-
-TEST_F(JournalTest, ScrubClassifiesADeletedMiddleSegmentAndResumes) {
-    const web::Population population = tiny_population();
-    ScanOptions options;
-    options.journal_dir = (dir_ / "gap").string();
-    options.journal_segment_bytes = 1024;
-    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
-
-    const auto missing =
-        std::filesystem::path{options.journal_dir} / "segment-00001.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(missing));
-    std::filesystem::remove(missing);
-
-    const ScrubReport report = scrub_journal(options.journal_dir);
-    ASSERT_FALSE(report.clean());
-    EXPECT_EQ(report.findings[0].damage, ScrubDamage::missing_segment);
-    EXPECT_GE(report.chunks_intact, 1u);
-    EXPECT_EQ(report.resume_from_chunk, report.chunks_intact);
-
-    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
+    const SweepResult reduced = run_to_completion(population, options, /*reduce=*/true);
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
+    expect_same_stats(reduced.stats, baseline.stats);
+    EXPECT_TRUE(scrub_journal(options.journal_dir).clean());
 }
 
 TEST_F(JournalTest, ScrubQuarantinesAMapChunkThatFramesButFailsCrc) {
-    // Map layout: publish a header and three chunks, then rewrite chunk 1
-    // with a frame whose declared CRC does not match its payload.
+    // Publish a header and three chunks, then rewrite chunk 1 with a frame
+    // whose declared CRC does not match its payload.
     const CampaignHeader header = sample_header();
     init_map_journal(dir_, header, /*wipe=*/true);
     for (std::size_t c = 0; c < 3; ++c) {
@@ -737,26 +735,24 @@ TEST_F(JournalTest, ScrubWithoutRepairOnlyClassifies) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "dry").string();
-    (void)run_to_completion(population, options, /*resume=*/false);
+    (void)run_to_completion(population, options, /*reduce=*/false);
 
-    const auto segment = std::filesystem::path{options.journal_dir} / "segment-00000.jsonl";
-    const auto size = std::filesystem::file_size(segment);
-    {
-        std::fstream file{segment, std::ios::binary | std::ios::in | std::ios::out};
-        file.seekp(static_cast<std::streamoff>(size - 4));
-        file.put('\xff');
-    }
+    const std::vector<MapBatch> batches = list_map_batches(options.journal_dir);
+    ASSERT_EQ(batches.size(), 1u);
+    const auto batch = map_batch_path(options.journal_dir, batches[0]);
+    const auto size = std::filesystem::file_size(batch);
+    flip_byte(batch, size - 4);
 
     ScrubOptions dry;
     dry.repair = false;
     const ScrubReport report = scrub_journal(options.journal_dir, dry);
     ASSERT_FALSE(report.clean());
     for (const ScrubFinding& finding : report.findings) {
-        EXPECT_FALSE(finding.repaired);
         EXPECT_FALSE(finding.quarantined);
     }
+    EXPECT_EQ(report.chunks_to_rescan.size(), 7u);
     // Dry run: the damaged bytes are untouched and nothing was quarantined.
-    EXPECT_EQ(std::filesystem::file_size(segment), size);
+    EXPECT_EQ(std::filesystem::file_size(batch), size);
     EXPECT_FALSE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
                                          "corrupt"));
 }

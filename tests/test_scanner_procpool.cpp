@@ -1,5 +1,5 @@
-// Multi-process campaign suite (DESIGN.md §13): chunk leases and fencing
-// tokens, the map-layout journal, journal.lock ownership, the fork-based
+// Multi-process campaign suite (DESIGN.md §11): chunk leases and fencing
+// tokens, the shared journal, journal.lock ownership, the fork-based
 // worker pool, and the chaos kill-sweep.
 //
 // The contract under test: `kill -9` of any worker at any instant changes
@@ -416,6 +416,44 @@ TEST_F(ProcPoolTest, ReduceRescansDeletedChunksAndIsRerunnable) {
     SweepResult second;
     collect(again, second, registry2);
     expect_same_sweep(second, baseline, "reduce-rerun");
+}
+
+TEST_F(ProcPoolTest, MapPassOverAKilledRunKeepsItsBatches) {
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    options.chunk_domains = 4;  // one whole batch file plus a remainder
+    const SweepResult baseline = run_single_process(population, options);
+
+    // An in-process run killed on the last domain of its first batch leaves
+    // exactly that batch published.
+    options.journal_dir = (dir_ / "mixed").string();
+    {
+        struct Kill {};
+        Campaign campaign{population, options};
+        telemetry::MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        std::uint64_t merged = 0;
+        EXPECT_THROW(campaign.run([&](const web::Domain&, DomainScan&&) {
+                         if (merged + 1 >= kMapBatchChunks * options.chunk_domains) throw Kill{};
+                         ++merged;
+                     }),
+                     Kill);
+    }
+    ASSERT_EQ(list_map_batches(options.journal_dir),
+              (std::vector<MapBatch>{{0, kMapBatchChunks - 1}}));
+
+    // A map pass continuing that journal scans only the chunks after it.
+    ProcPoolOptions pool = fast_pool(2);
+    pool.fresh = false;
+    ProcPoolReport report;
+    const SweepResult reduced = run_multi_process(population, options, pool, &report);
+    EXPECT_EQ(report.chunks_recorded, report.chunks_total);
+    for (std::size_t c = 0; c < kMapBatchChunks; ++c) {
+        EXPECT_FALSE(std::filesystem::exists(map_chunk_path(options.journal_dir, c)))
+            << "chunk " << c << " was rescanned";
+    }
+    EXPECT_TRUE(std::filesystem::exists(map_chunk_path(options.journal_dir, kMapBatchChunks)));
+    expect_same_sweep(reduced, baseline, "procs over a killed run");
 }
 
 // --- Chaos kill-sweep --------------------------------------------------------

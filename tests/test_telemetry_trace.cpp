@@ -212,7 +212,7 @@ struct TracedRun {
 };
 
 TracedRun run_traced(const web::Population& population, const scanner::ScanOptions& options,
-                     bool resume = false) {
+                     bool reduce = false) {
     scanner::Campaign campaign{population, options};
     telemetry::MetricsRegistry registry;
     campaign.set_metrics(&registry);
@@ -220,7 +220,7 @@ TracedRun run_traced(const web::Population& population, const scanner::ScanOptio
     campaign.set_trace(&trace);
     const auto sink = [](const web::Domain&, scanner::DomainScan&&) {};
     TracedRun result;
-    result.stats = resume ? campaign.resume(sink) : campaign.run(sink);
+    result.stats = reduce ? campaign.reduce(sink) : campaign.run(sink);
     result.sim = trace.to_json(TraceClock::sim);
     result.wall = trace.to_json(TraceClock::wall);
     result.deterministic_telemetry = telemetry::deterministic_csv(registry);
@@ -435,9 +435,12 @@ TEST(CampaignTraceTest, SimTimestampsAreNonDecreasingPerLane) {
 
 TEST_F(TraceTest, KillAndResumeReplaysTheSameTimelineFlaggedReplayed) {
     const web::Population population = tiny_population();
-    const TracedRun baseline = run_traced(population, traced_options(1));
+    scanner::ScanOptions options = traced_options(1);
+    options.chunk_domains = 4;  // two batch files: the kill leaves one
+    const TracedRun baseline = run_traced(population, options);
 
-    scanner::ScanOptions journaled = traced_options(2);
+    scanner::ScanOptions journaled = options;
+    journaled.threads = 2;
     journaled.journal_dir = (dir_ / "journal").string();
     {
         struct Kill {};
@@ -452,19 +455,21 @@ TEST_F(TraceTest, KillAndResumeReplaysTheSameTimelineFlaggedReplayed) {
                      Kill);
     }
 
-    const TracedRun resumed = run_traced(population, journaled, /*resume=*/true);
-    ASSERT_TRUE(is_valid_json(resumed.sim));
-    // The replayed chunks are flagged; flipping the flag back recovers the
-    // uninterrupted trace byte for byte.
-    EXPECT_NE(resumed.sim.find("\"replayed\":1"), std::string::npos);
-    std::string normalized = resumed.sim;
+    const TracedRun reduced = run_traced(population, journaled, /*reduce=*/true);
+    ASSERT_TRUE(is_valid_json(reduced.sim));
+    // The replayed chunks are flagged, the rescanned ones are not; flipping
+    // the flag back recovers the uninterrupted trace byte for byte.
+    EXPECT_NE(reduced.sim.find("\"replayed\":1"), std::string::npos);
+    EXPECT_NE(reduced.sim.find("\"replayed\":0"), std::string::npos);
+    EXPECT_NE(reduced.wall.find("journal publish"), std::string::npos);
+    std::string normalized = reduced.sim;
     constexpr std::string_view kReplayed = "\"replayed\":1";
     for (std::size_t at = normalized.find(kReplayed); at != std::string::npos;
          at = normalized.find(kReplayed, at)) {
         normalized[at + kReplayed.size() - 1] = '0';
     }
     EXPECT_EQ(normalized, baseline.sim);
-    EXPECT_EQ(resumed.deterministic_telemetry, baseline.deterministic_telemetry);
+    EXPECT_EQ(reduced.deterministic_telemetry, baseline.deterministic_telemetry);
 }
 
 TEST(CampaignTraceTest, AttachingARecorderDoesNotPerturbDeterministicTelemetry) {
