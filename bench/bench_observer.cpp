@@ -111,8 +111,9 @@ struct FlowTruth {
     bool candidate = false;
 };
 
-/// Float-EWMA reference per flow — the idealized observer's answer (the
-/// differential suite proves FlowMonitor matches this path exactly).
+/// Float-EWMA reference per flow — the idealized observer's answer: the
+/// edge detection and 1/8-weight EWMA of core::SpinEdgeObserver, run over
+/// each flow's packet stream without a wire round trip.
 std::vector<FlowTruth> reference_pass(std::uint64_t seed, std::uint64_t flows,
                                       std::uint64_t packets_per_flow) {
     std::vector<FlowTruth> truth(flows);

@@ -1,9 +1,9 @@
 // examples/passive_monitor.cpp
 //
-// A network operator's view: a passive on-path observer (core::WireSpinTap)
-// watching several concurrent QUIC flows through the same bottleneck-ish
-// path segment, without any access to endpoint state — the paper's
-// motivating deployment scenario (§1).
+// A network operator's view: passive on-path observers
+// (core::SpinEdgeObserver taps) watching several concurrent QUIC flows
+// through the same bottleneck-ish path segment, without any access to
+// endpoint state — the paper's motivating deployment scenario (§1).
 //
 // Demonstrates:
 //  * per-flow spin-RTT estimation from raw datagrams,
@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/wire_observer.hpp"
+#include "core/observer.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
 #include "quic/connection.hpp"
@@ -37,8 +37,8 @@ struct FlowRun {
     std::unique_ptr<netsim::Path> path;
     std::unique_ptr<quic::Connection> client;
     std::unique_ptr<quic::Connection> server;
-    core::WireSpinTap naive_observer;
-    core::WireSpinTap hardened_observer;
+    core::SpinEdgeObserver naive_observer;
+    core::SpinEdgeObserver hardened_observer;
 
     FlowRun() : hardened_observer{hardened_config()} {}
 

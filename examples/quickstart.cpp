@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "core/accuracy.hpp"
-#include "core/wire_observer.hpp"
+#include "core/observer.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
 #include "quic/connection.hpp"
@@ -30,8 +30,8 @@ int main() {
 
     // A passive on-path observer on the server->client direction, like a
     // middlebox colocated with the client's access network.
-    core::WireSpinTap wire_observer;
-    path.return_link().add_tap(wire_observer.tap());
+    core::SpinEdgeObserver wire_tap;
+    path.return_link().add_tap(wire_tap.tap());
 
     // Client: the measuring endpoint, records a qlog trace.
     qlog::Trace trace;
@@ -99,8 +99,8 @@ int main() {
         std::printf("mapped ratio    : %.2f\n", *ratio);
     }
     std::printf("\nwire observer saw %zu short-header packets, %zu spin samples, mean %.2f ms\n",
-                wire_observer.short_header_packets(),
-                wire_observer.result().samples_ms.size(), wire_observer.result().mean_ms());
+                wire_tap.short_header_packets(),
+                wire_tap.result().samples_ms.size(), wire_tap.result().mean_ms());
     std::printf("events processed: %llu, sim time: %s\n",
                 static_cast<unsigned long long>(sim.processed()),
                 util::to_string(sim.now() - util::TimePoint::origin()).c_str());

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/wire_observer.hpp"
+#include "core/observer.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
 #include "quic/connection.hpp"
@@ -30,14 +30,14 @@ int main() {
     link.reorder_extra_max = util::Duration::millis(9);
     netsim::Path path{sim, link, link, rng};
 
-    core::WireSpinTap naive;
+    core::SpinEdgeObserver naive;
     core::ObserverConfig heuristics_config;
     heuristics_config.min_plausible_rtt = util::Duration::millis(2);
     heuristics_config.dynamic_reject_ratio = 0.25;
-    core::WireSpinTap heuristics{heuristics_config};
+    core::SpinEdgeObserver heuristics{heuristics_config};
     core::ObserverConfig vec_config;
     vec_config.require_vec = true;
-    core::WireSpinTap vec_aware{vec_config};
+    core::SpinEdgeObserver vec_aware{vec_config};
     path.return_link().add_tap(naive.tap());
     path.return_link().add_tap(heuristics.tap());
     path.return_link().add_tap(vec_aware.tap());
@@ -85,7 +85,7 @@ int main() {
     std::printf("%-24s %8s %12s %12s %9s\n", "observer", "samples", "mean est.", "min est.",
                 "rejects");
     std::printf("%s\n", std::string(70, '-').c_str());
-    const auto row = [&](const char* name, const core::WireSpinTap& tap) {
+    const auto row = [&](const char* name, const core::SpinEdgeObserver& tap) {
         std::printf("%-24s %8zu %9.2f ms %9.2f ms %9zu\n", name,
                     tap.result().samples_ms.size(), tap.result().mean_ms(),
                     tap.result().min_ms(), tap.rejected_samples());

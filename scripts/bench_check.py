@@ -57,6 +57,13 @@ OBSERVER_POLICY = {
     "mean_abs_err_ms": (False, 0.25, 0.05),
     "packets_per_sec": (True, 0.50, 0.0),
 }
+# Integer context fields of every observer row. For a fixed scale, seed and
+# packet count they are a pure function of the input stream, so any change
+# is a behaviour change, not noise: they must match the baseline exactly.
+OBSERVER_EXACT_FIELDS = (
+    "flows", "candidates", "measured", "tracked", "untracked", "evictions",
+    "sampled_out", "active_slots",
+)
 
 # Scale-sweep flatness gate (spinscope-bench-scale-v1, DESIGN.md §15): the
 # sweep measures one campaign per population scale inside one process, fewest
@@ -98,6 +105,14 @@ def compare_observer(baseline, candidate, base_name="baseline", cand_name="candi
         if cand_row is None:
             failures.append(f"{row_id}: row missing from candidate")
             continue
+        for field in OBSERVER_EXACT_FIELDS:
+            base = base_row.get(field)
+            cand = cand_row.get(field)
+            if base != cand:
+                print(f"  {row_id}/{field}: {base_name} {base} -> {cand_name} {cand} [CHANGED]")
+                failures.append(
+                    f"{row_id}/{field}: {cand} vs baseline {base} (must match exactly)"
+                )
         base_metrics = base_row.get("metrics", {})
         cand_metrics = cand_row.get("metrics", {})
         for metric, (higher_better, rel, slack) in OBSERVER_POLICY.items():
@@ -279,6 +294,9 @@ def self_test():
         "schema": OBSERVER_SCHEMA,
         "rows": {
             "slots16_lru": {
+                "flows": 262144, "candidates": 262144, "measured": 246473,
+                "tracked": 4900000, "untracked": 300000, "evictions": 20000,
+                "sampled_out": 0, "active_slots": 65536,
                 "metrics": {
                     "coverage": 0.94,
                     "mean_abs_err_ms": 0.25,
@@ -303,6 +321,13 @@ def self_test():
         regressed["rows"]["slots16_lru"]["metrics"][metric] = bad
         if not compare(obs_base, regressed):
             print(f"self-test FAILED: observer regression in {metric} not detected")
+            return 1
+    print("self-test: an off-by-one observer count must be detected")
+    for field in ("measured", "active_slots"):
+        miscounted = json.loads(json.dumps(obs_base))
+        miscounted["rows"]["slots16_lru"][field] += 1
+        if not compare(obs_base, miscounted):
+            print(f"self-test FAILED: off-by-one {field} not detected")
             return 1
     dropped = json.loads(json.dumps(obs_base))
     dropped["rows"] = {}

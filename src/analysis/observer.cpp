@@ -4,7 +4,6 @@
 #include <cmath>
 #include <tuple>
 
-#include "core/flow_monitor.hpp"
 #include "quic/packet.hpp"
 #include "util/rng.hpp"
 
@@ -39,8 +38,27 @@ std::vector<ObserverReplay::Event> ObserverReplay::sorted_events() const {
     return sorted;
 }
 
-template <typename Monitor>
-void ObserverReplay::drive(Monitor& monitor) const {
+ObserverRun ObserverReplay::run_idealized(core::ObserverConfig config) const {
+    // A perfect flow table is one observer per connection. It sees the same
+    // interleave as the constrained table, with the per-connection arrival
+    // index as packet number: PNs are protected on the wire.
+    std::vector<core::SpinEdgeObserver> observers(connections_.size(),
+                                                  core::SpinEdgeObserver{config});
+    std::vector<quic::PacketNumber> arrivals(connections_.size(), 0);
+    for (const Event& event : sorted_events()) {
+        core::SpinObservation obs = event.obs;
+        obs.packet_number = arrivals[event.conn]++;
+        observers[event.conn].on_packet(obs);
+    }
+
+    std::vector<core::SpinRttResult> observed;
+    observed.reserve(observers.size());
+    for (const auto& observer : observers) observed.push_back(observer.result());
+    return score(std::move(observed));
+}
+
+ObserverRun ObserverReplay::run_constrained(const core::ConstrainedConfig& config) const {
+    core::ConstrainedMonitor monitor{config};
     std::vector<std::uint8_t> datagram;
     static constexpr std::uint8_t kPing[] = {0x01};
     for (const Event& event : sorted_events()) {
@@ -56,80 +74,42 @@ void ObserverReplay::drive(Monitor& monitor) const {
         monitor.on_datagram(util::TimePoint::origin() + util::Duration::nanos(event.time_ns),
                             bytes::ConstByteSpan{datagram.data(), datagram.size()});
     }
-}
 
-ObserverRun ObserverReplay::run_idealized(core::ObserverConfig config) const {
-    core::FlowMonitor monitor{config};
-    drive(monitor);
-
-    ObserverRun run;
-    run.summary.connections = connections_.size();
-    double err_sum = 0.0;
-    for (const Connection& conn : connections_) {
-        if (conn.assessment.spin_received.has_samples()) ++run.summary.candidates;
-        const auto stats = monitor.find_key(conn.key);
-        core::ConnectionAssessment assessed = conn.assessment;
-        if (stats) {
-            // A wire observer sees arrival order only (PNs are protected),
-            // so both series carry the received-order result.
-            assessed.spin_received = stats->spin;
-            assessed.spin_sorted = stats->spin;
-        } else {
-            assessed.spin_received = core::SpinRttResult{};
-            assessed.spin_sorted = core::SpinRttResult{};
-        }
-        if (stats && stats->spin.has_samples()) {
-            ++run.summary.measured;
-            if (conn.assessment.has_quic_baseline) {
-                ++run.summary.comparable;
-                const double err =
-                    std::abs(stats->spin.mean_ms() - conn.assessment.quic_mean_ms);
-                err_sum += err;
-                if (err <= 25.0) ++run.summary.within_25ms;
-            }
-        }
-        run.aggregator.add(assessed);
+    std::vector<core::SpinRttResult> observed(connections_.size());
+    for (std::size_t i = 0; i < connections_.size(); ++i) {
+        const auto stats = monitor.find_key(connections_[i].key);
+        if (!stats) continue;
+        observed[i].edge_count = stats->edge_count;
+        observed[i].saw_zero = stats->saw_zero;
+        observed[i].saw_one = stats->saw_one;
+        // The hardware estimate is one number: the integer EWMA. Wrap it as
+        // a single sample so the Fig. 3/4 machinery (per-connection means)
+        // scores it like any other estimator.
+        if (stats->has_estimate) observed[i].samples_ms.push_back(stats->srtt_ms());
     }
-    if (run.summary.candidates > 0) {
-        run.summary.coverage = static_cast<double>(run.summary.measured) /
-                               static_cast<double>(run.summary.candidates);
-    }
-    if (run.summary.comparable > 0) {
-        run.summary.mean_abs_err_ms =
-            err_sum / static_cast<double>(run.summary.comparable);
-    }
+    ObserverRun run = score(std::move(observed));
+    run.summary.table = monitor.counters();
     return run;
 }
 
-ObserverRun ObserverReplay::run_constrained(const core::ConstrainedConfig& config) const {
-    core::ConstrainedMonitor monitor{config};
-    drive(monitor);
-
+ObserverRun ObserverReplay::score(std::vector<core::SpinRttResult> observed) const {
     ObserverRun run;
     run.summary.connections = connections_.size();
     double err_sum = 0.0;
-    for (const Connection& conn : connections_) {
-        if (conn.assessment.spin_received.has_samples()) ++run.summary.candidates;
-        const auto stats = monitor.find_key(conn.key);
-        core::ConnectionAssessment assessed = conn.assessment;
-        core::SpinRttResult observed;
-        if (stats) {
-            observed.edge_count = stats->edge_count;
-            observed.saw_zero = stats->saw_zero;
-            observed.saw_one = stats->saw_one;
-            // The hardware estimate is one number: the integer EWMA. Wrap it
-            // as a single sample so the Fig. 3/4 machinery (per-connection
-            // means) scores it like any other estimator.
-            if (stats->has_estimate) observed.samples_ms.push_back(stats->srtt_ms());
-        }
-        assessed.spin_received = observed;
-        assessed.spin_sorted = observed;
-        if (stats && stats->has_estimate) {
+    for (std::size_t i = 0; i < connections_.size(); ++i) {
+        const core::ConnectionAssessment& endpoint = connections_[i].assessment;
+        if (endpoint.spin_received.has_samples()) ++run.summary.candidates;
+        // A wire observer sees arrival order only, so both series carry the
+        // received-order result.
+        core::ConnectionAssessment assessed = endpoint;
+        assessed.spin_received = std::move(observed[i]);
+        assessed.spin_sorted = assessed.spin_received;
+        if (assessed.spin_received.has_samples()) {
             ++run.summary.measured;
-            if (conn.assessment.has_quic_baseline) {
+            if (endpoint.has_quic_baseline) {
                 ++run.summary.comparable;
                 const double err =
-                    std::abs(stats->srtt_ms() - conn.assessment.quic_mean_ms);
+                    std::abs(assessed.spin_received.mean_ms() - endpoint.quic_mean_ms);
                 err_sum += err;
                 if (err <= 25.0) ++run.summary.within_25ms;
             }
@@ -144,7 +124,6 @@ ObserverRun ObserverReplay::run_constrained(const core::ConstrainedConfig& confi
         run.summary.mean_abs_err_ms =
             err_sum / static_cast<double>(run.summary.comparable);
     }
-    run.summary.table = monitor.counters();
     return run;
 }
 

@@ -4,16 +4,18 @@
 // pipeline from the viewpoint of a passive device on the server→client
 // path, under either observer model —
 //
-//   idealized    core::FlowMonitor       (unbounded table, float EWMA)
+//   idealized    a perfect flow table: one core::SpinEdgeObserver per
+//                connection (float EWMA, nothing lost)
 //   constrained  core::ConstrainedMonitor (fixed slots, eviction, integer
-//                                          EWMA, sampling — DESIGN.md §14)
+//                EWMA, sampling — DESIGN.md §14)
 //
 // Campaign traces are endpoint-side records; a wire observer instead sees an
 // interleaved datagram mix of every concurrent connection. The replay
-// synthesizes that mix: each registered connection gets a deterministic
-// 8-byte DCID, its received 1-RTT packets are re-encoded as short-header
-// datagrams, and the union is ordered by observation time before being fed
-// to the monitor under test. Accuracy is then scored with the same
+// orders the union of every registered connection's received 1-RTT packets
+// by observation time. The constrained run re-encodes that stream as
+// short-header datagrams, each connection under a deterministic 8-byte DCID,
+// so the monitor parses and hashes real wire bytes; the idealized run feeds
+// each connection's observer directly. Accuracy is then scored with the same
 // AccuracyAggregator the endpoint pipeline uses, so constrained-observer
 // histograms are directly comparable with the paper's figures.
 
@@ -69,7 +71,7 @@ public:
         return connections_.size();
     }
 
-    /// Replays the stream through an idealized FlowMonitor.
+    /// Replays the stream through a perfect flow table.
     [[nodiscard]] ObserverRun run_idealized(core::ObserverConfig config = {}) const;
 
     /// Replays the stream through a ConstrainedMonitor with the given budget.
@@ -89,8 +91,9 @@ private:
 
     /// Events sorted by (time, conn, seq) — the deterministic interleave.
     [[nodiscard]] std::vector<Event> sorted_events() const;
-    template <typename Monitor>
-    void drive(Monitor& monitor) const;
+    /// Scores one run; `observed[i]` is the observer's result for
+    /// connection i (empty when the observer lost the flow).
+    [[nodiscard]] ObserverRun score(std::vector<core::SpinRttResult> observed) const;
 
     std::uint64_t seed_;
     std::vector<Connection> connections_;

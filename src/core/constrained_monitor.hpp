@@ -1,18 +1,18 @@
 // spinscope/core/constrained_monitor.hpp
 //
-// Hardware-faithful on-path spin observer (DESIGN.md §14) — the constrained
-// counterpart of the idealized core::FlowMonitor.
+// Hardware-faithful on-path spin observer (DESIGN.md §14) — spinscope's
+// only multi-flow table.
 //
 // "Tracking the QUIC Spin Bit on Tofino" (PAPERS.md) shows what a real
 // line-rate deployment has to work with: a fixed-size register file indexed
 // by a hash of the flow key, so colliding flows fight over one slot; no
 // floating point, so RTT smoothing is a shift-based integer EWMA; and, at
 // high packet rates, 1-in-N packet sampling. This monitor models exactly
-// that budget. By construction it can only degrade *from* FlowMonitor —
-// the differential suite (tests/test_core_constrained_monitor.cpp) proves
-// flow-for-flow equivalence when the constraints are lifted and that every
-// divergence under constraints is explained by the collision/eviction/
-// sampling counters.
+// that budget. Its reference is a perfect table, one core::SpinEdgeObserver
+// per flow: the differential suite (tests/test_core_constrained_monitor.cpp)
+// proves flow-for-flow equivalence with it when the constraints are lifted,
+// and that every divergence under constraints is explained by the
+// collision/eviction/sampling counters.
 
 #pragma once
 
@@ -135,8 +135,7 @@ public:
     }
 
     /// Snapshot of every resident flow in slot-index order (deterministic),
-    /// keyed by the hex flow key — the same rendering FlowMonitor uses, so
-    /// the differential suite can join the two snapshots.
+    /// keyed by the hex flow key: the DCID prefix in lowercase hex.
     [[nodiscard]] std::vector<std::pair<std::string, ConstrainedFlowStats>> flows() const;
 
     /// Stats for one flow by raw key; nullopt when the flow is not resident

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "quic/packet.hpp"
+
 namespace spinscope::core {
 
 double SpinRttResult::mean_ms() const noexcept {
@@ -123,6 +125,12 @@ void SpinEdgeObserver::on_packet(const SpinObservation& packet) {
     } else {
         smoothed_ms_ = smoothed_ms_ * 0.875 + sample_ms * 0.125;
     }
+}
+
+void SpinEdgeObserver::on_datagram(TimePoint at, bytes::ConstByteSpan datagram) {
+    const auto view = quic::peek_short_header(datagram);
+    if (!view) return;
+    on_packet(SpinObservation{at, short_header_packets_++, view->spin, view->vec});
 }
 
 std::optional<double> SpinEdgeObserver::smoothed_ms() const noexcept {

@@ -11,7 +11,8 @@
 //    quantifying the impact of reordering;
 //  * a streaming observer with the RFC 9312 robustness heuristics
 //    (packet-number filtering, implausible-sample rejection) that the paper
-//    calls out as untested at scale.
+//    calls out as untested at scale. It also works as an on-path wire tap
+//    on one flow (paper §2.1), fed raw datagrams off a netsim::Link.
 
 #pragma once
 
@@ -20,6 +21,8 @@
 #include <span>
 #include <vector>
 
+#include "bytes/bytes.hpp"
+#include "netsim/link.hpp"
 #include "quic/types.hpp"
 #include "util/time.hpp"
 
@@ -96,7 +99,23 @@ public:
     /// Processes one observed packet.
     void on_packet(const SpinObservation& packet);
 
+    /// Processes one observed datagram, the way an on-path device sees it
+    /// (a borrowed view; nothing is copied). Long-header and non-QUIC
+    /// datagrams are ignored. Packet numbers are header-protected on the
+    /// wire, so the arrival index stands in for one; it strictly increases,
+    /// so the packet-number filter never fires on this path.
+    void on_datagram(TimePoint at, bytes::ConstByteSpan datagram);
+
+    /// Adapter usable directly as a netsim::Link tap.
+    [[nodiscard]] netsim::Link::Tap tap() {
+        return [this](TimePoint at, bytes::ConstByteSpan dg) { on_datagram(at, dg); };
+    }
+
     [[nodiscard]] const SpinRttResult& result() const noexcept { return result_; }
+    /// Short-header datagrams seen by on_datagram.
+    [[nodiscard]] std::size_t short_header_packets() const noexcept {
+        return short_header_packets_;
+    }
     /// Samples rejected by the plausibility heuristics.
     [[nodiscard]] std::size_t rejected_samples() const noexcept { return rejected_; }
     /// Current smoothed spin RTT (ms); nullopt before the first sample.
@@ -112,6 +131,7 @@ private:
     std::size_t rejected_ = 0;
     double smoothed_ms_ = 0.0;
     bool have_smoothed_ = false;
+    std::size_t short_header_packets_ = 0;
 };
 
 }  // namespace spinscope::core

@@ -131,7 +131,7 @@ void encode_short_header(Writer& w, const PacketHeader& header, PacketNumber lar
 
 /// Lightweight wire view of a 1-RTT short header as seen by an *on-path*
 /// observer: only the fields that are readable without packet-protection
-/// keys. This is what a real middlebox (and our core::WireSpinTap) can see.
+/// keys. This is what a real middlebox (and our on-path observers) can see.
 struct ShortHeaderView {
     bool spin = false;
     std::uint8_t vec = 0;         ///< Valid Edge Counter (reserved bits)

@@ -2,22 +2,28 @@
 //
 // The contract under test: core::ConstrainedMonitor with its constraints
 // lifted (a table far larger than the flow universe, eviction off, sampling
-// 1:1) agrees with the idealized core::FlowMonitor flow-for-flow on the same
-// interleaved datagram stream — exactly on every counter, and within the
-// documented integer-EWMA precision bound on the RTT estimate. Under
-// constraints, every packet the constrained monitor loses relative to the
-// idealized one is explained, to the packet, by its collision / eviction /
-// sampling counters (the seeded ~10k-case property sweep).
+// 1:1) agrees flow-for-flow with a perfect flow table — one
+// core::SpinEdgeObserver per flow key, fed the same stream — exactly on
+// every counter, and within the documented integer-EWMA precision bound on
+// the RTT estimate. Under constraints, every packet the constrained monitor
+// loses relative to the reference is explained, to the packet, by its
+// collision / eviction / sampling counters (the seeded ~10k-case property
+// sweep).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/constrained_monitor.hpp"
-#include "core/flow_monitor.hpp"
+#include "core/observer.hpp"
 #include "netsim/link.hpp"
+#include "netsim/simulator.hpp"
+#include "quic/connection.hpp"
 #include "quic/packet.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -74,15 +80,66 @@ std::vector<StreamEvent> interleaved_stream(Rng& rng, const std::vector<std::uin
     return events;
 }
 
-/// Feeds the same stream to both monitors.
-void drive_both(const std::vector<StreamEvent>& events, FlowMonitor& idealized,
+/// One flow of the reference table.
+struct ReferenceFlow {
+    SpinEdgeObserver observer;
+    std::uint64_t packets = 0;
+};
+
+/// The differential reference: a perfect flow table, one SpinEdgeObserver
+/// per flow key, fed with the per-flow arrival index as packet number (what
+/// an on-path device has). The stream sweeps feed it each StreamEvent
+/// directly; the adversarial corpora go through on_datagram, which triages
+/// with the same short-header check and 8-byte key as the monitor.
+struct ReferenceTable {
+    ObserverConfig config;
+    std::map<std::uint64_t, ReferenceFlow> flows;
+    std::uint64_t non_flow = 0;
+
+    void observe(std::uint64_t key, TimePoint at, bool spin) {
+        auto& flow = flows.try_emplace(key, ReferenceFlow{SpinEdgeObserver{config}}).first->second;
+        flow.observer.on_packet(SpinObservation{at, flow.packets++, spin});
+    }
+    void on_event(const StreamEvent& event) {
+        observe(event.key, at_us(event.time_us), event.spin);
+    }
+    void on_datagram(TimePoint at, bytes::ConstByteSpan datagram) {
+        const auto view = quic::peek_short_header(datagram);
+        if (!view || datagram.size() < view->dcid_offset + 8) {
+            ++non_flow;
+            return;
+        }
+        observe(ConstrainedMonitor::pack_key(datagram.data() + view->dcid_offset, 8), at,
+                view->spin);
+    }
+    [[nodiscard]] const ReferenceFlow* find(std::uint64_t key) const {
+        const auto it = flows.find(key);
+        return it == flows.end() ? nullptr : &it->second;
+    }
+    /// Total packets attributed to flows.
+    [[nodiscard]] std::uint64_t tracked() const {
+        std::uint64_t total = 0;
+        for (const auto& [key, flow] : flows) total += flow.packets;
+        return total;
+    }
+};
+
+/// Feeds the same stream to the reference and, as wire datagrams, to the
+/// constrained monitor.
+void drive_both(const std::vector<StreamEvent>& events, ReferenceTable& reference,
                 ConstrainedMonitor& constrained) {
     quic::PacketNumber pn = 0;
     for (const StreamEvent& event : events) {
-        const netsim::Datagram wire = short_packet(event.key, event.spin, pn++);
-        idealized.on_datagram(at_us(event.time_us), wire);
-        constrained.on_datagram(at_us(event.time_us), wire);
+        reference.on_event(event);
+        constrained.on_datagram(at_us(event.time_us), short_packet(event.key, event.spin, pn++));
     }
+}
+
+/// The monitor's hex rendering of a raw 8-byte key.
+std::string hex_key(std::uint64_t key) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(key));
+    return hex;
 }
 
 /// Keys whose table slots are pairwise distinct (rejection sampling), so an
@@ -102,13 +159,6 @@ std::vector<std::uint64_t> collision_free_keys(Rng& rng, const ConstrainedMonito
     return keys;
 }
 
-/// Total packets the idealized monitor attributed to flows.
-std::uint64_t idealized_tracked(const FlowMonitor& monitor) {
-    std::uint64_t total = 0;
-    for (const auto& [key, stats] : monitor.flows()) total += stats.packets;
-    return total;
-}
-
 // --- differential equivalence (constraints lifted) --------------------------
 
 TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
@@ -118,7 +168,7 @@ TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
     config.sample_every = 1;
     config.ewma_shift = 3;  // same 1/8 weight as the float path
     ConstrainedMonitor constrained{config};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
 
     Rng rng{0x5eed'd1ffULL};
     const auto keys = collision_free_keys(rng, constrained, 64);
@@ -135,39 +185,40 @@ TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
     EXPECT_EQ(t.offered, events.size());
     EXPECT_EQ(t.tracked, events.size());
 
-    EXPECT_EQ(constrained.flow_count(), idealized.flow_count());
+    EXPECT_EQ(constrained.flow_count(), idealized.flows.size());
     ASSERT_EQ(constrained.flow_count(), keys.size());
 
     for (const std::uint64_t key : keys) {
-        const auto ideal = idealized.find_key(key);
+        const ReferenceFlow* ideal = idealized.find(key);
         const auto hard = constrained.find_key(key);
-        ASSERT_TRUE(ideal.has_value());
+        ASSERT_NE(ideal, nullptr);
         ASSERT_TRUE(hard.has_value());
+        const SpinRttResult& spin = ideal->observer.result();
         // Integer-exact surface: acceptance decisions are int64 nanosecond
         // comparisons on both paths, so these must agree to the packet.
         EXPECT_EQ(hard->packets, ideal->packets);
-        EXPECT_EQ(hard->edge_count, ideal->spin.edge_count);
-        EXPECT_EQ(hard->samples, ideal->spin.samples_ms.size());
-        EXPECT_EQ(hard->rejected_samples, ideal->rejected_samples);
-        EXPECT_EQ(hard->saw_zero, ideal->spin.saw_zero);
-        EXPECT_EQ(hard->saw_one, ideal->spin.saw_one);
+        EXPECT_EQ(hard->edge_count, spin.edge_count);
+        EXPECT_EQ(hard->samples, spin.samples_ms.size());
+        EXPECT_EQ(hard->rejected_samples, ideal->observer.rejected_samples());
+        EXPECT_EQ(hard->saw_zero, spin.saw_zero);
+        EXPECT_EQ(hard->saw_one, spin.saw_one);
         // Float-equivalent EWMA scaling: the integer estimate tracks the
         // float one within the §14 precision bound (~2 µs steady state;
         // 10 µs leaves margin without masking real divergence).
         if (hard->has_estimate) {
-            EXPECT_NEAR(hard->srtt_ms(), ideal->smoothed_rtt_ms, 0.010)
+            EXPECT_NEAR(hard->srtt_ms(), ideal->observer.smoothed_ms().value_or(0.0), 0.010)
                 << "flow key " << key;
         } else {
-            EXPECT_EQ(ideal->smoothed_rtt_ms, 0.0);
+            EXPECT_EQ(ideal->observer.smoothed_ms().value_or(0.0), 0.0);
         }
     }
 
-    // Snapshot keying agrees too: both render the raw key as lowercase hex.
-    const auto ideal_flows = idealized.flows();
+    // Snapshot keying agrees too: the monitor renders the raw key as
+    // lowercase hex, and finds every reference flow under that rendering.
     const auto hard_flows = constrained.flows();
-    ASSERT_EQ(ideal_flows.size(), hard_flows.size());
-    for (const auto& [hex, stats] : ideal_flows) {
-        EXPECT_TRUE(constrained.find(hex).has_value()) << hex;
+    ASSERT_EQ(idealized.flows.size(), hard_flows.size());
+    for (const auto& [key, flow] : idealized.flows) {
+        EXPECT_TRUE(constrained.find(hex_key(key)).has_value()) << hex_key(key);
     }
 }
 
@@ -176,9 +227,8 @@ TEST(ConstrainedDifferential, MinPlausibleRejectionIsIntegerExact) {
     config.log2_slots = 12;
     config.min_plausible_rtt = Duration::millis(20);
     ConstrainedMonitor constrained{config};
-    ObserverConfig observer_config;
-    observer_config.min_plausible_rtt = Duration::millis(20);
-    FlowMonitor idealized{observer_config};
+    ReferenceTable idealized;
+    idealized.config.min_plausible_rtt = Duration::millis(20);
 
     Rng rng{0x00ed'0e11ULL};
     const auto keys = collision_free_keys(rng, constrained, 16);
@@ -189,12 +239,12 @@ TEST(ConstrainedDifferential, MinPlausibleRejectionIsIntegerExact) {
 
     std::size_t rejected_total = 0;
     for (const std::uint64_t key : keys) {
-        const auto ideal = idealized.find_key(key);
+        const ReferenceFlow* ideal = idealized.find(key);
         const auto hard = constrained.find_key(key);
-        ASSERT_TRUE(ideal.has_value());
+        ASSERT_NE(ideal, nullptr);
         ASSERT_TRUE(hard.has_value());
-        EXPECT_EQ(hard->rejected_samples, ideal->rejected_samples);
-        EXPECT_EQ(hard->samples, ideal->spin.samples_ms.size());
+        EXPECT_EQ(hard->rejected_samples, ideal->observer.rejected_samples());
+        EXPECT_EQ(hard->samples, ideal->observer.result().samples_ms.size());
         rejected_total += hard->rejected_samples;
     }
     EXPECT_GT(rejected_total, 0u);  // the floor actually fired
@@ -218,7 +268,7 @@ TEST(ConstrainedProperty, DeltaExplainedByCountersAcross10kCases) {
         config.sample_every = static_cast<std::uint32_t>(1 + rng.uniform_u64(4));
         config.lru_idle_packets = 1 + rng.uniform_u64(16);
         ConstrainedMonitor constrained{config};
-        FlowMonitor idealized;
+        ReferenceTable idealized;
 
         // Keys drawn from a universe of <= 24 values: far more flows than
         // distinct slots, so slot fights are the norm, not the exception.
@@ -239,17 +289,17 @@ TEST(ConstrainedProperty, DeltaExplainedByCountersAcross10kCases) {
         // Identity 2: a collision either evicts or leaves the packet untracked.
         ASSERT_EQ(t.collisions, t.untracked + t.evictions) << "case " << c;
         // Identity 3: both monitors classify flow/non-flow identically.
-        ASSERT_EQ(t.non_flow, idealized.non_flow_packets()) << "case " << c;
+        ASSERT_EQ(t.non_flow, idealized.non_flow) << "case " << c;
         ASSERT_EQ(t.offered, events.size()) << "case " << c;
         // Identity 4 (the differential): packets the idealized monitor
         // tracked but the constrained one did not are EXACTLY the sampled-out
         // plus collision-untracked ones. Eviction losses do not appear here —
         // an evicting packet is still tracked (by the usurping flow).
-        ASSERT_EQ(idealized_tracked(idealized) - t.tracked, t.sampled_out + t.untracked)
+        ASSERT_EQ(idealized.tracked() - t.tracked, t.sampled_out + t.untracked)
             << "case " << c;
         // The table can never hold more flows than slots or than exist.
         ASSERT_LE(constrained.flow_count(), std::size_t{16}) << "case " << c;
-        ASSERT_LE(constrained.flow_count(), idealized.flow_count()) << "case " << c;
+        ASSERT_LE(constrained.flow_count(), idealized.flows.size()) << "case " << c;
     }
 }
 
@@ -326,7 +376,7 @@ TEST(ConstrainedEviction, RandomReplacementIsDeterministicPerStream) {
         std::vector<std::uint64_t> keys;
         for (std::uint64_t k = 0; k < 40; ++k) keys.push_back(0x2000 + k);
         const auto events = interleaved_stream(rng, keys, 12);
-        FlowMonitor idealized;
+        ReferenceTable idealized;
         ConstrainedMonitor constrained = std::move(monitor);
         drive_both(events, idealized, constrained);
         return constrained.counters();
@@ -362,9 +412,9 @@ TEST(ConstrainedSampling, OneInNCountsSkippedPacketsAndTouchesNoSlot) {
     EXPECT_EQ(stats->packets, 10u);
 }
 
-// --- adversarial robustness (satellite: both monitors side by side) ----------
+// --- adversarial robustness (monitor and reference side by side) -------------
 
-/// Runs one corpus through both monitors and asserts the shared sanity
+/// Runs one corpus through monitor and reference and asserts the shared sanity
 /// contract: identical flow/non-flow classification and the accounting
 /// identity — i.e. no adversarial datagram is ever double-counted or
 /// counted as tracked without being a well-formed short-header packet.
@@ -374,7 +424,7 @@ void adversarial_sweep(const std::vector<std::vector<std::uint8_t>>& corpus) {
     config.eviction = EvictionPolicy::lru;
     config.lru_idle_packets = 8;
     ConstrainedMonitor constrained{config};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
     std::int64_t t_us = 0;
     for (const auto& datagram : corpus) {
         ++t_us;
@@ -385,14 +435,14 @@ void adversarial_sweep(const std::vector<std::vector<std::uint8_t>>& corpus) {
     EXPECT_EQ(t.offered, corpus.size());
     EXPECT_EQ(t.offered, t.non_flow + t.sampled_out + t.tracked + t.untracked);
     EXPECT_EQ(t.collisions, t.untracked + t.evictions);
-    EXPECT_EQ(t.non_flow, idealized.non_flow_packets());
-    EXPECT_EQ(idealized_tracked(idealized) - t.tracked, t.sampled_out + t.untracked);
+    EXPECT_EQ(t.non_flow, idealized.non_flow);
+    EXPECT_EQ(idealized.tracked() - t.tracked, t.sampled_out + t.untracked);
 }
 
 TEST(ConstrainedRobustness, SurvivesRandomJunkCorpus) {
     // The codec-fuzz generator of test_quic_robustness: random buffers of
     // 1..80 bytes. Some will parse as short headers — the identity above
-    // checks they are then counted consistently by both monitors.
+    // checks they are then counted consistently by monitor and reference.
     Rng fuzz{0xfeed'beefULL};
     std::vector<std::vector<std::uint8_t>> corpus;
     corpus.reserve(20'000);
@@ -414,7 +464,7 @@ TEST(ConstrainedRobustness, TruncatedAndDegenerateDatagramsAreNonFlow) {
         {0x40, 1, 2, 3, 4, 5, 6, 7},  // one byte short of an 8-byte DCID
     };
     ConstrainedMonitor constrained{ConstrainedConfig{}};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         idealized.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
         constrained.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
@@ -422,8 +472,8 @@ TEST(ConstrainedRobustness, TruncatedAndDegenerateDatagramsAreNonFlow) {
     EXPECT_EQ(constrained.counters().non_flow, corpus.size());
     EXPECT_EQ(constrained.counters().tracked, 0u);
     EXPECT_EQ(constrained.flow_count(), 0u);
-    EXPECT_EQ(idealized.non_flow_packets(), corpus.size());
-    EXPECT_EQ(idealized.flow_count(), 0u);
+    EXPECT_EQ(idealized.non_flow, corpus.size());
+    EXPECT_EQ(idealized.flows.size(), 0u);
 }
 
 TEST(ConstrainedRobustness, LongHeaderOnlyCorpusIsNeverTracked) {
@@ -440,14 +490,101 @@ TEST(ConstrainedRobustness, LongHeaderOnlyCorpusIsNeverTracked) {
         corpus.push_back(std::move(wire));
     }
     ConstrainedMonitor constrained{ConstrainedConfig{}};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         idealized.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
         constrained.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
     }
     EXPECT_EQ(constrained.counters().tracked, 0u);
     EXPECT_EQ(constrained.counters().non_flow, corpus.size());
-    EXPECT_EQ(idealized.flow_count(), 0u);
+    EXPECT_EQ(idealized.flows.size(), 0u);
+}
+
+// --- heuristics and real traffic ---------------------------------------------
+
+TEST(FlowMonitor, FindUnknownFlow) {
+    ConstrainedMonitor monitor{ConstrainedConfig{}};
+    EXPECT_FALSE(monitor.find("deadbeef00000000").has_value());
+}
+
+TEST(ConstrainedMonitor, HeuristicsApplyPerFlow) {
+    ConstrainedConfig config;
+    config.min_plausible_rtt = Duration::millis(5);
+    ConstrainedMonitor monitor{config};
+    monitor.on_datagram(at_us(0), short_packet(0x1, false, 0));
+    monitor.on_datagram(at_us(40'000), short_packet(0x1, true, 1));
+    monitor.on_datagram(at_us(41'000), short_packet(0x1, false, 2));  // 1 ms -> rejected
+    monitor.on_datagram(at_us(80'000), short_packet(0x1, true, 3));
+    const auto flow = monitor.find("0000000000000001");
+    ASSERT_TRUE(flow.has_value());
+    EXPECT_EQ(flow->rejected_samples, 1u);
+}
+
+TEST(ConstrainedMonitor, TracksRealConnectionsThroughSharedTap) {
+    // Two concurrent QUIC connections through one monitored link.
+    netsim::Simulator sim;
+    util::Rng rng{11};
+    ConstrainedMonitor monitor;
+
+    struct Run {
+        std::unique_ptr<netsim::Path> path;
+        std::unique_ptr<quic::Connection> client;
+        std::unique_ptr<quic::Connection> server;
+    };
+    std::vector<Run> runs;
+    for (int i = 0; i < 2; ++i) {
+        Run run;
+        netsim::LinkConfig link;
+        link.base_delay = Duration::millis(10 + i * 25);
+        run.path = std::make_unique<netsim::Path>(sim, link, link, rng);
+        run.path->return_link().add_tap(monitor.tap());
+        quic::ConnectionConfig ccfg;
+        ccfg.role = quic::Role::client;
+        ccfg.spin = {quic::SpinPolicy::spin, 0, quic::SpinPolicy::always_zero};
+        run.client = std::make_unique<quic::Connection>(
+            sim, ccfg, rng.fork(static_cast<std::uint64_t>(i) * 2 + 1),
+            [path = run.path.get()](netsim::Datagram dg) {
+                path->forward_link().send(std::move(dg));
+            });
+        quic::ConnectionConfig scfg;
+        scfg.role = quic::Role::server;
+        scfg.spin = {quic::SpinPolicy::spin, 0, quic::SpinPolicy::always_zero};
+        run.server = std::make_unique<quic::Connection>(
+            sim, scfg, rng.fork(static_cast<std::uint64_t>(i) * 2 + 2),
+            [path = run.path.get()](netsim::Datagram dg) {
+                path->return_link().send(std::move(dg));
+            });
+        run.path->forward_link().set_receiver(
+            [server = run.server.get()](spinscope::bytes::ConstByteSpan dg) {
+                server->on_datagram(dg);
+            });
+        run.path->return_link().set_receiver(
+            [client = run.client.get()](spinscope::bytes::ConstByteSpan dg) {
+                client->on_datagram(dg);
+            });
+        run.server->on_stream_complete = [server = run.server.get()](
+                                             std::uint64_t, std::vector<std::uint8_t>) {
+            server->send_stream(0, std::vector<std::uint8_t>(60'000, 1), true);
+        };
+        run.client->on_handshake_complete = [client = run.client.get()] {
+            client->send_stream(0, std::vector<std::uint8_t>(100, 2), true);
+        };
+        run.client->connect();
+        runs.push_back(std::move(run));
+    }
+    sim.run_until(TimePoint::origin() + Duration::seconds(10));
+
+    // The monitor demuxed (at least) the two 1-RTT flows and measured
+    // plausible RTTs for both.
+    EXPECT_GE(monitor.flow_count(), 2u);
+    int measured = 0;
+    for (const auto& [key, stats] : monitor.flows()) {
+        if (!stats.has_estimate) continue;
+        ++measured;
+        EXPECT_GT(stats.srtt_ms(), 15.0);
+        EXPECT_LT(stats.srtt_ms(), 200.0);
+    }
+    EXPECT_GE(measured, 2);
 }
 
 // --- config validation -------------------------------------------------------

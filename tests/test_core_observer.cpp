@@ -1,11 +1,15 @@
 // Unit tests for the spin-bit observer: batch measurement in received and
-// sorted order, the streaming observer, and the RFC 9312 heuristics.
+// sorted order, the streaming observer, the RFC 9312 heuristics, and the
+// observer as an on-path wire tap (middlebox view).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/observer.hpp"
+#include "netsim/link.hpp"
+#include "netsim/simulator.hpp"
+#include "quic/packet.hpp"
 
 namespace spinscope::core {
 namespace {
@@ -202,6 +206,96 @@ TEST_P(SquareWavePeriod, AllSamplesEqualPeriod) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Periods, SquareWavePeriod, ::testing::Values(1, 10, 25, 100, 400));
+
+// --- on-path wire tap (on_datagram) ------------------------------------------
+
+netsim::Datagram short_packet(bool spin, quic::PacketNumber pn) {
+    quic::PacketHeader header;
+    header.type = quic::PacketType::one_rtt;
+    header.dcid = quic::ConnectionId::from_u64(0x42);
+    header.packet_number = pn;
+    header.spin = spin;
+    netsim::Datagram wire;
+    quic::encode_packet(wire, header, {}, quic::kInvalidPacketNumber);
+    return wire;
+}
+
+netsim::Datagram long_packet() {
+    quic::PacketHeader header;
+    header.type = quic::PacketType::initial;
+    header.dcid = quic::ConnectionId::from_u64(1);
+    header.scid = quic::ConnectionId::from_u64(2);
+    netsim::Datagram wire;
+    const std::vector<std::uint8_t> payload{0x01};
+    quic::encode_packet(wire, header, payload, quic::kInvalidPacketNumber);
+    return wire;
+}
+
+TimePoint at_ms(std::int64_t ms) { return TimePoint::origin() + Duration::millis(ms); }
+
+TEST(WireObserver, CountsPacketCategories) {
+    SpinEdgeObserver tap;
+    tap.on_datagram(at_ms(0), long_packet());
+    tap.on_datagram(at_ms(1), short_packet(false, 0));
+    tap.on_datagram(at_ms(2), short_packet(false, 1));
+    tap.on_datagram(at_ms(3), spinscope::bytes::ConstByteSpan{});  // empty datagram
+    EXPECT_EQ(tap.short_header_packets(), 2u);
+    // The long-header and empty datagrams left no trace in the spin state.
+    EXPECT_TRUE(tap.result().saw_zero);
+    EXPECT_FALSE(tap.result().saw_one);
+    EXPECT_EQ(tap.result().edge_count, 0u);
+}
+
+TEST(WireObserver, MeasuresSpinPeriodFromRawDatagrams) {
+    SpinEdgeObserver tap;
+    bool value = false;
+    for (int i = 0; i < 8; ++i) {
+        tap.on_datagram(at_ms(i * 30), short_packet(value, static_cast<unsigned>(i)));
+        value = !value;
+    }
+    ASSERT_EQ(tap.result().samples_ms.size(), 6u);
+    for (const double s : tap.result().samples_ms) EXPECT_DOUBLE_EQ(s, 30.0);
+}
+
+TEST(WireObserver, HeuristicsApplyButPnFilterForcedOff) {
+    // The third datagram carries a stale packet number, which the RFC 9312
+    // filter would drop if it could read it. On the wire the observer only
+    // has the arrival index, so the filter changes nothing.
+    const auto feed = [](SpinEdgeObserver& tap) {
+        tap.on_datagram(at_ms(0), short_packet(false, 0));
+        tap.on_datagram(at_ms(30), short_packet(true, 2));
+        tap.on_datagram(at_ms(31), short_packet(false, 1));  // 1 ms: rejected
+        tap.on_datagram(at_ms(60), short_packet(true, 3));
+    };
+    ObserverConfig config;
+    config.min_plausible_rtt = Duration::millis(5);
+    SpinEdgeObserver unfiltered{config};
+    config.packet_number_filter = true;  // impossible on the wire
+    SpinEdgeObserver filtered{config};
+    feed(unfiltered);
+    feed(filtered);
+    EXPECT_EQ(filtered.rejected_samples(), 1u);
+    EXPECT_EQ(filtered.result().edge_count, 3u);
+    EXPECT_EQ(filtered.rejected_samples(), unfiltered.rejected_samples());
+    EXPECT_EQ(filtered.result().edge_count, unfiltered.result().edge_count);
+    EXPECT_EQ(filtered.result().samples_ms, unfiltered.result().samples_ms);
+}
+
+TEST(WireObserver, AttachesToLinkAsTap) {
+    netsim::Simulator sim;
+    netsim::LinkConfig config;
+    config.base_delay = Duration::millis(2);
+    netsim::Link link{sim, config, util::Rng{1}};
+    SpinEdgeObserver tap;
+    link.add_tap(tap.tap());
+    link.set_receiver([](spinscope::bytes::ConstByteSpan) {});
+    link.send(short_packet(false, 0));
+    sim.run_until(TimePoint::origin() + Duration::millis(20));
+    link.send(short_packet(true, 1));
+    sim.run();
+    EXPECT_EQ(tap.short_header_packets(), 2u);
+    EXPECT_EQ(tap.result().edge_count, 1u);
+}
 
 }  // namespace
 }  // namespace spinscope::core
