@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "qlog/trace.hpp"
@@ -14,7 +15,13 @@
 #include "quic/packet.hpp"
 #include "quic/rtt_estimator.hpp"
 #include "quic/varint.hpp"
+#include "scanner/campaign.hpp"
+#include "scanner/journal.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/metrics.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
+#include "web/population.hpp"
 
 namespace {
 
@@ -171,6 +178,73 @@ void BM_QlogParse(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_QlogParse)->Arg(50)->Arg(500);
+
+/// Journal payloads of a real ~1k-domain campaign (1:200000 of the Table 1
+/// universe, seed 1, metrics registry attached): every chunk's serialized
+/// record and its telemetry snapshot, as Campaign::reduce reads them back.
+struct JournalCorpus {
+    std::vector<std::string> records;
+    std::vector<std::string> snapshots;
+    std::int64_t record_bytes = 0;
+    std::int64_t snapshot_bytes = 0;
+};
+
+const JournalCorpus& journal_corpus() {
+    static const JournalCorpus corpus = [] {
+        const web::Population population{{200'000.0, 1}};
+        scanner::Campaign campaign{population, {}};
+        telemetry::MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        JournalCorpus out;
+        for (std::size_t c = 0; c < campaign.chunk_count(); ++c) {
+            scanner::ScannedChunk chunk = campaign.scan_chunk(c);
+            out.snapshots.push_back(chunk.telemetry_snapshot);
+            out.snapshot_bytes += static_cast<std::int64_t>(chunk.telemetry_snapshot.size());
+            const scanner::ChunkRecord record{c, false, "", std::move(chunk.scans),
+                                              std::move(chunk.telemetry_snapshot)};
+            out.records.push_back(scanner::serialize_chunk_record(record));
+            out.record_bytes += static_cast<std::int64_t>(out.records.back().size());
+        }
+        return out;
+    }();
+    return corpus;
+}
+
+void BM_ChunkRecordParse(benchmark::State& state) {
+    const JournalCorpus& corpus = journal_corpus();
+    for (auto _ : state) {
+        for (const std::string& payload : corpus.records) {
+            auto parsed = scanner::parse_chunk_record(payload);
+            benchmark::DoNotOptimize(parsed);
+        }
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * corpus.record_bytes);
+}
+BENCHMARK(BM_ChunkRecordParse);
+
+void BM_SnapshotParse(benchmark::State& state) {
+    const JournalCorpus& corpus = journal_corpus();
+    for (auto _ : state) {
+        for (const std::string& text : corpus.snapshots) {
+            auto parsed = telemetry::parse_snapshot(text);
+            benchmark::DoNotOptimize(parsed);
+        }
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            corpus.snapshot_bytes);
+}
+BENCHMARK(BM_SnapshotParse);
+
+void BM_Crc32(benchmark::State& state) {
+    util::Rng rng{7};
+    std::string data(static_cast<std::size_t>(state.range(0)), '\0');
+    for (char& c : data) c = static_cast<char>(rng.next());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(util::crc32(data));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 

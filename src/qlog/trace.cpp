@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <charconv>
-#include <sstream>
+#include <cmath>
+
+#include "util/text_cursor.hpp"
 
 namespace spinscope::qlog {
 
 namespace {
 
 // Minimal JSON helpers for the fixed spinscope schema. The writer emits a
-// deterministic field order; the reader is a tolerant key scanner (it only
-// needs to parse what to_jsonl produces, but checks bounds everywhere since
-// on-disk traces are external input).
+// deterministic field order; the reader is a strict single-pass reader of
+// exactly that form (on-disk traces are external input, so every read is
+// bounds-checked and anything else is rejected).
 
 void append_escaped(std::string& out, const std::string& s) {
     out.push_back('"');
@@ -26,62 +28,9 @@ void append_escaped(std::string& out, const std::string& s) {
     out.push_back('"');
 }
 
-/// Finds `"key":` in `line` and returns the character offset just past the
-/// colon, or npos.
-std::size_t find_value(const std::string& line, const std::string& key) {
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos) return std::string::npos;
-    return pos + needle.size();
-}
-
-std::optional<std::string> get_string(const std::string& line, const std::string& key) {
-    auto pos = find_value(line, key);
-    if (pos == std::string::npos || pos >= line.size() || line[pos] != '"') return std::nullopt;
-    ++pos;
-    std::string out;
-    while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-        out.push_back(line[pos]);
-        ++pos;
-    }
-    if (pos >= line.size()) return std::nullopt;
-    return out;
-}
-
-std::optional<double> get_number(const std::string& line, const std::string& key) {
-    const auto pos = find_value(line, key);
-    if (pos == std::string::npos) return std::nullopt;
-    double value = 0.0;
-    const auto* begin = line.data() + pos;
-    const auto* end = line.data() + line.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr == begin) return std::nullopt;
-    return value;
-}
-
-std::optional<std::vector<double>> get_array(const std::string& line, const std::string& key) {
-    auto pos = find_value(line, key);
-    if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') return std::nullopt;
-    ++pos;
-    std::vector<double> values;
-    while (pos < line.size() && line[pos] != ']') {
-        double value = 0.0;
-        const auto* begin = line.data() + pos;
-        const auto* end = line.data() + line.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{} || ptr == begin) return std::nullopt;
-        values.push_back(value);
-        pos = static_cast<std::size_t>(ptr - line.data());
-        if (pos < line.size() && line[pos] == ',') ++pos;
-    }
-    if (pos >= line.size()) return std::nullopt;
-    return values;
-}
-
 const char* packet_type_token(quic::PacketType t) { return quic::to_cstring(t); }
 
-std::optional<quic::PacketType> packet_type_from(const std::string& token) {
+std::optional<quic::PacketType> packet_type_from(std::string_view token) {
     using quic::PacketType;
     for (auto t : {PacketType::initial, PacketType::zero_rtt, PacketType::handshake,
                    PacketType::retry, PacketType::one_rtt, PacketType::version_negotiation}) {
@@ -90,7 +39,7 @@ std::optional<quic::PacketType> packet_type_from(const std::string& token) {
     return std::nullopt;
 }
 
-std::optional<ConnectionOutcome> outcome_from(const std::string& token) {
+std::optional<ConnectionOutcome> outcome_from(std::string_view token) {
     for (auto o : {ConnectionOutcome::ok, ConnectionOutcome::handshake_timeout,
                    ConnectionOutcome::aborted, ConnectionOutcome::attempt_timeout,
                    ConnectionOutcome::protocol_error, ConnectionOutcome::watchdog_cancelled}) {
@@ -113,26 +62,68 @@ void append_event(std::string& out, const char* kind, const PacketEvent& ev) {
     out += "}\n";
 }
 
-std::optional<PacketEvent> parse_event(const std::string& line) {
-    PacketEvent ev;
-    const auto t = get_number(line, "t");
-    const auto type = get_string(line, "type");
-    const auto pn = get_number(line, "pn");
-    const auto spin = get_number(line, "spin");
-    const auto size = get_number(line, "size");
-    const auto elicit = get_number(line, "elicit");
-    if (!t || !type || !pn || !spin || !size || !elicit) return std::nullopt;
-    const auto packet_type = packet_type_from(*type);
-    if (!packet_type) return std::nullopt;
-    ev.time = TimePoint::from_nanos(static_cast<std::int64_t>(*t));
-    ev.type = *packet_type;
-    ev.packet_number = static_cast<quic::PacketNumber>(*pn);
-    ev.spin = *spin != 0.0;
-    ev.size = static_cast<std::uint32_t>(*size);
-    ev.ack_eliciting = *elicit != 0.0;
-    const auto vec = get_number(line, "vec");
-    ev.vec = vec ? static_cast<std::uint8_t>(*vec) : 0;
-    return ev;
+/// Reads an append_escaped() string: '"', bytes >= 0x20 with '"' and '\\'
+/// backslash-escaped, '"'.
+bool read_escaped(util::TextCursor& in, std::string& out) {
+    if (!in.literal('"')) return false;
+    const std::string_view rest = in.rest();
+    for (std::size_t i = 0; i < rest.size(); ++i) {
+        char c = rest[i];
+        if (c == '"') {
+            in.skip(i + 1);
+            return true;
+        }
+        if (static_cast<unsigned char>(c) < 0x20) return false;
+        if (c == '\\') {
+            if (++i == rest.size() || (rest[i] != '"' && rest[i] != '\\')) return false;
+            c = rest[i];
+        }
+        out.push_back(c);
+    }
+    return false;
+}
+
+/// Reads a `"token"` and maps it through `from`.
+template <typename T>
+bool read_enum(util::TextCursor& in, std::optional<T> (*from)(std::string_view), T& out) {
+    if (!in.literal('"')) return false;
+    const auto value = from(in.until('"'));
+    if (!value || !in.literal('"')) return false;
+    out = *value;
+    return true;
+}
+
+/// Reads a std::to_string(double): fixed notation with six decimals, or a
+/// non-finite token.
+bool read_fixed6(util::TextCursor& in, double& out) {
+    const std::string_view start = in.rest();
+    if (!in.number(out, std::chars_format::fixed)) return false;
+    const std::size_t n = start.size() - in.rest().size();
+    return !std::isfinite(out) ||
+           (n >= 8 && start[n - 7] == '.' && start[n - 8] >= '0' && start[n - 8] <= '9');
+}
+
+/// Reads one append_event() line after its `{"ev":"<kind>",` prefix.
+bool read_event(util::TextCursor& in, PacketEvent& ev) {
+    std::int64_t t = 0;
+    if (!in.literal("\"t\":") || !in.integer(t) || !in.literal(",\"type\":") ||
+        !read_enum(in, packet_type_from, ev.type) || !in.literal(",\"pn\":") ||
+        !in.integer(ev.packet_number) || !in.literal(",\"spin\":") || !in.flag(ev.spin) ||
+        !in.literal(",\"size\":") || !in.integer(ev.size) || !in.literal(",\"elicit\":") ||
+        !in.flag(ev.ack_eliciting) || !in.literal(",\"vec\":") || !in.integer(ev.vec) ||
+        !in.literal("}\n")) {
+        return false;
+    }
+    ev.time = TimePoint::from_nanos(t);
+    return true;
+}
+
+bool read_events(util::TextCursor& in, std::string_view prefix,
+                 std::vector<PacketEvent>& out) {
+    while (in.literal(prefix)) {
+        if (!read_event(in, out.emplace_back())) return false;
+    }
+    return true;
 }
 
 }  // namespace
@@ -176,57 +167,43 @@ std::string to_jsonl(const Trace& trace) {
     return out;
 }
 
-std::optional<Trace> parse_jsonl(const std::string& text) {
+std::optional<Trace> parse_jsonl(std::string_view text) {
+    util::TextCursor in{text};
     Trace trace;
-    std::istringstream in{text};
-    std::string line;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        if (line.find("\"qlog\"") != std::string::npos) {
-            const auto host = get_string(line, "host");
-            const auto ip = get_string(line, "ip");
-            const auto version = get_number(line, "version");
-            const auto outcome_token = get_string(line, "outcome");
-            if (!host || !ip || !version || !outcome_token) return std::nullopt;
-            const auto outcome = outcome_from(*outcome_token);
-            if (!outcome) return std::nullopt;
-            trace.host = *host;
-            trace.ip = *ip;
-            trace.version = static_cast<quic::Version>(static_cast<std::uint32_t>(*version));
-            trace.outcome = *outcome;
-            const auto truncated = get_number(line, "truncated");
-            trace.events_truncated =
-                truncated ? static_cast<std::uint64_t>(*truncated) : 0;
-            saw_header = true;
-        } else if (line.find("\"ev\"") != std::string::npos) {
-            const auto kind = get_string(line, "ev");
-            const auto ev = parse_event(line);
-            if (!kind || !ev) return std::nullopt;
-            if (*kind == "sent") {
-                trace.sent.push_back(*ev);
-            } else if (*kind == "recv") {
-                trace.received.push_back(*ev);
-            } else {
-                return std::nullopt;
-            }
-        } else if (line.find("\"metrics\"") != std::string::npos) {
-            const auto min_rtt = get_number(line, "min_rtt_ms");
-            const auto srtt = get_number(line, "srtt_ms");
-            const auto lost = get_number(line, "lost");
-            const auto sent = get_number(line, "sent");
-            const auto recv = get_number(line, "recv");
-            const auto samples = get_array(line, "rtt_samples_ms");
-            if (!min_rtt || !srtt || !lost || !sent || !recv || !samples) return std::nullopt;
-            trace.metrics.min_rtt_ms = *min_rtt;
-            trace.metrics.smoothed_rtt_ms = *srtt;
-            trace.metrics.packets_lost = static_cast<std::uint64_t>(*lost);
-            trace.metrics.packets_sent = static_cast<std::uint64_t>(*sent);
-            trace.metrics.packets_received = static_cast<std::uint64_t>(*recv);
-            trace.metrics.rtt_samples_ms = *samples;
-        }
+    std::uint32_t version = 0;
+    if (!in.literal("{\"qlog\":\"spinscope\",\"host\":") || !read_escaped(in, trace.host) ||
+        !in.literal(",\"ip\":") || !read_escaped(in, trace.ip) ||
+        !in.literal(",\"version\":") || !in.integer(version) ||
+        !in.literal(",\"outcome\":") || !read_enum(in, outcome_from, trace.outcome)) {
+        return std::nullopt;
     }
-    if (!saw_header) return std::nullopt;
+    trace.version = static_cast<quic::Version>(version);
+    // The writer omits a zero truncation count.
+    if (in.literal(",\"truncated\":") &&
+        (!in.integer(trace.events_truncated) || trace.events_truncated == 0)) {
+        return std::nullopt;
+    }
+    if (!in.literal("}\n") || !read_events(in, "{\"ev\":\"sent\",", trace.sent) ||
+        !read_events(in, "{\"ev\":\"recv\",", trace.received)) {
+        return std::nullopt;
+    }
+
+    RecoveryMetrics& m = trace.metrics;
+    if (!in.literal("{\"metrics\":1,\"min_rtt_ms\":") || !read_fixed6(in, m.min_rtt_ms) ||
+        !in.literal(",\"srtt_ms\":") || !read_fixed6(in, m.smoothed_rtt_ms) ||
+        !in.literal(",\"lost\":") || !in.integer(m.packets_lost) ||
+        !in.literal(",\"sent\":") || !in.integer(m.packets_sent) ||
+        !in.literal(",\"recv\":") || !in.integer(m.packets_received) ||
+        !in.literal(",\"rtt_samples_ms\":[")) {
+        return std::nullopt;
+    }
+    if (!in.literal(']')) {
+        do {
+            if (!read_fixed6(in, m.rtt_samples_ms.emplace_back())) return std::nullopt;
+        } while (in.literal(','));
+        if (!in.literal(']')) return std::nullopt;
+    }
+    if (!in.literal("}\n") || !in.done()) return std::nullopt;
     return trace;
 }
 

@@ -6,7 +6,9 @@
 // of every received packet and analyzes those logs offline (§3.2-3.3). This
 // module is the equivalent: endpoints record per-packet events and final
 // recovery metrics into a Trace; the analysis pipeline consumes Traces (or
-// their JSON-lines serialization, for the on-disk path).
+// their JSON-lines serialization, for the on-disk path). The JSON-lines
+// reader is strict: it reads to_jsonl()'s exact field order in one forward
+// pass and rejects anything else.
 
 #pragma once
 
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "quic/packet.hpp"
@@ -124,10 +127,12 @@ struct Trace {
 };
 
 /// Serializes a trace to JSON-lines (one event object per line, preceded by
-/// a header line). Deterministic field order; round-trips via parse_trace().
+/// a header line). Deterministic field order; round-trips via parse_jsonl().
 [[nodiscard]] std::string to_jsonl(const Trace& trace);
 
-/// Parses the to_jsonl() representation. Returns nullopt on malformed input.
-[[nodiscard]] std::optional<Trace> parse_jsonl(const std::string& text);
+/// Parses the to_jsonl() representation in one forward pass: fields in the
+/// writer's order, integers as exact integers, the rtt fields as doubles.
+/// Returns nullopt on anything to_jsonl() would not emit.
+[[nodiscard]] std::optional<Trace> parse_jsonl(std::string_view text);
 
 }  // namespace spinscope::qlog

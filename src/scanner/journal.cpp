@@ -4,12 +4,12 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "util/atomic_file.hpp"
 #include "util/checksum.hpp"
+#include "util/text_cursor.hpp"
 
 namespace spinscope::scanner {
 
@@ -21,7 +21,7 @@ constexpr std::string_view kFrameMarker = "#rec ";
 // Token encoding: journal scalar strings (error messages, response headers)
 // are percent-encoded into single whitespace-free tokens so that every
 // payload line splits unambiguously on spaces. The empty string encodes to
-// the empty token, which the positional key=value parser accepts.
+// the empty token.
 
 [[nodiscard]] std::string encode_token(std::string_view s) {
     static constexpr char kHex[] = "0123456789abcdef";
@@ -40,104 +40,59 @@ constexpr std::string_view kFrameMarker = "#rec ";
     return out;
 }
 
-[[nodiscard]] int hex_digit(char c) {
+[[nodiscard]] int lower_hex_digit(char c) {
     if (c >= '0' && c <= '9') return c - '0';
     if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
     return -1;
 }
 
-[[nodiscard]] std::optional<std::string> decode_token(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '%') {
-            out.push_back(s[i]);
+/// Reads one encode_token() token: the run of bytes up to the next space,
+/// newline or other byte encode_token never writes plain, with %xx
+/// (lowercase) standing for exactly the bytes encode_token escapes.
+[[nodiscard]] bool read_token(util::TextCursor& in, std::string& out) {
+    const std::string_view rest = in.rest();
+    std::size_t i = 0;
+    while (i < rest.size()) {
+        const auto b = static_cast<unsigned char>(rest[i]);
+        if (b <= 0x20 || b >= 0x7f) break;
+        if (b != '%') {
+            out.push_back(rest[i++]);
             continue;
         }
-        if (i + 2 >= s.size()) return std::nullopt;
-        const int hi = hex_digit(s[i + 1]);
-        const int lo = hex_digit(s[i + 2]);
-        if (hi < 0 || lo < 0) return std::nullopt;
-        out.push_back(static_cast<char>((hi << 4) | lo));
-        i += 2;
+        if (rest.size() - i < 3) return false;
+        const int hi = lower_hex_digit(rest[i + 1]);
+        const int lo = lower_hex_digit(rest[i + 2]);
+        if (hi < 0 || lo < 0) return false;
+        const auto decoded = static_cast<unsigned char>((hi << 4) | lo);
+        if (decoded > 0x20 && decoded < 0x7f && decoded != '%') return false;
+        out.push_back(static_cast<char>(decoded));
+        i += 3;
     }
-    return out;
+    in.skip(i);
+    return true;
 }
 
-// ---------------------------------------------------------------------------
-// Payload cursor: line- and raw-byte-oriented reads over one record payload.
-
-struct Cursor {
-    std::string_view data;
-    std::size_t pos = 0;
-
-    [[nodiscard]] bool done() const noexcept { return pos >= data.size(); }
-
-    /// Next line without its '\n'; nullopt when no full line remains.
-    [[nodiscard]] std::optional<std::string_view> line() {
-        if (done()) return std::nullopt;
-        const auto nl = data.find('\n', pos);
-        if (nl == std::string_view::npos) return std::nullopt;
-        std::string_view out = data.substr(pos, nl - pos);
-        pos = nl + 1;
-        return out;
-    }
-
-    /// Next `n` raw bytes; nullopt when fewer remain.
-    [[nodiscard]] std::optional<std::string_view> raw(std::size_t n) {
-        if (data.size() - pos < n) return std::nullopt;
-        std::string_view out = data.substr(pos, n);
-        pos += n;
-        return out;
-    }
-};
-
-[[nodiscard]] std::vector<std::string_view> split_tokens(std::string_view line) {
-    std::vector<std::string_view> out;
-    std::size_t start = 0;
-    while (start <= line.size()) {
-        const auto space = line.find(' ', start);
-        if (space == std::string_view::npos) {
-            out.push_back(line.substr(start));
-            break;
-        }
-        out.push_back(line.substr(start, space - start));
-        start = space + 1;
-    }
-    return out;
+/// `key=<integer>` (see util::TextCursor::integer).
+template <typename T>
+[[nodiscard]] bool read_kv(util::TextCursor& in, std::string_view key, T& out) {
+    return in.literal(key) && in.literal('=') && in.integer(out);
 }
 
+[[nodiscard]] bool read_kv_flag(util::TextCursor& in, std::string_view key, bool& out) {
+    return in.literal(key) && in.literal('=') && in.flag(out);
+}
+
+[[nodiscard]] bool read_kv_token(util::TextCursor& in, std::string_view key,
+                                 std::string& out) {
+    return in.literal(key) && in.literal('=') && read_token(in, out);
+}
+
+/// Chunk-file names zero-pad their indices, so they parse with from_chars
+/// rather than the canonical-integer reader.
 template <typename T>
 [[nodiscard]] bool parse_number(std::string_view token, T& out) {
     const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
     return ec == std::errc{} && ptr == token.data() + token.size();
-}
-
-/// Strips "key=" and parses the remainder as a number.
-template <typename T>
-[[nodiscard]] bool parse_kv(std::string_view token, std::string_view key, T& out) {
-    if (token.size() < key.size() + 1 || token.substr(0, key.size()) != key ||
-        token[key.size()] != '=') {
-        return false;
-    }
-    return parse_number(token.substr(key.size() + 1), out);
-}
-
-[[nodiscard]] bool parse_kv_bool(std::string_view token, std::string_view key, bool& out) {
-    int v = 0;
-    if (!parse_kv(token, key, v) || (v != 0 && v != 1)) return false;
-    out = v == 1;
-    return true;
-}
-
-[[nodiscard]] std::optional<std::string> parse_kv_token(std::string_view token,
-                                                        std::string_view key) {
-    if (token.size() < key.size() + 1 || token.substr(0, key.size()) != key ||
-        token[key.size()] != '=') {
-        return std::nullopt;
-    }
-    return decode_token(token.substr(key.size() + 1));
 }
 
 void append_kv(std::string& out, std::string_view key, std::uint64_t v) {
@@ -186,24 +141,16 @@ std::string serialize_header(const CampaignHeader& header) {
 }
 
 std::optional<CampaignHeader> parse_header(std::string_view payload) {
-    Cursor cur{payload};
-    const auto line = cur.line();
-    if (!line || !cur.done()) return std::nullopt;
-    const auto tok = split_tokens(*line);
+    util::TextCursor in{payload};
     CampaignHeader header;
-    long long week = 0;
-    std::uint64_t chunk_domains = 0;
-    std::uint64_t domain_count = 0;
-    if (tok.size() != 7 || tok[0] != "campaign" || !parse_kv(tok[1], "seed", header.seed) ||
-        !parse_kv(tok[2], "week", week) || !parse_kv_bool(tok[3], "ipv6", header.ipv6) ||
-        !parse_kv(tok[4], "chunk_domains", chunk_domains) ||
-        !parse_kv(tok[5], "domain_count", domain_count) ||
-        !parse_kv_bool(tok[6], "telemetry", header.has_telemetry)) {
+    if (!in.literal("campaign ") || !read_kv(in, "seed", header.seed) ||
+        !read_kv(in, " week", header.week) || !read_kv_flag(in, " ipv6", header.ipv6) ||
+        !read_kv(in, " chunk_domains", header.chunk_domains) ||
+        !read_kv(in, " domain_count", header.domain_count) ||
+        !read_kv_flag(in, " telemetry", header.has_telemetry) || !in.literal('\n') ||
+        !in.done()) {
         return std::nullopt;
     }
-    header.week = static_cast<int>(week);
-    header.chunk_domains = static_cast<std::size_t>(chunk_domains);
-    header.domain_count = static_cast<std::size_t>(domain_count);
     return header;
 }
 
@@ -258,130 +205,103 @@ std::string serialize_chunk_record(const ChunkRecord& record) {
 
 namespace {
 
-/// Parses one `<keyword> <nbytes>` line followed by that many raw bytes.
-[[nodiscard]] std::optional<std::string_view> parse_length_block(Cursor& cur,
-                                                                 std::string_view keyword) {
-    const auto line = cur.line();
-    if (!line) return std::nullopt;
-    const auto tok = split_tokens(*line);
-    std::uint64_t n = 0;
-    if (tok.size() != 2 || tok[0] != keyword || !parse_number(tok[1], n)) {
+/// Reads one append_length_block(): `<keyword> <nbytes>\n` and that many
+/// raw bytes.
+[[nodiscard]] std::optional<std::string_view> read_length_block(util::TextCursor& in,
+                                                                std::string_view keyword) {
+    std::size_t n = 0;
+    if (!in.literal(keyword) || !in.literal(' ') || !in.integer(n) || !in.literal('\n')) {
         return std::nullopt;
     }
-    return cur.raw(static_cast<std::size_t>(n));
+    return in.bytes(n);
+}
+
+/// Room to reserve for `count` parsed elements: a count read off the input
+/// is untrusted, and every element takes at least a few bytes of it.
+[[nodiscard]] std::size_t reserve_bound(std::size_t count, const util::TextCursor& in) {
+    return std::min(count, in.rest().size() / 16);
+}
+
+[[nodiscard]] bool read_attempt(util::TextCursor& in, DomainScan::AttemptRecord& attempt) {
+    std::size_t outcome = 0;
+    std::int64_t backoff_ns = 0;
+    std::size_t fault = 0;
+    if (!in.literal("attempt ") || !read_kv(in, "hop", attempt.redirect_hop) ||
+        !read_kv(in, " retry", attempt.retry) || !read_kv(in, " outcome", outcome) ||
+        !read_kv(in, " backoff_ns", backoff_ns) || !read_kv(in, " fault", fault) ||
+        !in.literal('\n') || outcome >= qlog::kConnectionOutcomeCount ||
+        fault >= faults::kServerFaultModeCount) {
+        return false;
+    }
+    attempt.outcome = static_cast<qlog::ConnectionOutcome>(outcome);
+    attempt.backoff = util::Duration::nanos(backoff_ns);
+    attempt.server_fault = static_cast<faults::ServerFaultMode>(fault);
+    return true;
+}
+
+[[nodiscard]] bool read_scan(util::TextCursor& in, DomainScan& scan) {
+    std::int64_t sim_ns = 0;
+    bool has_response = false;
+    ResponseInfo response;
+    std::size_t attempt_count = 0;
+    std::size_t connection_count = 0;
+    if (!in.literal("domain ") || !read_kv(in, "id", scan.domain_id) ||
+        !read_kv_flag(in, " resolved", scan.resolved) ||
+        !read_kv(in, " redirects", scan.redirects_followed) ||
+        !read_kv(in, " retries", scan.retries) ||
+        !read_kv_flag(in, " recovered", scan.recovered_by_retry) ||
+        !read_kv(in, " attempts_truncated", scan.attempts_truncated) ||
+        !read_kv(in, " sim_ns", sim_ns) || !read_kv_token(in, " error", scan.error) ||
+        !read_kv_flag(in, " response", has_response) ||
+        !read_kv(in, " status", response.status) ||
+        !read_kv(in, " body", response.body_bytes) ||
+        !read_kv_token(in, " location", response.location) ||
+        !read_kv_token(in, " server", response.server_name) ||
+        !read_kv(in, " attempts", attempt_count) ||
+        !read_kv(in, " connections", connection_count) || !in.literal('\n')) {
+        return false;
+    }
+    scan.sim_time = util::Duration::nanos(sim_ns);
+    if (has_response) {
+        scan.final_response = std::move(response);
+    } else if (response.status != 0 || response.body_bytes != 0 || !response.location.empty() ||
+               !response.server_name.empty()) {
+        return false;  // the writer prints a default ResponseInfo
+    }
+
+    scan.attempts.reserve(reserve_bound(attempt_count, in));
+    for (std::size_t a = 0; a < attempt_count; ++a) {
+        if (!read_attempt(in, scan.attempts.emplace_back())) return false;
+    }
+    scan.connections.reserve(reserve_bound(connection_count, in));
+    for (std::size_t c = 0; c < connection_count; ++c) {
+        const auto raw = read_length_block(in, "trace");
+        if (!raw) return false;
+        auto trace = qlog::parse_jsonl(*raw);
+        if (!trace) return false;
+        scan.connections.push_back(std::move(*trace));
+    }
+    return true;
 }
 
 }  // namespace
 
 std::optional<ChunkRecord> parse_chunk_record(std::string_view payload) {
-    Cursor cur{payload};
-    const auto chunk_line = cur.line();
-    if (!chunk_line) return std::nullopt;
-    const auto chunk_tok = split_tokens(*chunk_line);
+    util::TextCursor in{payload};
     ChunkRecord record;
-    std::uint64_t index = 0;
-    std::uint64_t domain_count = 0;
-    if (chunk_tok.size() != 5 || chunk_tok[0] != "chunk" ||
-        !parse_kv(chunk_tok[1], "index", index) ||
-        !parse_kv_bool(chunk_tok[2], "quarantined", record.quarantined)) {
+    std::size_t domain_count = 0;
+    if (!in.literal("chunk ") || !read_kv(in, "index", record.chunk_index) ||
+        !read_kv_flag(in, " quarantined", record.quarantined) ||
+        !read_kv_token(in, " error", record.quarantine_error) ||
+        !read_kv(in, " domains", domain_count) || !in.literal('\n')) {
         return std::nullopt;
     }
-    const auto quarantine_error = parse_kv_token(chunk_tok[3], "error");
-    if (!quarantine_error || !parse_kv(chunk_tok[4], "domains", domain_count)) {
-        return std::nullopt;
+    record.scans.reserve(reserve_bound(domain_count, in));
+    for (std::size_t d = 0; d < domain_count; ++d) {
+        if (!read_scan(in, record.scans.emplace_back())) return std::nullopt;
     }
-    record.chunk_index = static_cast<std::size_t>(index);
-    record.quarantine_error = *quarantine_error;
-
-    record.scans.reserve(static_cast<std::size_t>(domain_count));
-    for (std::uint64_t d = 0; d < domain_count; ++d) {
-        const auto domain_line = cur.line();
-        if (!domain_line) return std::nullopt;
-        const auto tok = split_tokens(*domain_line);
-        if (tok.size() != 16 || tok[0] != "domain") return std::nullopt;
-
-        DomainScan scan;
-        std::uint64_t attempt_count = 0;
-        std::uint64_t connection_count = 0;
-        bool has_response = false;
-        long long status = 0;
-        std::uint64_t body_bytes = 0;
-        long long sim_ns = 0;
-        if (!parse_kv(tok[1], "id", scan.domain_id) ||
-            !parse_kv_bool(tok[2], "resolved", scan.resolved) ||
-            !parse_kv(tok[3], "redirects", scan.redirects_followed) ||
-            !parse_kv(tok[4], "retries", scan.retries) ||
-            !parse_kv_bool(tok[5], "recovered", scan.recovered_by_retry) ||
-            !parse_kv(tok[6], "attempts_truncated", scan.attempts_truncated) ||
-            !parse_kv(tok[7], "sim_ns", sim_ns)) {
-            return std::nullopt;
-        }
-        const auto error = parse_kv_token(tok[8], "error");
-        if (!error || !parse_kv_bool(tok[9], "response", has_response) ||
-            !parse_kv(tok[10], "status", status) || !parse_kv(tok[11], "body", body_bytes)) {
-            return std::nullopt;
-        }
-        const auto location = parse_kv_token(tok[12], "location");
-        const auto server = parse_kv_token(tok[13], "server");
-        if (!location || !server || !parse_kv(tok[14], "attempts", attempt_count) ||
-            !parse_kv(tok[15], "connections", connection_count)) {
-            return std::nullopt;
-        }
-        scan.sim_time = util::Duration::nanos(sim_ns);
-        scan.error = *error;
-        if (has_response) {
-            ResponseInfo response;
-            response.status = static_cast<int>(status);
-            response.body_bytes = static_cast<std::size_t>(body_bytes);
-            response.location = *location;
-            response.server_name = *server;
-            scan.final_response = response;
-        }
-
-        scan.attempts.reserve(static_cast<std::size_t>(attempt_count));
-        for (std::uint64_t a = 0; a < attempt_count; ++a) {
-            const auto attempt_line = cur.line();
-            if (!attempt_line) return std::nullopt;
-            const auto atok = split_tokens(*attempt_line);
-            if (atok.size() != 6 || atok[0] != "attempt") return std::nullopt;
-            DomainScan::AttemptRecord attempt;
-            long long hop = 0;
-            long long retry = 0;
-            std::uint64_t outcome = 0;
-            long long backoff_ns = 0;
-            std::uint64_t fault = 0;
-            if (!parse_kv(atok[1], "hop", hop) || !parse_kv(atok[2], "retry", retry) ||
-                !parse_kv(atok[3], "outcome", outcome) ||
-                !parse_kv(atok[4], "backoff_ns", backoff_ns) ||
-                !parse_kv(atok[5], "fault", fault)) {
-                return std::nullopt;
-            }
-            if (outcome >= qlog::kConnectionOutcomeCount ||
-                fault >= faults::kServerFaultModeCount) {
-                return std::nullopt;
-            }
-            attempt.redirect_hop = static_cast<int>(hop);
-            attempt.retry = static_cast<int>(retry);
-            attempt.outcome = static_cast<qlog::ConnectionOutcome>(outcome);
-            attempt.backoff = util::Duration::nanos(backoff_ns);
-            attempt.server_fault = static_cast<faults::ServerFaultMode>(fault);
-            scan.attempts.push_back(attempt);
-        }
-
-        scan.connections.reserve(static_cast<std::size_t>(connection_count));
-        for (std::uint64_t c = 0; c < connection_count; ++c) {
-            const auto raw = parse_length_block(cur, "trace");
-            if (!raw) return std::nullopt;
-            auto trace = qlog::parse_jsonl(std::string{*raw});
-            if (!trace) return std::nullopt;
-            scan.connections.push_back(std::move(*trace));
-        }
-
-        record.scans.push_back(std::move(scan));
-    }
-
-    const auto telemetry = parse_length_block(cur, "telemetry");
-    if (!telemetry || !cur.done()) return std::nullopt;
+    const auto telemetry = read_length_block(in, "telemetry");
+    if (!telemetry || !in.done()) return std::nullopt;
     record.telemetry_snapshot = std::string{*telemetry};
     return record;
 }
@@ -405,33 +325,27 @@ struct Frame {
 };
 
 [[nodiscard]] std::optional<Frame> next_frame(std::string_view content, std::size_t pos) {
-    if (content.substr(pos, kFrameMarker.size()) != kFrameMarker) return std::nullopt;
-    const auto nl = content.find('\n', pos);
-    if (nl == std::string_view::npos) return std::nullopt;
-    const auto head = split_tokens(content.substr(pos, nl - pos));
-    std::uint64_t len = 0;
-    if (head.size() != 3 || !parse_number(head[1], len)) return std::nullopt;
+    util::TextCursor in{content.substr(pos)};
+    std::size_t len = 0;
     std::uint32_t crc = 0;
-    {
-        const auto tok = head[2];
-        const auto [ptr, ec] =
-            std::from_chars(tok.data(), tok.data() + tok.size(), crc, 16);
-        if (ec != std::errc{} || ptr != tok.data() + tok.size()) return std::nullopt;
+    if (!in.literal(kFrameMarker) || !in.integer(len) || !in.literal(' ') || !in.hex32(crc) ||
+        !in.literal('\n')) {
+        return std::nullopt;
     }
-    const std::size_t body_start = nl + 1;
-    if (content.size() - body_start < len) return std::nullopt;
-    Frame frame;
-    frame.payload = content.substr(body_start, static_cast<std::size_t>(len));
-    frame.end = body_start + static_cast<std::size_t>(len);
-    if (util::crc32(frame.payload) != crc) return std::nullopt;
-    return frame;
+    const auto payload = in.bytes(len);
+    if (!payload || util::crc32(*payload) != crc) return std::nullopt;
+    return Frame{*payload, content.size() - in.rest().size()};
 }
 
+/// The whole file in one sized read; empty when it cannot be opened or the
+/// read comes up short (the caller then treats the file as unreadable).
 [[nodiscard]] std::string read_whole_file(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    std::string content;
-    if (!in) return content;
-    content.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+    std::ifstream in{path, std::ios::binary | std::ios::ate};
+    if (!in) return {};
+    const std::streamoff size = in.tellg();
+    if (size <= 0) return {};
+    std::string content(static_cast<std::size_t>(size), '\0');
+    if (!in.seekg(0) || !in.read(content.data(), size)) return {};
     return content;
 }
 
@@ -678,20 +592,13 @@ std::string serialize_lease(const ChunkLease& lease) {
 }
 
 std::optional<ChunkLease> parse_lease(std::string_view payload) {
-    Cursor cur{payload};
-    const auto line = cur.line();
-    if (!line || !cur.done()) return std::nullopt;
-    const auto tok = split_tokens(*line);
+    util::TextCursor in{payload};
     ChunkLease lease;
-    std::uint64_t chunk = 0;
-    long long pid = 0;
-    if (tok.size() != 5 || tok[0] != "lease" || !parse_kv(tok[1], "chunk", chunk) ||
-        !parse_kv(tok[2], "pid", pid) || !parse_kv(tok[3], "token", lease.token) ||
-        !parse_kv(tok[4], "attempts", lease.attempts)) {
+    if (!in.literal("lease ") || !read_kv(in, "chunk", lease.chunk_index) ||
+        !read_kv(in, " pid", lease.pid) || !read_kv(in, " token", lease.token) ||
+        !read_kv(in, " attempts", lease.attempts) || !in.literal('\n') || !in.done()) {
         return std::nullopt;
     }
-    lease.chunk_index = static_cast<std::size_t>(chunk);
-    lease.pid = static_cast<long>(pid);
     return lease;
 }
 

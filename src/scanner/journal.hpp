@@ -94,8 +94,8 @@ private:
 };
 
 /// Serialization of one record payload (exposed for tests and tooling).
-/// parse_* return nullopt on any malformed input and never throw on bad
-/// bytes.
+/// parse_* read in one forward pass and accept exactly what serialize_*
+/// emit: anything else is nullopt. They never throw on bad bytes.
 [[nodiscard]] std::string serialize_header(const CampaignHeader& header);
 [[nodiscard]] std::optional<CampaignHeader> parse_header(std::string_view payload);
 [[nodiscard]] std::string serialize_chunk_record(const ChunkRecord& record);

@@ -3,10 +3,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "util/atomic_file.hpp"
 #include "util/format.hpp"
+#include "util/text_cursor.hpp"
 
 namespace spinscope::telemetry {
 
@@ -217,14 +217,45 @@ void append_exact_double(std::string& out, double v) {
     out += buf;
 }
 
-bool parse_u64(std::string_view token, std::uint64_t& out) {
-    const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
-    return ec == std::errc{} && ptr == token.data() + token.size();
+/// A metric name: the bytes up to the next space (names hold no
+/// whitespace), then that space.
+bool read_name(util::TextCursor& in, std::string_view& name) {
+    name = in.until(' ');
+    return !name.empty() && name.find('\n') == std::string_view::npos && in.literal(' ');
 }
 
-bool parse_exact_double(std::string_view token, double& out) {
-    const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
-    return ec == std::errc{} && ptr == token.data() + token.size();
+/// ' ' then a %.17g double.
+bool read_double(util::TextCursor& in, double& out) {
+    return in.literal(' ') && in.number(out, std::chars_format::general);
+}
+
+bool read_histogram(util::TextCursor& in, MetricsRegistry& registry, std::string_view name) {
+    HistogramSpec spec;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    if (!in.number(spec.min_value, std::chars_format::general) ||
+        !read_double(in, spec.factor) || !in.literal(' ') || !in.integer(spec.bucket_count) ||
+        !in.literal(' ') || !in.integer(count) || !read_double(in, sum) ||
+        !read_double(in, min) || !read_double(in, max)) {
+        return false;
+    }
+    if (!(spec.min_value > 0.0) || !(spec.factor > 1.0) || spec.bucket_count == 0 ||
+        spec.bucket_count > 4096) {
+        return false;
+    }
+    std::vector<std::uint64_t> buckets(spec.bucket_count);
+    for (auto& bucket : buckets) {
+        if (!in.literal(' ') || !in.integer(bucket)) return false;
+    }
+    if (!in.literal('\n')) return false;
+    try {
+        registry.histogram(std::string{name}, spec).restore(count, sum, min, max, buckets);
+    } catch (const std::invalid_argument&) {
+        return false;
+    }
+    return true;
 }
 
 }  // namespace
@@ -273,84 +304,41 @@ std::string snapshot(const MetricsRegistry& registry) {
     return out;
 }
 
-std::optional<MetricsRegistry> parse_snapshot(const std::string& text) {
+std::optional<MetricsRegistry> parse_snapshot(std::string_view text) {
     MetricsRegistry registry;
-    std::istringstream in{text};
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        std::istringstream fields{line};
-        std::string kind;
-        std::string name;
-        if (!(fields >> kind >> name)) return std::nullopt;
-        if (kind == "counter") {
-            std::string value;
-            std::string extra;
-            if (!(fields >> value) || fields >> extra) return std::nullopt;
-            std::uint64_t v = 0;
-            if (!parse_u64(value, v)) return std::nullopt;
-            registry.counter(name).add(v);
-        } else if (kind == "gauge") {
-            std::string has;
-            std::string value;
-            std::string extra;
-            if (!(fields >> has >> value) || fields >> extra) return std::nullopt;
-            double v = 0.0;
-            if ((has != "0" && has != "1") || !parse_exact_double(value, v)) {
+    util::TextCursor in{text};
+    // snapshot() walks the three name-sorted maps in turn: the kind never
+    // steps back and names strictly ascend within a kind.
+    int kind = 0;
+    std::string_view previous;
+    while (!in.done()) {
+        const int line_kind = in.literal("counter ") ? 0
+                              : in.literal("gauge ") ? 1
+                              : in.literal("hist ")  ? 2
+                                                     : -1;
+        std::string_view name;
+        if (line_kind < kind || !read_name(in, name)) return std::nullopt;
+        if (line_kind > kind) {
+            kind = line_kind;
+            previous = {};
+        }
+        if (name <= previous) return std::nullopt;
+        previous = name;
+        if (line_kind == 0) {
+            std::uint64_t value = 0;
+            if (!in.integer(value) || !in.literal('\n')) return std::nullopt;
+            registry.counter(std::string{name}).add(value);
+        } else if (line_kind == 1) {
+            bool has_value = false;
+            double value = 0.0;
+            if (!in.flag(has_value) || !read_double(in, value) || !in.literal('\n')) {
                 return std::nullopt;
             }
             // A never-set gauge is registered but keeps has_value() false, so
             // a later merge_from treats it exactly like the original.
-            if (has == "1") {
-                registry.gauge(name).set(v);
-            } else {
-                (void)registry.gauge(name);
-            }
-        } else if (kind == "hist") {
-            std::string min_value;
-            std::string factor;
-            std::string bucket_count;
-            std::string count;
-            std::string sum;
-            std::string min;
-            std::string max;
-            if (!(fields >> min_value >> factor >> bucket_count >> count >> sum >> min >>
-                  max)) {
-                return std::nullopt;
-            }
-            HistogramSpec spec;
-            std::uint64_t buckets = 0;
-            std::uint64_t recorded = 0;
-            double sum_v = 0.0;
-            double min_v = 0.0;
-            double max_v = 0.0;
-            if (!parse_exact_double(min_value, spec.min_value) ||
-                !parse_exact_double(factor, spec.factor) || !parse_u64(bucket_count, buckets) ||
-                !parse_u64(count, recorded) || !parse_exact_double(sum, sum_v) ||
-                !parse_exact_double(min, min_v) || !parse_exact_double(max, max_v)) {
-                return std::nullopt;
-            }
-            if (spec.min_value <= 0.0 || spec.factor <= 1.0 || buckets == 0 ||
-                buckets > 4096) {
-                return std::nullopt;
-            }
-            spec.bucket_count = static_cast<std::size_t>(buckets);
-            std::vector<std::uint64_t> bucket_counts;
-            bucket_counts.reserve(spec.bucket_count);
-            std::string bucket;
-            while (fields >> bucket) {
-                std::uint64_t b = 0;
-                if (!parse_u64(bucket, b)) return std::nullopt;
-                bucket_counts.push_back(b);
-            }
-            if (bucket_counts.size() != spec.bucket_count) return std::nullopt;
-            try {
-                registry.histogram(name, spec).restore(recorded, sum_v, min_v, max_v,
-                                                       bucket_counts);
-            } catch (const std::invalid_argument&) {
-                return std::nullopt;
-            }
-        } else {
+            Gauge& gauge = registry.gauge(std::string{name});
+            if (has_value) gauge.set(value);
+        } else if (!read_histogram(in, registry, name)) {
             return std::nullopt;
         }
     }

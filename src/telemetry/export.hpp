@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "telemetry/metrics.hpp"
 
@@ -81,8 +82,10 @@ bool write_json_file(const MetricsRegistry& registry, const std::string& path);
 /// place of r is indistinguishable from merging r itself.
 [[nodiscard]] std::string snapshot(const MetricsRegistry& registry);
 
-/// Parses a snapshot() string. Returns nullopt on any malformed line,
-/// unknown record kind or histogram-geometry inconsistency.
-[[nodiscard]] std::optional<MetricsRegistry> parse_snapshot(const std::string& text);
+/// Parses a snapshot() string in one forward pass. Returns nullopt on
+/// anything snapshot() would not emit: a malformed or unterminated line, an
+/// unknown record kind, kinds or names out of the writer's sorted order, or
+/// a histogram-geometry inconsistency.
+[[nodiscard]] std::optional<MetricsRegistry> parse_snapshot(std::string_view text);
 
 }  // namespace spinscope::telemetry

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <string_view>
+
 #include "qlog/trace.hpp"
 
 namespace spinscope::qlog {
@@ -59,6 +64,48 @@ TEST(Qlog, JsonlRoundTrip) {
     EXPECT_EQ(parsed->metrics.packets_lost, 1u);
 }
 
+TEST(Qlog, IntegerFieldsRoundTripExactly) {
+    // Every integer field must survive to_jsonl/parse_jsonl bit for bit,
+    // including values above 2^53 that a double cannot hold.
+    constexpr std::uint64_t kTwo60Plus1 = (std::uint64_t{1} << 60) + 1;
+    constexpr quic::PacketNumber kMaxQuicPn = (std::uint64_t{1} << 62) - 1;
+    Trace trace;
+    trace.host = "big.example";
+    trace.ip = "192.0.2.77";
+    trace.version = static_cast<quic::Version>(0xffffffffu);
+    trace.outcome = ConnectionOutcome::watchdog_cancelled;
+    trace.record_sent({TimePoint::from_nanos(static_cast<std::int64_t>(kTwo60Plus1)),
+                       quic::PacketType::one_rtt, kMaxQuicPn, true, 0xffffffffu, true, 255});
+    trace.record_sent({TimePoint::from_nanos(std::numeric_limits<std::int64_t>::max()),
+                       quic::PacketType::one_rtt, std::numeric_limits<std::uint64_t>::max(),
+                       false, 0, false, 0});
+    trace.record_received({TimePoint::from_nanos(std::numeric_limits<std::int64_t>::min()),
+                           quic::PacketType::handshake, (std::uint64_t{1} << 53) + 1, false,
+                           1, true, 7});
+    trace.metrics.packets_lost = kTwo60Plus1;
+    trace.metrics.packets_sent = std::numeric_limits<std::uint64_t>::max();
+    trace.metrics.packets_received = (std::uint64_t{1} << 53) + 1;
+    trace.events_truncated = kTwo60Plus1;
+
+    const auto parsed = parse_jsonl(to_jsonl(trace));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->version, trace.version);
+    EXPECT_EQ(parsed->events_truncated, kTwo60Plus1);
+    ASSERT_EQ(parsed->sent.size(), 2u);
+    ASSERT_EQ(parsed->received.size(), 1u);
+    EXPECT_EQ(parsed->sent[0].time.count_nanos(), static_cast<std::int64_t>(kTwo60Plus1));
+    EXPECT_EQ(parsed->sent[0].packet_number, kMaxQuicPn);
+    EXPECT_EQ(parsed->sent[0].size, 0xffffffffu);
+    EXPECT_EQ(parsed->sent[0].vec, 255u);
+    EXPECT_EQ(parsed->sent[1].time.count_nanos(), std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(parsed->sent[1].packet_number, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parsed->received[0].time.count_nanos(), std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(parsed->received[0].packet_number, (std::uint64_t{1} << 53) + 1);
+    EXPECT_EQ(parsed->metrics.packets_lost, kTwo60Plus1);
+    EXPECT_EQ(parsed->metrics.packets_sent, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parsed->metrics.packets_received, (std::uint64_t{1} << 53) + 1);
+}
+
 TEST(Qlog, EscapesQuotesInHost) {
     Trace trace;
     trace.host = "we\"ird\\host";
@@ -95,6 +142,35 @@ TEST(Qlog, ParseRejectsBadEvent) {
     std::string text = to_jsonl(trace);
     text += "{\"ev\":\"sent\",\"t\":broken}\n";
     EXPECT_FALSE(parse_jsonl(text).has_value());
+}
+
+TEST(Qlog, ParseRejectsEveryTruncationAndNonCanonicalField) {
+    const std::string text = to_jsonl(sample_trace());
+    ASSERT_TRUE(parse_jsonl(text).has_value());
+    for (std::size_t n = 0; n < text.size(); ++n) {
+        EXPECT_FALSE(parse_jsonl(text.substr(0, n)).has_value()) << n;
+    }
+    const auto with = [&](std::string_view from, std::string_view to) {
+        std::string edited = text;
+        const auto at = edited.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return edited.replace(at, from.size(), to);
+    };
+    EXPECT_FALSE(parse_jsonl(text + "\n").has_value());
+    EXPECT_FALSE(parse_jsonl(with("\"pn\":1,", "\"pn\":01,")).has_value());
+    EXPECT_FALSE(parse_jsonl(with("\"pn\":1,", "\"pn\":1.0,")).has_value());
+    EXPECT_FALSE(parse_jsonl(with("\"spin\":1", "\"spin\":2")).has_value());
+    EXPECT_FALSE(parse_jsonl(with("\"vec\":0}", "\"vec\":256}")).has_value());
+    EXPECT_FALSE(parse_jsonl(with("\"min_rtt_ms\":10.500000", "\"min_rtt_ms\":10.5")).has_value());
+    // Sent events precede received ones, as to_jsonl writes them.
+    const auto first_recv = text.find("{\"ev\":\"recv\"");
+    const auto metrics = text.find("{\"metrics\"");
+    const std::string recv_lines = text.substr(first_recv, metrics - first_recv);
+    const auto first_sent = text.find("{\"ev\":\"sent\"");
+    std::string reordered = text;
+    reordered.erase(first_recv, recv_lines.size());
+    reordered.insert(first_sent, recv_lines);
+    EXPECT_FALSE(parse_jsonl(reordered).has_value());
 }
 
 TEST(Qlog, EventBuffersAreBoundedAndTruncationRoundTrips) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -26,6 +27,7 @@
 #include "scanner/shard.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/checksum.hpp"
 #include "web/population.hpp"
 
 namespace spinscope::scanner {
@@ -168,6 +170,51 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
     EXPECT_FALSE(parse_chunk_record("chunk index=0\n").has_value());
     std::string clipped = payload.substr(0, payload.size() / 2);
     EXPECT_FALSE(parse_chunk_record(clipped).has_value());
+}
+
+TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
+    const std::string payload = serialize_chunk_record(sample_chunk(4));
+    const auto with = [&](std::string_view from, std::string_view to) {
+        std::string edited = payload;
+        const auto at = edited.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return edited.replace(at, from.size(), to);
+    };
+    ASSERT_TRUE(parse_chunk_record(payload).has_value());
+    EXPECT_FALSE(parse_chunk_record(payload + "\n").has_value());
+    EXPECT_FALSE(parse_chunk_record(with("index=4 ", "index=04 ")).has_value());
+    EXPECT_FALSE(parse_chunk_record(with("index=4 ", "index=+4 ")).has_value());
+    EXPECT_FALSE(parse_chunk_record(with("quarantined=0", "quarantined=2")).has_value());
+    EXPECT_FALSE(parse_chunk_record(with("id=104 ", "id=104  ")).has_value());
+    EXPECT_FALSE(parse_chunk_record(with("id=104 ", "id=4294967296 ")).has_value());
+    // encode_token escapes exactly the bytes it must, in lowercase hex.
+    EXPECT_FALSE(parse_chunk_record(with("%25", "%2a")).has_value());
+    EXPECT_FALSE(parse_chunk_record(with("%0a", "%0A")).has_value());
+    // Without a response the writer prints a default ResponseInfo.
+    EXPECT_FALSE(parse_chunk_record(with(" response=1 ", " response=0 ")).has_value());
+
+    const std::string header = serialize_header(sample_header());
+    EXPECT_FALSE(parse_header(header + "\n").has_value());
+    EXPECT_FALSE(parse_header(std::string{header}.insert(header.find("week=") + 5, "+"))
+                     .has_value());
+    ChunkLease lease{7, -5, 9, 1};
+    EXPECT_EQ(parse_lease(serialize_lease(lease)), lease);
+    EXPECT_FALSE(parse_lease("lease chunk=7 pid=-0 token=9 attempts=1\n").has_value());
+
+    // A frame head is `#rec <decimal length> <%08x crc>`.
+    init_map_journal(dir_, sample_header(), /*wipe=*/true);
+    const std::string framed = frame_record(payload);
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {4, 4}, framed));
+    ASSERT_TRUE(read_map_batch(dir_, {4, 4}).has_value());
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {4, 4},
+                                std::string{framed}.insert(5, "0")));
+    EXPECT_FALSE(read_map_batch(dir_, {4, 4}).has_value());
+    char upper_head[48];
+    std::snprintf(upper_head, sizeof upper_head, "#rec %zu %08X\n", payload.size(),
+                  util::crc32(payload));
+    ASSERT_NE(framed.substr(0, framed.find('\n') + 1), upper_head);
+    ASSERT_TRUE(write_map_batch(util::Io::real(), dir_, {4, 4}, upper_head + payload));
+    EXPECT_FALSE(read_map_batch(dir_, {4, 4}).has_value());
 }
 
 // --- Record files ------------------------------------------------------------

@@ -409,5 +409,33 @@ TEST(Export, ParseSnapshotRejectsMalformedInput) {
     EXPECT_FALSE(parse_snapshot("hist h -1 2 4 0 0 0 0 0 0 0 0\n").has_value());
 }
 
+TEST(Export, ParseSnapshotAcceptsOnlyTheWritersForm) {
+    MetricsRegistry registry;
+    registry.counter("a.first").add(1);
+    registry.counter("b.second").add(22);
+    registry.gauge("c.level").set(0.25);
+    (void)registry.histogram("d.delay_ms", {0.001, 2.0, 4});
+    const std::string text = snapshot(registry);
+    ASSERT_TRUE(parse_snapshot(text).has_value());
+    // Cut anywhere but after a newline, the last line is unterminated.
+    for (std::size_t n = 0; n < text.size(); ++n) {
+        const bool line_boundary = n == 0 || text[n - 1] == '\n';
+        EXPECT_EQ(parse_snapshot(text.substr(0, n)).has_value(), line_boundary) << n;
+    }
+    // snapshot() writes counters, gauges, then histograms, each name-sorted
+    // and once.
+    EXPECT_FALSE(parse_snapshot("counter b 1\ncounter a 1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter a 1\ncounter a 1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("gauge g 1 2\ncounter a 1\n").has_value());
+    EXPECT_TRUE(parse_snapshot("counter b 1\ngauge a 1 2\n").has_value());
+    // Integers are canonical decimals; blank lines and extra spaces are not
+    // the writer's.
+    EXPECT_FALSE(parse_snapshot("counter a 01\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter a +1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("\ncounter a 1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter  a 1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter a\t1\n").has_value());
+}
+
 }  // namespace
 }  // namespace spinscope::telemetry

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "util/checksum.hpp"
 #include "util/format.hpp"
 #include "util/proc.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace spinscope::util {
@@ -143,6 +145,43 @@ TEST(Checksum, IncrementalUpdateEqualsOneShot) {
     std::string flipped = data;
     flipped[10] ^= 0x01;
     EXPECT_NE(crc32(std::string_view{flipped}), crc32(std::string_view{data}));
+}
+
+/// Bit-at-a-time CRC-32, independent of the table-driven implementation.
+std::uint32_t reference_crc32(const char* data, std::size_t size) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= static_cast<std::uint8_t>(data[i]);
+        for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Checksum, SlicingBy8AgreesWithBitwiseReference) {
+    // Every length 0..1024 at every start offset 0..7 covers each split of a
+    // buffer into 8-byte blocks and a byte-wise tail, at every alignment.
+    Rng rng{0xC0FFEE};
+    std::vector<char> buffer(1024 + 8);
+    for (char& c : buffer) c = static_cast<char>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t size = 0; size <= 1024; ++size) {
+            const char* data = buffer.data() + offset;
+            ASSERT_EQ(crc32(std::string_view{data, size}), reference_crc32(data, size))
+                << "offset " << offset << " size " << size;
+        }
+    }
+    // Incremental updates over random split points give the one-shot value.
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t size = rng.uniform_u64(buffer.size() + 1);
+        std::uint32_t state = crc32_init();
+        std::size_t pos = 0;
+        while (pos < size) {
+            const std::size_t step = 1 + rng.uniform_u64(std::min<std::size_t>(size - pos, 40));
+            state = crc32_update(state, buffer.data() + pos, step);
+            pos += step;
+        }
+        ASSERT_EQ(crc32_final(state), reference_crc32(buffer.data(), size)) << "size " << size;
+    }
 }
 
 class AtomicFileTest : public ::testing::Test {
