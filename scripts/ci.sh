@@ -11,8 +11,9 @@
 #                              # (REGEN=1 scripts/ci.sh bench re-baselines)
 #   scripts/ci.sh chaos        # crash-isolation lane: the multi-process kill
 #                              # sweep (SIGKILL workers at every lifecycle
-#                              # point), journal/lease and proc-plumbing suites,
-#                              # and a kill-then---resume bench smoke test
+#                              # point), journal/lease, shard-executor and
+#                              # proc-plumbing suites, and a kill-then---resume
+#                              # bench smoke test
 #   scripts/ci.sh diskchaos    # lying-disk lane: the full storage-fault-plan
 #                              # x injection-point sweep (ENOSPC, EIO, short
 #                              # writes, power loss, bit flips — incl. FaultIo
@@ -92,17 +93,20 @@ run_bench_lane() {
 # Chaos lane: the crash-isolation suites on their own — the kill sweep
 # (SIGKILL at every worker lifecycle point x {1,2,4} procs, reduced output
 # must stay byte-identical), the in-process kill-at-every-chunk-boundary
-# sweep, hang/poison/RSS supervision, journal + lease invariants and the
-# process plumbing underneath. All of this also runs in the default lane's
+# sweep, hang/poison/RSS supervision, journal + lease invariants, the
+# run_sharded executor every campaign runs on and the process plumbing
+# underneath. All of this also runs in the default lane's
 # ctest; this lane is the focused, fast repro loop. It ends with an
 # end-to-end bench smoke test of the journal wiring.
 run_chaos_lane() {
     echo "=== lane: chaos ==="
     cmake --preset default >/dev/null
     cmake --build --preset default -j "${JOBS}" \
-        --target test_scanner_procpool test_scanner_journal test_util_misc bench_table1
+        --target test_scanner_procpool test_scanner_journal test_scanner_parallel \
+        test_util_misc bench_table1
     ./build/tests/test_scanner_procpool
     ./build/tests/test_scanner_journal
+    ./build/tests/test_scanner_parallel
     ./build/tests/test_util_misc
     run_resume_smoke
     echo "=== lane chaos: OK ==="

@@ -50,8 +50,8 @@ struct RetryPolicy {
     [[nodiscard]] static util::Rng backoff_stream(std::uint64_t campaign_seed,
                                                   std::uint64_t domain_id) noexcept;
 
-    /// The restart-jitter RNG for one work chunk of one campaign: the
-    /// supervisor (scanner::run_supervised) draws crashed-worker restart
+    /// The restart-jitter RNG for one work chunk of one campaign: the chunk
+    /// supervisor (scanner::Campaign::scan_chunk) draws crashed-chunk restart
     /// backoffs from a sub-stream keyed by (campaign seed, chunk index), so
     /// restart schedules never perturb any domain's scan stream.
     [[nodiscard]] static util::Rng restart_stream(std::uint64_t campaign_seed,

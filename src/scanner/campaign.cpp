@@ -35,6 +35,16 @@ using util::Duration;
 using util::Rng;
 using util::TimePoint;
 
+namespace {
+
+/// Restart schedule of a chunk whose scan crashed outside the per-domain
+/// isolation: two executions in total, then quarantine. Backoffs are real
+/// wall-clock sleeps on the scanning thread, kept small.
+constexpr faults::RetryPolicy kChunkRestart{2, Duration::millis(10), 2.0,
+                                            Duration::millis(100), true};
+
+}  // namespace
+
 void ScanOptions::validate() {
     const auto checked_probability = [](double p, const char* name) {
         if (std::isnan(p)) {
@@ -57,12 +67,13 @@ void ScanOptions::validate() {
     if (max_attempt_records == 0) {
         throw std::invalid_argument("scanner: ScanOptions.max_attempt_records must be >= 1");
     }
+    if (chunk_domains == 0) {
+        throw std::invalid_argument("scanner: ScanOptions.chunk_domains must be >= 1");
+    }
     retry.validate();
-    worker_restart.validate();
     journal_retry.validate();
     if (fault_plan) fault_plan->validate();
     if (observer) observer->validate();
-    ShardConfig{threads, chunk_domains}.validate();
 }
 
 bool DomainScan::quic_ok() const noexcept {
@@ -368,20 +379,20 @@ std::size_t Campaign::chunk_count() const {
     return ShardPlan{model_->domain_count(), options_.chunk_domains}.chunk_count();
 }
 
-std::vector<std::uint32_t> Campaign::chunk_domain_ids(std::size_t chunk_index) const {
+std::vector<DomainScan> Campaign::quarantine_scans(std::size_t chunk_index,
+                                                   const std::string& error) const {
     // Domain ids ARE global indices (PopulationModel's purity contract), so
-    // the chunk's ids follow from the geometry alone — no materialization.
+    // the placeholders follow from the geometry alone — no materialization.
     const ShardPlan plan{model_->domain_count(), options_.chunk_domains};
     if (chunk_index >= plan.chunk_count()) {
-        throw std::out_of_range("scanner: chunk_domain_ids index past chunk_count()");
+        throw std::out_of_range("scanner: quarantine_scans index past chunk_count()");
     }
-    std::vector<std::uint32_t> ids;
-    ids.reserve(plan.chunk_end(chunk_index) - plan.chunk_begin(chunk_index));
-    for (std::size_t i = plan.chunk_begin(chunk_index); i < plan.chunk_end(chunk_index);
-         ++i) {
-        ids.push_back(static_cast<std::uint32_t>(i));
+    std::vector<DomainScan> scans(plan.chunk_end(chunk_index) - plan.chunk_begin(chunk_index));
+    for (std::size_t j = 0; j < scans.size(); ++j) {
+        scans[j].domain_id = static_cast<std::uint32_t>(plan.chunk_begin(chunk_index) + j);
+        scans[j].error = "chunk quarantined: " + error;
     }
-    return ids;
+    return scans;
 }
 
 Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
@@ -389,50 +400,80 @@ Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
     if (chunk_index >= plan.chunk_count()) {
         throw std::out_of_range("scanner: scan_chunk index past chunk_count()");
     }
-    if (options_.chunk_fault_hook) options_.chunk_fault_hook(chunk_index);
-    // The worker regenerates exactly its own chunk's domains and drops them
-    // with this frame: chunk scans touch O(chunk_domains) population memory
-    // no matter how large the universe is.
-    const web::DomainBlock block = model_->materialize(
-        static_cast<std::uint32_t>(plan.chunk_begin(chunk_index)),
-        static_cast<std::uint32_t>(plan.chunk_end(chunk_index)));
-    ChunkScan out;
-    if (metrics_ != nullptr) out.metrics = std::make_unique<telemetry::MetricsRegistry>();
-    // Chunk-private datagram pool, same ownership story as the chunk
-    // registry: touched by exactly one worker, so no locking. Datagram
-    // storage recycles across every attempt of the chunk's domains; all
-    // buffers are dead by the time the chunk completes (each attempt's
-    // simulator drains before the next starts), so the pool can die here.
-    // Pool counters depend on chunk geometry, which is why
-    // deterministic_csv excludes the bytes.pool prefix.
-    bytes::BufferPool pool;
-    out.scans.reserve(block.size());
-    for (const web::Domain& domain : block.domains) {
-        // Per-domain fault isolation: one pathological target must cost one
-        // scan record, never the sweep. Telemetry may be partially written
-        // for the failed domain; counters stay monotonic either way.
-        DomainScan scan;
-        try {
-            scan = scan_domain_into(domain, out.metrics.get(), &pool);
-        } catch (const std::exception& e) {
-            scan = DomainScan{};
-            scan.domain_id = domain.id;
-            scan.error = e.what();
+    const auto scan_once = [&] {
+        if (options_.chunk_fault_hook) options_.chunk_fault_hook(chunk_index);
+        // The worker regenerates exactly its own chunk's domains and drops
+        // them with this frame: chunk scans touch O(chunk_domains) population
+        // memory no matter how large the universe is.
+        const web::DomainBlock block = model_->materialize(
+            static_cast<std::uint32_t>(plan.chunk_begin(chunk_index)),
+            static_cast<std::uint32_t>(plan.chunk_end(chunk_index)));
+        ChunkScan out;
+        if (metrics_ != nullptr) out.metrics = std::make_unique<telemetry::MetricsRegistry>();
+        // Chunk-private datagram pool, same ownership story as the chunk
+        // registry: touched by exactly one worker, so no locking. Datagram
+        // storage recycles across every attempt of the chunk's domains; all
+        // buffers are dead by the time the chunk completes (each attempt's
+        // simulator drains before the next starts), so the pool can die
+        // here. Pool counters depend on chunk geometry, which is why
+        // deterministic_csv excludes the bytes.pool prefix.
+        bytes::BufferPool pool;
+        std::vector<DomainScan>& scans = out.chunk.scans;
+        scans.reserve(block.size());
+        for (const web::Domain& domain : block.domains) {
+            // Per-domain fault isolation: one pathological target must cost
+            // one scan record, never the sweep. Telemetry may be partially
+            // written for the failed domain; counters stay monotonic either
+            // way.
+            DomainScan scan;
+            try {
+                scan = scan_domain_into(domain, out.metrics.get(), &pool);
+            } catch (const std::exception& e) {
+                scan = DomainScan{};
+                scan.domain_id = domain.id;
+                scan.error = e.what();
+            }
+            scans.push_back(std::move(scan));
         }
-        out.scans.push_back(std::move(scan));
+        if (out.metrics != nullptr) pool.publish_metrics(*out.metrics);
+        return out;
+    };
+
+    // A crash outside the per-domain isolation is often environmental
+    // (resource exhaustion, an injected fault), so back off and re-execute
+    // the whole chunk from scratch; a chunk that keeps crashing costs one
+    // quarantined record, never the sweep. Restart jitter draws from the
+    // chunk's own stream, so it never perturbs any domain's scan stream.
+    util::Rng restart_rng = faults::RetryPolicy::restart_stream(options_.seed, chunk_index);
+    std::string error;
+    for (int attempt = 1;; ++attempt) {
+        try {
+            ChunkScan out = scan_once();
+            out.chunk.restarts = attempt - 1;
+            return out;
+        } catch (const std::exception& e) {
+            error = e.what();
+        } catch (...) {
+            error = "unknown exception";
+        }
+        if (attempt >= kChunkRestart.max_attempts) break;
+        const Duration delay = kChunkRestart.backoff_delay(attempt, restart_rng);
+        std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
     }
-    if (out.metrics != nullptr) pool.publish_metrics(*out.metrics);
+    ChunkScan out;
+    out.chunk.scans = quarantine_scans(chunk_index, error);
+    out.chunk.restarts = kChunkRestart.max_attempts - 1;
+    out.chunk.quarantined = true;
+    out.chunk.quarantine_error = std::move(error);
     return out;
 }
 
 ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
     ChunkScan scanned = scan_chunk_into(chunk_index);
-    ScannedChunk out;
-    out.scans = std::move(scanned.scans);
     if (scanned.metrics != nullptr) {
-        out.telemetry_snapshot = telemetry::snapshot(*scanned.metrics);
+        scanned.chunk.telemetry_snapshot = telemetry::snapshot(*scanned.metrics);
     }
-    return out;
+    return std::move(scanned.chunk);
 }
 
 DomainScan Campaign::scan_domain_into(const web::Domain& domain,
@@ -730,6 +771,7 @@ CampaignStats Campaign::run_impl(
     struct ChunkItem {
         ChunkRecord record;
         std::unique_ptr<telemetry::MetricsRegistry> metrics;
+        int restarts = 0;               ///< crashed executions (0 when replayed)
         std::int64_t scan_done_ns = 0;  ///< wall instant the scan finished
     };
 
@@ -776,12 +818,20 @@ CampaignStats Campaign::run_impl(
                 metrics_->merge_from(*parsed);
             }
         }
+        stats.worker_restarts += item.restarts;
         if (record.quarantined) {
             ++stats.chunks_quarantined;
             stats.domains_quarantined += record.scans.size();
             if (metrics_ != nullptr) {
                 metrics_->counter("campaign.quarantined_chunks").add(1);
                 metrics_->counter("campaign.quarantined_domains").add(record.scans.size());
+            }
+            if (trace != nullptr && !replayed) {
+                trace->instant(
+                    TraceClock::wall, wall_merge_lane, "quarantine", trace->wall_now_ns(),
+                    {TraceArg::num("chunk", static_cast<std::uint64_t>(record.chunk_index)),
+                     TraceArg::num("attempts", static_cast<std::uint64_t>(item.restarts + 1)),
+                     TraceArg::str("error", record.quarantine_error)});
             }
         }
         trace_chunk(record.chunk_index, record.scans, replayed, record.quarantined);
@@ -926,11 +976,13 @@ CampaignStats Campaign::run_impl(
         }
     };
     // Thread-safe: runs on shard workers (and inline on the merge thread).
+    // Never throws for a crashing chunk: scan_chunk_into restarts it, then
+    // hands back its quarantine placeholders.
     const auto scan_item = [this](std::size_t chunk_index) {
         ChunkScan scanned = scan_chunk_into(chunk_index);
         ChunkItem item;
-        item.record.chunk_index = chunk_index;
-        item.record.scans = std::move(scanned.scans);
+        item.restarts = scanned.chunk.restarts;
+        item.record = to_chunk_record(chunk_index, std::move(scanned.chunk));
         item.metrics = std::move(scanned.metrics);
         return item;
     };
@@ -996,13 +1048,13 @@ CampaignStats Campaign::run_impl(
     // One missing chunk per work item: the campaign chunk is the unit of
     // journaling, so the shard layer must not regroup. Slot m % window is
     // written by exactly one worker (inside scan_missing(m)) and read by the
-    // merge thread only after run_supervised reports the chunk done; the
-    // shard merge window bounds how many chunks are live past the merge
-    // frontier, so in-flight results cost O(window), never O(chunk count).
-    const ShardConfig shard{options_.threads, 1};
+    // merge thread only after run_sharded reports the chunk done; the shard
+    // merge window bounds how many chunks are live past the merge frontier,
+    // so in-flight results cost O(window), never O(chunk count).
+    const ShardConfig shard{options_.threads};
     const ShardPlan missing_plan{missing.size(), 1};
     const std::size_t window = std::max<std::size_t>(
-        std::min<std::size_t>(shard.resolved_merge_window(), missing.size()), 1);
+        std::min<std::size_t>(shard.window_chunks(), missing.size()), 1);
     std::vector<ChunkItem> scanned(window);
     const auto scan_missing = [&](std::size_t m) {
         const std::int64_t start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
@@ -1023,46 +1075,17 @@ CampaignStats Campaign::run_impl(
         scanned[m % window] = ChunkItem{};  // release the slot's storage
         take(std::move(item));
     };
-    const auto quarantine_missing = [&](const ChunkFailure& failure) {
-        // The chunk crashed repeatedly even after restarts: give its domains
-        // placeholder error scans and complete the campaign degraded rather
-        // than losing the sweep.
-        const std::size_t c = missing[failure.chunk];
-        ChunkItem item;
-        item.record.chunk_index = c;
-        item.record.quarantined = true;
-        item.record.quarantine_error = failure.error;
-        for (std::size_t i = plan.chunk_begin(c); i < plan.chunk_end(c); ++i) {
-            DomainScan scan;
-            scan.domain_id = static_cast<std::uint32_t>(i);
-            scan.error = "chunk quarantined: " + failure.error;
-            item.record.scans.push_back(std::move(scan));
-        }
-        if (trace != nullptr) {
-            trace->instant(
-                TraceClock::wall, wall_merge_lane, "quarantine", trace->wall_now_ns(),
-                {TraceArg::num("chunk", static_cast<std::uint64_t>(c)),
-                 TraceArg::num("attempts", static_cast<std::uint64_t>(failure.attempts)),
-                 TraceArg::str("error", failure.error)});
-        }
-        take(std::move(item));
-    };
 
-    SupervisorConfig supervisor;
-    supervisor.restart = options_.worker_restart;
-    supervisor.seed = options_.seed;
-    const SupervisionReport report = run_supervised(
-        shard, missing_plan, supervisor, scan_missing, merge_missing, quarantine_missing);
+    run_sharded(shard, missing_plan, scan_missing, merge_missing);
     commit(pending);
     replay_up_to(plan.chunk_count());
 
-    stats.worker_restarts = report.restarts;
     if (metrics_ != nullptr) {
-        // restarted_workers = thread-level scan re-executions (run_supervised);
+        // restarted_workers = thread-level scan re-executions (scan_chunk);
         // its sibling campaign.restarted_procs counts worker PROCESS re-forks
         // and is published by scanner::run_procs.
-        if (report.restarts > 0) {
-            metrics_->counter("campaign.restarted_workers").add(report.restarts);
+        if (stats.worker_restarts > 0) {
+            metrics_->counter("campaign.restarted_workers").add(stats.worker_restarts);
         }
         if (journaling) {
             metrics_->counter("campaign.journal.records_appended")

@@ -96,13 +96,6 @@ struct ScanOptions {
     /// the journal instead of killing the sweep.
     faults::RetryPolicy journal_retry{3, util::Duration::millis(1), 4.0,
                                       util::Duration::millis(20), true};
-    /// Supervisor restart schedule for a chunk whose scan crashed outside
-    /// the per-domain isolation: max_attempts is the TOTAL number of scan
-    /// executions per chunk before it is quarantined (1 = quarantine on the
-    /// first crash). Backoffs are real wall-clock sleeps on the worker, kept
-    /// small by default.
-    faults::RetryPolicy worker_restart{2, util::Duration::millis(10), 2.0,
-                                       util::Duration::millis(100), true};
     /// Optional constrained on-path observer (DESIGN.md §14): when engaged,
     /// every attempt's server→client direction is tapped by a per-DOMAIN
     /// core::ConstrainedMonitor and its table counters are published as
@@ -115,8 +108,8 @@ struct ScanOptions {
     /// TEST/FAULT hook: invoked on the worker thread at the start of every
     /// chunk scan execution (with the global chunk index), OUTSIDE the
     /// per-domain isolation — a throw crashes the whole chunk and exercises
-    /// the supervisor (restart, then quarantine). Must be thread-safe; keep
-    /// null in production.
+    /// Campaign::scan_chunk's restart-then-quarantine. Must be thread-safe;
+    /// keep null in production.
     std::function<void(std::size_t chunk)> chunk_fault_hook;
 
     /// Sanitizes the knobs in place: NaN probabilities, a negative redirect
@@ -180,12 +173,12 @@ struct CampaignStats {
     std::uint64_t retries = 0;  ///< attempts beyond the first at some hop
     std::uint64_t domains_recovered_by_retry = 0;
     std::uint64_t domains_errored = 0;  ///< scan threw; skipped, not fatal
-    /// Chunks the supervisor quarantined after exhausting restarts (their
-    /// domains are counted in domains_quarantined AND domains_errored).
+    /// Chunks quarantined after exhausting their restarts (their domains
+    /// are counted in domains_quarantined AND domains_errored).
     std::uint64_t chunks_quarantined = 0;
     std::uint64_t domains_quarantined = 0;
-    /// Crashed-chunk scan re-executions performed by the in-process
-    /// supervisor (thread-level restarts, run_supervised).
+    /// Crashed-chunk scan re-executions this run performed (thread-level
+    /// restarts inside Campaign::scan_chunk).
     std::uint64_t worker_restarts = 0;
     /// Worker PROCESS re-forks performed by the multi-process supervisor
     /// (scanner::run_procs). Always 0 for in-process runs; stitched in by
@@ -237,6 +230,14 @@ struct CampaignStats {
 struct ScannedChunk {
     std::vector<DomainScan> scans;
     std::string telemetry_snapshot;
+    /// Scan executions that crashed outside the per-domain isolation and
+    /// were re-executed.
+    int restarts = 0;
+    /// Every execution crashed: `scans` are the chunk's quarantine
+    /// placeholders, `quarantine_error` is the last crash's message and the
+    /// snapshot is empty.
+    bool quarantined = false;
+    std::string quarantine_error;
 };
 
 /// Scans the domains of a population.
@@ -297,9 +298,11 @@ public:
     /// function of domain_count and ScanOptions::chunk_domains).
     [[nodiscard]] std::size_t chunk_count() const;
 
-    /// Domain ids of one global chunk in scan order — what quarantine
-    /// placeholder records need. Throws std::out_of_range past chunk_count().
-    [[nodiscard]] std::vector<std::uint32_t> chunk_domain_ids(std::size_t chunk_index) const;
+    /// The quarantine placeholders of one global chunk: one scan per domain,
+    /// in domain-id order, whose error is "chunk quarantined: <error>".
+    /// Throws std::out_of_range past chunk_count().
+    [[nodiscard]] std::vector<DomainScan> quarantine_scans(std::size_t chunk_index,
+                                                           const std::string& error) const;
 
     /// Scans a single domain (resolution, connection, redirects).
     [[nodiscard]] DomainScan scan_domain(const web::Domain& domain) const;
@@ -309,9 +312,14 @@ public:
     /// when a registry is attached to the campaign) — byte-identical to what
     /// run() produces and journals for the same chunk. This is the unit of
     /// work a multi-process worker executes under a lease (DESIGN.md §11).
-    /// ScanOptions::chunk_fault_hook fires at entry with the global chunk
-    /// index, OUTSIDE the per-domain isolation. Throws std::out_of_range for
-    /// an index past chunk_count().
+    ///
+    /// The one chunk supervisor: an execution that throws OUTSIDE the
+    /// per-domain isolation (ScanOptions::chunk_fault_hook fires at entry
+    /// with the global chunk index) is re-executed after a jittered backoff
+    /// drawn from faults::RetryPolicy::restart_stream(seed, chunk), and a
+    /// chunk whose every execution crashed comes back quarantined (see
+    /// ScannedChunk) instead of throwing. Throws std::out_of_range for an
+    /// index past chunk_count().
     [[nodiscard]] ScannedChunk scan_chunk(std::size_t chunk_index) const;
 
     /// Scans every domain, streaming results to `sink` in domain-id order
@@ -363,17 +371,19 @@ private:
         util::Duration sim_elapsed = util::Duration::zero();
     };
 
-    /// One scanned chunk as the merge loop receives it: the scans in
-    /// domain-id order and the chunk-private telemetry registry (null when
-    /// the campaign has no registry), handed over in memory.
+    /// One scanned chunk as the merge loop receives it: the chunk-private
+    /// telemetry registry (null when the campaign has no registry, or when
+    /// the chunk was quarantined) is handed over in memory, so `chunk`'s
+    /// snapshot stays empty.
     struct ChunkScan {
-        std::vector<DomainScan> scans;
+        ScannedChunk chunk;
         std::unique_ptr<telemetry::MetricsRegistry> metrics;
     };
 
-    /// The chunk scan behind scan_chunk() and every run()/reduce() worker:
-    /// per-domain fault isolation over a freshly materialized block, with a
-    /// chunk-private registry and buffer pool. Fires chunk_fault_hook first.
+    /// The supervised chunk scan behind scan_chunk() and every run()/reduce()
+    /// worker: per-domain fault isolation over a freshly materialized block,
+    /// with a chunk-private registry and buffer pool, restarted and then
+    /// quarantined as scan_chunk() describes.
     [[nodiscard]] ChunkScan scan_chunk_into(std::size_t chunk_index) const;
 
     /// scan_domain with telemetry routed into an explicit registry (the

@@ -63,9 +63,8 @@ struct CampaignHeader {
 
 /// One journaled work chunk: the scans of its domains in domain-id order,
 /// the chunk-private telemetry snapshot (telemetry::snapshot form; empty
-/// when the campaign ran without a registry), and — for chunks the
-/// supervisor quarantined — the failure note (scans are then placeholders
-/// with DomainScan::error set).
+/// when the campaign ran without a registry), and for a quarantined chunk
+/// the failure note (its scans are then Campaign::quarantine_scans).
 struct ChunkRecord {
     std::size_t chunk_index = 0;
     bool quarantined = false;
@@ -73,6 +72,14 @@ struct ChunkRecord {
     std::vector<DomainScan> scans;
     std::string telemetry_snapshot;
 };
+
+/// The record of chunk `chunk_index` as Campaign::scan_chunk returned it
+/// (its restart count is not journaled).
+[[nodiscard]] inline ChunkRecord to_chunk_record(std::size_t chunk_index,
+                                                 ScannedChunk&& scanned) {
+    return {chunk_index, scanned.quarantined, std::move(scanned.quarantine_error),
+            std::move(scanned.scans), std::move(scanned.telemetry_snapshot)};
+}
 
 /// A storage operation failed past the point of retrying. Carries the errno
 /// result and its reaction class so catch sites can tell a full or dying

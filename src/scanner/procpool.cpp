@@ -95,63 +95,15 @@ bool chunk_recorded(const std::filesystem::path& dir, const std::vector<char>& a
 }
 
 /// Placeholder record for a chunk whose scans keep killing worker processes:
-/// the process-level analogue of run_supervised's quarantine, with the same
-/// "chunk quarantined: <error>" placeholder text per domain.
+/// the process-level twin of Campaign::scan_chunk's quarantine, built from
+/// the same placeholders.
 ChunkRecord proc_quarantine_record(const Campaign& campaign, std::size_t chunk) {
-    ChunkRecord record;
-    record.chunk_index = chunk;
-    record.quarantined = true;
-    // The located variant is a pure function of (campaign geometry, chunk),
-    // so racing publishers still write byte-identical records. The per-scan
-    // placeholder below keeps the bare text: scans carry their own domain_id.
-    record.quarantine_error =
-        std::string(kProcQuarantineError) + " at " + locate_chunk(campaign, chunk);
-    for (const std::uint32_t id : campaign.chunk_domain_ids(chunk)) {
-        DomainScan scan;
-        scan.domain_id = id;
-        scan.error = std::string("chunk quarantined: ") + kProcQuarantineError;
-        record.scans.push_back(std::move(scan));
-    }
-    return record;
-}
-
-/// Scans one chunk with the in-process supervisor's restart semantics — a
-/// throwing scan is retried up to ScanOptions::worker_restart.max_attempts
-/// times on the chunk's restart stream, then quarantined with the identical
-/// placeholder text — so worker-produced records are byte-compatible with
-/// what Campaign::run journals. `on_restart` fires before each retry sleep.
-ChunkRecord scan_chunk_record(const Campaign& campaign, std::size_t chunk,
-                              const std::function<void()>& on_restart) {
-    const faults::RetryPolicy& restart = campaign.options().worker_restart;
-    util::Rng rng =
-        faults::RetryPolicy::restart_stream(campaign.options().seed, chunk);
-    ChunkRecord record;
-    record.chunk_index = chunk;
-    std::string error;
-    for (int attempt = 1;; ++attempt) {
-        try {
-            ScannedChunk scanned = campaign.scan_chunk(chunk);
-            record.scans = std::move(scanned.scans);
-            record.telemetry_snapshot = std::move(scanned.telemetry_snapshot);
-            return record;
-        } catch (const std::exception& e) {
-            error = e.what();
-        } catch (...) {
-            error = "unknown error";
-        }
-        if (attempt >= restart.max_attempts) break;
-        if (on_restart) on_restart();
-        sleep_for(restart.backoff_delay(attempt, rng));
-    }
-    record.quarantined = true;
-    record.quarantine_error = error;
-    for (const std::uint32_t id : campaign.chunk_domain_ids(chunk)) {
-        DomainScan scan;
-        scan.domain_id = id;
-        scan.error = "chunk quarantined: " + error;
-        record.scans.push_back(std::move(scan));
-    }
-    return record;
+    // The located note is a pure function of (campaign geometry, chunk), so
+    // racing publishers still write byte-identical records. The per-scan
+    // placeholders keep the bare text: scans carry their own domain_id.
+    return {chunk, true,
+            std::string(kProcQuarantineError) + " at " + locate_chunk(campaign, chunk),
+            campaign.quarantine_scans(chunk, kProcQuarantineError), {}};
 }
 
 /// Examines the lease on `chunk` and clears it when stale (dead owner, or
@@ -304,10 +256,11 @@ int worker_main(const WorkerContext& ctx) noexcept {
                     send("ioerr lease bump chunk " + std::to_string(c) + ": " +
                          bumped.message());
                 }
-                ChunkRecord record = scan_chunk_record(campaign, c, [&] {
-                    send("restart 1");
-                    heartbeat();
-                });
+                // Thread-level restart-then-quarantine happens inside
+                // scan_chunk, so the record matches what run() journals.
+                ScannedChunk scanned = campaign.scan_chunk(c);
+                if (scanned.restarts > 0) send("restart " + std::to_string(scanned.restarts));
+                const ChunkRecord record = to_chunk_record(c, std::move(scanned));
                 if (opt.worker_event_hook) opt.worker_event_hook(ctx.slot, "scanned", c);
                 const util::IoResult published = write_map_chunk(*ctx.io, ctx.dir, record);
                 if (!published) {
@@ -601,8 +554,9 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
                 continue;
             }
         }
-        const ChunkRecord record = scan_chunk_record(
-            campaign, c, [&] { ++report.worker_thread_restarts; });
+        ScannedChunk scanned = campaign.scan_chunk(c);
+        report.worker_thread_restarts += static_cast<std::uint64_t>(scanned.restarts);
+        const ChunkRecord record = to_chunk_record(c, std::move(scanned));
         const util::IoResult published = write_map_chunk(io, dir, record);
         if (!published) {
             // Last-resort completion has no further fallback: refuse loudly

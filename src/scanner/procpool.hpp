@@ -4,15 +4,16 @@
 // processes, each scanning leased chunks into one shared journal directory
 // (DESIGN.md §11).
 //
-// PR 5's in-process supervision survives a chunk whose scan THROWS; it
-// cannot survive the failures that dominate week-long full-machine sweeps —
-// OOM kills, segfaults, wedged processes. The process pool adds that layer:
-// workers are disposable OS processes, their only durable output is
-// atomically-published per-chunk record files, and the supervisor's job is
-// liveness (heartbeats, kill-on-hang, restart-with-backoff) and lease
-// hygiene. Because chunk scans are pure functions of the campaign options
-// (DESIGN.md §9) and record publication is an atomic rename, `kill -9` of
-// any worker at any instant changes nothing about the eventual output —
+// Campaign::scan_chunk's in-process supervision survives a chunk whose scan
+// THROWS; it cannot survive the failures that dominate week-long
+// full-machine sweeps — OOM kills, segfaults, wedged processes. The process
+// pool adds that layer: workers are disposable OS processes, their only
+// durable output is atomically-published per-chunk record files, and the
+// supervisor's job is liveness (heartbeats, kill-on-hang,
+// restart-with-backoff) and lease hygiene. Because chunk scans are pure
+// functions of the campaign options (DESIGN.md §9) and record publication
+// is an atomic rename, `kill -9` of any worker at any instant changes
+// nothing about the eventual output —
 // Campaign::reduce folds whatever set of records survived, rescans the
 // rest, and produces a byte-identical result to a single-process run.
 //
@@ -100,8 +101,9 @@ struct ProcPoolReport {
     /// Workers SIGKILLed for missing their hang deadline (subset of the
     /// deaths that produced proc_restarts).
     std::uint64_t hang_kills = 0;
-    /// Thread-level scan restarts inside workers (reported over the
-    /// heartbeat channel; the in-worker run_supervised analogue).
+    /// Thread-level scan restarts inside workers and the inline pass
+    /// (Campaign::scan_chunk's restarts, reported over the heartbeat
+    /// channel).
     std::uint64_t worker_thread_restarts = 0;
     /// Chunks the SUPERVISOR quarantined after chunk_attempts process
     /// incarnations died on them.

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace spinscope::scanner {
 
@@ -19,8 +16,7 @@ unsigned ShardConfig::resolved_threads() const noexcept {
     return hw == 0 ? 1 : hw;
 }
 
-std::size_t ShardConfig::resolved_merge_window() const noexcept {
-    if (merge_window != 0) return merge_window;
+std::size_t ShardConfig::window_chunks() const noexcept {
     return std::max<std::size_t>(std::size_t{4} * resolved_threads(), 32);
 }
 
@@ -30,7 +26,7 @@ std::string describe_chunk(const ShardPlan& plan, std::size_t chunk) {
            std::to_string(plan.chunk_end(chunk)) + "))";
 }
 
-// Both executors bound the scanned-but-unmerged backlog with a merge window
+// The executor bounds the scanned-but-unmerged backlog with a merge window
 // of W chunks: per-chunk completion state lives in rings of size W indexed
 // `chunk % W`, and a worker that claims chunk c waits until c < merged + W
 // before scanning. The cursor hands out chunks in ascending order, so the
@@ -42,7 +38,6 @@ std::string describe_chunk(const ShardPlan& plan, std::size_t chunk) {
 void run_sharded(const ShardConfig& config, const ShardPlan& plan,
                  const std::function<void(std::size_t chunk)>& scan,
                  const std::function<void(std::size_t chunk)>& merge) {
-    config.validate();
     const std::size_t chunks = plan.chunk_count();
     if (chunks == 0) return;
 
@@ -50,7 +45,7 @@ void run_sharded(const ShardConfig& config, const ShardPlan& plan,
     const std::size_t workers =
         std::min<std::size_t>(config.resolved_threads(), chunks);
     const std::size_t window =
-        std::min<std::size_t>(config.resolved_merge_window(), chunks);
+        std::min<std::size_t>(config.window_chunks(), chunks);
 
     std::mutex mu;
     std::condition_variable progress;    // chunk done OR merge frontier moved
@@ -134,146 +129,6 @@ void run_sharded(const ShardConfig& config, const ShardPlan& plan,
 
     join_all();
     if (failure != nullptr) std::rethrow_exception(failure);
-}
-
-SupervisionReport run_supervised(const ShardConfig& config, const ShardPlan& plan,
-                                 const SupervisorConfig& supervisor,
-                                 const std::function<void(std::size_t chunk)>& scan,
-                                 const std::function<void(std::size_t chunk)>& merge,
-                                 const std::function<void(const ChunkFailure&)>& quarantine) {
-    config.validate();
-    supervisor.restart.validate();
-    SupervisionReport report;
-    const std::size_t chunks = plan.chunk_count();
-    if (chunks == 0) return report;
-
-    const std::size_t workers =
-        std::min<std::size_t>(config.resolved_threads(), chunks);
-    const std::size_t window =
-        std::min<std::size_t>(config.resolved_merge_window(), chunks);
-
-    enum : char { kPending = 0, kScanned = 1, kQuarantined = 2 };
-
-    std::mutex mu;
-    std::condition_variable progress;             // chunk done OR frontier moved
-    std::vector<char> done(window, kPending);     // ring, slot c % window
-    std::vector<ChunkFailure> failures(window);   // ring, published with done slot
-    std::size_t merged = 0;                       // merge frontier; guarded by mu
-    std::exception_ptr failure;                   // guarded by mu; merge/quarantine only
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<bool> cancelled{false};
-    std::atomic<std::uint64_t> restarts{0};
-
-    const auto fail_with_current_exception = [&] {
-        cancelled.store(true, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock{mu};
-            if (!failure) failure = std::current_exception();
-        }
-        progress.notify_all();
-    };
-
-    const auto worker_main = [&] {
-        while (!cancelled.load(std::memory_order_relaxed)) {
-            const std::size_t chunk = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (chunk >= chunks) return;
-            {
-                std::unique_lock<std::mutex> lock{mu};
-                progress.wait(lock, [&] {
-                    return chunk < merged + window || failure != nullptr ||
-                           cancelled.load(std::memory_order_relaxed);
-                });
-                if (failure != nullptr || cancelled.load(std::memory_order_relaxed)) {
-                    return;
-                }
-            }
-            auto restart_rng =
-                faults::RetryPolicy::restart_stream(supervisor.seed, chunk);
-            ChunkFailure fail;
-            fail.chunk = chunk;
-            bool scanned = false;
-            while (!cancelled.load(std::memory_order_relaxed)) {
-                ++fail.attempts;
-                try {
-                    scan(chunk);
-                    scanned = true;
-                    break;
-                } catch (const std::exception& e) {
-                    fail.error = e.what();
-                } catch (...) {
-                    fail.error = "unknown exception";
-                }
-                if (fail.attempts >= supervisor.restart.max_attempts) break;
-                // Restart with backoff: a crash is often environmental
-                // (resource exhaustion, injected fault), so back off before
-                // re-executing instead of hammering the same chunk.
-                restarts.fetch_add(1, std::memory_order_relaxed);
-                const auto delay =
-                    supervisor.restart.backoff_delay(fail.attempts, restart_rng);
-                if (supervisor.sleep_on_restart && delay > util::Duration::zero()) {
-                    std::this_thread::sleep_for(
-                        std::chrono::nanoseconds{delay.count_nanos()});
-                }
-            }
-            {
-                std::lock_guard<std::mutex> lock{mu};
-                if (scanned) {
-                    done[chunk % window] = kScanned;
-                } else {
-                    failures[chunk % window] = std::move(fail);
-                    done[chunk % window] = kQuarantined;
-                }
-            }
-            progress.notify_all();
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) pool.emplace_back(worker_main);
-    const auto join_all = [&pool] {
-        for (auto& worker : pool) {
-            if (worker.joinable()) worker.join();
-        }
-    };
-
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-        char state = kPending;
-        ChunkFailure fail;
-        {
-            std::unique_lock<std::mutex> lock{mu};
-            progress.wait(
-                lock, [&] { return done[chunk % window] != kPending || failure != nullptr; });
-            if (failure != nullptr) break;
-            state = done[chunk % window];
-            if (state == kQuarantined) fail = std::move(failures[chunk % window]);
-            done[chunk % window] = kPending;  // slot freed for chunk + window
-        }
-        try {
-            if (state == kScanned) {
-                merge(chunk);
-            } else {
-                ++report.quarantined;
-                quarantine(fail);
-            }
-        } catch (...) {
-            fail_with_current_exception();
-            break;
-        }
-        {
-            std::lock_guard<std::mutex> lock{mu};
-            merged = chunk + 1;
-        }
-        progress.notify_all();
-    }
-
-    join_all();
-    report.restarts = restarts.load(std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock{mu};
-        if (failure != nullptr) std::rethrow_exception(failure);
-    }
-    return report;
 }
 
 }  // namespace spinscope::scanner

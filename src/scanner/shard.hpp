@@ -19,12 +19,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
-
-#include "faults/retry_policy.hpp"
 
 namespace spinscope::scanner {
 
@@ -32,31 +28,17 @@ namespace spinscope::scanner {
 struct ShardConfig {
     /// Worker threads; 0 = one per hardware thread (at least one).
     unsigned threads = 1;
-    /// Items (domains) per work chunk. Smaller chunks balance load better;
-    /// larger chunks amortize queue and merge overhead. Part of the output
-    /// schema for histogram `sum` fields (see telemetry::deterministic_csv),
-    /// so the default is fixed rather than derived from the machine.
-    std::size_t chunk_items = 16;
-    /// Maximum number of chunks admitted past the merge frontier at once
-    /// (0 = auto: max(4 * threads, 32)). Workers that claim a chunk beyond
-    /// `merged + merge_window` block until the merge thread catches up, so
-    /// the peak number of scanned-but-unmerged chunk results — and thus the
-    /// driver's RSS — is bounded by the window instead of the chunk count.
-    /// Purely a scheduling constraint: output bytes are unaffected.
-    std::size_t merge_window = 0;
-
-    /// Throws std::invalid_argument when chunk_items is 0.
-    void validate() const {
-        if (chunk_items == 0) {
-            throw std::invalid_argument("scanner: ShardConfig.chunk_items must be >= 1");
-        }
-    }
 
     /// `threads` with 0 resolved to the hardware concurrency (>= 1).
     [[nodiscard]] unsigned resolved_threads() const noexcept;
 
-    /// `merge_window` with 0 resolved to max(4 * resolved_threads(), 32).
-    [[nodiscard]] std::size_t resolved_merge_window() const noexcept;
+    /// Chunks admitted past the merge frontier at once: max(4 * threads,
+    /// 32). Workers that claim a chunk beyond `merged + window` block until
+    /// the merge thread catches up, so the peak number of
+    /// scanned-but-unmerged chunk results — and thus the driver's RSS — is
+    /// bounded by the window instead of the chunk count. Purely a
+    /// scheduling constraint: output bytes are unaffected.
+    [[nodiscard]] std::size_t window_chunks() const noexcept;
 };
 
 /// Pure chunk geometry: how [0, item_count) splits into fixed-size chunks.
@@ -94,51 +76,5 @@ struct ShardPlan {
 void run_sharded(const ShardConfig& config, const ShardPlan& plan,
                  const std::function<void(std::size_t chunk)>& scan,
                  const std::function<void(std::size_t chunk)>& merge);
-
-/// Why one chunk ended up quarantined: the last exception message and how
-/// many scan executions were attempted before the supervisor gave up.
-struct ChunkFailure {
-    std::size_t chunk = 0;
-    int attempts = 0;
-    std::string error;
-};
-
-/// Supervision knobs for run_supervised.
-struct SupervisorConfig {
-    /// Restart schedule for a chunk whose scan threw: `restart.max_attempts`
-    /// is the TOTAL number of scan executions per chunk (1 = never restart);
-    /// backoff between executions follows the policy, drawn from
-    /// faults::RetryPolicy::restart_stream(seed, chunk) so restart jitter
-    /// never touches any domain's scan stream.
-    faults::RetryPolicy restart;
-    /// Keys the restart-jitter sub-streams (normally the campaign seed).
-    std::uint64_t seed = 0;
-    /// When false, restart backoffs are computed (burning the same RNG
-    /// draws) but not slept — tests use this to stay fast.
-    bool sleep_on_restart = true;
-};
-
-/// What the supervisor observed across the whole run.
-struct SupervisionReport {
-    /// Scan re-executions performed after a throw (restarts, not failures).
-    std::uint64_t restarts = 0;
-    /// Chunks that exhausted their restart budget and were quarantined.
-    std::uint64_t quarantined = 0;
-};
-
-/// run_sharded with worker supervision: a chunk whose `scan` throws is
-/// retried in place up to `supervisor.restart.max_attempts` total executions
-/// (with jittered backoff slept on the worker thread); a chunk that exhausts
-/// the budget is QUARANTINED instead of cancelling the run — `quarantine(f)`
-/// is invoked for it on the calling thread, in the same ascending chunk
-/// order as `merge`, and the run completes degraded. `scan` must therefore
-/// be restartable: re-executing it for the same chunk must fully overwrite
-/// the chunk's result slot. A throwing `merge` or `quarantine` is still
-/// fatal exactly as in run_sharded (cancels, joins, rethrows).
-SupervisionReport run_supervised(const ShardConfig& config, const ShardPlan& plan,
-                                 const SupervisorConfig& supervisor,
-                                 const std::function<void(std::size_t chunk)>& scan,
-                                 const std::function<void(std::size_t chunk)>& merge,
-                                 const std::function<void(const ChunkFailure&)>& quarantine);
 
 }  // namespace spinscope::scanner

@@ -24,9 +24,9 @@
 #include "golden.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/journal.hpp"
-#include "scanner/shard.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 #include "util/checksum.hpp"
 #include "web/population.hpp"
 
@@ -529,8 +529,6 @@ TEST_F(JournalTest, TransientChunkCrashIsRestartedWithIdenticalOutput) {
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
     ScanOptions faulty = options;
-    faulty.worker_restart.initial_backoff = util::Duration::millis(1);
-    faulty.worker_restart.max_backoff = util::Duration::millis(2);
     std::mutex mu;
     std::set<std::size_t> crashed_once;
     faulty.chunk_fault_hook = [&](std::size_t chunk) {
@@ -551,8 +549,6 @@ TEST_F(JournalTest, PersistentChunkCrashIsQuarantinedAndTheCampaignCompletes) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.threads = 4;
-    options.worker_restart.initial_backoff = util::Duration::millis(1);
-    options.worker_restart.max_backoff = util::Duration::millis(2);
     options.journal_dir = (dir_ / "quarantine").string();
     options.chunk_fault_hook = [](std::size_t chunk) {
         if (chunk == 3) throw std::runtime_error("poisoned chunk");
@@ -592,51 +588,104 @@ TEST_F(JournalTest, PersistentChunkCrashIsQuarantinedAndTheCampaignCompletes) {
         });
     EXPECT_EQ(reduced_stats.chunks_quarantined, 1u);
     EXPECT_EQ(reduced_quarantined, options.chunk_domains);
-}
 
-TEST(RunSupervisedTest, QuarantinesInAscendingOrderAndKeepsMerging) {
-    const ShardConfig config{4, 1};
-    const ShardPlan plan{10, 1};
-    SupervisorConfig supervisor;
-    supervisor.restart.max_attempts = 2;
-    supervisor.restart.initial_backoff = util::Duration::zero();
-    supervisor.sleep_on_restart = false;
-    std::vector<std::string> events;  // merge-thread only
-    const SupervisionReport report = run_supervised(
-        config, plan, supervisor,
-        [&](std::size_t chunk) {
-            if (chunk == 3 || chunk == 7) throw std::runtime_error("boom");
-        },
-        [&](std::size_t chunk) { events.push_back("merge " + std::to_string(chunk)); },
-        [&](const ChunkFailure& failure) {
-            EXPECT_EQ(failure.attempts, 2);
-            EXPECT_EQ(failure.error, "boom");
-            events.push_back("quarantine " + std::to_string(failure.chunk));
+    // Two poisoned chunks on four threads: both are restarted once, then
+    // quarantined, and their placeholders reach the sink in domain order
+    // between the healthy chunks' scans.
+    ScanOptions two = options;
+    two.journal_dir.clear();
+    two.chunk_fault_hook = [](std::size_t chunk) {
+        if (chunk == 1 || chunk == 5) throw std::runtime_error("poisoned chunk");
+    };
+    Campaign twice{population, two};
+    telemetry::TraceRecorder trace;
+    twice.set_trace(&trace);
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint32_t> placeholders;
+    const CampaignStats two_stats =
+        twice.run([&](const web::Domain& domain, DomainScan&& scan) {
+            order.push_back(domain.id);
+            if (scan.error == "chunk quarantined: poisoned chunk") {
+                placeholders.push_back(scan.domain_id);
+            }
         });
-    EXPECT_EQ(report.quarantined, 2u);
-    EXPECT_EQ(report.restarts, 2u);
-    ASSERT_EQ(events.size(), 10u);
-    for (std::size_t c = 0; c < 10; ++c) {
-        const std::string expected =
-            (c == 3 || c == 7) ? "quarantine " + std::to_string(c)
-                               : "merge " + std::to_string(c);
-        EXPECT_EQ(events[c], expected);
+    EXPECT_EQ(two_stats.chunks_quarantined, 2u);
+    EXPECT_EQ(two_stats.worker_restarts, 2u);
+    ASSERT_EQ(order.size(), two_stats.domains_scanned);
+    for (std::size_t i = 0; i < order.size(); ++i) ASSERT_EQ(order[i], i);
+    std::vector<std::uint32_t> expected;
+    for (const std::size_t chunk : {1u, 5u}) {
+        for (std::size_t j = 0; j < two.chunk_domains; ++j) {
+            expected.push_back(static_cast<std::uint32_t>(chunk * two.chunk_domains + j));
+        }
+    }
+    EXPECT_EQ(placeholders, expected);
+    // Each quarantine is a wall-clock instant on the merge lane naming the
+    // chunk, its executions and the last error.
+    const std::string wall = trace.to_json(telemetry::TraceClock::wall);
+    const std::string merge_tid =
+        "\"tid\":" + std::to_string(trace.lane(telemetry::TraceClock::wall, "merge")) + ",";
+    for (const std::size_t chunk : {1u, 5u}) {
+        const std::string instant =
+            "\"name\":\"quarantine\",\"cat\":\"wall\",\"args\":{\"chunk\":" +
+            std::to_string(chunk) + ",\"attempts\":2,\"error\":\"poisoned chunk\"}";
+        const std::size_t at = wall.find(instant);
+        ASSERT_NE(at, std::string::npos) << "chunk " << chunk;
+        const std::size_t event = wall.rfind("{\"ph\":\"i\"", at);
+        ASSERT_NE(event, std::string::npos);
+        EXPECT_NE(wall.substr(event, at - event).find(merge_tid), std::string::npos)
+            << "chunk " << chunk << ": the instant must be on the merge lane";
     }
 }
 
-TEST(RunSupervisedTest, MergeExceptionStillCancelsAndRethrows) {
-    const ShardConfig config{2, 1};
-    const ShardPlan plan{8, 1};
-    SupervisorConfig supervisor;
-    supervisor.sleep_on_restart = false;
-    EXPECT_THROW(
-        run_supervised(
-            config, plan, supervisor, [](std::size_t) {},
-            [](std::size_t chunk) {
-                if (chunk == 1) throw std::logic_error("merge failed");
-            },
-            [](const ChunkFailure&) {}),
-        std::logic_error);
+TEST_F(JournalTest, CorruptBatchRescanIsSupervisedLikeAFirstScan) {
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    options.journal_dir = (dir_ / "rescan").string();
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
+    const MapBatch batch{0, 6};  // the 7 chunks share one batch file
+    ASSERT_EQ(list_map_batches(options.journal_dir), std::vector<MapBatch>{batch});
+    const auto victim = map_batch_path(options.journal_dir, batch);
+
+    // A transient crash while the reduce rescans the bit-flipped batch is
+    // restarted exactly as on a first scan: identical output, one restart.
+    flip_byte(victim, std::filesystem::file_size(victim) / 2);
+    ScanOptions transient = options;
+    std::atomic<bool> crashed{false};
+    transient.chunk_fault_hook = [&](std::size_t chunk) {
+        if (chunk == 2 && !crashed.exchange(true)) {
+            throw std::runtime_error("injected transient chunk crash");
+        }
+    };
+    const SweepResult reduced = run_to_completion(population, transient, /*reduce=*/true);
+    EXPECT_TRUE(crashed.load());
+    EXPECT_EQ(reduced.stats.worker_restarts, 1u);
+    EXPECT_EQ(reduced.stats.chunks_quarantined, 0u);
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
+    expect_same_stats(reduced.stats, baseline.stats);
+    EXPECT_TRUE(read_map_batch(options.journal_dir, batch).has_value());
+
+    // A persistent crash costs the chunk, never the reduce: it completes
+    // degraded and republishes the batch with the chunk quarantined.
+    flip_byte(victim, std::filesystem::file_size(victim) / 2);
+    ScanOptions persistent = options;
+    persistent.chunk_fault_hook = [](std::size_t chunk) {
+        if (chunk == 2) throw std::runtime_error("poisoned chunk");
+    };
+    const SweepResult degraded = run_to_completion(population, persistent, /*reduce=*/true);
+    EXPECT_EQ(degraded.order, baseline.order);
+    EXPECT_EQ(degraded.stats.worker_restarts, 1u);
+    EXPECT_EQ(degraded.stats.chunks_quarantined, 1u);
+    EXPECT_EQ(degraded.stats.domains_quarantined, options.chunk_domains);
+    const auto republished = read_map_batch(options.journal_dir, batch);
+    ASSERT_TRUE(republished.has_value());
+    ASSERT_EQ(republished->size(), 7u);
+    for (const ChunkRecord& record : *republished) {
+        EXPECT_EQ(record.quarantined, record.chunk_index == 2) << record.chunk_index;
+    }
+    EXPECT_EQ((*republished)[2].quarantine_error, "poisoned chunk");
+    EXPECT_EQ((*republished)[2].scans.front().error, "chunk quarantined: poisoned chunk");
 }
 
 // --- Scrub: offline verify / repair (DESIGN.md §16) --------------------------

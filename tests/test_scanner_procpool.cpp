@@ -588,8 +588,6 @@ TEST_F(ProcPoolTest, ThreadLevelRestartsInsideWorkersAreAttributedAsWorkers) {
 
     ScanOptions multi = options;
     multi.journal_dir = (dir_ / "transient").string();
-    multi.worker_restart.initial_backoff = util::Duration::millis(1);
-    multi.worker_restart.max_backoff = util::Duration::millis(2);
     // The fault hook rides into the worker process: chunk 2's first scan
     // attempt throws there, is retried in-worker, and succeeds.
     const auto marker_dir = dir_;
@@ -610,6 +608,35 @@ TEST_F(ProcPoolTest, ThreadLevelRestartsInsideWorkersAreAttributedAsWorkers) {
     ASSERT_NE(workers_counter, nullptr);
     EXPECT_EQ(workers_counter->value(), 1u);
     EXPECT_EQ(registry.find_counter("campaign.restarted_procs"), nullptr);
+}
+
+TEST_F(ProcPoolTest, ThreadLevelQuarantineInsideWorkersMatchesTheInProcessRecord) {
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    options.chunk_fault_hook = [](std::size_t chunk) {
+        if (chunk == 2) throw std::runtime_error("poisoned chunk");
+    };
+    ScanOptions single = options;
+    single.journal_dir = (dir_ / "single").string();
+    const SweepResult baseline = run_single_process(population, single);
+
+    ScanOptions multi = options;
+    multi.journal_dir = (dir_ / "multi").string();
+    ProcPoolReport report;
+    const SweepResult reduced = run_multi_process(population, multi, fast_pool(2), &report);
+    expect_same_sweep(reduced, baseline, "thread-quarantine");
+    EXPECT_EQ(reduced.stats.chunks_quarantined, 1u);
+    EXPECT_EQ(report.worker_thread_restarts, 1u);
+    EXPECT_EQ(report.chunks_quarantined, 0u) << "no process died";
+
+    // Both paths run the same supervisor, so the worker's record is the
+    // in-process run's record byte for byte.
+    const auto batch = read_map_batch(single.journal_dir, {0, 6});
+    const auto worker = read_map_chunk(multi.journal_dir, 2);
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_TRUE(worker.has_value());
+    EXPECT_TRUE(worker->quarantined);
+    EXPECT_EQ(serialize_chunk_record(*worker), serialize_chunk_record((*batch)[2]));
 }
 
 TEST_F(ProcPoolTest, RssSoftBudgetDegradesBatchesWithoutChangingOutput) {
