@@ -22,6 +22,10 @@
 #   scripts/ci.sh rss          # out-of-core lane: a mid-scale streaming
 #                              # campaign under a hard RLIMIT_AS ceiling — an
 #                              # accidental O(domains) allocation fails loudly
+#   scripts/ci.sh perfbench    # benchmark lane: perfbench's self-tests, then
+#                              # a 1-second run of each BENCHMARK.json
+#                              # workload; fails when a run reports
+#                              # correct=false
 #   scripts/ci.sh all          # default + sanitize + tsan (+ lint if available)
 #
 # Exit status is non-zero as soon as any configure, build or test step of any
@@ -178,6 +182,28 @@ run_rss_lane() {
     echo "=== lane rss: OK (2.2 M-domain campaign held under $((ceiling_kb / 1024)) MB address space) ==="
 }
 
+# Benchmark lane: perfbench/run.py's self-tests (percentile rule, self-time
+# arithmetic, input determinism, BENCHMARK.json == spinbench's metric list),
+# then one short run per workload. Each run checks its own outputs (Table 1
+# and telemetry digests, replica agreement) and ends with a JSON line whose
+# "correct" must be true. The numbers of so short a run are not a
+# measurement; only correctness is gated here.
+run_perfbench_lane() {
+    echo "=== lane: perfbench ==="
+    python3 perfbench/run.py --selftest
+    local workload out
+    for workload in sweep_inproc sweep_reduce; do
+        out="$(python3 perfbench/run.py --workload "${workload}" --seconds 1)" || true
+        printf '%s\n' "${out}"
+        if ! printf '%s\n' "${out}" | tail -n 1 | python3 -c \
+            'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)'; then
+            echo "perfbench lane: ${workload} reported correct=false" >&2
+            exit 1
+        fi
+    done
+    echo "=== lane perfbench: OK ==="
+}
+
 main() {
     local lanes=("${@:-default}")
     if [ "${1:-}" = "all" ]; then
@@ -195,6 +221,7 @@ main() {
             chaos) run_chaos_lane ;;
             diskchaos) run_diskchaos_lane ;;
             rss) run_rss_lane ;;
+            perfbench) run_perfbench_lane ;;
             lint)
                 if lint_available; then
                     run_lane lint
@@ -204,7 +231,7 @@ main() {
                 fi
                 ;;
             *)
-                echo "error: unknown lane '${lane}' (default|sanitize|tsan|lint|bench|chaos|diskchaos|rss|all)" >&2
+                echo "error: unknown lane '${lane}' (default|sanitize|tsan|lint|bench|chaos|diskchaos|rss|perfbench|all)" >&2
                 exit 2
                 ;;
         esac

@@ -50,13 +50,16 @@ void BufferPool::recycle(std::vector<std::uint8_t>&& storage) noexcept {
 void BufferPool::forget() noexcept { --stats_.outstanding; }
 
 void BufferPool::publish_metrics(telemetry::MetricsRegistry& registry,
-                                 const std::string& prefix) const {
-    registry.counter(prefix + ".acquires").add(stats_.acquires);
-    registry.counter(prefix + ".hits").add(stats_.hits);
-    registry.counter(prefix + ".misses").add(stats_.misses);
-    registry.counter(prefix + ".recycled").add(stats_.recycled);
-    registry.counter(prefix + ".trimmed").add(stats_.trimmed);
-    registry.gauge(prefix + ".outstanding_hwm")
+                                 std::string_view prefix) const {
+    const auto counter = [&](std::string_view suffix) -> telemetry::Counter& {
+        return registry.counter(telemetry::MetricName{prefix, suffix});
+    };
+    counter(".acquires").add(stats_.acquires);
+    counter(".hits").add(stats_.hits);
+    counter(".misses").add(stats_.misses);
+    counter(".recycled").add(stats_.recycled);
+    counter(".trimmed").add(stats_.trimmed);
+    registry.gauge(telemetry::MetricName{prefix, ".outstanding_hwm"})
         .set_max(static_cast<double>(stats_.outstanding_hwm));
 }
 

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -171,7 +172,7 @@ public:
     /// bounds the reuse horizon), so telemetry::deterministic_csv excludes
     /// the `bytes.pool` prefix alongside the wall-clock metrics.
     void publish_metrics(telemetry::MetricsRegistry& registry,
-                         const std::string& prefix = "bytes.pool") const;
+                         std::string_view prefix = "bytes.pool") const;
 
 private:
     friend class Buffer;

@@ -139,23 +139,24 @@ void Link::schedule_delivery(Datagram datagram, TimePoint arrival) {
 }
 
 void Link::publish_metrics(telemetry::MetricsRegistry& registry,
-                           const std::string& prefix) const {
-    registry.counter(prefix + ".sent").add(stats_.sent);
-    registry.counter(prefix + ".delivered").add(stats_.delivered);
-    registry.counter(prefix + ".dropped").add(stats_.dropped);
-    registry.counter(prefix + ".reordered").add(stats_.reordered);
-    registry.counter(prefix + ".delivered_bytes").add(stats_.delivered_bytes);
-    registry.counter(prefix + ".dropped_bytes").add(stats_.dropped_bytes);
+                           std::string_view prefix) const {
+    const auto counter = [&](std::string_view suffix) -> telemetry::Counter& {
+        return registry.counter(telemetry::MetricName{prefix, suffix});
+    };
+    counter(".sent").add(stats_.sent);
+    counter(".delivered").add(stats_.delivered);
+    counter(".dropped").add(stats_.dropped);
+    counter(".reordered").add(stats_.reordered);
+    counter(".delivered_bytes").add(stats_.delivered_bytes);
+    counter(".dropped_bytes").add(stats_.dropped_bytes);
     // Fault counters are published only when a plan is attached, so idle
     // campaigns keep their metric schema unchanged.
     if (injector_) {
-        registry.counter(prefix + ".fault.burst_dropped").add(stats_.fault_burst_dropped);
-        registry.counter(prefix + ".fault.blackhole_dropped")
-            .add(stats_.fault_blackhole_dropped);
-        registry.counter(prefix + ".fault.delay_spiked").add(stats_.fault_delay_spiked);
-        registry.counter(prefix + ".fault.duplicated").add(stats_.fault_duplicated);
-        registry.counter(prefix + ".fault.burst_entries")
-            .add(injector_->stats().burst_entries);
+        counter(".fault.burst_dropped").add(stats_.fault_burst_dropped);
+        counter(".fault.blackhole_dropped").add(stats_.fault_blackhole_dropped);
+        counter(".fault.delay_spiked").add(stats_.fault_delay_spiked);
+        counter(".fault.duplicated").add(stats_.fault_duplicated);
+        counter(".fault.burst_entries").add(injector_->stats().burst_entries);
     }
 }
 

@@ -17,6 +17,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "bytes/bytes.hpp"
@@ -126,7 +127,7 @@ public:
     /// `.delivered`, `.dropped`, `.reordered`, `.delivered_bytes`,
     /// `.dropped_bytes` (additive, so per-attempt links aggregate into
     /// campaign-wide totals).
-    void publish_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
+    void publish_metrics(telemetry::MetricsRegistry& registry, std::string_view prefix) const;
 
 private:
     [[nodiscard]] Duration sample_jitter();

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,6 +41,9 @@ public:
     /// a copyable std::function could not hold.
     using Callback = util::MoveFunction<void()>;
 
+    /// Reserves the event queue, so a short simulation allocates it once.
+    Simulator();
+
     /// Current simulated time. Monotone: only advances while run() pops events.
     [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
@@ -62,7 +66,7 @@ public:
     /// Runs at most `max_events` further events (safety valve for tests).
     void run_steps(std::size_t max_events);
 
-    [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
     [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
     // --- instrumentation ---------------------------------------------------
@@ -82,20 +86,29 @@ public:
     /// a queue_depth_hwm gauge (max-merged, so per-attempt publishes keep
     /// the campaign-wide high-water mark).
     void publish_metrics(telemetry::MetricsRegistry& registry,
-                         const std::string& prefix = "netsim.sim") const;
+                         std::string_view prefix = "netsim.sim") const;
 
 private:
-    struct Event {
+    /// Heap entry: 24 bytes, so sifting never moves a callback.
+    struct Key {
         TimePoint at;
         std::uint64_t seq;
-        Callback cb;
-        const char* category = nullptr;
+        std::size_t slot;  ///< index into slots_
     };
     struct Later {
-        bool operator()(const Event& a, const Event& b) const noexcept {
+        bool operator()(const Key& a, const Key& b) const noexcept {
             if (a.at != b.at) return a.at > b.at;
             return a.seq > b.seq;
         }
+    };
+    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+    /// Where a queued event's callback lives until it runs. A free slot has
+    /// an empty callback and links to the next free slot (intrusive free
+    /// list, so recycling needs no second container).
+    struct Slot {
+        Callback cb;
+        const char* category = nullptr;
+        std::size_t next_free = kNoSlot;
     };
 
     void pop_and_run();
@@ -103,11 +116,17 @@ private:
     /// that constructed this simulator (single-owner affinity).
     void check_owner() const;
 
-    /// Min-heap over `Later` maintained with std::push_heap/pop_heap instead
-    /// of std::priority_queue: top() of the adapter is const, which forces a
-    /// copy of every event — the heap lets events (and the buffers their
-    /// callbacks own) move out.
-    std::vector<Event> queue_;
+    /// The event queue is split in two. `heap_` is a min-heap of keys under
+    /// `Later` (std::push_heap/pop_heap): earliest `at` first, scheduling
+    /// order (`seq`) among equal times. `slots_` is an arena holding each
+    /// queued callback and its category at a stable index, reused through
+    /// `free_slot_`. A pop moves the callback out and frees its slot before
+    /// running it, so the callback may schedule into that very slot.
+    /// Destroying the simulator destroys every queued callback, which
+    /// returns the pooled buffers that deliveries own.
+    std::vector<Key> heap_;
+    std::vector<Slot> slots_;
+    std::size_t free_slot_ = kNoSlot;
     std::thread::id owner_ = std::this_thread::get_id();
     TimePoint now_ = TimePoint::origin();
     std::uint64_t next_seq_ = 0;

@@ -666,36 +666,37 @@ void Connection::finalize_trace() {
 }
 
 void Connection::publish_metrics(telemetry::MetricsRegistry& registry,
-                                 const std::string& prefix) const {
-    registry.counter(prefix + ".attempts").add(1);
-    if (handshake_complete_) registry.counter(prefix + ".handshake_completed").add(1);
+                                 std::string_view prefix) const {
+    const auto counter = [&](std::string_view suffix) -> telemetry::Counter& {
+        return registry.counter(telemetry::MetricName{prefix, suffix});
+    };
+    counter(".attempts").add(1);
+    if (handshake_complete_) counter(".handshake_completed").add(1);
     if (failed_) {
-        registry
-            .counter(prefix + (handshake_complete_ ? ".failed_after_handshake"
-                                                   : ".handshake_failed"))
-            .add(1);
+        counter(handshake_complete_ ? ".failed_after_handshake" : ".handshake_failed").add(1);
     }
-    registry.counter(prefix + ".packets_sent").add(counters_.packets_sent);
-    registry.counter(prefix + ".packets_received").add(counters_.packets_received);
-    registry.counter(prefix + ".packets_lost").add(counters_.packets_lost);
-    registry.counter(prefix + ".bytes_sent").add(counters_.bytes_sent);
-    registry.counter(prefix + ".bytes_received").add(counters_.bytes_received);
-    registry.counter(prefix + ".pto_fired").add(counters_.pto_fired_total);
-    if (protocol_error_) registry.counter(prefix + ".protocol_error").add(1);
+    counter(".packets_sent").add(counters_.packets_sent);
+    counter(".packets_received").add(counters_.packets_received);
+    counter(".packets_lost").add(counters_.packets_lost);
+    counter(".bytes_sent").add(counters_.bytes_sent);
+    counter(".bytes_received").add(counters_.bytes_received);
+    counter(".pto_fired").add(counters_.pto_fired_total);
+    if (protocol_error_) counter(".protocol_error").add(1);
 
     const std::uint64_t edges = spin_.edges_observed();
-    registry.counter(prefix + ".spin_edges_observed").add(edges);
+    counter(".spin_edges_observed").add(edges);
     // A participating peer flips about once per RTT; per-packet greasing
     // flips on ~half of all packets. Edges on more than a third of a
     // non-trivial 1-RTT packet sample cannot be a plausible spin wave.
     if (counters_.one_rtt_received >= 8 && edges * 3 >= counters_.one_rtt_received) {
-        registry.counter(prefix + ".grease_suspected").add(1);
+        counter(".grease_suspected").add(1);
     }
 
     if (rtt_.has_samples()) {
-        registry.histogram(prefix + ".min_rtt_ms", telemetry::HistogramSpec{0.1, 2.0, 24})
+        constexpr telemetry::HistogramSpec rtt_spec{0.1, 2.0, 24};
+        registry.histogram(telemetry::MetricName{prefix, ".min_rtt_ms"}, rtt_spec)
             .record(rtt_.min_rtt().as_ms());
-        registry.histogram(prefix + ".smoothed_rtt_ms", telemetry::HistogramSpec{0.1, 2.0, 24})
+        registry.histogram(telemetry::MetricName{prefix, ".smoothed_rtt_ms"}, rtt_spec)
             .record(rtt_.smoothed_rtt().as_ms());
     }
 }

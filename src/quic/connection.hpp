@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netsim/link.hpp"
@@ -179,7 +180,7 @@ public:
     /// PTO fires, loss, spin edges observed, a per-packet-grease suspicion
     /// counter, and RTT histograms. Call once, when the connection is done.
     void publish_metrics(telemetry::MetricsRegistry& registry,
-                         const std::string& prefix = "quic.conn") const;
+                         std::string_view prefix = "quic.conn") const;
 
 private:
     struct SentPacket {

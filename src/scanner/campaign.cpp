@@ -726,8 +726,8 @@ CampaignStats Campaign::run_impl(
         for (const auto& trace : scan.connections) {
             ++stats.outcomes[static_cast<std::size_t>(trace.outcome)];
             if (metrics_ != nullptr) {
-                metrics_->counter(std::string{"scanner.outcome."} +
-                                  qlog::to_cstring(trace.outcome))
+                metrics_->counter(telemetry::MetricName{"scanner.outcome.",
+                                                        qlog::to_cstring(trace.outcome)})
                     .add(1);
             }
         }
@@ -735,8 +735,9 @@ CampaignStats Campaign::run_impl(
             ++stats.server_faults[static_cast<std::size_t>(attempt.server_fault)];
             if (metrics_ != nullptr &&
                 attempt.server_fault != faults::ServerFaultMode::none) {
-                metrics_->counter(std::string{"scanner.server_fault."} +
-                                  faults::to_cstring(attempt.server_fault))
+                metrics_->counter(telemetry::MetricName{
+                                      "scanner.server_fault.",
+                                      faults::to_cstring(attempt.server_fault)})
                     .add(1);
             }
         }
@@ -965,8 +966,9 @@ CampaignStats Campaign::run_impl(
             ": " + published.message();
         if (metrics_ != nullptr) {
             metrics_->counter("campaign.journal.degraded").add(1);
-            metrics_->counter(std::string{"campaign.journal.io_errors."} +
-                              util::to_cstring(util::classify_io_error(published.err)))
+            metrics_->counter(telemetry::MetricName{
+                                  "campaign.journal.io_errors.",
+                                  util::to_cstring(util::classify_io_error(published.err))})
                 .add(1);
         }
         if (trace != nullptr) {

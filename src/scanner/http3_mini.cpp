@@ -1,6 +1,8 @@
 #include "scanner/http3_mini.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
 
 #include "util/format.hpp"
 
@@ -56,10 +58,16 @@ std::vector<std::uint8_t> build_response_headers(int status, const std::string& 
 }
 
 std::vector<std::uint8_t> build_body(std::size_t size) {
-    std::vector<std::uint8_t> body(size);
     static constexpr std::string_view kFiller = "<p>spinscope synthetic page content</p>";
-    for (std::size_t i = 0; i < size; ++i) {
-        body[i] = static_cast<std::uint8_t>(kFiller[i % kFiller.size()]);
+    std::vector<std::uint8_t> body(size);
+    std::size_t filled = std::min(size, kFiller.size());
+    if (filled > 0) std::memcpy(body.data(), kFiller.data(), filled);
+    // The filled prefix is a whole number of filler periods until the last
+    // copy, so doubling it continues the pattern: body[i] == kFiller[i % 39].
+    while (filled < size) {
+        const std::size_t n = std::min(filled, size - filled);
+        std::memcpy(body.data() + filled, body.data(), n);
+        filled += n;
     }
     return body;
 }

@@ -251,7 +251,7 @@ bool read_histogram(util::TextCursor& in, MetricsRegistry& registry, std::string
     }
     if (!in.literal('\n')) return false;
     try {
-        registry.histogram(std::string{name}, spec).restore(count, sum, min, max, buckets);
+        registry.histogram(name, spec).restore(count, sum, min, max, buckets);
     } catch (const std::invalid_argument&) {
         return false;
     }
@@ -327,7 +327,7 @@ std::optional<MetricsRegistry> parse_snapshot(std::string_view text) {
         if (line_kind == 0) {
             std::uint64_t value = 0;
             if (!in.integer(value) || !in.literal('\n')) return std::nullopt;
-            registry.counter(std::string{name}).add(value);
+            registry.counter(name).add(value);
         } else if (line_kind == 1) {
             bool has_value = false;
             double value = 0.0;
@@ -336,7 +336,7 @@ std::optional<MetricsRegistry> parse_snapshot(std::string_view text) {
             }
             // A never-set gauge is registered but keeps has_value() false, so
             // a later merge_from treats it exactly like the original.
-            Gauge& gauge = registry.gauge(std::string{name});
+            Gauge& gauge = registry.gauge(name);
             if (has_value) gauge.set(value);
         } else if (!read_histogram(in, registry, name)) {
             return std::nullopt;

@@ -74,22 +74,46 @@ void Histogram::restore(std::uint64_t count, double sum, double min, double max,
     counts_ = bucket_counts;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-    auto& slot = counters_[name];
-    if (!slot) slot = std::make_unique<Counter>();
-    return *slot;
+MetricName::MetricName(std::initializer_list<std::string_view> parts) {
+    for (const std::string_view part : parts) {
+        if (part.size() > kMaxLength - size_) {
+            throw std::length_error("telemetry: metric name longer than MetricName::kMaxLength");
+        }
+        std::copy(part.begin(), part.end(), buffer_.begin() + size_);
+        size_ += part.size();
+    }
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-    auto& slot = gauges_[name];
-    if (!slot) slot = std::make_unique<Gauge>();
-    return *slot;
+namespace {
+
+/// The instrument named `name`, created from `args` when absent. The
+/// std::string key is built only on that first creation.
+template <class Instrument, class... Args>
+Instrument& find_or_create(InstrumentMap<Instrument>& map, std::string_view name,
+                           const Args&... args) {
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name) {
+        it = map.emplace_hint(it, std::string{name}, std::make_unique<Instrument>(args...));
+    }
+    return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, HistogramSpec spec) {
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<Histogram>(spec);
-    return *slot;
+template <class Instrument>
+const Instrument* find_existing(const InstrumentMap<Instrument>& map, std::string_view name) {
+    const auto it = map.find(name);
+    return it == map.end() ? nullptr : it->second.get();
+}
+
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
+    return find_or_create(counters_, name);
+}
+
+Gauge& MetricsRegistry::gauge(std::string_view name) { return find_or_create(gauges_, name); }
+
+Histogram& MetricsRegistry::histogram(std::string_view name, HistogramSpec spec) {
+    return find_or_create(histograms_, name, spec);
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
@@ -100,19 +124,16 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
     }
 }
 
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : it->second.get();
+const Counter* MetricsRegistry::find_counter(std::string_view name) const {
+    return find_existing(counters_, name);
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : it->second.get();
+const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
+    return find_existing(gauges_, name);
 }
 
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second.get();
+const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
+    return find_existing(histograms_, name);
 }
 
 }  // namespace spinscope::telemetry

@@ -19,10 +19,14 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spinscope::telemetry {
@@ -120,35 +124,57 @@ private:
     double max_ = 0.0;
 };
 
+/// A metric name composed from parts ("netsim.link.forward" + ".sent") in a
+/// fixed stack buffer, so publishing into instruments that already exist
+/// touches no heap. A name longer than kMaxLength throws std::length_error;
+/// every name spinscope publishes is well under it. Converts to a view of
+/// the buffer, valid while the MetricName lives (pass it straight to a
+/// MetricsRegistry lookup, which copies the name only when it creates).
+class MetricName {
+public:
+    static constexpr std::size_t kMaxLength = 128;
+
+    MetricName(std::initializer_list<std::string_view> parts);
+
+    [[nodiscard]] std::string_view view() const noexcept { return {buffer_.data(), size_}; }
+    operator std::string_view() const noexcept { return view(); }  // NOLINT
+
+private:
+    std::array<char, kMaxLength> buffer_{};
+    std::size_t size_ = 0;
+};
+
+/// Name-sorted instrument table. std::less<> makes lookups heterogeneous, so
+/// a std::string_view probe never builds a std::string key.
+template <class Instrument>
+using InstrumentMap = std::map<std::string, std::unique_ptr<Instrument>, std::less<>>;
+
 /// Owns all metrics of one campaign / bench run, addressed by name.
 ///
 /// Lookup is by full dotted name ("netsim.link.delivered"); the first lookup
 /// creates the instrument, later lookups return the same instance, so call
-/// sites need no registration step. References stay valid for the registry's
-/// lifetime (instruments are heap-allocated and never removed).
+/// sites need no registration step. Only creation allocates (the key and the
+/// instrument); looking up an existing instrument allocates nothing.
+/// References stay valid for the registry's lifetime (instruments are
+/// heap-allocated and never removed).
 class MetricsRegistry {
 public:
-    [[nodiscard]] Counter& counter(const std::string& name);
-    [[nodiscard]] Gauge& gauge(const std::string& name);
+    [[nodiscard]] Counter& counter(std::string_view name);
+    [[nodiscard]] Gauge& gauge(std::string_view name);
     /// `spec` applies only when `name` is first created; later calls return
     /// the existing histogram unchanged (the geometry is part of the schema).
-    [[nodiscard]] Histogram& histogram(const std::string& name, HistogramSpec spec = {});
+    [[nodiscard]] Histogram& histogram(std::string_view name, HistogramSpec spec = {});
 
     /// nullptr when the metric does not exist (read-only probes for tests
     /// and exporters; never creates).
-    [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-    [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
-    [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
+    [[nodiscard]] const Counter* find_counter(std::string_view name) const;
+    [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
+    [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
     /// Name-sorted views (std::map order) for deterministic export.
-    [[nodiscard]] const std::map<std::string, std::unique_ptr<Counter>>& counters() const noexcept {
-        return counters_;
-    }
-    [[nodiscard]] const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const noexcept {
-        return gauges_;
-    }
-    [[nodiscard]] const std::map<std::string, std::unique_ptr<Histogram>>& histograms()
-        const noexcept {
+    [[nodiscard]] const InstrumentMap<Counter>& counters() const noexcept { return counters_; }
+    [[nodiscard]] const InstrumentMap<Gauge>& gauges() const noexcept { return gauges_; }
+    [[nodiscard]] const InstrumentMap<Histogram>& histograms() const noexcept {
         return histograms_;
     }
 
@@ -166,9 +192,9 @@ public:
     void merge_from(const MetricsRegistry& other);
 
 private:
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+    InstrumentMap<Counter> counters_;
+    InstrumentMap<Gauge> gauges_;
+    InstrumentMap<Histogram> histograms_;
 };
 
 }  // namespace spinscope::telemetry

@@ -102,13 +102,14 @@ ResourceProbe::Report ResourceProbe::sample() const {
 
 void ResourceProbe::publish(MetricsRegistry& registry) const {
     const Report report = sample();
-    const std::string prefix = "obs.resource." + phase_ + ".";
-    registry.gauge(prefix + "wall_seconds").set(report.wall_seconds);
-    registry.gauge(prefix + "peak_rss_bytes").set_max(static_cast<double>(report.peak_rss));
+    const auto gauge = [&](std::string_view suffix) -> Gauge& {
+        return registry.gauge(MetricName{"obs.resource.", phase_, ".", suffix});
+    };
+    gauge("wall_seconds").set(report.wall_seconds);
+    gauge("peak_rss_bytes").set_max(static_cast<double>(report.peak_rss));
     if (report.alloc_active) {
-        registry.gauge(prefix + "allocs").set(static_cast<double>(report.allocs));
-        registry.gauge(prefix + "alloc_bytes")
-            .set(static_cast<double>(report.alloc_bytes));
+        gauge("allocs").set(static_cast<double>(report.allocs));
+        gauge("alloc_bytes").set(static_cast<double>(report.alloc_bytes));
     }
 }
 

@@ -1,12 +1,11 @@
 #include "telemetry/span.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace spinscope::telemetry {
 
-Span::Span(MetricsRegistry& registry, std::string name)
-    : registry_{&registry}, name_{std::move(name)}, start_{std::chrono::steady_clock::now()} {}
+Span::Span(MetricsRegistry& registry, std::string_view name)
+    : registry_{&registry}, name_{name}, start_{std::chrono::steady_clock::now()} {}
 
 double Span::finish() {
     if (finished_) return 0.0;
@@ -17,7 +16,7 @@ double Span::finish() {
     return ms;
 }
 
-void record_sim_time(MetricsRegistry& registry, const std::string& name, util::Duration d) {
+void record_sim_time(MetricsRegistry& registry, std::string_view name, util::Duration d) {
     registry.histogram(name, sim_ms_spec()).record(std::max(0.0, d.as_ms()));
 }
 

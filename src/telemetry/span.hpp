@@ -8,11 +8,16 @@
 // *modelled network* spends its time) is recorded separately via
 // record_sim_time; the two must never be mixed, which is why the sim-time
 // helper takes a util::Duration and the span does not expose one.
+//
+// Names are views, never copies: a Span or ScopedTimer name must be a string
+// literal or otherwise outlive the object, and a record_sim_time name the
+// call (the same contract as netsim::Simulator's event categories), so
+// timing a phase costs no allocation once its histogram exists.
 
 #pragma once
 
 #include <chrono>
-#include <string>
+#include <string_view>
 
 #include "telemetry/metrics.hpp"
 #include "util/time.hpp"
@@ -34,9 +39,10 @@ namespace spinscope::telemetry {
 /// One manually finished wall-clock measurement. finish() records the
 /// elapsed milliseconds into histogram `<name>` (created with wall_ms_spec)
 /// and returns them; a Span abandoned without finish() records nothing.
+/// `name` is viewed, not copied: it must outlive the Span.
 class Span {
 public:
-    Span(MetricsRegistry& registry, std::string name);
+    Span(MetricsRegistry& registry, std::string_view name);
 
     /// Records the elapsed time; idempotent (only the first call records).
     double finish();
@@ -45,7 +51,7 @@ public:
 
 private:
     MetricsRegistry* registry_;
-    std::string name_;
+    std::string_view name_;
     std::chrono::steady_clock::time_point start_;
     bool finished_ = false;
 };
@@ -55,8 +61,7 @@ private:
 ///     { telemetry::ScopedTimer t{reg, "scanner.phase.attempt_ms"}; ... }
 class ScopedTimer {
 public:
-    ScopedTimer(MetricsRegistry& registry, std::string name)
-        : span_{registry, std::move(name)} {}
+    ScopedTimer(MetricsRegistry& registry, std::string_view name) : span_{registry, name} {}
     ~ScopedTimer() { span_.finish(); }
 
     ScopedTimer(const ScopedTimer&) = delete;
@@ -68,6 +73,6 @@ private:
 
 /// Records a simulated-time duration (ms) into histogram `<name>` (created
 /// with sim_ms_spec). Negative durations are clamped to zero.
-void record_sim_time(MetricsRegistry& registry, const std::string& name, util::Duration d);
+void record_sim_time(MetricsRegistry& registry, std::string_view name, util::Duration d);
 
 }  // namespace spinscope::telemetry

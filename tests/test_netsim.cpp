@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "bytes/bytes.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
 #include "telemetry/metrics.hpp"
@@ -253,6 +255,116 @@ TEST(Simulator, PublishMetricsExportsCountersAndHighWater) {
     other.publish_metrics(registry);
     EXPECT_EQ(registry.counter("netsim.sim.events_processed").value(), 6u);
     EXPECT_DOUBLE_EQ(registry.gauge("netsim.sim.queue_depth_hwm").value(), 4.0);
+}
+
+TEST(Simulator, SameInstantFifoHoldsAcrossRecycledSlots) {
+    // Events run and free their slots while new ones are scheduled into
+    // them, so slot order drifts from scheduling order; only the latter
+    // may decide among events at one instant.
+    Simulator sim;
+    std::vector<std::string> order;
+    const auto at = TimePoint::origin() + Duration::millis(1);
+    const auto log = [&order](std::string name) {
+        return [&order, name = std::move(name)] { order.push_back(name); };
+    };
+    sim.schedule_at(at, [&] {
+        order.push_back("a");
+        sim.schedule_at(at, log("a1"));  // takes a's freed slot
+        sim.schedule_at(at, log("a2"));  // a fresh slot
+    });
+    sim.schedule_at(at, [&] {
+        order.push_back("b");
+        sim.schedule_at(at, log("b1"));  // takes b's freed slot, below a2's
+        sim.schedule_at(at + Duration::millis(1), log("late"));
+        sim.schedule_at(at, log("b2"));
+    });
+    sim.schedule_at(at, log("c"));
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "a1", "a2", "b1", "b2", "late"}));
+
+    // Many rounds of recycling: each instant keeps its scheduling order.
+    std::vector<int> fired;
+    int next = 0;
+    for (int round = 0; round < 50; ++round) {
+        const auto when = at + Duration::millis(10 + round / 5);
+        for (int i = 0; i < 3; ++i) {
+            sim.schedule_at(when, [&fired, id = next++] { fired.push_back(id); });
+        }
+        sim.run_steps(2);
+    }
+    sim.run();
+    ASSERT_EQ(fired.size(), 150u);
+    for (std::size_t i = 1; i < fired.size(); ++i) EXPECT_LT(fired[i - 1], fired[i]);
+}
+
+TEST(Simulator, DestructionReturnsEveryQueuedPooledBuffer) {
+    bytes::BufferPool pool;
+    {
+        Simulator sim;
+        LinkConfig config;
+        config.base_delay = Duration::millis(5);
+        Link link{sim, config, util::Rng{7}};
+        int received = 0;
+        link.set_receiver([&received](bytes::ConstByteSpan) { ++received; });
+        for (int i = 0; i < 20; ++i) {
+            bytes::Buffer datagram = pool.acquire(64);
+            datagram.resize(64, static_cast<std::uint8_t>(i));
+            link.send(std::move(datagram));
+            // Direct events owning a pooled buffer too.
+            sim.schedule_after(Duration::millis(100 + i), [buffer = pool.acquire(32)] {});
+        }
+        sim.run_steps(5);  // some deliveries ran, freeing slots; most still queued
+        EXPECT_EQ(received, 5);
+        EXPECT_GT(sim.pending(), 0u);
+        EXPECT_EQ(pool.stats().outstanding, 35u);
+    }
+    EXPECT_EQ(pool.stats().outstanding, 0u);
+    EXPECT_EQ(pool.stats().acquires, 40u);
+}
+
+TEST(Simulator, InstrumentationMatchesAHandComputedRun) {
+    Simulator sim;
+    const auto t = [](int ms) { return TimePoint::origin() + Duration::millis(ms); };
+    const auto noop = [] {};
+    sim.schedule_at(t(5), noop, "io");  // seq 0
+    sim.schedule_at(
+        t(1),
+        [&] {  // seq 1: depth 3 after its pop, 6 after these three
+            sim.schedule_after(Duration::millis(1), noop, "io");  // seq 4, t=2
+            sim.schedule_after(Duration::millis(1), noop, "io");  // seq 5, t=2
+            sim.schedule_after(Duration::millis(10), noop);       // seq 6, t=11
+        },
+        "app");
+    sim.schedule_at(t(1), noop);        // seq 2, untagged
+    sim.schedule_at(t(3), noop, "io");  // seq 3
+
+    // Runs seq 1, 2, 4, 5, 3, 0; seq 6 (t=11) stays queued.
+    EXPECT_FALSE(sim.run_until(t(6)));
+    EXPECT_EQ(sim.scheduled(), 7u);
+    EXPECT_EQ(sim.processed(), 6u);
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.queue_depth_high_water(), 6u);
+    const auto& counts = sim.category_counts();
+    ASSERT_EQ(counts.size(), 2u);
+    EXPECT_STREQ(counts[0].first, "app");
+    EXPECT_EQ(counts[0].second, 1u);
+    EXPECT_STREQ(counts[1].first, "io");
+    EXPECT_EQ(counts[1].second, 4u);
+
+    telemetry::MetricsRegistry registry;
+    sim.publish_metrics(registry);
+    EXPECT_EQ(registry.counter("netsim.sim.events_scheduled").value(), 7u);
+    EXPECT_EQ(registry.counter("netsim.sim.events_processed").value(), 6u);
+    EXPECT_EQ(registry.counter("netsim.sim.events.app").value(), 1u);
+    EXPECT_EQ(registry.counter("netsim.sim.events.io").value(), 4u);
+    EXPECT_DOUBLE_EQ(registry.gauge("netsim.sim.queue_depth_hwm").value(), 6.0);
+    EXPECT_EQ(registry.size(), 5u);  // untagged events get no category counter
+
+    sim.run();
+    EXPECT_EQ(sim.processed(), 7u);
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.now(), t(11));
+    EXPECT_EQ(sim.queue_depth_high_water(), 6u);
 }
 
 TEST(Timer, TimerEventsAreCategorized) {

@@ -67,6 +67,18 @@ TEST(Http3Mini, BodyIsDeterministicFiller) {
     EXPECT_EQ(a.size(), 1000u);
 }
 
+TEST(Http3Mini, BodyMatchesThePerByteFillerDefinition) {
+    constexpr std::string_view filler = "<p>spinscope synthetic page content</p>";
+    ASSERT_EQ(filler.size(), 39u);
+    for (const std::size_t size : {0u, 1u, 38u, 39u, 40u, 78u, 4096u, 300000u}) {
+        std::vector<std::uint8_t> expected(size);
+        for (std::size_t i = 0; i < size; ++i) {
+            expected[i] = static_cast<std::uint8_t>(filler[i % filler.size()]);
+        }
+        EXPECT_EQ(build_body(size), expected) << "size " << size;
+    }
+}
+
 TEST(Http3Mini, SettingsDifferPerRole) {
     EXPECT_NE(build_settings(true), build_settings(false));
 }

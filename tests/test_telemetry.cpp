@@ -7,9 +7,16 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "bytes/bytes.hpp"
+#include "netsim/link.hpp"
+#include "netsim/simulator.hpp"
+#include "quic/connection.hpp"
+#include "telemetry/alloc_interpose.hpp"  // this binary's one interposing TU
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/resource.hpp"
 #include "telemetry/span.hpp"
 
 namespace spinscope::telemetry {
@@ -115,6 +122,108 @@ TEST(MetricsRegistry, NamespacesAreIndependent) {
     EXPECT_NE(registry.find_gauge("same.name"), nullptr);
     EXPECT_NE(registry.find_histogram("same.name"), nullptr);
     EXPECT_EQ(registry.find_counter("missing"), nullptr);
+}
+
+TEST(MetricsRegistry, ComposedStringAndLiteralNamesResolveToOneInstrument) {
+    MetricsRegistry registry;
+    registry.counter(MetricName{"netsim.link", ".forward", ".sent"}).add(1);
+    registry.counter(std::string{"netsim.link.forward.sent"}).add(2);
+    registry.counter("netsim.link.forward.sent").add(3);
+    EXPECT_EQ(registry.size(), 1u);
+    const Counter* c = registry.find_counter(MetricName{"netsim.link.forward", ".sent"});
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c, registry.find_counter(std::string{"netsim.link.forward.sent"}));
+    EXPECT_EQ(c, registry.find_counter("netsim.link.forward.sent"));
+    EXPECT_EQ(c->value(), 6u);
+    EXPECT_EQ(registry.counters().begin()->first, "netsim.link.forward.sent");
+
+    registry.histogram(MetricName{"quic.conn", ".min_rtt_ms"}).record(1.0);
+    registry.histogram("quic.conn.min_rtt_ms").record(2.0);
+    ASSERT_NE(registry.find_histogram("quic.conn.min_rtt_ms"), nullptr);
+    EXPECT_EQ(registry.find_histogram("quic.conn.min_rtt_ms")->count(), 2u);
+}
+
+TEST(MetricsRegistry, ConditionalInstrumentsStayAbsentUntilHit) {
+    netsim::Simulator sim;
+    util::Rng rng{1};
+    qlog::Trace trace;
+    quic::ConnectionConfig cfg;
+    cfg.role = quic::Role::client;
+    cfg.handshake_timeout = util::Duration::seconds(3);
+    quic::Connection client{sim, cfg, rng, [](netsim::Datagram) {}, &trace};
+
+    MetricsRegistry before;
+    client.publish_metrics(before);
+    sim.publish_metrics(before);
+    EXPECT_NE(before.find_counter("quic.conn.attempts"), nullptr);
+    EXPECT_EQ(before.find_counter("quic.conn.handshake_failed"), nullptr);
+    EXPECT_EQ(before.find_counter("quic.conn.failed_after_handshake"), nullptr);
+    EXPECT_EQ(before.find_counter("quic.conn.protocol_error"), nullptr);
+    EXPECT_EQ(before.find_histogram("quic.conn.min_rtt_ms"), nullptr);
+    EXPECT_EQ(before.find_counter("netsim.sim.events.timer"), nullptr);
+
+    // Nothing answers: the handshake times out.
+    client.connect();
+    sim.run();
+    ASSERT_TRUE(client.failed());
+    MetricsRegistry after;
+    client.publish_metrics(after);
+    sim.publish_metrics(after);
+    ASSERT_NE(after.find_counter("quic.conn.handshake_failed"), nullptr);
+    EXPECT_EQ(after.find_counter("quic.conn.handshake_failed")->value(), 1u);
+    EXPECT_EQ(after.find_counter("quic.conn.failed_after_handshake"), nullptr);
+    EXPECT_EQ(after.find_histogram("quic.conn.min_rtt_ms"), nullptr);
+    EXPECT_NE(after.find_counter("netsim.sim.events.timer"), nullptr);
+
+    // A link without a fault plan publishes no fault counters.
+    netsim::Link link{sim, netsim::LinkConfig{}, util::Rng{2}};
+    link.publish_metrics(after, "netsim.link.forward");
+    EXPECT_NE(after.find_counter("netsim.link.forward.sent"), nullptr);
+    EXPECT_EQ(after.find_counter("netsim.link.forward.fault.burst_dropped"), nullptr);
+}
+
+TEST(MetricsRegistry, NameLongerThanTheCompositionBufferThrowsLengthError) {
+    const std::string longest(MetricName::kMaxLength, 'p');
+    EXPECT_EQ(MetricName{longest}.view(), longest);
+    EXPECT_EQ(MetricName({longest.substr(1), "x"}).view().size(), MetricName::kMaxLength);
+    EXPECT_THROW(MetricName({longest, "x"}), std::length_error);
+
+    // A publisher handed an over-long prefix fails before creating anything.
+    MetricsRegistry registry;
+    netsim::Simulator sim;
+    EXPECT_THROW(sim.publish_metrics(registry, longest), std::length_error);
+    bytes::BufferPool pool;
+    EXPECT_THROW(pool.publish_metrics(registry, longest), std::length_error);
+    EXPECT_EQ(registry.size(), 0u);
+}
+
+TEST(MetricsRegistry, RepublishingExistingNamesAllocatesNothing) {
+    ASSERT_TRUE(alloc::active());
+    netsim::Simulator sim;
+    netsim::Link link{sim, netsim::LinkConfig{}, util::Rng{2}};
+    bytes::BufferPool pool;
+    qlog::Trace trace;
+    quic::ConnectionConfig cfg;
+    cfg.role = quic::Role::client;
+    quic::Connection client{sim, cfg, util::Rng{1}, [](netsim::Datagram) {}, &trace};
+    client.connect();
+    sim.run();
+
+    MetricsRegistry registry;
+    const auto publish = [&] {
+        sim.publish_metrics(registry);
+        link.publish_metrics(registry, "netsim.link.forward");
+        client.publish_metrics(registry);
+        pool.publish_metrics(registry);
+        record_sim_time(registry, "scanner.attempt_sim_ms", sim.now() - util::TimePoint::origin());
+        ScopedTimer timer{registry, "scanner.phase.attempt_ms"};
+    };
+    publish();
+    const std::size_t instruments = registry.size();
+    const AllocSnapshot allocs;
+    publish();
+    EXPECT_EQ(allocs.count_since(), 0u);
+    EXPECT_EQ(registry.size(), instruments);
 }
 
 TEST(Span, FinishRecordsIntoHistogram) {
