@@ -1,97 +1,81 @@
 // examples/analyze_qlog.cpp
 //
-// The "analysis machine" half of the paper's workflow: read an on-disk qlog
-// dataset produced by scan_to_qlog and re-derive the adoption and accuracy
-// results purely from the stored traces — no access to the population or
-// simulator, exactly like analyzing the released measurement artifacts.
+// The "analysis machine" half of the paper's workflow: read a campaign
+// journal (written by scan_to_qlog, a journaled run, a run_procs map pass or
+// a killed run) and re-derive the adoption and accuracy results purely from
+// the recorded traces — no access to the population or simulator, exactly
+// like analyzing the released measurement artifacts. Week and address family
+// come from the journal's campaign header.
 //
-// usage: analyze_qlog <dataset-dir>
+// usage: analyze_qlog <dir>
 
+#include <array>
 #include <cstdio>
-#include <map>
 
 #include "analysis/accuracy.hpp"
+#include "analysis/adoption.hpp"
 #include "core/accuracy.hpp"
-#include "qlog/store.hpp"
+#include "scanner/journal.hpp"
 #include "util/format.hpp"
 
 using namespace spinscope;
+using analysis::DomainSpinClass;
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        std::fprintf(stderr, "usage: %s <dataset-dir>\n", argv[0]);
-        return 1;
-    }
-    qlog::TraceStoreReader reader{argv[1]};
-    if (reader.shards().empty()) {
-        std::fprintf(stderr, "no shards found in %s\n", argv[1]);
+    if (argc != 2) {
+        std::fprintf(stderr, "usage: %s <dir>\n", argv[0]);
         return 1;
     }
 
-    // Per-domain folding (a domain may have several connections).
-    struct DomainState {
-        bool quic_ok = false;
-        core::SpinBehavior best = core::SpinBehavior::no_one_rtt;
-    };
-    std::map<std::uint32_t, DomainState> domains;
-    analysis::AccuracyAggregator accuracy;
+    std::uint64_t domains = 0;
     std::uint64_t connections = 0;
     std::uint64_t ok_connections = 0;
-
-    reader.for_each([&](const qlog::ScanContext& context, const qlog::Trace& trace) {
-        ++connections;
-        auto& state = domains[context.domain_id];
-        if (trace.outcome != qlog::ConnectionOutcome::ok) return;
-        ++ok_connections;
-        state.quic_ok = true;
-        const auto assessment = core::assess_connection(trace);
-        accuracy.add(assessment);
-        // Precedence: spinning > greased > all_one > all_zero.
-        const auto rank = [](core::SpinBehavior b) {
-            switch (b) {
-                case core::SpinBehavior::spinning: return 4;
-                case core::SpinBehavior::greased: return 3;
-                case core::SpinBehavior::all_one: return 2;
-                case core::SpinBehavior::all_zero: return 1;
-                case core::SpinBehavior::no_one_rtt: return 0;
+    std::array<std::uint64_t, static_cast<std::size_t>(DomainSpinClass::mixed) + 1> by_class{};
+    analysis::AccuracyAggregator accuracy;
+    const scanner::MapReplayResult journal =
+        scanner::read_map_journal(argv[1], [&](scanner::ChunkRecord&& record) {
+            for (const scanner::DomainScan& scan : record.scans) {
+                ++domains;
+                connections += scan.connections.size();
+                for (const qlog::Trace& trace : scan.connections) {
+                    if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
+                    ++ok_connections;
+                    accuracy.add(core::assess_connection(trace));
+                }
+                ++by_class[static_cast<std::size_t>(analysis::classify_domain(scan))];
             }
-            return 0;
-        };
-        if (rank(assessment.behavior) > rank(state.best)) state.best = assessment.behavior;
-    });
-
-    std::uint64_t quic = 0;
-    std::map<core::SpinBehavior, std::uint64_t> by_class;
-    for (const auto& [id, state] : domains) {
-        if (!state.quic_ok) continue;
-        ++quic;
-        ++by_class[state.best];
+        });
+    if (!journal.has_header) {
+        std::fprintf(stderr, "no readable campaign header (header.rec) in %s\n", argv[1]);
+        return 1;
     }
 
-    std::printf("dataset: %zu shard(s), %llu traces (%llu malformed skipped)\n",
-                reader.shards().size(), static_cast<unsigned long long>(connections),
-                static_cast<unsigned long long>(reader.malformed_records()));
+    const auto count = [&](DomainSpinClass c) { return by_class[static_cast<std::size_t>(c)]; };
+    const std::uint64_t quic = domains - count(DomainSpinClass::not_quic);
+    std::printf("dataset: week %d, %s; %llu of %llu domains in %llu chunk(s), %llu traces "
+                "(%llu corrupt chunk(s) skipped)\n",
+                journal.header.week, journal.header.ipv6 ? "IPv6" : "IPv4",
+                static_cast<unsigned long long>(domains),
+                static_cast<unsigned long long>(journal.header.domain_count),
+                static_cast<unsigned long long>(journal.chunks_read),
+                static_cast<unsigned long long>(connections),
+                static_cast<unsigned long long>(journal.corrupt_chunks));
     std::printf("domains with QUIC: %llu; OK connections: %llu\n\n",
                 static_cast<unsigned long long>(quic),
                 static_cast<unsigned long long>(ok_connections));
-    const auto share = [&](core::SpinBehavior b) {
-        return quic == 0 ? 0.0
-                         : static_cast<double>(by_class[b]) / static_cast<double>(quic);
+    const auto row = [&](const char* label, DomainSpinClass c, int decimals) {
+        const double share =
+            quic == 0 ? 0.0 : static_cast<double>(count(c)) / static_cast<double>(quic);
+        std::printf("  %-9s: %6llu (%s)\n", label, static_cast<unsigned long long>(count(c)),
+                    util::percent(share, decimals).c_str());
     };
     std::printf("spin classification of QUIC domains (Table 1/3 shape):\n");
-    std::printf("  spinning : %6llu (%s)\n",
-                static_cast<unsigned long long>(by_class[core::SpinBehavior::spinning]),
-                util::percent(share(core::SpinBehavior::spinning)).c_str());
-    std::printf("  greased  : %6llu (%s)\n",
-                static_cast<unsigned long long>(by_class[core::SpinBehavior::greased]),
-                util::percent(share(core::SpinBehavior::greased), 2).c_str());
-    std::printf("  all one  : %6llu (%s)\n",
-                static_cast<unsigned long long>(by_class[core::SpinBehavior::all_one]),
-                util::percent(share(core::SpinBehavior::all_one), 2).c_str());
-    std::printf("  all zero : %6llu (%s)\n\n",
-                static_cast<unsigned long long>(by_class[core::SpinBehavior::all_zero]),
-                util::percent(share(core::SpinBehavior::all_zero)).c_str());
-    std::printf("accuracy headlines (Figures 3/4 shape):\n%s\n",
+    row("spinning", DomainSpinClass::spinning, 1);
+    row("greased", DomainSpinClass::greased, 2);
+    row("all one", DomainSpinClass::all_one, 2);
+    row("all zero", DomainSpinClass::all_zero, 1);
+    row("mixed", DomainSpinClass::mixed, 2);
+    std::printf("\naccuracy headlines (Figures 3/4 shape):\n%s\n",
                 accuracy.render_headlines().c_str());
     return 0;
 }

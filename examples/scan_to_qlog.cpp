@@ -1,57 +1,89 @@
 // examples/scan_to_qlog.cpp
 //
 // The "measurement machine" half of the paper's workflow: run a campaign
-// sweep and persist every connection trace into an on-disk qlog dataset
-// (the Appendix B artifact format). Analysis happens later and elsewhere —
-// see examples/analyze_qlog.cpp.
+// sweep with its journal in <dir>. The journal is the dataset (the Appendix B
+// artifact): every chunk record holds each connection trace as its exact
+// qlog JSON-lines bytes, framed and checksummed. Analysis happens later and
+// elsewhere — see examples/analyze_qlog.cpp.
 //
-// usage: scan_to_qlog <output-dir> [scale] [week] [--ipv6]
+// usage: scan_to_qlog <dir> [scale] [week] [--ipv6]
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
+#include <vector>
 
-#include "qlog/store.hpp"
 #include "scanner/campaign.hpp"
+#include "scanner/journal.hpp"
 #include "web/population.hpp"
 
 using namespace spinscope;
 
+namespace {
+
+int usage(const char* program) {
+    std::fprintf(stderr, "usage: %s <dir> [scale=20000] [week=57] [--ipv6]\n", program);
+    return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        std::fprintf(stderr, "usage: %s <output-dir> [scale=20000] [week=57] [--ipv6]\n",
-                     argv[0]);
-        return 1;
-    }
-    const std::filesystem::path out_dir = argv[1];
-    const double scale = argc > 2 ? std::atof(argv[2]) : 20000.0;
-    const int week = argc > 3 ? std::atoi(argv[3]) : 57;
+    std::vector<std::string_view> positional;
     bool ipv6 = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--ipv6") == 0) ipv6 = true;
+        const std::string_view arg = argv[i];
+        if (arg == "--ipv6") {
+            ipv6 = true;
+        } else if (arg.substr(0, 2) == "--") {
+            return usage(argv[0]);
+        } else {
+            positional.push_back(arg);
+        }
+    }
+    if (positional.empty() || positional.size() > 3) return usage(argv[0]);
+
+    double scale = 20000.0;
+    if (positional.size() > 1) {
+        const std::string_view text = positional[1];
+        const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), scale);
+        if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(scale) ||
+            scale <= 0.0) {
+            return usage(argv[0]);
+        }
+    }
+    int week = 57;
+    if (positional.size() > 2) {
+        const std::string_view text = positional[2];
+        const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), week);
+        if (ec != std::errc{} || end != text.data() + text.size()) return usage(argv[0]);
     }
 
     web::Population population{{scale, 20230520}};
     scanner::ScanOptions options;
     options.week = week;
     options.ipv6 = ipv6;
+    options.journal_dir = std::string{positional[0]};
     scanner::Campaign campaign{population, options};
 
-    qlog::TraceStoreWriter writer{out_dir};
-    std::uint64_t domains = 0;
-    campaign.run([&](const web::Domain& domain, scanner::DomainScan&& scan) {
-        ++domains;
-        for (const auto& trace : scan.connections) {
-            writer.append({domain.id, week, ipv6, domain.org}, trace);
-        }
-    });
-    writer.close();
+    std::uint64_t traces = 0;
+    const scanner::CampaignStats stats =
+        campaign.run([&](const web::Domain&, scanner::DomainScan&& scan) {
+            traces += scan.connections.size();
+        });
+    if (stats.journal_degraded) {
+        std::fprintf(stderr, "journal in %s is incomplete: %s\n", options.journal_dir.c_str(),
+                     stats.journal_degraded_error.c_str());
+        return 1;
+    }
 
     std::printf("scanned %llu domains (scale 1:%.0f, week %d, %s)\n",
-                static_cast<unsigned long long>(domains), scale, week,
+                static_cast<unsigned long long>(stats.domains_scanned), scale, week,
                 ipv6 ? "IPv6" : "IPv4");
-    std::printf("wrote %llu traces in %zu shard(s) to %s\n",
-                static_cast<unsigned long long>(writer.traces_written()),
-                writer.shards_written(), out_dir.string().c_str());
+    std::printf("journaled %llu traces in %zu chunk file(s) to %s\n",
+                static_cast<unsigned long long>(traces),
+                scanner::list_map_batches(options.journal_dir).size(),
+                options.journal_dir.c_str());
     return 0;
 }

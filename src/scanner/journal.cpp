@@ -558,7 +558,8 @@ std::vector<std::size_t> list_map_chunks(const std::filesystem::path& dir) {
     return indices;
 }
 
-MapReplayResult read_map_journal(const std::filesystem::path& dir) {
+MapReplayResult read_map_journal(const std::filesystem::path& dir,
+                                 const std::function<void(ChunkRecord&&)>& visit) {
     MapReplayResult out;
     if (!std::filesystem::is_directory(dir)) return out;
     if (const auto payload = read_framed_file(map_header_path(dir))) {
@@ -573,7 +574,8 @@ MapReplayResult read_map_journal(const std::filesystem::path& dir) {
             out.corrupt_chunks += batch.size();
             continue;
         }
-        for (ChunkRecord& record : *records) out.chunks.push_back(std::move(record));
+        out.chunks_read += records->size();
+        for (ChunkRecord& record : *records) visit(std::move(record));
     }
     return out;
 }

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -202,22 +203,26 @@ void init_map_journal(util::Io& io, const std::filesystem::path& dir,
 /// and deduped (presence only, like list_map_batches).
 [[nodiscard]] std::vector<std::size_t> list_map_chunks(const std::filesystem::path& dir);
 
-/// Everything intact in a journal directory.
+/// What one pass over a journal directory found.
 struct MapReplayResult {
     /// False when header.rec is absent or fails validation.
     bool has_header = false;
     CampaignHeader header;
-    /// Intact chunks in ascending chunk order. Need NOT be a contiguous
-    /// prefix — workers finish out of order.
-    std::vector<ChunkRecord> chunks;
+    /// Intact chunk records handed to the visitor.
+    std::uint64_t chunks_read = 0;
     /// Chunks whose file failed frame/CRC/body validation (counted, then
     /// treated as missing — the reducer rescans them).
     std::uint64_t corrupt_chunks = 0;
 };
 
-/// Reads every intact record of the journal at `dir`. Never modifies the
-/// directory.
-[[nodiscard]] MapReplayResult read_map_journal(const std::filesystem::path& dir);
+/// Streams every intact chunk record of the journal at `dir` to `visit`, in
+/// ascending chunk order. The chunks need NOT be a contiguous prefix —
+/// workers finish out of order. At most one batch file's records are held
+/// in memory at a time. Never modifies the directory. This is how the
+/// journal is read as a dataset: each record's traces are the exact bytes
+/// of qlog::to_jsonl (the paper's Appendix B qlog baselines).
+[[nodiscard]] MapReplayResult read_map_journal(
+    const std::filesystem::path& dir, const std::function<void(ChunkRecord&&)>& visit);
 
 // ---------------------------------------------------------------------------
 // Chunk leases

@@ -99,14 +99,6 @@ bool fsync_dir(const std::filesystem::path& dir) {
     return fsync_dir(Io::real(), dir).ok();
 }
 
-IoResult fsync_file(Io& io, const std::filesystem::path& path) {
-    return io.fsync_path(path, /*directory=*/false);
-}
-
-bool fsync_file(const std::filesystem::path& path) {
-    return fsync_file(Io::real(), path).ok();
-}
-
 IoResult create_file_exclusive(Io& io, const std::filesystem::path& path,
                                std::string_view content) {
     IoResult result;

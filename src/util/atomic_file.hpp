@@ -3,9 +3,9 @@
 // Crash-safe file publication: write-to-temp + fsync + rename.
 //
 // The campaign pipeline persists state a crash must never tear — telemetry
-// sidecars, qlog dataset shards, journal record files. POSIX rename() within one
-// filesystem is atomic, so a reader (or a resumed campaign) only ever
-// observes the old file or the complete new file, never a partial write.
+// sidecars, journal record files. POSIX rename() within one filesystem is
+// atomic, so a reader (or a resumed campaign) only ever observes the old
+// file or the complete new file, never a partial write.
 // fsync-before-rename closes the remaining window where the rename survives
 // a power cut but the data it points at does not.
 //
@@ -33,15 +33,15 @@ namespace spinscope::util {
 [[nodiscard]] bool write_file_atomic(const std::filesystem::path& path,
                                      std::string_view content);
 
-/// Durably renames `from` onto `to`: fsyncs `from`'s data is the caller's
-/// job (write_file_atomic does it; an append-mode writer must fsync before
-/// sealing); this performs the atomic rename and then fsyncs the containing
-/// directory (both directories, when the rename crosses them) so the moved
-/// directory entry itself survives a crash — without the source-side sync a
-/// power cut can resurrect the old name next to the new one. Fails only when
-/// the rename itself fails, leaving `from` in place; a failed directory sync
-/// after a successful rename still reports success (the file IS published —
-/// reporting failure would make callers delete or rewrite it).
+/// Durably renames `from` onto `to`: fsyncing `from`'s data is the caller's
+/// job (write_file_atomic does it); this performs the atomic rename and then
+/// fsyncs the containing directory (both directories, when the rename
+/// crosses them) so the moved directory entry itself survives a crash —
+/// without the source-side sync a power cut can resurrect the old name next
+/// to the new one. Fails only when the rename itself fails, leaving `from` in
+/// place; a failed directory sync after a successful rename still reports
+/// success (the file IS published — reporting failure would make callers
+/// delete or rewrite it).
 [[nodiscard]] IoResult rename_durable(Io& io, const std::filesystem::path& from,
                                       const std::filesystem::path& to);
 [[nodiscard]] bool rename_durable(const std::filesystem::path& from,
@@ -52,12 +52,6 @@ namespace spinscope::util {
 /// power cut). Fails when the directory cannot be opened or synced.
 [[nodiscard]] IoResult fsync_dir(Io& io, const std::filesystem::path& dir);
 bool fsync_dir(const std::filesystem::path& dir);
-
-/// Best-effort fsync of an already-written file by path (opens, fsyncs,
-/// closes). Used by append-mode writers before sealing a file. Fails when
-/// the file cannot be opened or synced.
-[[nodiscard]] IoResult fsync_file(Io& io, const std::filesystem::path& path);
-bool fsync_file(const std::filesystem::path& path);
 
 /// Atomically creates `path` with `content` iff it does not already exist
 /// (O_EXCL). This is the claim primitive behind lock and lease files: of N

@@ -120,6 +120,11 @@ void flip_byte(const std::filesystem::path& path, std::uint64_t offset) {
     file.put(static_cast<char>(byte ^ 0x01));
 }
 
+/// A read_map_journal visitor that keeps every record in `out`.
+auto collect_into(std::vector<ChunkRecord>& out) {
+    return [&out](ChunkRecord&& record) { out.push_back(std::move(record)); };
+}
+
 // --- Payload round-trips -----------------------------------------------------
 
 TEST_F(JournalTest, HeaderPayloadRoundTrips) {
@@ -243,21 +248,26 @@ TEST_F(JournalTest, BatchFilesRoundTripAndAChunkFileIsABatchOfOne) {
     EXPECT_EQ(read_map_batch(dir_, {5, 5})->front().chunk_index, 5u);
     // A chunk inside a batch has no file of its own.
     EXPECT_FALSE(read_map_chunk(dir_, 1).has_value());
-    const MapReplayResult replay = read_map_journal(dir_);
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(dir_, collect_into(chunks));
     EXPECT_TRUE(replay.has_header);
-    EXPECT_EQ(replay.chunks.size(), 4u);
+    EXPECT_EQ(chunks.size(), 4u);
+    EXPECT_EQ(replay.chunks_read, 4u);
     EXPECT_EQ(replay.corrupt_chunks, 0u);
 }
 
 TEST_F(JournalTest, ReplayOfMissingOrEmptyDirectoryIsEmpty) {
-    const MapReplayResult missing = read_map_journal(dir_ / "nope");
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult missing = read_map_journal(dir_ / "nope", collect_into(chunks));
     EXPECT_FALSE(missing.has_header);
-    EXPECT_TRUE(missing.chunks.empty());
+    EXPECT_TRUE(chunks.empty());
+    EXPECT_EQ(missing.chunks_read, 0u);
     EXPECT_EQ(missing.corrupt_chunks, 0u);
     EXPECT_TRUE(list_map_batches(dir_ / "nope").empty());
 
     std::filesystem::create_directories(dir_);
-    EXPECT_FALSE(read_map_journal(dir_).has_header);
+    EXPECT_FALSE(read_map_journal(dir_, collect_into(chunks)).has_header);
+    EXPECT_TRUE(chunks.empty());
     EXPECT_TRUE(scrub_journal(dir_).clean());
 }
 
@@ -271,12 +281,13 @@ TEST_F(JournalTest, ChecksumCorruptionCutsReplayAtTheCorruptRecord) {
     flip_byte(victim, std::filesystem::file_size(victim) / 2);
     EXPECT_FALSE(read_map_batch(dir_, {0, 3}).has_value());
 
-    const MapReplayResult replay = read_map_journal(dir_);
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(dir_, collect_into(chunks));
     ASSERT_TRUE(replay.has_header);
     EXPECT_EQ(replay.corrupt_chunks, 4u);
-    ASSERT_EQ(replay.chunks.size(), 2u);
-    EXPECT_EQ(replay.chunks[0].chunk_index, 4u);
-    EXPECT_EQ(replay.chunks[1].chunk_index, 5u);
+    ASSERT_EQ(chunks.size(), 2u);
+    EXPECT_EQ(chunks[0].chunk_index, 4u);
+    EXPECT_EQ(chunks[1].chunk_index, 5u);
 
     // Trailing bytes past the last frame and a file whose records do not
     // match its name are rejected the same way.
@@ -521,6 +532,37 @@ TEST_F(JournalTest, ResumeRejectsMismatchedCampaignOptions) {
                  std::invalid_argument);
 }
 
+TEST_F(JournalTest, FreshRunReplacesAnotherCampaignsJournal) {
+    const web::Population population = tiny_population();
+    ScanOptions first;
+    first.journal_dir = (dir_ / "reused").string();
+    first.chunk_domains = 4;  // two batch files
+    (void)run_to_completion(population, first, /*reduce=*/false);
+    ASSERT_EQ(list_map_batches(first.journal_dir).size(), 2u);
+
+    ScanOptions second = first;
+    second.week = 5;
+    second.chunk_domains = 16;  // one batch file
+    const SweepResult fresh = run_to_completion(population, second, /*reduce=*/false);
+
+    // Only the second campaign's header and records remain, and they replay
+    // its sink stream exactly.
+    const std::size_t chunk_count = (fresh.order.size() + 15) / 16;
+    EXPECT_EQ(list_map_batches(second.journal_dir),
+              (std::vector<MapBatch>{{0, chunk_count - 1}}));
+    std::string stream;
+    const MapReplayResult replay =
+        read_map_journal(second.journal_dir, [&](ChunkRecord&& record) {
+            for (const DomainScan& scan : record.scans) stream += render_scan_stream(scan);
+        });
+    ASSERT_TRUE(replay.has_header);
+    EXPECT_EQ(replay.header.week, 5);
+    EXPECT_EQ(replay.header.chunk_domains, 16u);
+    EXPECT_EQ(replay.chunks_read, chunk_count);
+    EXPECT_EQ(replay.corrupt_chunks, 0u);
+    EXPECT_EQ(stream, fresh.stream);
+}
+
 // --- Worker supervision ------------------------------------------------------
 
 TEST_F(JournalTest, TransientChunkCrashIsRestartedWithIdenticalOutput) {
@@ -754,7 +796,7 @@ TEST_F(JournalTest, ScrubQuarantinesACorruptHeaderAndReduceKeepsTheChunks) {
     EXPECT_EQ(reduced.stream, baseline.stream);
     EXPECT_EQ(reduced.telemetry, baseline.telemetry);
     expect_same_stats(reduced.stats, baseline.stats);
-    EXPECT_TRUE(read_map_journal(options.journal_dir).has_header);
+    EXPECT_TRUE(read_map_journal(options.journal_dir, [](ChunkRecord&&) {}).has_header);
 }
 
 TEST_F(JournalTest, ScrubListsEveryChunkOfABitFlippedBatchAndReduceIsIdentical) {
@@ -822,8 +864,9 @@ TEST_F(JournalTest, ScrubQuarantinesAMapChunkThatFramesButFailsCrc) {
     // live directory no longer lists it — the reducer will rescan chunk 1.
     EXPECT_FALSE(std::filesystem::exists(map_chunk_path(dir_, 1)));
     EXPECT_TRUE(std::filesystem::exists(dir_ / "corrupt" / "chunk-00001.rec"));
-    const MapReplayResult replay = read_map_journal(dir_);
-    EXPECT_EQ(replay.chunks.size(), 2u);
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(dir_, collect_into(chunks));
+    EXPECT_EQ(chunks.size(), 2u);
     EXPECT_EQ(replay.corrupt_chunks, 0u);
 }
 

@@ -215,14 +215,16 @@ TEST_F(ProcPoolTest, MapJournalRoundTripsChunksInAnyPublishOrder) {
         ASSERT_TRUE(write_map_chunk(map_dir, record));
     }
 
-    const MapReplayResult replay = read_map_journal(map_dir);
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(
+        map_dir, [&](ChunkRecord&& record) { chunks.push_back(std::move(record)); });
     ASSERT_TRUE(replay.has_header);
     EXPECT_TRUE(replay.header == header);
     EXPECT_EQ(replay.corrupt_chunks, 0u);
-    ASSERT_EQ(replay.chunks.size(), 3u);
-    EXPECT_EQ(replay.chunks[0].chunk_index, 0u);
-    EXPECT_EQ(replay.chunks[1].chunk_index, 2u);
-    EXPECT_EQ(replay.chunks[2].chunk_index, 4u);
+    ASSERT_EQ(chunks.size(), 3u);
+    EXPECT_EQ(chunks[0].chunk_index, 0u);
+    EXPECT_EQ(chunks[1].chunk_index, 2u);
+    EXPECT_EQ(chunks[2].chunk_index, 4u);
 
     EXPECT_TRUE(read_map_chunk(map_dir, 2).has_value());
     EXPECT_FALSE(read_map_chunk(map_dir, 3).has_value());
@@ -244,8 +246,10 @@ TEST_F(ProcPoolTest, MapJournalTreatsCorruptRecordsAsUnscanned) {
         file.put('\xff');
     }
     EXPECT_FALSE(read_map_chunk(map_dir, 1).has_value());
-    const MapReplayResult replay = read_map_journal(map_dir);
-    EXPECT_TRUE(replay.chunks.empty());
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(
+        map_dir, [&](ChunkRecord&& record) { chunks.push_back(std::move(record)); });
+    EXPECT_TRUE(chunks.empty());
     EXPECT_EQ(replay.corrupt_chunks, 1u);
 }
 
@@ -258,7 +262,7 @@ TEST_F(ProcPoolTest, MapJournalInitRejectsAForeignHeaderWithoutWipe) {
                  std::invalid_argument);
     // A wipe makes it a fresh campaign's journal: no objection.
     init_map_journal(map_dir, other, /*wipe=*/true);
-    const MapReplayResult replay = read_map_journal(map_dir);
+    const MapReplayResult replay = read_map_journal(map_dir, [](ChunkRecord&&) {});
     ASSERT_TRUE(replay.has_header);
     EXPECT_TRUE(replay.header == other);
 }

@@ -224,15 +224,13 @@ TEST_F(AtomicFileTest, WriteFailureLeavesTargetUntouched) {
     EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-TEST_F(AtomicFileTest, RenameDurableMovesAndFsyncFileReports) {
+TEST_F(AtomicFileTest, RenameDurableMovesAndAFailedRenameLeavesTheTarget) {
     const auto from = dir_ / "a.tmp";
     const auto to = dir_ / "a.final";
     ASSERT_TRUE(write_file_atomic(from, "payload"));
-    EXPECT_TRUE(fsync_file(from));
     ASSERT_TRUE(rename_durable(from, to));
     EXPECT_FALSE(std::filesystem::exists(from));
     EXPECT_EQ(slurp(to), "payload");
-    EXPECT_FALSE(fsync_file(dir_ / "missing"));
     EXPECT_FALSE(rename_durable(dir_ / "missing", to));
     EXPECT_EQ(slurp(to), "payload") << "failed rename must leave the target alone";
 }
