@@ -1,9 +1,9 @@
 // bench/bench_micro_sim.cpp
 //
 // google-benchmark microbenchmarks of the simulation layer: event-queue
-// throughput, link transmission, the spin observer hot path, and a full
-// QUIC connection exchange — the quantities that bound how large a
-// synthetic campaign one core can sweep.
+// throughput, timer re-arming, link transmission, the spin observer hot
+// path, and a full QUIC connection exchange — the quantities that bound how
+// large a synthetic campaign one core can sweep.
 
 #include <benchmark/benchmark.h>
 
@@ -32,6 +32,26 @@ void BM_EventQueue(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
+
+void BM_TimerRearm(benchmark::State& state) {
+    // The PTO pattern: every scheduled send re-arms one timer, so each send
+    // event also queues a timer key that the next send makes stale. Items
+    // are sends; each costs one event, one arm and one (mostly stale) pop.
+    const auto sends = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        netsim::Simulator sim;
+        std::size_t fired = 0;
+        netsim::Timer pto{sim, [&fired] { ++fired; }};
+        for (std::size_t i = 0; i < sends; ++i) {
+            sim.schedule_after(util::Duration::micros(static_cast<std::int64_t>(i)),
+                               [&pto] { pto.set_after(util::Duration::millis(30)); });
+        }
+        sim.run();
+        benchmark::DoNotOptimize(fired);
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sends));
+}
+BENCHMARK(BM_TimerRearm)->Arg(32)->Arg(1000);
 
 void BM_LinkTransmission(benchmark::State& state) {
     netsim::Simulator sim;

@@ -126,16 +126,16 @@ void Link::send(Datagram datagram) {
 }
 
 void Link::schedule_delivery(Datagram datagram, TimePoint arrival) {
-    sim_->schedule_at(
-        arrival,
-        [this, dg = std::move(datagram)] {
-            ++stats_.delivered;
-            stats_.delivered_bytes += dg.size();
-            for (const auto& tap : taps_) tap(sim_->now(), dg.span());
-            if (receiver_) receiver_(dg.span());
-            // `dg` dies with this event; pooled storage recycles here.
-        },
-        "link.delivery");
+    auto deliver = [this, dg = std::move(datagram)] {
+        ++stats_.delivered;
+        stats_.delivered_bytes += dg.size();
+        for (const auto& tap : taps_) tap(sim_->now(), dg.span());
+        if (receiver_) receiver_(dg.span());
+        // `dg` dies with this event; pooled storage recycles here.
+    };
+    static_assert(Simulator::Callback::stores_inline<decltype(deliver)>(),
+                  "a link delivery must not heap-allocate its event");
+    sim_->schedule_at(arrival, std::move(deliver), "link.delivery");
 }
 
 void Link::publish_metrics(telemetry::MetricsRegistry& registry,

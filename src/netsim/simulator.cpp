@@ -30,12 +30,18 @@ void Simulator::check_owner() const {
     }
 }
 
+void Simulator::push_key(TimePoint t, std::uint32_t slot, std::uint32_t generation) {
+    if (t < now_) t = now_;
+    heap_.push_back(Key{t, next_seq_++, slot, generation});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    if (heap_.size() > queue_hwm_) queue_hwm_ = heap_.size();
+}
+
 void Simulator::schedule_at(TimePoint t, Callback cb, const char* category) {
     check_owner();
-    if (t < now_) t = now_;
-    std::size_t slot = free_slot_;
+    std::uint32_t slot = free_slot_;
     if (slot == kNoSlot) {
-        slot = slots_.size();
+        slot = static_cast<std::uint32_t>(slots_.size());
         slots_.push_back(Slot{std::move(cb), category});
     } else {
         Slot& reused = slots_[slot];
@@ -43,9 +49,7 @@ void Simulator::schedule_at(TimePoint t, Callback cb, const char* category) {
         reused.cb = std::move(cb);
         reused.category = category;
     }
-    heap_.push_back(Key{t, next_seq_++, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    if (heap_.size() > queue_hwm_) queue_hwm_ = heap_.size();
+    push_key(t, slot, 0);
 }
 
 void Simulator::schedule_after(Duration d, Callback cb, const char* category) {
@@ -53,29 +57,89 @@ void Simulator::schedule_after(Duration d, Callback cb, const char* category) {
     schedule_at(now_ + d, std::move(cb), category);
 }
 
+void Simulator::count_category(const char* category) {
+    for (auto& [name, count] : category_counts_) {
+        if (name == category) {
+            ++count;
+            return;
+        }
+    }
+    category_counts_.emplace_back(category, 1);
+}
+
 void Simulator::pop_and_run() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Key key = heap_.back();
     heap_.pop_back();
+    now_ = key.at;
+    ++processed_;
+    if ((key.slot & kTimerTag) != 0) {
+        // Stale or not, a timer key is a processed "timer" event, so every
+        // netsim.sim.* count is independent of how often timers re-arm.
+        count_category("timer");
+        fire_timer(key.slot & ~kTimerTag, key.generation);
+        return;
+    }
     Slot& slot = slots_[key.slot];
     Callback cb = std::move(slot.cb);
     const char* const category = slot.category;
     slot.next_free = free_slot_;
     free_slot_ = key.slot;
-    now_ = key.at;
-    ++processed_;
-    if (category != nullptr) {
-        bool found = false;
-        for (auto& [name, count] : category_counts_) {
-            if (name == category) {
-                ++count;
-                found = true;
-                break;
-            }
-        }
-        if (!found) category_counts_.emplace_back(category, 1);
-    }
+    if (category != nullptr) count_category(category);
     cb();
+}
+
+void Simulator::fire_timer(std::uint32_t index, std::uint32_t generation) {
+    // A deque reference: it stays valid while the callback grows the table.
+    TimerEntry& entry = timers_[index];
+    if (entry.generation != generation || !entry.armed) return;
+    entry.armed = false;
+    // The callback runs in place. If it destroys its own Timer, the entry is
+    // only marked released, and is freed here once the callback returns.
+    // (Should the callback throw, the entry is never recycled; the
+    // simulator still destroys it.)
+    ++entry.firing;
+    entry.on_fire();
+    if (--entry.firing == 0 && entry.released) free_timer(index);
+}
+
+std::uint32_t Simulator::acquire_timer(Callback on_fire) {
+    check_owner();
+    std::uint32_t index = free_timer_;
+    if (index == kNoSlot) {
+        index = static_cast<std::uint32_t>(timers_.size());
+        timers_.emplace_back();
+    } else {
+        free_timer_ = timers_[index].next_free;
+    }
+    timers_[index].on_fire = std::move(on_fire);
+    return index;
+}
+
+void Simulator::release_timer(std::uint32_t index) noexcept {
+    TimerEntry& entry = timers_[index];
+    if (entry.firing > 0) {
+        entry.released = true;
+    } else {
+        free_timer(index);
+    }
+}
+
+void Simulator::free_timer(std::uint32_t index) noexcept {
+    TimerEntry& entry = timers_[index];
+    entry.on_fire = nullptr;
+    entry.released = false;
+    entry.next_free = free_timer_;
+    free_timer_ = index;
+}
+
+void Simulator::arm_timer(std::uint32_t index, TimePoint t) {
+    check_owner();
+    TimerEntry& entry = timers_[index];
+    ++entry.generation;
+    entry.armed = true;
+    entry.expiry = t;
+    push_key(t, kTimerTag | index, entry.generation);
 }
 
 void Simulator::run() {
@@ -105,27 +169,6 @@ void Simulator::publish_metrics(telemetry::MetricsRegistry& registry,
     for (const auto& [category, count] : category_counts_) {
         registry.counter(MetricName{prefix, ".events.", category}).add(count);
     }
-}
-
-void Timer::set_at(TimePoint t, Callback cb) {
-    const std::uint64_t generation = ++state_->generation;
-    state_->armed = true;
-    state_->expiry = t;
-    sim_->schedule_at(
-        t,
-        [state = state_, generation, cb = std::move(cb)]() mutable {
-            if (generation != state->generation || !state->armed) return;
-            state->armed = false;
-            cb();
-        },
-        "timer");
-}
-
-void Timer::set_after(Duration d, Callback cb) { set_at(sim_->now() + d, std::move(cb)); }
-
-void Timer::cancel() noexcept {
-    ++state_->generation;
-    state_->armed = false;
 }
 
 }  // namespace spinscope::netsim

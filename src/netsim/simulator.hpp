@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -89,29 +89,61 @@ public:
                          std::string_view prefix = "netsim.sim") const;
 
 private:
+    friend class Timer;
+
+    static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+    /// Set in Key::slot when the key fires a timer: the low bits then index
+    /// timers_ instead of slots_. At over 100 bytes an entry, neither table
+    /// can reach 2^31 entries in memory.
+    static constexpr std::uint32_t kTimerTag = std::uint32_t{1} << 31;
+
     /// Heap entry: 24 bytes, so sifting never moves a callback.
     struct Key {
         TimePoint at;
         std::uint64_t seq;
-        std::size_t slot;  ///< index into slots_
+        std::uint32_t slot;        ///< index into slots_, or kTimerTag | timer index
+        std::uint32_t generation;  ///< timer keys only: the arm they belong to
     };
+    static_assert(sizeof(Key) == 24);
     struct Later {
         bool operator()(const Key& a, const Key& b) const noexcept {
             if (a.at != b.at) return a.at > b.at;
             return a.seq > b.seq;
         }
     };
-    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
     /// Where a queued event's callback lives until it runs. A free slot has
     /// an empty callback and links to the next free slot (intrusive free
     /// list, so recycling needs no second container).
     struct Slot {
         Callback cb;
         const char* category = nullptr;
-        std::size_t next_free = kNoSlot;
+        std::uint32_t next_free = kNoSlot;
+    };
+    /// One Timer's state: its fixed callback and the arm that may fire.
+    /// Arming bumps `generation` and queues a key carrying it; a popped key
+    /// whose generation is stale, or whose timer is disarmed, runs nothing.
+    /// The generation keeps counting across owners of a recycled entry, so
+    /// a dead Timer's queued keys do not fire its successor.
+    struct TimerEntry {
+        Callback on_fire;
+        TimePoint expiry = TimePoint::never();
+        std::uint32_t generation = 0;
+        std::uint32_t next_free = kNoSlot;
+        std::uint32_t firing = 0;  ///< callbacks of this entry on the stack
+        bool armed = false;
+        bool released = false;  ///< owner gone mid-firing: free once it returns
     };
 
+    void push_key(TimePoint t, std::uint32_t slot, std::uint32_t generation);
     void pop_and_run();
+    void count_category(const char* category);
+    void fire_timer(std::uint32_t index, std::uint32_t generation);
+    /// Timer support: take an entry for `on_fire`, give back a cancelled
+    /// one, arm one.
+    [[nodiscard]] std::uint32_t acquire_timer(Callback on_fire);
+    void release_timer(std::uint32_t index) noexcept;
+    void free_timer(std::uint32_t index) noexcept;
+    void arm_timer(std::uint32_t index, TimePoint t);
     /// Throws std::logic_error when called from a thread other than the one
     /// that constructed this simulator (single-owner affinity).
     void check_owner() const;
@@ -126,7 +158,13 @@ private:
     /// returns the pooled buffers that deliveries own.
     std::vector<Key> heap_;
     std::vector<Slot> slots_;
-    std::size_t free_slot_ = kNoSlot;
+    std::uint32_t free_slot_ = kNoSlot;
+    /// The timer table. A deque, because push_back never moves existing
+    /// entries: a firing callback may construct timers, growing the table,
+    /// while its own entry's callback runs in place. Entries of destroyed
+    /// timers are reused through `free_timer_`.
+    std::deque<TimerEntry> timers_;
+    std::uint32_t free_timer_ = kNoSlot;
     std::thread::id owner_ = std::this_thread::get_id();
     TimePoint now_ = TimePoint::origin();
     std::uint64_t next_seq_ = 0;
@@ -138,47 +176,53 @@ private:
 };
 
 /// A single re-armable, cancellable timer (QUIC PTO, idle timeout, delayed
-/// ACK). Re-arming or cancelling invalidates any previously scheduled firing
-/// via a generation counter, so stale queue entries become no-ops. The state
-/// is shared with pending queue entries, so destroying a Timer while a stale
-/// firing is still queued is safe (the firing becomes a no-op).
+/// ACK) with one callback fixed at construction. Its state lives in the
+/// simulator's timer table, so arming allocates nothing: it bumps the
+/// entry's generation and queues one key. Re-arming or cancelling makes any
+/// earlier key stale; a stale key is still popped and counted as a
+/// processed "timer" event, but runs nothing.
+///
+/// The callback may re-arm, cancel or destroy its own timer and construct
+/// other timers. The simulator must outlive every Timer built on it.
 class Timer {
 public:
-    using Callback = util::MoveFunction<void()>;
+    using Callback = Simulator::Callback;
 
-    explicit Timer(Simulator& sim) : sim_{&sim}, state_{std::make_shared<State>()} {}
+    Timer(Simulator& sim, Callback on_fire)
+        : sim_{&sim}, index_{sim.acquire_timer(std::move(on_fire))} {}
 
-    /// Destruction cancels: a pending firing becomes a no-op (the shared
-    /// state outlives the Timer inside any still-queued event).
-    ~Timer() { cancel(); }
+    /// Destruction cancels: a queued key of this timer runs nothing.
+    ~Timer() {
+        cancel();
+        sim_->release_timer(index_);
+    }
 
     Timer(const Timer&) = delete;
     Timer& operator=(const Timer&) = delete;
 
-    /// Arms (or re-arms) the timer to fire `cb` at absolute time `t`.
-    void set_at(TimePoint t, Callback cb);
+    /// Arms (or re-arms) the timer to fire at absolute time `t`.
+    void set_at(TimePoint t) { sim_->arm_timer(index_, t); }
 
     /// Arms (or re-arms) the timer to fire after `d`.
-    void set_after(Duration d, Callback cb);
+    void set_after(Duration d) { set_at(sim_->now() + d); }
 
-    /// Disarms the timer; a pending firing becomes a no-op.
-    void cancel() noexcept;
+    /// Disarms the timer; a queued key becomes a no-op.
+    void cancel() noexcept {
+        Simulator::TimerEntry& entry = sim_->timers_[index_];
+        ++entry.generation;
+        entry.armed = false;
+    }
 
-    [[nodiscard]] bool armed() const noexcept { return state_->armed; }
+    [[nodiscard]] bool armed() const noexcept { return sim_->timers_[index_].armed; }
     /// Expiry of the currently armed firing; TimePoint::never() if disarmed.
     [[nodiscard]] TimePoint expiry() const noexcept {
-        return state_->armed ? state_->expiry : TimePoint::never();
+        const Simulator::TimerEntry& entry = sim_->timers_[index_];
+        return entry.armed ? entry.expiry : TimePoint::never();
     }
 
 private:
-    struct State {
-        std::uint64_t generation = 0;
-        bool armed = false;
-        TimePoint expiry = TimePoint::never();
-    };
-
     Simulator* sim_;
-    std::shared_ptr<State> state_;
+    std::uint32_t index_;
 };
 
 }  // namespace spinscope::netsim

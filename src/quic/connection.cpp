@@ -60,10 +60,10 @@ Connection::Connection(netsim::Simulator& sim, ConnectionConfig config, util::Rn
       pool_{pool},
       spin_{config.role, config.spin, rng_},
       rtt_{config.initial_rtt},
-      pto_timer_{sim},
-      ack_timer_{sim},
-      handshake_timer_{sim},
-      idle_timer_{sim} {
+      pto_timer_{sim, [this] { on_pto(); }},
+      ack_timer_{sim, [this] { if (!closed_ && !failed_) send_ack_only(PnSpace::application); }},
+      handshake_timer_{sim, [this] { if (!handshake_complete_) fail(); }},
+      idle_timer_{sim, [this] { if (!closed_ && !failed_) fail(); }} {
     const AckTracker::Config immediate{1, Duration::zero()};
     const AckTracker::Config app{config_.ack_eliciting_threshold, config_.params.max_ack_delay};
     spaces_[0] = std::make_unique<Space>(immediate);
@@ -76,9 +76,7 @@ Connection::Connection(netsim::Simulator& sim, ConnectionConfig config, util::Rn
 
 void Connection::connect() {
     assert(config_.role == Role::client);
-    handshake_timer_.set_after(config_.handshake_timeout, [this] {
-        if (!handshake_complete_) fail();
-    });
+    handshake_timer_.set_after(config_.handshake_timeout);
     arm_idle_timer();
     send_packet(PnSpace::initial, {Frame{CryptoFrame{0, token_bytes(kClientHello)}}},
                 /*pad_to_mtu=*/true);
@@ -362,13 +360,13 @@ void Connection::schedule_flush() {
     const std::int64_t lo = config_.emission_latency_min.count_nanos();
     const std::int64_t hi = std::max(lo, config_.emission_latency_max.count_nanos());
     const Duration latency = Duration::nanos(rng_.uniform_i64(lo, hi));
-    sim_->schedule_after(
-        latency,
-        [this] {
-            flush_scheduled_ = false;
-            flush_now();
-        },
-        "conn.flush");
+    auto flush = [this] {
+        flush_scheduled_ = false;
+        flush_now();
+    };
+    static_assert(netsim::Simulator::Callback::stores_inline<decltype(flush)>(),
+                  "a connection flush must not heap-allocate its event");
+    sim_->schedule_after(latency, flush, "conn.flush");
 }
 
 void Connection::flush_now() {
@@ -577,7 +575,7 @@ void Connection::arm_pto() {
     const std::int64_t backoff = 1LL << std::min<std::uint64_t>(counters_.pto_count, 10);
     TimePoint expiry = latest + interval * backoff;
     if (expiry < sim_->now()) expiry = sim_->now() + Duration::millis(1);
-    pto_timer_.set_at(expiry, [this] { on_pto(); });
+    pto_timer_.set_at(expiry);
 }
 
 void Connection::on_pto() {
@@ -612,17 +610,11 @@ void Connection::arm_ack_timer() {
         ack_timer_.cancel();
         return;
     }
-    ack_timer_.set_at(app.tracker.ack_deadline(), [this] {
-        if (closed_ || failed_) return;
-        send_ack_only(PnSpace::application);
-    });
+    ack_timer_.set_at(app.tracker.ack_deadline());
 }
 
 void Connection::arm_idle_timer() {
-    idle_timer_.set_after(config_.idle_timeout, [this] {
-        if (closed_ || failed_) return;
-        fail();
-    });
+    idle_timer_.set_after(config_.idle_timeout);
 }
 
 void Connection::fail() {

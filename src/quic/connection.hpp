@@ -262,6 +262,7 @@ private:
     std::size_t ssthresh_ = SIZE_MAX;
     std::size_t bytes_in_flight_ = 0;
 
+    // Each timer's callback is fixed in the constructor; arming only sets when.
     netsim::Timer pto_timer_;
     netsim::Timer ack_timer_;
     netsim::Timer handshake_timer_;

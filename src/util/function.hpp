@@ -73,12 +73,21 @@ public:
 
     [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+    /// True when a callable of type F is stored inline, without a heap
+    /// allocation. Hot callback sites static_assert it, so a capture list
+    /// that outgrows the buffer fails the build instead of allocating.
+    template <typename F>
+    [[nodiscard]] static constexpr bool stores_inline() noexcept {
+        return fits_inline<std::decay_t<F>>();
+    }
+
     R operator()(Args... args) { return ops_->invoke(storage(), std::forward<Args>(args)...); }
 
 private:
-    // Sized so the netsim::Timer rearm lambda — a wrapped MoveFunction
-    // (64 bytes) plus a shared_ptr and a generation counter — and delivery
-    // lambdas owning a pooled buffer (3 words) stay inline.
+    // Sized for the simulator's per-event callbacks, which capture a few
+    // words: a link delivery (the link and a pooled buffer) and a
+    // connection flush check stores_inline() where they are built. A
+    // Timer's callback is stored once per timer, not once per arm.
     static constexpr std::size_t kInlineSize = 96;
 
     struct Ops {

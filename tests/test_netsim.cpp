@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bytes/bytes.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
+#include "telemetry/alloc_interpose.hpp"  // this binary's one interposing TU
 #include "telemetry/metrics.hpp"
+#include "telemetry/resource.hpp"
 
 namespace spinscope::netsim {
 namespace {
@@ -86,11 +89,16 @@ TEST(Simulator, RunStepsBounds) {
     EXPECT_EQ(sim.pending(), 6u);
 }
 
+/// Milliseconds since the origin, for timer firing logs.
+std::int64_t at_ms(const Simulator& sim) {
+    return (sim.now() - TimePoint::origin()).count_millis();
+}
+
 TEST(Timer, FiresOnceAtExpiry) {
     Simulator sim;
-    Timer timer{sim};
     int fires = 0;
-    timer.set_after(Duration::millis(7), [&] { ++fires; });
+    Timer timer{sim, [&] { ++fires; }};
+    timer.set_after(Duration::millis(7));
     EXPECT_TRUE(timer.armed());
     EXPECT_EQ(timer.expiry(), TimePoint::origin() + Duration::millis(7));
     sim.run();
@@ -100,9 +108,9 @@ TEST(Timer, FiresOnceAtExpiry) {
 
 TEST(Timer, CancelSuppressesFiring) {
     Simulator sim;
-    Timer timer{sim};
     int fires = 0;
-    timer.set_after(Duration::millis(5), [&] { ++fires; });
+    Timer timer{sim, [&] { ++fires; }};
+    timer.set_after(Duration::millis(5));
     timer.cancel();
     EXPECT_FALSE(timer.armed());
     sim.run();
@@ -111,23 +119,24 @@ TEST(Timer, CancelSuppressesFiring) {
 
 TEST(Timer, RearmInvalidatesPrevious) {
     Simulator sim;
-    Timer timer{sim};
-    std::vector<int> fired;
-    timer.set_after(Duration::millis(5), [&] { fired.push_back(1); });
-    timer.set_after(Duration::millis(9), [&] { fired.push_back(2); });
+    std::vector<std::int64_t> fired_ms;
+    Timer timer{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
+    timer.set_after(Duration::millis(5));
+    timer.set_after(Duration::millis(9));
     sim.run();
-    EXPECT_EQ(fired, (std::vector<int>{2}));
+    EXPECT_EQ(fired_ms, (std::vector<std::int64_t>{9}));
 }
 
 TEST(Timer, DestructionWithPendingFiringIsSafe) {
     Simulator sim;
     int fires = 0;
     {
-        Timer timer{sim};
-        timer.set_after(Duration::millis(3), [&] { ++fires; });
+        Timer timer{sim, [&] { ++fires; }};
+        timer.set_after(Duration::millis(3));
     }  // timer destroyed with the event still queued
     sim.run();
-    EXPECT_EQ(fires, 0);  // generation state kept alive, callback suppressed
+    EXPECT_EQ(fires, 0);  // the queued key is stale, its firing suppressed
+    EXPECT_EQ(sim.processed(), 1u);
 }
 
 TEST(Timer, RearmWithStaleFiringQueuedFiresOnlyNewExpiry) {
@@ -135,10 +144,10 @@ TEST(Timer, RearmWithStaleFiringQueuedFiresOnlyNewExpiry) {
     // stale queue entry must become a no-op (generation bumped), the new one
     // must fire, and the timer must not "fire twice".
     Simulator sim;
-    Timer timer{sim};
     std::vector<std::int64_t> fired_at;
-    timer.set_after(Duration::millis(5), [&] { fired_at.push_back(sim.now().count_nanos()); });
-    timer.set_after(Duration::millis(2), [&] { fired_at.push_back(sim.now().count_nanos()); });
+    Timer timer{sim, [&] { fired_at.push_back(sim.now().count_nanos()); }};
+    timer.set_after(Duration::millis(5));
+    timer.set_after(Duration::millis(2));
     EXPECT_EQ(sim.pending(), 2u);  // the stale entry is still in the queue
     sim.run();
     ASSERT_EQ(fired_at.size(), 1u);
@@ -151,24 +160,24 @@ TEST(Timer, RearmAfterPartialRunSuppressesStaleEntry) {
     // Run past nothing, leave the first firing queued, then re-arm *later*:
     // the earlier queued entry has a stale generation and must not fire.
     Simulator sim;
-    Timer timer{sim};
-    int fires = 0;
-    timer.set_after(Duration::millis(4), [&] { ++fires; });
+    std::vector<std::int64_t> fired_ms;
+    Timer timer{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
+    timer.set_after(Duration::millis(4));
     sim.run_until(TimePoint::origin() + Duration::millis(1));  // firing still queued
-    timer.set_after(Duration::millis(10), [&] { fires += 100; });
+    timer.set_after(Duration::millis(10));
     sim.run();
-    EXPECT_EQ(fires, 100);  // only the re-armed firing ran
+    EXPECT_EQ(fired_ms, (std::vector<std::int64_t>{11}));  // only the re-armed firing ran
 }
 
 TEST(Timer, CancelThenRearmStillFires) {
     Simulator sim;
-    Timer timer{sim};
-    int fires = 0;
-    timer.set_after(Duration::millis(3), [&] { fires = 1; });
+    std::vector<std::int64_t> fired_ms;
+    Timer timer{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
+    timer.set_after(Duration::millis(3));
     timer.cancel();
-    timer.set_after(Duration::millis(6), [&] { fires = 2; });
+    timer.set_after(Duration::millis(6));
     sim.run();
-    EXPECT_EQ(fires, 2);
+    EXPECT_EQ(fired_ms, (std::vector<std::int64_t>{6}));
     EXPECT_EQ(timer.expiry(), TimePoint::never());
 }
 
@@ -176,13 +185,88 @@ TEST(Timer, DestroyAfterPartialRunWithQueuedFiringIsSafe) {
     Simulator sim;
     int fires = 0;
     {
-        Timer timer{sim};
-        timer.set_after(Duration::millis(5), [&] { ++fires; });
+        Timer timer{sim, [&] { ++fires; }};
+        timer.set_after(Duration::millis(5));
         sim.run_until(TimePoint::origin() + Duration::millis(1));
         EXPECT_EQ(sim.pending(), 1u);
     }  // destroyed while its (now stale) firing is still queued
     sim.run();
     EXPECT_EQ(fires, 0);
+}
+
+TEST(Timer, ArmRearmAndCancelAllocateNothing) {
+    ASSERT_TRUE(telemetry::alloc::active());
+    Simulator sim;
+    int fires = 0;
+    Timer timer{sim, [&] { ++fires; }};
+    timer.set_after(Duration::millis(1));  // warm-up: interns the "timer" category
+    sim.run();
+
+    const telemetry::AllocSnapshot allocs;
+    for (int i = 0; i < 1000; ++i) {
+        timer.set_after(Duration::millis(2));
+        timer.set_after(Duration::millis(1));  // re-arm: the first key goes stale
+        timer.cancel();
+        timer.set_after(Duration::millis(3));
+        sim.run();
+    }
+    EXPECT_EQ(allocs.count_since(), 0u);
+    EXPECT_EQ(fires, 1001);
+    EXPECT_EQ(sim.processed(), 3001u);
+}
+
+TEST(Timer, CallbackMayDestroyItsOwnTimer) {
+    // The callback re-arms, then destroys its own timer and keeps using its
+    // captures: the entry (and the heap-owned capture) must outlive the call.
+    Simulator sim;
+    std::optional<Timer> timer;
+    const std::string payload(64, 'x');
+    std::vector<std::string> seen;
+    timer.emplace(sim, [&, payload] {
+        timer->set_after(Duration::millis(1));
+        timer.reset();
+        seen.push_back(payload);
+    });
+    timer->set_after(Duration::millis(1));
+    sim.run_steps(1);
+    EXPECT_EQ(seen, (std::vector<std::string>{payload}));
+    EXPECT_EQ(sim.pending(), 1u);  // the dead timer's re-arm stays queued
+
+    // A successor recycles the entry. Armed twice, its generation would
+    // match the dead timer's queued key if generations restarted per owner.
+    std::vector<std::int64_t> fired_ms;
+    Timer successor{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
+    successor.set_after(Duration::millis(5));
+    successor.set_after(Duration::millis(5));
+    sim.run();
+    EXPECT_EQ(fired_ms, (std::vector<std::int64_t>{6}));
+    EXPECT_EQ(seen.size(), 1u);
+    EXPECT_EQ(sim.processed(), 4u);  // every key counts, stale ones included
+}
+
+TEST(Timer, CallbackMayConstructTimersThatGrowTheTable) {
+    // A firing callback builds enough timers to grow the table many times
+    // over; the running callback and its captures must not move.
+    Simulator sim;
+    std::vector<std::unique_ptr<Timer>> spawned;
+    std::vector<std::int64_t> fired_ms;
+    const std::string payload(64, 'y');
+    std::string seen;
+    Timer parent{sim, [&, payload] {
+        for (int i = 0; i < 200; ++i) {
+            spawned.push_back(
+                std::make_unique<Timer>(sim, [&] { fired_ms.push_back(at_ms(sim)); }));
+            spawned.back()->set_after(Duration::millis(1 + i % 3));
+        }
+        seen = payload;
+    }};
+    parent.set_after(Duration::millis(1));
+    sim.run();
+    EXPECT_EQ(seen, payload);
+    ASSERT_EQ(fired_ms.size(), 200u);
+    for (std::size_t i = 1; i < fired_ms.size(); ++i) EXPECT_LE(fired_ms[i - 1], fired_ms[i]);
+    EXPECT_EQ(fired_ms.front(), 2);
+    EXPECT_EQ(fired_ms.back(), 4);
 }
 
 TEST(Simulator, RunStepsSafetyValveStopsSelfRescheduling) {
@@ -369,23 +453,31 @@ TEST(Simulator, InstrumentationMatchesAHandComputedRun) {
 
 TEST(Timer, TimerEventsAreCategorized) {
     Simulator sim;
-    Timer timer{sim};
-    timer.set_after(Duration::millis(1), [] {});
+    Timer timer{sim, [] {}};
+    timer.set_after(Duration::millis(1));
     sim.run();
     const auto& counts = sim.category_counts();
     ASSERT_EQ(counts.size(), 1u);
     EXPECT_STREQ(counts[0].first, "timer");
     EXPECT_EQ(counts[0].second, 1u);
+
+    // A key made stale by a re-arm still counts as a processed timer event.
+    timer.set_after(Duration::millis(1));
+    timer.set_after(Duration::millis(2));
+    sim.run();
+    ASSERT_EQ(counts.size(), 1u);
+    EXPECT_EQ(counts[0].second, 3u);
 }
 
 TEST(Timer, RearmFromInsideCallback) {
     Simulator sim;
-    Timer timer{sim};
     int fires = 0;
-    std::function<void()> cb = [&] {
-        if (++fires < 3) timer.set_after(Duration::millis(1), cb);
-    };
-    timer.set_after(Duration::millis(1), cb);
+    Timer* self = nullptr;
+    Timer timer{sim, [&] {
+        if (++fires < 3) self->set_after(Duration::millis(1));
+    }};
+    self = &timer;
+    timer.set_after(Duration::millis(1));
     sim.run();
     EXPECT_EQ(fires, 3);
 }
