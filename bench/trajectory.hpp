@@ -34,7 +34,7 @@ struct Trajectory {
     double alloc_bytes_per_domain = 0.0;
     /// Multi-process context (--procs runs, DESIGN.md §11): worker process
     /// count and the high-water worker RSS the supervisor observed over the
-    /// heartbeat channel. Both stay 0 for classic single-process runs;
+    /// worker channels. Both stay 0 for classic single-process runs;
     /// bench_check.py skips a zero/absent peak_worker_rss_bytes baseline.
     unsigned procs = 0;
     std::uint64_t peak_worker_rss_bytes = 0;

@@ -36,7 +36,7 @@ POLICY = {
     "allocs_per_domain": (False, 0.10),
     "alloc_bytes_per_domain": (False, 0.10),
     # Multi-process map pass (--procs, DESIGN.md §11): high-water worker RSS
-    # reported over the heartbeat channel. Wall-clock noisy, so wide.
+    # reported over each worker's channel. Wall-clock noisy, so wide.
     "peak_worker_rss_bytes": (False, 0.50),
 }
 # Allocation metrics are meaningless without the interposer on both sides.

@@ -11,7 +11,7 @@
 #                              # (REGEN=1 scripts/ci.sh bench re-baselines)
 #   scripts/ci.sh chaos        # crash-isolation lane: the multi-process kill
 #                              # sweep (SIGKILL workers at every lifecycle
-#                              # point), journal/lease, shard-executor and
+#                              # point), journal, shard-executor and
 #                              # proc-plumbing suites, and a kill-then---resume
 #                              # bench smoke test
 #   scripts/ci.sh diskchaos    # lying-disk lane: the full storage-fault-plan
@@ -97,8 +97,8 @@ run_bench_lane() {
 # Chaos lane: the crash-isolation suites on their own — the kill sweep
 # (SIGKILL at every worker lifecycle point x {1,2,4} procs, reduced output
 # must stay byte-identical), the in-process kill-at-every-chunk-boundary
-# sweep, hang/poison/RSS supervision, journal + lease invariants, the
-# run_sharded executor every campaign runs on and the process plumbing
+# sweep, hang/poison supervision and the charging rule, journal invariants,
+# the run_sharded executor every campaign runs on and the process plumbing
 # underneath. All of this also runs in the default lane's
 # ctest; this lane is the focused, fast repro loop. It ends with an
 # end-to-end bench smoke test of the journal wiring.

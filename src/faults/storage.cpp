@@ -54,14 +54,6 @@ int FaultIo::open_write(const std::filesystem::path& path, OpenMode mode,
     if (fd == kBadFile) return kBadFile;
     OpenFile state;
     state.path = path;
-    if (mode == OpenMode::append) {
-        state.size = file_size_or_zero(path);
-        // A file closed without fsync keeps its recorded durable length; its
-        // unsynced tail is still at the mercy of a power cut.
-        const auto it = unsynced_.find(path.string());
-        state.durable = it != unsynced_.end() ? it->second : state.size;
-        if (it != unsynced_.end()) unsynced_.erase(it);
-    }
     open_[fd] = std::move(state);
     return fd;
 }
@@ -131,20 +123,6 @@ util::IoResult FaultIo::fsync(int file) {
     return result;
 }
 
-util::IoResult FaultIo::truncate(int file, std::uint64_t size) {
-    std::lock_guard<std::mutex> lock{mutex_};
-    if (power_lost_) return util::IoResult::failure(EIO);
-    const util::IoResult result = base_.truncate(file, size);
-    if (result) {
-        const auto it = open_.find(file);
-        if (it != open_.end()) {
-            it->second.size = size;
-            if (it->second.durable > size) it->second.durable = size;
-        }
-    }
-    return result;
-}
-
 util::IoResult FaultIo::close(int file) {
     std::lock_guard<std::mutex> lock{mutex_};
     // Always allowed, even "after the power cut": callers' RAII cleanup must
@@ -205,7 +183,8 @@ util::IoResult FaultIo::fsync_path(const std::filesystem::path& path, bool direc
 void FaultIo::cut_power_locked() {
     power_lost_ = true;
     for (auto& [fd, state] : open_) {
-        (void)base_.truncate(fd, state.durable);
+        std::error_code ec;
+        std::filesystem::resize_file(state.path, state.durable, ec);
         state.size = state.durable;
     }
     for (const auto& [path, durable] : unsynced_) {

@@ -65,9 +65,9 @@ struct StorageFaultPlan {
 /// output or attributed refusal — holds regardless of which write loses).
 ///
 /// Power-loss bookkeeping tracks, per file, the durable length (bytes covered
-/// by the last successful fsync). At the cut, open files are truncated back
-/// to their durable length via the base Io, and files written-then-closed
-/// without an fsync are truncated on disk too — modelling page-cache loss.
+/// by the last successful fsync). At the cut, open files and files
+/// written-then-closed without an fsync are both cut back to their durable
+/// length on their tracked path — modelling page-cache loss.
 class FaultIo final : public util::Io {
 public:
     FaultIo(util::Io& base, StorageFaultPlan plan);
@@ -76,7 +76,6 @@ public:
                                  util::IoResult& result) override;
     [[nodiscard]] util::IoResult write(int file, std::string_view bytes) override;
     [[nodiscard]] util::IoResult fsync(int file) override;
-    [[nodiscard]] util::IoResult truncate(int file, std::uint64_t size) override;
     util::IoResult close(int file) override;
     [[nodiscard]] util::IoResult rename(const std::filesystem::path& from,
                                         const std::filesystem::path& to) override;

@@ -87,7 +87,7 @@ struct ScanOptions {
     /// behind and scans the rest.
     std::string journal_dir;
     /// Storage seam for every journal write (DESIGN.md §16): record
-    /// publishes, leases, locks. nullptr means the real disk; tests inject
+    /// publishes and locks. nullptr means the real disk; tests inject
     /// faults::FaultIo. Not owned; must be thread-safe and outlive the
     /// campaign run.
     util::Io* io = nullptr;
@@ -311,7 +311,7 @@ public:
     /// merges, with its chunk-private telemetry registry snapshotted (only
     /// when a registry is attached to the campaign) — byte-identical to what
     /// run() produces and journals for the same chunk. This is the unit of
-    /// work a multi-process worker executes under a lease (DESIGN.md §11).
+    /// work the run_procs supervisor assigns to a worker (DESIGN.md §11).
     ///
     /// The one chunk supervisor: an execution that throws OUTSIDE the
     /// per-domain isolation (ScanOptions::chunk_fault_hook fires at entry

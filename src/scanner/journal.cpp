@@ -370,7 +370,6 @@ namespace {
 constexpr const char* kMapHeaderName = "header.rec";
 constexpr std::string_view kMapChunkPrefix = "chunk-";
 constexpr std::string_view kMapChunkSuffix = ".rec";
-constexpr std::string_view kLeaseSuffix = ".lease";
 
 [[nodiscard]] std::filesystem::path map_name(const std::filesystem::path& dir,
                                              std::size_t index, std::string_view suffix) {
@@ -380,9 +379,8 @@ constexpr std::string_view kLeaseSuffix = ".lease";
 }
 
 /// The one chunk-file name parser: `chunk-NNNNN.rec` is a batch of one,
-/// `chunk-AAAAA-BBBBB.rec` the batch [AAAAA, BBBBB]. Anything else —
-/// leases, temp files of an interrupted publish, reversed ranges — is not a
-/// record file.
+/// `chunk-AAAAA-BBBBB.rec` the batch [AAAAA, BBBBB]. Anything else — temp
+/// files of an interrupted publish, reversed ranges — is not a record file.
 [[nodiscard]] std::optional<MapBatch> parse_batch_name(std::string_view name) {
     if (!name.starts_with(kMapChunkPrefix) || !name.ends_with(kMapChunkSuffix)) {
         return std::nullopt;
@@ -428,10 +426,9 @@ constexpr std::string_view kLeaseSuffix = ".lease";
     return std::string{frame->payload};
 }
 
-/// True for header.rec, chunk-record and chunk lease filenames.
+/// True for header.rec and chunk-record filenames.
 [[nodiscard]] bool is_map_file(const std::string& name) {
-    return name == kMapHeaderName || parse_batch_name(name) ||
-           (name.starts_with(kMapChunkPrefix) && name.ends_with(kLeaseSuffix));
+    return name == kMapHeaderName || parse_batch_name(name);
 }
 
 }  // namespace
@@ -451,11 +448,6 @@ std::filesystem::path map_batch_path(const std::filesystem::path& dir,
 std::filesystem::path map_chunk_path(const std::filesystem::path& dir,
                                      std::size_t chunk_index) {
     return map_batch_path(dir, {chunk_index, chunk_index});
-}
-
-std::filesystem::path lease_path(const std::filesystem::path& dir,
-                                 std::size_t chunk_index) {
-    return map_name(dir, chunk_index, kLeaseSuffix);
 }
 
 void init_map_journal(util::Io& io, const std::filesystem::path& dir,
@@ -578,64 +570,6 @@ MapReplayResult read_map_journal(const std::filesystem::path& dir,
         for (ChunkRecord& record : *records) visit(std::move(record));
     }
     return out;
-}
-
-// ---------------------------------------------------------------------------
-// Chunk leases
-
-std::string serialize_lease(const ChunkLease& lease) {
-    std::string out = "lease";
-    append_kv(out, "chunk", lease.chunk_index);
-    append_kv_signed(out, "pid", lease.pid);
-    append_kv(out, "token", lease.token);
-    append_kv(out, "attempts", lease.attempts);
-    out += '\n';
-    return out;
-}
-
-std::optional<ChunkLease> parse_lease(std::string_view payload) {
-    util::TextCursor in{payload};
-    ChunkLease lease;
-    if (!in.literal("lease ") || !read_kv(in, "chunk", lease.chunk_index) ||
-        !read_kv(in, " pid", lease.pid) || !read_kv(in, " token", lease.token) ||
-        !read_kv(in, " attempts", lease.attempts) || !in.literal('\n') || !in.done()) {
-        return std::nullopt;
-    }
-    return lease;
-}
-
-util::IoResult claim_lease(util::Io& io, const std::filesystem::path& dir,
-                           const ChunkLease& lease) {
-    return util::create_file_exclusive(io, lease_path(dir, lease.chunk_index),
-                                       serialize_lease(lease));
-}
-
-bool claim_lease(const std::filesystem::path& dir, const ChunkLease& lease) {
-    return claim_lease(util::Io::real(), dir, lease).ok();
-}
-
-std::optional<ChunkLease> read_lease(const std::filesystem::path& dir,
-                                     std::size_t chunk_index) {
-    const auto path = lease_path(dir, chunk_index);
-    if (!std::filesystem::is_regular_file(path)) return std::nullopt;
-    auto lease = parse_lease(read_whole_file(path));
-    if (!lease || lease->chunk_index != chunk_index) return std::nullopt;
-    return lease;
-}
-
-bool release_lease(const std::filesystem::path& dir, std::size_t chunk_index,
-                   std::uint64_t token) {
-    const auto path = lease_path(dir, chunk_index);
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) return true;
-    const auto lease = read_lease(dir, chunk_index);
-    if (lease) {
-        if (lease->token != token) return false;  // fencing: not our lease
-    } else if (token != 0) {
-        return false;  // garbled lease needs the explicit token-0 override
-    }
-    std::filesystem::remove(path, ec);
-    return !std::filesystem::exists(path, ec);
 }
 
 // ---------------------------------------------------------------------------

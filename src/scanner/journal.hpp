@@ -13,7 +13,6 @@
 //   chunk-00042.rec          one record: chunk 42 (a multi-process worker)
 //   chunk-00048-00063.rec    a batch: chunks 48..63 back to back (a run()'s
 //                            merge thread group-commits kMapBatchChunks)
-//   chunk-00042.lease        claim marker of the worker scanning chunk 42
 //
 // Each record is framed as
 //
@@ -149,12 +148,8 @@ struct MapBatch {
 /// holds a single chunk.
 [[nodiscard]] std::filesystem::path map_batch_path(const std::filesystem::path& dir,
                                                    const MapBatch& batch);
-/// `chunk-NNNNN.lease` inside `dir`.
-[[nodiscard]] std::filesystem::path lease_path(const std::filesystem::path& dir,
-                                               std::size_t chunk_index);
-
 /// Prepares `dir` as a journal. With `wipe`, removes every existing
-/// chunk/lease/header file first (a fresh run rescans everything); without
+/// chunk-record and header file first (a fresh run rescans everything); without
 /// it, an existing header must equal `header` (std::invalid_argument
 /// otherwise — the journal belongs to a different campaign) and finished
 /// chunks are kept for reuse. The header file is published atomically and
@@ -223,52 +218,6 @@ struct MapReplayResult {
 /// of qlog::to_jsonl (the paper's Appendix B qlog baselines).
 [[nodiscard]] MapReplayResult read_map_journal(
     const std::filesystem::path& dir, const std::function<void(ChunkRecord&&)>& visit);
-
-// ---------------------------------------------------------------------------
-// Chunk leases
-
-/// A worker's claim on one chunk. The fencing token is unique per lease
-/// grant (worker slot × incarnation counter), so a supervisor reclaiming a
-/// dead worker's chunks removes exactly the leases that worker held — a
-/// worker that was wrongly declared dead cannot have its NEW lease (new
-/// token) swept away by a reclaim aimed at its old incarnation.
-struct ChunkLease {
-    std::size_t chunk_index = 0;
-    long pid = 0;
-    std::uint64_t token = 0;
-    /// How many times a process STARTED scanning this chunk (a claim writes
-    /// the inherited count; the owner bumps it right before scanning). Drives
-    /// poisoned-chunk quarantine: a chunk whose scans keep killing processes
-    /// gets a bounded number of incarnations before the pool gives up on it —
-    /// while a chunk that was merely LEASED by a dying process is not tainted.
-    std::uint64_t attempts = 0;
-
-    friend bool operator==(const ChunkLease&, const ChunkLease&) = default;
-};
-
-[[nodiscard]] std::string serialize_lease(const ChunkLease& lease);
-[[nodiscard]] std::optional<ChunkLease> parse_lease(std::string_view payload);
-
-/// Atomically claims `lease.chunk_index` (O_EXCL create of the lease file).
-/// Exactly one of N racing claimants succeeds. Returns false when the chunk
-/// is already leased or on I/O failure.
-[[nodiscard]] bool claim_lease(const std::filesystem::path& dir, const ChunkLease& lease);
-/// Io-threaded form: EEXIST means the chunk is already leased (the routine
-/// lost race, not an error); any other errno is a real storage failure the
-/// caller should surface.
-[[nodiscard]] util::IoResult claim_lease(util::Io& io, const std::filesystem::path& dir,
-                                         const ChunkLease& lease);
-
-/// The current lease on a chunk; nullopt when unleased or garbled (a
-/// garbled lease file blocks nobody: release_lease with token 0 removes it).
-[[nodiscard]] std::optional<ChunkLease> read_lease(const std::filesystem::path& dir,
-                                                   std::size_t chunk_index);
-
-/// Removes the lease on `chunk_index` iff its fencing token matches
-/// `token` (or the lease file is garbled and `token` is 0). Returns true
-/// when the lease file is gone afterwards.
-bool release_lease(const std::filesystem::path& dir, std::size_t chunk_index,
-                   std::uint64_t token);
 
 // ---------------------------------------------------------------------------
 // Scrub: offline verify / repair (DESIGN.md §16)

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "scanner/journal.hpp"
@@ -20,33 +21,27 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/resource.hpp"
 #include "telemetry/trace.hpp"
-#include "util/atomic_file.hpp"
 #include "util/io.hpp"
 #include "util/proc.hpp"
 
 #ifndef _WIN32
 #include <poll.h>
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#endif
+#ifdef __linux__
+#include <sys/prctl.h>
 #endif
 
 namespace spinscope::scanner {
 
 void ProcPoolOptions::validate() const {
     if (procs < 1) throw std::invalid_argument("procpool: procs must be >= 1");
-    if (lease_batch < 1) throw std::invalid_argument("procpool: lease_batch must be >= 1");
     if (chunk_attempts < 1) {
         throw std::invalid_argument("procpool: chunk_attempts must be >= 1");
     }
-    if (heartbeat_interval.count_nanos() <= 0) {
-        throw std::invalid_argument("procpool: heartbeat_interval must be positive");
-    }
     if (hang_deadline.count_nanos() <= 0) {
         throw std::invalid_argument("procpool: hang_deadline must be positive");
-    }
-    if (lease_ttl.count_nanos() <= 0) {
-        throw std::invalid_argument("procpool: lease_ttl must be positive");
     }
     proc_restart.validate();
 }
@@ -55,11 +50,12 @@ void ProcPoolOptions::validate() const {
 
 namespace {
 
-/// Quarantine note used when a chunk burns its process-incarnation budget.
-/// The worker-side stale-lease sweep and the supervisor's inline sweep both
-/// use this exact text, so whoever loses the (idempotent) publish race wrote
-/// the same bytes as the winner.
+/// Quarantine note used when a chunk exhausts chunk_attempts.
 constexpr const char* kProcQuarantineError = "worker process died repeatedly";
+
+/// The supervisor's poll period: how soon it notices a silent deadline
+/// passing. Channel traffic and worker deaths wake it at once.
+constexpr int kPollPeriodMs = 10;
 
 /// Operator-facing location of `chunk` in the campaign's domain namespace,
 /// e.g. "chunk 42 (domains [672, 688))" — a chunk id alone is useless for
@@ -75,80 +71,25 @@ void sleep_for(util::Duration d) {
     }
 }
 
-/// Age of a lease file in wall nanoseconds; nullopt when unreadable (e.g.
-/// removed concurrently).
-std::optional<std::int64_t> lease_age_ns(const std::filesystem::path& path) {
-    std::error_code ec;
-    const auto written = std::filesystem::last_write_time(path, ec);
-    if (ec) return std::nullopt;
-    const auto now = std::filesystem::file_time_type::clock::now();
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(now - written).count();
-}
-
-/// True once `chunk` has a record: a file that held it when the pass
-/// started (`at_start` — possibly a run()'s batch file) or the single-chunk
-/// file a worker published since.
-bool chunk_recorded(const std::filesystem::path& dir, const std::vector<char>& at_start,
-                    std::size_t chunk) {
-    std::error_code ec;
-    return at_start[chunk] != 0 || std::filesystem::exists(map_chunk_path(dir, chunk), ec);
-}
-
 /// Placeholder record for a chunk whose scans keep killing worker processes:
 /// the process-level twin of Campaign::scan_chunk's quarantine, built from
-/// the same placeholders.
+/// the same placeholders. The per-scan placeholders keep the bare text:
+/// scans carry their own domain_id.
 ChunkRecord proc_quarantine_record(const Campaign& campaign, std::size_t chunk) {
-    // The located note is a pure function of (campaign geometry, chunk), so
-    // racing publishers still write byte-identical records. The per-scan
-    // placeholders keep the bare text: scans carry their own domain_id.
     return {chunk, true,
             std::string(kProcQuarantineError) + " at " + locate_chunk(campaign, chunk),
             campaign.quarantine_scans(chunk, kProcQuarantineError), {}};
 }
 
-/// Examines the lease on `chunk` and clears it when stale (dead owner, or
-/// older than lease_ttl regardless of owner — the pid-reuse guard). Returns
-/// the stale lease's attempt count when the chunk became claimable, nullopt
-/// when a live peer holds it or someone else won the release race. A stale
-/// lease that had already exhausted chunk_attempts is quarantined on the
-/// spot (`*quarantined` incremented) and reported unclaimable — the chunk is
-/// finished, not available.
-std::optional<std::uint64_t> clear_stale_lease(util::Io& io, const Campaign& campaign,
-                                               const ProcPoolOptions& options,
-                                               const std::filesystem::path& dir,
-                                               std::size_t chunk,
-                                               std::uint64_t* quarantined) {
-    const auto lease = read_lease(dir, chunk);
-    if (!lease) {
-        std::error_code ec;
-        if (std::filesystem::exists(lease_path(dir, chunk), ec)) {
-            // Garbled lease file (torn write of a crashed claimer): break it
-            // with the token-0 override.
-            if (!release_lease(dir, chunk, 0)) return std::nullopt;
-        }
-        return 0;
-    }
-    const bool dead = !util::process_alive(lease->pid);
-    bool expired = false;
-    if (!dead) {
-        if (const auto age = lease_age_ns(lease_path(dir, chunk))) {
-            expired = *age > options.lease_ttl.count_nanos();
-        }
-    }
-    if (!dead && !expired) return std::nullopt;
-    // Fencing: release exactly the incarnation we inspected. If the owner
-    // re-claimed with a new token in between, this fails and we back off.
-    if (!release_lease(dir, chunk, lease->token)) return std::nullopt;
-    if (lease->attempts >= options.chunk_attempts) {
-        // Every process that touched this chunk died on it: publish the
-        // quarantine placeholder instead of feeding it another incarnation.
-        // Best-effort: a failed publish leaves the chunk unclaimed and the
-        // next sweep (or the supervisor's inline pass) retries it.
-        (void)write_map_chunk(io, dir, proc_quarantine_record(campaign, chunk));
-        if (quarantined != nullptr) ++*quarantined;
+/// The chunk index of a `<verb> <chunk>[ ...]` channel line; nullopt for any
+/// other verb.
+std::optional<std::size_t> chunk_of(const std::string& line, std::string_view verb) {
+    if (line.size() <= verb.size() || !line.starts_with(verb) ||
+        line[verb.size()] != ' ') {
         return std::nullopt;
     }
-    return lease->attempts;
+    return static_cast<std::size_t>(std::strtoull(line.c_str() + verb.size() + 1,
+                                                  nullptr, 10));
 }
 
 /// Everything a forked worker needs. Lives in the child's (copy-on-write)
@@ -158,134 +99,55 @@ struct WorkerContext {
     const ProcPoolOptions* options = nullptr;
     util::Io* io = nullptr;  // the campaign's storage seam (DESIGN.md §16)
     std::filesystem::path dir;
-    const std::vector<char>* recorded_at_start = nullptr;
     unsigned slot = 0;
-    std::uint64_t token = 0;
-    int pipe_fd = -1;
+    int fd = -1;  // this worker's end of its channel
 };
 
-/// The worker process body: claim a batch of leases, scan and publish each
-/// chunk, repeat until every chunk of the campaign has a record. Exit codes:
-/// 0 = no work left, 2 = unexpected exception, 3 = publish failed.
+/// The worker process body: scan and publish each chunk the supervisor
+/// assigns, until the channel reaches EOF. Exit codes: 0 = EOF (the
+/// supervisor finished or died), 2 = unexpected exception or garbled
+/// assignment, 3 = publish failed.
 int worker_main(const WorkerContext& ctx) noexcept {
     try {
-        ::signal(SIGPIPE, SIG_IGN);
-        const ProcPoolOptions& opt = *ctx.options;
         const Campaign& campaign = *ctx.campaign;
-        if (opt.rss_hard_limit > 0) {
-            // RLIMIT_AS is address space, not resident set, but it is the
-            // portable way to make a runaway worker's allocations FAIL (and
-            // the worker die and restart) instead of wedging the host.
-            struct rlimit lim;
-            lim.rlim_cur = opt.rss_hard_limit;
-            lim.rlim_max = opt.rss_hard_limit;
-            (void)::setrlimit(RLIMIT_AS, &lim);
-        }
+        const auto& hook = ctx.options->worker_event_hook;
         const auto send = [&](const std::string& line) {
-            (void)util::write_line(ctx.pipe_fd, line);
+            (void)util::write_line(ctx.fd, line);
         };
-        const auto heartbeat = [&] {
-            send("hb " + std::to_string(telemetry::current_rss_bytes()));
-        };
-        heartbeat();
-        const std::size_t total = campaign.chunk_count();
-        if (total == 0) return 0;
-        std::size_t batch = opt.lease_batch;
-        // Striped start point: slots begin their claim walk at different
-        // offsets so they do not all fight over chunk 0's lease at startup.
-        std::size_t cursor =
-            static_cast<std::size_t>(ctx.slot) * total / std::max(1u, opt.procs);
+        util::LineReader reader{ctx.fd};
+        std::vector<std::string> lines;
         for (;;) {
-            std::vector<ChunkLease> claimed;
-            bool any_pending = false;
-            for (std::size_t step = 0; step < total && claimed.size() < batch; ++step) {
-                const std::size_t c = (cursor + step) % total;
-                if (chunk_recorded(ctx.dir, *ctx.recorded_at_start, c)) continue;
-                any_pending = true;
-                std::uint64_t quarantined = 0;
-                const auto prior =
-                    clear_stale_lease(*ctx.io, campaign, opt, ctx.dir, c, &quarantined);
-                if (quarantined > 0) {
-                    send("pquar " + std::to_string(c));
-                    continue;
-                }
-                if (!prior) continue;
-                ChunkLease lease;
-                lease.chunk_index = c;
-                lease.pid = util::current_pid();
-                lease.token = ctx.token;
-                // Inherit the scan-start count unchanged: merely HOLDING a
-                // lease when the process dies must not taint the chunk — only
-                // dying mid-scan does (the bump below, right before scanning).
-                lease.attempts = *prior;
-                const util::IoResult claimed_res = claim_lease(*ctx.io, ctx.dir, lease);
-                if (!claimed_res) {
-                    // EEXIST is the normal lost-claim race; anything else is
-                    // the disk failing under us — report the real cause.
-                    if (claimed_res.err != EEXIST) {
-                        send("ioerr claim chunk " + std::to_string(c) + ": " +
-                             claimed_res.message());
-                    }
-                    continue;
-                }
-                if (opt.worker_event_hook) opt.worker_event_hook(ctx.slot, "claim", c);
-                send("claim " + std::to_string(c));
-                claimed.push_back(lease);
-            }
-            if (claimed.empty()) {
-                if (!any_pending) return 0;  // every chunk has a record
-                // Live peers hold all remaining work: wait for them (or for
-                // their leases to go stale) with the heartbeat flowing.
-                heartbeat();
-                sleep_for(opt.heartbeat_interval);
-                cursor = (cursor + 1) % total;
-                continue;
-            }
-            for (ChunkLease lease : claimed) {
-                const std::size_t c = lease.chunk_index;
-                heartbeat();
-                // Mark the scan as STARTED: a death from here until publish
-                // charges one attempt against the chunk. We own the lease, so
-                // an atomic rewrite (same token, attempts+1) is race-free.
-                ++lease.attempts;
-                const util::IoResult bumped = util::write_file_atomic(
-                    *ctx.io, lease_path(ctx.dir, c), serialize_lease(lease));
-                if (!bumped) {
-                    // Non-fatal (the lease is advisory bookkeeping), but the
-                    // supervisor should know the disk dropped a write.
-                    send("ioerr lease bump chunk " + std::to_string(c) + ": " +
-                         bumped.message());
-                }
+            struct pollfd in{ctx.fd, POLLIN, 0};
+            if (::poll(&in, 1, -1) < 0 && errno != EINTR) return 2;
+            lines.clear();
+            const bool open = reader.drain(lines);
+            for (const std::string& line : lines) {
+                const auto assigned = chunk_of(line, "scan");
+                if (!assigned) return 2;
+                const std::size_t c = *assigned;
+                if (hook) hook(ctx.slot, "claim", c);
+                // From here on, this process dying charges the chunk.
+                send("start " + std::to_string(c));
                 // Thread-level restart-then-quarantine happens inside
                 // scan_chunk, so the record matches what run() journals.
                 ScannedChunk scanned = campaign.scan_chunk(c);
                 if (scanned.restarts > 0) send("restart " + std::to_string(scanned.restarts));
                 const ChunkRecord record = to_chunk_record(c, std::move(scanned));
-                if (opt.worker_event_hook) opt.worker_event_hook(ctx.slot, "scanned", c);
+                if (hook) hook(ctx.slot, "scanned", c);
                 const util::IoResult published = write_map_chunk(*ctx.io, ctx.dir, record);
                 if (!published) {
-                    // Publish is the one write that matters: without the
-                    // record the scan never happened. Attribute the cause,
-                    // then die with the publish-failed exit code so the
-                    // supervisor can restart (or finish inline).
+                    // Without the record the scan never happened. Attribute
+                    // the cause, then die so the supervisor can restart (or
+                    // finish inline).
                     send("ioerr publish chunk " + std::to_string(c) + ": " +
                          published.message());
                     return 3;
                 }
-                if (opt.worker_event_hook) {
-                    opt.worker_event_hook(ctx.slot, "published", c);
-                }
-                (void)release_lease(ctx.dir, c, ctx.token);
-                send("done " + std::to_string(c));
-                if (opt.rss_soft_budget > 0 && batch > 1 &&
-                    telemetry::current_rss_bytes() > opt.rss_soft_budget) {
-                    // Soft budget tripped: degrade to single-chunk batches
-                    // instead of growing until the hard limit kills us.
-                    batch = 1;
-                    send("batch 1");
-                }
+                if (hook) hook(ctx.slot, "published", c);
+                send("done " + std::to_string(c) + " " +
+                     std::to_string(telemetry::current_rss_bytes()));
             }
-            cursor = (claimed.back().chunk_index + 1) % total;
+            if (!open) return 0;
         }
     } catch (...) {
         return 2;
@@ -295,15 +157,18 @@ int worker_main(const WorkerContext& ctx) noexcept {
 /// Supervisor-side state of one worker slot across its incarnations.
 struct WorkerSlot {
     long pid = -1;
-    std::optional<util::Pipe> pipe;        // read end only (write end closed)
+    std::optional<util::Pipe> channel;  // parent end only (child end closed)
     std::optional<util::LineReader> reader;
-    std::chrono::steady_clock::time_point last_hb{};
+    bool hung_up = false;  // the channel read EOF: the process has exited
+    std::chrono::steady_clock::time_point last_heard{};
     int incarnations = 0;
-    std::uint64_t token = 0;
     util::Rng backoff_rng;
     bool alive = false;
-    bool exhausted = false;   // restart budget spent
-    bool hang_killed = false; // current incarnation was SIGKILLed for silence
+    bool hang_killed = false;  // current incarnation was SIGKILLed for silence
+    /// The chunk in flight (`scan` sent, `done` not yet read) and whether
+    /// the worker has sent `start` for it.
+    std::optional<std::size_t> chunk;
+    bool started = false;
     std::uint64_t peak_rss = 0;
     std::int64_t spawn_ns = 0;
     int lane = -1;
@@ -330,12 +195,6 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     header.domain_count = campaign.domain_count();
     header.has_telemetry = campaign.metrics() != nullptr;
     init_map_journal(io, dir, header, options.fresh);
-    // Only this pass's workers publish while it runs, so one listing covers
-    // every file they did not write themselves.
-    std::vector<char> recorded_at_start(campaign.chunk_count(), 0);
-    for (const std::size_t c : list_map_chunks(dir)) {
-        if (c < recorded_at_start.size()) recorded_at_start[c] = 1;
-    }
 
     // Exclusive campaign ownership of the directory for the whole map pass.
     // Forked children inherit the held flag but _exit without running
@@ -355,17 +214,45 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     ProcPoolReport report;
     report.procs = options.procs;
     report.chunks_total = campaign.chunk_count();
+    const std::size_t total = campaign.chunk_count();
+
+    // The scheduler's whole state. `done` starts from one listing (possibly
+    // a killed run()'s batch files); pending chunks are the requeued ones
+    // (back = front of the queue) and then every not-done chunk from
+    // `cursor` upwards, ascending.
+    std::vector<char> done(total, 0);
+    for (const std::size_t c : list_map_chunks(dir)) {
+        if (c < total) done[c] = 1;
+    }
+    std::size_t cursor = 0;
+    std::vector<std::size_t> requeued;
+    std::unordered_map<std::size_t, std::uint64_t> charges;  // mid-scan deaths
+    const auto next_pending = [&]() -> std::optional<std::size_t> {
+        if (!requeued.empty()) {
+            const std::size_t c = requeued.back();
+            requeued.pop_back();
+            return c;
+        }
+        while (cursor < total && done[cursor] != 0) ++cursor;
+        if (cursor == total) return std::nullopt;
+        return cursor++;
+    };
 
     telemetry::MetricsRegistry* metrics = campaign.metrics();
     telemetry::TraceRecorder* trace = campaign.trace();
+    const auto mark = [&](const WorkerSlot& slot, const std::string& what) {
+        if (trace != nullptr && slot.lane >= 0) {
+            trace->instant(telemetry::TraceClock::wall, slot.lane, what,
+                           trace->wall_now_ns());
+        }
+    };
 
     std::vector<WorkerSlot> slots(options.procs);
-    std::uint64_t next_token = 1;
+    [[maybe_unused]] const ::pid_t supervisor = ::getpid();  // read by the worker
 
     const auto spawn = [&](unsigned index) {
         WorkerSlot& slot = slots[index];
-        util::Pipe pipe;  // throws std::runtime_error on failure
-        const std::uint64_t token = next_token++;
+        util::Pipe channel;  // throws std::runtime_error on failure
         const ::pid_t child = ::fork();
         if (child < 0) {
             throw std::runtime_error(std::string("procpool: fork failed: ") +
@@ -374,25 +261,37 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         if (child == 0) {
             // Worker process. Leave only via _exit: no destructors, no exit
             // handlers, no stdio flushing — the parent owns all of those.
-            pipe.close_read();
+#ifdef __linux__
+            // Die with the supervisor even mid-scan; the re-check covers a
+            // supervisor that died before the prctl. The signal fires when
+            // the forking THREAD exits, which is never early: run_procs
+            // reaps every worker before it returns.
+            (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() != supervisor) ::_exit(0);
+#endif
+            // Keep no copy of any parent end: a sibling holding one would
+            // hide the supervisor's close (or death) from that worker.
+            channel.close_parent();
+            for (WorkerSlot& other : slots) {
+                if (other.channel) other.channel->close_parent();
+            }
+            (void)util::set_nonblocking(channel.child_fd());
             WorkerContext ctx;
             ctx.campaign = &campaign;
             ctx.options = &options;
             ctx.io = &io;
             ctx.dir = dir;
-            ctx.recorded_at_start = &recorded_at_start;
             ctx.slot = index;
-            ctx.token = token;
-            ctx.pipe_fd = pipe.write_fd();
+            ctx.fd = channel.child_fd();
             ::_exit(worker_main(ctx));
         }
-        pipe.close_write();
-        (void)util::set_nonblocking(pipe.read_fd());
+        channel.close_child();
+        (void)util::set_nonblocking(channel.parent_fd());
         slot.pid = child;
-        slot.pipe.emplace(std::move(pipe));
-        slot.reader.emplace(slot.pipe->read_fd());
-        slot.last_hb = std::chrono::steady_clock::now();
-        slot.token = token;
+        slot.channel.emplace(std::move(channel));
+        slot.reader.emplace(slot.channel->parent_fd());
+        slot.hung_up = false;
+        slot.last_heard = std::chrono::steady_clock::now();
         ++slot.incarnations;
         slot.alive = true;
         slot.hang_killed = false;
@@ -400,50 +299,60 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     };
 
     const auto handle_line = [&](WorkerSlot& slot, const std::string& line) {
-        // Any traffic proves liveness, not just heartbeats.
-        slot.last_hb = std::chrono::steady_clock::now();
-        const auto space = line.find(' ');
-        const std::string verb = line.substr(0, space);
-        const std::string arg =
-            space == std::string::npos ? std::string{} : line.substr(space + 1);
-        std::uint64_t value = 0;
-        if (!arg.empty()) value = std::strtoull(arg.c_str(), nullptr, 10);
-        if (verb == "hb") {
-            slot.peak_rss = std::max(slot.peak_rss, value);
-        } else if (verb == "restart") {
-            report.worker_thread_restarts += value;
-        } else if (verb == "pquar") {
-            ++report.chunks_quarantined;
-        } else if (verb == "ioerr") {
-            // A worker hit a real storage failure (not a lost race). Count
-            // and keep the attributed cause for the report; the worker's own
-            // exit code decides whether this was fatal to the incarnation.
+        slot.last_heard = std::chrono::steady_clock::now();
+        if (const auto c = chunk_of(line, "start"); c && c == slot.chunk) {
+            slot.started = true;
+            mark(slot, line);
+        } else if (const auto d = chunk_of(line, "done"); d && d == slot.chunk) {
+            done[*d] = 1;
+            slot.chunk.reset();
+            slot.started = false;
+            const auto rss = line.find(' ', 5);
+            if (rss != std::string::npos) {
+                slot.peak_rss = std::max<std::uint64_t>(
+                    slot.peak_rss, std::strtoull(line.c_str() + rss + 1, nullptr, 10));
+            }
+            mark(slot, line.substr(0, rss));
+        } else if (line.starts_with("restart ")) {
+            report.worker_thread_restarts += std::strtoull(line.c_str() + 8, nullptr, 10);
+        } else if (line.starts_with("ioerr ")) {
+            // A worker hit a real storage failure. Count and keep the
+            // attributed cause; the worker's death decides what happens to
+            // its chunk.
             ++report.io_errors;
-            report.last_io_error = arg;
-            if (trace != nullptr && slot.lane >= 0) {
-                trace->instant(telemetry::TraceClock::wall, slot.lane,
-                               "ioerr " + arg, trace->wall_now_ns());
-            }
-        } else if (verb == "done" || verb == "claim" || verb == "batch") {
-            if (trace != nullptr && slot.lane >= 0) {
-                trace->instant(telemetry::TraceClock::wall, slot.lane, verb + " " + arg,
-                               trace->wall_now_ns());
-            }
+            report.last_io_error = line.substr(6);
+            mark(slot, line);
         }
     };
 
     const auto drain_slot = [&](WorkerSlot& slot) {
         if (!slot.reader) return;
-        for (;;) {
-            std::vector<std::string> lines;
-            const bool open = slot.reader->drain(lines);
-            for (const std::string& line : lines) handle_line(slot, line);
-            if (!open || lines.empty()) break;
-        }
+        std::vector<std::string> lines;
+        slot.hung_up = !slot.reader->drain(lines);
+        for (const std::string& line : lines) handle_line(slot, line);
     };
 
-    const auto handle_death = [&](unsigned index, WorkerSlot& slot, int status) {
-        drain_slot(slot);  // the pipe buffer outlives the process
+    // Publishes the quarantine placeholder for a chunk that used up its
+    // charges. A failed publish leaves the chunk not done; the inline pass
+    // at the end retries it.
+    const auto quarantine = [&](std::size_t c) {
+        const util::IoResult published =
+            write_map_chunk(io, dir, proc_quarantine_record(campaign, c));
+        if (!published) {
+            ++report.io_errors;
+            report.last_io_error = "quarantine " + locate_chunk(campaign, c) + ": " +
+                                   published.message();
+            return false;
+        }
+        done[c] = 1;
+        ++report.chunks_quarantined;
+        return true;
+    };
+
+    // Closes out `slot`'s reaped incarnation: the channel is drained first
+    // (its buffer outlives the process), then the trace lane gets the span.
+    const auto end_incarnation = [&](WorkerSlot& slot, int status) {
+        drain_slot(slot);
         if (trace != nullptr && slot.lane >= 0) {
             const std::int64_t now_ns = trace->wall_now_ns();
             trace->complete(telemetry::TraceClock::wall, slot.lane, "incarnation",
@@ -454,19 +363,28 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
                                                       static_cast<std::uint64_t>(status))});
         }
         slot.reader.reset();
-        slot.pipe.reset();
+        slot.channel.reset();
         slot.alive = false;
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        if (clean) return;  // worker found no work left — not a death
-        if (slot.incarnations >= options.proc_restart.max_attempts) {
-            slot.exhausted = true;
-            return;
+    };
+
+    const auto handle_death = [&](unsigned index, WorkerSlot& slot, int status) {
+        end_incarnation(slot, status);
+        if (slot.chunk) {
+            const std::size_t c = *slot.chunk;
+            slot.chunk.reset();
+            std::error_code ec;
+            if (!slot.started) {
+                requeued.push_back(c);  // died before starting: no charge
+            } else if (std::filesystem::exists(map_chunk_path(dir, c), ec)) {
+                done[c] = 1;  // died between publish and `done`
+            } else if (++charges[c] < options.chunk_attempts) {
+                requeued.push_back(c);
+            } else {
+                (void)quarantine(c);
+            }
+            slot.started = false;
         }
-        // Restart with backoff on the slot's own jitter stream. Leases the
-        // dead incarnation still held are NOT swept here: every live worker's
-        // claim walk (and the inline sweep at the end) detects the dead pid
-        // and reclaims them, and the fencing token guarantees nobody can
-        // sweep the replacement's fresh leases by mistake.
+        if (slot.incarnations >= options.proc_restart.max_attempts) return;
         sleep_for(options.proc_restart.backoff_delay(slot.incarnations,
                                                      slot.backoff_rng));
         spawn(index);
@@ -483,18 +401,36 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         spawn(i);
     }
 
-    const int poll_ms =
-        std::max(1, static_cast<int>(options.heartbeat_interval.count_millis()));
+    std::vector<struct pollfd> fds;
+    std::vector<unsigned> fd_slot;
     for (;;) {
-        std::vector<struct pollfd> fds;
-        std::vector<unsigned> fd_slot;
+        // Hand every idle worker the next pending chunk. A send to a worker
+        // that just died fails harmlessly: its reap requeues the chunk.
+        bool in_flight = false;
+        for (WorkerSlot& slot : slots) {
+            if (slot.alive && !slot.chunk) {
+                if (const auto c = next_pending()) {
+                    slot.chunk = *c;
+                    slot.started = false;
+                    slot.last_heard = std::chrono::steady_clock::now();
+                    (void)util::write_line(slot.channel->parent_fd(),
+                                           "scan " + std::to_string(*c));
+                }
+            }
+            in_flight = in_flight || slot.chunk.has_value();
+        }
+        // Nothing in flight: either nothing is pending, or every slot has
+        // spent its restart budget and the inline pass takes over.
+        if (!in_flight) break;
+
+        fds.clear();
+        fd_slot.clear();
         for (unsigned i = 0; i < options.procs; ++i) {
             if (!slots[i].alive) continue;
-            fds.push_back({slots[i].pipe->read_fd(), POLLIN, 0});
+            fds.push_back({slots[i].channel->parent_fd(), POLLIN, 0});
             fd_slot.push_back(i);
         }
-        if (fds.empty()) break;
-        const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), poll_ms);
+        const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollPeriodMs);
         if (rc < 0 && errno != EINTR) {
             throw std::runtime_error(std::string("procpool: poll failed: ") +
                                      std::strerror(errno));
@@ -507,52 +443,50 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         for (unsigned i = 0; i < options.procs; ++i) {
             WorkerSlot& slot = slots[i];
             if (!slot.alive) continue;
+            // A hung-up channel means the process has exited: wait for it.
             int status = 0;
             const ::pid_t reaped = ::waitpid(static_cast<::pid_t>(slot.pid), &status,
-                                             WNOHANG);
+                                             slot.hung_up ? 0 : WNOHANG);
             if (reaped == slot.pid) {
                 handle_death(i, slot, status);
                 continue;
             }
             const auto silence =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(now - slot.last_hb)
+                std::chrono::duration_cast<std::chrono::nanoseconds>(now - slot.last_heard)
                     .count();
-            if (!slot.hang_killed && silence > options.hang_deadline.count_nanos()) {
+            if (slot.chunk && !slot.hang_killed &&
+                silence > options.hang_deadline.count_nanos()) {
                 // Hung (wedged syscall, livelock, stopped): SIGKILL now; the
                 // death is reaped on the next loop and restarts as usual.
                 (void)::kill(static_cast<::pid_t>(slot.pid), SIGKILL);
                 slot.hang_killed = true;
                 ++report.hang_kills;
-                if (trace != nullptr && slot.lane >= 0) {
-                    trace->instant(telemetry::TraceClock::wall, slot.lane, "hang kill",
-                                   trace->wall_now_ns());
-                }
+                mark(slot, "hang kill");
             }
         }
     }
 
-    // Last-resort completion on the supervisor thread: every slot has exited
-    // — cleanly (no claimable work left) or with its restart budget spent.
-    // Chunks still missing a record are finished inline, with the same
-    // attempts bookkeeping the workers apply.
-    for (std::size_t c = 0; c < report.chunks_total; ++c) {
-        if (chunk_recorded(dir, recorded_at_start, c)) continue;
-        std::uint64_t quarantined = 0;
-        (void)clear_stale_lease(io, campaign, options, dir, c, &quarantined);
-        if (quarantined > 0) {
-            report.chunks_quarantined += quarantined;
-            continue;
-        }
-        // A lease surviving to here belongs to a dead campaign of ours (all
-        // children are reaped) or a foreign pid-reuse victim; either way the
-        // supervisor owns the directory now, so force it off.
-        if (const auto lease = read_lease(dir, c)) {
-            (void)release_lease(dir, c, lease->token);
-            if (lease->attempts >= options.chunk_attempts) {
-                (void)write_map_chunk(io, dir, proc_quarantine_record(campaign, c));
-                ++report.chunks_quarantined;
-                continue;
-            }
+    // Every live worker is idle: closing its channel is its signal to exit.
+    for (WorkerSlot& slot : slots) {
+        if (!slot.alive) continue;
+        slot.reader.reset();
+        slot.channel.reset();
+        int status = 0;
+        (void)::waitpid(static_cast<::pid_t>(slot.pid), &status, 0);
+        end_incarnation(slot, status);
+    }
+
+    // Last-resort completion on the supervisor thread: chunks still without
+    // a record once every slot has spent its restart budget (or whose
+    // quarantine publish failed) are finished inline.
+    for (std::size_t c = 0; c < total; ++c) {
+        if (done[c] != 0) continue;
+        const auto charged = charges.find(c);
+        if (charged != charges.end() && charged->second >= options.chunk_attempts) {
+            if (quarantine(c)) continue;
+            throw std::runtime_error("procpool: cannot publish quarantine record for " +
+                                     locate_chunk(campaign, c) + " in '" + dir.string() +
+                                     "': " + report.last_io_error);
         }
         ScannedChunk scanned = campaign.scan_chunk(c);
         report.worker_thread_restarts += static_cast<std::uint64_t>(scanned.restarts);
@@ -565,11 +499,12 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
                                      locate_chunk(campaign, c) + " in '" +
                                      dir.string() + "': " + published.message());
         }
+        done[c] = 1;
         ++report.chunks_scanned_inline;
     }
 
-    for (std::size_t c = 0; c < report.chunks_total; ++c) {
-        if (chunk_recorded(dir, recorded_at_start, c)) ++report.chunks_recorded;
+    for (const std::size_t c : list_map_chunks(dir)) {
+        if (c < total) ++report.chunks_recorded;
     }
     if (report.chunks_recorded != report.chunks_total) {
         throw std::runtime_error("procpool: map pass finished with missing chunks");

@@ -54,7 +54,7 @@ namespace spinscope::util {
 bool fsync_dir(const std::filesystem::path& dir);
 
 /// Atomically creates `path` with `content` iff it does not already exist
-/// (O_EXCL). This is the claim primitive behind lock and lease files: of N
+/// (O_EXCL). This is the claim primitive behind lock files: of N
 /// concurrent creators exactly one succeeds. A lost race reports EEXIST —
 /// the one storage "failure" that is business as usual — while real I/O
 /// errors carry their own errno; a partially-written file is removed

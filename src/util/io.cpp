@@ -61,7 +61,6 @@ public:
         int flags = O_WRONLY | O_CREAT | O_CLOEXEC;
         switch (mode) {
             case OpenMode::truncate: flags |= O_TRUNC; break;
-            case OpenMode::append: flags |= O_APPEND; break;
             case OpenMode::exclusive: flags |= O_EXCL; break;
         }
         int fd = -1;
@@ -91,14 +90,6 @@ public:
 
     IoResult fsync(int file) override {
         return ::fsync(file) == 0 ? IoResult::success() : IoResult::failure(errno);
-    }
-
-    IoResult truncate(int file, std::uint64_t size) override {
-        int rc = 0;
-        do {
-            rc = ::ftruncate(file, static_cast<::off_t>(size));
-        } while (rc != 0 && errno == EINTR);
-        return rc == 0 ? IoResult::success() : IoResult::failure(errno);
     }
 
     IoResult close(int file) override {
@@ -139,9 +130,7 @@ class RealIo final : public Io {
 public:
     int open_write(const std::filesystem::path& path, OpenMode mode,
                    IoResult& result) override {
-        const char* flags = mode == OpenMode::truncate   ? "wb"
-                            : mode == OpenMode::append   ? "ab"
-                                                         : "wbx";
+        const char* flags = mode == OpenMode::truncate ? "wb" : "wbx";
         std::FILE* f = std::fopen(path.string().c_str(), flags);
         if (f == nullptr) {
             result = IoResult::failure(errno);
@@ -173,11 +162,6 @@ public:
         std::FILE* f = lookup(file);
         if (f == nullptr) return IoResult::failure(EBADF);
         return std::fflush(f) == 0 ? IoResult::success() : IoResult::failure(errno);
-    }
-
-    IoResult truncate(int file, std::uint64_t) override {
-        return lookup(file) != nullptr ? IoResult::failure(ENOSYS)
-                                       : IoResult::failure(EBADF);
     }
 
     IoResult close(int file) override {

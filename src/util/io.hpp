@@ -1,15 +1,15 @@
 // spinscope/util/io.hpp
 //
 // Injectable storage seam (DESIGN.md §16): every write-side filesystem
-// operation the campaign pipeline performs — journal record publishes,
-// lease claims, lock files — goes through an Io instance instead of
+// operation the campaign pipeline performs — journal record publishes and
+// lock files — goes through an Io instance instead of
 // calling the OS directly. Production code uses Io::real(); tests inject
 // faults::FaultIo to make the disk lie deterministically (ENOSPC, EIO on
 // fsync, short writes, power loss) and assert that every write path reacts
 // correctly instead of trusting the hardware.
 //
 // Operations return errno-carrying IoResults, so callers can distinguish
-// ENOSPC (degrade gracefully) from EEXIST (lost a claim race) from EIO (the
+// ENOSPC (degrade gracefully) from EEXIST (lost a lock race) from EIO (the
 // data on media is now suspect) instead of collapsing every failure into one
 // bool.
 
@@ -64,7 +64,6 @@ public:
 
     enum class OpenMode {
         truncate,   ///< create or truncate, write from the start
-        append,     ///< create if absent, write at the end
         exclusive,  ///< O_EXCL claim: fail with EEXIST when the file exists
     };
 
@@ -78,9 +77,6 @@ public:
     /// underlying errno and may have persisted a prefix.
     [[nodiscard]] virtual IoResult write(int file, std::string_view bytes) = 0;
     [[nodiscard]] virtual IoResult fsync(int file) = 0;
-    /// Truncates the open file to `size` bytes (append-mode writers use this
-    /// to roll back a partially persisted record before retrying).
-    [[nodiscard]] virtual IoResult truncate(int file, std::uint64_t size) = 0;
     virtual IoResult close(int file) = 0;
     [[nodiscard]] virtual IoResult rename(const std::filesystem::path& from,
                                           const std::filesystem::path& to) = 0;

@@ -11,7 +11,9 @@
 
 #ifndef _WIN32
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
@@ -42,54 +44,54 @@ bool process_alive(long pid) noexcept {
 Pipe::Pipe() {
 #ifndef _WIN32
     int fds[2];
-    if (::pipe(fds) != 0) {
-        throw std::runtime_error{std::string{"util: pipe() failed: "} +
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+        throw std::runtime_error{std::string{"util: socketpair() failed: "} +
                                  std::strerror(errno)};
     }
-    read_fd_ = fds[0];
-    write_fd_ = fds[1];
-    ::fcntl(read_fd_, F_SETFD, FD_CLOEXEC);
-    ::fcntl(write_fd_, F_SETFD, FD_CLOEXEC);
+    parent_fd_ = fds[0];
+    child_fd_ = fds[1];
+    ::fcntl(parent_fd_, F_SETFD, FD_CLOEXEC);
+    ::fcntl(child_fd_, F_SETFD, FD_CLOEXEC);
 #else
-    throw std::runtime_error{"util: pipes are not supported on this platform"};
+    throw std::runtime_error{"util: socket pairs are not supported on this platform"};
 #endif
 }
 
 Pipe::~Pipe() {
-    close_read();
-    close_write();
+    close_parent();
+    close_child();
 }
 
 Pipe::Pipe(Pipe&& other) noexcept
-    : read_fd_{other.read_fd_}, write_fd_{other.write_fd_} {
-    other.read_fd_ = -1;
-    other.write_fd_ = -1;
+    : parent_fd_{other.parent_fd_}, child_fd_{other.child_fd_} {
+    other.parent_fd_ = -1;
+    other.child_fd_ = -1;
 }
 
 Pipe& Pipe::operator=(Pipe&& other) noexcept {
     if (this != &other) {
-        close_read();
-        close_write();
-        read_fd_ = other.read_fd_;
-        write_fd_ = other.write_fd_;
-        other.read_fd_ = -1;
-        other.write_fd_ = -1;
+        close_parent();
+        close_child();
+        parent_fd_ = other.parent_fd_;
+        child_fd_ = other.child_fd_;
+        other.parent_fd_ = -1;
+        other.child_fd_ = -1;
     }
     return *this;
 }
 
-void Pipe::close_read() noexcept {
+void Pipe::close_parent() noexcept {
 #ifndef _WIN32
-    if (read_fd_ >= 0) ::close(read_fd_);
+    if (parent_fd_ >= 0) ::close(parent_fd_);
 #endif
-    read_fd_ = -1;
+    parent_fd_ = -1;
 }
 
-void Pipe::close_write() noexcept {
+void Pipe::close_child() noexcept {
 #ifndef _WIN32
-    if (write_fd_ >= 0) ::close(write_fd_);
+    if (child_fd_ >= 0) ::close(child_fd_);
 #endif
-    write_fd_ = -1;
+    child_fd_ = -1;
 }
 
 bool write_line(int fd, std::string_view line) noexcept {
@@ -98,9 +100,16 @@ bool write_line(int fd, std::string_view line) noexcept {
     framed.push_back('\n');
     std::size_t off = 0;
     while (off < framed.size()) {
-        const ssize_t n = ::write(fd, framed.data() + off, framed.size() - off);
+        const ssize_t n =
+            ::send(fd, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                // A nonblocking end with a full buffer: wait for room.
+                struct pollfd out{fd, POLLOUT, 0};
+                (void)::poll(&out, 1, -1);
+                continue;
+            }
             return false;  // EPIPE and friends: the peer is gone
         }
         off += static_cast<std::size_t>(n);

@@ -1,13 +1,13 @@
 // spinscope/util/proc.hpp
 //
-// Process and pipe helpers for multi-process campaign execution: liveness
-// probes, CLOEXEC pipe pairs, line-oriented nonblocking channel reads, and a
-// pid lock file with stale-owner detection.
+// Process and channel helpers for multi-process campaign execution: liveness
+// probes, CLOEXEC socket pairs, line-oriented nonblocking channel reads, and
+// a pid lock file with stale-owner detection.
 //
 // Everything here is POSIX-first (the procpool supervisor is a fork-based
-// design, DESIGN.md §11); on platforms without fork/pipes the helpers
+// design, DESIGN.md §11); on platforms without fork/sockets the helpers
 // degrade explicitly — Pipe construction throws and process_alive reports
-// true (never falsely declare a process dead, which would break a lease).
+// true (never falsely declare a process dead, which would break a lock).
 
 #pragma once
 
@@ -28,9 +28,10 @@ namespace spinscope::util {
 /// the probe — reports true, so callers never treat a live owner as dead.
 [[nodiscard]] bool process_alive(long pid) noexcept;
 
-/// Unidirectional byte pipe (close-on-exec on both ends). The supervisor
-/// keeps the read end, a forked worker keeps the write end; either side
-/// closes its unused end after the fork.
+/// Bidirectional byte channel: a close-on-exec stream socketpair. The
+/// supervisor keeps the parent end, a forked worker keeps the child end;
+/// each side closes the other's end after the fork. Closing one end makes
+/// the other read EOF.
 class Pipe {
 public:
     /// Throws std::runtime_error when the pipe cannot be created.
@@ -42,19 +43,20 @@ public:
     Pipe(const Pipe&) = delete;
     Pipe& operator=(const Pipe&) = delete;
 
-    [[nodiscard]] int read_fd() const noexcept { return read_fd_; }
-    [[nodiscard]] int write_fd() const noexcept { return write_fd_; }
-    void close_read() noexcept;
-    void close_write() noexcept;
+    [[nodiscard]] int parent_fd() const noexcept { return parent_fd_; }
+    [[nodiscard]] int child_fd() const noexcept { return child_fd_; }
+    void close_parent() noexcept;
+    void close_child() noexcept;
 
 private:
-    int read_fd_ = -1;
-    int write_fd_ = -1;
+    int parent_fd_ = -1;
+    int child_fd_ = -1;
 };
 
-/// Writes `line` plus a trailing '\n' to `fd`, retrying on EINTR. Returns
-/// false on any write error (including EPIPE — callers in a dying worker
-/// must not crash on a vanished supervisor).
+/// Sends `line` plus a trailing '\n' on the socket `fd`, retrying on EINTR
+/// and waiting out a full buffer. Returns false on any other error. A
+/// vanished peer is EPIPE, never SIGPIPE (MSG_NOSIGNAL), so neither end can
+/// be killed by the other's death.
 bool write_line(int fd, std::string_view line) noexcept;
 
 /// Buffered line splitter over a nonblocking fd, for poll loops: drain()
@@ -64,7 +66,7 @@ class LineReader {
 public:
     explicit LineReader(int fd) noexcept : fd_{fd} {}
 
-    /// Returns false once the peer closed the pipe (EOF); a partial final
+    /// Returns false once the peer closed the channel (EOF); a partial final
     /// line is delivered at EOF too. true = the channel is still open.
     bool drain(std::vector<std::string>& out);
 

@@ -351,7 +351,6 @@ TEST_F(DiskChaosTest, ProcsOnAFullDiskRefuseLoudlyAndRecoverAfterScrub) {
         campaign.set_metrics(&faulted_registry);
         ProcPoolOptions pool;
         pool.procs = procs;
-        pool.heartbeat_interval = util::Duration::millis(2);
         pool.proc_restart.initial_backoff = util::Duration::millis(1);
         pool.proc_restart.max_backoff = util::Duration::millis(2);
         pool.chunk_attempts = 100;  // publish failures must not quarantine
@@ -409,7 +408,7 @@ TEST_F(DiskChaosTest, ProcsAbsorbAOneShotPublishFaultAndStayByteIdentical) {
         }(), /*io=*/nullptr, /*reduce=*/false);
 
     faults::StorageFaultPlan plan;
-    plan.fail_write_at = 4;  // lands on an early lease bump or publish
+    plan.fail_write_at = 4;  // each worker incarnation's third publish
     plan.write_error = EIO;
     faults::FaultIo io{util::Io::real(), plan};
     ScanOptions faulted = options;
@@ -419,7 +418,6 @@ TEST_F(DiskChaosTest, ProcsAbsorbAOneShotPublishFaultAndStayByteIdentical) {
     campaign.set_metrics(&registry);
     ProcPoolOptions pool;
     pool.procs = 2;
-    pool.heartbeat_interval = util::Duration::millis(2);
     pool.proc_restart.initial_backoff = util::Duration::millis(1);
     pool.proc_restart.max_backoff = util::Duration::millis(2);
     pool.proc_restart.max_attempts = 5;

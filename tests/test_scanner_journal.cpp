@@ -202,9 +202,6 @@ TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
     EXPECT_FALSE(parse_header(header + "\n").has_value());
     EXPECT_FALSE(parse_header(std::string{header}.insert(header.find("week=") + 5, "+"))
                      .has_value());
-    ChunkLease lease{7, -5, 9, 1};
-    EXPECT_EQ(parse_lease(serialize_lease(lease)), lease);
-    EXPECT_FALSE(parse_lease("lease chunk=7 pid=-0 token=9 attempts=1\n").has_value());
 
     // A frame head is `#rec <decimal length> <%08x crc>`.
     init_map_journal(dir_, sample_header(), /*wipe=*/true);
@@ -231,9 +228,10 @@ TEST_F(JournalTest, BatchFilesRoundTripAndAChunkFileIsABatchOfOne) {
     EXPECT_EQ(map_batch_path(dir_, {0, 2}).filename(), "chunk-00000-00002.rec");
     EXPECT_EQ(map_batch_path(dir_, {5, 5}), map_chunk_path(dir_, 5));
     EXPECT_EQ(map_chunk_path(dir_, 5).filename(), "chunk-00005.rec");
-    // Neither an interrupted publish's temp file nor a lease is a record.
+    // Neither an interrupted publish's temp file nor any other chunk-named
+    // file is a record.
     std::ofstream{dir_ / "chunk-00007.rec.tmp.1.2"} << "partial";
-    std::ofstream{lease_path(dir_, 8)} << "lease\n";
+    std::ofstream{dir_ / "chunk-00008.txt"} << "notes\n";
 
     EXPECT_EQ(list_map_batches(dir_), (std::vector<MapBatch>{{0, 2}, {5, 5}}));
     EXPECT_EQ(list_map_chunks(dir_), (std::vector<std::size_t>{0, 1, 2, 5}));

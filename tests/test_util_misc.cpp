@@ -254,7 +254,7 @@ TEST_F(AtomicFileTest, FsyncDirReportsOnRealAndMissingDirectories) {
 }
 
 TEST_F(AtomicFileTest, CreateFileExclusiveClaimsExactlyOnce) {
-    const auto path = dir_ / "claim.lease";
+    const auto path = dir_ / "claim.lock";
     ASSERT_TRUE(create_file_exclusive(path, "owner 1\n"));
     EXPECT_EQ(slurp(path), "owner 1\n");
     // A second claim must fail and must NOT clobber the winner's content.
@@ -320,38 +320,38 @@ TEST_F(ProcTest, ProcessLivenessProbe) {
 #ifndef _WIN32
 TEST_F(ProcTest, PipeLineChannelRoundTripsAndReportsEof) {
     Pipe pipe;
-    ASSERT_TRUE(set_nonblocking(pipe.read_fd()));
-    LineReader reader{pipe.read_fd()};
+    ASSERT_TRUE(set_nonblocking(pipe.parent_fd()));
+    LineReader reader{pipe.parent_fd()};
     std::vector<std::string> lines;
     EXPECT_TRUE(reader.drain(lines));
     EXPECT_TRUE(lines.empty());
 
-    ASSERT_TRUE(write_line(pipe.write_fd(), "hb 123"));
-    ASSERT_TRUE(write_line(pipe.write_fd(), "done 4"));
+    ASSERT_TRUE(write_line(pipe.child_fd(), "start 4"));
+    ASSERT_TRUE(write_line(pipe.child_fd(), "done 4"));
     EXPECT_TRUE(reader.drain(lines));
     ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0], "hb 123");
+    EXPECT_EQ(lines[0], "start 4");
     EXPECT_EQ(lines[1], "done 4");
 
     // A partial line is held back until its newline (or EOF) arrives.
-    ASSERT_EQ(::write(pipe.write_fd(), "par", 3), 3);
+    ASSERT_EQ(::write(pipe.child_fd(), "par", 3), 3);
     lines.clear();
     EXPECT_TRUE(reader.drain(lines));
     EXPECT_TRUE(lines.empty());
-    pipe.close_write();
-    EXPECT_FALSE(reader.drain(lines)) << "EOF after the writer closes";
+    pipe.close_child();
+    EXPECT_FALSE(reader.drain(lines)) << "EOF after the other end closes";
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], "par");
 }
 
 TEST_F(ProcTest, WriteLineToClosedPipeFailsInsteadOfCrashing) {
     Pipe pipe;
-    pipe.close_read();
-    // SIGPIPE would kill the test without the write_line contract; gtest
-    // runs with SIGPIPE ignored per-call via MSG_NOSIGNAL-free plain write,
-    // so ignore it explicitly as workers do.
-    ::signal(SIGPIPE, SIG_IGN);
-    EXPECT_FALSE(write_line(pipe.write_fd(), "into the void"));
+    pipe.close_parent();
+    // With SIGPIPE at its default action a plain write() here would kill
+    // the test; write_line must report EPIPE instead, as a supervisor
+    // writing to a worker that just died relies on.
+    ::signal(SIGPIPE, SIG_DFL);
+    EXPECT_FALSE(write_line(pipe.child_fd(), "into the void"));
 }
 #endif
 
