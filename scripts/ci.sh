@@ -100,8 +100,8 @@ run_bench_lane() {
 # sweep, hang/poison supervision and the charging rule, journal invariants,
 # the run_sharded executor every campaign runs on and the process plumbing
 # underneath. All of this also runs in the default lane's
-# ctest; this lane is the focused, fast repro loop. It ends with an
-# end-to-end bench smoke test of the journal wiring.
+# ctest; this lane is the focused, fast repro loop. It ends with
+# end-to-end bench smoke tests of the journal wiring, threads and --procs.
 run_chaos_lane() {
     echo "=== lane: chaos ==="
     cmake --preset default >/dev/null
@@ -118,30 +118,60 @@ run_chaos_lane() {
 
 # A journaled Table 1 sweep is SIGKILLed once its first batch file is
 # published, then rerun with --resume; the printed table must equal an
-# unjournaled run's (the timing and "resuming" lines aside).
+# unjournaled run's (the timing and "resuming" lines aside). The same then
+# holds for a --procs=2 map pass, started in its own session: once its
+# supervisor is SIGKILLed, no process of that session may outlive it by a
+# second (the workers die with their supervisor).
 run_resume_smoke() {
     local work bench=./build/bench/bench_table1
     local args=(--scale=2000 --telemetry=off --threads=2)
-    local table_only=(grep -v -e "domains/sec" -e "^resuming from journal")
+    local table_only=(grep -v -e "domains/sec" -e "^resuming from journal"
+        -e "^population scale" -e "^map pass:" -e "^reduce:")
     work="$(mktemp -d)"
     "${bench}" "${args[@]}" | "${table_only[@]}" >"${work}/plain.txt"
-    "${bench}" "${args[@]}" --journal="${work}/journal" >/dev/null &
+    kill_at_first_batch "${work}/journal" "${bench}" "${args[@]}" --journal="${work}/journal"
+    "${bench}" "${args[@]}" --journal="${work}/journal" --resume |
+        "${table_only[@]}" >"${work}/resumed.txt"
+    diff -u "${work}/plain.txt" "${work}/resumed.txt"
+    echo "resume smoke: killed + resumed table matches the unjournaled run"
+
+    kill_at_first_batch "${work}/procs" setsid "${bench}" "${args[@]}" --procs=2 \
+        --journal="${work}/procs"
+    "${bench}" "${args[@]}" --procs=2 --journal="${work}/procs" --resume |
+        "${table_only[@]}" >"${work}/procs_resumed.txt"
+    diff -u "${work}/plain.txt" "${work}/procs_resumed.txt"
+    rm -rf "${work}"
+    echo "resume smoke: killed + resumed --procs=2 table matches the unjournaled run"
+}
+
+# Runs the command after $1 in the background, SIGKILLs it once a batch file
+# appears in the journal directory $1, and fails unless that file exists and,
+# when the command is `setsid ...`, every process of its session has exited a
+# second later.
+kill_at_first_batch() {
+    local journal="$1"
+    shift
+    "$@" >/dev/null &
     local pid=$!
     for _ in $(seq 1 400); do
-        compgen -G "${work}/journal/chunk-*.rec" >/dev/null && break
+        compgen -G "${journal}/chunk-*.rec" >/dev/null && break
         sleep 0.05
     done
     kill -9 "${pid}" 2>/dev/null || true
     wait "${pid}" 2>/dev/null || true
-    if ! compgen -G "${work}/journal/chunk-*.rec" >/dev/null; then
+    if ! compgen -G "${journal}/chunk-*.rec" >/dev/null; then
         echo "resume smoke: the killed run published no batch" >&2
         exit 1
     fi
-    "${bench}" "${args[@]}" --journal="${work}/journal" --resume |
-        "${table_only[@]}" >"${work}/resumed.txt"
-    diff -u "${work}/plain.txt" "${work}/resumed.txt"
-    rm -rf "${work}"
-    echo "resume smoke: killed + resumed table matches the unjournaled run"
+    if [ "$1" = "setsid" ]; then
+        # A zombie (state Z) has died and only awaits its new parent's reap.
+        sleep 1
+        if ps -o stat= -s "${pid}" | grep -qv '^Z'; then
+            echo "resume smoke: processes outlived their supervisor:" >&2
+            ps -o pid,stat,args -s "${pid}" >&2
+            exit 1
+        fi
+    fi
 }
 
 # Disk-chaos lane: campaigns on a lying disk (DESIGN.md §16). Runs the

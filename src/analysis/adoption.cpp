@@ -75,14 +75,6 @@ bool HostSet::contains(const web::Domain& d) const noexcept {
     return (bits_[s / 64] & (1ULL << (s % 64))) != 0;
 }
 
-bool HostSet::subset_of(const HostSet& other) const noexcept {
-    if (other.bits_.size() < bits_.size()) return false;
-    for (std::size_t i = 0; i < bits_.size(); ++i) {
-        if ((bits_[i] & ~other.bits_[i]) != 0) return false;
-    }
-    return true;
-}
-
 AdoptionAggregator::AdoptionAggregator(const web::PopulationModel& model, bool ipv6)
     : model_{&model}, ipv6_{ipv6} {
     for (auto& counters : lists_) {

@@ -63,9 +63,6 @@ public:
     /// Number of distinct hosts marked so far.
     [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
     [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-    /// True when every host of this set is also marked in `other` (same
-    /// model geometry and family assumed).
-    [[nodiscard]] bool subset_of(const HostSet& other) const noexcept;
 
 private:
     [[nodiscard]] std::uint64_t slot(const web::Domain& d) const noexcept;

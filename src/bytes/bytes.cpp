@@ -9,14 +9,6 @@ Buffer Buffer::clone() const {
     return copy;
 }
 
-std::vector<std::uint8_t> Buffer::detach() && {
-    if (pool_ != nullptr) {
-        pool_->forget();
-        pool_ = nullptr;
-    }
-    return std::move(storage_);
-}
-
 Buffer BufferPool::acquire(std::size_t size_hint) {
     ++stats_.acquires;
     Buffer buffer;
@@ -46,8 +38,6 @@ void BufferPool::recycle(std::vector<std::uint8_t>&& storage) noexcept {
     ++stats_.recycled;
     free_.push_back(std::move(storage));
 }
-
-void BufferPool::forget() noexcept { --stats_.outstanding; }
 
 void BufferPool::publish_metrics(telemetry::MetricsRegistry& registry,
                                  std::string_view prefix) const {

@@ -110,10 +110,6 @@ public:
     /// buffer is unpooled) — how the fault injector duplicates datagrams.
     [[nodiscard]] Buffer clone() const;
 
-    /// Surrenders the storage as a plain vector; the bytes leave the pool's
-    /// orbit (its outstanding count drops, nothing is recycled later).
-    [[nodiscard]] std::vector<std::uint8_t> detach() &&;
-
     /// Issuing pool, or nullptr for unpooled buffers.
     [[nodiscard]] BufferPool* pool() const noexcept { return pool_; }
 
@@ -178,7 +174,6 @@ private:
     friend class Buffer;
 
     void recycle(std::vector<std::uint8_t>&& storage) noexcept;
-    void forget() noexcept;  // a pooled buffer detached or was emptied by move
 
     std::vector<std::vector<std::uint8_t>> free_;
     std::size_t max_free_;

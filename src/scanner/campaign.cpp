@@ -866,45 +866,14 @@ CampaignStats Campaign::run_impl(
     // ---- journal: lock, header, recorded chunks -----------------------------
     const bool journaling = !options_.journal_dir.empty();
     const std::filesystem::path dir = options_.journal_dir;
-    util::Io& io = util::resolve_io(options_.io);
-    // Exactly one campaign may write a journal directory at a time: a reduce
-    // racing a run would merge records the run is about to wipe. Held until
-    // this run returns; a stale lock whose owner died is broken silently, a
-    // live owner makes this run refuse loudly.
+    // Held until this run returns; a stale lock whose owner died is broken
+    // silently, a live owner makes this run refuse loudly.
     util::PidLockFile journal_lock;
     std::vector<MapBatch> recorded;  // ascending, disjoint
-    if (journaling) {
-        std::filesystem::create_directories(dir);
-        try {
-            journal_lock.acquire(journal_lock_path(dir));
-        } catch (const std::runtime_error& e) {
-            throw std::runtime_error(std::string{"scanner: journal dir '"} +
-                                     options_.journal_dir +
-                                     "' is in use by another campaign (" + e.what() +
-                                     "); this campaign spans domains [0, " +
-                                     std::to_string(universe) + ") in " +
-                                     std::to_string(plan.chunk_count()) + " chunks");
-        }
-        CampaignHeader header;
-        header.seed = options_.seed;
-        header.week = options_.week;
-        header.ipv6 = options_.ipv6;
-        header.chunk_domains = options_.chunk_domains;
-        header.domain_count = universe;
-        header.has_telemetry = metrics_ != nullptr;
-        init_map_journal(io, dir, header, /*wipe=*/!reuse_journal);
-        // Only chunk PRESENCE is loaded eagerly: each recorded batch is read
-        // when its turn to merge comes and dies with the merge, so RSS is
-        // bounded by the merge window, never by how much was published.
-        if (reuse_journal) recorded = list_map_batches(dir);
-        if (!recorded.empty() && recorded.back().last >= plan.chunk_count()) {
-            throw std::invalid_argument(
-                "scanner: journal chunk index " + std::to_string(recorded.back().last) +
-                " is past this campaign's chunk count (" +
-                std::to_string(plan.chunk_count()) + " chunks over " +
-                std::to_string(universe) + " domains)");
-        }
-    }
+    // Only chunk PRESENCE is loaded eagerly: each recorded batch is read
+    // when its turn to merge comes and dies with the merge, so RSS is
+    // bounded by the merge window, never by how much was published.
+    if (journaling) recorded = open_map_journal(journal_lock, *this, /*wipe=*/!reuse_journal);
     std::vector<std::size_t> missing;
     {
         std::size_t c = 0;
@@ -926,24 +895,12 @@ CampaignStats Campaign::run_impl(
     // throw: refusing loudly beats running without the durability the caller
     // asked for.
     bool publishing = journaling;
-    // Storage-retry jitter stream (wall-clock backoff); independent of every
-    // scan-facing RNG, so disk stutter never perturbs the output.
-    util::Rng io_retry_rng{util::derive_stream_seed(options_.seed, 0xd15cULL)};
+    MapBatchWriter writer{util::resolve_io(options_.io), dir, options_.journal_retry,
+                          options_.seed};
     const auto publish = [&](const MapBatch& batch, std::string_view framed) {
         if (!publishing) return;
         const std::int64_t start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        util::IoResult published;
-        for (int attempt = 0;; ++attempt) {
-            published = write_map_batch(io, dir, batch, framed);
-            if (published ||
-                util::classify_io_error(published.err) != util::IoErrorClass::transient ||
-                attempt + 1 >= options_.journal_retry.max_attempts) {
-                break;
-            }
-            const Duration delay =
-                options_.journal_retry.backoff_delay(attempt + 1, io_retry_rng);
-            std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
-        }
+        const util::IoResult published = writer.publish(batch, {&framed, 1});
         if (published) {
             stats.journal_records_appended += batch.size();
             if (trace != nullptr) {
@@ -990,26 +947,31 @@ CampaignStats Campaign::run_impl(
     };
 
     // ---- the merge loop -----------------------------------------------------
-    // Recorded batches replay right before the first scanned chunk past
-    // them; scanned chunks collect into `pending` (consecutive indices, at
-    // most kMapBatchChunks) and are published as one file, then merged.
+    // Recorded batches replay, one decoded record at a time, right before the
+    // first scanned chunk past them; scanned chunks collect into `pending`
+    // (consecutive chunks of one batch window) and are published as one
+    // file, then merged.
     // Records are encoded here on the merge thread, in parallel with the
     // workers' scans: a run on N threads keeps N + 1 cores busy.
     std::size_t next_recorded = 0;
     std::uint64_t records_replayed = 0;
     std::uint64_t corrupt_chunks = 0;
     std::vector<ChunkItem> pending;
-    const auto commit = [&](std::vector<ChunkItem>& items) {
+    // Publishes `items` (consecutive chunks of one batch) as one file — after
+    // `framed`, the frames of `replayed` records that start the batch when a
+    // replay stopped mid-batch — then merges them.
+    const auto commit = [&](std::vector<ChunkItem>& items, std::string framed = {},
+                            std::size_t replayed = 0) {
         if (items.empty()) return;
         if (publishing) {
-            std::string framed;
             for (ChunkItem& item : items) {
                 if (item.metrics != nullptr) {
                     item.record.telemetry_snapshot = telemetry::snapshot(*item.metrics);
                 }
                 framed += frame_record(serialize_chunk_record(item.record));
             }
-            publish({items.front().record.chunk_index, items.back().record.chunk_index},
+            publish({items.front().record.chunk_index - replayed,
+                     items.back().record.chunk_index},
                     framed);
         }
         for (ChunkItem& item : items) merge_chunk(item, /*replayed=*/false);
@@ -1019,32 +981,37 @@ CampaignStats Campaign::run_impl(
         for (; next_recorded < recorded.size() && recorded[next_recorded].first < limit;
              ++next_recorded) {
             const MapBatch& batch = recorded[next_recorded];
-            if (auto records = read_map_batch(dir, batch)) {
-                for (ChunkRecord& record : *records) {
+            std::string prefix;
+            const std::size_t replayed = replay_map_batch(
+                dir, batch,
+                [&](ChunkRecord&& record) {
                     ChunkItem item;
                     item.record = std::move(record);
                     merge_chunk(item, /*replayed=*/true);
-                }
-                records_replayed += batch.size();
-                continue;
-            }
-            // Listed but unreadable (torn or bit-flipped): rescan the batch
-            // inline and republish it under the same name — byte-identical
-            // by the purity contract, so the repair is idempotent.
-            corrupt_chunks += batch.size();
+                },
+                &prefix);
+            records_replayed += replayed;
+            if (replayed == batch.size()) continue;
+            // Unreadable from chunk first + replayed on (torn, bit-flipped or
+            // unparseable): rescan the rest inline and republish the whole
+            // batch under its name — byte-identical by the purity contract,
+            // so the repair is idempotent.
+            corrupt_chunks += batch.size() - replayed;
             std::vector<ChunkItem> rescanned;
-            for (std::size_t c = batch.first; c <= batch.last; ++c) {
+            for (std::size_t c = batch.first + replayed; c <= batch.last; ++c) {
                 rescanned.push_back(scan_item(c));
             }
-            commit(rescanned);
+            commit(rescanned, std::move(prefix), replayed);
         }
     };
     const auto take = [&](ChunkItem&& item) {
         const std::size_t c = item.record.chunk_index;
-        if (!pending.empty() && c != pending.back().record.chunk_index + 1) commit(pending);
+        if (!pending.empty() && !continues_map_batch(pending.back().record.chunk_index, c)) {
+            commit(pending);
+        }
         replay_up_to(c);
         pending.push_back(std::move(item));
-        if (!publishing || pending.size() == kMapBatchChunks) commit(pending);
+        if (!publishing || (c + 1) % kMapBatchChunks == 0) commit(pending);
     };
 
     // One missing chunk per work item: the campaign chunk is the unit of

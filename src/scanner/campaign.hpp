@@ -225,7 +225,7 @@ struct CampaignStats {
 /// One chunk's worth of scan output in journal-ready form: the scans of the
 /// chunk's domains in domain-id order plus the chunk-private telemetry
 /// snapshot (empty when the campaign has no registry attached). This is what
-/// a multi-process worker publishes as one journal record
+/// a multi-process worker sends its supervisor as one framed journal record
 /// (scanner::run_procs) and what Campaign::reduce folds back together.
 struct ScannedChunk {
     std::vector<DomainScan> scans;
@@ -333,19 +333,21 @@ public:
     /// domain-id order — stats accumulation, telemetry merge_from, sink and
     /// progress all happen there. wall_seconds is aggregated once at merge
     /// time, not per domain. With ScanOptions::journal_dir set, the run
-    /// starts a fresh journal there and group-commits every
-    /// kMapBatchChunks consecutive chunk records into one file BEFORE
-    /// merging them, so a killed run continues with reduce().
+    /// starts a fresh journal there and group-commits each kMapBatchChunks
+    /// window of chunk records into one file (scanner::MapBatchWriter)
+    /// BEFORE merging them, so a killed run continues with reduce().
     CampaignStats run(const std::function<void(const web::Domain&, DomainScan&&)>& sink) const;
 
-    /// Folds the journal at ScanOptions::journal_dir — the record files a
+    /// Folds the journal at ScanOptions::journal_dir — the batch files a
     /// killed run() or a run_procs map pass published — into one merged
-    /// result: replaying recorded chunks and scanning missing ones in strict
-    /// ascending chunk order through the exact merge loop run() uses, so the
-    /// sink stream, stats and deterministic telemetry are byte-identical to
-    /// an uninterrupted run(). Chunks it scans are published back into the
-    /// journal first (journal-before-merge, idempotent), so a killed reduce
-    /// is rerunnable; a file that fails validation is rescanned and
+    /// result: replaying recorded chunks one decoded record at a time and
+    /// scanning missing ones in strict ascending chunk order through the
+    /// exact merge loop run() uses, so the sink stream, stats and
+    /// deterministic telemetry are byte-identical to an uninterrupted run().
+    /// Chunks it scans are published back into the journal first
+    /// (journal-before-merge, idempotent), so a killed reduce is rerunnable;
+    /// a file whose frames fail validation is rescanned whole, and one whose
+    /// record fails to parse is rescanned from that record on, then
     /// republished. An empty or headerless directory degenerates to a full
     /// scan that builds the journal. Holds the journal.lock for the
     /// duration; throws std::invalid_argument when journal_dir is empty or

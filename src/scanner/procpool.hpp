@@ -1,33 +1,23 @@
 // spinscope/scanner/procpool.hpp
 //
-// Multi-process campaign execution: a supervisor that forks N worker
-// processes and hands each one chunk at a time to scan into one shared
-// journal directory (DESIGN.md §11).
+// Multi-process campaign execution (DESIGN.md §11): a supervisor forks N
+// worker processes, hands each one chunk at a time to scan, and journals the
+// records they send back.
 //
-// Campaign::scan_chunk's in-process supervision survives a chunk whose scan
-// THROWS; it cannot survive the failures that dominate week-long
-// full-machine sweeps — OOM kills, segfaults, wedged processes. The process
-// pool adds that layer: workers are disposable OS processes, their only
-// durable output is atomically-published per-chunk record files, and the
-// supervisor's job is scheduling and liveness (kill-on-hang,
-// restart-with-backoff). Because chunk scans are pure functions of the
-// campaign options (DESIGN.md §9) and record publication is an atomic
-// rename, `kill -9` of any worker at any instant changes nothing about the
-// eventual output — Campaign::reduce folds whatever set of records
-// survived, rescans the rest, and produces a byte-identical result to a
-// single-process run.
-//
-// Division of labour:
-//   run_procs()        parent + workers: scan, publish every chunk (the "map")
-//   Campaign::reduce   parent, afterwards: ordered merge (the "reduce")
-//
-// The supervisor is the only scheduler. It holds the pending chunks, each
-// worker's in-flight chunk and each chunk's count of mid-scan deaths in
-// memory, and talks to each worker over one socketpair: `scan <c>` out,
-// `start <c>` / `done <c>` back. A worker that dies after `start <c>`
-// without a record charges c once; at chunk_attempts charges the supervisor
-// quarantines c. A worker exits on EOF on its channel and, on Linux, dies
-// with its supervisor, so no worker outlives it.
+// Campaign::scan_chunk survives a chunk whose scan THROWS; the process pool
+// adds the layer for OOM kills, segfaults and wedged processes. Workers are
+// disposable and touch no file; the supervisor is the only scheduler and the
+// journal's only writer. Each worker talks to it over one socketpair: `scan
+// <c>` out; `start <c>`, then `record <c> <restarts> <rss>` and the chunk's
+// journal frame (frame_record bytes) back. Records go through one
+// MapBatchWriter into the same batch files run() writes. A worker that dies
+// after `start <c>` before a complete, CRC-valid record of c arrived charges
+// c once; at chunk_attempts charges c's quarantine placeholder is journaled
+// like any other record. Chunk scans are pure (DESIGN.md §9), so `kill -9`
+// of any worker at any instant changes nothing: Campaign::reduce afterwards
+// folds the journal into output byte-identical to a single-process run. A
+// worker exits on EOF on its channel and, on Linux, dies with its
+// supervisor.
 
 #pragma once
 
@@ -49,14 +39,14 @@ struct ProcPoolOptions {
     unsigned procs = 2;
     /// Start from a wiped map journal (a fresh campaign). With false, an
     /// existing map journal for the SAME campaign is continued — chunks with
-    /// published records are skipped — which is how a killed supervisor's
-    /// campaign is picked back up.
+    /// published records are skipped and the gaps are filled — which is how
+    /// a killed campaign is picked back up.
     bool fresh = true;
     /// Silence longer than this from a worker with a chunk in flight marks it
     /// hung: SIGKILL + restart. An idle worker is never hang-killed.
     util::Duration hang_deadline = util::Duration::seconds(30);
     /// Worker deaths mid-scan a single chunk may cause before the supervisor
-    /// quarantines it (>= 1): its record is then published as quarantined
+    /// quarantines it (>= 1): its record is then journaled as quarantined
     /// placeholders, attributing the repeated worker deaths to the chunk.
     std::uint64_t chunk_attempts = 3;
     /// Restart-with-backoff schedule per worker SLOT: max_attempts is the
@@ -67,9 +57,9 @@ struct ProcPoolOptions {
                                      util::Duration::millis(200), true};
     /// TEST hook: invoked IN THE WORKER PROCESS at lifecycle points —
     /// phase is "claim" (chunk assigned, scan not yet started), "scanned"
-    /// (chunk scanned, record not yet published) or "published" (record on
-    /// disk, `done` not yet sent). The chaos kill-sweep raises SIGKILL from
-    /// here. Keep null in production.
+    /// (chunk scanned, record not yet sent) or "sent" (record written to the
+    /// channel). The chaos kill-sweep raises SIGKILL from here. Keep null in
+    /// production.
     std::function<void(unsigned slot, const char* phase, std::size_t chunk)>
         worker_event_hook;
 
@@ -86,7 +76,7 @@ struct ProcPoolReport {
     /// deaths that produced proc_restarts).
     std::uint64_t hang_kills = 0;
     /// Thread-level scan restarts inside workers and the inline pass
-    /// (Campaign::scan_chunk's restarts, reported over the worker channel).
+    /// (Campaign::scan_chunk's restarts, reported with each record).
     std::uint64_t worker_thread_restarts = 0;
     /// Chunks the SUPERVISOR quarantined after chunk_attempts workers died
     /// mid-scan on them.
@@ -97,18 +87,17 @@ struct ProcPoolReport {
     /// Chunk records present in the map journal when the pass finished.
     std::uint64_t chunks_recorded = 0;
     std::uint64_t chunks_total = 0;
-    /// Storage-level I/O failures workers reported over their channel
-    /// (record publishes that failed) plus quarantine publishes the
-    /// supervisor had to retry. Nonzero with a complete map pass means the
-    /// restart machinery absorbed the faults.
+    /// Failed batch-file write attempts, retried ones included. Nonzero with
+    /// a complete map pass means ScanOptions::journal_retry absorbed the
+    /// faults; a failure past the retries refuses the pass.
     std::uint64_t io_errors = 0;
-    /// The most recent worker-reported I/O failure, with its errno cause —
+    /// The most recent failed write, with its batch and errno cause —
     /// attribution for postmortems when io_errors > 0.
     std::string last_io_error;
 };
 
-/// Runs the map pass: forks `options.procs` workers and hands them every
-/// chunk of `campaign` to scan into the journal at
+/// Runs the map pass: forks `options.procs` workers, hands them every chunk
+/// of `campaign` to scan, and journals the records they send back at
 /// ScanOptions::journal_dir, supervising them until every chunk has a
 /// published record. The campaign's metrics registry (if attached) receives
 /// process-level observability — campaign.restarted_procs,
@@ -119,8 +108,9 @@ struct ProcPoolReport {
 ///
 /// Holds the journal.lock while running. Call Campaign::reduce afterwards
 /// for the merged result. Throws std::invalid_argument on bad options or an
-/// empty journal_dir, std::runtime_error on supervision failures or on
-/// platforms without fork().
+/// empty journal_dir, std::runtime_error on supervision failures, on a
+/// batch publish that fails past ScanOptions::journal_retry (with its errno
+/// cause) or on platforms without fork().
 ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& options);
 
 }  // namespace spinscope::scanner

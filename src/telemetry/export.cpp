@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "util/atomic_file.hpp"
-#include "util/format.hpp"
 #include "util/text_cursor.hpp"
 
 namespace spinscope::telemetry {
@@ -100,60 +99,6 @@ std::string to_json(const MetricsRegistry& registry) {
     return out;
 }
 
-namespace {
-
-std::string csv_impl(const MetricsRegistry& registry, bool deterministic_only) {
-    std::string out = "kind,name,field,value\n";
-    auto row = [&out](const char* kind, const std::string& name, const std::string& field,
-                      const std::string& value) {
-        out += kind;
-        out.push_back(',');
-        out += name;
-        out.push_back(',');
-        out += field;
-        out.push_back(',');
-        out += value;
-        out.push_back('\n');
-    };
-    const auto excluded = [deterministic_only](const std::string& name) {
-        return deterministic_only &&
-               (is_wall_clock_metric(name) || is_chunk_geometry_metric(name) ||
-                is_recovery_metric(name));
-    };
-    for (const auto& [name, counter] : registry.counters()) {
-        if (excluded(name)) continue;
-        std::string v;
-        append_u64(v, counter->value());
-        row("counter", name, "value", v);
-    }
-    for (const auto& [name, gauge] : registry.gauges()) {
-        if (excluded(name)) continue;
-        row("gauge", name, "value", format_value(gauge->value()));
-    }
-    for (const auto& [name, hist] : registry.histograms()) {
-        if (excluded(name)) continue;
-        std::string count;
-        append_u64(count, hist->count());
-        row("histogram", name, "count", count);
-        // A histogram's sum regroups its floating-point additions when the
-        // shard chunking changes; the deterministic view keeps only the
-        // merge-exact fields (count, min, max, buckets).
-        if (!deterministic_only) row("histogram", name, "sum", format_value(hist->sum()));
-        row("histogram", name, "min", format_value(hist->min()));
-        row("histogram", name, "max", format_value(hist->max()));
-        const auto& buckets = hist->buckets();
-        for (std::size_t i = 0; i < buckets.size(); ++i) {
-            if (buckets[i] == 0) continue;  // sparse: empty buckets are implied
-            std::string v;
-            append_u64(v, buckets[i]);
-            row("histogram", name, "bucket_ge_" + format_value(hist->bucket_lower_bound(i)), v);
-        }
-    }
-    return out;
-}
-
-}  // namespace
-
 bool is_chunk_geometry_metric(const std::string& name) {
     // trace.* recorder bookkeeping counts wall lanes and per-worker events,
     // which vary with thread scheduling and lane geometry just like the
@@ -177,29 +122,52 @@ bool is_wall_clock_metric(const std::string& name) {
            name.compare(name.size() - kPerSecLen, kPerSecLen, kPerSec) == 0;
 }
 
-std::string to_csv(const MetricsRegistry& registry) {
-    return csv_impl(registry, /*deterministic_only=*/false);
-}
-
 std::string deterministic_csv(const MetricsRegistry& registry) {
-    return csv_impl(registry, /*deterministic_only=*/true);
-}
-
-std::string render_table(const MetricsRegistry& registry) {
-    util::TextTable table;
-    table.add_row({"metric", "kind", "value", "detail"});
+    std::string out = "kind,name,field,value\n";
+    auto row = [&out](const char* kind, const std::string& name, const std::string& field,
+                      const std::string& value) {
+        out += kind;
+        out.push_back(',');
+        out += name;
+        out.push_back(',');
+        out += field;
+        out.push_back(',');
+        out += value;
+        out.push_back('\n');
+    };
+    const auto excluded = [](const std::string& name) {
+        return is_wall_clock_metric(name) || is_chunk_geometry_metric(name) ||
+               is_recovery_metric(name);
+    };
     for (const auto& [name, counter] : registry.counters()) {
-        table.add_row({name, "counter", util::group_digits(counter->value()), ""});
+        if (excluded(name)) continue;
+        std::string v;
+        append_u64(v, counter->value());
+        row("counter", name, "value", v);
     }
     for (const auto& [name, gauge] : registry.gauges()) {
-        table.add_row({name, "gauge", format_value(gauge->value()), ""});
+        if (excluded(name)) continue;
+        row("gauge", name, "value", format_value(gauge->value()));
     }
     for (const auto& [name, hist] : registry.histograms()) {
-        std::string detail = "mean " + format_value(hist->mean()) + "  min " +
-                             format_value(hist->min()) + "  max " + format_value(hist->max());
-        table.add_row({name, "histogram", util::group_digits(hist->count()), detail});
+        if (excluded(name)) continue;
+        std::string count;
+        append_u64(count, hist->count());
+        row("histogram", name, "count", count);
+        // A histogram's sum regroups its floating-point additions when the
+        // shard chunking changes; only the merge-exact fields are kept
+        // (count, min, max, buckets).
+        row("histogram", name, "min", format_value(hist->min()));
+        row("histogram", name, "max", format_value(hist->max()));
+        const auto& buckets = hist->buckets();
+        for (std::size_t i = 0; i < buckets.size(); ++i) {
+            if (buckets[i] == 0) continue;  // sparse: empty buckets are implied
+            std::string v;
+            append_u64(v, buckets[i]);
+            row("histogram", name, "bucket_ge_" + format_value(hist->bucket_lower_bound(i)), v);
+        }
     }
-    return table.render(true);
+    return out;
 }
 
 bool write_json_file(const MetricsRegistry& registry, const std::string& path) {

@@ -2,8 +2,8 @@
 //
 // Registry exporters: machine-readable JSON (the bench sidecar format — one
 // self-contained object per run so BENCH_*.json deltas can be attributed to
-// specific phases), flat CSV for spreadsheet/plotting pipelines, and an
-// aligned text table for terminals.
+// specific phases), the deterministic CSV view the goldens compare, and the
+// exact snapshot form the campaign journal carries.
 //
 // Field order is deterministic (name-sorted, fixed key order per object), so
 // two runs of the same binary produce byte-identical output modulo the
@@ -29,10 +29,6 @@ namespace spinscope::telemetry {
 ///                          "bucket_counts":[...]},...}}
 [[nodiscard]] std::string to_json(const MetricsRegistry& registry);
 
-/// Flat CSV: `kind,name,field,value` rows (counters/gauges one row each,
-/// histograms one row per summary field plus one per non-empty bucket).
-[[nodiscard]] std::string to_csv(const MetricsRegistry& registry);
-
 /// True when `name` records host wall-clock time and is therefore different
 /// on every run by nature: phase spans (".phase." infix, see ScopedTimer)
 /// and wall-clock-derived rates ("_per_sec" suffix). Everything else in the
@@ -54,18 +50,17 @@ namespace spinscope::telemetry {
 /// the deterministic view must drop them.
 [[nodiscard]] bool is_recovery_metric(const std::string& name);
 
-/// The DETERMINISM-CONTRACT view of a registry (DESIGN.md §9): to_csv minus
-/// (a) wall-clock metrics, (b) chunk-geometry metrics (buffer-pool
-/// counters), and (c) histogram `sum` rows, whose floating-point
+/// The DETERMINISM-CONTRACT view of a registry (DESIGN.md §9), as flat CSV
+/// `kind,name,field,value` rows (counters/gauges one row each, histograms
+/// one row per summary field plus one per non-empty bucket), minus (a)
+/// wall-clock metrics, (b) chunk-geometry metrics (buffer-pool counters),
+/// (c) recovery metrics, and (d) histogram `sum` rows, whose floating-point
 /// accumulation order depends on the shard chunk size. Two campaigns with
 /// identical population + ScanOptions produce byte-identical
 /// deterministic_csv output regardless of thread count, chunk size or host
 /// load — this is the representation the golden fixtures and the parallel
 /// determinism suite compare.
 [[nodiscard]] std::string deterministic_csv(const MetricsRegistry& registry);
-
-/// Aligned text table (util::TextTable) for human consumption.
-[[nodiscard]] std::string render_table(const MetricsRegistry& registry);
 
 /// Writes to_json() to `path` atomically (util::write_file_atomic): a crash
 /// mid-export leaves the previous sidecar intact, never a torn file.

@@ -34,8 +34,9 @@ std::filesystem::path temp_sibling(const std::filesystem::path& path) {
 /// Write + fsync + close an already-opened handle; on any failure the file at
 /// `path` is removed best-effort and the first error is returned.
 IoResult finish_new_file(Io& io, int fd, const std::filesystem::path& path,
-                         std::string_view content) {
-    IoResult result = io.write(fd, content);
+                         std::span<const std::string_view> pieces) {
+    IoResult result;
+    for (std::size_t i = 0; i < pieces.size() && result; ++i) result = io.write(fd, pieces[i]);
     if (result) result = io.fsync(fd);
     if (result) {
         result = io.close(fd);
@@ -50,11 +51,16 @@ IoResult finish_new_file(Io& io, int fd, const std::filesystem::path& path,
 
 IoResult write_file_atomic(Io& io, const std::filesystem::path& path,
                            std::string_view content) {
+    return write_file_atomic(io, path, std::span{&content, 1});
+}
+
+IoResult write_file_atomic(Io& io, const std::filesystem::path& path,
+                           std::span<const std::string_view> pieces) {
     const std::filesystem::path temp = temp_sibling(path);
     IoResult result;
     const int fd = io.open_write(temp, Io::OpenMode::truncate, result);
     if (fd == Io::kBadFile) return result;
-    result = finish_new_file(io, fd, temp, content);
+    result = finish_new_file(io, fd, temp, pieces);
     if (!result) return result;
     result = rename_durable(io, temp, path);
     if (!result) (void)io.remove(temp);
@@ -104,7 +110,7 @@ IoResult create_file_exclusive(Io& io, const std::filesystem::path& path,
     IoResult result;
     const int fd = io.open_write(path, Io::OpenMode::exclusive, result);
     if (fd == Io::kBadFile) return result;
-    return finish_new_file(io, fd, path, content);
+    return finish_new_file(io, fd, path, std::span{&content, 1});
 }
 
 bool create_file_exclusive(const std::filesystem::path& path, std::string_view content) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <filesystem>
+#include <span>
 #include <string_view>
 
 #include "util/io.hpp"
@@ -32,6 +33,10 @@ namespace spinscope::util {
                                          std::string_view content);
 [[nodiscard]] bool write_file_atomic(const std::filesystem::path& path,
                                      std::string_view content);
+/// The same with the content given as pieces written back to back, so a
+/// caller holding them apart need not copy them into one buffer first.
+[[nodiscard]] IoResult write_file_atomic(Io& io, const std::filesystem::path& path,
+                                         std::span<const std::string_view> pieces);
 
 /// Durably renames `from` onto `to`: fsyncing `from`'s data is the caller's
 /// job (write_file_atomic does it); this performs the atomic rename and then

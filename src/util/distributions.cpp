@@ -30,13 +30,6 @@ double sample_exponential(Rng& rng, double lambda) {
     return -std::log(u) / lambda;
 }
 
-double sample_pareto(Rng& rng, double xm, double alpha) {
-    assert(xm > 0.0 && alpha > 0.0);
-    double u = rng.uniform_double();
-    if (u < 1e-300) u = 1e-300;
-    return xm / std::pow(u, 1.0 / alpha);
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
     if (n == 0) throw std::invalid_argument{"ZipfSampler: n must be >= 1"};
     cdf_.resize(n);

@@ -32,10 +32,6 @@ namespace spinscope::util {
 /// Exponential with rate `lambda` (> 0).
 [[nodiscard]] double sample_exponential(Rng& rng, double lambda);
 
-/// Pareto (Lomax-style, xm scale, alpha shape > 0): heavy tails for the
-/// worst-case server delays that produce the paper's >3x RTT overestimates.
-[[nodiscard]] double sample_pareto(Rng& rng, double xm, double alpha);
-
 /// Zipf sampler over ranks [0, n) with exponent s, via precomputed CDF and
 /// binary search. Models domain popularity (toplists are Zipf-ish).
 class ZipfSampler {

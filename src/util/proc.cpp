@@ -94,14 +94,11 @@ void Pipe::close_child() noexcept {
     child_fd_ = -1;
 }
 
-bool write_line(int fd, std::string_view line) noexcept {
+bool write_all(int fd, std::string_view bytes) noexcept {
 #ifndef _WIN32
-    std::string framed{line};
-    framed.push_back('\n');
     std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n =
-            ::send(fd, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
+    while (off < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -117,7 +114,7 @@ bool write_line(int fd, std::string_view line) noexcept {
     return true;
 #else
     (void)fd;
-    (void)line;
+    (void)bytes;
     return false;
 #endif
 }
@@ -133,37 +130,22 @@ bool set_nonblocking(int fd) noexcept {
 #endif
 }
 
-bool LineReader::drain(std::vector<std::string>& out) {
+bool read_available(int fd, std::string& buffer) {
 #ifndef _WIN32
-    char buf[4096];
-    while (!eof_) {
-        const ssize_t n = ::read(fd_, buf, sizeof buf);
+    char chunk[16384];
+    for (;;) {
+        const ssize_t n = ::read(fd, chunk, sizeof chunk);
         if (n > 0) {
-            buffer_.append(buf, static_cast<std::size_t>(n));
+            buffer.append(chunk, static_cast<std::size_t>(n));
             continue;
         }
-        if (n == 0) {
-            eof_ = true;
-            break;
-        }
+        if (n == 0) return false;
         if (errno == EINTR) continue;
-        break;  // EAGAIN/EWOULDBLOCK: drained everything available for now
+        return true;  // EAGAIN/EWOULDBLOCK: drained everything available for now
     }
-    std::size_t start = 0;
-    for (;;) {
-        const auto nl = buffer_.find('\n', start);
-        if (nl == std::string::npos) break;
-        out.push_back(buffer_.substr(start, nl - start));
-        start = nl + 1;
-    }
-    buffer_.erase(0, start);
-    if (eof_ && !buffer_.empty()) {
-        out.push_back(std::move(buffer_));  // partial final line, best effort
-        buffer_.clear();
-    }
-    return !eof_;
 #else
-    (void)out;
+    (void)fd;
+    (void)buffer;
     return false;
 #endif
 }

@@ -1,7 +1,7 @@
 // spinscope/util/proc.hpp
 //
 // Process and channel helpers for multi-process campaign execution: liveness
-// probes, CLOEXEC socket pairs, line-oriented nonblocking channel reads, and
+// probes, CLOEXEC socket pairs, nonblocking channel reads and writes, and
 // a pid lock file with stale-owner detection.
 //
 // Everything here is POSIX-first (the procpool supervisor is a fork-based
@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace spinscope::util {
 
@@ -53,31 +52,18 @@ private:
     int child_fd_ = -1;
 };
 
-/// Sends `line` plus a trailing '\n' on the socket `fd`, retrying on EINTR
-/// and waiting out a full buffer. Returns false on any other error. A
-/// vanished peer is EPIPE, never SIGPIPE (MSG_NOSIGNAL), so neither end can
-/// be killed by the other's death.
-bool write_line(int fd, std::string_view line) noexcept;
-
-/// Buffered line splitter over a nonblocking fd, for poll loops: drain()
-/// reads whatever is available and appends every complete '\n'-terminated
-/// line (without the '\n') to `out`.
-class LineReader {
-public:
-    explicit LineReader(int fd) noexcept : fd_{fd} {}
-
-    /// Returns false once the peer closed the channel (EOF); a partial final
-    /// line is delivered at EOF too. true = the channel is still open.
-    bool drain(std::vector<std::string>& out);
-
-private:
-    int fd_;
-    std::string buffer_;
-    bool eof_ = false;
-};
+/// Sends `bytes` on the socket `fd`, retrying on EINTR and waiting out a
+/// full buffer. Returns false on any other error. A vanished peer is EPIPE,
+/// never SIGPIPE (MSG_NOSIGNAL), so neither end can be killed by the other's
+/// death.
+bool write_all(int fd, std::string_view bytes) noexcept;
 
 /// Makes `fd` nonblocking; returns false on failure.
 bool set_nonblocking(int fd) noexcept;
+
+/// For poll loops over a nonblocking fd: appends every byte available now
+/// to `buffer`. Returns false once the peer closed the channel (EOF).
+bool read_available(int fd, std::string& buffer);
 
 /// A pid lock file (`journal.lock` and friends): atomically created with
 /// O_EXCL, containing the owner's pid. A lock whose owner pid no longer

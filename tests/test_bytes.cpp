@@ -152,19 +152,6 @@ TEST(BufferPool, CloneDrawsFromTheSamePool) {
     EXPECT_NE(a.data(), b.data());
 }
 
-TEST(BufferPool, DetachLeavesThePoolsOrbit) {
-    BufferPool pool;
-    std::vector<std::uint8_t> v;
-    {
-        Buffer b = pool.acquire();
-        b.push_back(7);
-        v = std::move(b).detach();
-    }
-    EXPECT_EQ(v, (std::vector<std::uint8_t>{7}));
-    EXPECT_EQ(pool.free_count(), 0u);  // nothing came back
-    EXPECT_EQ(pool.stats().outstanding, 0u);
-}
-
 TEST(BufferPool, PublishMetricsMergesAcrossChunkRegistries) {
     // Two chunk-private pools publish into two chunk registries that merge
     // into one — the sharded campaign's exact telemetry shape.

@@ -291,32 +291,6 @@ TEST(Export, JsonIsDeterministic) {
     EXPECT_EQ(build(), build());
 }
 
-TEST(Export, CsvListsEveryInstrument) {
-    MetricsRegistry registry;
-    registry.counter("c").add(3);
-    registry.gauge("g").set(1.25);
-    registry.histogram("h", {1.0, 2.0, 4}).record(5.0);
-
-    const std::string csv = to_csv(registry);
-    EXPECT_NE(csv.find("kind,name,field,value\n"), std::string::npos);
-    EXPECT_NE(csv.find("counter,c,value,3\n"), std::string::npos);
-    EXPECT_NE(csv.find("gauge,g,value,1.25\n"), std::string::npos);
-    EXPECT_NE(csv.find("histogram,h,count,1\n"), std::string::npos);
-    EXPECT_NE(csv.find("histogram,h,bucket_ge_4,1\n"), std::string::npos);
-}
-
-TEST(Export, TableRendersEveryMetricName) {
-    MetricsRegistry registry;
-    registry.counter("layer.counter").add(1234567);
-    registry.gauge("layer.gauge").set(0.5);
-    registry.histogram("layer.hist").record(1.0);
-    const std::string table = render_table(registry);
-    EXPECT_NE(table.find("layer.counter"), std::string::npos);
-    EXPECT_NE(table.find("layer.gauge"), std::string::npos);
-    EXPECT_NE(table.find("layer.hist"), std::string::npos);
-    EXPECT_NE(table.find("1 234 567"), std::string::npos);  // grouped digits
-}
-
 TEST(Export, WriteJsonFileRoundTripsThroughDisk) {
     MetricsRegistry registry;
     registry.counter("disk.count").add(9);
@@ -459,11 +433,11 @@ TEST(Export, DeterministicCsvExcludesWallClockAndHistogramSums) {
     EXPECT_EQ(det.find("scanner.phase"), std::string::npos);
     EXPECT_EQ(det.find(",sum,"), std::string::npos) << "histogram sums are float-regrouped";
 
-    // The full CSV still carries everything the deterministic view drops.
-    const std::string full = to_csv(registry);
+    // The full JSON still carries everything the deterministic view drops.
+    const std::string full = to_json(registry);
     EXPECT_NE(full.find("domains_per_sec"), std::string::npos);
     EXPECT_NE(full.find("scanner.phase.scan_domain"), std::string::npos);
-    EXPECT_NE(full.find(",sum,"), std::string::npos);
+    EXPECT_NE(full.find("\"sum\":"), std::string::npos);
 }
 
 TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
@@ -503,7 +477,7 @@ TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
     merged_original.merge_from(registry);
     MetricsRegistry merged_parsed;
     merged_parsed.merge_from(*parsed);
-    EXPECT_EQ(to_csv(merged_original), to_csv(merged_parsed));
+    EXPECT_EQ(to_json(merged_original), to_json(merged_parsed));
 }
 
 TEST(Export, ParseSnapshotRejectsMalformedInput) {

@@ -35,11 +35,6 @@ TEST(Exponential, MeanIsInverseRate) {
     EXPECT_NEAR(s.mean(), 4.0, 0.1);
 }
 
-TEST(Pareto, RespectsScaleFloor) {
-    Rng rng{4};
-    for (int i = 0; i < 5000; ++i) ASSERT_GE(sample_pareto(rng, 2.0, 1.5), 2.0);
-}
-
 TEST(Zipf, RequiresPositiveN) {
     EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
 }

@@ -321,37 +321,32 @@ TEST_F(ProcTest, ProcessLivenessProbe) {
 TEST_F(ProcTest, PipeLineChannelRoundTripsAndReportsEof) {
     Pipe pipe;
     ASSERT_TRUE(set_nonblocking(pipe.parent_fd()));
-    LineReader reader{pipe.parent_fd()};
-    std::vector<std::string> lines;
-    EXPECT_TRUE(reader.drain(lines));
-    EXPECT_TRUE(lines.empty());
+    std::string inbox;
+    EXPECT_TRUE(read_available(pipe.parent_fd(), inbox));
+    EXPECT_TRUE(inbox.empty());
 
-    ASSERT_TRUE(write_line(pipe.child_fd(), "start 4"));
-    ASSERT_TRUE(write_line(pipe.child_fd(), "done 4"));
-    EXPECT_TRUE(reader.drain(lines));
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0], "start 4");
-    EXPECT_EQ(lines[1], "done 4");
+    ASSERT_TRUE(write_all(pipe.child_fd(), "start 4\n"));
+    ASSERT_TRUE(write_all(pipe.child_fd(), std::string_view{"bytes\0\n", 7}));
+    EXPECT_TRUE(read_available(pipe.parent_fd(), inbox));
+    EXPECT_EQ(inbox, std::string_view("start 4\nbytes\0\n", 15));
 
-    // A partial line is held back until its newline (or EOF) arrives.
+    // Bytes accumulate across reads until the caller consumes them.
     ASSERT_EQ(::write(pipe.child_fd(), "par", 3), 3);
-    lines.clear();
-    EXPECT_TRUE(reader.drain(lines));
-    EXPECT_TRUE(lines.empty());
+    EXPECT_TRUE(read_available(pipe.parent_fd(), inbox));
+    EXPECT_TRUE(inbox.ends_with("par"));
     pipe.close_child();
-    EXPECT_FALSE(reader.drain(lines)) << "EOF after the other end closes";
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_EQ(lines[0], "par");
+    EXPECT_FALSE(read_available(pipe.parent_fd(), inbox)) << "EOF after the other end closes";
+    EXPECT_EQ(inbox.size(), 18u);
 }
 
 TEST_F(ProcTest, WriteLineToClosedPipeFailsInsteadOfCrashing) {
     Pipe pipe;
     pipe.close_parent();
     // With SIGPIPE at its default action a plain write() here would kill
-    // the test; write_line must report EPIPE instead, as a supervisor
+    // the test; write_all must report EPIPE instead, as a supervisor
     // writing to a worker that just died relies on.
     ::signal(SIGPIPE, SIG_DFL);
-    EXPECT_FALSE(write_line(pipe.child_fd(), "into the void"));
+    EXPECT_FALSE(write_all(pipe.child_fd(), "into the void\n"));
 }
 #endif
 
