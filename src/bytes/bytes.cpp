@@ -39,17 +39,14 @@ void BufferPool::recycle(std::vector<std::uint8_t>&& storage) noexcept {
     free_.push_back(std::move(storage));
 }
 
-void BufferPool::publish_metrics(telemetry::MetricsRegistry& registry,
-                                 std::string_view prefix) const {
-    const auto counter = [&](std::string_view suffix) -> telemetry::Counter& {
-        return registry.counter(telemetry::MetricName{prefix, suffix});
-    };
-    counter(".acquires").add(stats_.acquires);
-    counter(".hits").add(stats_.hits);
-    counter(".misses").add(stats_.misses);
-    counter(".recycled").add(stats_.recycled);
-    counter(".trimmed").add(stats_.trimmed);
-    registry.gauge(telemetry::MetricName{prefix, ".outstanding_hwm"})
+void BufferPool::publish_metrics(telemetry::MetricsRegistry& registry) const {
+    using telemetry::CounterId;
+    registry.counter(CounterId::bytes_pool_acquires).add(stats_.acquires);
+    registry.counter(CounterId::bytes_pool_hits).add(stats_.hits);
+    registry.counter(CounterId::bytes_pool_misses).add(stats_.misses);
+    registry.counter(CounterId::bytes_pool_recycled).add(stats_.recycled);
+    registry.counter(CounterId::bytes_pool_trimmed).add(stats_.trimmed);
+    registry.gauge(telemetry::GaugeId::bytes_pool_outstanding_hwm)
         .set_max(static_cast<double>(stats_.outstanding_hwm));
 }
 

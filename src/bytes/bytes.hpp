@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -161,14 +160,13 @@ public:
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
     [[nodiscard]] std::size_t free_count() const noexcept { return free_.size(); }
 
-    /// Adds this pool's stats into `registry` under `<prefix>.*`: counters
+    /// Adds this pool's stats into `registry` under `bytes.pool.*`: counters
     /// acquires / hits / misses / recycled / trimmed (additive across
     /// chunk-registry merges) and an outstanding_hwm gauge (max-merged).
-    /// These counters depend on chunk geometry (ScanOptions::chunk_domains
-    /// bounds the reuse horizon), so telemetry::deterministic_csv excludes
-    /// the `bytes.pool` prefix alongside the wall-clock metrics.
-    void publish_metrics(telemetry::MetricsRegistry& registry,
-                         std::string_view prefix = "bytes.pool") const;
+    /// These depend on chunk geometry (ScanOptions::chunk_domains bounds the
+    /// reuse horizon), so the catalog classes them
+    /// MetricClass::chunk_geometry and telemetry::deterministic_csv drops them.
+    void publish_metrics(telemetry::MetricsRegistry& registry) const;
 
 private:
     friend class Buffer;

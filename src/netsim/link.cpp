@@ -135,28 +135,39 @@ void Link::schedule_delivery(Datagram datagram, TimePoint arrival) {
     };
     static_assert(Simulator::Callback::stores_inline<decltype(deliver)>(),
                   "a link delivery must not heap-allocate its event");
-    sim_->schedule_at(arrival, std::move(deliver), "link.delivery");
+    sim_->schedule_at(arrival, std::move(deliver), EventCategory::link_delivery);
 }
 
 void Link::publish_metrics(telemetry::MetricsRegistry& registry,
-                           std::string_view prefix) const {
-    const auto counter = [&](std::string_view suffix) -> telemetry::Counter& {
-        return registry.counter(telemetry::MetricName{prefix, suffix});
+                           LinkDirection direction) const {
+    using telemetry::CounterId;
+    // netsim.link.return.* holds the same suffixes as netsim.link.forward.*,
+    // so in name order each return counter sits one family after its
+    // forward twin (Link.PublishesUnderItsDirection checks every one).
+    constexpr auto kFamily =
+        static_cast<std::size_t>(CounterId::netsim_link_return_delivered) -
+        static_cast<std::size_t>(CounterId::netsim_link_forward_delivered);
+    const std::size_t offset = direction == LinkDirection::forward ? 0 : kFamily;
+    const auto counter = [&](CounterId forward) -> telemetry::Counter& {
+        return registry.counter(forward + offset);
     };
-    counter(".sent").add(stats_.sent);
-    counter(".delivered").add(stats_.delivered);
-    counter(".dropped").add(stats_.dropped);
-    counter(".reordered").add(stats_.reordered);
-    counter(".delivered_bytes").add(stats_.delivered_bytes);
-    counter(".dropped_bytes").add(stats_.dropped_bytes);
+    counter(CounterId::netsim_link_forward_sent).add(stats_.sent);
+    counter(CounterId::netsim_link_forward_delivered).add(stats_.delivered);
+    counter(CounterId::netsim_link_forward_dropped).add(stats_.dropped);
+    counter(CounterId::netsim_link_forward_reordered).add(stats_.reordered);
+    counter(CounterId::netsim_link_forward_delivered_bytes).add(stats_.delivered_bytes);
+    counter(CounterId::netsim_link_forward_dropped_bytes).add(stats_.dropped_bytes);
     // Fault counters are published only when a plan is attached, so idle
     // campaigns keep their metric schema unchanged.
     if (injector_) {
-        counter(".fault.burst_dropped").add(stats_.fault_burst_dropped);
-        counter(".fault.blackhole_dropped").add(stats_.fault_blackhole_dropped);
-        counter(".fault.delay_spiked").add(stats_.fault_delay_spiked);
-        counter(".fault.duplicated").add(stats_.fault_duplicated);
-        counter(".fault.burst_entries").add(injector_->stats().burst_entries);
+        counter(CounterId::netsim_link_forward_fault_burst_dropped)
+            .add(stats_.fault_burst_dropped);
+        counter(CounterId::netsim_link_forward_fault_blackhole_dropped)
+            .add(stats_.fault_blackhole_dropped);
+        counter(CounterId::netsim_link_forward_fault_delay_spiked).add(stats_.fault_delay_spiked);
+        counter(CounterId::netsim_link_forward_fault_duplicated).add(stats_.fault_duplicated);
+        counter(CounterId::netsim_link_forward_fault_burst_entries)
+            .add(injector_->stats().burst_entries);
     }
 }
 

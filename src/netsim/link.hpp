@@ -17,7 +17,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "bytes/bytes.hpp"
@@ -79,6 +78,10 @@ struct LinkStats {
     std::uint64_t fault_duplicated = 0;         ///< extra copies injected
 };
 
+/// Which way a link carries a Path's traffic: client to server (forward)
+/// or back. Names the link's `netsim.link.<direction>.*` counters.
+enum class LinkDirection : std::uint8_t { forward, back };
+
 /// Unidirectional link.
 class Link {
 public:
@@ -123,11 +126,12 @@ public:
     [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
     [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
 
-    /// Adds this link's stats into `registry` as counters `<prefix>.sent`,
-    /// `.delivered`, `.dropped`, `.reordered`, `.delivered_bytes`,
-    /// `.dropped_bytes` (additive, so per-attempt links aggregate into
-    /// campaign-wide totals).
-    void publish_metrics(telemetry::MetricsRegistry& registry, std::string_view prefix) const;
+    /// Adds this link's stats into `registry` as the counters
+    /// `netsim.link.<direction>.sent`, `.delivered`, `.dropped`,
+    /// `.reordered`, `.delivered_bytes`, `.dropped_bytes` and, with a fault
+    /// plan attached, `.fault.*` (additive, so per-attempt links aggregate
+    /// into campaign-wide totals).
+    void publish_metrics(telemetry::MetricsRegistry& registry, LinkDirection direction) const;
 
 private:
     [[nodiscard]] Duration sample_jitter();

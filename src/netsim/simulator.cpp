@@ -37,7 +37,7 @@ void Simulator::push_key(TimePoint t, std::uint32_t slot, std::uint32_t generati
     if (heap_.size() > queue_hwm_) queue_hwm_ = heap_.size();
 }
 
-void Simulator::schedule_at(TimePoint t, Callback cb, const char* category) {
+void Simulator::schedule_at(TimePoint t, Callback cb, EventCategory category) {
     check_owner();
     std::uint32_t slot = free_slot_;
     if (slot == kNoSlot) {
@@ -52,19 +52,9 @@ void Simulator::schedule_at(TimePoint t, Callback cb, const char* category) {
     push_key(t, slot, 0);
 }
 
-void Simulator::schedule_after(Duration d, Callback cb, const char* category) {
+void Simulator::schedule_after(Duration d, Callback cb, EventCategory category) {
     if (d.is_negative()) d = Duration::zero();
     schedule_at(now_ + d, std::move(cb), category);
-}
-
-void Simulator::count_category(const char* category) {
-    for (auto& [name, count] : category_counts_) {
-        if (name == category) {
-            ++count;
-            return;
-        }
-    }
-    category_counts_.emplace_back(category, 1);
 }
 
 void Simulator::pop_and_run() {
@@ -76,16 +66,16 @@ void Simulator::pop_and_run() {
     if ((key.slot & kTimerTag) != 0) {
         // Stale or not, a timer key is a processed "timer" event, so every
         // netsim.sim.* count is independent of how often timers re-arm.
-        count_category("timer");
+        ++category_counts_[static_cast<std::size_t>(EventCategory::timer)];
         fire_timer(key.slot & ~kTimerTag, key.generation);
         return;
     }
     Slot& slot = slots_[key.slot];
     Callback cb = std::move(slot.cb);
-    const char* const category = slot.category;
+    const auto category = static_cast<std::size_t>(slot.category);
     slot.next_free = free_slot_;
     free_slot_ = key.slot;
-    if (category != nullptr) count_category(category);
+    if (category < kEventCategoryCount) ++category_counts_[category];
     cb();
 }
 
@@ -159,15 +149,15 @@ void Simulator::run_steps(std::size_t max_events) {
     for (std::size_t i = 0; i < max_events && !heap_.empty(); ++i) pop_and_run();
 }
 
-void Simulator::publish_metrics(telemetry::MetricsRegistry& registry,
-                                std::string_view prefix) const {
-    using telemetry::MetricName;
-    registry.counter(MetricName{prefix, ".events_scheduled"}).add(next_seq_);
-    registry.counter(MetricName{prefix, ".events_processed"}).add(processed_);
-    registry.gauge(MetricName{prefix, ".queue_depth_hwm"})
+void Simulator::publish_metrics(telemetry::MetricsRegistry& registry) const {
+    using telemetry::CounterId;
+    registry.counter(CounterId::netsim_sim_events_scheduled).add(next_seq_);
+    registry.counter(CounterId::netsim_sim_events_processed).add(processed_);
+    registry.gauge(telemetry::GaugeId::netsim_sim_queue_depth_hwm)
         .set_max(static_cast<double>(queue_hwm_));
-    for (const auto& [category, count] : category_counts_) {
-        registry.counter(MetricName{prefix, ".events.", category}).add(count);
+    for (std::size_t c = 0; c < kEventCategoryCount; ++c) {
+        if (category_counts_[c] == 0) continue;
+        registry.counter(CounterId::netsim_sim_events_conn_flush + c).add(category_counts_[c]);
     }
 }
 

@@ -9,11 +9,10 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -24,6 +23,15 @@ namespace spinscope::netsim {
 
 using util::Duration;
 using util::TimePoint;
+
+/// What a scheduled event is, counted per category as the
+/// `netsim.sim.events.<category>` counters (conn.flush, link.delivery,
+/// timer: name order, so a category indexes that catalog family directly).
+/// Untagged events are not counted.
+enum class EventCategory : std::uint8_t { conn_flush, link_delivery, timer, untagged };
+
+/// Number of counted categories (every value before `untagged`).
+inline constexpr std::size_t kEventCategoryCount = 3;
 
 /// Single-threaded discrete-event simulator.
 ///
@@ -48,13 +56,12 @@ public:
     [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
     /// Schedules `cb` at absolute time `t`. Times in the past fire "now"
-    /// (the queue never runs backwards). `category` optionally tags the
-    /// event for per-category accounting; it must be a string literal (or
-    /// otherwise outlive the simulator) — categories are interned by pointer.
-    void schedule_at(TimePoint t, Callback cb, const char* category = nullptr);
+    /// (the queue never runs backwards). `category` tags the event for
+    /// per-category accounting.
+    void schedule_at(TimePoint t, Callback cb, EventCategory category = EventCategory::untagged);
 
     /// Schedules `cb` after a relative delay (>= 0; negative is clamped).
-    void schedule_after(Duration d, Callback cb, const char* category = nullptr);
+    void schedule_after(Duration d, Callback cb, EventCategory category = EventCategory::untagged);
 
     /// Runs events until the queue is empty.
     void run();
@@ -74,19 +81,11 @@ public:
     [[nodiscard]] std::size_t queue_depth_high_water() const noexcept { return queue_hwm_; }
     /// Total events ever scheduled (processed + dropped-by-never-running).
     [[nodiscard]] std::uint64_t scheduled() const noexcept { return next_seq_; }
-    /// Events processed per category tag, in first-seen order. Untagged
-    /// events are not listed (processed() minus the sum gives them).
-    [[nodiscard]] const std::vector<std::pair<const char*, std::uint64_t>>& category_counts()
-        const noexcept {
-        return category_counts_;
-    }
-
-    /// Adds this simulator's stats into `registry` under `<prefix>.*`:
-    /// counters events_scheduled / events_processed / events.<category>, and
-    /// a queue_depth_hwm gauge (max-merged, so per-attempt publishes keep
-    /// the campaign-wide high-water mark).
-    void publish_metrics(telemetry::MetricsRegistry& registry,
-                         std::string_view prefix = "netsim.sim") const;
+    /// Adds this simulator's stats into `registry` under `netsim.sim.*`:
+    /// counters events_scheduled / events_processed / events.<category>
+    /// (for each category seen), and a queue_depth_hwm gauge (max-merged, so
+    /// per-attempt publishes keep the campaign-wide high-water mark).
+    void publish_metrics(telemetry::MetricsRegistry& registry) const;
 
 private:
     friend class Timer;
@@ -116,7 +115,7 @@ private:
     /// list, so recycling needs no second container).
     struct Slot {
         Callback cb;
-        const char* category = nullptr;
+        EventCategory category = EventCategory::untagged;
         std::uint32_t next_free = kNoSlot;
     };
     /// One Timer's state: its fixed callback and the arm that may fire.
@@ -136,7 +135,6 @@ private:
 
     void push_key(TimePoint t, std::uint32_t slot, std::uint32_t generation);
     void pop_and_run();
-    void count_category(const char* category);
     void fire_timer(std::uint32_t index, std::uint32_t generation);
     /// Timer support: take an entry for `on_fire`, give back a cancelled
     /// one, arm one.
@@ -170,9 +168,7 @@ private:
     std::uint64_t next_seq_ = 0;
     std::uint64_t processed_ = 0;
     std::size_t queue_hwm_ = 0;
-    /// Interned by pointer: a handful of distinct literals per process, so a
-    /// linear scan beats any map.
-    std::vector<std::pair<const char*, std::uint64_t>> category_counts_;
+    std::array<std::uint64_t, kEventCategoryCount> category_counts_{};
 };
 
 /// A single re-armable, cancellable timer (QUIC PTO, idle timeout, delayed

@@ -366,7 +366,7 @@ void Connection::schedule_flush() {
     };
     static_assert(netsim::Simulator::Callback::stores_inline<decltype(flush)>(),
                   "a connection flush must not heap-allocate its event");
-    sim_->schedule_after(latency, flush, "conn.flush");
+    sim_->schedule_after(latency, flush, netsim::EventCategory::conn_flush);
 }
 
 void Connection::flush_now() {
@@ -657,38 +657,37 @@ void Connection::finalize_trace() {
     }
 }
 
-void Connection::publish_metrics(telemetry::MetricsRegistry& registry,
-                                 std::string_view prefix) const {
-    const auto counter = [&](std::string_view suffix) -> telemetry::Counter& {
-        return registry.counter(telemetry::MetricName{prefix, suffix});
-    };
-    counter(".attempts").add(1);
-    if (handshake_complete_) counter(".handshake_completed").add(1);
+void Connection::publish_metrics(telemetry::MetricsRegistry& registry) const {
+    using telemetry::CounterId;
+    registry.counter(CounterId::quic_conn_attempts).add(1);
+    if (handshake_complete_) registry.counter(CounterId::quic_conn_handshake_completed).add(1);
     if (failed_) {
-        counter(handshake_complete_ ? ".failed_after_handshake" : ".handshake_failed").add(1);
+        registry
+            .counter(handshake_complete_ ? CounterId::quic_conn_failed_after_handshake
+                                         : CounterId::quic_conn_handshake_failed)
+            .add(1);
     }
-    counter(".packets_sent").add(counters_.packets_sent);
-    counter(".packets_received").add(counters_.packets_received);
-    counter(".packets_lost").add(counters_.packets_lost);
-    counter(".bytes_sent").add(counters_.bytes_sent);
-    counter(".bytes_received").add(counters_.bytes_received);
-    counter(".pto_fired").add(counters_.pto_fired_total);
-    if (protocol_error_) counter(".protocol_error").add(1);
+    registry.counter(CounterId::quic_conn_packets_sent).add(counters_.packets_sent);
+    registry.counter(CounterId::quic_conn_packets_received).add(counters_.packets_received);
+    registry.counter(CounterId::quic_conn_packets_lost).add(counters_.packets_lost);
+    registry.counter(CounterId::quic_conn_bytes_sent).add(counters_.bytes_sent);
+    registry.counter(CounterId::quic_conn_bytes_received).add(counters_.bytes_received);
+    registry.counter(CounterId::quic_conn_pto_fired).add(counters_.pto_fired_total);
+    if (protocol_error_) registry.counter(CounterId::quic_conn_protocol_error).add(1);
 
     const std::uint64_t edges = spin_.edges_observed();
-    counter(".spin_edges_observed").add(edges);
+    registry.counter(CounterId::quic_conn_spin_edges_observed).add(edges);
     // A participating peer flips about once per RTT; per-packet greasing
     // flips on ~half of all packets. Edges on more than a third of a
     // non-trivial 1-RTT packet sample cannot be a plausible spin wave.
     if (counters_.one_rtt_received >= 8 && edges * 3 >= counters_.one_rtt_received) {
-        counter(".grease_suspected").add(1);
+        registry.counter(CounterId::quic_conn_grease_suspected).add(1);
     }
 
     if (rtt_.has_samples()) {
-        constexpr telemetry::HistogramSpec rtt_spec{0.1, 2.0, 24};
-        registry.histogram(telemetry::MetricName{prefix, ".min_rtt_ms"}, rtt_spec)
+        registry.histogram(telemetry::HistogramId::quic_conn_min_rtt_ms)
             .record(rtt_.min_rtt().as_ms());
-        registry.histogram(telemetry::MetricName{prefix, ".smoothed_rtt_ms"}, rtt_spec)
+        registry.histogram(telemetry::HistogramId::quic_conn_smoothed_rtt_ms)
             .record(rtt_.smoothed_rtt().as_ms());
     }
 }

@@ -24,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netsim/link.hpp"
@@ -176,11 +175,10 @@ public:
     void finalize_trace();
 
     /// Adds this connection's transport-level telemetry into `registry`
-    /// under `<prefix>.*`: attempt/handshake/failure counters, cumulative
+    /// under `quic.conn.*`: attempt/handshake/failure counters, cumulative
     /// PTO fires, loss, spin edges observed, a per-packet-grease suspicion
     /// counter, and RTT histograms. Call once, when the connection is done.
-    void publish_metrics(telemetry::MetricsRegistry& registry,
-                         std::string_view prefix = "quic.conn") const;
+    void publish_metrics(telemetry::MetricsRegistry& registry) const;
 
 private:
     struct SentPacket {

@@ -8,7 +8,6 @@
 #include <array>
 #include <compare>
 #include <cstdint>
-#include <string>
 
 namespace spinscope::quic {
 
@@ -33,8 +32,6 @@ enum class Version : std::uint32_t {
     }
     return false;
 }
-
-[[nodiscard]] std::string to_string(Version v);
 
 /// Monotone 62-bit packet number (RFC 9000 §12.3).
 using PacketNumber = std::uint64_t;

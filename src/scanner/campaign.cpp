@@ -31,6 +31,8 @@ using netsim::Path;
 using netsim::Simulator;
 using quic::Connection;
 using quic::ConnectionConfig;
+using telemetry::CounterId;
+using telemetry::HistogramId;
 using util::Duration;
 using util::Rng;
 using util::TimePoint;
@@ -137,11 +139,9 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     const web::PopulationModel& pop = *model_;
     // Redirect follow-ups are profiled as their own phase: their cost is
     // extra connections, which the first-attempt phase must not absorb.
-    std::optional<telemetry::ScopedTimer> attempt_timer;
-    if (metrics != nullptr) {
-        attempt_timer.emplace(*metrics, redirect_hop == 0 ? "scanner.phase.attempt_ms"
-                                                          : "scanner.phase.redirect_ms");
-    }
+    const telemetry::ScopedTimer attempt_timer{
+        metrics, redirect_hop == 0 ? HistogramId::scanner_phase_attempt_ms
+                                   : HistogramId::scanner_phase_redirect_ms};
     AttemptOutcome out;
     out.trace.host = host;
     out.trace.ip = pop.host_address(domain, options_.ipv6);
@@ -196,10 +196,8 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     // the deadline-vs-drained outcome decision, and per-attempt telemetry.
     const auto finish_attempt = [&](bool drained, bool got_response) {
         {
-            std::optional<telemetry::ScopedTimer> finalize_timer;
-            if (metrics != nullptr) {
-                finalize_timer.emplace(*metrics, "scanner.phase.finalize_ms");
-            }
+            const telemetry::ScopedTimer finalize_timer{metrics,
+                                                        HistogramId::scanner_phase_finalize_ms};
             client.finalize_trace();
             if (got_response) {
                 out.trace.outcome = qlog::ConnectionOutcome::ok;
@@ -219,10 +217,10 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
         out.sim_elapsed = sim.now() - TimePoint::origin();
         if (metrics != nullptr) {
             sim.publish_metrics(*metrics);
-            path.forward_link().publish_metrics(*metrics, "netsim.link.forward");
-            path.return_link().publish_metrics(*metrics, "netsim.link.return");
+            path.forward_link().publish_metrics(*metrics, netsim::LinkDirection::forward);
+            path.return_link().publish_metrics(*metrics, netsim::LinkDirection::back);
             client.publish_metrics(*metrics);
-            telemetry::record_sim_time(*metrics, "scanner.attempt_sim_ms",
+            telemetry::record_sim_time(*metrics, HistogramId::scanner_attempt_sim_ms,
                                        sim.now() - TimePoint::origin());
         }
     };
@@ -484,8 +482,7 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
     {
         // DNS is modelled as a population lookup, but it is still a campaign
         // phase: profiling it keeps the phase breakdown exhaustive.
-        std::optional<telemetry::ScopedTimer> resolve_timer;
-        if (metrics != nullptr) resolve_timer.emplace(*metrics, "scanner.phase.resolve_ms");
+        const telemetry::ScopedTimer resolve_timer{metrics, HistogramId::scanner_phase_resolve_ms};
         scan.resolved = domain.resolves && (!options_.ipv6 || domain.has_ipv6);
     }
     if (!scan.resolved) return scan;
@@ -522,7 +519,7 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
             if (outcome->trace.outcome == qlog::ConnectionOutcome::watchdog_cancelled) {
                 budget_exhausted = true;
                 if (metrics != nullptr) {
-                    metrics->counter("scanner.watchdog_cancelled").add(1);
+                    metrics->counter(CounterId::scanner_watchdog_cancelled).add(1);
                 }
             }
             // Bounded attempt log: past the cap, the attempt still ran (and
@@ -558,20 +555,20 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
         scan.final_response = outcome->response;
         if (!redirected) break;
         ++scan.redirects_followed;
-        if (metrics != nullptr) metrics->counter("scanner.redirects_followed").add(1);
+        if (metrics != nullptr) metrics->counter(CounterId::scanner_redirects_followed).add(1);
         host = outcome->response->location;
         serve_redirect = false;  // the canonical target serves the page
     }
     if (observer && metrics != nullptr) {
         const core::ConstrainedTableCounters& t = observer->counters();
-        metrics->counter("observer.offered").add(t.offered);
-        metrics->counter("observer.non_flow").add(t.non_flow);
-        metrics->counter("observer.sampled_out").add(t.sampled_out);
-        metrics->counter("observer.tracked").add(t.tracked);
-        metrics->counter("observer.untracked").add(t.untracked);
-        metrics->counter("observer.collisions").add(t.collisions);
-        metrics->counter("observer.evictions").add(t.evictions);
-        metrics->counter("observer.flows").add(t.active_slots);
+        metrics->counter(CounterId::observer_offered).add(t.offered);
+        metrics->counter(CounterId::observer_non_flow).add(t.non_flow);
+        metrics->counter(CounterId::observer_sampled_out).add(t.sampled_out);
+        metrics->counter(CounterId::observer_tracked).add(t.tracked);
+        metrics->counter(CounterId::observer_untracked).add(t.untracked);
+        metrics->counter(CounterId::observer_collisions).add(t.collisions);
+        metrics->counter(CounterId::observer_evictions).add(t.evictions);
+        metrics->counter(CounterId::observer_flows).add(t.active_slots);
         std::uint64_t samples = 0;
         std::uint64_t rejected = 0;
         std::uint64_t spin_candidates = 0;
@@ -580,9 +577,9 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
             rejected += stats.rejected_samples;
             if (stats.spin_candidate()) ++spin_candidates;
         }
-        metrics->counter("observer.samples").add(samples);
-        metrics->counter("observer.rejected_samples").add(rejected);
-        metrics->counter("observer.spin_candidate_flows").add(spin_candidates);
+        metrics->counter(CounterId::observer_samples).add(samples);
+        metrics->counter(CounterId::observer_rejected_samples).add(rejected);
+        metrics->counter(CounterId::observer_spin_candidate_flows).add(spin_candidates);
     }
     return scan;
 }
@@ -621,7 +618,7 @@ CampaignStats Campaign::run_impl(
     // obs.resource.campaign.* gauges — host facts, excluded from the
     // deterministic telemetry view.
     std::optional<telemetry::ResourceProbe> resource_probe;
-    if (metrics_ != nullptr) resource_probe.emplace("campaign");
+    if (metrics_ != nullptr) resource_probe.emplace();
 
     // ---- flight recorder ----------------------------------------------------
     // Simulated-time events are recorded ONLY here on the merge thread, in
@@ -725,36 +722,9 @@ CampaignStats Campaign::run_impl(
         if (!scan.error.empty()) ++stats.domains_errored;
         for (const auto& trace : scan.connections) {
             ++stats.outcomes[static_cast<std::size_t>(trace.outcome)];
-            if (metrics_ != nullptr) {
-                metrics_->counter(telemetry::MetricName{"scanner.outcome.",
-                                                        qlog::to_cstring(trace.outcome)})
-                    .add(1);
-            }
         }
         for (const auto& attempt : scan.attempts) {
             ++stats.server_faults[static_cast<std::size_t>(attempt.server_fault)];
-            if (metrics_ != nullptr &&
-                attempt.server_fault != faults::ServerFaultMode::none) {
-                metrics_->counter(telemetry::MetricName{
-                                      "scanner.server_fault.",
-                                      faults::to_cstring(attempt.server_fault)})
-                    .add(1);
-            }
-        }
-        if (metrics_ != nullptr) {
-            metrics_->counter("scanner.domains_scanned").add(1);
-            if (scan.resolved) metrics_->counter("scanner.domains_resolved").add(1);
-            if (scan.quic_ok()) metrics_->counter("scanner.domains_quic_ok").add(1);
-            metrics_->counter("scanner.connections").add(scan.connections.size());
-            if (scan.retries > 0) {
-                metrics_->counter("scanner.retries").add(scan.retries);
-            }
-            if (scan.recovered_by_retry) {
-                metrics_->counter("scanner.domains_recovered_by_retry").add(1);
-            }
-            if (!scan.error.empty()) {
-                metrics_->counter("scanner.domains_errored").add(1);
-            }
         }
 
         sink(domain, std::move(scan));
@@ -792,15 +762,15 @@ CampaignStats Campaign::run_impl(
             // simulator event-queue high-water mark. Read-only probes — the
             // merged registry must not grow instruments just because a
             // recorder is attached.
-            const auto* hits = item.metrics->find_counter("bytes.pool.hits");
-            const auto* acquires = item.metrics->find_counter("bytes.pool.acquires");
+            const auto* hits = item.metrics->find(CounterId::bytes_pool_hits);
+            const auto* acquires = item.metrics->find(CounterId::bytes_pool_acquires);
             if (hits != nullptr && acquires != nullptr && acquires->value() > 0) {
                 trace->counter(TraceClock::wall, "pool hit rate", merge_start_ns,
                                static_cast<double>(hits->value()) /
                                    static_cast<double>(acquires->value()));
             }
-            if (const auto* hwm = item.metrics->find_gauge("netsim.sim.queue_depth_hwm");
-                hwm != nullptr && hwm->has_value()) {
+            const auto* hwm = item.metrics->find(telemetry::GaugeId::netsim_sim_queue_depth_hwm);
+            if (hwm != nullptr && hwm->has_value()) {
                 trace->counter(TraceClock::wall, "event queue hwm", merge_start_ns,
                                hwm->value());
             }
@@ -824,8 +794,9 @@ CampaignStats Campaign::run_impl(
             ++stats.chunks_quarantined;
             stats.domains_quarantined += record.scans.size();
             if (metrics_ != nullptr) {
-                metrics_->counter("campaign.quarantined_chunks").add(1);
-                metrics_->counter("campaign.quarantined_domains").add(record.scans.size());
+                metrics_->counter(CounterId::campaign_quarantined_chunks).add(1);
+                metrics_->counter(CounterId::campaign_quarantined_domains)
+                    .add(record.scans.size());
             }
             if (trace != nullptr && !replayed) {
                 trace->instant(
@@ -922,11 +893,9 @@ CampaignStats Campaign::run_impl(
             std::to_string(plan.chunk_end(batch.last)) + ")) in " + options_.journal_dir +
             ": " + published.message();
         if (metrics_ != nullptr) {
-            metrics_->counter("campaign.journal.degraded").add(1);
-            metrics_->counter(telemetry::MetricName{
-                                  "campaign.journal.io_errors.",
-                                  util::to_cstring(util::classify_io_error(published.err))})
-                .add(1);
+            metrics_->counter(CounterId::campaign_journal_degraded).add(1);
+            const auto cls = util::classify_io_error(published.err);
+            metrics_->counter(telemetry::kIoErrorCounters[static_cast<std::size_t>(cls)]).add(1);
         }
         if (trace != nullptr) {
             trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
@@ -1050,22 +1019,36 @@ CampaignStats Campaign::run_impl(
     replay_up_to(plan.chunk_count());
 
     if (metrics_ != nullptr) {
+        // The scan funnel, from the stats merge_scan accumulated: a counter
+        // exists once it has counted something, as if bumped per scan.
+        const auto count = [&](CounterId id, std::uint64_t n) {
+            if (n > 0) metrics_->counter(id).add(n);
+        };
+        count(CounterId::scanner_domains_scanned, stats.domains_scanned);
+        if (stats.domains_scanned > 0) {
+            metrics_->counter(CounterId::scanner_connections).add(stats.connections);
+        }
+        count(CounterId::scanner_domains_resolved, stats.domains_resolved);
+        count(CounterId::scanner_domains_quic_ok, stats.domains_quic_ok);
+        count(CounterId::scanner_retries, stats.retries);
+        count(CounterId::scanner_domains_recovered_by_retry, stats.domains_recovered_by_retry);
+        count(CounterId::scanner_domains_errored, stats.domains_errored);
+        for (std::size_t o = 0; o < stats.outcomes.size(); ++o) {
+            count(telemetry::kOutcomeCounters[o], stats.outcomes[o]);
+        }
+        for (std::size_t m = 1; m < stats.server_faults.size(); ++m) {
+            count(telemetry::kServerFaultCounters[m - 1], stats.server_faults[m]);
+        }
         // restarted_workers = thread-level scan re-executions (scan_chunk);
         // its sibling campaign.restarted_procs counts worker PROCESS re-forks
         // and is published by scanner::run_procs.
-        if (stats.worker_restarts > 0) {
-            metrics_->counter("campaign.restarted_workers").add(stats.worker_restarts);
-        }
+        count(CounterId::campaign_restarted_workers, stats.worker_restarts);
         if (journaling) {
-            metrics_->counter("campaign.journal.records_appended")
+            metrics_->counter(CounterId::campaign_journal_records_appended)
                 .add(stats.journal_records_appended);
         }
-        if (records_replayed > 0) {
-            metrics_->counter("campaign.journal.records_replayed").add(records_replayed);
-        }
-        if (corrupt_chunks > 0) {
-            metrics_->counter("campaign.journal.corrupt_map_chunks").add(corrupt_chunks);
-        }
+        count(CounterId::campaign_journal_records_replayed, records_replayed);
+        count(CounterId::campaign_journal_corrupt_map_chunks, corrupt_chunks);
     }
 
     // Wall clock is aggregated exactly once, here on the merge thread —
@@ -1073,8 +1056,8 @@ CampaignStats Campaign::run_impl(
     // worker time under sharding.
     stats.wall_seconds = wall_elapsed();
     if (metrics_ != nullptr) {
-        metrics_->gauge("scanner.domains_per_sec").set(stats.domains_per_sec());
-        metrics_->gauge("scanner.quic_ok_rate").set(stats.quic_ok_rate());
+        metrics_->gauge(telemetry::GaugeId::scanner_domains_per_sec).set(stats.domains_per_sec());
+        metrics_->gauge(telemetry::GaugeId::scanner_quic_ok_rate).set(stats.quic_ok_rate());
         if (resource_probe) resource_probe->publish(*metrics_);
         if (trace != nullptr) trace->publish_metrics(*metrics_);
     }

@@ -365,7 +365,9 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         std::this_thread::sleep_for(std::chrono::nanoseconds(backoff.count_nanos()));
         spawn(index);
         ++report.proc_restarts;
-        if (metrics != nullptr) metrics->counter("campaign.restarted_procs").add(1);
+        if (metrics != nullptr) {
+            metrics->counter(telemetry::CounterId::campaign_restarted_procs).add(1);
+        }
     };
 
     for (unsigned i = 0; i < options.procs; ++i) {
@@ -480,19 +482,21 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     if (metrics != nullptr) {
         // campaign.restarted_procs is counted incrementally at each re-fork;
         // the rest lands here. All of it is excluded from deterministic_csv.
-        const auto count = [&](const char* name, std::uint64_t n) {
-            if (n > 0) metrics->counter(name).add(n);
+        using telemetry::CounterId;
+        const auto count = [&](CounterId id, std::uint64_t n) {
+            if (n > 0) metrics->counter(id).add(n);
         };
-        count("campaign.restarted_workers", report.worker_thread_restarts);
-        count("obs.proc.hang_kills", report.hang_kills);
-        count("obs.proc.chunks_quarantined", report.chunks_quarantined);
-        count("obs.proc.chunks_scanned_inline", report.chunks_scanned_inline);
-        count("obs.proc.io_errors", report.io_errors);
-        metrics->gauge("obs.proc.procs").set(static_cast<double>(options.procs));
+        count(CounterId::campaign_restarted_workers, report.worker_thread_restarts);
+        count(CounterId::obs_proc_hang_kills, report.hang_kills);
+        count(CounterId::obs_proc_chunks_quarantined, report.chunks_quarantined);
+        count(CounterId::obs_proc_chunks_scanned_inline, report.chunks_scanned_inline);
+        count(CounterId::obs_proc_io_errors, report.io_errors);
+        metrics->gauge(telemetry::GaugeId::obs_proc_procs).set(static_cast<double>(options.procs));
         std::uint64_t peak = 0;
         for (const WorkerSlot& slot : slots) peak = std::max(peak, slot.peak_rss);
         if (peak > 0) {
-            metrics->gauge("obs.proc.peak_worker_rss_bytes").set(static_cast<double>(peak));
+            metrics->gauge(telemetry::GaugeId::obs_proc_peak_worker_rss_bytes)
+                .set(static_cast<double>(peak));
         }
     }
     return report;

@@ -11,162 +11,97 @@ namespace spinscope::telemetry {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-    out += buf;
-}
-
-void append_double(std::string& out, double v) {
-    if (!std::isfinite(v)) {
-        out += "0";  // JSON has no inf/nan; metrics should never produce them
-        return;
-    }
-    char buf[40];
-    // %.9g round-trips every value these metrics produce (ms timings, byte
-    // counts) and stays compact for integers.
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    out += buf;
-}
-
-void append_quoted(std::string& out, const std::string& s) {
-    out.push_back('"');
-    for (char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-    }
-    out.push_back('"');
-}
-
+/// %.9g round-trips every value these metrics produce (ms timings, byte
+/// counts) and stays compact for integers; JSON has no inf/nan, so a
+/// non-finite value (metrics should never produce one) prints as 0.
 [[nodiscard]] std::string format_value(double v) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.9g", std::isfinite(v) ? v : 0.0);
     return buf;
 }
 
+/// Calls fn(info, instrument) for every present instrument of `catalog`'s
+/// kind, in id order, which is name order.
+template <class Id, std::size_t N, class Fn>
+void for_each_present(const MetricsRegistry& registry, const std::array<MetricInfo, N>& catalog,
+                      Fn&& fn) {
+    for (std::size_t i = 0; i < N; ++i) {
+        if (const auto* instrument = registry.find(static_cast<Id>(i))) fn(catalog[i], *instrument);
+    }
+}
+
 }  // namespace
 
 std::string to_json(const MetricsRegistry& registry) {
-    std::string out = "{\"schema\":\"spinscope-telemetry-v1\"";
-
-    out += ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, counter] : registry.counters()) {
-        if (!first) out.push_back(',');
-        first = false;
-        append_quoted(out, name);
-        out.push_back(':');
-        append_u64(out, counter->value());
-    }
+    std::string out = "{\"schema\":\"spinscope-telemetry-v1\",\"counters\":{";
+    // Catalog names are dotted identifiers: nothing to escape.
+    const char* separator = "\"";
+    const auto key = [&](const MetricInfo& info) {
+        out += separator;
+        out += info.name;
+        out += "\":";
+        separator = ",\"";
+    };
+    for_each_present<CounterId>(registry, kCounters, [&](const auto& info, const auto& counter) {
+        key(info);
+        out += std::to_string(counter.value());
+    });
     out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, gauge] : registry.gauges()) {
-        if (!first) out.push_back(',');
-        first = false;
-        append_quoted(out, name);
-        out.push_back(':');
-        append_double(out, gauge->value());
-    }
+    separator = "\"";
+    for_each_present<GaugeId>(registry, kGauges, [&](const auto& info, const auto& gauge) {
+        key(info);
+        out += format_value(gauge.value());
+    });
     out += "},\"histograms\":{";
-    first = true;
-    for (const auto& [name, hist] : registry.histograms()) {
-        if (!first) out.push_back(',');
-        first = false;
-        append_quoted(out, name);
-        out += ":{\"count\":";
-        append_u64(out, hist->count());
-        out += ",\"sum\":";
-        append_double(out, hist->sum());
-        out += ",\"min\":";
-        append_double(out, hist->min());
-        out += ",\"max\":";
-        append_double(out, hist->max());
-        out += ",\"spec\":{\"min_value\":";
-        append_double(out, hist->spec().min_value);
-        out += ",\"factor\":";
-        append_double(out, hist->spec().factor);
-        out += ",\"buckets\":";
-        append_u64(out, hist->spec().bucket_count);
+    separator = "\"";
+    for_each_present<HistogramId>(registry, kHistograms, [&](const auto& info, const auto& hist) {
+        key(info);
+        out += "{\"count\":" + std::to_string(hist.count());
+        out += ",\"sum\":" + format_value(hist.sum());
+        out += ",\"min\":" + format_value(hist.min());
+        out += ",\"max\":" + format_value(hist.max());
+        out += ",\"spec\":{\"min_value\":" + format_value(hist.geometry().min_value);
+        out += ",\"factor\":" + format_value(hist.geometry().factor);
+        out += ",\"buckets\":" + std::to_string(hist.geometry().bucket_count);
         out += "},\"bucket_counts\":[";
-        const auto& buckets = hist->buckets();
-        for (std::size_t i = 0; i < buckets.size(); ++i) {
-            if (i > 0) out.push_back(',');
-            append_u64(out, buckets[i]);
+        const char* comma = "";
+        for (const auto bucket : hist.buckets()) {
+            out += comma + std::to_string(bucket);
+            comma = ",";
         }
         out += "]}";
-    }
+    });
     out += "}}";
     return out;
 }
 
-bool is_chunk_geometry_metric(const std::string& name) {
-    // trace.* recorder bookkeeping counts wall lanes and per-worker events,
-    // which vary with thread scheduling and lane geometry just like the
-    // pool's hit/miss split varies with chunking.
-    return name.rfind("bytes.pool", 0) == 0 || name.rfind("trace.", 0) == 0;
-}
-
-bool is_recovery_metric(const std::string& name) {
-    // obs.* resource observations (RSS, allocation traffic, phase wall time)
-    // describe THIS host run, not the scan results — like the recovery
-    // counters, a resumed run necessarily reports different values even
-    // though its scan output is byte-identical.
-    return name.rfind("campaign.", 0) == 0 || name.rfind("obs.", 0) == 0;
-}
-
-bool is_wall_clock_metric(const std::string& name) {
-    if (name.find(".phase.") != std::string::npos) return true;
-    static constexpr char kPerSec[] = "_per_sec";
-    constexpr std::size_t kPerSecLen = sizeof(kPerSec) - 1;
-    return name.size() >= kPerSecLen &&
-           name.compare(name.size() - kPerSecLen, kPerSecLen, kPerSec) == 0;
-}
-
 std::string deterministic_csv(const MetricsRegistry& registry) {
     std::string out = "kind,name,field,value\n";
-    auto row = [&out](const char* kind, const std::string& name, const std::string& field,
-                      const std::string& value) {
-        out += kind;
-        out.push_back(',');
-        out += name;
-        out.push_back(',');
-        out += field;
-        out.push_back(',');
-        out += value;
-        out.push_back('\n');
+    const auto row = [&out](const char* kind, const MetricInfo& info, const std::string& field,
+                            const std::string& value) {
+        if (info.metric_class != MetricClass::deterministic) return;
+        out += std::string{kind} + ',' + std::string{info.name} + ',' + field + ',' + value + '\n';
     };
-    const auto excluded = [](const std::string& name) {
-        return is_wall_clock_metric(name) || is_chunk_geometry_metric(name) ||
-               is_recovery_metric(name);
-    };
-    for (const auto& [name, counter] : registry.counters()) {
-        if (excluded(name)) continue;
-        std::string v;
-        append_u64(v, counter->value());
-        row("counter", name, "value", v);
-    }
-    for (const auto& [name, gauge] : registry.gauges()) {
-        if (excluded(name)) continue;
-        row("gauge", name, "value", format_value(gauge->value()));
-    }
-    for (const auto& [name, hist] : registry.histograms()) {
-        if (excluded(name)) continue;
-        std::string count;
-        append_u64(count, hist->count());
-        row("histogram", name, "count", count);
+    for_each_present<CounterId>(registry, kCounters, [&](const auto& info, const auto& counter) {
+        row("counter", info, "value", std::to_string(counter.value()));
+    });
+    for_each_present<GaugeId>(registry, kGauges, [&](const auto& info, const auto& gauge) {
+        row("gauge", info, "value", format_value(gauge.value()));
+    });
+    for_each_present<HistogramId>(registry, kHistograms, [&](const auto& info, const auto& hist) {
         // A histogram's sum regroups its floating-point additions when the
         // shard chunking changes; only the merge-exact fields are kept
         // (count, min, max, buckets).
-        row("histogram", name, "min", format_value(hist->min()));
-        row("histogram", name, "max", format_value(hist->max()));
-        const auto& buckets = hist->buckets();
+        row("histogram", info, "count", std::to_string(hist.count()));
+        row("histogram", info, "min", format_value(hist.min()));
+        row("histogram", info, "max", format_value(hist.max()));
+        const auto buckets = hist.buckets();
         for (std::size_t i = 0; i < buckets.size(); ++i) {
             if (buckets[i] == 0) continue;  // sparse: empty buckets are implied
-            std::string v;
-            append_u64(v, buckets[i]);
-            row("histogram", name, "bucket_ge_" + format_value(hist->bucket_lower_bound(i)), v);
+            row("histogram", info, "bucket_ge_" + format_value(hist.geometry().bounds[i]),
+                std::to_string(buckets[i]));
         }
-    }
+    });
     return out;
 }
 
@@ -185,7 +120,7 @@ void append_exact_double(std::string& out, double v) {
     out += buf;
 }
 
-/// A metric name: the bytes up to the next space (names hold no
+/// A metric name: the bytes up to the next space (catalog names hold no
 /// whitespace), then that space.
 bool read_name(util::TextCursor& in, std::string_view& name) {
     name = in.until(' ');
@@ -197,88 +132,88 @@ bool read_double(util::TextCursor& in, double& out) {
     return in.literal(' ') && in.number(out, std::chars_format::general);
 }
 
-bool read_histogram(util::TextCursor& in, MetricsRegistry& registry, std::string_view name) {
-    HistogramSpec spec;
+/// The rest of a "hist" line into `hist`: the geometry, which must be the
+/// catalog's, then count, sum, min, max and the bucket counts.
+bool read_histogram(util::TextCursor& in, Histogram& hist) {
+    const HistogramGeometry& geometry = hist.geometry();
+    double min_value = 0.0;
+    double factor = 0.0;
+    std::size_t bucket_count = 0;
     std::uint64_t count = 0;
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
-    if (!in.number(spec.min_value, std::chars_format::general) ||
-        !read_double(in, spec.factor) || !in.literal(' ') || !in.integer(spec.bucket_count) ||
+    if (!in.number(min_value, std::chars_format::general) || !read_double(in, factor) ||
+        !in.literal(' ') || !in.integer(bucket_count) || min_value != geometry.min_value ||
+        factor != geometry.factor || bucket_count != geometry.bucket_count ||
         !in.literal(' ') || !in.integer(count) || !read_double(in, sum) ||
         !read_double(in, min) || !read_double(in, max)) {
         return false;
     }
-    if (!(spec.min_value > 0.0) || !(spec.factor > 1.0) || spec.bucket_count == 0 ||
-        spec.bucket_count > 4096) {
-        return false;
+    std::array<std::uint64_t, kMaxBuckets> buckets{};
+    for (std::size_t i = 0; i < bucket_count; ++i) {
+        if (!in.literal(' ') || !in.integer(buckets[i])) return false;
     }
-    std::vector<std::uint64_t> buckets(spec.bucket_count);
-    for (auto& bucket : buckets) {
-        if (!in.literal(' ') || !in.integer(bucket)) return false;
-    }
-    if (!in.literal('\n')) return false;
-    try {
-        registry.histogram(name, spec).restore(count, sum, min, max, buckets);
-    } catch (const std::invalid_argument&) {
-        return false;
-    }
-    return true;
+    return in.literal('\n') &&
+           hist.restore(count, sum, min, max, std::span{buckets.data(), bucket_count});
 }
 
 }  // namespace
 
 std::string snapshot(const MetricsRegistry& registry) {
     std::string out;
-    for (const auto& [name, counter] : registry.counters()) {
-        out += "counter ";
-        out += name;
+    const auto line = [&out](const char* kind, const MetricInfo& info) {
+        out += kind;
+        out += info.name;
         out.push_back(' ');
-        append_u64(out, counter->value());
+    };
+    for_each_present<CounterId>(registry, kCounters, [&](const auto& info, const auto& counter) {
+        line("counter ", info);
+        out += std::to_string(counter.value()) + '\n';
+    });
+    for_each_present<GaugeId>(registry, kGauges, [&](const auto& info, const auto& gauge) {
+        line("gauge ", info);
+        out += gauge.has_value() ? "1 " : "0 ";
+        append_exact_double(out, gauge.value());
         out.push_back('\n');
-    }
-    for (const auto& [name, gauge] : registry.gauges()) {
-        out += "gauge ";
-        out += name;
-        out += gauge->has_value() ? " 1 " : " 0 ";
-        append_exact_double(out, gauge->value());
-        out.push_back('\n');
-    }
-    for (const auto& [name, hist] : registry.histograms()) {
-        out += "hist ";
-        out += name;
-        out.push_back(' ');
-        append_exact_double(out, hist->spec().min_value);
-        out.push_back(' ');
-        append_exact_double(out, hist->spec().factor);
-        out.push_back(' ');
-        append_u64(out, hist->spec().bucket_count);
-        out.push_back(' ');
-        append_u64(out, hist->count());
-        out.push_back(' ');
-        append_exact_double(out, hist->sum());
-        out.push_back(' ');
+    });
+    for_each_present<HistogramId>(registry, kHistograms, [&](const auto& info, const auto& hist) {
+        line("hist ", info);
         // Internal min_/max_ are only meaningful when count > 0; min()/max()
         // already normalize the empty case to 0, which restore() re-applies.
-        append_exact_double(out, hist->min());
-        out.push_back(' ');
-        append_exact_double(out, hist->max());
-        for (const auto bucket : hist->buckets()) {
+        for (const double v : {hist.geometry().min_value, hist.geometry().factor}) {
+            append_exact_double(out, v);
             out.push_back(' ');
-            append_u64(out, bucket);
         }
+        out += std::to_string(hist.geometry().bucket_count) + ' ';
+        out += std::to_string(hist.count());
+        for (const double v : {hist.sum(), hist.min(), hist.max()}) {
+            out.push_back(' ');
+            append_exact_double(out, v);
+        }
+        for (const auto bucket : hist.buckets()) out += ' ' + std::to_string(bucket);
         out.push_back('\n');
-    }
+    });
     return out;
 }
 
 std::optional<MetricsRegistry> parse_snapshot(std::string_view text) {
     MetricsRegistry registry;
     util::TextCursor in{text};
-    // snapshot() walks the three name-sorted maps in turn: the kind never
-    // steps back and names strictly ascend within a kind.
+    // snapshot() writes counters, gauges, then histograms, each in id order:
+    // the kind never steps back, and a name is looked up only among the ids
+    // after the previous line's, which rejects repeats and reordering.
     int kind = 0;
-    std::string_view previous;
+    std::size_t next = 0;
+    // The id of `name` among the current kind's ids from `next` on, or
+    // nullopt; a hit moves `next` past it.
+    const auto lookup = [&next](const auto& catalog,
+                                std::string_view name) -> std::optional<std::size_t> {
+        const std::size_t i = find_index(catalog, name, next);
+        if (i == catalog.size()) return std::nullopt;
+        next = i + 1;
+        return i;
+    };
     while (!in.done()) {
         const int line_kind = in.literal("counter ") ? 0
                               : in.literal("gauge ") ? 1
@@ -288,26 +223,29 @@ std::optional<MetricsRegistry> parse_snapshot(std::string_view text) {
         if (line_kind < kind || !read_name(in, name)) return std::nullopt;
         if (line_kind > kind) {
             kind = line_kind;
-            previous = {};
+            next = 0;
         }
-        if (name <= previous) return std::nullopt;
-        previous = name;
-        if (line_kind == 0) {
+        if (kind == 0) {
+            const auto i = lookup(kCounters, name);
             std::uint64_t value = 0;
-            if (!in.integer(value) || !in.literal('\n')) return std::nullopt;
-            registry.counter(name).add(value);
-        } else if (line_kind == 1) {
+            if (!i || !in.integer(value) || !in.literal('\n')) return std::nullopt;
+            registry.counter(static_cast<CounterId>(*i)).add(value);
+        } else if (kind == 1) {
+            const auto i = lookup(kGauges, name);
             bool has_value = false;
             double value = 0.0;
-            if (!in.flag(has_value) || !read_double(in, value) || !in.literal('\n')) {
+            if (!i || !in.flag(has_value) || !read_double(in, value) || !in.literal('\n')) {
                 return std::nullopt;
             }
-            // A never-set gauge is registered but keeps has_value() false, so
+            // A never-set gauge is present but keeps has_value() false, so
             // a later merge_from treats it exactly like the original.
-            Gauge& gauge = registry.gauge(name);
+            Gauge& gauge = registry.gauge(static_cast<GaugeId>(*i));
             if (has_value) gauge.set(value);
-        } else if (!read_histogram(in, registry, name)) {
-            return std::nullopt;
+        } else {
+            const auto i = lookup(kHistograms, name);
+            if (!i || !read_histogram(in, registry.histogram(static_cast<HistogramId>(*i)))) {
+                return std::nullopt;
+            }
         }
     }
     return registry;

@@ -1,23 +1,10 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <stdexcept>
+#include <numeric>
+#include <utility>
 
 namespace spinscope::telemetry {
-
-Histogram::Histogram(HistogramSpec spec) : spec_{spec} {
-    assert(spec_.min_value > 0.0);
-    assert(spec_.factor > 1.0);
-    if (spec_.bucket_count == 0) spec_.bucket_count = 1;
-    bounds_.reserve(spec_.bucket_count);
-    double bound = spec_.min_value;
-    for (std::size_t i = 0; i < spec_.bucket_count; ++i) {
-        bounds_.push_back(bound);
-        bound *= spec_.factor;
-    }
-    counts_.assign(spec_.bucket_count, 0);
-}
 
 void Histogram::record(double value) noexcept {
     if (count_ == 0) {
@@ -33,17 +20,12 @@ void Histogram::record(double value) noexcept {
     // upper_bound over the precomputed bounds: first bound > value, minus
     // one, clamped into [0, buckets). Exact and platform-independent, unlike
     // a log()-based index.
-    const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), value);
-    const std::size_t index =
-        it == bounds_.begin() ? 0 : static_cast<std::size_t>(it - bounds_.begin()) - 1;
-    ++counts_[std::min(index, counts_.size() - 1)];
+    const auto first = geometry_->bounds.begin();
+    const auto it = std::upper_bound(first, first + geometry_->bucket_count, value);
+    ++counts_[it == first ? 0 : static_cast<std::size_t>(it - first) - 1];
 }
 
-void Histogram::merge_from(const Histogram& other) {
-    if (spec_.min_value != other.spec_.min_value || spec_.factor != other.spec_.factor ||
-        spec_.bucket_count != other.spec_.bucket_count) {
-        throw std::invalid_argument("telemetry: histogram merge with mismatched geometry");
-    }
+void Histogram::merge_from(const Histogram& other) noexcept {
     if (other.count_ == 0) return;
     if (count_ == 0) {
         min_ = other.min_;
@@ -57,83 +39,50 @@ void Histogram::merge_from(const Histogram& other) {
     for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
 }
 
-void Histogram::restore(std::uint64_t count, double sum, double min, double max,
-                        const std::vector<std::uint64_t>& bucket_counts) {
-    if (bucket_counts.size() != counts_.size()) {
-        throw std::invalid_argument("telemetry: histogram restore with mismatched geometry");
-    }
-    std::uint64_t bucket_total = 0;
-    for (const auto c : bucket_counts) bucket_total += c;
-    if (bucket_total != count) {
-        throw std::invalid_argument("telemetry: histogram restore bucket total != count");
+bool Histogram::restore(std::uint64_t count, double sum, double min, double max,
+                        std::span<const std::uint64_t> bucket_counts) noexcept {
+    if (bucket_counts.size() != geometry_->bucket_count ||
+        std::accumulate(bucket_counts.begin(), bucket_counts.end(), std::uint64_t{0}) != count) {
+        return false;
     }
     count_ = count;
     sum_ = sum;
     min_ = min;
     max_ = max;
-    counts_ = bucket_counts;
-}
-
-MetricName::MetricName(std::initializer_list<std::string_view> parts) {
-    for (const std::string_view part : parts) {
-        if (part.size() > kMaxLength - size_) {
-            throw std::length_error("telemetry: metric name longer than MetricName::kMaxLength");
-        }
-        std::copy(part.begin(), part.end(), buffer_.begin() + size_);
-        size_ += part.size();
-    }
+    std::copy(bucket_counts.begin(), bucket_counts.end(), counts_.begin());
+    return true;
 }
 
 namespace {
 
-/// The instrument named `name`, created from `args` when absent. The
-/// std::string key is built only on that first creation.
-template <class Instrument, class... Args>
-Instrument& find_or_create(InstrumentMap<Instrument>& map, std::string_view name,
-                           const Args&... args) {
-    auto it = map.lower_bound(name);
-    if (it == map.end() || it->first != name) {
-        it = map.emplace_hint(it, std::string{name}, std::make_unique<Instrument>(args...));
-    }
-    return *it->second;
+template <std::size_t... I>
+constexpr std::array<Histogram, sizeof...(I)> catalog_histograms(std::index_sequence<I...>) {
+    return {Histogram{*kHistograms[I].geometry}...};
 }
 
-template <class Instrument>
-const Instrument* find_existing(const InstrumentMap<Instrument>& map, std::string_view name) {
-    const auto it = map.find(name);
-    return it == map.end() ? nullptr : it->second.get();
+/// The present instrument of `table` named `name` in `catalog`, or nullptr.
+template <class Id, class Table, std::size_t N>
+auto find_named(const Table& table, const std::array<MetricInfo, N>& catalog,
+                std::string_view name) noexcept {
+    const std::size_t i = find_index(catalog, name);
+    return i < N ? table.find(static_cast<Id>(i)) : nullptr;
 }
 
 }  // namespace
 
-Counter& MetricsRegistry::counter(std::string_view name) {
-    return find_or_create(counters_, name);
+MetricsRegistry::MetricsRegistry() noexcept
+    : histograms_{catalog_histograms(std::make_index_sequence<kHistograms.size()>{})} {}
+
+const Counter* MetricsRegistry::find_counter(std::string_view name) const noexcept {
+    return find_named<CounterId>(counters_, kCounters, name);
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) { return find_or_create(gauges_, name); }
-
-Histogram& MetricsRegistry::histogram(std::string_view name, HistogramSpec spec) {
-    return find_or_create(histograms_, name, spec);
+const Gauge* MetricsRegistry::find_gauge(std::string_view name) const noexcept {
+    return find_named<GaugeId>(gauges_, kGauges, name);
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-    for (const auto& [name, src] : other.counters_) counter(name).merge_from(*src);
-    for (const auto& [name, src] : other.gauges_) gauge(name).merge_from(*src);
-    for (const auto& [name, src] : other.histograms_) {
-        histogram(name, src->spec()).merge_from(*src);
-    }
-}
-
-const Counter* MetricsRegistry::find_counter(std::string_view name) const {
-    return find_existing(counters_, name);
-}
-
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-    return find_existing(gauges_, name);
-}
-
-const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-    return find_existing(histograms_, name);
+const Histogram* MetricsRegistry::find_histogram(std::string_view name) const noexcept {
+    return find_named<HistogramId>(histograms_, kHistograms, name);
 }
 
 }  // namespace spinscope::telemetry

@@ -1,33 +1,31 @@
 // spinscope/telemetry/metrics.hpp
 //
-// The campaign observability substrate: a registry of named counters, gauges
-// and fixed-bucket log-scale histograms that every layer (netsim, quic,
-// scanner, bench) records into.
+// The campaign observability substrate: counters, gauges and fixed-bucket
+// log-scale histograms that every layer (netsim, quic, scanner, bench)
+// records into, one of each per entry of the metric catalog (catalog.hpp).
 //
 // The paper's measurement pipeline (§3.2-3.3) is only trustworthy if the
 // operator can see what the scanner actually did — how many domains resolved,
 // how handshakes ended, how often PTO fired, where the wall-clock time went.
-// This module is deliberately simple: plain structs, no locks, no atomics.
-// An instance is single-threaded by design; the sharded campaign gives every
-// work chunk its own private registry and merges them (merge_from) on the
-// merge thread in ascending chunk order, which keeps aggregate telemetry
-// deterministic across thread counts without any atomics on the hot path.
-// Merge semantics per instrument: counters add, gauges max-merge (worker
-// threads must only publish high-water-mark style gauges; last-write gauges
-// such as rates belong to the merge thread after aggregation), histograms
-// add counts/sums bucket-wise and require identical geometry.
+// This module is deliberately simple: plain structs, no locks, no atomics,
+// no heap. An instance is single-threaded by design; the sharded campaign
+// gives every work chunk its own private registry and merges them
+// (merge_from) on the merge thread in ascending chunk order, which keeps
+// aggregate telemetry deterministic across thread counts without any
+// atomics on the hot path. Merge semantics per instrument: counters add,
+// gauges max-merge (worker threads must only publish high-water-mark style
+// gauges; last-write gauges such as rates belong to the merge thread after
+// aggregation), histograms add counts/sums bucket-wise.
 
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
-#include <functional>
-#include <initializer_list>
-#include <map>
-#include <memory>
-#include <string>
+#include <span>
 #include <string_view>
-#include <vector>
+
+#include "telemetry/catalog.hpp"
 
 namespace spinscope::telemetry {
 
@@ -67,26 +65,16 @@ private:
     bool has_value_ = false;
 };
 
-/// Geometry of a log-scale histogram: bucket i spans
-/// [min_value * factor^i, min_value * factor^(i+1)); values below the first
-/// bound land in bucket 0, values at or above the last bound in the final
-/// bucket. Fixed at creation so exported bucket arrays always line up.
-struct HistogramSpec {
-    double min_value = 0.001;  ///< lower bound of bucket 0 (e.g. 1 us in ms)
-    double factor = 2.0;       ///< geometric bucket growth (> 1)
-    std::size_t bucket_count = 32;
-};
-
 /// Fixed-bucket log-scale histogram (durations, sizes — anything spanning
-/// orders of magnitude). Bucket bounds are precomputed by repeated
-/// multiplication, so bucketing is exact and platform-independent.
+/// orders of magnitude) over one of the catalog's geometries.
 class Histogram {
 public:
-    explicit Histogram(HistogramSpec spec);
+    explicit constexpr Histogram(const HistogramGeometry& geometry) noexcept
+        : geometry_{&geometry} {}
 
     void record(double value) noexcept;
 
-    [[nodiscard]] const HistogramSpec& spec() const noexcept { return spec_; }
+    [[nodiscard]] const HistogramGeometry& geometry() const noexcept { return *geometry_; }
     [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
     [[nodiscard]] double sum() const noexcept { return sum_; }
     /// Smallest / largest recorded value; 0 when empty.
@@ -96,105 +84,111 @@ public:
         return count_ ? sum_ / static_cast<double>(count_) : 0.0;
     }
 
-    [[nodiscard]] const std::vector<std::uint64_t>& buckets() const noexcept { return counts_; }
-    /// Inclusive lower bound of bucket i.
-    [[nodiscard]] double bucket_lower_bound(std::size_t i) const { return bounds_.at(i); }
+    /// Bucket i counts values from geometry().bounds[i] on.
+    [[nodiscard]] std::span<const std::uint64_t> buckets() const noexcept {
+        return {counts_.data(), geometry_->bucket_count};
+    }
 
-    /// Shard merge: bucket counts, count, min and max merge exactly; `sum`
-    /// adds the partial sums, which regroups the floating-point additions —
-    /// deterministic for a fixed chunking, but not bit-promised across
-    /// different chunk sizes (see telemetry::deterministic_csv). Throws
-    /// std::invalid_argument when the geometries differ.
-    void merge_from(const Histogram& other);
+    /// Shard merge of a histogram of the same catalog entry: bucket counts,
+    /// count, min and max merge exactly; `sum` adds the partial sums, which
+    /// regroups the floating-point additions — deterministic for a fixed
+    /// chunking, but not bit-promised across different chunk sizes (see
+    /// telemetry::deterministic_csv).
+    void merge_from(const Histogram& other) noexcept;
 
     /// Journal replay: overwrites the recorded state with a previously
-    /// exported snapshot (count/sum/min/max plus per-bucket counts). Throws
-    /// std::invalid_argument when `bucket_counts` does not match this
+    /// exported snapshot (count/sum/min/max plus per-bucket counts). Returns
+    /// false, changing nothing, when `bucket_counts` does not match this
     /// histogram's geometry or the bucket total disagrees with `count`.
-    void restore(std::uint64_t count, double sum, double min, double max,
-                 const std::vector<std::uint64_t>& bucket_counts);
+    bool restore(std::uint64_t count, double sum, double min, double max,
+                 std::span<const std::uint64_t> bucket_counts) noexcept;
 
 private:
-    HistogramSpec spec_;
-    std::vector<double> bounds_;  ///< bounds_[i] = min_value * factor^i
-    std::vector<std::uint64_t> counts_;
+    const HistogramGeometry* geometry_;
+    std::array<std::uint64_t, kMaxBuckets> counts_{};
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };
 
-/// A metric name composed from parts ("netsim.link.forward" + ".sent") in a
-/// fixed stack buffer, so publishing into instruments that already exist
-/// touches no heap. A name longer than kMaxLength throws std::length_error;
-/// every name spinscope publishes is well under it. Converts to a view of
-/// the buffer, valid while the MetricName lives (pass it straight to a
-/// MetricsRegistry lookup, which copies the name only when it creates).
-class MetricName {
+/// One kind's instruments: a dense array indexed by catalog id plus one
+/// presence bit per entry.
+template <class Instrument, class Id, std::size_t N>
+class InstrumentTable {
 public:
-    static constexpr std::size_t kMaxLength = 128;
+    InstrumentTable() = default;
+    explicit InstrumentTable(const std::array<Instrument, N>& items) noexcept : items_{items} {}
 
-    MetricName(std::initializer_list<std::string_view> parts);
-
-    [[nodiscard]] std::string_view view() const noexcept { return {buffer_.data(), size_}; }
-    operator std::string_view() const noexcept { return view(); }  // NOLINT
-
-private:
-    std::array<char, kMaxLength> buffer_{};
-    std::size_t size_ = 0;
-};
-
-/// Name-sorted instrument table. std::less<> makes lookups heterogeneous, so
-/// a std::string_view probe never builds a std::string key.
-template <class Instrument>
-using InstrumentMap = std::map<std::string, std::unique_ptr<Instrument>, std::less<>>;
-
-/// Owns all metrics of one campaign / bench run, addressed by name.
-///
-/// Lookup is by full dotted name ("netsim.link.delivered"); the first lookup
-/// creates the instrument, later lookups return the same instance, so call
-/// sites need no registration step. Only creation allocates (the key and the
-/// instrument); looking up an existing instrument allocates nothing.
-/// References stay valid for the registry's lifetime (instruments are
-/// heap-allocated and never removed).
-class MetricsRegistry {
-public:
-    [[nodiscard]] Counter& counter(std::string_view name);
-    [[nodiscard]] Gauge& gauge(std::string_view name);
-    /// `spec` applies only when `name` is first created; later calls return
-    /// the existing histogram unchanged (the geometry is part of the schema).
-    [[nodiscard]] Histogram& histogram(std::string_view name, HistogramSpec spec = {});
-
-    /// nullptr when the metric does not exist (read-only probes for tests
-    /// and exporters; never creates).
-    [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-    [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
-    [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
-
-    /// Name-sorted views (std::map order) for deterministic export.
-    [[nodiscard]] const InstrumentMap<Counter>& counters() const noexcept { return counters_; }
-    [[nodiscard]] const InstrumentMap<Gauge>& gauges() const noexcept { return gauges_; }
-    [[nodiscard]] const InstrumentMap<Histogram>& histograms() const noexcept {
-        return histograms_;
+    /// The instrument `id`, made present: a present instrument is exported
+    /// even when it holds nothing (`add(0)` makes a counter present).
+    Instrument& at(Id id) noexcept {
+        present_.set(index(id));
+        return items_[index(id)];
+    }
+    /// nullptr when the instrument is absent; never makes it present.
+    const Instrument* find(Id id) const noexcept {
+        return present_.test(index(id)) ? &items_[index(id)] : nullptr;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return present_.count(); }
+    void merge_from(const InstrumentTable& other) noexcept {
+        for (std::size_t i = 0; i < N; ++i) items_[i].merge_from(other.items_[i]);
+        present_ |= other.present_;
     }
 
-    /// Total number of registered instruments of all kinds.
+private:
+    static constexpr std::size_t index(Id id) noexcept { return static_cast<std::size_t>(id); }
+
+    std::array<Instrument, N> items_{};
+    std::bitset<N> present_;
+};
+
+/// Owns one instrument per catalog entry, for one campaign, chunk or bench
+/// run; only present instruments are exported. The registry never
+/// allocates: constructing one and publishing into it touch no heap, and
+/// references stay valid for the registry's lifetime.
+class MetricsRegistry {
+public:
+    MetricsRegistry() noexcept;
+
+    [[nodiscard]] Counter& counter(CounterId id) noexcept { return counters_.at(id); }
+    [[nodiscard]] Gauge& gauge(GaugeId id) noexcept { return gauges_.at(id); }
+    [[nodiscard]] Histogram& histogram(HistogramId id) noexcept { return histograms_.at(id); }
+
+    /// nullptr when the instrument is absent (read-only probes for
+    /// exporters and tests).
+    [[nodiscard]] const Counter* find(CounterId id) const noexcept { return counters_.find(id); }
+    [[nodiscard]] const Gauge* find(GaugeId id) const noexcept { return gauges_.find(id); }
+    [[nodiscard]] const Histogram* find(HistogramId id) const noexcept {
+        return histograms_.find(id);
+    }
+
+    /// The same probes by dotted name: nullptr when the name is not in the
+    /// catalog or the instrument is absent.
+    [[nodiscard]] const Counter* find_counter(std::string_view name) const noexcept;
+    [[nodiscard]] const Gauge* find_gauge(std::string_view name) const noexcept;
+    [[nodiscard]] const Histogram* find_histogram(std::string_view name) const noexcept;
+
+    /// Total number of present instruments of all kinds.
     [[nodiscard]] std::size_t size() const noexcept {
         return counters_.size() + gauges_.size() + histograms_.size();
     }
 
-    /// Merges every instrument of `other` into this registry, creating
-    /// missing instruments (histograms inherit the source geometry). The
-    /// sharded campaign calls this once per work chunk, in ascending chunk
-    /// order on the merge thread, so merged telemetry is deterministic and
-    /// independent of worker scheduling. Counters add, gauges max-merge,
-    /// histograms merge per Histogram::merge_from.
-    void merge_from(const MetricsRegistry& other);
+    /// Merges `other` into this registry entry by entry: presence ORs,
+    /// counters add, gauges max-merge, histograms merge per
+    /// Histogram::merge_from. The sharded campaign calls this once per work
+    /// chunk, in ascending chunk order on the merge thread, so merged
+    /// telemetry is deterministic and independent of worker scheduling.
+    void merge_from(const MetricsRegistry& other) noexcept {
+        counters_.merge_from(other.counters_);
+        gauges_.merge_from(other.gauges_);
+        histograms_.merge_from(other.histograms_);
+    }
 
 private:
-    InstrumentMap<Counter> counters_;
-    InstrumentMap<Gauge> gauges_;
-    InstrumentMap<Histogram> histograms_;
+    InstrumentTable<Counter, CounterId, kCounters.size()> counters_;
+    InstrumentTable<Gauge, GaugeId, kGauges.size()> gauges_;
+    InstrumentTable<Histogram, HistogramId, kHistograms.size()> histograms_;
 };
 
 }  // namespace spinscope::telemetry

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -83,8 +82,7 @@ std::uint64_t peak_rss_bytes() {
 
 std::uint64_t current_rss_bytes() { return proc_status_kb("VmRSS") * 1024; }
 
-ResourceProbe::ResourceProbe(std::string phase)
-    : phase_{std::move(phase)}, wall_start_{std::chrono::steady_clock::now()} {}
+ResourceProbe::ResourceProbe() : wall_start_{std::chrono::steady_clock::now()} {}
 
 ResourceProbe::Report ResourceProbe::sample() const {
     Report report;
@@ -102,14 +100,14 @@ ResourceProbe::Report ResourceProbe::sample() const {
 
 void ResourceProbe::publish(MetricsRegistry& registry) const {
     const Report report = sample();
-    const auto gauge = [&](std::string_view suffix) -> Gauge& {
-        return registry.gauge(MetricName{"obs.resource.", phase_, ".", suffix});
-    };
-    gauge("wall_seconds").set(report.wall_seconds);
-    gauge("peak_rss_bytes").set_max(static_cast<double>(report.peak_rss));
+    registry.gauge(GaugeId::obs_resource_campaign_wall_seconds).set(report.wall_seconds);
+    registry.gauge(GaugeId::obs_resource_campaign_peak_rss_bytes)
+        .set_max(static_cast<double>(report.peak_rss));
     if (report.alloc_active) {
-        gauge("allocs").set(static_cast<double>(report.allocs));
-        gauge("alloc_bytes").set(static_cast<double>(report.alloc_bytes));
+        registry.gauge(GaugeId::obs_resource_campaign_allocs)
+            .set(static_cast<double>(report.allocs));
+        registry.gauge(GaugeId::obs_resource_campaign_alloc_bytes)
+            .set(static_cast<double>(report.alloc_bytes));
     }
 }
 

@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "telemetry/metrics.hpp"
 
@@ -66,13 +65,13 @@ struct AllocSnapshot {
 /// /proc/self/status is unavailable.
 [[nodiscard]] std::uint64_t current_rss_bytes();
 
-/// Measures one phase: wall time, allocation traffic and peak RSS between
+/// Measures a campaign: wall time, allocation traffic and peak RSS between
 /// construction and sample(). publish() writes the report as
-/// `obs.resource.<phase>.*` gauges — host observations, excluded from the
-/// deterministic telemetry view (telemetry::is_recovery_metric).
+/// `obs.resource.campaign.*` gauges — host observations, excluded from the
+/// deterministic telemetry view (MetricClass::host).
 class ResourceProbe {
 public:
-    explicit ResourceProbe(std::string phase);
+    ResourceProbe();
 
     struct Report {
         double wall_seconds = 0.0;
@@ -84,13 +83,12 @@ public:
 
     [[nodiscard]] Report sample() const;
 
-    /// Publishes sample() under `obs.resource.<phase>.`: wall_seconds,
+    /// Publishes sample() under `obs.resource.campaign.`: wall_seconds,
     /// allocs, alloc_bytes (only when the interposer is linked) and
     /// peak_rss_bytes gauges.
     void publish(MetricsRegistry& registry) const;
 
 private:
-    std::string phase_;
     AllocSnapshot start_;
     std::chrono::steady_clock::time_point wall_start_;
 };

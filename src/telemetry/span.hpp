@@ -9,40 +9,25 @@
 // record_sim_time; the two must never be mixed, which is why the sim-time
 // helper takes a util::Duration and the span does not expose one.
 //
-// Names are views, never copies: a Span or ScopedTimer name must be a string
-// literal or otherwise outlive the object, and a record_sim_time name the
-// call (the same contract as netsim::Simulator's event categories), so
-// timing a phase costs no allocation once its histogram exists.
+// Both record into a catalog histogram by id, whose geometry the catalog
+// fixes (kWallMs for phase spans, kSimMs for simulated time), so timing a
+// phase costs no allocation.
 
 #pragma once
 
 #include <chrono>
-#include <string_view>
 
 #include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
 namespace spinscope::telemetry {
 
-/// Default geometry for wall-clock phase histograms: bucket 0 starts at
-/// 1 us, doubling 32 times (covers 1 us .. ~4300 s).
-[[nodiscard]] constexpr HistogramSpec wall_ms_spec() noexcept {
-    return HistogramSpec{0.001, 2.0, 32};
-}
-
-/// Default geometry for simulated-time histograms: bucket 0 starts at
-/// 0.1 ms, doubling 24 times (covers 0.1 ms .. ~28 min of sim time).
-[[nodiscard]] constexpr HistogramSpec sim_ms_spec() noexcept {
-    return HistogramSpec{0.1, 2.0, 24};
-}
-
 /// One manually finished wall-clock measurement. finish() records the
-/// elapsed milliseconds into histogram `<name>` (created with wall_ms_spec)
-/// and returns them; a Span abandoned without finish() records nothing.
-/// `name` is viewed, not copied: it must outlive the Span.
+/// elapsed milliseconds into histogram `id` and returns them; a Span
+/// abandoned without finish(), or given no registry, records nothing.
 class Span {
 public:
-    Span(MetricsRegistry& registry, std::string_view name);
+    Span(MetricsRegistry* registry, HistogramId id);
 
     /// Records the elapsed time; idempotent (only the first call records).
     double finish();
@@ -51,17 +36,19 @@ public:
 
 private:
     MetricsRegistry* registry_;
-    std::string_view name_;
+    HistogramId id_;
     std::chrono::steady_clock::time_point start_;
     bool finished_ = false;
 };
 
 /// RAII wrapper: records on scope exit. The workhorse for phase profiling:
 ///
-///     { telemetry::ScopedTimer t{reg, "scanner.phase.attempt_ms"}; ... }
+///     { telemetry::ScopedTimer t{metrics, HistogramId::scanner_phase_attempt_ms}; ... }
+///
+/// A null `registry` (telemetry off) makes it a no-op that reads no clock.
 class ScopedTimer {
 public:
-    ScopedTimer(MetricsRegistry& registry, std::string_view name) : span_{registry, name} {}
+    ScopedTimer(MetricsRegistry* registry, HistogramId id) : span_{registry, id} {}
     ~ScopedTimer() { span_.finish(); }
 
     ScopedTimer(const ScopedTimer&) = delete;
@@ -71,8 +58,8 @@ private:
     Span span_;
 };
 
-/// Records a simulated-time duration (ms) into histogram `<name>` (created
-/// with sim_ms_spec). Negative durations are clamped to zero.
-void record_sim_time(MetricsRegistry& registry, std::string_view name, util::Duration d);
+/// Records a simulated-time duration (ms) into histogram `id`. Negative
+/// durations are clamped to zero.
+void record_sim_time(MetricsRegistry& registry, HistogramId id, util::Duration d);
 
 }  // namespace spinscope::telemetry

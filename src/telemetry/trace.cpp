@@ -251,10 +251,10 @@ std::size_t TraceRecorder::event_count(TraceClock clock) const {
 
 void TraceRecorder::publish_metrics(MetricsRegistry& registry) const {
     std::lock_guard<std::mutex> lock{mu_};
-    registry.counter("trace.events_sim").add(sim_events_.size());
-    registry.counter("trace.events_wall").add(wall_events_.size());
-    registry.counter("trace.lanes").add(sim_lanes_.names.size() +
-                                        wall_lanes_.names.size());
+    registry.counter(CounterId::trace_events_sim).add(sim_events_.size());
+    registry.counter(CounterId::trace_events_wall).add(wall_events_.size());
+    registry.counter(CounterId::trace_lanes).add(sim_lanes_.names.size() +
+                                                 wall_lanes_.names.size());
 }
 
 }  // namespace spinscope::telemetry

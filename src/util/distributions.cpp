@@ -23,13 +23,6 @@ double sample_lognormal(Rng& rng, double mu, double sigma) {
     return std::exp(sample_normal(rng, mu, sigma));
 }
 
-double sample_exponential(Rng& rng, double lambda) {
-    assert(lambda > 0.0);
-    double u = rng.uniform_double();
-    if (u < 1e-300) u = 1e-300;
-    return -std::log(u) / lambda;
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
     if (n == 0) throw std::invalid_argument{"ZipfSampler: n must be >= 1"};
     cdf_.resize(n);

@@ -29,9 +29,6 @@ namespace spinscope::util {
 /// think-time tails.
 [[nodiscard]] double sample_lognormal(Rng& rng, double mu, double sigma);
 
-/// Exponential with rate `lambda` (> 0).
-[[nodiscard]] double sample_exponential(Rng& rng, double lambda);
-
 /// Zipf sampler over ranks [0, n) with exponent s, via precomputed CDF and
 /// binary search. Models domain popularity (toplists are Zipf-ish).
 class ZipfSampler {

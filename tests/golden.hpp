@@ -22,6 +22,7 @@
 #include <string>
 
 #include "scanner/campaign.hpp"
+#include "telemetry/metrics.hpp"
 
 #ifndef SPINSCOPE_GOLDEN_DIR
 #error "tests must be compiled with -DSPINSCOPE_GOLDEN_DIR=\"...\""
@@ -78,6 +79,25 @@ inline std::string strip_wall_rows(const std::string& rendered) {
 inline std::string deterministic_render(scanner::CampaignStats stats) {
     stats.wall_seconds = 0.0;
     return strip_wall_rows(stats.render());
+}
+
+/// The exported schema of a registry: one `kind name` line per present
+/// instrument of every class, counters then gauges then histograms, each in
+/// name order — what the golden run's registry exports, values aside.
+inline std::string render_metric_names(const telemetry::MetricsRegistry& registry) {
+    std::string out;
+    for (const auto& m : telemetry::kCounters) {
+        if (registry.find_counter(m.name) != nullptr) out += "counter " + std::string{m.name} + "\n";
+    }
+    for (const auto& m : telemetry::kGauges) {
+        if (registry.find_gauge(m.name) != nullptr) out += "gauge " + std::string{m.name} + "\n";
+    }
+    for (const auto& m : telemetry::kHistograms) {
+        if (registry.find_histogram(m.name) != nullptr) {
+            out += "histogram " + std::string{m.name} + "\n";
+        }
+    }
+    return out;
 }
 
 /// Compares `actual` against the fixture `filename`; on mismatch the failure

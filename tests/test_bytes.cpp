@@ -167,10 +167,11 @@ TEST(BufferPool, PublishMetricsMergesAcrossChunkRegistries) {
         pool.publish_metrics(chunk_registry);
         merged.merge_from(chunk_registry);
     }
-    EXPECT_EQ(merged.counter("bytes.pool.acquires").value(), 6u);
-    EXPECT_EQ(merged.counter("bytes.pool.hits").value(), 2u);
-    EXPECT_EQ(merged.counter("bytes.pool.misses").value(), 4u);
-    EXPECT_DOUBLE_EQ(merged.gauge("bytes.pool.outstanding_hwm").value(), 2.0);
+    using telemetry::CounterId;
+    EXPECT_EQ(merged.counter(CounterId::bytes_pool_acquires).value(), 6u);
+    EXPECT_EQ(merged.counter(CounterId::bytes_pool_hits).value(), 2u);
+    EXPECT_EQ(merged.counter(CounterId::bytes_pool_misses).value(), 4u);
+    EXPECT_DOUBLE_EQ(merged.gauge(telemetry::GaugeId::bytes_pool_outstanding_hwm).value(), 2.0);
 }
 
 TEST(ByteWriter, WritesInPlaceIntoPooledBuffer) {

@@ -153,7 +153,7 @@ std::vector<std::int64_t> arrival_times(bool attach_empty_plan) {
     });
     for (int i = 0; i < 500; ++i) {
         sim.schedule_at(TimePoint::origin() + Duration::micros(100 * i),
-                        [&link] { link.send(Datagram(800, 0x5a)); }, "test.send");
+                        [&link] { link.send(Datagram(800, 0x5a)); });
     }
     sim.run();
     return arrivals;
@@ -183,8 +183,8 @@ TEST(Faults, LinkCountsFaultDropsAndDuplicates) {
     EXPECT_EQ(link.stats().delivered, 40u);
 
     telemetry::MetricsRegistry registry;
-    link.publish_metrics(registry, "netsim.link.test");
-    EXPECT_NE(registry.find_counter("netsim.link.test.fault.duplicated"), nullptr);
+    link.publish_metrics(registry, netsim::LinkDirection::forward);
+    EXPECT_NE(registry.find_counter("netsim.link.forward.fault.duplicated"), nullptr);
 }
 
 TEST(Faults, LinkBlackholeIsTotalOutage) {
@@ -200,7 +200,7 @@ TEST(Faults, LinkBlackholeIsTotalOutage) {
     link.set_receiver([&](spinscope::bytes::ConstByteSpan) { ++delivered; });
     for (int i = 0; i < 20; ++i) {
         sim.schedule_at(TimePoint::origin() + Duration::millis(i),
-                        [&link] { link.send(Datagram(100, 1)); }, "test.send");
+                        [&link] { link.send(Datagram(100, 1)); });
     }
     sim.run();
     EXPECT_EQ(link.stats().fault_blackhole_dropped, 10u);  // t = 5..14

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +18,8 @@
 namespace spinscope::netsim {
 namespace {
 
+using telemetry::CounterId;
+using telemetry::GaugeId;
 using util::Duration;
 using util::TimePoint;
 
@@ -199,7 +202,7 @@ TEST(Timer, ArmRearmAndCancelAllocateNothing) {
     Simulator sim;
     int fires = 0;
     Timer timer{sim, [&] { ++fires; }};
-    timer.set_after(Duration::millis(1));  // warm-up: interns the "timer" category
+    timer.set_after(Duration::millis(1));  // warm-up: sizes the timer table and heap
     sim.run();
 
     const telemetry::AllocSnapshot allocs;
@@ -304,41 +307,84 @@ TEST(Simulator, TracksQueueDepthHighWaterMark) {
     EXPECT_EQ(sim.scheduled(), 5u);
 }
 
+/// The netsim.sim.events.* counts `sim` publishes; 0 for an absent counter.
+std::array<std::uint64_t, 3> category_counts(const Simulator& sim) {
+    telemetry::MetricsRegistry registry;
+    sim.publish_metrics(registry);
+    std::array<std::uint64_t, 3> counts{};
+    const CounterId ids[] = {CounterId::netsim_sim_events_conn_flush,
+                             CounterId::netsim_sim_events_link_delivery,
+                             CounterId::netsim_sim_events_timer};
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (const auto* c = registry.find(ids[i])) counts[i] = c->value();
+    }
+    return counts;
+}
+constexpr std::size_t kFlush = 0;
+constexpr std::size_t kDelivery = 1;
+constexpr std::size_t kTimer = 2;
+
 TEST(Simulator, CountsProcessedEventsPerCategory) {
     Simulator sim;
-    sim.schedule_after(Duration::millis(1), [] {}, "io");
-    sim.schedule_after(Duration::millis(2), [] {}, "io");
-    sim.schedule_after(Duration::millis(3), [] {}, "app");
+    sim.schedule_after(Duration::millis(1), [] {}, EventCategory::link_delivery);
+    sim.schedule_after(Duration::millis(2), [] {}, EventCategory::link_delivery);
+    sim.schedule_after(Duration::millis(3), [] {}, EventCategory::conn_flush);
     sim.schedule_after(Duration::millis(4), [] {});  // untagged
     sim.run();
-    const auto& counts = sim.category_counts();
-    ASSERT_EQ(counts.size(), 2u);
-    EXPECT_STREQ(counts[0].first, "io");
-    EXPECT_EQ(counts[0].second, 2u);
-    EXPECT_STREQ(counts[1].first, "app");
-    EXPECT_EQ(counts[1].second, 1u);
+    const auto counts = category_counts(sim);
+    EXPECT_EQ(counts[kDelivery], 2u);
+    EXPECT_EQ(counts[kFlush], 1u);
+    EXPECT_EQ(counts[kTimer], 0u);
 }
 
 TEST(Simulator, PublishMetricsExportsCountersAndHighWater) {
     Simulator sim;
-    sim.schedule_after(Duration::millis(1), [] {}, "io");
+    sim.schedule_after(Duration::millis(1), [] {}, EventCategory::link_delivery);
     sim.schedule_after(Duration::millis(2), [] {});
     sim.run();
 
     telemetry::MetricsRegistry registry;
     sim.publish_metrics(registry);
-    EXPECT_EQ(registry.counter("netsim.sim.events_scheduled").value(), 2u);
-    EXPECT_EQ(registry.counter("netsim.sim.events_processed").value(), 2u);
-    EXPECT_EQ(registry.counter("netsim.sim.events.io").value(), 1u);
-    EXPECT_DOUBLE_EQ(registry.gauge("netsim.sim.queue_depth_hwm").value(), 2.0);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_scheduled).value(), 2u);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_processed).value(), 2u);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_link_delivery).value(), 1u);
+    EXPECT_DOUBLE_EQ(registry.gauge(GaugeId::netsim_sim_queue_depth_hwm).value(), 2.0);
 
     // Additive publish: a second simulator merges counters, max-merges hwm.
     Simulator other;
     for (int i = 0; i < 4; ++i) other.schedule_after(Duration::millis(i), [] {});
     other.run();
     other.publish_metrics(registry);
-    EXPECT_EQ(registry.counter("netsim.sim.events_processed").value(), 6u);
-    EXPECT_DOUBLE_EQ(registry.gauge("netsim.sim.queue_depth_hwm").value(), 4.0);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_processed).value(), 6u);
+    EXPECT_DOUBLE_EQ(registry.gauge(GaugeId::netsim_sim_queue_depth_hwm).value(), 4.0);
+}
+
+TEST(Link, PublishesUnderItsDirection) {
+    Simulator sim;
+    Link link{sim, LinkConfig{}, util::Rng{5}};
+    link.attach_faults(faults::FaultPlan{}, util::Rng{6});  // publishes .fault.* too
+    link.send(Datagram(100, 1));
+    sim.run();
+    telemetry::MetricsRegistry forward;
+    telemetry::MetricsRegistry back;
+    link.publish_metrics(forward, LinkDirection::forward);
+    link.publish_metrics(back, LinkDirection::back);
+    // Both directions publish every link counter, each under its own
+    // prefix, with the same value behind the same suffix.
+    std::size_t published = 0;
+    for (const auto& m : telemetry::kCounters) {
+        const bool is_forward = m.name.starts_with("netsim.link.forward.");
+        const bool is_back = m.name.starts_with("netsim.link.return.");
+        EXPECT_EQ(forward.find_counter(m.name) != nullptr, is_forward) << m.name;
+        EXPECT_EQ(back.find_counter(m.name) != nullptr, is_back) << m.name;
+        if (!is_forward) continue;
+        const std::string twin = "netsim.link.return." + std::string{m.name.substr(20)};
+        ASSERT_NE(back.find_counter(twin), nullptr) << twin;
+        EXPECT_EQ(back.find_counter(twin)->value(), forward.find_counter(m.name)->value());
+        ++published;
+    }
+    EXPECT_EQ(published, 11u);
+    EXPECT_EQ(forward.find_counter("netsim.link.forward.sent")->value(), 1u);
 }
 
 TEST(Simulator, SameInstantFifoHoldsAcrossRecycledSlots) {
@@ -410,17 +456,18 @@ TEST(Simulator, InstrumentationMatchesAHandComputedRun) {
     Simulator sim;
     const auto t = [](int ms) { return TimePoint::origin() + Duration::millis(ms); };
     const auto noop = [] {};
-    sim.schedule_at(t(5), noop, "io");  // seq 0
+    constexpr auto io = EventCategory::link_delivery;
+    sim.schedule_at(t(5), noop, io);  // seq 0
     sim.schedule_at(
         t(1),
         [&] {  // seq 1: depth 3 after its pop, 6 after these three
-            sim.schedule_after(Duration::millis(1), noop, "io");  // seq 4, t=2
-            sim.schedule_after(Duration::millis(1), noop, "io");  // seq 5, t=2
-            sim.schedule_after(Duration::millis(10), noop);       // seq 6, t=11
+            sim.schedule_after(Duration::millis(1), noop, io);  // seq 4, t=2
+            sim.schedule_after(Duration::millis(1), noop, io);  // seq 5, t=2
+            sim.schedule_after(Duration::millis(10), noop);     // seq 6, t=11
         },
-        "app");
-    sim.schedule_at(t(1), noop);        // seq 2, untagged
-    sim.schedule_at(t(3), noop, "io");  // seq 3
+        EventCategory::conn_flush);
+    sim.schedule_at(t(1), noop);      // seq 2, untagged
+    sim.schedule_at(t(3), noop, io);  // seq 3
 
     // Runs seq 1, 2, 4, 5, 3, 0; seq 6 (t=11) stays queued.
     EXPECT_FALSE(sim.run_until(t(6)));
@@ -428,20 +475,14 @@ TEST(Simulator, InstrumentationMatchesAHandComputedRun) {
     EXPECT_EQ(sim.processed(), 6u);
     EXPECT_EQ(sim.pending(), 1u);
     EXPECT_EQ(sim.queue_depth_high_water(), 6u);
-    const auto& counts = sim.category_counts();
-    ASSERT_EQ(counts.size(), 2u);
-    EXPECT_STREQ(counts[0].first, "app");
-    EXPECT_EQ(counts[0].second, 1u);
-    EXPECT_STREQ(counts[1].first, "io");
-    EXPECT_EQ(counts[1].second, 4u);
 
     telemetry::MetricsRegistry registry;
     sim.publish_metrics(registry);
-    EXPECT_EQ(registry.counter("netsim.sim.events_scheduled").value(), 7u);
-    EXPECT_EQ(registry.counter("netsim.sim.events_processed").value(), 6u);
-    EXPECT_EQ(registry.counter("netsim.sim.events.app").value(), 1u);
-    EXPECT_EQ(registry.counter("netsim.sim.events.io").value(), 4u);
-    EXPECT_DOUBLE_EQ(registry.gauge("netsim.sim.queue_depth_hwm").value(), 6.0);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_scheduled).value(), 7u);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_processed).value(), 6u);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_conn_flush).value(), 1u);
+    EXPECT_EQ(registry.counter(CounterId::netsim_sim_events_link_delivery).value(), 4u);
+    EXPECT_DOUBLE_EQ(registry.gauge(GaugeId::netsim_sim_queue_depth_hwm).value(), 6.0);
     EXPECT_EQ(registry.size(), 5u);  // untagged events get no category counter
 
     sim.run();
@@ -456,17 +497,15 @@ TEST(Timer, TimerEventsAreCategorized) {
     Timer timer{sim, [] {}};
     timer.set_after(Duration::millis(1));
     sim.run();
-    const auto& counts = sim.category_counts();
-    ASSERT_EQ(counts.size(), 1u);
-    EXPECT_STREQ(counts[0].first, "timer");
-    EXPECT_EQ(counts[0].second, 1u);
+    EXPECT_EQ(category_counts(sim)[kTimer], 1u);
 
     // A key made stale by a re-arm still counts as a processed timer event.
     timer.set_after(Duration::millis(1));
     timer.set_after(Duration::millis(2));
     sim.run();
-    ASSERT_EQ(counts.size(), 1u);
-    EXPECT_EQ(counts[0].second, 3u);
+    const auto counts = category_counts(sim);
+    EXPECT_EQ(counts[kTimer], 3u);
+    EXPECT_EQ(counts[kDelivery] + counts[kFlush], 0u);
 }
 
 TEST(Timer, RearmFromInsideCallback) {
@@ -592,11 +631,14 @@ TEST(Link, CountsDeliveredAndDroppedBytes) {
     EXPECT_EQ(stats.delivered_bytes + stats.dropped_bytes, 200u * 100u);
 
     telemetry::MetricsRegistry registry;
-    link.publish_metrics(registry, "netsim.link");
-    EXPECT_EQ(registry.counter("netsim.link.sent").value(), 200u);
-    EXPECT_EQ(registry.counter("netsim.link.delivered").value(), stats.delivered);
-    EXPECT_EQ(registry.counter("netsim.link.delivered_bytes").value(), stats.delivered_bytes);
-    EXPECT_EQ(registry.counter("netsim.link.dropped_bytes").value(), stats.dropped_bytes);
+    link.publish_metrics(registry, LinkDirection::back);
+    EXPECT_EQ(registry.counter(CounterId::netsim_link_return_sent).value(), 200u);
+    EXPECT_EQ(registry.counter(CounterId::netsim_link_return_delivered).value(), stats.delivered);
+    EXPECT_EQ(registry.counter(CounterId::netsim_link_return_delivered_bytes).value(),
+              stats.delivered_bytes);
+    EXPECT_EQ(registry.counter(CounterId::netsim_link_return_dropped_bytes).value(),
+              stats.dropped_bytes);
+    EXPECT_EQ(registry.find_counter("netsim.link.forward.sent"), nullptr);
 }
 
 TEST(Link, BandwidthSerializesBackToBack) {

@@ -307,24 +307,31 @@ TEST_F(CampaignTest, MetricsRegistrySpansAllLayers) {
     std::size_t netsim = 0;
     std::size_t quic = 0;
     std::size_t scanner = 0;
-    const auto tally = [&](const std::string& name) {
-        if (name.rfind("netsim.", 0) == 0) ++netsim;
-        if (name.rfind("quic.", 0) == 0) ++quic;
-        if (name.rfind("scanner.", 0) == 0) ++scanner;
+    const auto tally = [&](std::string_view name) {
+        if (name.starts_with("netsim.")) ++netsim;
+        if (name.starts_with("quic.")) ++quic;
+        if (name.starts_with("scanner.")) ++scanner;
     };
-    for (const auto& entry : registry.counters()) tally(entry.first);
-    for (const auto& entry : registry.gauges()) tally(entry.first);
-    for (const auto& entry : registry.histograms()) tally(entry.first);
+    for (const auto& m : telemetry::kCounters) {
+        if (registry.find_counter(m.name) != nullptr) tally(m.name);
+    }
+    for (const auto& m : telemetry::kGauges) {
+        if (registry.find_gauge(m.name) != nullptr) tally(m.name);
+    }
+    for (const auto& m : telemetry::kHistograms) {
+        if (registry.find_histogram(m.name) != nullptr) tally(m.name);
+    }
     EXPECT_GT(netsim, 0u);
     EXPECT_GT(quic, 0u);
     EXPECT_GT(scanner, 0u);
 
     // Cross-layer consistency: scanner counters match the returned stats,
     // and every attempt produced exactly one quic.conn attempt record.
-    EXPECT_EQ(registry.counter("scanner.domains_scanned").value(), stats.domains_scanned);
-    EXPECT_EQ(registry.counter("scanner.connections").value(), stats.connections);
-    EXPECT_EQ(registry.counter("quic.conn.attempts").value(), stats.connections);
-    EXPECT_EQ(registry.counter("scanner.outcome.ok").value(),
+    using telemetry::CounterId;
+    EXPECT_EQ(registry.counter(CounterId::scanner_domains_scanned).value(), stats.domains_scanned);
+    EXPECT_EQ(registry.counter(CounterId::scanner_connections).value(), stats.connections);
+    EXPECT_EQ(registry.counter(CounterId::quic_conn_attempts).value(), stats.connections);
+    EXPECT_EQ(registry.counter(CounterId::scanner_outcome_ok).value(),
               stats.outcome(qlog::ConnectionOutcome::ok));
     // Phase histograms recorded one attempt-phase sample per first attempt.
     const auto* attempt_hist = registry.find_histogram("scanner.phase.attempt_ms");
@@ -335,8 +342,8 @@ TEST_F(CampaignTest, MetricsRegistrySpansAllLayers) {
     ASSERT_NE(sim_hist, nullptr);
     EXPECT_EQ(sim_hist->count(), stats.connections);
     // The simulator layer reported event totals.
-    EXPECT_GT(registry.counter("netsim.sim.events_processed").value(), 0u);
-    EXPECT_GT(registry.counter("netsim.sim.events.link.delivery").value(), 0u);
+    EXPECT_GT(registry.counter(CounterId::netsim_sim_events_processed).value(), 0u);
+    EXPECT_GT(registry.counter(CounterId::netsim_sim_events_link_delivery).value(), 0u);
 }
 
 }  // namespace

@@ -1,23 +1,28 @@
-// Unit tests for the telemetry subsystem: registry instruments, log-scale
-// histogram bucketing, spans, and the JSON/CSV/table exporters.
+// Unit tests for the telemetry subsystem: the metric catalog, registry
+// instruments, log-scale histogram bucketing, spans, and the JSON/CSV/
+// snapshot exporters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "bytes/bytes.hpp"
+#include "faults/faults.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
 #include "quic/connection.hpp"
+#include "scanner/campaign.hpp"
 #include "telemetry/alloc_interpose.hpp"  // this binary's one interposing TU
+#include "telemetry/catalog.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/resource.hpp"
 #include "telemetry/span.hpp"
+#include "util/io.hpp"
 
 namespace spinscope::telemetry {
 namespace {
@@ -48,39 +53,45 @@ TEST(Gauge, SetMaxOnFreshGaugeTakesAnyValue) {
     EXPECT_DOUBLE_EQ(g.value(), -7.0);
 }
 
+bool same_buckets(const Histogram& a, const Histogram& b) {
+    return std::ranges::equal(a.buckets(), b.buckets());
+}
+
 TEST(Histogram, BucketBoundsAreGeometric) {
-    Histogram h{{1.0, 2.0, 8}};
-    EXPECT_DOUBLE_EQ(h.bucket_lower_bound(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.bucket_lower_bound(3), 8.0);
-    EXPECT_DOUBLE_EQ(h.bucket_lower_bound(7), 128.0);
-    EXPECT_EQ(h.buckets().size(), 8u);
+    Histogram h{kSimMs};
+    EXPECT_DOUBLE_EQ(h.geometry().bounds[0], 0.1);
+    EXPECT_DOUBLE_EQ(h.geometry().bounds[3], 0.8);
+    EXPECT_DOUBLE_EQ(h.geometry().bounds[23], 0.1 * (1 << 23));
+    EXPECT_EQ(h.buckets().size(), 24u);
+    EXPECT_EQ(Histogram{kWallMs}.buckets().size(), 32u);
 }
 
 TEST(Histogram, BucketCountsAreCorrect) {
-    // Bucket i of {min=1, factor=2, n=4} spans [2^i, 2^(i+1)) with bucket 0
-    // also absorbing underflow and bucket 3 absorbing overflow.
-    Histogram h{{1.0, 2.0, 4}};
-    h.record(0.25);  // underflow -> bucket 0
-    h.record(1.0);   // exactly at bound 0 -> bucket 0
-    h.record(1.9);   // bucket 0
-    h.record(2.0);   // exactly at bound 1 -> bucket 1
-    h.record(3.999);
-    h.record(4.0);  // bucket 2
-    h.record(7.5);  // bucket 2
-    h.record(8.0);  // bucket 3
-    h.record(1e9);  // overflow -> bucket 3
-    const auto& buckets = h.buckets();
+    // Bucket i of {min=0.1, factor=2, n=24} spans [0.1 * 2^i, 0.1 * 2^(i+1))
+    // with bucket 0 also absorbing underflow and bucket 23 absorbing overflow.
+    Histogram h{kSimMs};
+    h.record(0.025);  // underflow -> bucket 0
+    h.record(0.1);    // exactly at bound 0 -> bucket 0
+    h.record(0.19);   // bucket 0
+    h.record(0.2);    // exactly at bound 1 -> bucket 1
+    h.record(0.3999);
+    h.record(0.4);  // bucket 2
+    h.record(0.75);  // bucket 2
+    h.record(0.8);  // bucket 3
+    h.record(1e9);  // overflow -> bucket 23
+    const auto buckets = h.buckets();
     EXPECT_EQ(buckets[0], 3u);
     EXPECT_EQ(buckets[1], 2u);
     EXPECT_EQ(buckets[2], 2u);
-    EXPECT_EQ(buckets[3], 2u);
+    EXPECT_EQ(buckets[3], 1u);
+    EXPECT_EQ(buckets[23], 1u);
     EXPECT_EQ(h.count(), 9u);
-    EXPECT_DOUBLE_EQ(h.min(), 0.25);
+    EXPECT_DOUBLE_EQ(h.min(), 0.025);
     EXPECT_DOUBLE_EQ(h.max(), 1e9);
 }
 
 TEST(Histogram, SumAndMeanTrackRecordedValues) {
-    Histogram h{{0.001, 2.0, 16}};
+    Histogram h{kWallMs};
     h.record(1.0);
     h.record(2.0);
     h.record(3.0);
@@ -90,7 +101,7 @@ TEST(Histogram, SumAndMeanTrackRecordedValues) {
 }
 
 TEST(Histogram, EmptyHistogramIsAllZero) {
-    Histogram h{{1.0, 10.0, 4}};
+    Histogram h{kSimMs};
     EXPECT_EQ(h.count(), 0u);
     EXPECT_DOUBLE_EQ(h.min(), 0.0);
     EXPECT_DOUBLE_EQ(h.max(), 0.0);
@@ -99,46 +110,49 @@ TEST(Histogram, EmptyHistogramIsAllZero) {
 
 TEST(MetricsRegistry, SameNameReturnsSameInstrument) {
     MetricsRegistry registry;
-    Counter& a = registry.counter("x.count");
+    Counter& a = registry.counter(CounterId::scanner_connections);
     a.add(3);
-    Counter& b = registry.counter("x.count");
+    Counter& b = registry.counter(CounterId::scanner_connections);
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(b.value(), 3u);
 
-    Histogram& h1 = registry.histogram("x.hist", {1.0, 2.0, 4});
-    // A second lookup with a different spec returns the existing geometry.
-    Histogram& h2 = registry.histogram("x.hist", {99.0, 3.0, 7});
+    // Every histogram carries its catalog entry's geometry.
+    Histogram& h1 = registry.histogram(HistogramId::quic_conn_min_rtt_ms);
+    Histogram& h2 = registry.histogram(HistogramId::quic_conn_min_rtt_ms);
     EXPECT_EQ(&h1, &h2);
-    EXPECT_EQ(h2.spec().bucket_count, 4u);
+    EXPECT_EQ(&h2.geometry(), &kSimMs);
+    EXPECT_EQ(&registry.histogram(HistogramId::scanner_phase_attempt_ms).geometry(), &kWallMs);
 }
 
 TEST(MetricsRegistry, NamespacesAreIndependent) {
     MetricsRegistry registry;
-    registry.counter("same.name").add(1);
-    registry.gauge("same.name").set(2.0);
-    (void)registry.histogram("same.name");
+    registry.counter(CounterId::bytes_pool_acquires).add(1);
+    registry.gauge(GaugeId::bytes_pool_outstanding_hwm).set(2.0);
+    (void)registry.histogram(HistogramId::quic_conn_min_rtt_ms);
     EXPECT_EQ(registry.size(), 3u);
-    EXPECT_NE(registry.find_counter("same.name"), nullptr);
-    EXPECT_NE(registry.find_gauge("same.name"), nullptr);
-    EXPECT_NE(registry.find_histogram("same.name"), nullptr);
+    EXPECT_NE(registry.find_counter("bytes.pool.acquires"), nullptr);
+    EXPECT_NE(registry.find_gauge("bytes.pool.outstanding_hwm"), nullptr);
+    EXPECT_NE(registry.find_histogram("quic.conn.min_rtt_ms"), nullptr);
+    // A name is looked up only among its own kind's entries.
+    EXPECT_EQ(registry.find_gauge("bytes.pool.acquires"), nullptr);
+    EXPECT_EQ(registry.find_counter("bytes.pool.outstanding_hwm"), nullptr);
     EXPECT_EQ(registry.find_counter("missing"), nullptr);
 }
 
 TEST(MetricsRegistry, ComposedStringAndLiteralNamesResolveToOneInstrument) {
     MetricsRegistry registry;
-    registry.counter(MetricName{"netsim.link", ".forward", ".sent"}).add(1);
-    registry.counter(std::string{"netsim.link.forward.sent"}).add(2);
-    registry.counter("netsim.link.forward.sent").add(3);
+    registry.counter(CounterId::netsim_link_forward_sent).add(1);
+    registry.counter(CounterId::netsim_link_forward_sent).add(5);
     EXPECT_EQ(registry.size(), 1u);
-    const Counter* c = registry.find_counter(MetricName{"netsim.link.forward", ".sent"});
+    const Counter* c = registry.find(CounterId::netsim_link_forward_sent);
     ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c, registry.find_counter(std::string{"netsim.link.forward.sent"}));
+    EXPECT_EQ(c, registry.find_counter(std::string{"netsim.link"} + ".forward.sent"));
     EXPECT_EQ(c, registry.find_counter("netsim.link.forward.sent"));
     EXPECT_EQ(c->value(), 6u);
-    EXPECT_EQ(registry.counters().begin()->first, "netsim.link.forward.sent");
+    EXPECT_EQ(info(CounterId::netsim_link_forward_sent).name, "netsim.link.forward.sent");
 
-    registry.histogram(MetricName{"quic.conn", ".min_rtt_ms"}).record(1.0);
-    registry.histogram("quic.conn.min_rtt_ms").record(2.0);
+    registry.histogram(HistogramId::quic_conn_min_rtt_ms).record(1.0);
+    registry.histogram(HistogramId::quic_conn_min_rtt_ms).record(2.0);
     ASSERT_NE(registry.find_histogram("quic.conn.min_rtt_ms"), nullptr);
     EXPECT_EQ(registry.find_histogram("quic.conn.min_rtt_ms")->count(), 2u);
 }
@@ -177,24 +191,9 @@ TEST(MetricsRegistry, ConditionalInstrumentsStayAbsentUntilHit) {
 
     // A link without a fault plan publishes no fault counters.
     netsim::Link link{sim, netsim::LinkConfig{}, util::Rng{2}};
-    link.publish_metrics(after, "netsim.link.forward");
+    link.publish_metrics(after, netsim::LinkDirection::forward);
     EXPECT_NE(after.find_counter("netsim.link.forward.sent"), nullptr);
     EXPECT_EQ(after.find_counter("netsim.link.forward.fault.burst_dropped"), nullptr);
-}
-
-TEST(MetricsRegistry, NameLongerThanTheCompositionBufferThrowsLengthError) {
-    const std::string longest(MetricName::kMaxLength, 'p');
-    EXPECT_EQ(MetricName{longest}.view(), longest);
-    EXPECT_EQ(MetricName({longest.substr(1), "x"}).view().size(), MetricName::kMaxLength);
-    EXPECT_THROW(MetricName({longest, "x"}), std::length_error);
-
-    // A publisher handed an over-long prefix fails before creating anything.
-    MetricsRegistry registry;
-    netsim::Simulator sim;
-    EXPECT_THROW(sim.publish_metrics(registry, longest), std::length_error);
-    bytes::BufferPool pool;
-    EXPECT_THROW(pool.publish_metrics(registry, longest), std::length_error);
-    EXPECT_EQ(registry.size(), 0u);
 }
 
 TEST(MetricsRegistry, RepublishingExistingNamesAllocatesNothing) {
@@ -209,29 +208,33 @@ TEST(MetricsRegistry, RepublishingExistingNamesAllocatesNothing) {
     client.connect();
     sim.run();
 
+    // A chunk registry costs no allocation to create, nor does an attempt's
+    // first publish into it, nor any publish after that.
+    const AllocSnapshot allocs;
     MetricsRegistry registry;
     const auto publish = [&] {
         sim.publish_metrics(registry);
-        link.publish_metrics(registry, "netsim.link.forward");
+        link.publish_metrics(registry, netsim::LinkDirection::forward);
         client.publish_metrics(registry);
         pool.publish_metrics(registry);
-        record_sim_time(registry, "scanner.attempt_sim_ms", sim.now() - util::TimePoint::origin());
-        ScopedTimer timer{registry, "scanner.phase.attempt_ms"};
+        record_sim_time(registry, HistogramId::scanner_attempt_sim_ms,
+                        sim.now() - util::TimePoint::origin());
+        ScopedTimer timer{&registry, HistogramId::scanner_phase_attempt_ms};
     };
     publish();
     const std::size_t instruments = registry.size();
-    const AllocSnapshot allocs;
     publish();
     EXPECT_EQ(allocs.count_since(), 0u);
+    EXPECT_GT(instruments, 0u);
     EXPECT_EQ(registry.size(), instruments);
 }
 
 TEST(Span, FinishRecordsIntoHistogram) {
     MetricsRegistry registry;
-    Span span{registry, "phase.test_ms"};
+    Span span{&registry, HistogramId::scanner_phase_resolve_ms};
     const double ms = span.finish();
     EXPECT_GE(ms, 0.0);
-    const Histogram* h = registry.find_histogram("phase.test_ms");
+    const Histogram* h = registry.find_histogram("scanner.phase.resolve_ms");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), 1u);
     // finish() is idempotent.
@@ -242,21 +245,25 @@ TEST(Span, FinishRecordsIntoHistogram) {
 TEST(ScopedTimer, RecordsOnScopeExit) {
     MetricsRegistry registry;
     {
-        ScopedTimer timer{registry, "phase.scoped_ms"};
+        ScopedTimer timer{&registry, HistogramId::scanner_phase_finalize_ms};
     }
     {
-        ScopedTimer timer{registry, "phase.scoped_ms"};
+        ScopedTimer timer{&registry, HistogramId::scanner_phase_finalize_ms};
     }
-    const Histogram* h = registry.find_histogram("phase.scoped_ms");
+    {
+        ScopedTimer off{nullptr, HistogramId::scanner_phase_finalize_ms};  // telemetry off
+    }
+    const Histogram* h = registry.find_histogram("scanner.phase.finalize_ms");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), 2u);
 }
 
 TEST(SimTime, RecordsDurationMillis) {
     MetricsRegistry registry;
-    record_sim_time(registry, "attempt.sim_ms", util::Duration::millis(250));
-    record_sim_time(registry, "attempt.sim_ms", util::Duration::millis(-5));  // clamped
-    const Histogram* h = registry.find_histogram("attempt.sim_ms");
+    record_sim_time(registry, HistogramId::scanner_attempt_sim_ms, util::Duration::millis(250));
+    record_sim_time(registry, HistogramId::scanner_attempt_sim_ms,
+                    util::Duration::millis(-5));  // clamped
+    const Histogram* h = registry.find_histogram("scanner.attempt_sim_ms");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), 2u);
     EXPECT_DOUBLE_EQ(h->max(), 250.0);
@@ -265,27 +272,29 @@ TEST(SimTime, RecordsDurationMillis) {
 
 TEST(Export, JsonContainsAllKindsInSortedOrder) {
     MetricsRegistry registry;
-    registry.counter("b.count").add(7);
-    registry.counter("a.count").add(1);
-    registry.gauge("z.gauge").set(2.5);
-    registry.histogram("m.hist", {1.0, 2.0, 3}).record(2.0);
+    registry.counter(CounterId::scanner_connections).add(7);
+    registry.counter(CounterId::bytes_pool_acquires).add(1);
+    registry.gauge(GaugeId::scanner_quic_ok_rate).set(2.5);
+    registry.histogram(HistogramId::quic_conn_min_rtt_ms).record(0.3);
 
     const std::string json = to_json(registry);
     EXPECT_NE(json.find("\"schema\":\"spinscope-telemetry-v1\""), std::string::npos);
-    EXPECT_NE(json.find("\"a.count\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"b.count\":7"), std::string::npos);
-    EXPECT_NE(json.find("\"z.gauge\":2.5"), std::string::npos);
-    EXPECT_NE(json.find("\"bucket_counts\":[0,1,0]"), std::string::npos);
-    // Name-sorted: "a.count" must precede "b.count".
-    EXPECT_LT(json.find("\"a.count\""), json.find("\"b.count\""));
+    EXPECT_NE(json.find("\"bytes.pool.acquires\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"scanner.connections\":7"), std::string::npos);
+    EXPECT_NE(json.find("\"scanner.quic_ok_rate\":2.5"), std::string::npos);
+    EXPECT_NE(json.find("\"spec\":{\"min_value\":0.1,\"factor\":2,\"buckets\":24}"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"bucket_counts\":[0,1,0,"), std::string::npos);
+    // Name-sorted: "bytes.pool.acquires" must precede "scanner.connections".
+    EXPECT_LT(json.find("\"bytes.pool.acquires\""), json.find("\"scanner.connections\""));
 }
 
 TEST(Export, JsonIsDeterministic) {
     auto build = [] {
         MetricsRegistry registry;
-        registry.counter("x").add(1);
-        registry.gauge("y").set(3.0);
-        registry.histogram("z").record(0.5);
+        registry.counter(CounterId::scanner_retries).add(1);
+        registry.gauge(GaugeId::scanner_quic_ok_rate).set(3.0);
+        registry.histogram(HistogramId::scanner_phase_attempt_ms).record(0.5);
         return to_json(registry);
     };
     EXPECT_EQ(build(), build());
@@ -293,7 +302,7 @@ TEST(Export, JsonIsDeterministic) {
 
 TEST(Export, WriteJsonFileRoundTripsThroughDisk) {
     MetricsRegistry registry;
-    registry.counter("disk.count").add(9);
+    registry.counter(CounterId::scanner_domains_scanned).add(9);
     const std::string path = ::testing::TempDir() + "spinscope_telemetry_test.json";
     ASSERT_TRUE(write_json_file(registry, path));
     std::ifstream in{path};
@@ -334,7 +343,7 @@ TEST(Merge, CounterAddsAndGaugeTakesMax) {
 }
 
 TEST(Merge, HistogramMergesBucketsCountSumMinMax) {
-    const HistogramSpec spec{0.001, 2.0, 16};
+    const HistogramGeometry& spec = kWallMs;
     Histogram a{spec};
     Histogram b{spec};
     a.record(0.5);
@@ -348,7 +357,7 @@ TEST(Merge, HistogramMergesBucketsCountSumMinMax) {
 
     a.merge_from(b);
     EXPECT_EQ(a.count(), 5u);
-    EXPECT_EQ(a.buckets(), expected.buckets());
+    EXPECT_TRUE(same_buckets(a, expected));
     EXPECT_DOUBLE_EQ(a.min(), 0.002);
     EXPECT_DOUBLE_EQ(a.max(), 32.0);
     EXPECT_DOUBLE_EQ(a.sum(), 0.5 + 4.0 + (0.002 + 32.0 + 4.0));
@@ -363,34 +372,28 @@ TEST(Merge, HistogramMergesBucketsCountSumMinMax) {
     EXPECT_DOUBLE_EQ(fresh.min(), 0.002);
 }
 
-TEST(Merge, HistogramGeometryMismatchThrows) {
-    Histogram a{HistogramSpec{0.001, 2.0, 16}};
-    Histogram coarser{HistogramSpec{0.001, 4.0, 16}};
-    Histogram shorter{HistogramSpec{0.001, 2.0, 8}};
-    EXPECT_THROW(a.merge_from(coarser), std::invalid_argument);
-    EXPECT_THROW(a.merge_from(shorter), std::invalid_argument);
-}
-
 TEST(Merge, RegistryMergeCreatesMissingAndCombinesExisting) {
     MetricsRegistry base;
-    base.counter("shared.count").add(1);
-    base.gauge("shared.gauge").set(2.0);
+    base.counter(CounterId::scanner_connections).add(1);
+    base.gauge(GaugeId::netsim_sim_queue_depth_hwm).set(2.0);
 
     MetricsRegistry shard;
-    shard.counter("shared.count").add(41);
-    shard.gauge("shared.gauge").set(7.0);
-    shard.counter("only.in.shard").add(5);
-    shard.histogram("shard.hist", HistogramSpec{0.001, 2.0, 8}).record(1.5);
+    shard.counter(CounterId::scanner_connections).add(41);
+    shard.gauge(GaugeId::netsim_sim_queue_depth_hwm).set(7.0);
+    shard.counter(CounterId::scanner_retries).add(5);
+    shard.counter(CounterId::scanner_domains_errored).add(0);  // present at zero
+    shard.histogram(HistogramId::scanner_attempt_sim_ms).record(1.5);
 
     base.merge_from(shard);
-    EXPECT_EQ(base.counter("shared.count").value(), 42u);
-    EXPECT_DOUBLE_EQ(base.gauge("shared.gauge").value(), 7.0);
-    ASSERT_NE(base.find_counter("only.in.shard"), nullptr);
-    EXPECT_EQ(base.find_counter("only.in.shard")->value(), 5u);
-    // Histograms created by the merge inherit the source geometry.
-    const Histogram* merged = base.find_histogram("shard.hist");
+    EXPECT_EQ(base.size(), 5u);
+    EXPECT_EQ(base.counter(CounterId::scanner_connections).value(), 42u);
+    EXPECT_DOUBLE_EQ(base.gauge(GaugeId::netsim_sim_queue_depth_hwm).value(), 7.0);
+    ASSERT_NE(base.find_counter("scanner.retries"), nullptr);
+    EXPECT_EQ(base.find_counter("scanner.retries")->value(), 5u);
+    ASSERT_NE(base.find_counter("scanner.domains_errored"), nullptr);
+    EXPECT_EQ(base.find_counter("scanner.watchdog_cancelled"), nullptr);
+    const Histogram* merged = base.find_histogram("scanner.attempt_sim_ms");
     ASSERT_NE(merged, nullptr);
-    EXPECT_EQ(merged->spec().bucket_count, 8u);
     EXPECT_EQ(merged->count(), 1u);
 }
 
@@ -403,10 +406,10 @@ TEST(Merge, ChunkOrderMergeEqualsSequentialRecording) {
     MetricsRegistry chunk_b;
     const double values[] = {0.004, 1.0, 0.25, 8.0, 0.06, 2.0};
     for (int i = 0; i < 6; ++i) {
-        sequential.counter("m.count").add();
-        sequential.histogram("m.hist").record(values[i]);
-        (i < 3 ? chunk_a : chunk_b).counter("m.count").add();
-        (i < 3 ? chunk_a : chunk_b).histogram("m.hist").record(values[i]);
+        sequential.counter(CounterId::quic_conn_attempts).add();
+        sequential.histogram(HistogramId::quic_conn_min_rtt_ms).record(values[i]);
+        (i < 3 ? chunk_a : chunk_b).counter(CounterId::quic_conn_attempts).add();
+        (i < 3 ? chunk_a : chunk_b).histogram(HistogramId::quic_conn_min_rtt_ms).record(values[i]);
     }
     MetricsRegistry merged;
     merged.merge_from(chunk_a);
@@ -415,20 +418,20 @@ TEST(Merge, ChunkOrderMergeEqualsSequentialRecording) {
 }
 
 TEST(Export, DeterministicCsvExcludesWallClockAndHistogramSums) {
-    EXPECT_TRUE(is_wall_clock_metric("scanner.phase.scan_domain"));
-    EXPECT_TRUE(is_wall_clock_metric("scanner.domains_per_sec"));
-    EXPECT_FALSE(is_wall_clock_metric("scanner.domains_scanned"));
-    EXPECT_FALSE(is_wall_clock_metric("netsim.sim.events_executed"));
+    EXPECT_EQ(info(HistogramId::scanner_phase_attempt_ms).metric_class, MetricClass::wall_clock);
+    EXPECT_EQ(info(GaugeId::scanner_domains_per_sec).metric_class, MetricClass::wall_clock);
+    EXPECT_EQ(info(CounterId::scanner_domains_scanned).metric_class, MetricClass::deterministic);
+    EXPECT_EQ(info(HistogramId::scanner_attempt_sim_ms).metric_class, MetricClass::deterministic);
 
     MetricsRegistry registry;
-    registry.counter("scanner.domains_scanned").add(10);
-    registry.gauge("scanner.domains_per_sec").set(123.0);
-    registry.histogram("scanner.phase.scan_domain").record(1.0);
-    registry.histogram("netsim.sim.horizon_ms").record(2.0);
+    registry.counter(CounterId::scanner_domains_scanned).add(10);
+    registry.gauge(GaugeId::scanner_domains_per_sec).set(123.0);
+    registry.histogram(HistogramId::scanner_phase_attempt_ms).record(1.0);
+    registry.histogram(HistogramId::scanner_attempt_sim_ms).record(2.0);
 
     const std::string det = deterministic_csv(registry);
     EXPECT_NE(det.find("scanner.domains_scanned"), std::string::npos);
-    EXPECT_NE(det.find("netsim.sim.horizon_ms"), std::string::npos);
+    EXPECT_NE(det.find("scanner.attempt_sim_ms"), std::string::npos);
     EXPECT_EQ(det.find("domains_per_sec"), std::string::npos);
     EXPECT_EQ(det.find("scanner.phase"), std::string::npos);
     EXPECT_EQ(det.find(",sum,"), std::string::npos) << "histogram sums are float-regrouped";
@@ -436,16 +439,16 @@ TEST(Export, DeterministicCsvExcludesWallClockAndHistogramSums) {
     // The full JSON still carries everything the deterministic view drops.
     const std::string full = to_json(registry);
     EXPECT_NE(full.find("domains_per_sec"), std::string::npos);
-    EXPECT_NE(full.find("scanner.phase.scan_domain"), std::string::npos);
+    EXPECT_NE(full.find("scanner.phase.attempt_ms"), std::string::npos);
     EXPECT_NE(full.find("\"sum\":"), std::string::npos);
 }
 
 TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
     MetricsRegistry registry;
-    registry.counter("scanner.connections").add(42);
-    registry.gauge("scanner.domains_per_sec").set(123.456789012345678);
-    (void)registry.gauge("netsim.queue.high_water");  // registered but never set
-    auto& hist = registry.histogram("netsim.link.delay_ms", {0.001, 2.0, 16});
+    registry.counter(CounterId::scanner_connections).add(42);
+    registry.gauge(GaugeId::scanner_domains_per_sec).set(123.456789012345678);
+    (void)registry.gauge(GaugeId::netsim_sim_queue_depth_hwm);  // present but never set
+    auto& hist = registry.histogram(HistogramId::scanner_phase_attempt_ms);
     hist.record(0.0005);  // below bucket 0 → clamped into bucket 0
     hist.record(1.0 / 3.0);
     hist.record(1e9);  // above the last bound → final bucket
@@ -459,17 +462,16 @@ TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
     ASSERT_NE(gauge, nullptr);
     EXPECT_TRUE(gauge->has_value());
     EXPECT_EQ(gauge->value(), 123.456789012345678);  // %.17g: bit-identical
-    const auto* unset = parsed->find_gauge("netsim.queue.high_water");
+    const auto* unset = parsed->find_gauge("netsim.sim.queue_depth_hwm");
     ASSERT_NE(unset, nullptr);
     EXPECT_FALSE(unset->has_value()) << "never-set state must survive the round trip";
-    const auto* parsed_hist = parsed->find_histogram("netsim.link.delay_ms");
+    const auto* parsed_hist = parsed->find_histogram("scanner.phase.attempt_ms");
     ASSERT_NE(parsed_hist, nullptr);
     EXPECT_EQ(parsed_hist->count(), 3u);
     EXPECT_EQ(parsed_hist->sum(), hist.sum());
     EXPECT_EQ(parsed_hist->min(), 0.0005);
     EXPECT_EQ(parsed_hist->max(), 1e9);
-    EXPECT_EQ(parsed_hist->buckets(), hist.buckets());
-    EXPECT_EQ(parsed_hist->spec().bucket_count, 16u);
+    EXPECT_TRUE(same_buckets(*parsed_hist, hist));
 
     // Round-tripped state must MERGE identically to the original — this is
     // what journal replay relies on (DESIGN.md §11).
@@ -483,21 +485,26 @@ TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
 TEST(Export, ParseSnapshotRejectsMalformedInput) {
     EXPECT_TRUE(parse_snapshot("").has_value()) << "an empty snapshot is an empty registry";
     EXPECT_FALSE(parse_snapshot("bogus kind x 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter a.b not_a_number\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter a.b 1 trailing\n").has_value());
-    EXPECT_FALSE(parse_snapshot("gauge a.b 2 1.5\n").has_value());  // bad has-value flag
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries not_a_number\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1 trailing\n").has_value());
+    // Bad has-value flag.
+    EXPECT_FALSE(parse_snapshot("gauge scanner.quic_ok_rate 2 1.5\n").has_value());
     // Histogram whose bucket counts disagree with its count.
-    EXPECT_FALSE(parse_snapshot("hist h 0.001 2 4 5 1.0 0.1 0.9 1 1 1 1\n").has_value());
-    // Nonsensical geometry.
-    EXPECT_FALSE(parse_snapshot("hist h -1 2 4 0 0 0 0 0 0 0 0\n").has_value());
+    MetricsRegistry registry;
+    registry.histogram(HistogramId::quic_conn_min_rtt_ms).record(1.0);
+    std::string hist = snapshot(registry);
+    const std::size_t count_at = hist.find(" 24 1 ") + 4;
+    ASSERT_TRUE(parse_snapshot(hist).has_value());
+    hist[count_at] = '5';
+    EXPECT_FALSE(parse_snapshot(hist).has_value());
 }
 
 TEST(Export, ParseSnapshotAcceptsOnlyTheWritersForm) {
     MetricsRegistry registry;
-    registry.counter("a.first").add(1);
-    registry.counter("b.second").add(22);
-    registry.gauge("c.level").set(0.25);
-    (void)registry.histogram("d.delay_ms", {0.001, 2.0, 4});
+    registry.counter(CounterId::scanner_connections).add(1);
+    registry.counter(CounterId::scanner_retries).add(22);
+    registry.gauge(GaugeId::scanner_quic_ok_rate).set(0.25);
+    (void)registry.histogram(HistogramId::scanner_phase_attempt_ms);
     const std::string text = snapshot(registry);
     ASSERT_TRUE(parse_snapshot(text).has_value());
     // Cut anywhere but after a newline, the last line is unterminated.
@@ -505,19 +512,124 @@ TEST(Export, ParseSnapshotAcceptsOnlyTheWritersForm) {
         const bool line_boundary = n == 0 || text[n - 1] == '\n';
         EXPECT_EQ(parse_snapshot(text.substr(0, n)).has_value(), line_boundary) << n;
     }
-    // snapshot() writes counters, gauges, then histograms, each name-sorted
-    // and once.
-    EXPECT_FALSE(parse_snapshot("counter b 1\ncounter a 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter a 1\ncounter a 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("gauge g 1 2\ncounter a 1\n").has_value());
-    EXPECT_TRUE(parse_snapshot("counter b 1\ngauge a 1 2\n").has_value());
+    // snapshot() writes counters, gauges, then histograms, each in catalog
+    // (name) order and once.
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1\ncounter scanner.connections 1\n")
+                     .has_value());
+    EXPECT_FALSE(parse_snapshot("gauge scanner.quic_ok_rate 1 2\ncounter scanner.retries 1\n")
+                     .has_value());
+    EXPECT_TRUE(parse_snapshot("counter scanner.retries 1\ngauge bytes.pool.outstanding_hwm 1 2\n")
+                    .has_value());
     // Integers are canonical decimals; blank lines and extra spaces are not
     // the writer's.
-    EXPECT_FALSE(parse_snapshot("counter a 01\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter a +1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("\ncounter a 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter  a 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter a\t1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries 01\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries +1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("\ncounter scanner.retries 1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter  scanner.retries 1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries\t1\n").has_value());
+}
+
+// --- The metric catalog ------------------------------------------------------
+
+template <std::size_t N>
+void expect_ascending_names(const std::array<MetricInfo, N>& catalog) {
+    for (std::size_t i = 1; i < N; ++i) {
+        EXPECT_LT(catalog[i - 1].name, catalog[i].name) << i;
+    }
+    // Dotted identifiers: exporters write names unescaped and the snapshot
+    // reader splits on spaces.
+    for (const MetricInfo& m : catalog) {
+        EXPECT_EQ(m.name.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789._"),
+                  std::string_view::npos)
+            << m.name;
+    }
+}
+
+TEST(Catalog, NamesAreUniqueAndAscendingWithinEachKind) {
+    expect_ascending_names(kCounters);
+    expect_ascending_names(kGauges);
+    expect_ascending_names(kHistograms);
+    EXPECT_EQ(find_index(kCounters, "scanner.connections"),
+              static_cast<std::size_t>(CounterId::scanner_connections));
+    EXPECT_EQ(find_index(kCounters, "scanner.connection"), kCounters.size());
+}
+
+TEST(Catalog, EveryHistogramHasAGeometry) {
+    for (const MetricInfo& m : kHistograms) {
+        ASSERT_NE(m.geometry, nullptr) << m.name;
+        EXPECT_TRUE(m.geometry == &kWallMs || m.geometry == &kSimMs) << m.name;
+        // Phase spans time the host; everything else simulated time.
+        EXPECT_EQ(m.geometry == &kWallMs, m.metric_class == MetricClass::wall_clock) << m.name;
+    }
+    for (const MetricInfo& m : kCounters) EXPECT_EQ(m.geometry, nullptr) << m.name;
+    for (const MetricInfo& m : kGauges) EXPECT_EQ(m.geometry, nullptr) << m.name;
+    EXPECT_EQ(kWallMs.bucket_count, 32u);
+    EXPECT_EQ(kSimMs.bucket_count, 24u);
+}
+
+TEST(Catalog, EnumFamiliesMatchTheirEnums) {
+    const auto expect_family = [](const auto& ids, std::string_view prefix, auto to_name,
+                                  std::size_t first) {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            EXPECT_EQ(info(ids[i]).name, std::string{prefix} + to_name(first + i)) << i;
+        }
+    };
+    expect_family(kOutcomeCounters, "scanner.outcome.", [](std::size_t v) {
+        return qlog::to_cstring(static_cast<qlog::ConnectionOutcome>(v));
+    }, 0);
+    EXPECT_EQ(kOutcomeCounters.size(), qlog::kConnectionOutcomeCount);
+    expect_family(kServerFaultCounters, "scanner.server_fault.", [](std::size_t v) {
+        return faults::to_cstring(static_cast<faults::ServerFaultMode>(v));
+    }, 1);
+    EXPECT_EQ(kServerFaultCounters.size() + 1, faults::kServerFaultModeCount);
+    expect_family(kIoErrorCounters, "campaign.journal.io_errors.", [](std::size_t v) {
+        return util::to_cstring(static_cast<util::IoErrorClass>(v));
+    }, 0);
+
+    // netsim.sim.events.* is indexed by EventCategory value directly.
+    const char* const categories[] = {"conn.flush", "link.delivery", "timer"};
+    ASSERT_EQ(std::size(categories), netsim::kEventCategoryCount);
+    for (std::size_t c = 0; c < netsim::kEventCategoryCount; ++c) {
+        EXPECT_EQ(info(CounterId::netsim_sim_events_conn_flush + c).name,
+                  std::string{"netsim.sim.events."} + categories[c]);
+    }
+}
+
+TEST(Catalog, ParseSnapshotRejectsUnknownRepeatedAndForeignGeometry) {
+    EXPECT_FALSE(parse_snapshot("counter x.count 1\n").has_value()) << "unknown name";
+    EXPECT_FALSE(parse_snapshot("counter netsim.sim.queue_depth_hwm 1\n").has_value())
+        << "a name of another kind";
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1\ncounter scanner.retries 1\n")
+                     .has_value())
+        << "repeated name";
+
+    MetricsRegistry registry;
+    registry.histogram(HistogramId::quic_conn_min_rtt_ms).record(3.0);
+    const std::string hist = snapshot(registry);
+    ASSERT_TRUE(parse_snapshot(hist).has_value());
+    const std::size_t geometry_at = hist.find(' ', hist.find("min_rtt_ms")) + 1;
+    const std::size_t geometry_end = hist.find(" 24 ") + 4;
+    const std::string tail = hist.substr(geometry_end);
+    const std::string head = hist.substr(0, geometry_at);
+    // The writer's geometry parses; any other one (start, growth or bucket
+    // count) is not the catalog's.
+    EXPECT_TRUE(parse_snapshot(head + "0.10000000000000001 2 24 " + tail).has_value());
+    EXPECT_FALSE(parse_snapshot(head + "0.001 2 24 " + tail).has_value());
+    EXPECT_FALSE(parse_snapshot(head + "0.10000000000000001 4 24 " + tail).has_value());
+    EXPECT_FALSE(parse_snapshot(head + "0.10000000000000001 2 23 " + tail).has_value());
+}
+
+TEST(Catalog, CampaignChunkSnapshotRoundTripsByteForByte) {
+    const web::Population population{{200000.0, 7}};
+    scanner::Campaign campaign{population, {}};
+    MetricsRegistry attached;
+    campaign.set_metrics(&attached);
+    const std::string text = campaign.scan_chunk(0).telemetry_snapshot;
+    ASSERT_FALSE(text.empty());
+    const auto parsed = parse_snapshot(text);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(snapshot(*parsed), text);
+    EXPECT_NE(parsed->find_histogram("quic.conn.min_rtt_ms"), nullptr);
 }
 
 }  // namespace

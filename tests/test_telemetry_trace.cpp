@@ -325,7 +325,7 @@ TEST(TraceRecorderTest, BookkeepingMetricsStayOutOfTheDeterministicView) {
     TraceRecorder trace;
     trace.instant(TraceClock::sim, trace.lane(TraceClock::sim, "merge"), "retry", 1);
     MetricsRegistry registry;
-    registry.counter("scanner.connections").add(5);
+    registry.counter(CounterId::scanner_connections).add(5);
     trace.publish_metrics(registry);
 
     ASSERT_NE(registry.find_counter("trace.events_sim"), nullptr);
@@ -334,11 +334,10 @@ TEST(TraceRecorderTest, BookkeepingMetricsStayOutOfTheDeterministicView) {
 
     // trace.* counts depend on lane geometry and wall events, obs.* on the
     // host — both are excluded from the determinism contract.
-    EXPECT_TRUE(is_chunk_geometry_metric("trace.events_sim"));
-    EXPECT_TRUE(is_chunk_geometry_metric("trace.lanes"));
-    EXPECT_TRUE(is_recovery_metric("obs.resource.campaign.wall_seconds"));
-    EXPECT_FALSE(is_chunk_geometry_metric("scanner.connections"));
-    EXPECT_FALSE(is_recovery_metric("scanner.connections"));
+    EXPECT_EQ(info(CounterId::trace_events_sim).metric_class, MetricClass::chunk_geometry);
+    EXPECT_EQ(info(CounterId::trace_lanes).metric_class, MetricClass::chunk_geometry);
+    EXPECT_EQ(info(GaugeId::obs_resource_campaign_wall_seconds).metric_class, MetricClass::host);
+    EXPECT_EQ(info(CounterId::scanner_connections).metric_class, MetricClass::deterministic);
 
     const std::string csv = deterministic_csv(registry);
     EXPECT_EQ(csv.find("trace."), std::string::npos);
@@ -360,7 +359,7 @@ TEST(ResourceProbeTest, AllocInterposerCountsThisBinary) {
 }
 
 TEST(ResourceProbeTest, PublishesObsGaugesOutsideTheDeterministicView) {
-    ResourceProbe probe{"unit"};
+    ResourceProbe probe;
     std::vector<char> block(1 << 16);
     block[0] = 1;
     const ResourceProbe::Report report = probe.sample();
@@ -374,13 +373,13 @@ TEST(ResourceProbeTest, PublishesObsGaugesOutsideTheDeterministicView) {
 #endif
 
     MetricsRegistry registry;
-    registry.counter("scanner.connections").add(1);
+    registry.counter(CounterId::scanner_connections).add(1);
     probe.publish(registry);
-    for (const char* name :
-         {"obs.resource.unit.wall_seconds", "obs.resource.unit.peak_rss_bytes",
-          "obs.resource.unit.allocs", "obs.resource.unit.alloc_bytes"}) {
-        EXPECT_NE(registry.find_gauge(name), nullptr) << name;
-        EXPECT_TRUE(is_recovery_metric(name)) << name;
+    for (const GaugeId id :
+         {GaugeId::obs_resource_campaign_wall_seconds, GaugeId::obs_resource_campaign_peak_rss_bytes,
+          GaugeId::obs_resource_campaign_allocs, GaugeId::obs_resource_campaign_alloc_bytes}) {
+        EXPECT_NE(registry.find(id), nullptr) << info(id).name;
+        EXPECT_EQ(info(id).metric_class, MetricClass::host) << info(id).name;
     }
     EXPECT_EQ(deterministic_csv(registry).find("obs."), std::string::npos);
 }
