@@ -128,14 +128,19 @@ inline Options parse_options(int argc, char** argv, std::uint64_t default_count 
             options.progress_every = std::strtoull(arg + 11, nullptr, 10);
         } else if (std::strncmp(arg, "--trajectory=", 13) == 0) {
             options.trajectory_path = arg + 13;
-        } else if (std::strcmp(arg, "--help") == 0) {
-            std::printf(
+        } else {
+            // --help prints the usage; anything else unrecognised (a typo
+            // like --scal=5000) is refused rather than silently ignored.
+            const bool help = std::strcmp(arg, "--help") == 0;
+            if (!help) std::fprintf(stderr, "unknown argument '%s'\n", arg);
+            std::fprintf(
+                help ? stdout : stderr,
                 "usage: %s [--scale=N] [--scales=A,B,C] [--seed=N] [--count=N] [--csv=prefix] "
                 "[--telemetry=path|off] [--threads=N] [--journal=dir] [--procs=N] "
                 "[--resume] [--scrub] [--trace=file] [--progress[=N]] "
                 "[--trajectory=file]\n",
                 argv[0]);
-            std::exit(0);
+            std::exit(help ? 0 : 2);
         }
     }
     if (options.resume && options.journal_dir.empty()) {
@@ -281,7 +286,7 @@ inline void write_telemetry(const Options& options, const char* name,
 inline void write_csv(const Options& options, const char* name, const std::string& content) {
     if (options.csv_prefix.empty()) return;
     const std::string path = options.csv_prefix + name;
-    if (util::write_file_atomic(path, content)) {
+    if (util::write_file_atomic(util::Io::real(), path, content)) {
         std::printf("wrote %s\n", path.c_str());
     } else {
         std::fprintf(stderr, "failed to write %s\n", path.c_str());

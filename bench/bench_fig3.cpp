@@ -26,14 +26,15 @@ namespace {
 /// Feeds every spin-candidate connection of `weeks` sampled weeks into the
 /// aggregator — the §5.1 corpus ("all IPv4 connections with spin bit
 /// activity throughout the campaign").
-void build_corpus(const web::Population& population, unsigned weeks,
+void build_corpus(const web::PopulationModel& population, unsigned weeks,
                   analysis::AccuracyAggregator& aggregator, std::uint64_t& connections) {
+    const auto universe = population.materialize(0, population.domain_count());
     for (unsigned sample = 0; sample < weeks; ++sample) {
         const int week = static_cast<int>(sample * 57 / (weeks > 1 ? weeks - 1 : 1));
         scanner::ScanOptions scan_options;
         scan_options.week = week;
         scanner::Campaign campaign{population, scan_options};
-        for (const auto& domain : population.domains()) {
+        for (const auto& domain : universe.domains) {
             if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
             const auto scan = campaign.scan_domain(domain);
             for (const auto& trace : scan.connections) {
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
     bench::banner("Figure 3 — absolute spin-vs-QUIC RTT difference", options);
 
     bench::Stopwatch watch;
-    web::Population population{{options.scale, options.seed}};
+    const web::PopulationModel population{{options.scale, options.seed}};
     analysis::AccuracyAggregator aggregator;
     std::uint64_t connections = 0;
     build_corpus(population, static_cast<unsigned>(options.count), aggregator, connections);

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
     bench::banner("Figure 4 — mapped ratio of spin-vs-QUIC RTT", options);
 
     bench::Stopwatch watch;
-    web::Population population{{options.scale, options.seed}};
+    const web::PopulationModel population{{options.scale, options.seed}};
+    const auto universe = population.materialize(0, population.domain_count());
     analysis::AccuracyAggregator aggregator;
     std::uint64_t connections = 0;
     const auto weeks = static_cast<unsigned>(options.count);
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
         scanner::ScanOptions scan_options;
         scan_options.week = week;
         scanner::Campaign campaign{population, scan_options};
-        for (const auto& domain : population.domains()) {
+        for (const auto& domain : universe.domains) {
             if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
             const auto scan = campaign.scan_domain(domain);
             for (const auto& trace : scan.connections) {

@@ -191,7 +191,7 @@ struct JournalCorpus {
 
 const JournalCorpus& journal_corpus() {
     static const JournalCorpus corpus = [] {
-        const web::Population population{{200'000.0, 1}};
+        const web::PopulationModel population{{200'000.0, 1}};
         scanner::Campaign campaign{population, {}};
         telemetry::MetricsRegistry registry;
         campaign.set_metrics(&registry);

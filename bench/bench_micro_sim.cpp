@@ -148,11 +148,12 @@ void BM_FullConnectionExchange(benchmark::State& state) {
 BENCHMARK(BM_FullConnectionExchange)->Arg(20'000)->Arg(100'000);
 
 void BM_CampaignDomainScan(benchmark::State& state) {
-    web::Population population{{50000.0, 20230520}};
+    const web::PopulationModel population{{50000.0, 20230520}};
+    const auto universe = population.materialize(0, population.domain_count());
     scanner::Campaign campaign{population, {}};
     // Rotate over the QUIC-capable domains.
     std::vector<const web::Domain*> targets;
-    for (const auto& d : population.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.quic) targets.push_back(&d);
     }
     std::size_t next = 0;
@@ -167,8 +168,8 @@ BENCHMARK(BM_CampaignDomainScan);
 void BM_PopulationGeneration(benchmark::State& state) {
     const double scale = static_cast<double>(state.range(0));
     for (auto _ : state) {
-        web::Population population{{scale, 42}};
-        benchmark::DoNotOptimize(population.domains().size());
+        const web::PopulationModel population{{scale, 42}};
+        benchmark::DoNotOptimize(population.materialize(0, population.domain_count()).size());
     }
 }
 BENCHMARK(BM_PopulationGeneration)->Arg(20000)->Arg(2000);

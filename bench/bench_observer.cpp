@@ -331,10 +331,11 @@ int main(int argc, char** argv) {
     // Section 1: campaign traces through the Fig. 3/4 accuracy pipeline.
     {
         bench::Stopwatch watch;
-        web::Population population{{options.scale, options.seed}};
+        const web::PopulationModel population{{options.scale, options.seed}};
+        const auto universe = population.materialize(0, population.domain_count());
         scanner::Campaign campaign{population, {}};
         analysis::ObserverReplay replay;
-        for (const auto& domain : population.domains()) {
+        for (const auto& domain : universe.domains) {
             if (!domain.quic) continue;
             const auto scan = campaign.scan_domain(domain);
             for (const auto& trace : scan.connections) {
@@ -422,7 +423,7 @@ int main(int argc, char** argv) {
 
     if (!options.trajectory_path.empty()) {
         const std::string json = to_json(rows, options.seed, packets_per_flow);
-        if (util::write_file_atomic(options.trajectory_path, json)) {
+        if (util::write_file_atomic(util::Io::real(), options.trajectory_path, json)) {
             std::printf("wrote %s (%zu rows)\n", options.trajectory_path.c_str(),
                         rows.size());
         } else {

@@ -147,12 +147,13 @@ BENCHMARK(BM_ConnectionExchange)->Arg(0)->Arg(1)->ArgNames({"pooled"});
 // the unit the acceptance criterion is stated in.
 
 void BM_ScanDomain(benchmark::State& state) {
-    web::Population population{{20000.0, 20230520}};
+    const web::PopulationModel population{{20000.0, 20230520}};
+    const auto universe = population.materialize(0, population.domain_count());
     scanner::ScanOptions options;
     options.week = 57;
     scanner::Campaign campaign{population, options};
     std::vector<const web::Domain*> targets;
-    for (const auto& d : population.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.quic) targets.push_back(&d);
     }
     std::size_t next = 0;
@@ -177,12 +178,13 @@ BENCHMARK(BM_ScanDomain);
 // measured into the committed BENCH_packet_path.json snapshot.
 
 int run_trajectory(const std::string& path, std::uint64_t count) {
-    web::Population population{{20000.0, 20230520}};
+    const web::PopulationModel population{{20000.0, 20230520}};
+    const auto universe = population.materialize(0, population.domain_count());
     scanner::ScanOptions options;
     options.week = 57;
     scanner::Campaign campaign{population, options};
     std::vector<const web::Domain*> targets;
-    for (const auto& d : population.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.quic) targets.push_back(&d);
     }
     if (targets.empty()) {

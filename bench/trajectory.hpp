@@ -117,7 +117,7 @@ inline std::string scale_sweep_to_json(const std::vector<Trajectory>& rows) {
 /// Writes the scale-sweep snapshot atomically and reports the path.
 inline bool write_scale_sweep_file(const std::string& path,
                                    const std::vector<Trajectory>& rows) {
-    if (util::write_file_atomic(path, scale_sweep_to_json(rows) + "\n")) {
+    if (util::write_file_atomic(util::Io::real(), path, scale_sweep_to_json(rows) + "\n")) {
         std::printf("wrote %s (%zu scale rows)\n", path.c_str(), rows.size());
         return true;
     }
@@ -127,7 +127,7 @@ inline bool write_scale_sweep_file(const std::string& path,
 
 /// Writes the snapshot atomically and reports the path.
 inline bool write_trajectory_file(const std::string& path, const Trajectory& t) {
-    if (util::write_file_atomic(path, to_json(t) + "\n")) {
+    if (util::write_file_atomic(util::Io::real(), path, to_json(t) + "\n")) {
         std::printf("wrote %s (%s: %.0f domains/sec, %.1f MB peak RSS)\n", path.c_str(),
                     t.bench.c_str(), t.domains_per_sec,
                     static_cast<double>(t.peak_rss_bytes) / (1024.0 * 1024.0));

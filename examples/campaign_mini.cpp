@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
 
     std::printf("building synthetic web population (1:%.0f of the paper's universe)...\n",
                 scale);
-    web::Population population{{scale, 20230520}};
+    const web::PopulationModel population{{scale, 20230520}};
     std::printf("  %zu domains, %zu organizations, %zu webserver stacks\n\n",
-                population.domains().size(), population.orgs().size(),
+                population.domain_count(), population.orgs().size(),
                 population.stacks().size());
 
     scanner::ScanOptions options;

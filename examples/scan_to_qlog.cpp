@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         if (ec != std::errc{} || end != text.data() + text.size()) return usage(argv[0]);
     }
 
-    web::Population population{{scale, 20230520}};
+    const web::PopulationModel population{{scale, 20230520}};
     scanner::ScanOptions options;
     options.week = week;
     options.ipv6 = ipv6;

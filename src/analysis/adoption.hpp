@@ -101,8 +101,6 @@ struct OrgCounters {
 class AdoptionAggregator {
 public:
     AdoptionAggregator(const web::PopulationModel& model, bool ipv6);
-    AdoptionAggregator(const web::Population& population, bool ipv6)
-        : AdoptionAggregator{population.model(), ipv6} {}
 
     /// Folds one scanned domain into all aggregates.
     void add(const web::Domain& domain, const scanner::DomainScan& scan);

@@ -7,14 +7,6 @@
 
 namespace spinscope::analysis {
 
-void LongitudinalAggregator::add(std::uint32_t domain_id, unsigned week, bool connected,
-                                 bool spun) {
-    if (week >= weeks_) return;
-    auto& record = records_[domain_id];
-    if (connected) record.connected_mask |= 1U << week;
-    if (spun) record.spun_mask |= 1U << week;
-}
-
 void LongitudinalAggregator::add_domain(std::uint32_t connected_mask,
                                         std::uint32_t spun_mask) {
     const std::uint32_t all = all_weeks_mask();
@@ -26,33 +18,10 @@ void LongitudinalAggregator::add_domain(std::uint32_t connected_mask,
     ++histogram_[static_cast<std::size_t>(std::popcount(spun_mask))];
 }
 
-std::uint64_t LongitudinalAggregator::spun_any() const {
-    std::uint64_t n = spun_any_;
-    for (const auto& [id, record] : records_) {
-        if (record.spun_mask != 0) ++n;
-    }
-    return n;
-}
-
-std::uint64_t LongitudinalAggregator::connected_all() const {
-    const std::uint32_t all = all_weeks_mask();
-    std::uint64_t n = connected_all_;
-    for (const auto& [id, record] : records_) {
-        if (record.spun_mask != 0 && (record.connected_mask & all) == all) ++n;
-    }
-    return n;
-}
-
 util::CategoricalCounts LongitudinalAggregator::weeks_spinning_histogram() const {
-    const std::uint32_t all = all_weeks_mask();
     util::CategoricalCounts counts{weeks_ + 1};
     for (std::size_t k = 0; k < histogram_.size(); ++k) {
         if (histogram_[k] > 0) counts.add(k, histogram_[k]);
-    }
-    for (const auto& [id, record] : records_) {
-        if (record.spun_mask == 0) continue;
-        if ((record.connected_mask & all) != all) continue;
-        counts.add(static_cast<std::size_t>(std::popcount(record.spun_mask & all)));
     }
     return counts;
 }

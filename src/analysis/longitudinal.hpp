@@ -9,42 +9,30 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/stats.hpp"
 
 namespace spinscope::analysis {
 
-/// Collects per-domain weekly outcomes over a campaign.
-///
-/// Two feeding modes:
-///  - add_domain(): the streaming path — the caller visits each domain once
-///    with its full weekly bitmasks (domains-outer, weeks-inner sweeps) and
-///    the aggregator folds it into O(weeks) counters on the spot. Memory is
-///    independent of the domain count; this is the out-of-core mode.
-///  - add(): the legacy weeks-outer path — per domain-week outcomes
-///    accumulate in a map until queried. Memory grows with the number of
-///    distinct domains seen; fine for tests and small sweeps.
-/// Queries fold both.
+/// Collects per-domain weekly outcomes over a campaign. The caller visits
+/// each domain once with its full weekly bitmasks (domains-outer,
+/// weeks-inner sweeps) and the aggregator folds it into O(weeks) counters on
+/// the spot, so memory is independent of the domain count.
 class LongitudinalAggregator {
 public:
     /// `weeks` = number of sampled measurement weeks (the paper uses 12).
     explicit LongitudinalAggregator(unsigned weeks)
         : weeks_{weeks}, histogram_(static_cast<std::size_t>(weeks) + 1, 0) {}
 
-    /// Records one domain-week outcome.
-    void add(std::uint32_t domain_id, unsigned week, bool connected, bool spun);
-
-    /// Streaming fold: records one domain's complete campaign in one call.
-    /// Bit w of each mask is week w's outcome. The domain must not also be
-    /// fed through add() (it would be counted twice).
+    /// Records one domain's complete campaign. Bit w of each mask is week
+    /// w's outcome; bits at or above weeks() are ignored.
     void add_domain(std::uint32_t connected_mask, std::uint32_t spun_mask);
 
     /// Number of domains that spun in at least one week.
-    [[nodiscard]] std::uint64_t spun_any() const;
+    [[nodiscard]] std::uint64_t spun_any() const noexcept { return spun_any_; }
     /// Number of those connectable in every week (Figure 2's population).
-    [[nodiscard]] std::uint64_t connected_all() const;
+    [[nodiscard]] std::uint64_t connected_all() const noexcept { return connected_all_; }
 
     /// Histogram over k = 1..weeks of "spun in exactly k weeks", relative to
     /// the Figure 2 population (spun >= 1 week, connected every week).
@@ -61,18 +49,11 @@ public:
     [[nodiscard]] unsigned weeks() const noexcept { return weeks_; }
 
 private:
-    struct DomainRecord {
-        std::uint32_t connected_mask = 0;
-        std::uint32_t spun_mask = 0;
-    };
-
     [[nodiscard]] std::uint32_t all_weeks_mask() const noexcept {
         return (weeks_ >= 32) ? ~0U : ((1U << weeks_) - 1);
     }
 
     unsigned weeks_;
-    std::unordered_map<std::uint32_t, DomainRecord> records_;
-    // Incremental accumulators of the streaming path.
     std::uint64_t spun_any_ = 0;
     std::uint64_t connected_all_ = 0;
     std::vector<std::uint64_t> histogram_;  ///< weeks-spinning counts, index k

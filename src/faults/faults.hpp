@@ -20,7 +20,7 @@
 //                     exercises (handshake stall, mid-transfer abort,
 //                     garbage payloads, never-ACK).
 //
-// netsim::Link owns a FaultInjector when a plan is attached; web::Population
+// netsim::Link owns a FaultInjector when a plan is attached; web::PopulationModel
 // hands out ServerFaultProfiles; scanner::Campaign wires both together.
 
 #pragma once

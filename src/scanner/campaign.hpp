@@ -246,8 +246,7 @@ struct ScannedChunk {
 /// domain vector: workers regenerate their own chunk's domains on demand
 /// (web::PopulationModel::materialize) and discard them once the chunk is
 /// merged, so a sweep's RSS is bounded by the chunk size and thread count —
-/// never by the universe size. An eager web::Population is accepted for
-/// convenience and used only through its model.
+/// never by the universe size.
 class Campaign {
 public:
     /// Throws std::invalid_argument when `options` fails validation (see
@@ -256,11 +255,6 @@ public:
         : model_{&model}, options_{std::move(options)} {
         options_.validate();
     }
-
-    /// Convenience overload for callers that hold an eager Population; the
-    /// campaign never touches the materialized domains, only the model.
-    Campaign(const web::Population& population, ScanOptions options)
-        : Campaign{population.model(), std::move(options)} {}
 
     /// Attaches a metrics registry: every attempt then publishes simulator,
     /// link and connection telemetry plus scanner phase timings into it

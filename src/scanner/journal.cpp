@@ -533,8 +533,10 @@ std::vector<MapBatch> open_map_journal(util::PidLockFile& lock, const Campaign& 
 }
 
 bool write_map_chunk(const std::filesystem::path& dir, const ChunkRecord& record) {
-    return util::write_file_atomic(map_batch_path(dir, {record.chunk_index, record.chunk_index}),
-                                   frame_record(serialize_chunk_record(record)));
+    return util::write_file_atomic(util::Io::real(),
+                                   map_batch_path(dir, {record.chunk_index, record.chunk_index}),
+                                   frame_record(serialize_chunk_record(record)))
+        .ok();
 }
 
 MapBatchWriter::MapBatchWriter(util::Io& io, std::filesystem::path dir,

@@ -106,7 +106,7 @@ std::string deterministic_csv(const MetricsRegistry& registry) {
 }
 
 bool write_json_file(const MetricsRegistry& registry, const std::string& path) {
-    return util::write_file_atomic(path, to_json(registry) + "\n");
+    return util::write_file_atomic(util::Io::real(), path, to_json(registry) + "\n").ok();
 }
 
 namespace {

@@ -239,8 +239,9 @@ std::string TraceRecorder::wall_sidecar_path(const std::string& path) {
 }
 
 bool TraceRecorder::write(const std::string& path) const {
-    return util::write_file_atomic(path, to_json(TraceClock::sim) + "\n") &&
-           util::write_file_atomic(wall_sidecar_path(path),
+    util::Io& io = util::Io::real();
+    return util::write_file_atomic(io, path, to_json(TraceClock::sim) + "\n") &&
+           util::write_file_atomic(io, wall_sidecar_path(path),
                                    to_json(TraceClock::wall) + "\n");
 }
 

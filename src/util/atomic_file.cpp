@@ -67,10 +67,6 @@ IoResult write_file_atomic(Io& io, const std::filesystem::path& path,
     return result;
 }
 
-bool write_file_atomic(const std::filesystem::path& path, std::string_view content) {
-    return write_file_atomic(Io::real(), path, content).ok();
-}
-
 IoResult rename_durable(Io& io, const std::filesystem::path& from,
                         const std::filesystem::path& to) {
     const IoResult renamed = io.rename(from, to);
@@ -92,17 +88,9 @@ IoResult rename_durable(Io& io, const std::filesystem::path& from,
     return IoResult::success();
 }
 
-bool rename_durable(const std::filesystem::path& from, const std::filesystem::path& to) {
-    return rename_durable(Io::real(), from, to).ok();
-}
-
 IoResult fsync_dir(Io& io, const std::filesystem::path& dir) {
     return io.fsync_path(dir.empty() ? std::filesystem::path{"."} : dir,
                          /*directory=*/true);
-}
-
-bool fsync_dir(const std::filesystem::path& dir) {
-    return fsync_dir(Io::real(), dir).ok();
 }
 
 IoResult create_file_exclusive(Io& io, const std::filesystem::path& path,
@@ -111,10 +99,6 @@ IoResult create_file_exclusive(Io& io, const std::filesystem::path& path,
     const int fd = io.open_write(path, Io::OpenMode::exclusive, result);
     if (fd == Io::kBadFile) return result;
     return finish_new_file(io, fd, path, std::span{&content, 1});
-}
-
-bool create_file_exclusive(const std::filesystem::path& path, std::string_view content) {
-    return create_file_exclusive(Io::real(), path, content).ok();
 }
 
 }  // namespace spinscope::util

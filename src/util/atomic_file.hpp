@@ -9,10 +9,9 @@
 // fsync-before-rename closes the remaining window where the rename survives
 // a power cut but the data it points at does not.
 //
-// Each primitive comes in two forms: an Io-threaded overload returning an
-// errno-carrying IoResult (so callers can tell ENOSPC from EEXIST from EIO,
-// and tests can inject storage faults), and the historical bool form, which
-// runs against the real disk and keeps existing call sites unchanged.
+// Every primitive runs through an Io (util::Io::real() for the real disk)
+// and returns an errno-carrying IoResult, so callers can tell ENOSPC from
+// EEXIST from EIO and tests can inject storage faults.
 
 #pragma once
 
@@ -31,8 +30,6 @@ namespace spinscope::util {
 /// its previous content or absent); the result carries the first errno hit.
 [[nodiscard]] IoResult write_file_atomic(Io& io, const std::filesystem::path& path,
                                          std::string_view content);
-[[nodiscard]] bool write_file_atomic(const std::filesystem::path& path,
-                                     std::string_view content);
 /// The same with the content given as pieces written back to back, so a
 /// caller holding them apart need not copy them into one buffer first.
 [[nodiscard]] IoResult write_file_atomic(Io& io, const std::filesystem::path& path,
@@ -49,14 +46,11 @@ namespace spinscope::util {
 /// delete or rewrite it).
 [[nodiscard]] IoResult rename_durable(Io& io, const std::filesystem::path& from,
                                       const std::filesystem::path& to);
-[[nodiscard]] bool rename_durable(const std::filesystem::path& from,
-                                  const std::filesystem::path& to);
 
 /// Best-effort fsync of a directory by path, persisting its entries (used
 /// after creating a journal directory so the directory itself survives a
 /// power cut). Fails when the directory cannot be opened or synced.
 [[nodiscard]] IoResult fsync_dir(Io& io, const std::filesystem::path& dir);
-bool fsync_dir(const std::filesystem::path& dir);
 
 /// Atomically creates `path` with `content` iff it does not already exist
 /// (O_EXCL). This is the claim primitive behind lock files: of N
@@ -66,7 +60,5 @@ bool fsync_dir(const std::filesystem::path& dir);
 /// best-effort so a loser never observes a torn winner.
 [[nodiscard]] IoResult create_file_exclusive(Io& io, const std::filesystem::path& path,
                                              std::string_view content);
-[[nodiscard]] bool create_file_exclusive(const std::filesystem::path& path,
-                                         std::string_view content);
 
 }  // namespace spinscope::util

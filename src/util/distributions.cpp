@@ -23,24 +23,6 @@ double sample_lognormal(Rng& rng, double mu, double sigma) {
     return std::exp(sample_normal(rng, mu, sigma));
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-    if (n == 0) throw std::invalid_argument{"ZipfSampler: n must be >= 1"};
-    cdf_.resize(n);
-    double acc = 0.0;
-    for (std::size_t rank = 0; rank < n; ++rank) {
-        acc += 1.0 / std::pow(static_cast<double>(rank + 1), s);
-        cdf_[rank] = acc;
-    }
-    for (auto& v : cdf_) v /= acc;
-    cdf_.back() = 1.0;  // guard against accumulated rounding
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const {
-    const double u = rng.uniform_double();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::size_t>(it - cdf_.begin());
-}
-
 DiscreteSampler::DiscreteSampler(std::span<const double> weights) {
     cdf_.resize(weights.size());
     double acc = 0.0;

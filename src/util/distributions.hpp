@@ -1,9 +1,8 @@
 // spinscope/util/distributions.hpp
 //
 // Deterministic sampling distributions used to synthesize workloads:
-// lognormal end-host think times, Zipf domain popularity, discrete weighted
-// choices for provider/stack assignment, and mixtures for heavy-tailed server
-// behaviour. All sampling goes through util::Rng so results are reproducible
+// lognormal end-host think times, discrete weighted choices for
+// provider/stack assignment, and mixtures for heavy-tailed server behaviour. All sampling goes through util::Rng so results are reproducible
 // across platforms (std::lognormal_distribution et al. are not).
 
 #pragma once
@@ -28,23 +27,6 @@ namespace spinscope::util {
 /// Lognormal: exp(N(mu, sigma)). Used for network jitter and server
 /// think-time tails.
 [[nodiscard]] double sample_lognormal(Rng& rng, double mu, double sigma);
-
-/// Zipf sampler over ranks [0, n) with exponent s, via precomputed CDF and
-/// binary search. Models domain popularity (toplists are Zipf-ish).
-class ZipfSampler {
-public:
-    /// Builds the CDF for `n` ranks with exponent `s` (s >= 0; s == 0 is
-    /// uniform). n must be >= 1.
-    ZipfSampler(std::size_t n, double s);
-
-    /// Draws a rank in [0, n); rank 0 is the most popular.
-    [[nodiscard]] std::size_t sample(Rng& rng) const;
-
-    [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
-
-private:
-    std::vector<double> cdf_;
-};
 
 /// Weighted discrete choice over indices [0, weights.size()).
 /// Used to assign domains to providers and providers to webserver stacks.

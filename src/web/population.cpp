@@ -520,8 +520,4 @@ std::uint64_t PopulationModel::host_key(const Domain& d, bool ipv6) const {
     return (static_cast<std::uint64_t>(d.org) << 40) | (ipv6 ? (1ULL << 39) : 0) | host;
 }
 
-Population::Population(const PopulationConfig& config) : model_{config} {
-    domains_ = model_.materialize(0, model_.domain_count()).domains;
-}
-
 }  // namespace spinscope::web

@@ -16,9 +16,8 @@
 // state, independent of the domain count. Every Domain is a pure function of
 // (seed, domain_id) via util::derive_stream_seed sub-streams, so any range of
 // the universe can be (re)materialized as a transient DomainBlock in any
-// order, at any chunk size, on any worker — byte-identically. The eager
-// Population wrapper below materializes the whole universe once for callers
-// that still want a resident vector (tests, small analysis sweeps).
+// order, at any chunk size, on any worker — byte-identically. A caller that
+// wants every domain resident asks for materialize(0, domain_count()).
 
 #pragma once
 
@@ -283,58 +282,6 @@ private:
     util::DiscreteSampler pick_cno_{std::span<const double>{}};
     util::DiscreteSampler pick_other_{std::span<const double>{}};
     util::DiscreteSampler pick_top_{std::span<const double>{}};
-};
-
-/// The eagerly materialized universe plus its generating model — the
-/// resident-vector view for tests and small sweeps. Large campaigns should
-/// consume the model() directly and stream DomainBlocks instead.
-class Population {
-public:
-    explicit Population(const PopulationConfig& config);
-
-    [[nodiscard]] const PopulationModel& model() const noexcept { return model_; }
-
-    [[nodiscard]] std::span<const Domain> domains() const noexcept { return domains_; }
-    [[nodiscard]] std::span<const OrgProfile> orgs() const noexcept { return model_.orgs(); }
-    [[nodiscard]] std::span<const StackProfile> stacks() const noexcept {
-        return model_.stacks();
-    }
-    [[nodiscard]] const PopulationConfig& config() const noexcept { return model_.config(); }
-    [[nodiscard]] const UniverseShape& shape() const noexcept { return model_.shape(); }
-
-    [[nodiscard]] const OrgProfile& org_of(const Domain& d) const { return model_.org_of(d); }
-    [[nodiscard]] const StackProfile& stack_of(const Domain& d) const {
-        return model_.stack_of(d);
-    }
-    [[nodiscard]] bool host_spins(const Domain& d, int week, bool ipv6) const {
-        return model_.host_spins(d, week, ipv6);
-    }
-    [[nodiscard]] quic::SpinPolicy host_disabled_policy(const Domain& d, bool ipv6) const {
-        return model_.host_disabled_policy(d, ipv6);
-    }
-    [[nodiscard]] faults::ServerFaultProfile server_fault_profile(const Domain& d,
-                                                                  bool ipv6) const {
-        return model_.server_fault_profile(d, ipv6);
-    }
-    [[nodiscard]] std::string domain_name(const Domain& d) const {
-        return model_.domain_name(d);
-    }
-    [[nodiscard]] std::string host_address(const Domain& d, bool ipv6) const {
-        return model_.host_address(d, ipv6);
-    }
-    [[nodiscard]] std::uint64_t host_key(const Domain& d, bool ipv6) const {
-        return model_.host_key(d, ipv6);
-    }
-    [[nodiscard]] std::uint32_t ipv4_pool(std::size_t org) const {
-        return model_.ipv4_pool(org);
-    }
-    [[nodiscard]] std::uint64_t ipv6_pool(std::size_t org) const {
-        return model_.ipv6_pool(org);
-    }
-
-private:
-    PopulationModel model_;
-    std::vector<Domain> domains_;
 };
 
 /// Default stack table (index constants used by the org profiles).

@@ -112,13 +112,13 @@ class AdoptionTest : public ::testing::Test {
 protected:
     AdoptionTest() : population_{{200000.0, 20230520}}, aggregator_{population_, false} {}
 
-    web::Population population_;
+    web::PopulationModel population_;
     AdoptionAggregator aggregator_;
 };
 
 TEST_F(AdoptionTest, CountsFunnelMonotonically) {
     // Synthesize: one unresolved, one resolved non-QUIC, one spinning.
-    const auto& d0 = population_.domains()[0];
+    const web::Domain d0 = population_.domain(0);
     scanner::DomainScan unresolved;
     unresolved.resolved = false;
     aggregator_.add(d0, unresolved);
@@ -146,8 +146,9 @@ TEST_F(AdoptionTest, CountsFunnelMonotonically) {
 }
 
 TEST_F(AdoptionTest, OrgConnectionCounting) {
+    const auto universe = population_.materialize(0, population_.domain_count());
     const web::Domain* cno_domain = nullptr;
-    for (const auto& d : population_.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.segment() == web::Segment::czds_cno && d.resolves) {
             cno_domain = &d;
             break;
@@ -169,7 +170,7 @@ TEST_F(AdoptionTest, OrgConnectionCounting) {
 }
 
 TEST_F(AdoptionTest, RenderersProduceTables) {
-    const auto& d0 = population_.domains()[0];
+    const web::Domain d0 = population_.domain(0);
     aggregator_.add(d0, make_scan({make_trace({false, true, false, true}, {25.0})}));
     EXPECT_NE(aggregator_.render_overview_table().find("Resolved"), std::string::npos);
     EXPECT_NE(aggregator_.render_org_table().find("AS Organization"), std::string::npos);
@@ -246,14 +247,11 @@ TEST(AccuracyAgg, FiguresRender) {
 
 TEST(Longitudinal, HistogramCountsWeeks) {
     LongitudinalAggregator agg{4};
-    // Domain 1: connected+spun all 4 weeks.
-    for (unsigned w = 0; w < 4; ++w) agg.add(1, w, true, true);
-    // Domain 2: connected all, spun 2 weeks.
-    for (unsigned w = 0; w < 4; ++w) agg.add(2, w, true, w < 2);
-    // Domain 3: spun but missed one week's connection -> excluded.
-    for (unsigned w = 0; w < 4; ++w) agg.add(3, w, w != 2, true);
-    // Domain 4: never spun -> not in the population at all.
-    for (unsigned w = 0; w < 4; ++w) agg.add(4, w, true, false);
+    // Bit w of each mask is week w: (connected, spun).
+    agg.add_domain(0b1111, 0b1111);  // connected+spun all 4 weeks
+    agg.add_domain(0b1111, 0b0011);  // connected all, spun 2 weeks
+    agg.add_domain(0b1011, 0b1111);  // spun but missed week 2's connection -> excluded
+    agg.add_domain(0b1111, 0b0000);  // never spun -> not in the population at all
 
     EXPECT_EQ(agg.spun_any(), 3u);
     EXPECT_EQ(agg.connected_all(), 2u);
@@ -266,8 +264,19 @@ TEST(Longitudinal, HistogramCountsWeeks) {
 
 TEST(Longitudinal, OutOfRangeWeekIgnored) {
     LongitudinalAggregator agg{2};
-    agg.add(1, 5, true, true);
+    // Spinning only in weeks 2 and 3 of a 2-week campaign counts nowhere.
+    agg.add_domain(0b1100, 0b1100);
     EXPECT_EQ(agg.spun_any(), 0u);
+    EXPECT_EQ(agg.connected_all(), 0u);
+    // An out-of-range connected bit does not stand in for a missed week.
+    agg.add_domain(0b0101, 0b0011);
+    EXPECT_EQ(agg.spun_any(), 1u);
+    EXPECT_EQ(agg.connected_all(), 0u);
+    // An out-of-range spun bit adds no week to the histogram.
+    agg.add_domain(0b0011, 0b1101);
+    EXPECT_EQ(agg.connected_all(), 1u);
+    EXPECT_EQ(agg.weeks_spinning_histogram().count(1), 1u);
+    EXPECT_EQ(agg.weeks_spinning_histogram().count(2), 0u);
 }
 
 TEST(Longitudinal, RfcSharesAreConditionedDistribution) {
@@ -309,7 +318,7 @@ TEST(Csv, HistogramExportsParse) {
 
 TEST(Csv, WeeksExport) {
     LongitudinalAggregator agg{4};
-    for (unsigned w = 0; w < 4; ++w) agg.add(1, w, true, true);
+    agg.add_domain(0b1111, 0b1111);
     const auto csv = weeks_histogram_csv(agg);
     EXPECT_EQ(csv.find("weeks,measured,rfc9000,rfc9312"), 0u);
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);  // header + 4 weeks
@@ -318,7 +327,7 @@ TEST(Csv, WeeksExport) {
 
 TEST(Longitudinal, RendersFigure) {
     LongitudinalAggregator agg{12};
-    for (unsigned w = 0; w < 12; ++w) agg.add(1, w, true, w % 2 == 0);
+    agg.add_domain(0xFFF, 0x555);  // connected every week, spun every other week
     const auto out = agg.render_figure();
     EXPECT_NE(out.find("Figure 2"), std::string::npos);
     EXPECT_NE(out.find("RFC 9000"), std::string::npos);

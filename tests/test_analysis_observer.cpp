@@ -26,10 +26,11 @@ namespace {
 
 /// Every successful connection trace of a small campaign, in scan order.
 std::vector<qlog::Trace> campaign_traces() {
-    const web::Population population{{50000.0, 1}};
+    const web::PopulationModel population{{50000.0, 1}};
     const scanner::Campaign campaign{population, {}};
+    const auto universe = population.materialize(0, population.domain_count());
     std::vector<qlog::Trace> traces;
-    for (const auto& domain : population.domains()) {
+    for (const auto& domain : universe.domains) {
         if (!domain.quic) continue;
         auto scan = campaign.scan_domain(domain);
         for (auto& trace : scan.connections) {

@@ -252,7 +252,9 @@ std::vector<std::uint8_t> encode_schema(const std::vector<Field>& fields) {
 // Reads one field; nullopt on a clean decode failure (truncation).
 bool read_field(ByteReader& r, const Field& f, bool check_values) {
     const auto check = [&](std::uint64_t got) {
-        if (check_values) EXPECT_EQ(got, f.value);
+        if (check_values) {
+            EXPECT_EQ(got, f.value);
+        }
     };
     switch (f.kind) {
         case Field::u8: {

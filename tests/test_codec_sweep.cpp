@@ -65,7 +65,7 @@ const Corpus& corpus() {
         config.scale = 2'000'000.0;
         config.seed = 1;
         config.host_fault_rate = 0.3;
-        const web::Population population{config};
+        const web::PopulationModel population{config};
         ScanOptions options;
         options.retry.max_attempts = 2;
         Campaign campaign{population, options};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/accuracy.hpp"
 #include "analysis/adoption.hpp"
 #include "analysis/longitudinal.hpp"
@@ -17,9 +19,12 @@ namespace {
 
 class PipelineTest : public ::testing::Test {
 protected:
-    PipelineTest() : population_{{20000.0, 20230520}} {}
+    PipelineTest()
+        : population_{{20000.0, 20230520}},
+          universe_{population_.materialize(0, population_.domain_count())} {}
 
-    web::Population population_;
+    web::PopulationModel population_;
+    web::DomainBlock universe_;
 };
 
 TEST_F(PipelineTest, SweepProducesConsistentFunnel) {
@@ -41,7 +46,7 @@ TEST_F(PipelineTest, SweepProducesConsistentFunnel) {
         // IP funnel is monotone and spin IPs exist only among QUIC IPs.
         EXPECT_GE(c.ips_resolved.size(), c.ips_quic.size());
         EXPECT_GE(c.ips_quic.size(), c.ips_spin.size());
-        for (const web::Domain& d : population_.domains()) {
+        for (const web::Domain& d : universe_.domains) {
             EXPECT_TRUE(!c.ips_spin.contains(d) || c.ips_quic.contains(d)) << d.id;
         }
     }
@@ -84,7 +89,7 @@ TEST_F(PipelineTest, QlogRoundTripPreservesAssessment) {
     scanner::ScanOptions options;
     scanner::Campaign campaign{population_, options};
     int checked = 0;
-    for (const auto& domain : population_.domains()) {
+    for (const auto& domain : universe_.domains) {
         if (!domain.quic || population_.org_of(domain).spin_host_rate <= 0.3) continue;
         const auto scan = campaign.scan_domain(domain);
         for (const auto& trace : scan.connections) {
@@ -108,7 +113,7 @@ TEST_F(PipelineTest, SpinningConnectionsProduceUsableAccuracyData) {
     options.week = 57;
     scanner::Campaign campaign{population_, options};
     analysis::AccuracyAggregator accuracy;
-    for (const auto& domain : population_.domains()) {
+    for (const auto& domain : universe_.domains) {
         if (!domain.quic || population_.org_of(domain).spin_host_rate <= 0.0) continue;
         const auto scan = campaign.scan_domain(domain);
         for (const auto& trace : scan.connections) {
@@ -126,17 +131,24 @@ TEST_F(PipelineTest, SpinningConnectionsProduceUsableAccuracyData) {
 
 TEST_F(PipelineTest, LongitudinalWeeksVary) {
     analysis::LongitudinalAggregator longitudinal{4};
+    std::vector<scanner::Campaign> campaigns;
     for (unsigned week = 0; week < 4; ++week) {
         scanner::ScanOptions options;
         options.week = static_cast<int>(week * 15);
-        scanner::Campaign campaign{population_, options};
-        for (const auto& domain : population_.domains()) {
-            if (!domain.quic || population_.org_of(domain).spin_host_rate <= 0.0) continue;
-            const auto scan = campaign.scan_domain(domain);
-            const bool spun =
-                analysis::classify_domain(scan) == analysis::DomainSpinClass::spinning;
-            longitudinal.add(domain.id, week, scan.quic_ok(), spun);
+        campaigns.emplace_back(population_, options);
+    }
+    for (const auto& domain : universe_.domains) {
+        if (!domain.quic || population_.org_of(domain).spin_host_rate <= 0.0) continue;
+        std::uint32_t connected = 0;
+        std::uint32_t spun = 0;
+        for (unsigned week = 0; week < 4; ++week) {
+            const auto scan = campaigns[week].scan_domain(domain);
+            if (scan.quic_ok()) connected |= 1U << week;
+            if (analysis::classify_domain(scan) == analysis::DomainSpinClass::spinning) {
+                spun |= 1U << week;
+            }
         }
+        longitudinal.add_domain(connected, spun);
     }
     EXPECT_GT(longitudinal.spun_any(), 10u);
     const auto histogram = longitudinal.weeks_spinning_histogram();

@@ -87,11 +87,13 @@ TEST(Http3Mini, SettingsDifferPerRole) {
 
 class CampaignTest : public ::testing::Test {
 protected:
-    CampaignTest() : population_{{20000.0, 20230520}} {}
+    CampaignTest()
+        : population_{{20000.0, 20230520}},
+          universe_{population_.materialize(0, population_.domain_count())} {}
 
     const web::Domain* find_domain(bool quic, bool resolves = true,
                                    bool want_spin_org = false) {
-        for (const auto& d : population_.domains()) {
+        for (const auto& d : universe_.domains) {
             if (d.resolves != resolves) continue;
             if (resolves && d.quic != quic) continue;
             if (want_spin_org && population_.org_of(d).spin_host_rate <= 0.3) continue;
@@ -100,7 +102,8 @@ protected:
         return nullptr;
     }
 
-    web::Population population_;
+    web::PopulationModel population_;
+    web::DomainBlock universe_;
 };
 
 TEST_F(CampaignTest, UnresolvedDomainIsNotScanned) {
@@ -151,7 +154,7 @@ TEST_F(CampaignTest, HostsArePrefixedWithWww) {
 
 TEST_F(CampaignTest, RedirectsFollowedOnce) {
     const web::Domain* redirecting = nullptr;
-    for (const auto& d : population_.domains()) {
+    for (const auto& d : universe_.domains) {
         if (d.quic && d.redirects) {
             redirecting = &d;
             break;
@@ -170,7 +173,7 @@ TEST_F(CampaignTest, RedirectsFollowedOnce) {
 
 TEST_F(CampaignTest, Ipv6ScanSkipsV4OnlyDomains) {
     const web::Domain* v4_only = nullptr;
-    for (const auto& d : population_.domains()) {
+    for (const auto& d : universe_.domains) {
         if (d.resolves && !d.has_ipv6) {
             v4_only = &d;
             break;
@@ -232,11 +235,11 @@ TEST_F(CampaignTest, StackRttBaselineNearConfiguredPathRtt) {
 
 TEST_F(CampaignTest, RunVisitsEveryDomain) {
     // A tiny population keeps the full sweep fast.
-    web::Population tiny{{200000.0, 1}};
+    const web::PopulationModel tiny{{200000.0, 1}};
     Campaign campaign{tiny, {}};
     std::size_t visited = 0;
     campaign.run([&](const web::Domain&, DomainScan&&) { ++visited; });
-    EXPECT_EQ(visited, tiny.domains().size());
+    EXPECT_EQ(visited, tiny.domain_count());
 }
 
 TEST_F(CampaignTest, DeadlineWithPendingEventsIsAttemptTimeout) {
@@ -255,14 +258,14 @@ TEST_F(CampaignTest, DeadlineWithPendingEventsIsAttemptTimeout) {
 }
 
 TEST_F(CampaignTest, RunReturnsConsistentStats) {
-    web::Population tiny{{200000.0, 1}};
+    const web::PopulationModel tiny{{200000.0, 1}};
     Campaign campaign{tiny, {}};
     std::uint64_t quic_ok_seen = 0;
     const CampaignStats stats =
         campaign.run([&](const web::Domain&, DomainScan&& scan) {
             if (scan.quic_ok()) ++quic_ok_seen;
         });
-    EXPECT_EQ(stats.domains_scanned, tiny.domains().size());
+    EXPECT_EQ(stats.domains_scanned, tiny.domain_count());
     EXPECT_GE(stats.domains_scanned, stats.domains_resolved);
     EXPECT_GE(stats.domains_resolved, stats.domains_quic_ok);
     EXPECT_EQ(stats.domains_quic_ok, quic_ok_seen);
@@ -281,21 +284,21 @@ TEST_F(CampaignTest, RunReturnsConsistentStats) {
 }
 
 TEST_F(CampaignTest, ProgressCallbackFiresEveryN) {
-    web::Population tiny{{200000.0, 1}};
+    const web::PopulationModel tiny{{200000.0, 1}};
     Campaign campaign{tiny, {}};
     std::vector<std::uint64_t> checkpoints;
     campaign.set_progress(2, [&](const CampaignStats& stats) {
         checkpoints.push_back(stats.domains_scanned);
     });
     campaign.run([](const web::Domain&, DomainScan&&) {});
-    ASSERT_EQ(checkpoints.size(), tiny.domains().size() / 2);
+    ASSERT_EQ(checkpoints.size(), tiny.domain_count() / 2);
     for (std::size_t i = 0; i < checkpoints.size(); ++i) {
         EXPECT_EQ(checkpoints[i], (i + 1) * 2);
     }
 }
 
 TEST_F(CampaignTest, MetricsRegistrySpansAllLayers) {
-    web::Population tiny{{200000.0, 1}};
+    const web::PopulationModel tiny{{200000.0, 1}};
     Campaign campaign{tiny, {}};
     telemetry::MetricsRegistry registry;
     campaign.set_metrics(&registry);

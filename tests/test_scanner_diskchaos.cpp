@@ -36,7 +36,7 @@ using spinscope::testing::render_scan_stream;
 // ~110 domains at seed 1 — 7 chunks at chunk_domains=16, one batch file;
 // chunk_domains=2 spreads them over four batch files (five publishes with the
 // header), so the fault ordinals land inside the journal's busy write window.
-web::Population tiny_population() { return web::Population{{2'000'000.0, 1}}; }
+web::PopulationModel tiny_population() { return web::PopulationModel{{2'000'000.0, 1}}; }
 
 bool full_sweep() { return std::getenv("SPINSCOPE_DISKCHAOS_FULL") != nullptr; }
 
@@ -63,7 +63,7 @@ struct SweepResult {
 
 /// One campaign pass. `io` may be null (real disk); `reduce` folds the
 /// journal instead of starting a fresh one.
-SweepResult run_campaign(const web::Population& population, ScanOptions options,
+SweepResult run_campaign(const web::PopulationModel& population, ScanOptions options,
                          util::Io* io, bool reduce) {
     options.io = io;
     Campaign campaign{population, options};
@@ -85,7 +85,7 @@ struct FaultOutcome {
     SweepResult result;
 };
 
-FaultOutcome run_faulted(const web::Population& population, const ScanOptions& options,
+FaultOutcome run_faulted(const web::PopulationModel& population, const ScanOptions& options,
                          const faults::StorageFaultPlan& plan) {
     faults::FaultIo io{util::Io::real(), plan};
     FaultOutcome outcome;
@@ -100,7 +100,7 @@ FaultOutcome run_faulted(const web::Population& population, const ScanOptions& o
 
 /// Asserts the headline invariant for one (plan, options) cell and returns
 /// what happened ('c' completed clean, 'd' completed degraded, 't' threw).
-char expect_no_silent_corruption(const web::Population& population,
+char expect_no_silent_corruption(const web::PopulationModel& population,
                                  const ScanOptions& options,
                                  const faults::StorageFaultPlan& plan,
                                  const SweepResult& baseline,
@@ -133,7 +133,7 @@ char expect_no_silent_corruption(const web::Population& population,
 // --- The fault-plan × injection-point sweep ----------------------------------
 
 TEST_F(DiskChaosTest, EveryFaultPlanCompletesIdenticallyOrRefusesLoudly) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions base;
     base.chunk_domains = 2;  // several batch files → publishes mid-run
     base.journal_retry.initial_backoff = util::Duration::millis(1);
@@ -202,7 +202,7 @@ TEST_F(DiskChaosTest, EveryFaultPlanCompletesIdenticallyOrRefusesLoudly) {
 }
 
 TEST_F(DiskChaosTest, DegradedCampaignIsLoudAndItsJournalPrefixIsUsable) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "degraded").string();
     options.chunk_domains = 2;
@@ -259,7 +259,7 @@ TEST_F(DiskChaosTest, DegradedCampaignIsLoudAndItsJournalPrefixIsUsable) {
 }
 
 TEST_F(DiskChaosTest, BitFlipAfterSealIsCaughtByScrubAndResumeIsIdentical) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "flip").string();
     options.chunk_domains = 2;
@@ -292,7 +292,7 @@ TEST_F(DiskChaosTest, BitFlipAfterSealIsCaughtByScrubAndResumeIsIdentical) {
 TEST_F(DiskChaosTest, TransientWriteErrorsAreRetriedInvisibly) {
     // EINTR is transient: the journal retries and the campaign neither
     // degrades nor throws — and the journal replays completely afterwards.
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "transient").string();
     options.journal_retry.initial_backoff = util::Duration::millis(1);
@@ -327,7 +327,7 @@ TEST_F(DiskChaosTest, TransientWriteErrorsAreRetriedInvisibly) {
 #ifndef _WIN32
 
 TEST_F(DiskChaosTest, ProcsOnAFullDiskRefuseLoudlyAndRecoverAfterScrub) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "procs_enospc").string();
     const SweepResult baseline =
@@ -423,7 +423,7 @@ OneShotProcsPass run_one_shot_procs(Campaign& campaign) {
 TEST_F(DiskChaosTest, ProcsAbsorbAOneShotPublishFaultAndStayByteIdentical) {
     // EINTR is transient: the supervisor retries the batch publish on
     // journal_retry and the map pass completes with one counted I/O error.
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "procs_oneshot").string();
     options.journal_retry.initial_backoff = util::Duration::millis(1);
@@ -462,7 +462,7 @@ TEST_F(DiskChaosTest, ProcsRefuseAOneShotEioAndResumeByteIdentical) {
     // EIO is not transient, so the supervisor may not retry it: the pass
     // refuses with the errno cause, and a resume on a healthy disk is
     // byte-identical.
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "procs_eio").string();
     const SweepResult baseline =

@@ -38,7 +38,7 @@ using spinscope::testing::render_scan_stream;
 
 // ~110 domains at seed 1 — 7 chunks at the default chunk_domains=16, small
 // enough that the boundary × thread-count kill sweep stays fast.
-web::Population tiny_population() { return web::Population{{2'000'000.0, 1}}; }
+web::PopulationModel tiny_population() { return web::PopulationModel{{2'000'000.0, 1}}; }
 
 class JournalTest : public ::testing::Test {
 protected:
@@ -110,6 +110,11 @@ std::string framed_batch(std::size_t first, std::size_t last) {
         framed += frame_record(serialize_chunk_record(sample_chunk(c)));
     }
     return framed;
+}
+
+/// Publishes `content` as the batch file of `batch` in `dir`.
+bool write_batch(const std::filesystem::path& dir, MapBatch batch, std::string_view content) {
+    return util::write_file_atomic(util::Io::real(), map_batch_path(dir, batch), content).ok();
 }
 
 void flip_byte(const std::filesystem::path& path, std::uint64_t offset) {
@@ -207,16 +212,15 @@ TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
     // A frame head is `#rec <decimal length> <%08x crc>`.
     init_map_journal(dir_, sample_header(), /*wipe=*/true);
     const std::string framed = frame_record(payload);
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {4, 4}), framed));
+    ASSERT_TRUE(write_batch(dir_, {4, 4}, framed));
     ASSERT_TRUE(read_map_batch(dir_, {4, 4}).has_value());
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {4, 4}),
-                                std::string{framed}.insert(5, "0")));
+    ASSERT_TRUE(write_batch(dir_, {4, 4}, std::string{framed}.insert(5, "0")));
     EXPECT_FALSE(read_map_batch(dir_, {4, 4}).has_value());
     char upper_head[48];
     std::snprintf(upper_head, sizeof upper_head, "#rec %zu %08X\n", payload.size(),
                   util::crc32(payload));
     ASSERT_NE(framed.substr(0, framed.find('\n') + 1), upper_head);
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {4, 4}), upper_head + payload));
+    ASSERT_TRUE(write_batch(dir_, {4, 4}, upper_head + payload));
     EXPECT_FALSE(read_map_batch(dir_, {4, 4}).has_value());
 }
 
@@ -224,7 +228,7 @@ TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
 
 TEST_F(JournalTest, BatchFilesRoundTripAndAChunkFileIsABatchOfOne) {
     init_map_journal(dir_, sample_header(), /*wipe=*/true);
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {0, 2}), framed_batch(0, 2)));
+    ASSERT_TRUE(write_batch(dir_, {0, 2}, framed_batch(0, 2)));
     ASSERT_TRUE(write_map_chunk(dir_, sample_chunk(5)));
     EXPECT_EQ(map_batch_path(dir_, {0, 2}).filename(), "chunk-00000-00002.rec");
     EXPECT_EQ(map_batch_path(dir_, {5, 5}).filename(), "chunk-00005.rec");
@@ -270,8 +274,8 @@ TEST_F(JournalTest, ReplayOfMissingOrEmptyDirectoryIsEmpty) {
 
 TEST_F(JournalTest, ChecksumCorruptionCutsReplayAtTheCorruptRecord) {
     init_map_journal(dir_, sample_header(), /*wipe=*/true);
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {0, 3}), framed_batch(0, 3)));
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {4, 5}), framed_batch(4, 5)));
+    ASSERT_TRUE(write_batch(dir_, {0, 3}, framed_batch(0, 3)));
+    ASSERT_TRUE(write_batch(dir_, {4, 5}, framed_batch(4, 5)));
     // Flip one payload byte in the middle of the first batch: its CRC fails,
     // and the WHOLE batch counts as unscanned — never a partial batch.
     const auto victim = map_batch_path(dir_, {0, 3});
@@ -293,13 +297,13 @@ TEST_F(JournalTest, ChecksumCorruptionCutsReplayAtTheCorruptRecord) {
         out << "#rec";
     }
     EXPECT_FALSE(read_map_batch(dir_, {4, 5}).has_value());
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {6, 7}), framed_batch(7, 8)));
+    ASSERT_TRUE(write_batch(dir_, {6, 7}, framed_batch(7, 8)));
     EXPECT_FALSE(read_map_batch(dir_, {6, 7}).has_value());
 }
 
 TEST_F(JournalTest, AttachRejectsAForeignCampaignHeader) {
     init_map_journal(dir_, sample_header(), /*wipe=*/true);
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(dir_, {0, 1}), framed_batch(0, 1)));
+    ASSERT_TRUE(write_batch(dir_, {0, 1}, framed_batch(0, 1)));
     CampaignHeader other = sample_header();
     other.seed ^= 1;
     EXPECT_THROW(init_map_journal(dir_, other, /*wipe=*/false), std::invalid_argument);
@@ -329,7 +333,7 @@ void expect_same_stats(const CampaignStats& a, const CampaignStats& b) {
     EXPECT_EQ(a.server_faults, b.server_faults);
 }
 
-SweepResult run_to_completion(const web::Population& population, const ScanOptions& options,
+SweepResult run_to_completion(const web::PopulationModel& population, const ScanOptions& options,
                               bool reduce) {
     Campaign campaign{population, options};
     telemetry::MetricsRegistry registry;
@@ -348,7 +352,7 @@ SweepResult run_to_completion(const web::Population& population, const ScanOptio
 /// `kill_after` domains have been merged; kill_after = 0 kills on the very
 /// first merge. Returns true when the kill fired (a large kill_after may let
 /// the run complete).
-bool run_and_kill(const web::Population& population, const ScanOptions& options,
+bool run_and_kill(const web::PopulationModel& population, const ScanOptions& options,
                   std::uint64_t kill_after) {
     struct Kill {};
     Campaign campaign{population, options};
@@ -367,7 +371,7 @@ bool run_and_kill(const web::Population& population, const ScanOptions& options,
 }
 
 TEST_F(JournalTest, ResumeAfterKillAtEveryChunkBoundaryIsByteIdentical) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.retry.max_attempts = 2;  // exercise backoff streams across the kill
     options.chunk_domains = 4;       // two batch files
@@ -407,7 +411,7 @@ TEST_F(JournalTest, ResumeAfterKillAtEveryChunkBoundaryIsByteIdentical) {
 }
 
 TEST_F(JournalTest, RunKilledBetweenBatchesLeavesOnlyWholeBatchFiles) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.chunk_domains = 2;  // four batch files
     options.threads = 2;
@@ -444,7 +448,7 @@ TEST_F(JournalTest, RunKilledBetweenBatchesLeavesOnlyWholeBatchFiles) {
 }
 
 TEST_F(JournalTest, ResumeFromJournalTruncatedMidRecordIsByteIdentical) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
@@ -495,7 +499,7 @@ TEST_F(JournalTest, ResumeFromJournalTruncatedMidRecordIsByteIdentical) {
 }
 
 TEST_F(JournalTest, UnparseableRecordMidBatchIsRescannedAndTheBatchRepublished) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "unparseable").string();
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
@@ -519,7 +523,7 @@ TEST_F(JournalTest, UnparseableRecordMidBatchIsRescannedAndTheBatchRepublished) 
         edited += c == 3 ? frame_record("chunk index=3 garbled\n") : bytes.substr(pos, *size);
         pos += *size;
     }
-    ASSERT_TRUE(util::write_file_atomic(map_batch_path(options.journal_dir, batch), edited));
+    ASSERT_TRUE(write_batch(options.journal_dir, batch, edited));
     EXPECT_FALSE(read_map_batch(options.journal_dir, batch).has_value());
     std::vector<ChunkRecord> chunks;
     const MapReplayResult replay = read_map_journal(options.journal_dir, collect_into(chunks));
@@ -544,7 +548,7 @@ TEST_F(JournalTest, UnparseableRecordMidBatchIsRescannedAndTheBatchRepublished) 
 }
 
 TEST_F(JournalTest, ResumeOfCompleteJournalRescansNothing) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "full").string();
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
@@ -561,7 +565,7 @@ TEST_F(JournalTest, ResumeOfCompleteJournalRescansNothing) {
 }
 
 TEST_F(JournalTest, ResumeRejectsMismatchedCampaignOptions) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "mismatch").string();
     (void)run_to_completion(population, options, /*reduce=*/false);
@@ -579,7 +583,7 @@ TEST_F(JournalTest, ResumeRejectsMismatchedCampaignOptions) {
 }
 
 TEST_F(JournalTest, FreshRunReplacesAnotherCampaignsJournal) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions first;
     first.journal_dir = (dir_ / "reused").string();
     first.chunk_domains = 4;  // two batch files
@@ -612,7 +616,7 @@ TEST_F(JournalTest, FreshRunReplacesAnotherCampaignsJournal) {
 // --- Worker supervision ------------------------------------------------------
 
 TEST_F(JournalTest, TransientChunkCrashIsRestartedWithIdenticalOutput) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
 
@@ -634,7 +638,7 @@ TEST_F(JournalTest, TransientChunkCrashIsRestartedWithIdenticalOutput) {
 }
 
 TEST_F(JournalTest, PersistentChunkCrashIsQuarantinedAndTheCampaignCompletes) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.threads = 4;
     options.journal_dir = (dir_ / "quarantine").string();
@@ -727,7 +731,7 @@ TEST_F(JournalTest, PersistentChunkCrashIsQuarantinedAndTheCampaignCompletes) {
 }
 
 TEST_F(JournalTest, CorruptBatchRescanIsSupervisedLikeAFirstScan) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "rescan").string();
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
@@ -785,7 +789,7 @@ TEST_F(JournalTest, CorruptBatchRescanIsSupervisedLikeAFirstScan) {
 // invariant end to end.
 
 TEST_F(JournalTest, ScrubOfCleanJournalFindsNothing) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "clean").string();
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
@@ -807,7 +811,7 @@ TEST_F(JournalTest, ScrubOfCleanJournalFindsNothing) {
 }
 
 TEST_F(JournalTest, ScrubQuarantinesACorruptHeaderAndReduceKeepsTheChunks) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "hdr").string();
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
@@ -846,7 +850,7 @@ TEST_F(JournalTest, ScrubQuarantinesACorruptHeaderAndReduceKeepsTheChunks) {
 }
 
 TEST_F(JournalTest, ScrubListsEveryChunkOfABitFlippedBatchAndReduceIsIdentical) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "flip").string();
     options.chunk_domains = 4;  // two batch files: chunks 0..15 and the rest
@@ -917,7 +921,7 @@ TEST_F(JournalTest, ScrubQuarantinesAMapChunkThatFramesButFailsCrc) {
 }
 
 TEST_F(JournalTest, ScrubWithoutRepairOnlyClassifies) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "dry").string();
     (void)run_to_completion(population, options, /*reduce=*/false);
@@ -945,7 +949,7 @@ TEST_F(JournalTest, ScrubWithoutRepairOnlyClassifies) {
 // --- Watchdog and bounded buffers --------------------------------------------
 
 TEST(WatchdogTest, HungScanIsCancelledWithWatchdogOutcome) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.retry.max_attempts = 3;
     // Budget below one handshake timeout: every non-QUIC target's simulation
@@ -962,7 +966,7 @@ TEST(WatchdogTest, HungScanIsCancelledWithWatchdogOutcome) {
 }
 
 TEST(WatchdogTest, WatchdogKillStopsRetriesAndRedirects) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.retry.max_attempts = 5;
     options.domain_deadline = util::Duration::seconds(2);
@@ -981,14 +985,14 @@ TEST(WatchdogTest, WatchdogKillStopsRetriesAndRedirects) {
 }
 
 TEST(WatchdogTest, DefaultDeadlineNeverFiresOnAHealthySweep) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     Campaign campaign{population, {}};
     const CampaignStats stats = campaign.run([](const web::Domain&, DomainScan&&) {});
     EXPECT_EQ(stats.outcome(qlog::ConnectionOutcome::watchdog_cancelled), 0u);
 }
 
 TEST(AttemptCapTest, AttemptRecordsAreBoundedAndCounted) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.retry.max_attempts = 5;
     options.max_attempt_records = 2;

@@ -45,7 +45,12 @@ using spinscope::testing::render_scan_stream;
 
 // ~110 domains at seed 1 — 7 chunks at the default chunk_domains=16, enough
 // chunks for a meaningful kill sweep while each pass stays fast.
-web::Population tiny_population() { return web::Population{{2'000'000.0, 1}}; }
+web::PopulationModel tiny_population() { return web::PopulationModel{{2'000'000.0, 1}}; }
+
+/// Creates the one-shot marker file `path`; false when it already exists.
+bool claim_marker(const std::filesystem::path& path) {
+    return util::create_file_exclusive(util::Io::real(), path, "x\n").ok();
+}
 
 class ProcPoolTest : public ::testing::Test {
 protected:
@@ -93,7 +98,7 @@ void expect_same_stats(const CampaignStats& a, const CampaignStats& b) {
     EXPECT_EQ(a.server_faults, b.server_faults);
 }
 
-SweepResult run_single_process(const web::Population& population,
+SweepResult run_single_process(const web::PopulationModel& population,
                                const ScanOptions& options) {
     Campaign campaign{population, options};
     telemetry::MetricsRegistry registry;
@@ -118,7 +123,7 @@ ProcPoolOptions fast_pool(unsigned procs) {
 
 /// One full multi-process pass: run_procs over the map journal, then reduce.
 /// `report`/`registry_csv` outputs are optional observability taps.
-SweepResult run_multi_process(const web::Population& population,
+SweepResult run_multi_process(const web::PopulationModel& population,
                               const ScanOptions& options,
                               const ProcPoolOptions& pool,
                               ProcPoolReport* report_out = nullptr,
@@ -222,7 +227,7 @@ TEST_F(ProcPoolTest, MapJournalInitRejectsAForeignHeaderWithoutWipe) {
 // --- journal.lock ------------------------------------------------------------
 
 TEST_F(ProcPoolTest, CampaignsRefuseAJournalDirLockedByALiveProcess) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "locked").string();
     std::filesystem::create_directories(options.journal_dir);
@@ -259,7 +264,7 @@ TEST_F(ProcPoolTest, CampaignsRefuseAJournalDirLockedByALiveProcess) {
 // --- Multi-process byte-identity ---------------------------------------------
 
 TEST_F(ProcPoolTest, MapReducePassIsByteIdenticalAcrossProcsAndThreads) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.retry.max_attempts = 2;  // exercise backoff streams
     for (const unsigned threads : {1u, 2u}) {
@@ -293,20 +298,21 @@ TEST_F(ProcPoolTest, ReducedSweepDeliversEagerPopulationBytes) {
     // their chunks independently, yet every domain the reduce delivers must
     // match the eager wrapper's resident vector byte for byte, and the
     // deterministic telemetry must match the in-process streaming run.
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
+    const auto eager = population.materialize(0, population.domain_count());
     ScanOptions options;
     const SweepResult baseline = run_single_process(population, options);
     for (const unsigned procs : {1u, 2u}) {
         ScanOptions multi = options;
         multi.journal_dir = (dir_ / ("eager_" + std::to_string(procs))).string();
-        Campaign campaign{population.model(), multi};
+        Campaign campaign{population, multi};
         telemetry::MetricsRegistry registry;
         campaign.set_metrics(&registry);
         (void)run_procs(campaign, fast_pool(procs));
         SweepResult reduced;
         std::size_t byte_identical = 0;
         reduced.stats = campaign.reduce([&](const web::Domain& domain, DomainScan&& scan) {
-            if (std::memcmp(&domain, &population.domains()[domain.id],
+            if (std::memcmp(&domain, &eager.domains[domain.id],
                             sizeof(web::Domain)) == 0) {
                 ++byte_identical;
             }
@@ -314,13 +320,13 @@ TEST_F(ProcPoolTest, ReducedSweepDeliversEagerPopulationBytes) {
             reduced.stream += render_scan_stream(scan);
         });
         reduced.telemetry = telemetry::deterministic_csv(registry);
-        EXPECT_EQ(byte_identical, population.domains().size()) << "procs=" << procs;
+        EXPECT_EQ(byte_identical, eager.size()) << "procs=" << procs;
         expect_same_sweep(reduced, baseline, "eager-bytes procs=" + std::to_string(procs));
     }
 }
 
 TEST_F(ProcPoolTest, ReduceOfAnEmptyJournalDegeneratesToAFullScan) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     const SweepResult baseline = run_single_process(population, options);
 
@@ -340,7 +346,7 @@ TEST_F(ProcPoolTest, ReduceOfAnEmptyJournalDegeneratesToAFullScan) {
 }
 
 TEST_F(ProcPoolTest, ReduceRescansDeletedChunksAndIsRerunnable) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.threads = 2;
     options.journal_dir = (dir_ / "partial").string();
@@ -393,7 +399,7 @@ TEST_F(ProcPoolTest, MapPassOverAKilledRunKeepsItsBatches) {
     // the supervisor's dispatch window (2 batches + procs chunks ahead of the
     // lowest chunk not done), so the workers only get work when that count
     // starts past the kept chunks.
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     for (const auto& [chunk_domains, windows] :
          {std::pair<std::size_t, std::size_t>{4, 1}, {1, 3}}) {
         const std::string label = "procs over " + std::to_string(windows) + " kept batch(es)";
@@ -466,7 +472,7 @@ ProcPoolOptions killing_pool(unsigned procs, const std::filesystem::path& marker
         if (c != chunk || (bad_record ? "scanned" : phase_name) != at) return;
         const auto marker = marker_dir / ("killed_" + phase_name + "_" +
                                           std::to_string(c));
-        if (!util::create_file_exclusive(marker, "x\n")) return;
+        if (!claim_marker(marker)) return;
         if (bad_record) {
             ChunkRecord fake;
             fake.chunk_index = c;
@@ -487,7 +493,7 @@ ProcPoolOptions killing_pool(unsigned procs, const std::filesystem::path& marker
 }
 
 TEST_F(ProcPoolTest, KillSweepAtEveryPhaseAndChunkIsByteIdentical) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     const std::size_t chunks = Campaign{population, options}.chunk_count();
     ASSERT_GE(chunks, 7u);  // 3 phases x 7 chunks x 3 proc counts >= 20 kill points
@@ -537,7 +543,7 @@ TEST_F(ProcPoolTest, OnlyADeathMidScanChargesItsChunk) {
     // death in between quarantines exactly that chunk — also when a torn
     // frame, a frame failing its CRC or a malformed record line reached the
     // supervisor first (torn, crc, short): those bytes are never journaled.
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     const SweepResult baseline = run_single_process(population, options);
     constexpr std::size_t kChunk = 3;
@@ -582,7 +588,7 @@ TEST_F(ProcPoolTest, OnlyADeathMidScanChargesItsChunk) {
 // --- Supervision: hangs, poison, attribution ---------------------------------
 
 TEST_F(ProcPoolTest, HungWorkerIsKilledAndTheCampaignCompletes) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     const SweepResult baseline = run_single_process(population, options);
 
@@ -593,7 +599,7 @@ TEST_F(ProcPoolTest, HungWorkerIsKilledAndTheCampaignCompletes) {
     const auto marker_dir = dir_;
     pool.worker_event_hook = [marker_dir](unsigned, const char* phase, std::size_t c) {
         if (c != 2 || std::strcmp(phase, "claim") != 0) return;
-        if (util::create_file_exclusive(marker_dir / "hung_once", "x\n")) {
+        if (claim_marker(marker_dir / "hung_once")) {
             for (;;) ::usleep(50'000);  // wedge: silent, no progress
         }
     };
@@ -605,7 +611,7 @@ TEST_F(ProcPoolTest, HungWorkerIsKilledAndTheCampaignCompletes) {
 }
 
 TEST_F(ProcPoolTest, ChunkThatKillsEveryProcessIsQuarantinedAndAttributed) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "poison").string();
     // Chunk 3 is poison: every process DIES MID-SCAN, every time. (The fault
@@ -643,7 +649,7 @@ TEST_F(ProcPoolTest, ChunkThatKillsEveryProcessIsQuarantinedAndAttributed) {
 }
 
 TEST_F(ProcPoolTest, ThreadLevelRestartsInsideWorkersAreAttributedAsWorkers) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     const SweepResult baseline = run_single_process(population, options);
 
@@ -654,7 +660,7 @@ TEST_F(ProcPoolTest, ThreadLevelRestartsInsideWorkersAreAttributedAsWorkers) {
     const auto marker_dir = dir_;
     multi.chunk_fault_hook = [marker_dir](std::size_t chunk) {
         if (chunk != 2) return;
-        if (util::create_file_exclusive(marker_dir / "threw_once", "x\n")) {
+        if (claim_marker(marker_dir / "threw_once")) {
             throw std::runtime_error("injected transient chunk crash");
         }
     };
@@ -672,7 +678,7 @@ TEST_F(ProcPoolTest, ThreadLevelRestartsInsideWorkersAreAttributedAsWorkers) {
 }
 
 TEST_F(ProcPoolTest, ThreadLevelQuarantineInsideWorkersMatchesTheInProcessRecord) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.chunk_fault_hook = [](std::size_t chunk) {
         if (chunk == 2) throw std::runtime_error("poisoned chunk");
@@ -726,7 +732,7 @@ TEST_F(ProcPoolTest, WorkersDieWithTheirSupervisor) {
     // A SIGKILLed supervisor must take its workers with it: a later campaign
     // may re-initialise the directory (the dead pid's lock is broken), and an
     // orphan would go on scanning for nobody.
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "journal").string();
     const auto marker_dir = dir_;
@@ -734,10 +740,8 @@ TEST_F(ProcPoolTest, WorkersDieWithTheirSupervisor) {
     pool.worker_event_hook = [marker_dir](unsigned, const char* at, std::size_t) {
         const std::string phase = at;
         if (phase == "claim") {
-            (void)util::create_file_exclusive(
-                marker_dir / ("pid_" + std::to_string(::getpid())), "x\n");
-        } else if (phase == "sent" &&
-                   util::create_file_exclusive(marker_dir / "killed", "x\n")) {
+            (void)claim_marker(marker_dir / ("pid_" + std::to_string(::getpid())));
+        } else if (phase == "sent" && claim_marker(marker_dir / "killed")) {
             ::kill(::getppid(), SIGKILL);
         }
     };
@@ -785,7 +789,7 @@ TEST_F(ProcPoolTest, PoolOptionValidationRejectsNonsense) {
     pool.hang_deadline = util::Duration::zero();
     EXPECT_THROW(pool.validate(), std::invalid_argument);
 
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     Campaign no_journal{population, ScanOptions{}};
     EXPECT_THROW((void)run_procs(no_journal, ProcPoolOptions{}),
                  std::invalid_argument);

@@ -33,7 +33,7 @@ TEST(Resilience, HostileSweepCompletesAndClassifiesEveryAttempt) {
     // host's failure mode. The sweep must still finish, classify every
     // attempt (including protocol_error for garbage payloads) and never
     // fall back to the graceful-degradation error path.
-    web::Population hostile{hostile_config(/*transient_share=*/0.0, 0.6)};
+    const web::PopulationModel hostile{hostile_config(/*transient_share=*/0.0, 0.6)};
     Campaign campaign{hostile, {}};
     std::uint64_t faulted_attempts = 0;
     const CampaignStats stats =
@@ -47,7 +47,7 @@ TEST(Resilience, HostileSweepCompletesAndClassifiesEveryAttempt) {
             }
         });
 
-    EXPECT_EQ(stats.domains_scanned, hostile.domains().size());
+    EXPECT_EQ(stats.domains_scanned, hostile.domain_count());
     EXPECT_EQ(stats.domains_errored, 0u);
     EXPECT_EQ(stats.domains_quic_ok, 0u) << "no host is healthy in this universe";
 
@@ -76,7 +76,7 @@ TEST(Resilience, RetriesRecoverTransientlyFaultedDomains) {
     // attempts). With three attempts per hop, a domain that failed its first
     // try recovers unless all retries also draw the fault (~0.6^2 of the
     // time), so well over half of the no-retry failures must come back.
-    web::Population flaky{hostile_config(/*transient_share=*/1.0, 0.6)};
+    const web::PopulationModel flaky{hostile_config(/*transient_share=*/1.0, 0.6)};
 
     ScanOptions no_retry;  // default: single attempt
     Campaign baseline{flaky, no_retry};
@@ -89,7 +89,8 @@ TEST(Resilience, RetriesRecoverTransientlyFaultedDomains) {
     std::uint64_t failed_without_retry = 0;
     std::uint64_t recovered = 0;
     std::uint64_t retries_spent = 0;
-    for (const auto& domain : flaky.domains()) {
+    const auto universe = flaky.materialize(0, flaky.domain_count());
+    for (const auto& domain : universe.domains) {
         if (!domain.resolves || !domain.quic) continue;
         const DomainScan a = baseline.scan_domain(domain);
         if (a.quic_ok()) continue;
@@ -122,7 +123,7 @@ TEST(Resilience, RetriesRecoverTransientlyFaultedDomains) {
 TEST(Resilience, RetryStatsAggregateAcrossTheSweep) {
     web::PopulationConfig cfg = hostile_config(1.0, 0.6);
     cfg.scale = 2000000.0;  // ~100 domains: retries make attempts pricier
-    web::Population flaky{cfg};
+    const web::PopulationModel flaky{cfg};
     ScanOptions options;
     options.retry.max_attempts = 2;
     Campaign campaign{flaky, options};
@@ -145,7 +146,7 @@ TEST(Resilience, EmptyFaultPlanIsByteIdenticalToNoPlan) {
     // An engaged-but-empty FaultPlan attaches an idle injector to every
     // link; the injector draws no randomness, so every trace of the sweep
     // must serialize identically to a plan-free sweep with the same seed.
-    web::Population tiny{{200000.0, 1}};
+    const web::PopulationModel tiny{{200000.0, 1}};
 
     const auto sweep_jsonl = [&tiny](bool attach_empty_plan) {
         ScanOptions options;
@@ -165,7 +166,7 @@ TEST(Resilience, EmptyFaultPlanIsByteIdenticalToNoPlan) {
 }
 
 TEST(Resilience, ActiveFaultPlanDegradesButNeverCrashesTheSweep) {
-    web::Population tiny{{2000000.0, 1}};
+    const web::PopulationModel tiny{{2000000.0, 1}};
     ScanOptions options;
     faults::FaultPlan plan;
     plan.burst_loss.enabled = true;
@@ -174,7 +175,7 @@ TEST(Resilience, ActiveFaultPlanDegradesButNeverCrashesTheSweep) {
     options.fault_plan = plan;
     Campaign campaign{tiny, options};
     const CampaignStats stats = campaign.run([](const web::Domain&, DomainScan&&) {});
-    EXPECT_EQ(stats.domains_scanned, tiny.domains().size());
+    EXPECT_EQ(stats.domains_scanned, tiny.domain_count());
     EXPECT_EQ(stats.domains_errored, 0u);
     std::uint64_t outcome_total = 0;
     for (const auto count : stats.outcomes) outcome_total += count;
@@ -182,7 +183,7 @@ TEST(Resilience, ActiveFaultPlanDegradesButNeverCrashesTheSweep) {
 }
 
 TEST(Resilience, CampaignConstructorRejectsInvalidKnobs) {
-    web::Population tiny{{2000000.0, 1}};
+    const web::PopulationModel tiny{{2000000.0, 1}};
 
     ScanOptions nan_loss;
     nan_loss.loss_rate = std::nan("");

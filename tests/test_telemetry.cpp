@@ -620,7 +620,7 @@ TEST(Catalog, ParseSnapshotRejectsUnknownRepeatedAndForeignGeometry) {
 }
 
 TEST(Catalog, CampaignChunkSnapshotRoundTripsByteForByte) {
-    const web::Population population{{200000.0, 7}};
+    const web::PopulationModel population{{200000.0, 7}};
     scanner::Campaign campaign{population, {}};
     MetricsRegistry attached;
     campaign.set_metrics(&attached);

@@ -194,7 +194,7 @@ std::vector<ParsedEvent> parse_events(const std::string& json) {
 
 // ~110 domains at seed 1 — 7 chunks at the default chunk_domains=16 (same
 // corpus as the journal suite, so chunk boundaries land where retries do).
-web::Population tiny_population() { return web::Population{{2'000'000.0, 1}}; }
+web::PopulationModel tiny_population() { return web::PopulationModel{{2'000'000.0, 1}}; }
 
 scanner::ScanOptions traced_options(unsigned threads) {
     scanner::ScanOptions options;
@@ -211,7 +211,7 @@ struct TracedRun {
     std::string deterministic_telemetry;
 };
 
-TracedRun run_traced(const web::Population& population, const scanner::ScanOptions& options,
+TracedRun run_traced(const web::PopulationModel& population, const scanner::ScanOptions& options,
                      bool reduce = false) {
     scanner::Campaign campaign{population, options};
     telemetry::MetricsRegistry registry;
@@ -387,7 +387,7 @@ TEST(ResourceProbeTest, PublishesObsGaugesOutsideTheDeterministicView) {
 // --- Campaign timeline -------------------------------------------------------
 
 TEST(CampaignTraceTest, SimTraceIsByteIdenticalAcrossThreadCounts) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     const TracedRun baseline = run_traced(population, traced_options(1));
 
     ASSERT_TRUE(is_valid_json(baseline.sim)) << baseline.sim;
@@ -433,7 +433,7 @@ TEST(CampaignTraceTest, SimTimestampsAreNonDecreasingPerLane) {
 }
 
 TEST_F(TraceTest, KillAndResumeReplaysTheSameTimelineFlaggedReplayed) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     scanner::ScanOptions options = traced_options(1);
     options.chunk_domains = 4;  // two batch files: the kill leaves one
     const TracedRun baseline = run_traced(population, options);
@@ -472,7 +472,7 @@ TEST_F(TraceTest, KillAndResumeReplaysTheSameTimelineFlaggedReplayed) {
 }
 
 TEST(CampaignTraceTest, AttachingARecorderDoesNotPerturbDeterministicTelemetry) {
-    const web::Population population = tiny_population();
+    const web::PopulationModel population = tiny_population();
     const scanner::ScanOptions options = traced_options(1);
 
     scanner::Campaign plain{population, options};

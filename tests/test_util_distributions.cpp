@@ -28,30 +28,6 @@ TEST(Lognormal, MedianIsExpMu) {
     for (double v : values) ASSERT_GT(v, 0.0);
 }
 
-TEST(Zipf, RequiresPositiveN) {
-    EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
-}
-
-TEST(Zipf, RankZeroMostPopular) {
-    Rng rng{5};
-    ZipfSampler zipf{100, 1.0};
-    std::array<int, 100> counts{};
-    for (int i = 0; i < 50000; ++i) ++counts[zipf.sample(rng)];
-    EXPECT_GT(counts[0], counts[1]);
-    EXPECT_GT(counts[0], counts[10]);
-    EXPECT_GT(counts[1], counts[50]);
-    // Zipf s=1: rank 0 share ~ 1/H(100) ~ 0.192.
-    EXPECT_NEAR(counts[0] / 50000.0, 0.192, 0.02);
-}
-
-TEST(Zipf, ZeroExponentIsUniform) {
-    Rng rng{6};
-    ZipfSampler zipf{10, 0.0};
-    std::array<int, 10> counts{};
-    for (int i = 0; i < 50000; ++i) ++counts[zipf.sample(rng)];
-    for (int c : counts) EXPECT_NEAR(c / 50000.0, 0.1, 0.02);
-}
-
 TEST(Discrete, RejectsInvalidWeights) {
     const std::vector<double> negative{1.0, -0.5};
     EXPECT_THROW(DiscreteSampler{std::span<const double>{negative}}, std::invalid_argument);

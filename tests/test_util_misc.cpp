@@ -206,9 +206,9 @@ protected:
 
 TEST_F(AtomicFileTest, WriteCreatesAndReplacesWithoutTempDebris) {
     const auto path = dir_ / "out.txt";
-    ASSERT_TRUE(write_file_atomic(path, "first\n"));
+    ASSERT_TRUE(write_file_atomic(Io::real(), path, "first\n"));
     EXPECT_EQ(slurp(path), "first\n");
-    ASSERT_TRUE(write_file_atomic(path, "second, longer content\n"));
+    ASSERT_TRUE(write_file_atomic(Io::real(), path, "second, longer content\n"));
     EXPECT_EQ(slurp(path), "second, longer content\n");
     std::size_t entries = 0;
     for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
@@ -220,18 +220,18 @@ TEST_F(AtomicFileTest, WriteCreatesAndReplacesWithoutTempDebris) {
 
 TEST_F(AtomicFileTest, WriteFailureLeavesTargetUntouched) {
     const auto path = dir_ / "no_such_subdir" / "out.txt";
-    EXPECT_FALSE(write_file_atomic(path, "data"));
+    EXPECT_FALSE(write_file_atomic(Io::real(), path, "data"));
     EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST_F(AtomicFileTest, RenameDurableMovesAndAFailedRenameLeavesTheTarget) {
     const auto from = dir_ / "a.tmp";
     const auto to = dir_ / "a.final";
-    ASSERT_TRUE(write_file_atomic(from, "payload"));
-    ASSERT_TRUE(rename_durable(from, to));
+    ASSERT_TRUE(write_file_atomic(Io::real(), from, "payload"));
+    ASSERT_TRUE(rename_durable(Io::real(), from, to));
     EXPECT_FALSE(std::filesystem::exists(from));
     EXPECT_EQ(slurp(to), "payload");
-    EXPECT_FALSE(rename_durable(dir_ / "missing", to));
+    EXPECT_FALSE(rename_durable(Io::real(), dir_ / "missing", to));
     EXPECT_EQ(slurp(to), "payload") << "failed rename must leave the target alone";
 }
 
@@ -242,25 +242,25 @@ TEST_F(AtomicFileTest, RenameDurableAcrossDirectoriesSyncsBothParents) {
     std::filesystem::create_directories(dst_dir);
     const auto from = src_dir / "rec.tmp";
     const auto to = dst_dir / "rec.final";
-    ASSERT_TRUE(write_file_atomic(from, "cross-dir payload"));
-    ASSERT_TRUE(rename_durable(from, to));
+    ASSERT_TRUE(write_file_atomic(Io::real(), from, "cross-dir payload"));
+    ASSERT_TRUE(rename_durable(Io::real(), from, to));
     EXPECT_FALSE(std::filesystem::exists(from));
     EXPECT_EQ(slurp(to), "cross-dir payload");
 }
 
 TEST_F(AtomicFileTest, FsyncDirReportsOnRealAndMissingDirectories) {
-    EXPECT_TRUE(fsync_dir(dir_));
-    EXPECT_FALSE(fsync_dir(dir_ / "no_such_dir"));
+    EXPECT_TRUE(fsync_dir(Io::real(), dir_));
+    EXPECT_FALSE(fsync_dir(Io::real(), dir_ / "no_such_dir"));
 }
 
 TEST_F(AtomicFileTest, CreateFileExclusiveClaimsExactlyOnce) {
     const auto path = dir_ / "claim.lock";
-    ASSERT_TRUE(create_file_exclusive(path, "owner 1\n"));
+    ASSERT_TRUE(create_file_exclusive(Io::real(), path, "owner 1\n"));
     EXPECT_EQ(slurp(path), "owner 1\n");
     // A second claim must fail and must NOT clobber the winner's content.
-    EXPECT_FALSE(create_file_exclusive(path, "owner 2\n"));
+    EXPECT_FALSE(create_file_exclusive(Io::real(), path, "owner 2\n"));
     EXPECT_EQ(slurp(path), "owner 1\n");
-    EXPECT_FALSE(create_file_exclusive(dir_ / "missing_dir" / "x", "y"));
+    EXPECT_FALSE(create_file_exclusive(Io::real(), dir_ / "missing_dir" / "x", "y"));
 }
 
 TEST_F(AtomicFileTest, ConcurrentAtomicWritesToOneTargetNeverTearOrCollide) {
@@ -275,7 +275,7 @@ TEST_F(AtomicFileTest, ConcurrentAtomicWritesToOneTargetNeverTearOrCollide) {
         threads.emplace_back([&, t] {
             const std::string content(128, static_cast<char>('a' + t));
             for (int r = 0; r < kRounds; ++r) {
-                ASSERT_TRUE(write_file_atomic(path, content));
+                ASSERT_TRUE(write_file_atomic(Io::real(), path, content));
             }
         });
     }

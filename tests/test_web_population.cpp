@@ -16,13 +16,18 @@ namespace {
 
 PopulationConfig small_config() { return {20000.0, 20230520}; }
 
+/// Every domain of `model`'s universe, as one resident block.
+DomainBlock all_domains(const PopulationModel& model) {
+    return model.materialize(0, model.domain_count());
+}
+
 TEST(Population, DeterministicForSeed) {
-    Population a{small_config()};
-    Population b{small_config()};
-    ASSERT_EQ(a.domains().size(), b.domains().size());
-    for (std::size_t i = 0; i < a.domains().size(); ++i) {
-        const auto& da = a.domains()[i];
-        const auto& db = b.domains()[i];
+    const DomainBlock a = all_domains(PopulationModel{small_config()});
+    const DomainBlock b = all_domains(PopulationModel{small_config()});
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto& da = a.domains[i];
+        const auto& db = b.domains[i];
         ASSERT_EQ(da.org, db.org);
         ASSERT_EQ(da.quic, db.quic);
         ASSERT_EQ(da.ipv4_host, db.ipv4_host);
@@ -31,23 +36,23 @@ TEST(Population, DeterministicForSeed) {
 }
 
 TEST(Population, DifferentSeedsDiffer) {
-    Population a{{20000.0, 1}};
-    Population b{{20000.0, 2}};
-    ASSERT_EQ(a.domains().size(), b.domains().size());
+    const DomainBlock a = all_domains(PopulationModel{{20000.0, 1}});
+    const DomainBlock b = all_domains(PopulationModel{{20000.0, 2}});
+    ASSERT_EQ(a.size(), b.size());
     std::size_t differing = 0;
-    for (std::size_t i = 0; i < a.domains().size(); ++i) {
-        if (a.domains()[i].quic != b.domains()[i].quic ||
-            a.domains()[i].org != b.domains()[i].org) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a.domains[i].quic != b.domains[i].quic || a.domains[i].org != b.domains[i].org) {
             ++differing;
         }
     }
-    EXPECT_GT(differing, a.domains().size() / 100);
+    EXPECT_GT(differing, a.size() / 100);
 }
 
 TEST(Population, SegmentCountsScale) {
-    Population pop{small_config()};
+    const PopulationModel pop{small_config()};
+    const DomainBlock universe = all_domains(pop);
     std::map<Segment, std::size_t> counts;
-    for (const auto& d : pop.domains()) ++counts[d.segment()];
+    for (const auto& d : universe.domains) ++counts[d.segment()];
     // 183.0M / 20000 ~ 9152, (216.5-183.0)M / 20000 ~ 1673.
     EXPECT_NEAR(static_cast<double>(counts[Segment::czds_cno]), 9152.0, 5.0);
     EXPECT_NEAR(static_cast<double>(counts[Segment::czds_other]), 1673.0, 5.0);
@@ -55,11 +60,12 @@ TEST(Population, SegmentCountsScale) {
 }
 
 TEST(Population, ResolveAndQuicRatesMatchShape) {
-    Population pop{{2000.0, 7}};
+    const PopulationModel pop{{2000.0, 7}};
+    const DomainBlock universe = all_domains(pop);
     std::size_t cno_total = 0;
     std::size_t cno_resolved = 0;
     std::size_t cno_quic = 0;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.segment() != Segment::czds_cno || d.on_toplist) continue;
         ++cno_total;
         if (d.resolves) ++cno_resolved;
@@ -71,8 +77,9 @@ TEST(Population, ResolveAndQuicRatesMatchShape) {
 }
 
 TEST(Population, QuicImpliesResolves) {
-    Population pop{small_config()};
-    for (const auto& d : pop.domains()) {
+    const PopulationModel pop{small_config()};
+    const DomainBlock universe = all_domains(pop);
+    for (const auto& d : universe.domains) {
         if (d.quic) {
             ASSERT_TRUE(d.resolves);
         }
@@ -80,10 +87,11 @@ TEST(Population, QuicImpliesResolves) {
 }
 
 TEST(Population, OrgWeightsRoughlyRespected) {
-    Population pop{{2000.0, 9}};
+    const PopulationModel pop{{2000.0, 9}};
+    const DomainBlock universe = all_domains(pop);
     std::map<std::string, std::size_t> quic_by_org;
     std::size_t quic_total = 0;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.segment() != Segment::czds_cno || !d.quic || d.on_toplist) continue;
         ++quic_by_org[pop.org_of(d).name];
         ++quic_total;
@@ -95,8 +103,9 @@ TEST(Population, OrgWeightsRoughlyRespected) {
 }
 
 TEST(Population, HostIndicesWithinPool) {
-    Population pop{small_config()};
-    for (const auto& d : pop.domains()) {
+    const PopulationModel pop{small_config()};
+    const DomainBlock universe = all_domains(pop);
+    for (const auto& d : universe.domains) {
         if (!d.resolves) continue;
         ASSERT_LT(d.ipv4_host, pop.ipv4_pool(d.org));
         ASSERT_LT(d.ipv6_host, pop.ipv6_pool(d.org));
@@ -104,11 +113,12 @@ TEST(Population, HostIndicesWithinPool) {
 }
 
 TEST(Population, SharedHostingDensity) {
-    Population pop{{2000.0, 11}};
+    const PopulationModel pop{{2000.0, 11}};
+    const DomainBlock universe = all_domains(pop);
     // Cloudflare serves many domains per IP, small hosters far fewer.
     std::map<std::uint64_t, std::size_t> per_host;
     std::size_t cloudflare_domains = 0;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (!d.quic) continue;
         if (pop.org_of(d).name != "Cloudflare") continue;
         ++per_host[pop.host_key(d, false)];
@@ -121,9 +131,10 @@ TEST(Population, SharedHostingDensity) {
 }
 
 TEST(Population, HostKeyDistinguishesFamiliesAndOrgs) {
-    Population pop{small_config()};
+    const PopulationModel pop{small_config()};
+    const DomainBlock universe = all_domains(pop);
     const Domain* a = nullptr;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.resolves) {
             a = &d;
             break;
@@ -134,8 +145,9 @@ TEST(Population, HostKeyDistinguishesFamiliesAndOrgs) {
 }
 
 TEST(Population, RttsAreSane) {
-    Population pop{small_config()};
-    for (const auto& d : pop.domains()) {
+    const PopulationModel pop{small_config()};
+    const DomainBlock universe = all_domains(pop);
+    for (const auto& d : universe.domains) {
         if (!d.resolves) continue;
         ASSERT_GE(d.rtt_ms(), 0.8F);
         ASSERT_LE(d.rtt_ms(), 400.0F);
@@ -143,8 +155,9 @@ TEST(Population, RttsAreSane) {
 }
 
 TEST(Population, HyperscalersNeverSpin) {
-    Population pop{{2000.0, 13}};
-    for (const auto& d : pop.domains()) {
+    const PopulationModel pop{{2000.0, 13}};
+    const DomainBlock universe = all_domains(pop);
+    for (const auto& d : universe.domains) {
         if (!d.quic) continue;
         const auto& org = pop.org_of(d);
         if (org.name == "Cloudflare" || org.name == "Fastly") {
@@ -157,10 +170,11 @@ TEST(Population, HyperscalersNeverSpin) {
 }
 
 TEST(Population, SpinEnableRateTracksProfile) {
-    Population pop{{1000.0, 20230520}};
+    const PopulationModel pop{{1000.0, 20230520}};
+    const DomainBlock universe = all_domains(pop);
     std::size_t hostinger = 0;
     std::size_t enabled = 0;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (!d.quic || pop.org_of(d).name != "Hostinger") continue;
         ++hostinger;
         if (pop.host_spins(d, 57, false)) ++enabled;
@@ -172,11 +186,12 @@ TEST(Population, SpinEnableRateTracksProfile) {
 }
 
 TEST(Population, StableHostsKeepStateAcrossWeeks) {
-    Population pop{{4000.0, 3}};
+    const PopulationModel pop{{4000.0, 3}};
+    const DomainBlock universe = all_domains(pop);
     // With churn, week-to-week flips happen but most states persist.
     std::size_t transitions = 0;
     std::size_t observations = 0;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (!d.quic || pop.org_of(d).spin_host_rate <= 0.0) continue;
         bool last = pop.host_spins(d, 0, false);
         for (int week = 1; week < 10; ++week) {
@@ -192,8 +207,9 @@ TEST(Population, StableHostsKeepStateAcrossWeeks) {
 }
 
 TEST(Population, HostSpinsDeterministicPerWeek) {
-    Population pop{{4000.0, 5}};
-    for (const auto& d : pop.domains()) {
+    const PopulationModel pop{{4000.0, 5}};
+    const DomainBlock universe = all_domains(pop);
+    for (const auto& d : universe.domains) {
         if (!d.quic) continue;
         for (int week : {0, 3, 57}) {
             ASSERT_EQ(pop.host_spins(d, week, false), pop.host_spins(d, week, false));
@@ -202,10 +218,11 @@ TEST(Population, HostSpinsDeterministicPerWeek) {
 }
 
 TEST(Population, DisabledPolicyMostlyZero) {
-    Population pop{{2000.0, 17}};
+    const PopulationModel pop{{2000.0, 17}};
+    const DomainBlock universe = all_domains(pop);
     std::map<quic::SpinPolicy, std::size_t> counts;
     std::size_t total = 0;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (!d.quic) continue;
         ++counts[pop.host_disabled_policy(d, false)];
         ++total;
@@ -217,8 +234,8 @@ TEST(Population, DisabledPolicyMostlyZero) {
 }
 
 TEST(Population, NamesAndAddressesWellFormed) {
-    Population pop{small_config()};
-    const auto& d = pop.domains().front();
+    const PopulationModel pop{small_config()};
+    const Domain d = pop.domain(0);
     const auto name = pop.domain_name(d);
     EXPECT_EQ(name.find("d0"), 0u);
     EXPECT_NE(name.find('.'), std::string::npos);
@@ -229,7 +246,7 @@ TEST(Population, NamesAndAddressesWellFormed) {
 }
 
 TEST(Population, StacksCoverProfiles) {
-    Population pop{small_config()};
+    const PopulationModel pop{small_config()};
     ASSERT_EQ(pop.stacks().size(), kStackCount);
     for (const auto& org : pop.orgs()) {
         ASSERT_LT(org.stack, pop.stacks().size());
@@ -241,10 +258,11 @@ TEST(Population, StacksCoverProfiles) {
 }
 
 TEST(Population, ToplistFlagPlacement) {
-    Population pop{{2000.0, 19}};
+    const PopulationModel pop{{2000.0, 19}};
+    const DomainBlock universe = all_domains(pop);
     std::size_t toplist = 0;
     std::size_t extra = 0;
-    for (const auto& d : pop.domains()) {
+    for (const auto& d : universe.domains) {
         if (d.on_toplist) ++toplist;
         if (d.segment() == Segment::toplist_extra) {
             ++extra;
@@ -298,13 +316,13 @@ TEST(DomainPacking, FieldsRoundTripAtTheirExtremes) {
 }
 
 TEST(PopulationModel, EagerAndStreamingAreByteIdentical) {
-    // The §15 golden sweep: the eager wrapper and chunked streaming must
-    // produce the same bytes at every test scale, for awkward chunk sizes.
+    // The §15 golden sweep: one materialize(0, n) block and chunked
+    // streaming must produce the same bytes at every test scale, for awkward
+    // chunk sizes.
     for (const double scale : {20000.0, 6000.0, 2000.0}) {
-        const PopulationConfig config{scale, 20230520};
-        const Population eager{config};
-        const PopulationModel model{config};
-        ASSERT_EQ(eager.domains().size(), model.domain_count());
+        const PopulationModel model{{scale, 20230520}};
+        const DomainBlock eager = all_domains(model);
+        ASSERT_EQ(eager.size(), model.domain_count());
         for (const std::size_t chunk_domains :
              {std::size_t{1}, std::size_t{97}, std::size_t{1024}}) {
             std::size_t checked = 0;
@@ -313,8 +331,7 @@ TEST(PopulationModel, EagerAndStreamingAreByteIdentical) {
                 if (block.size() == 0) break;
                 ASSERT_EQ(block.begin, chunk * chunk_domains);
                 for (std::size_t i = 0; i < block.size(); ++i) {
-                    ASSERT_TRUE(same_bytes(block.domains[i],
-                                           eager.domains()[block.begin + i]))
+                    ASSERT_TRUE(same_bytes(block.domains[i], eager.domains[block.begin + i]))
                         << "scale " << scale << " chunk_domains " << chunk_domains
                         << " id " << block.begin + i;
                 }
