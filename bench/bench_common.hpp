@@ -6,12 +6,16 @@
 
 #pragma once
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -81,67 +85,86 @@ struct Options {
     std::string trajectory_path;
 };
 
+/// Reads all of `text` as a T; false on an empty, partial or out-of-range
+/// number.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+    return ec == std::errc{} && end == text.data() + text.size();
+}
+
+/// A downscale factor: a whole finite number above zero.
+inline bool parse_scale(std::string_view text, double& out) {
+    return parse_whole(text, out) && std::isfinite(out) && out > 0.0;
+}
+
 inline Options parse_options(int argc, char** argv, std::uint64_t default_count = 0) {
     Options options;
     options.count = default_count;
+    // --help prints the usage and exits 0; an unknown flag (a typo like
+    // --scal=5000) or a value that does not parse exits 2 with it.
+    const auto usage = [&](const char* bad) {
+        if (bad != nullptr) std::fprintf(stderr, "bad argument '%s'\n", bad);
+        std::fprintf(
+            bad == nullptr ? stdout : stderr,
+            "usage: %s [--scale=N] [--scales=A,B,C] [--seed=N] [--count=N] [--csv=prefix] "
+            "[--telemetry=path|off] [--threads=N] [--journal=dir] [--procs=N] "
+            "[--resume] [--scrub] [--trace=file] [--progress[=N]] "
+            "[--trajectory=file]\n",
+            argv[0]);
+        std::exit(bad == nullptr ? 0 : 2);
+    };
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
-        if (std::strncmp(arg, "--scale=", 8) == 0) {
-            options.scale = std::atof(arg + 8);
-        } else if (std::strncmp(arg, "--scales=", 9) == 0) {
+        const std::string_view a{arg};
+        // The value of `--name=`, or nullopt when `arg` is another flag.
+        const auto value = [&a](std::string_view flag) -> std::optional<std::string_view> {
+            if (!a.starts_with(flag)) return std::nullopt;
+            return a.substr(flag.size());
+        };
+        bool ok = true;
+        if (const auto v = value("--scale=")) {
+            ok = parse_scale(*v, options.scale);
+        } else if (const auto list = value("--scales=")) {
             options.scales.clear();
-            for (const char* p = arg + 9; *p != '\0';) {
-                char* end = nullptr;
-                const double value = std::strtod(p, &end);
-                if (end == p) break;  // trailing garbage: stop parsing
-                if (value > 0.0) options.scales.push_back(value);
-                p = (*end == ',') ? end + 1 : end;
+            for (std::string_view rest = *list; ok;) {
+                const auto comma = rest.find(',');
+                double scale = 0.0;
+                ok = parse_scale(rest.substr(0, comma), scale);
+                options.scales.push_back(scale);
+                if (comma == std::string_view::npos) break;
+                rest.remove_prefix(comma + 1);
             }
-            if (options.scales.empty()) {
-                std::fprintf(stderr, "--scales needs a comma-separated list of "
-                                     "positive downscale factors\n");
-                std::exit(2);
-            }
-        } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            options.seed = std::strtoull(arg + 7, nullptr, 10);
-        } else if (std::strncmp(arg, "--count=", 8) == 0) {
-            options.count = std::strtoull(arg + 8, nullptr, 10);
-        } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-            options.csv_prefix = arg + 6;
-        } else if (std::strncmp(arg, "--telemetry=", 12) == 0) {
-            options.telemetry_path = arg + 12;
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = static_cast<unsigned>(std::strtoul(arg + 10, nullptr, 10));
-        } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-            options.journal_dir = arg + 10;
-        } else if (std::strncmp(arg, "--procs=", 8) == 0) {
-            options.procs = static_cast<unsigned>(std::strtoul(arg + 8, nullptr, 10));
-        } else if (std::strcmp(arg, "--resume") == 0) {
+        } else if (const auto v = value("--seed=")) {
+            ok = parse_whole(*v, options.seed);
+        } else if (const auto v = value("--count=")) {
+            ok = parse_whole(*v, options.count);
+        } else if (const auto v = value("--csv=")) {
+            options.csv_prefix = *v;
+        } else if (const auto v = value("--telemetry=")) {
+            options.telemetry_path = *v;
+        } else if (const auto v = value("--threads=")) {
+            ok = parse_whole(*v, options.threads);
+        } else if (const auto v = value("--journal=")) {
+            options.journal_dir = *v;
+        } else if (const auto v = value("--procs=")) {
+            ok = parse_whole(*v, options.procs);
+        } else if (a == "--resume") {
             options.resume = true;
-        } else if (std::strcmp(arg, "--scrub") == 0) {
+        } else if (a == "--scrub") {
             options.scrub = true;
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            options.trace_path = arg + 8;
-        } else if (std::strcmp(arg, "--progress") == 0) {
+        } else if (const auto v = value("--trace=")) {
+            options.trace_path = *v;
+        } else if (a == "--progress") {
             options.progress_every = 500;
-        } else if (std::strncmp(arg, "--progress=", 11) == 0) {
-            options.progress_every = std::strtoull(arg + 11, nullptr, 10);
-        } else if (std::strncmp(arg, "--trajectory=", 13) == 0) {
-            options.trajectory_path = arg + 13;
+        } else if (const auto v = value("--progress=")) {
+            ok = parse_whole(*v, options.progress_every);
+        } else if (const auto v = value("--trajectory=")) {
+            options.trajectory_path = *v;
         } else {
-            // --help prints the usage; anything else unrecognised (a typo
-            // like --scal=5000) is refused rather than silently ignored.
-            const bool help = std::strcmp(arg, "--help") == 0;
-            if (!help) std::fprintf(stderr, "unknown argument '%s'\n", arg);
-            std::fprintf(
-                help ? stdout : stderr,
-                "usage: %s [--scale=N] [--scales=A,B,C] [--seed=N] [--count=N] [--csv=prefix] "
-                "[--telemetry=path|off] [--threads=N] [--journal=dir] [--procs=N] "
-                "[--resume] [--scrub] [--trace=file] [--progress[=N]] "
-                "[--trajectory=file]\n",
-                argv[0]);
-            std::exit(help ? 0 : 2);
+            usage(a == "--help" ? nullptr : arg);
         }
+        if (!ok) usage(arg);
     }
     if (options.resume && options.journal_dir.empty()) {
         std::fprintf(stderr, "--resume requires --journal=dir\n");

@@ -180,9 +180,11 @@ void BM_QlogParse(benchmark::State& state) {
 BENCHMARK(BM_QlogParse)->Arg(50)->Arg(500);
 
 /// Journal payloads of a real ~1k-domain campaign (1:200000 of the Table 1
-/// universe, seed 1, metrics registry attached): every chunk's serialized
-/// record and its telemetry snapshot, as Campaign::reduce reads them back.
+/// universe, seed 1, metrics registry attached): every chunk's record, its
+/// serialized payload and its telemetry snapshot, as a campaign writes them
+/// and Campaign::reduce reads them back.
 struct JournalCorpus {
+    std::vector<scanner::ChunkRecord> chunks;
     std::vector<std::string> records;
     std::vector<std::string> snapshots;
     std::int64_t record_bytes = 0;
@@ -200,15 +202,28 @@ const JournalCorpus& journal_corpus() {
             scanner::ScannedChunk chunk = campaign.scan_chunk(c);
             out.snapshots.push_back(chunk.telemetry_snapshot);
             out.snapshot_bytes += static_cast<std::int64_t>(chunk.telemetry_snapshot.size());
-            const scanner::ChunkRecord record{c, false, "", std::move(chunk.scans),
-                                              std::move(chunk.telemetry_snapshot)};
-            out.records.push_back(scanner::serialize_chunk_record(record));
+            out.chunks.push_back({c, false, "", std::move(chunk.scans),
+                                  std::move(chunk.telemetry_snapshot)});
+            out.records.push_back(scanner::serialize_chunk_record(out.chunks.back()));
             out.record_bytes += static_cast<std::int64_t>(out.records.back().size());
         }
         return out;
     }();
     return corpus;
 }
+
+void BM_ChunkRecordSerialize(benchmark::State& state) {
+    const JournalCorpus& corpus = journal_corpus();
+    for (auto _ : state) {
+        for (const scanner::ChunkRecord& chunk : corpus.chunks) {
+            auto payload = scanner::serialize_chunk_record(chunk);
+            benchmark::DoNotOptimize(payload.data());
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * corpus.record_bytes);
+}
+BENCHMARK(BM_ChunkRecordSerialize);
 
 void BM_ChunkRecordParse(benchmark::State& state) {
     const JournalCorpus& corpus = journal_corpus();

@@ -2,8 +2,9 @@
 //
 // The "measurement machine" half of the paper's workflow: run a campaign
 // sweep with its journal in <dir>. The journal is the dataset (the Appendix B
-// artifact): every chunk record holds each connection trace as its exact
-// qlog JSON-lines bytes, framed and checksummed. Analysis happens later and
+// artifact): every chunk record holds each connection trace in the journal's
+// compact binary form, framed and checksummed, which decodes to exactly what
+// its qlog JSON lines print (qlog::to_jsonl). Analysis happens later and
 // elsewhere — see examples/analyze_qlog.cpp.
 //
 // usage: scan_to_qlog <dir> [scale] [week] [--ipv6]

@@ -77,11 +77,6 @@ void ByteWriter::fill(std::size_t n, std::uint8_t fill) {
     b.insert(b.end(), n, fill);
 }
 
-std::optional<std::uint8_t> ByteReader::u8() noexcept {
-    if (remaining() < 1) return std::nullopt;
-    return data_[pos_++];
-}
-
 std::optional<std::uint16_t> ByteReader::u16() noexcept {
     const auto v = be_truncated(2);
     if (!v) return std::nullopt;
@@ -123,6 +118,26 @@ std::optional<ConstByteSpan> ByteReader::bytes(std::size_t n) noexcept {
     auto view = data_.subspan(pos_, n);
     pos_ += n;
     return view;
+}
+
+std::optional<std::uint64_t> ByteReader::wide_uvarint() noexcept {
+    if (remaining() < 16) return std::nullopt;
+    std::uint64_t wide = 0;
+    for (std::size_t i = 8; i < 16; ++i) wide = (wide << 8) | data_[pos_ + i];
+    if (wide < kVarintMax) return std::nullopt;
+    pos_ += 16;
+    return wide;
+}
+
+std::optional<std::string_view> ByteReader::text() noexcept {
+    const std::size_t start = pos_;
+    const auto n = uvarint();
+    const auto data = n && *n <= remaining() ? bytes(static_cast<std::size_t>(*n)) : std::nullopt;
+    if (!data) {
+        pos_ = start;
+        return std::nullopt;
+    }
+    return std::string_view{reinterpret_cast<const char*>(data->data()), data->size()};
 }
 
 }  // namespace spinscope::bytes

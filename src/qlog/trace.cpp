@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 
+#include "bytes/cursor.hpp"
 #include "util/text_cursor.hpp"
 
 namespace spinscope::qlog {
@@ -128,13 +131,6 @@ bool read_events(util::TextCursor& in, std::string_view prefix,
 
 }  // namespace
 
-std::vector<PacketEvent> Trace::received_one_rtt() const {
-    std::vector<PacketEvent> out;
-    std::copy_if(received.begin(), received.end(), std::back_inserter(out),
-                 [](const PacketEvent& ev) { return ev.type == quic::PacketType::one_rtt; });
-    return out;
-}
-
 std::string to_jsonl(const Trace& trace) {
     std::string out;
     out += "{\"qlog\":\"spinscope\",\"host\":";
@@ -205,6 +201,192 @@ std::optional<Trace> parse_jsonl(std::string_view text) {
     }
     if (!in.literal("}\n") || !in.done()) return std::nullopt;
     return trace;
+}
+
+// ---------------------------------------------------------------------------
+// Binary form
+
+namespace {
+
+using bytes::ByteReader;
+using bytes::ByteWriter;
+
+[[nodiscard]] bool is_control(char c) { return static_cast<unsigned char>(c) < 0x20; }
+
+/// Host and ip as to_jsonl keeps them: without control bytes.
+void write_name(ByteWriter& out, const std::string& name) {
+    if (std::none_of(name.begin(), name.end(), is_control)) return out.text(name);
+    std::string kept;
+    std::remove_copy_if(name.begin(), name.end(), std::back_inserter(kept), is_control);
+    out.text(kept);
+}
+
+[[nodiscard]] bool read_name(ByteReader& in, std::string& out) {
+    const auto name = in.text();
+    if (!name || std::any_of(name->begin(), name->end(), is_control)) return false;
+    out.assign(*name);
+    return true;
+}
+
+/// From 2^33 ms on, a double is coarser than a nanosecond, so six decimals
+/// give it back unchanged; below, n nanoseconds stay under 2^53 and n / 1e6
+/// is exactly the double parse_jsonl reads from the printed decimals.
+constexpr double kRawRttFrom = 8589934592.0;
+
+/// `ms` (finite, 0 <= ms < kRawRttFrom) to six decimals, as std::to_string
+/// prints it, in nanoseconds.
+[[nodiscard]] std::uint64_t six_decimal_nanos(double ms) {
+    const double nanos = std::nearbyint(ms * 1e6);
+    // The exact residual, rounded once: when it is below half a nanosecond,
+    // `nanos` is the nearest integer and so what printf's %.6f shows. Ties
+    // and near-ties ask printf itself.
+    if (std::fabs(std::fma(ms, 1e6, -nanos)) < 0.5) return static_cast<std::uint64_t>(nanos);
+    char digits[32];
+    std::snprintf(digits, sizeof digits, "%.6f", ms);
+    std::uint64_t n = 0;
+    for (const char* p = digits; *p != '\0'; ++p) {
+        if (*p != '.') n = n * 10 + static_cast<std::uint64_t>(*p - '0');
+    }
+    return n;
+}
+
+/// An RTT value as one uvarint: bit 0 is the sign, the rest a kind —
+/// 0 infinity, 1 NaN, 2 the IEEE bits follow (|ms| >= kRawRttFrom), 3 + n
+/// for n nanoseconds, the six decimals std::to_string prints.
+void write_rtt(ByteWriter& out, double ms) {
+    const std::uint64_t negative = std::signbit(ms) ? 1 : 0;
+    if (std::isinf(ms)) return out.uvarint(negative);
+    if (std::isnan(ms)) return out.uvarint(2 | negative);
+    if (std::fabs(ms) >= kRawRttFrom) {
+        out.uvarint(4 | negative);
+        return out.f64(ms);
+    }
+    out.uvarint(((six_decimal_nanos(std::fabs(ms)) + 3) << 1) | negative);
+}
+
+[[nodiscard]] bool read_rtt(ByteReader& in, double& ms) {
+    const auto code = in.uvarint();
+    if (!code) return false;
+    const bool negative = (*code & 1) != 0;
+    const std::uint64_t kind = *code >> 1;
+    double magnitude = 0.0;
+    if (kind == 0) {
+        magnitude = std::numeric_limits<double>::infinity();
+    } else if (kind == 1) {
+        magnitude = std::numeric_limits<double>::quiet_NaN();
+    } else if (kind == 2) {
+        const auto raw = in.f64();
+        if (!raw || std::signbit(*raw) != negative || !std::isfinite(*raw) ||
+            std::fabs(*raw) < kRawRttFrom) {
+            return false;
+        }
+        magnitude = std::fabs(*raw);
+    } else {
+        magnitude = static_cast<double>(kind - 3) / 1e6;
+        if (magnitude >= kRawRttFrom) return false;
+    }
+    ms = negative ? -magnitude : magnitude;
+    return true;
+}
+
+/// vec values from here on follow the flags byte in a byte of their own.
+constexpr unsigned kVecEscape = 63;
+
+void write_events(ByteWriter& out, const std::vector<PacketEvent>& events) {
+    out.uvarint(events.size());
+    std::uint64_t time = 0;
+    std::uint64_t pn = 0;
+    for (const PacketEvent& ev : events) {
+        const unsigned vec = std::min<unsigned>(ev.vec, kVecEscape);
+        out.u8(static_cast<std::uint8_t>(ev.type));
+        out.u8(static_cast<std::uint8_t>((ev.spin ? 1U : 0U) | (ev.ack_eliciting ? 2U : 0U) |
+                                         vec << 2));
+        if (vec == kVecEscape) out.u8(ev.vec);
+        const auto t = static_cast<std::uint64_t>(ev.time.count_nanos());
+        out.svarint(static_cast<std::int64_t>(t - time));
+        out.svarint(static_cast<std::int64_t>(ev.packet_number - pn));
+        out.integer(ev.size);
+        time = t;
+        pn = ev.packet_number;
+    }
+}
+
+[[nodiscard]] bool read_events(ByteReader& in, std::vector<PacketEvent>& out) {
+    const auto count = in.count();
+    if (!count) return false;
+    out.resize(*count);
+    std::uint64_t time = 0;
+    std::uint64_t pn = 0;
+    for (PacketEvent& ev : out) {
+        const auto type = in.u8();
+        const auto flags = in.u8();
+        if (!type || *type > static_cast<std::uint8_t>(quic::PacketType::version_negotiation) ||
+            !flags) {
+            return false;
+        }
+        ev.type = static_cast<quic::PacketType>(*type);
+        ev.spin = (*flags & 1) != 0;
+        ev.ack_eliciting = (*flags & 2) != 0;
+        ev.vec = static_cast<std::uint8_t>(*flags >> 2);
+        if (ev.vec == kVecEscape) {
+            const auto vec = in.u8();
+            if (!vec || *vec < kVecEscape) return false;
+            ev.vec = *vec;
+        }
+        const auto dt = in.svarint();
+        const auto dpn = in.svarint();
+        if (!dt || !dpn || !in.integer(ev.size)) return false;
+        time += static_cast<std::uint64_t>(*dt);
+        pn += static_cast<std::uint64_t>(*dpn);
+        ev.time = TimePoint::from_nanos(static_cast<std::int64_t>(time));
+        ev.packet_number = pn;
+    }
+    return true;
+}
+
+}  // namespace
+
+void write_binary(ByteWriter& out, const Trace& trace) {
+    write_name(out, trace.host);
+    write_name(out, trace.ip);
+    out.integer(static_cast<std::uint32_t>(trace.version));
+    out.u8(static_cast<std::uint8_t>(trace.outcome));
+    out.integer(trace.events_truncated);
+    write_events(out, trace.sent);
+    write_events(out, trace.received);
+    const RecoveryMetrics& m = trace.metrics;
+    write_rtt(out, m.min_rtt_ms);
+    write_rtt(out, m.smoothed_rtt_ms);
+    out.integer(m.packets_lost);
+    out.integer(m.packets_sent);
+    out.integer(m.packets_received);
+    out.uvarint(m.rtt_samples_ms.size());
+    for (const double sample : m.rtt_samples_ms) write_rtt(out, sample);
+}
+
+bool read_binary(ByteReader& in, Trace& out) {
+    std::uint32_t version = 0;
+    if (!read_name(in, out.host) || !read_name(in, out.ip) || !in.integer(version)) return false;
+    const auto outcome = in.u8();
+    if (!outcome || *outcome >= kConnectionOutcomeCount || !in.integer(out.events_truncated) ||
+        !read_events(in, out.sent) || !read_events(in, out.received)) {
+        return false;
+    }
+    out.version = static_cast<quic::Version>(version);
+    out.outcome = static_cast<ConnectionOutcome>(*outcome);
+    RecoveryMetrics& m = out.metrics;
+    if (!read_rtt(in, m.min_rtt_ms) || !read_rtt(in, m.smoothed_rtt_ms) ||
+        !in.integer(m.packets_lost) || !in.integer(m.packets_sent) ||
+        !in.integer(m.packets_received)) {
+        return false;
+    }
+    const auto samples = in.count();
+    if (!samples) return false;
+    m.rtt_samples_ms.resize(*samples);
+    for (double& sample : m.rtt_samples_ms) {
+        if (!read_rtt(in, sample)) return false;
+    }
+    return true;
 }
 
 }  // namespace spinscope::qlog

@@ -5,10 +5,12 @@
 // The paper's scanner extends quic-go's qlog output with the spin-bit state
 // of every received packet and analyzes those logs offline (§3.2-3.3). This
 // module is the equivalent: endpoints record per-packet events and final
-// recovery metrics into a Trace; the analysis pipeline consumes Traces (or
-// their JSON-lines serialization, for the on-disk path). The JSON-lines
-// reader is strict: it reads to_jsonl()'s exact field order in one forward
-// pass and rejects anything else.
+// recovery metrics into a Trace; the analysis pipeline consumes Traces.
+// Two serializations: JSON lines (to_jsonl, the human-readable export, with
+// a strict reader of its exact field order) and the compact binary form the
+// campaign journal stores (write_binary / read_binary). The binary form keeps
+// exactly what to_jsonl prints, so a decoded trace equals
+// parse_jsonl(to_jsonl(trace)).
 
 #pragma once
 
@@ -22,6 +24,11 @@
 #include "quic/packet.hpp"
 #include "quic/types.hpp"
 #include "util/time.hpp"
+
+namespace spinscope::bytes {
+class ByteReader;
+class ByteWriter;
+}  // namespace spinscope::bytes
 
 namespace spinscope::qlog {
 
@@ -120,10 +127,6 @@ struct Trace {
             ++events_truncated;
         }
     }
-
-    /// Received 1-RTT events only — the packet set the paper's spin analysis
-    /// keys on (§3.3: spin state, packet number, timestamp).
-    [[nodiscard]] std::vector<PacketEvent> received_one_rtt() const;
 };
 
 /// Serializes a trace to JSON-lines (one event object per line, preceded by
@@ -134,5 +137,19 @@ struct Trace {
 /// writer's order, integers as exact integers, the rtt fields as doubles.
 /// Returns nullopt on anything to_jsonl() would not emit.
 [[nodiscard]] std::optional<Trace> parse_jsonl(std::string_view text);
+
+/// Appends the journal's binary form of `trace` (DESIGN.md §11.1): host and
+/// ip, version, outcome and truncation count, then the sent and received
+/// events, each delta-coded against the one before it (time and packet
+/// number), then the recovery metrics. Like to_jsonl it drops control bytes
+/// from host and ip and keeps each RTT value to six decimals of a
+/// millisecond (integer nanoseconds; non-finite values are escaped).
+void write_binary(bytes::ByteWriter& out, const Trace& trace);
+
+/// Reads one write_binary() trace into `out` (a default Trace). False, with
+/// `out` in an unspecified state, on anything write_binary would not emit:
+/// overlong varints, out-of-range enums or integers, counts past the bytes
+/// left, control bytes in a name, a non-canonical RTT value. Never throws.
+[[nodiscard]] bool read_binary(bytes::ByteReader& in, Trace& out);
 
 }  // namespace spinscope::qlog

@@ -1,14 +1,19 @@
 #include "scanner/journal.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "bytes/cursor.hpp"
 #include "util/atomic_file.hpp"
 #include "util/checksum.hpp"
 #include "util/text_cursor.hpp"
@@ -19,76 +24,6 @@ namespace {
 
 constexpr std::string_view kFrameMarker = "#rec ";
 
-// ---------------------------------------------------------------------------
-// Token encoding: journal scalar strings (error messages, response headers)
-// are percent-encoded into single whitespace-free tokens so that every
-// payload line splits unambiguously on spaces. The empty string encodes to
-// the empty token.
-
-[[nodiscard]] std::string encode_token(std::string_view s) {
-    static constexpr char kHex[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        const auto b = static_cast<unsigned char>(c);
-        if (b > 0x20 && b < 0x7f && b != '%') {
-            out.push_back(c);
-        } else {
-            out.push_back('%');
-            out.push_back(kHex[b >> 4]);
-            out.push_back(kHex[b & 0xf]);
-        }
-    }
-    return out;
-}
-
-[[nodiscard]] int lower_hex_digit(char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-}
-
-/// Reads one encode_token() token: the run of bytes up to the next space,
-/// newline or other byte encode_token never writes plain, with %xx
-/// (lowercase) standing for exactly the bytes encode_token escapes.
-[[nodiscard]] bool read_token(util::TextCursor& in, std::string& out) {
-    const std::string_view rest = in.rest();
-    std::size_t i = 0;
-    while (i < rest.size()) {
-        const auto b = static_cast<unsigned char>(rest[i]);
-        if (b <= 0x20 || b >= 0x7f) break;
-        if (b != '%') {
-            out.push_back(rest[i++]);
-            continue;
-        }
-        if (rest.size() - i < 3) return false;
-        const int hi = lower_hex_digit(rest[i + 1]);
-        const int lo = lower_hex_digit(rest[i + 2]);
-        if (hi < 0 || lo < 0) return false;
-        const auto decoded = static_cast<unsigned char>((hi << 4) | lo);
-        if (decoded > 0x20 && decoded < 0x7f && decoded != '%') return false;
-        out.push_back(static_cast<char>(decoded));
-        i += 3;
-    }
-    in.skip(i);
-    return true;
-}
-
-/// `key=<integer>` (see util::TextCursor::integer).
-template <typename T>
-[[nodiscard]] bool read_kv(util::TextCursor& in, std::string_view key, T& out) {
-    return in.literal(key) && in.literal('=') && in.integer(out);
-}
-
-[[nodiscard]] bool read_kv_flag(util::TextCursor& in, std::string_view key, bool& out) {
-    return in.literal(key) && in.literal('=') && in.flag(out);
-}
-
-[[nodiscard]] bool read_kv_token(util::TextCursor& in, std::string_view key,
-                                 std::string& out) {
-    return in.literal(key) && in.literal('=') && read_token(in, out);
-}
-
 /// Chunk-file names zero-pad their indices, so they parse with from_chars
 /// rather than the canonical-integer reader.
 template <typename T>
@@ -97,32 +32,127 @@ template <typename T>
     return ec == std::errc{} && ptr == token.data() + token.size();
 }
 
-void append_kv(std::string& out, std::string_view key, std::uint64_t v) {
-    out += ' ';
-    out += key;
-    out += '=';
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-    out += buf;
+using bytes::ByteReader;
+using bytes::ByteWriter;
+
+/// First byte of a header and of a chunk-record payload. Neither is
+/// printable, so a journal written in the old text form (`campaign ...`,
+/// `chunk ...`) fails to parse and is rescanned like any damaged record.
+constexpr std::uint8_t kHeaderTag = 0xc1;
+constexpr std::uint8_t kChunkTag = 0xc2;
+
+/// Flag bits of a header's and of a domain scan's flags byte.
+constexpr std::uint8_t kHeaderIpv6 = 1;
+constexpr std::uint8_t kHeaderTelemetry = 2;
+constexpr std::uint8_t kScanResolved = 1;
+constexpr std::uint8_t kScanRecovered = 2;
+constexpr std::uint8_t kScanResponse = 4;
+
+[[nodiscard]] std::string to_payload(const std::vector<std::uint8_t>& bytes) {
+    return {bytes.begin(), bytes.end()};
 }
 
-void append_kv_signed(std::string& out, std::string_view key, long long v) {
-    out += ' ';
-    out += key;
-    out += '=';
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%lld", v);
-    out += buf;
+/// A flags byte with no bit outside `allowed`.
+[[nodiscard]] std::optional<std::uint8_t> read_flags(ByteReader& in, std::uint8_t allowed) {
+    const auto flags = in.u8();
+    if (!flags || (*flags & ~allowed) != 0) return std::nullopt;
+    return flags;
 }
 
-void append_length_block(std::string& out, std::string_view keyword, std::string_view bytes) {
-    out += keyword;
-    out += ' ';
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%zu", bytes.size());
-    out += buf;
-    out += '\n';
-    out += bytes;
+[[nodiscard]] bool read_text(ByteReader& in, std::string& out) {
+    const auto text = in.text();
+    if (!text) return false;
+    out.assign(*text);
+    return true;
+}
+
+/// An enum byte below `count`.
+template <typename Enum>
+[[nodiscard]] bool read_enum(ByteReader& in, std::size_t count, Enum& out) {
+    const auto value = in.u8();
+    if (!value || *value >= count) return false;
+    out = static_cast<Enum>(*value);
+    return true;
+}
+
+/// Room to reserve for `count` parsed elements: a count read off the input
+/// is untrusted, and every element takes at least a few bytes of it.
+[[nodiscard]] std::size_t reserve_bound(std::size_t count, const ByteReader& in) {
+    return std::min(count, in.remaining() / 8);
+}
+
+void write_scan(ByteWriter& out, const DomainScan& scan) {
+    out.integer(scan.domain_id);
+    out.u8(static_cast<std::uint8_t>((scan.resolved ? kScanResolved : 0) |
+                                     (scan.recovered_by_retry ? kScanRecovered : 0) |
+                                     (scan.final_response ? kScanResponse : 0)));
+    out.integer(scan.redirects_followed);
+    out.integer(scan.retries);
+    out.integer(scan.attempts_truncated);
+    out.integer(scan.sim_time.count_nanos());
+    out.text(scan.error);
+    if (const auto& response = scan.final_response) {
+        out.integer(response->status);
+        out.integer(response->body_bytes);
+        out.text(response->location);
+        out.text(response->server_name);
+    }
+    out.uvarint(scan.attempts.size());
+    for (const auto& attempt : scan.attempts) {
+        out.integer(attempt.redirect_hop);
+        out.integer(attempt.retry);
+        out.u8(static_cast<std::uint8_t>(attempt.outcome));
+        out.integer(attempt.backoff.count_nanos());
+        out.u8(static_cast<std::uint8_t>(attempt.server_fault));
+    }
+    out.uvarint(scan.connections.size());
+    for (const auto& trace : scan.connections) qlog::write_binary(out, trace);
+}
+
+[[nodiscard]] bool read_attempt(ByteReader& in, DomainScan::AttemptRecord& attempt) {
+    std::int64_t backoff_ns = 0;
+    if (!in.integer(attempt.redirect_hop) || !in.integer(attempt.retry) ||
+        !read_enum(in, qlog::kConnectionOutcomeCount, attempt.outcome) ||
+        !in.integer(backoff_ns) ||
+        !read_enum(in, faults::kServerFaultModeCount, attempt.server_fault)) {
+        return false;
+    }
+    attempt.backoff = util::Duration::nanos(backoff_ns);
+    return true;
+}
+
+[[nodiscard]] bool read_scan(ByteReader& in, DomainScan& scan) {
+    std::int64_t sim_ns = 0;
+    if (!in.integer(scan.domain_id)) return false;
+    const auto flags = read_flags(in, kScanResolved | kScanRecovered | kScanResponse);
+    if (!flags || !in.integer(scan.redirects_followed) || !in.integer(scan.retries) ||
+        !in.integer(scan.attempts_truncated) || !in.integer(sim_ns) ||
+        !read_text(in, scan.error)) {
+        return false;
+    }
+    scan.resolved = (*flags & kScanResolved) != 0;
+    scan.recovered_by_retry = (*flags & kScanRecovered) != 0;
+    scan.sim_time = util::Duration::nanos(sim_ns);
+    if ((*flags & kScanResponse) != 0) {
+        ResponseInfo& response = scan.final_response.emplace();
+        if (!in.integer(response.status) || !in.integer(response.body_bytes) ||
+            !read_text(in, response.location) || !read_text(in, response.server_name)) {
+            return false;
+        }
+    }
+    const auto attempts = in.count();
+    if (!attempts) return false;
+    scan.attempts.reserve(reserve_bound(*attempts, in));
+    for (std::size_t a = 0; a < *attempts; ++a) {
+        if (!read_attempt(in, scan.attempts.emplace_back())) return false;
+    }
+    const auto connections = in.count();
+    if (!connections) return false;
+    scan.connections.reserve(reserve_bound(*connections, in));
+    for (std::size_t c = 0; c < *connections; ++c) {
+        if (!qlog::read_binary(in, scan.connections.emplace_back())) return false;
+    }
+    return true;
 }
 
 }  // namespace
@@ -131,180 +161,64 @@ void append_length_block(std::string& out, std::string_view keyword, std::string
 // Record payloads
 
 std::string serialize_header(const CampaignHeader& header) {
-    std::string out = "campaign";
-    append_kv(out, "seed", header.seed);
-    append_kv_signed(out, "week", header.week);
-    append_kv(out, "ipv6", header.ipv6 ? 1 : 0);
-    append_kv(out, "chunk_domains", header.chunk_domains);
-    append_kv(out, "domain_count", header.domain_count);
-    append_kv(out, "telemetry", header.has_telemetry ? 1 : 0);
-    out += '\n';
-    return out;
+    std::vector<std::uint8_t> bytes;
+    ByteWriter out{bytes};
+    out.u8(kHeaderTag);
+    out.integer(header.seed);
+    out.integer(header.week);
+    out.u8(static_cast<std::uint8_t>((header.ipv6 ? kHeaderIpv6 : 0) |
+                                     (header.has_telemetry ? kHeaderTelemetry : 0)));
+    out.integer(header.chunk_domains);
+    out.integer(header.domain_count);
+    return to_payload(bytes);
 }
 
 std::optional<CampaignHeader> parse_header(std::string_view payload) {
-    util::TextCursor in{payload};
+    ByteReader in{bytes::byte_view(payload)};
     CampaignHeader header;
-    if (!in.literal("campaign ") || !read_kv(in, "seed", header.seed) ||
-        !read_kv(in, " week", header.week) || !read_kv_flag(in, " ipv6", header.ipv6) ||
-        !read_kv(in, " chunk_domains", header.chunk_domains) ||
-        !read_kv(in, " domain_count", header.domain_count) ||
-        !read_kv_flag(in, " telemetry", header.has_telemetry) || !in.literal('\n') ||
+    const auto tag = in.u8();
+    if (!tag || *tag != kHeaderTag || !in.integer(header.seed) || !in.integer(header.week)) {
+        return std::nullopt;
+    }
+    const auto flags = read_flags(in, kHeaderIpv6 | kHeaderTelemetry);
+    if (!flags || !in.integer(header.chunk_domains) || !in.integer(header.domain_count) ||
         !in.done()) {
         return std::nullopt;
     }
+    header.ipv6 = (*flags & kHeaderIpv6) != 0;
+    header.has_telemetry = (*flags & kHeaderTelemetry) != 0;
     return header;
 }
 
 std::string serialize_chunk_record(const ChunkRecord& record) {
-    std::string out = "chunk";
-    append_kv(out, "index", record.chunk_index);
-    append_kv(out, "quarantined", record.quarantined ? 1 : 0);
-    out += " error=";
-    out += encode_token(record.quarantine_error);
-    append_kv(out, "domains", record.scans.size());
-    out += '\n';
-
-    for (const auto& scan : record.scans) {
-        out += "domain";
-        append_kv(out, "id", scan.domain_id);
-        append_kv(out, "resolved", scan.resolved ? 1 : 0);
-        append_kv(out, "redirects", scan.redirects_followed);
-        append_kv(out, "retries", scan.retries);
-        append_kv(out, "recovered", scan.recovered_by_retry ? 1 : 0);
-        append_kv(out, "attempts_truncated", scan.attempts_truncated);
-        append_kv_signed(out, "sim_ns", scan.sim_time.count_nanos());
-        out += " error=";
-        out += encode_token(scan.error);
-        append_kv(out, "response", scan.final_response ? 1 : 0);
-        const ResponseInfo response = scan.final_response.value_or(ResponseInfo{});
-        append_kv_signed(out, "status", response.status);
-        append_kv(out, "body", response.body_bytes);
-        out += " location=";
-        out += encode_token(response.location);
-        out += " server=";
-        out += encode_token(response.server_name);
-        append_kv(out, "attempts", scan.attempts.size());
-        append_kv(out, "connections", scan.connections.size());
-        out += '\n';
-
-        for (const auto& attempt : scan.attempts) {
-            out += "attempt";
-            append_kv_signed(out, "hop", attempt.redirect_hop);
-            append_kv_signed(out, "retry", attempt.retry);
-            append_kv(out, "outcome", static_cast<std::uint64_t>(attempt.outcome));
-            append_kv_signed(out, "backoff_ns", attempt.backoff.count_nanos());
-            append_kv(out, "fault", static_cast<std::uint64_t>(attempt.server_fault));
-            out += '\n';
-        }
-        for (const auto& trace : scan.connections) {
-            append_length_block(out, "trace", qlog::to_jsonl(trace));
-        }
-    }
-    append_length_block(out, "telemetry", record.telemetry_snapshot);
-    return out;
+    std::vector<std::uint8_t> bytes;
+    bytes.reserve(256 * record.scans.size() + record.telemetry_snapshot.size() + 64);
+    ByteWriter out{bytes};
+    out.u8(kChunkTag);
+    out.integer(record.chunk_index);
+    out.u8(record.quarantined ? 1 : 0);
+    out.text(record.quarantine_error);
+    out.uvarint(record.scans.size());
+    for (const auto& scan : record.scans) write_scan(out, scan);
+    out.text(record.telemetry_snapshot);
+    return to_payload(bytes);
 }
-
-namespace {
-
-/// Reads one append_length_block(): `<keyword> <nbytes>\n` and that many
-/// raw bytes.
-[[nodiscard]] std::optional<std::string_view> read_length_block(util::TextCursor& in,
-                                                                std::string_view keyword) {
-    std::size_t n = 0;
-    if (!in.literal(keyword) || !in.literal(' ') || !in.integer(n) || !in.literal('\n')) {
-        return std::nullopt;
-    }
-    return in.bytes(n);
-}
-
-/// Room to reserve for `count` parsed elements: a count read off the input
-/// is untrusted, and every element takes at least a few bytes of it.
-[[nodiscard]] std::size_t reserve_bound(std::size_t count, const util::TextCursor& in) {
-    return std::min(count, in.rest().size() / 16);
-}
-
-[[nodiscard]] bool read_attempt(util::TextCursor& in, DomainScan::AttemptRecord& attempt) {
-    std::size_t outcome = 0;
-    std::int64_t backoff_ns = 0;
-    std::size_t fault = 0;
-    if (!in.literal("attempt ") || !read_kv(in, "hop", attempt.redirect_hop) ||
-        !read_kv(in, " retry", attempt.retry) || !read_kv(in, " outcome", outcome) ||
-        !read_kv(in, " backoff_ns", backoff_ns) || !read_kv(in, " fault", fault) ||
-        !in.literal('\n') || outcome >= qlog::kConnectionOutcomeCount ||
-        fault >= faults::kServerFaultModeCount) {
-        return false;
-    }
-    attempt.outcome = static_cast<qlog::ConnectionOutcome>(outcome);
-    attempt.backoff = util::Duration::nanos(backoff_ns);
-    attempt.server_fault = static_cast<faults::ServerFaultMode>(fault);
-    return true;
-}
-
-[[nodiscard]] bool read_scan(util::TextCursor& in, DomainScan& scan) {
-    std::int64_t sim_ns = 0;
-    bool has_response = false;
-    ResponseInfo response;
-    std::size_t attempt_count = 0;
-    std::size_t connection_count = 0;
-    if (!in.literal("domain ") || !read_kv(in, "id", scan.domain_id) ||
-        !read_kv_flag(in, " resolved", scan.resolved) ||
-        !read_kv(in, " redirects", scan.redirects_followed) ||
-        !read_kv(in, " retries", scan.retries) ||
-        !read_kv_flag(in, " recovered", scan.recovered_by_retry) ||
-        !read_kv(in, " attempts_truncated", scan.attempts_truncated) ||
-        !read_kv(in, " sim_ns", sim_ns) || !read_kv_token(in, " error", scan.error) ||
-        !read_kv_flag(in, " response", has_response) ||
-        !read_kv(in, " status", response.status) ||
-        !read_kv(in, " body", response.body_bytes) ||
-        !read_kv_token(in, " location", response.location) ||
-        !read_kv_token(in, " server", response.server_name) ||
-        !read_kv(in, " attempts", attempt_count) ||
-        !read_kv(in, " connections", connection_count) || !in.literal('\n')) {
-        return false;
-    }
-    scan.sim_time = util::Duration::nanos(sim_ns);
-    if (has_response) {
-        scan.final_response = std::move(response);
-    } else if (response.status != 0 || response.body_bytes != 0 || !response.location.empty() ||
-               !response.server_name.empty()) {
-        return false;  // the writer prints a default ResponseInfo
-    }
-
-    scan.attempts.reserve(reserve_bound(attempt_count, in));
-    for (std::size_t a = 0; a < attempt_count; ++a) {
-        if (!read_attempt(in, scan.attempts.emplace_back())) return false;
-    }
-    scan.connections.reserve(reserve_bound(connection_count, in));
-    for (std::size_t c = 0; c < connection_count; ++c) {
-        const auto raw = read_length_block(in, "trace");
-        if (!raw) return false;
-        auto trace = qlog::parse_jsonl(*raw);
-        if (!trace) return false;
-        scan.connections.push_back(std::move(*trace));
-    }
-    return true;
-}
-
-}  // namespace
 
 std::optional<ChunkRecord> parse_chunk_record(std::string_view payload) {
-    util::TextCursor in{payload};
+    ByteReader in{bytes::byte_view(payload)};
     ChunkRecord record;
-    std::size_t domain_count = 0;
-    if (!in.literal("chunk ") || !read_kv(in, "index", record.chunk_index) ||
-        !read_kv_flag(in, " quarantined", record.quarantined) ||
-        !read_kv_token(in, " error", record.quarantine_error) ||
-        !read_kv(in, " domains", domain_count) || !in.literal('\n')) {
-        return std::nullopt;
-    }
-    record.scans.reserve(reserve_bound(domain_count, in));
-    for (std::size_t d = 0; d < domain_count; ++d) {
+    const auto tag = in.u8();
+    if (!tag || *tag != kChunkTag || !in.integer(record.chunk_index)) return std::nullopt;
+    const auto quarantined = read_flags(in, 1);
+    if (!quarantined || !read_text(in, record.quarantine_error)) return std::nullopt;
+    record.quarantined = *quarantined != 0;
+    const auto domains = in.count();
+    if (!domains) return std::nullopt;
+    record.scans.reserve(reserve_bound(*domains, in));
+    for (std::size_t d = 0; d < *domains; ++d) {
         if (!read_scan(in, record.scans.emplace_back())) return std::nullopt;
     }
-    const auto telemetry = read_length_block(in, "telemetry");
-    if (!telemetry || !in.done()) return std::nullopt;
-    record.telemetry_snapshot = std::string{*telemetry};
+    if (!read_text(in, record.telemetry_snapshot) || !in.done()) return std::nullopt;
     return record;
 }
 
@@ -340,16 +254,55 @@ struct FrameHead {
     return head;
 }
 
-/// Reads the next frame of `in` into `payload`; false at a garbled head, a
-/// short read or, with `check_crc`, a CRC mismatch.
-[[nodiscard]] bool read_frame(std::istream& in, std::string& payload, bool check_crc) {
-    char line[kMaxFrameHead + 2];
-    if (!in.getline(line, sizeof line)) return false;
-    const auto head = parse_frame_head(line);
-    if (!head) return false;
-    payload.resize(head->len);
-    if (!in.read(payload.data(), static_cast<std::streamsize>(head->len))) return false;
-    return !check_crc || util::crc32(payload) == head->crc;
+/// One frame at the front of a byte stream.
+struct Frame {
+    std::string_view payload;
+    std::size_t size = 0;  ///< head and payload
+};
+
+/// The frame at the front of `bytes`, its CRC checked. nullopt with
+/// `partial` set while they hold only part of one; nullopt without it for a
+/// garbled head or a CRC mismatch.
+[[nodiscard]] std::optional<Frame> front_frame(std::string_view bytes, bool& partial) {
+    partial = false;
+    const std::size_t head_end = bytes.find('\n');
+    if (head_end == std::string_view::npos) {
+        partial = bytes.size() <= kMaxFrameHead;
+        return std::nullopt;
+    }
+    const auto head = parse_frame_head(bytes.substr(0, head_end));
+    if (!head) return std::nullopt;
+    const std::string_view payload = bytes.substr(head_end + 1);
+    if (payload.size() < head->len) {
+        partial = true;
+        return std::nullopt;
+    }
+    if (util::crc32(payload.substr(0, head->len)) != head->crc) return std::nullopt;
+    return Frame{payload.substr(0, head->len), head_end + 1 + head->len};
+}
+
+/// The whole content of the regular file at `path`; nullopt when it is
+/// absent, not a regular file or unreadable.
+[[nodiscard]] std::optional<std::string> read_file(const std::filesystem::path& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return std::nullopt;
+    std::optional<std::string> out;
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+        std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+        std::size_t done = 0;
+        while (done < bytes.size()) {
+            const ::ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+            if (n < 0 && errno == EINTR) continue;
+            if (n <= 0) break;
+            done += static_cast<std::size_t>(n);
+        }
+        // A file that shrank under the read keeps only what was there.
+        bytes.resize(done);
+        out = std::move(bytes);
+    }
+    ::close(fd);
+    return out;
 }
 
 [[noreturn]] void throw_io(const std::string& what, util::IoResult result) {
@@ -359,17 +312,10 @@ struct FrameHead {
 }  // namespace
 
 std::optional<std::size_t> frame_size(std::string_view bytes) {
-    const std::size_t head_end = bytes.find('\n');
-    if (head_end == std::string_view::npos) {
-        if (bytes.size() > kMaxFrameHead) return std::nullopt;
-        return 0;  // the head is still arriving
-    }
-    const auto head = parse_frame_head(bytes.substr(0, head_end));
-    if (!head) return std::nullopt;
-    const std::string_view rest = bytes.substr(head_end + 1);
-    if (rest.size() < head->len) return 0;
-    if (util::crc32(rest.substr(0, head->len)) != head->crc) return std::nullopt;
-    return head_end + 1 + head->len;
+    bool partial = false;
+    const auto frame = front_frame(bytes, partial);
+    if (!frame) return partial ? std::optional<std::size_t>{0} : std::nullopt;
+    return frame->size;
 }
 
 // ---------------------------------------------------------------------------
@@ -436,11 +382,11 @@ constexpr std::string_view kMapChunkSuffix = ".rec";
 /// fails CRC, or has trailing bytes past the frame.
 [[nodiscard]] std::optional<std::string> read_framed_file(
     const std::filesystem::path& path) {
-    if (!std::filesystem::is_regular_file(path)) return std::nullopt;
-    std::ifstream in{path, std::ios::binary};
-    std::string payload;
-    if (!read_frame(in, payload, /*check_crc=*/true) || in.peek() != EOF) return std::nullopt;
-    return payload;
+    const auto bytes = read_file(path);
+    bool partial = false;
+    const auto frame = bytes ? front_frame(*bytes, partial) : std::nullopt;
+    if (!frame || frame->size != bytes->size()) return std::nullopt;
+    return std::string{frame->payload};
 }
 
 /// True for header.rec and chunk-record filenames.
@@ -587,32 +533,30 @@ util::IoResult MapBatchWriter::commit_below(std::size_t limit) {
 std::size_t replay_map_batch(const std::filesystem::path& dir, const MapBatch& batch,
                              const std::function<void(ChunkRecord&&)>& visit,
                              std::string* prefix) {
-    const auto path = map_batch_path(dir, batch);
-    if (!std::filesystem::is_regular_file(path)) return 0;
-    // Two passes over the file with one frame buffer: the first checks every
-    // frame, the second decodes them one at a time.
-    std::ifstream in{path, std::ios::binary};
-    std::string frame;
+    const auto bytes = read_file(map_batch_path(dir, batch));
+    if (!bytes) return 0;
+    // Two passes over the file's bytes: the first checks every frame, the
+    // second decodes them one at a time.
+    std::vector<Frame> frames;
+    frames.reserve(batch.size());
+    std::string_view rest = *bytes;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!read_frame(in, frame, /*check_crc=*/true)) return 0;
+        bool partial = false;
+        const auto frame = front_frame(rest, partial);
+        if (!frame) return 0;
+        frames.push_back(*frame);
+        rest.remove_prefix(frame->size);
     }
-    if (in.peek() != EOF) return 0;
-    in.seekg(0);
+    if (!rest.empty()) return 0;
+    std::size_t start = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::streamoff start = in.tellg();
-        auto record = read_frame(in, frame, /*check_crc=*/false)
-                          ? parse_chunk_record(frame)
-                          : std::nullopt;
+        auto record = parse_chunk_record(frames[i].payload);
         if (!record || record->chunk_index != batch.first + i) {
-            if (prefix != nullptr) {
-                prefix->resize(static_cast<std::size_t>(start));
-                in.clear();
-                in.seekg(0);
-                in.read(prefix->data(), start);
-            }
+            if (prefix != nullptr) prefix->assign(*bytes, 0, start);
             return i;
         }
         visit(std::move(*record));
+        start += frames[i].size;
     }
     return batch.size();
 }
@@ -704,33 +648,6 @@ std::string ScrubReport::render() const {
     return out;
 }
 
-std::string ScrubReport::machine_report() const {
-    std::string out = "scrub";
-    append_kv(out, "header", has_header ? 1 : 0);
-    append_kv(out, "files", files_checked);
-    append_kv(out, "records_intact", records_intact);
-    append_kv(out, "chunks_intact", chunks_intact);
-    append_kv(out, "bytes_discarded", bytes_discarded);
-    append_kv(out, "findings", findings.size());
-    out += '\n';
-    for (const auto& finding : findings) {
-        out += "finding damage=";
-        out += to_cstring(finding.damage);
-        out += " file=";
-        out += encode_token(finding.file);
-        append_kv(out, "quarantined", finding.quarantined ? 1 : 0);
-        out += " detail=";
-        out += encode_token(finding.detail);
-        out += '\n';
-    }
-    for (const std::size_t index : chunks_to_rescan) {
-        out += "rescan";
-        append_kv(out, "chunk", index);
-        out += '\n';
-    }
-    return out;
-}
-
 ScrubReport scrub_journal(const std::filesystem::path& dir, const ScrubOptions& options) {
     ScrubReport report;
     if (!std::filesystem::is_directory(dir)) return report;
@@ -794,7 +711,7 @@ ScrubReport scrub_journal(const std::filesystem::path& dir, const ScrubOptions& 
     if (options.repair && !report.clean()) {
         std::filesystem::create_directories(corrupt_dir);
         const util::IoResult written = util::write_file_atomic(
-            io, corrupt_dir / "scrub.report", report.machine_report());
+            io, corrupt_dir / "scrub.report", report.render());
         if (!written) throw_io("journal: scrub cannot save scrub.report", written);
     }
     return report;

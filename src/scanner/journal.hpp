@@ -12,7 +12,10 @@
 //   chunk-00042.rec          a batch of one (a gap a resumed pass filled)
 //
 // Each record is framed as `#rec <payload_bytes> <crc32-hex>\n<payload>`,
-// the CRC-32 covering exactly the payload; the same frames cross the
+// the CRC-32 covering exactly the payload, which is binary (DESIGN.md
+// §11.1: varint fields, delta-coded trace events, the dense telemetry
+// snapshot). A journal written with the older text payloads fails to parse
+// and is rescanned like any damaged record. The same frames cross the
 // run_procs worker channel, so a torn send is caught like a torn file. Each
 // file is published with one write, one fsync and one rename, so a crash
 // leaves it whole or absent. Chunk scans are pure functions of (options,
@@ -97,9 +100,12 @@ private:
     util::IoErrorClass error_class_;
 };
 
-/// Serialization of one record payload (exposed for tests and tooling).
-/// parse_* read in one forward pass and accept exactly what serialize_*
-/// emit: anything else is nullopt. They never throw on bad bytes.
+/// Serialization of one binary record payload (exposed for tests and
+/// tooling). parse_* read in one forward pass and accept exactly what
+/// serialize_* emit — no overlong varint, out-of-range enum or integer,
+/// reserved flag bit, count past the bytes left or trailing byte: anything
+/// else is nullopt. They never throw on bad bytes. Traces decode to exactly
+/// parse_jsonl(to_jsonl(trace)) (qlog::write_binary).
 [[nodiscard]] std::string serialize_header(const CampaignHeader& header);
 [[nodiscard]] std::optional<CampaignHeader> parse_header(std::string_view payload);
 [[nodiscard]] std::string serialize_chunk_record(const ChunkRecord& record);
@@ -266,8 +272,9 @@ struct MapReplayResult {
 /// ascending chunk order, through replay_map_batch. The chunks need NOT be
 /// a contiguous prefix — a killed pass leaves gaps. One batch file's bytes
 /// and one decoded record are held at a time. Never modifies the directory.
-/// This is how the journal is read as a dataset: each record's traces are
-/// the exact bytes of qlog::to_jsonl (the paper's Appendix B qlog baselines).
+/// This is how the journal is read as a dataset (the paper's Appendix B qlog
+/// baselines): each decoded trace is what its qlog::to_jsonl lines print,
+/// and to_jsonl renders it as JSON lines.
 [[nodiscard]] MapReplayResult read_map_journal(
     const std::filesystem::path& dir, const std::function<void(ChunkRecord&&)>& visit);
 
@@ -305,7 +312,7 @@ struct ScrubFinding {
 
 struct ScrubOptions {
     /// With repair, damaged files are moved under corrupt/ with a
-    /// scrub.report; without it the scrub only inspects and classifies (the
+    /// scrub.report (render()); without it the scrub only inspects and classifies (the
     /// bench's --scrub uses repair; a dry-run caller can pass false).
     bool repair = true;
     /// Storage seam for the repair writes; nullptr = real disk.
@@ -331,11 +338,9 @@ struct ScrubReport {
     std::vector<std::size_t> chunks_to_rescan;
 
     [[nodiscard]] bool clean() const noexcept { return findings.empty(); }
-    /// Human-readable multi-line summary (the bench prints this).
+    /// Multi-line summary: the bench prints it, and a repair pass that
+    /// changed anything writes it to corrupt/scrub.report.
     [[nodiscard]] std::string render() const;
-    /// Machine-readable k=v lines (percent-encoded), written to
-    /// corrupt/scrub.report when a repair pass changed anything.
-    [[nodiscard]] std::string machine_report() const;
 };
 
 /// Walks the journal at `dir`, CRC-checks every frame of every record file,

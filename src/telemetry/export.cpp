@@ -1,11 +1,12 @@
 #include "telemetry/export.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
+#include "bytes/cursor.hpp"
 #include "util/atomic_file.hpp"
-#include "util/text_cursor.hpp"
 
 namespace spinscope::telemetry {
 
@@ -111,143 +112,122 @@ bool write_json_file(const MetricsRegistry& registry, const std::string& path) {
 
 namespace {
 
-/// %.17g: the shortest format guaranteed to round-trip every IEEE-754
-/// double through from_chars exactly — snapshot values must survive a
-/// write/parse cycle bit for bit, not just "close enough".
-void append_exact_double(std::string& out, double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
-}
+using bytes::ByteReader;
+using bytes::ByteWriter;
 
-/// A metric name: the bytes up to the next space (catalog names hold no
-/// whitespace), then that space.
-bool read_name(util::TextCursor& in, std::string_view& name) {
-    name = in.until(' ');
-    return !name.empty() && name.find('\n') == std::string_view::npos && in.literal(' ');
-}
+/// Snapshot keys: counters, then gauges, then histograms, each in id order.
+constexpr std::size_t kGaugeKeys = kCounters.size();
+constexpr std::size_t kHistogramKeys = kGaugeKeys + kGauges.size();
+constexpr std::size_t kKeyCount = kHistogramKeys + kHistograms.size();
 
-/// ' ' then a %.17g double.
-bool read_double(util::TextCursor& in, double& out) {
-    return in.literal(' ') && in.number(out, std::chars_format::general);
-}
-
-/// The rest of a "hist" line into `hist`: the geometry, which must be the
-/// catalog's, then count, sum, min, max and the bucket counts.
-bool read_histogram(util::TextCursor& in, Histogram& hist) {
-    const HistogramGeometry& geometry = hist.geometry();
-    double min_value = 0.0;
-    double factor = 0.0;
-    std::size_t bucket_count = 0;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    if (!in.number(min_value, std::chars_format::general) || !read_double(in, factor) ||
-        !in.literal(' ') || !in.integer(bucket_count) || min_value != geometry.min_value ||
-        factor != geometry.factor || bucket_count != geometry.bucket_count ||
-        !in.literal(' ') || !in.integer(count) || !read_double(in, sum) ||
-        !read_double(in, min) || !read_double(in, max)) {
-        return false;
+void write_histogram(ByteWriter& out, const Histogram& hist) {
+    out.uvarint(hist.count());
+    // An empty histogram's sum, min and max are 0: nothing more to say.
+    if (hist.count() == 0) return;
+    out.f64(hist.sum());
+    out.f64(hist.min());
+    out.f64(hist.max());
+    const auto buckets = hist.buckets();
+    out.uvarint(static_cast<std::size_t>(
+        std::count_if(buckets.begin(), buckets.end(), [](std::uint64_t n) { return n != 0; })));
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        if (buckets[i] == 0) continue;
+        out.uvarint(i - next);
+        out.uvarint(buckets[i]);
+        next = i + 1;
     }
+}
+
+bool read_histogram(ByteReader& in, Histogram& hist) {
+    const auto count = in.uvarint();
+    if (!count) return false;
+    if (*count == 0) return true;
+    const auto sum = in.f64();
+    const auto min = in.f64();
+    const auto max = in.f64();
+    const auto filled = in.count();
+    if (!sum || !min || !max || !filled) return false;
+    const std::size_t bucket_count = hist.geometry().bucket_count;
     std::array<std::uint64_t, kMaxBuckets> buckets{};
-    for (std::size_t i = 0; i < bucket_count; ++i) {
-        if (!in.literal(' ') || !in.integer(buckets[i])) return false;
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < *filled; ++k) {
+        const auto gap = in.uvarint();
+        const auto n = in.uvarint();
+        if (!gap || *gap >= bucket_count - next || !n || *n == 0) return false;
+        next += *gap;
+        buckets[next++] = *n;
     }
-    return in.literal('\n') &&
-           hist.restore(count, sum, min, max, std::span{buckets.data(), bucket_count});
+    return hist.restore(*count, *sum, *min, *max, std::span{buckets.data(), bucket_count});
 }
 
 }  // namespace
 
 std::string snapshot(const MetricsRegistry& registry) {
-    std::string out;
-    const auto line = [&out](const char* kind, const MetricInfo& info) {
-        out += kind;
-        out += info.name;
-        out.push_back(' ');
-    };
-    for_each_present<CounterId>(registry, kCounters, [&](const auto& info, const auto& counter) {
-        line("counter ", info);
-        out += std::to_string(counter.value()) + '\n';
-    });
-    for_each_present<GaugeId>(registry, kGauges, [&](const auto& info, const auto& gauge) {
-        line("gauge ", info);
-        out += gauge.has_value() ? "1 " : "0 ";
-        append_exact_double(out, gauge.value());
-        out.push_back('\n');
-    });
-    for_each_present<HistogramId>(registry, kHistograms, [&](const auto& info, const auto& hist) {
-        line("hist ", info);
-        // Internal min_/max_ are only meaningful when count > 0; min()/max()
-        // already normalize the empty case to 0, which restore() re-applies.
-        for (const double v : {hist.geometry().min_value, hist.geometry().factor}) {
-            append_exact_double(out, v);
-            out.push_back(' ');
-        }
-        out += std::to_string(hist.geometry().bucket_count) + ' ';
-        out += std::to_string(hist.count());
-        for (const double v : {hist.sum(), hist.min(), hist.max()}) {
-            out.push_back(' ');
-            append_exact_double(out, v);
-        }
-        for (const auto bucket : hist.buckets()) out += ' ' + std::to_string(bucket);
-        out.push_back('\n');
-    });
-    return out;
-}
-
-std::optional<MetricsRegistry> parse_snapshot(std::string_view text) {
-    MetricsRegistry registry;
-    util::TextCursor in{text};
-    // snapshot() writes counters, gauges, then histograms, each in id order:
-    // the kind never steps back, and a name is looked up only among the ids
-    // after the previous line's, which rejects repeats and reordering.
-    int kind = 0;
+    if (registry.size() == 0) return {};
+    std::vector<std::uint8_t> bytes;
+    ByteWriter out{bytes};
+    out.uvarint(registry.size());
     std::size_t next = 0;
-    // The id of `name` among the current kind's ids from `next` on, or
-    // nullopt; a hit moves `next` past it.
-    const auto lookup = [&next](const auto& catalog,
-                                std::string_view name) -> std::optional<std::size_t> {
-        const std::size_t i = find_index(catalog, name, next);
-        if (i == catalog.size()) return std::nullopt;
-        next = i + 1;
-        return i;
+    const auto key = [&](std::size_t k) {
+        out.uvarint(k - next);
+        next = k + 1;
     };
-    while (!in.done()) {
-        const int line_kind = in.literal("counter ") ? 0
-                              : in.literal("gauge ") ? 1
-                              : in.literal("hist ")  ? 2
-                                                     : -1;
-        std::string_view name;
-        if (line_kind < kind || !read_name(in, name)) return std::nullopt;
-        if (line_kind > kind) {
-            kind = line_kind;
-            next = 0;
-        }
-        if (kind == 0) {
-            const auto i = lookup(kCounters, name);
-            std::uint64_t value = 0;
-            if (!i || !in.integer(value) || !in.literal('\n')) return std::nullopt;
-            registry.counter(static_cast<CounterId>(*i)).add(value);
-        } else if (kind == 1) {
-            const auto i = lookup(kGauges, name);
-            bool has_value = false;
-            double value = 0.0;
-            if (!i || !in.flag(has_value) || !read_double(in, value) || !in.literal('\n')) {
-                return std::nullopt;
-            }
-            // A never-set gauge is present but keeps has_value() false, so
-            // a later merge_from treats it exactly like the original.
-            Gauge& gauge = registry.gauge(static_cast<GaugeId>(*i));
-            if (has_value) gauge.set(value);
-        } else {
-            const auto i = lookup(kHistograms, name);
-            if (!i || !read_histogram(in, registry.histogram(static_cast<HistogramId>(*i)))) {
-                return std::nullopt;
-            }
+    for (std::size_t i = 0; i < kCounters.size(); ++i) {
+        if (const auto* counter = registry.find(static_cast<CounterId>(i))) {
+            key(i);
+            out.uvarint(counter->value());
         }
     }
+    for (std::size_t i = 0; i < kGauges.size(); ++i) {
+        if (const auto* gauge = registry.find(static_cast<GaugeId>(i))) {
+            key(kGaugeKeys + i);
+            out.u8(gauge->has_value() ? 1 : 0);
+            if (gauge->has_value()) out.f64(gauge->value());
+        }
+    }
+    for (std::size_t i = 0; i < kHistograms.size(); ++i) {
+        if (const auto* hist = registry.find(static_cast<HistogramId>(i))) {
+            key(kHistogramKeys + i);
+            write_histogram(out, *hist);
+        }
+    }
+    return std::string{bytes.begin(), bytes.end()};
+}
+
+std::optional<MetricsRegistry> parse_snapshot(std::string_view bytes) {
+    MetricsRegistry registry;
+    if (bytes.empty()) return registry;
+    ByteReader in{bytes::byte_view(bytes)};
+    const auto entries = in.count();
+    if (!entries || *entries == 0) return std::nullopt;
+    std::size_t next = 0;
+    for (std::size_t e = 0; e < *entries; ++e) {
+        const auto gap = in.uvarint();
+        if (!gap || *gap >= kKeyCount - next) return std::nullopt;
+        const std::size_t key = next + *gap;
+        next = key + 1;
+        if (key < kGaugeKeys) {
+            const auto value = in.uvarint();
+            if (!value) return std::nullopt;
+            registry.counter(static_cast<CounterId>(key)).add(*value);
+        } else if (key < kHistogramKeys) {
+            // A never-set gauge is present but keeps has_value() false, so
+            // a later merge_from treats it exactly like the original.
+            Gauge& gauge = registry.gauge(static_cast<GaugeId>(key - kGaugeKeys));
+            const auto has_value = in.u8();
+            if (!has_value || *has_value > 1) return std::nullopt;
+            if (*has_value == 1) {
+                const auto value = in.f64();
+                if (!value) return std::nullopt;
+                gauge.set(*value);
+            }
+        } else if (!read_histogram(
+                       in, registry.histogram(static_cast<HistogramId>(key - kHistogramKeys)))) {
+            return std::nullopt;
+        }
+    }
+    if (!in.done()) return std::nullopt;
     return registry;
 }
 

@@ -3,7 +3,7 @@
 // Registry exporters: machine-readable JSON (the bench sidecar format — one
 // self-contained object per run so BENCH_*.json deltas can be attributed to
 // specific phases), the deterministic CSV view the goldens compare, and the
-// exact snapshot form the campaign journal carries.
+// exact binary snapshot the campaign journal carries.
 //
 // Field order is deterministic (name-sorted, fixed key order per object), so
 // two runs of the same binary produce byte-identical output modulo the
@@ -45,20 +45,23 @@ namespace spinscope::telemetry {
 /// Returns false when the file cannot be written.
 bool write_json_file(const MetricsRegistry& registry, const std::string& path);
 
-/// FULL-FIDELITY registry serialization for the campaign journal: a
-/// line-based text form that round-trips every instrument exactly —
-/// counters, gauges (including has-value state), histogram geometry, bucket
-/// counts and the floating-point count/sum/min/max (printed with %.17g, so
-/// the parsed doubles are bit-identical). Unlike to_json this form exists
-/// to be parsed back: parse_snapshot(snapshot(r)) merged in place of r is
-/// indistinguishable from merging r itself.
+/// FULL-FIDELITY registry serialization for the campaign journal: a dense
+/// binary form that round-trips every instrument exactly. It is the number
+/// of present instruments, then per instrument its key — counters, gauges
+/// and histograms share one key space in catalog id order, and each key is
+/// written as its distance past the previous one — and its value: a
+/// counter's count; a gauge's has-value byte and IEEE bits; a histogram's
+/// count and, when non-zero, its sum, min and max bits and its non-empty
+/// buckets (distance, count). Geometry is the catalog's, so it is not
+/// written. An empty registry is the empty string. parse_snapshot(snapshot(r))
+/// merged in place of r is indistinguishable from merging r itself.
 [[nodiscard]] std::string snapshot(const MetricsRegistry& registry);
 
-/// Parses a snapshot() string in one forward pass, mapping each name to its
-/// catalog id. Returns nullopt on anything snapshot() would not emit: a
-/// malformed or unterminated line, an unknown record kind or metric name,
-/// kinds or ids out of the writer's order (which rejects repeats), or a
-/// histogram whose geometry differs from the catalog's.
-[[nodiscard]] std::optional<MetricsRegistry> parse_snapshot(std::string_view text);
+/// Parses a snapshot() string in one forward pass. Returns nullopt on
+/// anything snapshot() would not emit — a truncated or overlong value, a key
+/// past the catalog, a has-value byte other than 0 or 1, a bucket past the
+/// catalog geometry or an empty one, bucket counts that disagree with the
+/// histogram's count, trailing bytes — and never throws.
+[[nodiscard]] std::optional<MetricsRegistry> parse_snapshot(std::string_view bytes);
 
 }  // namespace spinscope::telemetry

@@ -1,7 +1,7 @@
 // spinscope/util/text_cursor.hpp
 //
 // Strict forward reader for spinscope's own text encodings: qlog JSON
-// lines, journal record payloads and telemetry snapshots. A decoder built
+// lines and the journal's `#rec <len> <crc>` frame heads. A decoder built
 // on it walks its writer's output field by field, in the order the writer
 // emits it, and reads every byte once. Each read consumes exactly the
 // canonical form the writers print (snprintf/std::to_string integers, %08x
@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string_view>
 #include <type_traits>
 
@@ -130,14 +129,6 @@ public:
         const std::string_view r = rest();
         const std::string_view out = r.substr(0, r.find(delim));
         pos_ += out.size();
-        return out;
-    }
-
-    /// The next `n` raw bytes; nullopt (consuming nothing) when fewer remain.
-    [[nodiscard]] constexpr std::optional<std::string_view> bytes(std::size_t n) noexcept {
-        if (text_.size() - pos_ < n) return std::nullopt;
-        const std::string_view out = text_.substr(pos_, n);
-        pos_ += n;
         return out;
     }
 

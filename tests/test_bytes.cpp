@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "bytes/bytes.hpp"
@@ -378,6 +381,50 @@ TEST(CursorSweep, VarintMinimalRejectsOverlongWithoutAdvancing) {
     EXPECT_FALSE(minimal.varint_minimal().has_value());
     EXPECT_EQ(minimal.consumed(), 0u);  // no advance on failure
     EXPECT_EQ(minimal.varint(), std::optional<std::uint64_t>{1});  // still readable
+}
+
+TEST(RecordFields, RoundTripEveryRangeAndRejectNonCanonicalForms) {
+    constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t unsigned_values[] = {0,          63,          64,         16383,
+                                             16384,      (1u << 30) - 1, 1u << 30, kVarintMax - 1,
+                                             kVarintMax, kMax64};
+    const std::int64_t signed_values[] = {0, -1, 1, -64, 64, std::numeric_limits<std::int64_t>::min(),
+                                          std::numeric_limits<std::int64_t>::max()};
+    std::vector<std::uint8_t> wire;
+    ByteWriter w{wire};
+    for (const std::uint64_t v : unsigned_values) w.uvarint(v);
+    for (const std::int64_t v : signed_values) w.svarint(v);
+    w.f64(-0.0);
+    w.text(std::string_view("a\0b", 3));
+    ByteReader r{wire};
+    for (const std::uint64_t v : unsigned_values) EXPECT_EQ(r.uvarint(), v);
+    for (const std::int64_t v : signed_values) EXPECT_EQ(r.svarint(), v);
+    const auto zero = r.f64();
+    ASSERT_TRUE(zero.has_value());
+    EXPECT_TRUE(std::signbit(*zero));
+    EXPECT_EQ(r.text(), std::string_view("a\0b", 3));
+    EXPECT_TRUE(r.done());
+
+    const auto rejects = [](std::vector<std::uint8_t> bytes, auto read) {
+        ByteReader in{bytes};
+        return !read(in).has_value();
+    };
+    const auto uvarint = [](ByteReader& in) { return in.uvarint(); };
+    EXPECT_TRUE(rejects({0x40, 0x01}, uvarint)) << "overlong";
+    EXPECT_TRUE(rejects({0x80, 0x00, 0x3f}, uvarint)) << "truncated";
+    // The escape (the 8-byte varint kVarintMax) must carry a u64 that needs it.
+    std::vector<std::uint8_t> escape(8, 0xff);
+    EXPECT_TRUE(rejects(escape, uvarint)) << "escape without its u64";
+    std::vector<std::uint8_t> small = escape;
+    small.insert(small.end(), {0, 0, 0, 0, 0, 0, 0, 5});
+    EXPECT_TRUE(rejects(small, uvarint)) << "escaped 5";
+    EXPECT_TRUE(rejects({0x03, 'a', 'b'}, [](ByteReader& in) { return in.text(); }));
+    EXPECT_TRUE(rejects({0x03, 0, 0}, [](ByteReader& in) { return in.count(); }));
+    EXPECT_FALSE(rejects({0x02, 0, 0}, [](ByteReader& in) { return in.count(); }));
+    std::uint8_t narrow = 0;
+    const std::vector<std::uint8_t> two_five_six{0x41, 0x00};
+    ByteReader wide_value{two_five_six};
+    EXPECT_FALSE(wide_value.integer(narrow)) << "256 is no uint8_t";
 }
 
 }  // namespace

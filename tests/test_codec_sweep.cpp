@@ -1,14 +1,15 @@
-// Seeded decoder sweeps over the journal's three text codecs, fed with the
-// output of one small real campaign: chunk records (serialize_chunk_record /
-// parse_chunk_record), qlog traces (to_jsonl / parse_jsonl) and telemetry
-// snapshots (snapshot / parse_snapshot).
+// Seeded decoder sweeps over the journal's codecs, fed with the output of
+// one small real campaign: binary chunk records (serialize_chunk_record /
+// parse_chunk_record), binary telemetry snapshots (snapshot /
+// parse_snapshot) and the JSON-lines trace export (to_jsonl / parse_jsonl).
 //
 // For every decoder: serialize ∘ parse is the identity on every real
-// encoding; and 10,000 seeded single-byte flips never crash, while any
-// mutant a decoder accepts decodes to a fixed point of one more
-// serialize → parse round. Every truncated prefix of a real record payload
-// is rejected. Decoders read from exactly-sized heap copies, so a sanitizer
-// build reports any read past the end of the input.
+// encoding, and 10,000 seeded single-byte flips never crash. The binary
+// codecs are canonical: every truncation and every single-bit flip of a real
+// encoding is rejected or re-encodes to exactly the mutated bytes. An
+// accepted JSON-lines mutant decodes to a fixed point of one more
+// serialize → parse round. Decoders read from exactly-sized heap copies, so
+// a sanitizer build reports any read past the end of the input.
 
 #include <gtest/gtest.h>
 
@@ -49,7 +50,7 @@ private:
 
 /// Real campaign output: every chunk of a ~110-domain universe with a
 /// metrics registry attached and some faulty hosts, plus one chunk
-/// re-labelled as quarantined so the escaped error token is exercised.
+/// re-labelled as quarantined so its error text is exercised.
 struct Corpus {
     std::vector<std::string> records;
     std::vector<std::string> traces;
@@ -124,8 +125,9 @@ using Round = std::optional<std::string> (*)(std::string_view);
 
 /// Flips one seeded byte of a seeded corpus entry at a time. An accepted
 /// mutant must re-encode to bytes the decoder accepts and re-encodes to
-/// themselves.
-void flip_sweep(const std::vector<std::string>& inputs, Round round, std::uint64_t seed) {
+/// themselves; with `canonical`, to the mutant itself.
+void flip_sweep(const std::vector<std::string>& inputs, Round round, std::uint64_t seed,
+                bool canonical) {
     ASSERT_FALSE(inputs.empty());
     util::Rng rng{seed};
     int accepted = 0;
@@ -137,6 +139,9 @@ void flip_sweep(const std::vector<std::string>& inputs, Round round, std::uint64
         const auto once = round(mutant);
         if (!once) continue;
         ++accepted;
+        if (canonical) {
+            ASSERT_EQ(*once, mutant) << "flip " << i << " at byte " << at;
+        }
         const auto twice = round(*once);
         ASSERT_TRUE(twice.has_value()) << "flip " << i << " at byte " << at;
         ASSERT_EQ(*twice, *once) << "flip " << i << " at byte " << at;
@@ -144,13 +149,54 @@ void flip_sweep(const std::vector<std::string>& inputs, Round round, std::uint64
     ::testing::Test::RecordProperty("accepted_mutants", accepted);
 }
 
+/// Every single-bit flip of every input: rejected, or re-encoded to exactly
+/// the flipped bytes.
+void bit_flip_sweep(const std::vector<std::string>& inputs, Round round) {
+    ASSERT_FALSE(inputs.empty());
+    int accepted = 0;
+    for (const std::string& input : inputs) {
+        std::string mutant = input;
+        for (std::size_t at = 0; at < mutant.size(); ++at) {
+            for (int bit = 0; bit < 8; ++bit) {
+                mutant[at] = static_cast<char>(input[at] ^ (1 << bit));
+                const auto again = round(mutant);
+                if (again) {
+                    ++accepted;
+                    ASSERT_EQ(*again, mutant) << "bit " << bit << " of byte " << at;
+                }
+            }
+            mutant[at] = input[at];
+        }
+    }
+    ::testing::Test::RecordProperty("accepted_mutants", accepted);
+}
+
+/// Every proper prefix of every input: rejected, or (the empty prefix of a
+/// codec whose empty form is valid) re-encoded to exactly the prefix.
+void truncation_sweep(const std::vector<std::string>& inputs, Round round) {
+    for (const std::string& input : inputs) {
+        ASSERT_TRUE(round(input).has_value());
+        for (std::size_t n = 0; n < input.size(); ++n) {
+            const std::string_view prefix = std::string_view{input}.substr(0, n);
+            const auto again = round(prefix);
+            if (again) {
+                ASSERT_EQ(*again, prefix) << n << " of " << input.size() << " bytes";
+            }
+        }
+    }
+}
+
 TEST(CodecSweep, CorpusCoversEveryCodec) {
     const Corpus& c = corpus();
     EXPECT_GE(c.records.size(), 5u);
     EXPECT_GE(c.traces.size(), 50u);
     EXPECT_FALSE(c.small_record.empty());
-    EXPECT_TRUE(std::any_of(c.snapshots.begin(), c.snapshots.end(),
-                            [](const std::string& s) { return s.find("hist ") != s.npos; }));
+    EXPECT_TRUE(std::any_of(c.snapshots.begin(), c.snapshots.end(), [](const std::string& s) {
+        const auto registry = telemetry::parse_snapshot(s);
+        const auto* hist =
+            registry ? registry->find(telemetry::HistogramId::quic_conn_min_rtt_ms) : nullptr;
+        return hist != nullptr && hist->count() > 0;
+    }));
 }
 
 TEST(CodecSweep, ChunkRecordRoundTripIsTheIdentity) {
@@ -184,18 +230,33 @@ TEST(CodecSweep, EveryTruncatedRecordPayloadIsRejected) {
         ASSERT_FALSE(record_round(std::string_view{payload}.substr(0, n)).has_value())
             << "prefix of " << n << " of " << payload.size() << " bytes";
     }
+    truncation_sweep(corpus().records, record_round);
+}
+
+TEST(CodecSweep, EveryTruncatedSnapshotIsRejectedOrEmpty) {
+    truncation_sweep(corpus().snapshots, snapshot_round);
 }
 
 TEST(CodecSweep, ChunkRecordByteFlipsAreRejectedOrStable) {
-    flip_sweep({corpus().small_record}, record_round, 0xF11700001);
+    flip_sweep({corpus().small_record}, record_round, 0xF11700001, /*canonical=*/true);
 }
 
 TEST(CodecSweep, TraceByteFlipsAreRejectedOrStable) {
-    flip_sweep(corpus().traces, trace_round, 0xF11700002);
+    flip_sweep(corpus().traces, trace_round, 0xF11700002, /*canonical=*/false);
 }
 
 TEST(CodecSweep, SnapshotByteFlipsAreRejectedOrStable) {
-    flip_sweep(corpus().snapshots, snapshot_round, 0xF11700003);
+    flip_sweep(corpus().snapshots, snapshot_round, 0xF11700003, /*canonical=*/true);
+}
+
+TEST(CodecSweep, ChunkRecordBitFlipsAreRejectedOrReencodeExactly) {
+    // The record with the most trace bytes and the quarantined chunk's whole
+    // record: every field kind, in ~1 s rather than the ~7 s of all records.
+    bit_flip_sweep({corpus().small_record, corpus().records[1]}, record_round);
+}
+
+TEST(CodecSweep, SnapshotBitFlipsAreRejectedOrReencodeExactly) {
+    bit_flip_sweep(corpus().snapshots, snapshot_round);
 }
 
 }  // namespace

@@ -1,13 +1,23 @@
-// Unit tests for qlog trace recording and JSON-lines round-tripping.
+// Unit tests for qlog trace recording, JSON-lines round-tripping and the
+// journal's binary trace form.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "bytes/cursor.hpp"
 #include "qlog/trace.hpp"
+#include "util/rng.hpp"
 
 namespace spinscope::qlog {
 namespace {
@@ -37,7 +47,9 @@ Trace sample_trace() {
 
 TEST(Qlog, ReceivedOneRttFilter) {
     const auto trace = sample_trace();
-    const auto one_rtt = trace.received_one_rtt();
+    std::vector<PacketEvent> one_rtt;
+    std::copy_if(trace.received.begin(), trace.received.end(), std::back_inserter(one_rtt),
+                 [](const PacketEvent& ev) { return ev.type == quic::PacketType::one_rtt; });
     ASSERT_EQ(one_rtt.size(), 1u);
     EXPECT_EQ(one_rtt[0].packet_number, 2u);
     EXPECT_TRUE(one_rtt[0].spin);
@@ -222,6 +234,161 @@ TEST(Qlog, EmptyTraceRoundTrips) {
     EXPECT_TRUE(parsed->sent.empty());
     EXPECT_TRUE(parsed->received.empty());
     EXPECT_TRUE(parsed->metrics.rtt_samples_ms.empty());
+}
+
+// --- Binary form -------------------------------------------------------------
+
+std::string binary_of(const Trace& trace) {
+    std::vector<std::uint8_t> out;
+    bytes::ByteWriter writer{out};
+    write_binary(writer, trace);
+    return {out.begin(), out.end()};
+}
+
+/// The trace `bytes` hold, all of them, or nullopt.
+std::optional<Trace> read_back(std::string_view bytes) {
+    bytes::ByteReader in{bytes::byte_view(bytes)};
+    Trace trace;
+    if (!read_binary(in, trace) || !in.done()) return std::nullopt;
+    return trace;
+}
+
+/// Bit-identical, except that any two NaNs of the same sign match (to_jsonl
+/// prints only the sign of a NaN).
+bool same_value(double a, double b) {
+    if (std::isnan(a) || std::isnan(b)) {
+        return std::isnan(a) && std::isnan(b) && std::signbit(a) == std::signbit(b);
+    }
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// A trace at the edges of every field: control bytes in the host, a
+/// negative timestamp, packet numbers and sizes at their type's limits, a VEC
+/// past the flags byte, and RTT values that are non-finite, below a
+/// microsecond, on six-decimal rounding ties, or too large for nanoseconds.
+Trace edge_trace() {
+    Trace trace = sample_trace();
+    trace.host = "www.\x01odd\"host\x1f";
+    trace.version = static_cast<quic::Version>(0xff00001d);
+    trace.events_truncated = std::numeric_limits<std::uint64_t>::max();
+    trace.record_received({TimePoint::from_nanos(-5), quic::PacketType::one_rtt,
+                           std::numeric_limits<std::uint64_t>::max(), true,
+                           std::numeric_limits<std::uint32_t>::max(), true, 255});
+    trace.record_sent({TimePoint::from_nanos(std::numeric_limits<std::int64_t>::min()),
+                       quic::PacketType::version_negotiation, 0, false, 0, false, 63});
+    trace.metrics.packets_lost = std::numeric_limits<std::uint64_t>::max();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    trace.metrics.min_rtt_ms = 4e-7;
+    trace.metrics.smoothed_rtt_ms = -0.0;
+    trace.metrics.rtt_samples_ms = {0.0,    4e-7,           5e-7,          6e-7,
+                                    1.5e-6, 2.5e-6,         0.0000125,     -2e-7,
+                                    10.5,   123.4567894,    -3.25,         inf,
+                                    -inf,   nan,            -nan,          8589934591.999,
+                                    8589934592.0, 1e15,     -1e300,        DBL_MAX,
+                                    DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                                    0.0078125,    0.0234375,    // 7812.5 and 23437.5 ns:
+                                    1.0 + 0.0078125};           // exact ties printf rounds to even
+    return trace;
+}
+
+/// RTT samples at every magnitude a double has below 2^40 ms, a tenth of
+/// them exact half-nanosecond ties.
+Trace random_rtt_trace() {
+    util::Rng rng{0x5EED};
+    Trace trace;
+    for (int i = 0; i < 20'000; ++i) {
+        const double mantissa = rng.uniform_double(1.0, 2.0);
+        double ms = std::ldexp(mantissa, static_cast<int>(rng.uniform_u64(80)) - 40);
+        if (i % 10 == 0) ms = std::ldexp(static_cast<double>(2 * rng.uniform_u64(1 << 20) + 1), -7);
+        trace.metrics.rtt_samples_ms.push_back(i % 3 == 0 ? -ms : ms);
+    }
+    return trace;
+}
+
+TEST(Qlog, BinaryFormKeepsExactlyWhatJsonlPrints) {
+    for (const Trace& trace : {sample_trace(), edge_trace(), random_rtt_trace(), Trace{}}) {
+        const std::string jsonl = to_jsonl(trace);
+        const auto oracle = parse_jsonl(jsonl);
+        ASSERT_TRUE(oracle.has_value()) << jsonl;
+        const std::string binary = binary_of(trace);
+        const auto decoded = read_back(binary);
+        ASSERT_TRUE(decoded.has_value()) << jsonl;
+        EXPECT_EQ(to_jsonl(*decoded), jsonl);
+        EXPECT_EQ(decoded->host, oracle->host);
+        EXPECT_TRUE(same_value(decoded->metrics.min_rtt_ms, oracle->metrics.min_rtt_ms));
+        EXPECT_TRUE(same_value(decoded->metrics.smoothed_rtt_ms, oracle->metrics.smoothed_rtt_ms));
+        ASSERT_EQ(decoded->metrics.rtt_samples_ms.size(), oracle->metrics.rtt_samples_ms.size());
+        for (std::size_t i = 0; i < oracle->metrics.rtt_samples_ms.size(); ++i) {
+            EXPECT_TRUE(same_value(decoded->metrics.rtt_samples_ms[i],
+                                   oracle->metrics.rtt_samples_ms[i]))
+                << i << ": " << decoded->metrics.rtt_samples_ms[i] << " vs "
+                << oracle->metrics.rtt_samples_ms[i];
+        }
+        // The decoded trace is a fixed point: it writes the same bytes.
+        EXPECT_EQ(binary_of(*decoded), binary);
+        // Every cut is refused (the sweep is quadratic: small traces only).
+        for (std::size_t n = 0; n < binary.size() && binary.size() < 4096; ++n) {
+            EXPECT_FALSE(read_back(std::string_view{binary}.substr(0, n)).has_value()) << n;
+        }
+    }
+    // A sub-microsecond RTT keeps the six decimals to_jsonl prints.
+    EXPECT_EQ(read_back(binary_of(edge_trace()))->metrics.min_rtt_ms, 0.0);
+}
+
+TEST(Qlog, BinaryReaderRejectsWhatTheWriterNeverEmits) {
+    Trace trace;
+    trace.host = "h";
+    const std::string plain = binary_of(trace);
+    ASSERT_TRUE(read_back(plain).has_value());
+    // host "h" is its length byte and the byte itself; a control byte there
+    // is one to_jsonl would have dropped.
+    ASSERT_EQ(plain.substr(0, 2), "\x01h");
+    EXPECT_FALSE(read_back(std::string{plain}.replace(1, 1, "\n")).has_value());
+    EXPECT_FALSE(read_back(plain + '\0').has_value()) << "trailing byte";
+
+    // RTT codes: sign bit, then 0 infinity, 1 NaN, 2 raw bits, 3 + n nanos.
+    const auto with_min_rtt = [&](const std::string& code) {
+        std::string bytes = binary_of(trace);
+        // min_rtt 0.0 is code 6 (kind 3, n = 0); it is the byte after the
+        // two empty event arrays.
+        const std::size_t at = bytes.find(std::string("\x00\x00\x06", 3));
+        EXPECT_NE(at, std::string::npos);
+        return bytes.replace(at + 2, 1, code);
+    };
+    EXPECT_TRUE(read_back(with_min_rtt("\x07")).has_value()) << "-0.0";
+    EXPECT_TRUE(read_back(with_min_rtt(std::string(1, '\0'))).has_value()) << "inf";
+    EXPECT_TRUE(read_back(with_min_rtt("\x03")).has_value()) << "-nan";
+    // Raw bits only for magnitudes from 2^33 ms on, with a matching sign.
+    const auto raw = [](double v, std::uint8_t code) {
+        std::vector<std::uint8_t> out;
+        bytes::ByteWriter writer{out};
+        writer.u8(code);
+        writer.f64(v);
+        return std::string{out.begin(), out.end()};
+    };
+    EXPECT_TRUE(read_back(with_min_rtt(raw(1e10, 4))).has_value());
+    EXPECT_FALSE(read_back(with_min_rtt(raw(1.5, 4))).has_value());
+    EXPECT_FALSE(read_back(with_min_rtt(raw(-1e10, 4))).has_value());
+    EXPECT_FALSE(read_back(with_min_rtt(raw(std::numeric_limits<double>::infinity(), 4)))
+                     .has_value());
+    // n nanoseconds only below 2^33 ms: 2^33 * 1e6 + 3 needs the raw form.
+    std::vector<std::uint8_t> big;
+    bytes::ByteWriter big_writer{big};
+    big_writer.uvarint((8589934592000000ULL + 3) << 1);
+    EXPECT_FALSE(read_back(with_min_rtt({big.begin(), big.end()})).has_value());
+
+    // A VEC in the flags byte's escape must need it.
+    Trace vec;
+    vec.record_received({TimePoint::from_nanos(0), quic::PacketType::one_rtt, 0, false, 0,
+                         false, 63});
+    std::string escaped = binary_of(vec);
+    const std::size_t flags_at = escaped.find(static_cast<char>(63 << 2));
+    ASSERT_NE(flags_at, std::string::npos);
+    ASSERT_EQ(escaped[flags_at + 1], '\x3f');
+    ASSERT_TRUE(read_back(escaped).has_value());
+    escaped[flags_at + 1] = '\x3e';
+    EXPECT_FALSE(read_back(escaped).has_value());
 }
 
 }  // namespace

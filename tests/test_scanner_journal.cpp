@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -185,28 +186,58 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
 
 TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
     const std::string payload = serialize_chunk_record(sample_chunk(4));
-    const auto with = [&](std::string_view from, std::string_view to) {
-        std::string edited = payload;
-        const auto at = edited.find(from);
-        EXPECT_NE(at, std::string::npos) << from;
-        return edited.replace(at, from.size(), to);
+    // The payload starts: tag, index 4, quarantined 0, an empty error, one
+    // domain, domain id 104 (a two-byte varint), the scan's flags byte.
+    ASSERT_EQ(payload.substr(1, 6), std::string("\x04\x00\x00\x01\x40\x68", 6));
+    const auto with = [&](std::size_t at, std::size_t n, std::string_view to) {
+        return std::string{payload}.replace(at, n, to);
     };
     ASSERT_TRUE(parse_chunk_record(payload).has_value());
-    EXPECT_FALSE(parse_chunk_record(payload + "\n").has_value());
-    EXPECT_FALSE(parse_chunk_record(with("index=4 ", "index=04 ")).has_value());
-    EXPECT_FALSE(parse_chunk_record(with("index=4 ", "index=+4 ")).has_value());
-    EXPECT_FALSE(parse_chunk_record(with("quarantined=0", "quarantined=2")).has_value());
-    EXPECT_FALSE(parse_chunk_record(with("id=104 ", "id=104  ")).has_value());
-    EXPECT_FALSE(parse_chunk_record(with("id=104 ", "id=4294967296 ")).has_value());
-    // encode_token escapes exactly the bytes it must, in lowercase hex.
-    EXPECT_FALSE(parse_chunk_record(with("%25", "%2a")).has_value());
-    EXPECT_FALSE(parse_chunk_record(with("%0a", "%0A")).has_value());
-    // Without a response the writer prints a default ResponseInfo.
-    EXPECT_FALSE(parse_chunk_record(with(" response=1 ", " response=0 ")).has_value());
+    EXPECT_FALSE(parse_chunk_record(payload + '\0').has_value()) << "trailing byte";
+    // Varints are minimal: 0x40 0x04 is an overlong 4.
+    EXPECT_FALSE(parse_chunk_record(with(1, 1, "\x40\x04")).has_value());
+    EXPECT_FALSE(parse_chunk_record(with(2, 1, "\x02")).has_value()) << "quarantined=2";
+    EXPECT_FALSE(parse_chunk_record(with(7, 1, "\x0f")).has_value()) << "reserved flag bit";
+    // A domain id past uint32: the 8-byte varint of 2^32.
+    EXPECT_FALSE(
+        parse_chunk_record(with(5, 2, std::string("\xc0\x00\x00\x01\x00\x00\x00\x00", 8)))
+            .has_value());
+    // Counts and lengths past the bytes left: 0x7f 0xff is 16383.
+    EXPECT_FALSE(parse_chunk_record(with(4, 1, "\x7f\xff")).has_value()) << "domain count";
+    EXPECT_FALSE(parse_chunk_record(with(3, 1, "\x7f\xff")).has_value()) << "error length";
+    // Enums past their last value: what the writer emits for them, the reader
+    // refuses.
+    const auto rejects = [](auto&& edit) {
+        ChunkRecord record = sample_chunk(4);
+        edit(record.scans[0]);
+        return !parse_chunk_record(serialize_chunk_record(record)).has_value();
+    };
+    EXPECT_TRUE(rejects([](DomainScan& scan) {
+        scan.attempts[0].outcome = static_cast<qlog::ConnectionOutcome>(qlog::kConnectionOutcomeCount);
+    }));
+    EXPECT_TRUE(rejects([](DomainScan& scan) {
+        scan.attempts[0].server_fault =
+            static_cast<faults::ServerFaultMode>(faults::kServerFaultModeCount);
+    }));
+    EXPECT_TRUE(rejects([](DomainScan& scan) {
+        scan.connections[0].outcome =
+            static_cast<qlog::ConnectionOutcome>(qlog::kConnectionOutcomeCount);
+    }));
+    EXPECT_TRUE(rejects([](DomainScan& scan) {
+        scan.connections[0].received[0].type = static_cast<quic::PacketType>(6);
+    }));
+    // The old text form is not a record.
+    EXPECT_FALSE(parse_chunk_record("chunk index=4 quarantined=0 error= domains=0\ntelemetry 0\n")
+                     .has_value());
 
     const std::string header = serialize_header(sample_header());
-    EXPECT_FALSE(parse_header(header + "\n").has_value());
-    EXPECT_FALSE(parse_header(std::string{header}.insert(header.find("week=") + 5, "+"))
+    // tag, seed 0x5ca7 (a four-byte varint), week 3 (zigzag 6), flags.
+    ASSERT_EQ(header.substr(5, 2), std::string("\x06\x03", 2));
+    EXPECT_FALSE(parse_header(header + '\0').has_value());
+    EXPECT_FALSE(parse_header(std::string{header}.replace(5, 1, "\x40\x06")).has_value());
+    EXPECT_FALSE(parse_header(std::string{header}.replace(6, 1, "\x07")).has_value());
+    EXPECT_FALSE(parse_header("campaign seed=23719 week=3 ipv6=1 chunk_domains=16 "
+                              "domain_count=110 telemetry=1\n")
                      .has_value());
 
     // A frame head is `#rec <decimal length> <%08x crc>`.
@@ -222,6 +253,80 @@ TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
     ASSERT_NE(framed.substr(0, framed.find('\n') + 1), upper_head);
     ASSERT_TRUE(write_batch(dir_, {4, 4}, upper_head + payload));
     EXPECT_FALSE(read_map_batch(dir_, {4, 4}).has_value());
+}
+
+// --- JSON-lines compatibility oracle --------------------------------------
+//
+// The binary record keeps exactly what qlog::to_jsonl prints: a decoded trace
+// equals parse_jsonl(to_jsonl(original)), so every output rendered from a
+// reduce is the one the text journal produced.
+
+/// The golden fixtures' universe (tests/golden/): ~1k domains at seed 1.
+web::PopulationModel golden_population() { return web::PopulationModel{{200000.0, 1}}; }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST_F(JournalTest, GoldenCampaignTracesDecodeToWhatJsonlPrints) {
+    const web::PopulationModel population = golden_population();
+    const Campaign campaign{population, {}};
+    std::size_t traces = 0;
+    for (std::size_t c = 0; c < campaign.chunk_count(); ++c) {
+        ScannedChunk chunk = campaign.scan_chunk(c);
+        const std::vector<DomainScan> original = chunk.scans;
+        const auto parsed =
+            parse_chunk_record(serialize_chunk_record(to_chunk_record(c, std::move(chunk))));
+        ASSERT_TRUE(parsed.has_value()) << "chunk " << c;
+        ASSERT_EQ(parsed->scans.size(), original.size());
+        for (std::size_t d = 0; d < original.size(); ++d) {
+            const auto& decoded = parsed->scans[d].connections;
+            ASSERT_EQ(decoded.size(), original[d].connections.size());
+            for (std::size_t t = 0; t < decoded.size(); ++t) {
+                const std::string jsonl = qlog::to_jsonl(original[d].connections[t]);
+                ASSERT_EQ(qlog::to_jsonl(decoded[t]), jsonl);
+                // to_jsonl prints six decimals; the doubles match bit for bit.
+                const auto oracle = qlog::parse_jsonl(jsonl);
+                ASSERT_TRUE(oracle.has_value());
+                const qlog::RecoveryMetrics& m = decoded[t].metrics;
+                EXPECT_EQ(bits(m.min_rtt_ms), bits(oracle->metrics.min_rtt_ms));
+                EXPECT_EQ(bits(m.smoothed_rtt_ms), bits(oracle->metrics.smoothed_rtt_ms));
+                ASSERT_EQ(m.rtt_samples_ms.size(), oracle->metrics.rtt_samples_ms.size());
+                for (std::size_t i = 0; i < m.rtt_samples_ms.size(); ++i) {
+                    EXPECT_EQ(bits(m.rtt_samples_ms[i]), bits(oracle->metrics.rtt_samples_ms[i]));
+                }
+                ++traces;
+            }
+        }
+    }
+    EXPECT_GT(traces, 500u);
+}
+
+TEST_F(JournalTest, JournaledGoldenCampaignReducesToTheGoldenFixtures) {
+    const web::PopulationModel population = golden_population();
+    ScanOptions options;
+    options.journal_dir = dir_.string();
+    {
+        Campaign writer{population, options};
+        telemetry::MetricsRegistry registry;
+        writer.set_metrics(&registry);
+        (void)writer.run([](const web::Domain&, DomainScan&&) {});
+    }
+    Campaign reader{population, options};
+    telemetry::MetricsRegistry registry;
+    reader.set_metrics(&registry);
+    std::string traces;
+    std::size_t emitted = 0;
+    (void)reader.reduce([&](const web::Domain&, DomainScan&& scan) {
+        if (emitted >= 25) return;  // the fixture holds the first 25 streams
+        ++emitted;
+        traces += render_scan_stream(scan);
+    });
+    const auto* replayed =
+        registry.find(telemetry::CounterId::campaign_journal_records_replayed);
+    ASSERT_NE(replayed, nullptr);
+    EXPECT_EQ(replayed->value(), reader.chunk_count()) << "every chunk comes from the journal";
+    EXPECT_TRUE(spinscope::testing::matches_golden("campaign_small.traces.jsonl", traces));
+    EXPECT_TRUE(spinscope::testing::matches_golden("campaign_small.telemetry.csv",
+                                                   telemetry::deterministic_csv(registry)));
 }
 
 // --- Record files ------------------------------------------------------------
@@ -496,6 +601,47 @@ TEST_F(JournalTest, ResumeFromJournalTruncatedMidRecordIsByteIdentical) {
         EXPECT_TRUE(read_map_batch(trunc_dir, batches[0]).has_value())
             << "offset=" << offset << ": the torn batch was not republished";
     }
+}
+
+TEST_F(JournalTest, OldTextJournalIsRescannedLikeADamagedOne) {
+    // A journal from the text-record format: CRC-valid frames around text
+    // payloads. Nothing in it parses, so the reduce rescans every chunk and
+    // rewrites the header and the batch in the binary form.
+    const web::PopulationModel population = tiny_population();
+    ScanOptions options;
+    options.journal_dir = (dir_ / "text").string();
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
+    const MapBatch batch{0, 6};
+    ASSERT_EQ(list_map_batches(options.journal_dir), std::vector<MapBatch>{batch});
+    ASSERT_TRUE(util::write_file_atomic(util::Io::real(), map_header_path(options.journal_dir),
+                                        frame_record("campaign seed=1 week=57 ipv6=0 "
+                                                     "chunk_domains=16 domain_count=110 "
+                                                     "telemetry=1\n"))
+                    .ok());
+    std::string text_batch;
+    for (std::size_t c = batch.first; c <= batch.last; ++c) {
+        text_batch += frame_record("chunk index=" + std::to_string(c) +
+                                   " quarantined=0 error= domains=0\ntelemetry 0\n");
+    }
+    ASSERT_TRUE(write_batch(options.journal_dir, batch, text_batch));
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(options.journal_dir, collect_into(chunks));
+    EXPECT_FALSE(replay.has_header);
+    EXPECT_EQ(replay.chunks_read, 0u);
+    EXPECT_EQ(replay.corrupt_chunks, batch.size());
+    EXPECT_EQ(scrub_journal(options.journal_dir, {.repair = false}).chunks_to_rescan.size(),
+              batch.size());
+
+    std::atomic<std::size_t> chunks_scanned{0};
+    ScanOptions reduce_options = options;
+    reduce_options.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
+    const SweepResult reduced = run_to_completion(population, reduce_options, /*reduce=*/true);
+    EXPECT_EQ(chunks_scanned.load(), batch.size());
+    EXPECT_EQ(reduced.stream, baseline.stream);
+    EXPECT_EQ(reduced.telemetry, baseline.telemetry);
+    expect_same_stats(reduced.stats, baseline.stats);
+    EXPECT_TRUE(read_map_batch(options.journal_dir, batch).has_value());
+    EXPECT_TRUE(scrub_journal(options.journal_dir, {.repair = false}).clean());
 }
 
 TEST_F(JournalTest, UnparseableRecordMidBatchIsRescannedAndTheBatchRepublished) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "bytes/bytes.hpp"
+#include "bytes/cursor.hpp"
 #include "faults/faults.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
@@ -443,6 +444,22 @@ TEST(Export, DeterministicCsvExcludesWallClockAndHistogramSums) {
     EXPECT_NE(full.find("\"sum\":"), std::string::npos);
 }
 
+/// Snapshot keys (see telemetry::snapshot): counters, gauges, histograms.
+std::size_t key(CounterId id) { return static_cast<std::size_t>(id); }
+std::size_t key(GaugeId id) { return kCounters.size() + static_cast<std::size_t>(id); }
+std::size_t key(HistogramId id) {
+    return kCounters.size() + kGauges.size() + static_cast<std::size_t>(id);
+}
+
+/// Hand-written snapshot bytes: `write` fills them through a ByteWriter.
+template <typename Fn>
+std::string snapshot_bytes(Fn&& write) {
+    std::vector<std::uint8_t> bytes;
+    bytes::ByteWriter out{bytes};
+    write(out);
+    return {bytes.begin(), bytes.end()};
+}
+
 TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
     MetricsRegistry registry;
     registry.counter(CounterId::scanner_connections).add(42);
@@ -461,7 +478,7 @@ TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
     const auto* gauge = parsed->find_gauge("scanner.domains_per_sec");
     ASSERT_NE(gauge, nullptr);
     EXPECT_TRUE(gauge->has_value());
-    EXPECT_EQ(gauge->value(), 123.456789012345678);  // %.17g: bit-identical
+    EXPECT_EQ(gauge->value(), 123.456789012345678);  // IEEE bits: bit-identical
     const auto* unset = parsed->find_gauge("netsim.sim.queue_depth_hwm");
     ASSERT_NE(unset, nullptr);
     EXPECT_FALSE(unset->has_value()) << "never-set state must survive the round trip";
@@ -484,18 +501,28 @@ TEST(Export, SnapshotRoundTripsEveryInstrumentExactly) {
 
 TEST(Export, ParseSnapshotRejectsMalformedInput) {
     EXPECT_TRUE(parse_snapshot("").has_value()) << "an empty snapshot is an empty registry";
+    EXPECT_EQ(snapshot(MetricsRegistry{}), "");
+    // The old text form and other garbage.
     EXPECT_FALSE(parse_snapshot("bogus kind x 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries not_a_number\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1 trailing\n").has_value());
-    // Bad has-value flag.
-    EXPECT_FALSE(parse_snapshot("gauge scanner.quic_ok_rate 2 1.5\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1\n").has_value());
+    // An entry count of zero is not the writer's empty registry.
+    EXPECT_FALSE(parse_snapshot(std::string(1, '\0')).has_value());
+    // Bad has-value byte.
+    EXPECT_FALSE(parse_snapshot(snapshot_bytes([](bytes::ByteWriter& out) {
+                     out.uvarint(1);
+                     out.uvarint(key(GaugeId::scanner_quic_ok_rate));
+                     out.u8(2);
+                     out.f64(1.5);
+                 })).has_value());
     // Histogram whose bucket counts disagree with its count.
     MetricsRegistry registry;
     registry.histogram(HistogramId::quic_conn_min_rtt_ms).record(1.0);
     std::string hist = snapshot(registry);
-    const std::size_t count_at = hist.find(" 24 1 ") + 4;
+    // The entry count, the histogram's key, then its count.
+    const std::size_t count_at = 1 + bytes::varint_size(key(HistogramId::quic_conn_min_rtt_ms));
+    ASSERT_EQ(hist[count_at], '\x01');
     ASSERT_TRUE(parse_snapshot(hist).has_value());
-    hist[count_at] = '5';
+    hist[count_at] = '\x05';
     EXPECT_FALSE(parse_snapshot(hist).has_value());
 }
 
@@ -505,28 +532,47 @@ TEST(Export, ParseSnapshotAcceptsOnlyTheWritersForm) {
     registry.counter(CounterId::scanner_retries).add(22);
     registry.gauge(GaugeId::scanner_quic_ok_rate).set(0.25);
     (void)registry.histogram(HistogramId::scanner_phase_attempt_ms);
-    const std::string text = snapshot(registry);
-    ASSERT_TRUE(parse_snapshot(text).has_value());
-    // Cut anywhere but after a newline, the last line is unterminated.
-    for (std::size_t n = 0; n < text.size(); ++n) {
-        const bool line_boundary = n == 0 || text[n - 1] == '\n';
-        EXPECT_EQ(parse_snapshot(text.substr(0, n)).has_value(), line_boundary) << n;
+    const std::string bytes = snapshot(registry);
+    ASSERT_TRUE(parse_snapshot(bytes).has_value());
+    // The entry count covers every instrument: any proper prefix but the
+    // empty one is cut inside an entry.
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+        EXPECT_EQ(parse_snapshot(bytes.substr(0, n)).has_value(), n == 0) << n;
     }
-    // snapshot() writes counters, gauges, then histograms, each in catalog
-    // (name) order and once.
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1\ncounter scanner.connections 1\n")
+    EXPECT_FALSE(parse_snapshot(bytes + '\0').has_value()) << "trailing byte";
+    // Keys are distances past the previous key, so each instrument appears
+    // once and in catalog order; a key past the catalog is rejected.
+    const auto one_counter = [](std::uint64_t gap, std::uint64_t value) {
+        return snapshot_bytes([&](bytes::ByteWriter& out) {
+            out.uvarint(1);
+            out.uvarint(gap);
+            out.uvarint(value);
+        });
+    };
+    EXPECT_TRUE(parse_snapshot(one_counter(key(CounterId::scanner_retries), 1)).has_value());
+    EXPECT_FALSE(parse_snapshot(one_counter(key(HistogramId::scanner_phase_resolve_ms) + 1, 1))
                      .has_value());
-    EXPECT_FALSE(parse_snapshot("gauge scanner.quic_ok_rate 1 2\ncounter scanner.retries 1\n")
-                     .has_value());
-    EXPECT_TRUE(parse_snapshot("counter scanner.retries 1\ngauge bytes.pool.outstanding_hwm 1 2\n")
-                    .has_value());
-    // Integers are canonical decimals; blank lines and extra spaces are not
-    // the writer's.
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries 01\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries +1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("\ncounter scanner.retries 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter  scanner.retries 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries\t1\n").has_value());
+    // Varints are minimal: 0x40 0x01 is an overlong 1.
+    std::string overlong = one_counter(key(CounterId::scanner_retries), 1);
+    overlong.replace(overlong.size() - 1, 1, "\x40\x01");
+    EXPECT_FALSE(parse_snapshot(overlong).has_value());
+    // An empty histogram is its zero count alone; a listed bucket is never empty.
+    const auto one_bucket = [](std::uint64_t count, std::uint64_t bucket_count) {
+        return snapshot_bytes([&](bytes::ByteWriter& out) {
+            out.uvarint(1);
+            out.uvarint(key(HistogramId::quic_conn_min_rtt_ms));
+            out.uvarint(count);
+            out.f64(1.0);
+            out.f64(1.0);
+            out.f64(1.0);
+            out.uvarint(1);
+            out.uvarint(3);
+            out.uvarint(bucket_count);
+        });
+    };
+    EXPECT_TRUE(parse_snapshot(one_bucket(1, 1)).has_value());
+    EXPECT_FALSE(parse_snapshot(one_bucket(0, 0)).has_value());
+    EXPECT_FALSE(parse_snapshot(one_bucket(1, 0)).has_value());
 }
 
 // --- The metric catalog ------------------------------------------------------
@@ -536,8 +582,7 @@ void expect_ascending_names(const std::array<MetricInfo, N>& catalog) {
     for (std::size_t i = 1; i < N; ++i) {
         EXPECT_LT(catalog[i - 1].name, catalog[i].name) << i;
     }
-    // Dotted identifiers: exporters write names unescaped and the snapshot
-    // reader splits on spaces.
+    // Dotted identifiers: the JSON and CSV exporters write names unescaped.
     for (const MetricInfo& m : catalog) {
         EXPECT_EQ(m.name.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789._"),
                   std::string_view::npos)
@@ -596,27 +641,44 @@ TEST(Catalog, EnumFamiliesMatchTheirEnums) {
 }
 
 TEST(Catalog, ParseSnapshotRejectsUnknownRepeatedAndForeignGeometry) {
-    EXPECT_FALSE(parse_snapshot("counter x.count 1\n").has_value()) << "unknown name";
-    EXPECT_FALSE(parse_snapshot("counter netsim.sim.queue_depth_hwm 1\n").has_value())
-        << "a name of another kind";
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1\ncounter scanner.retries 1\n")
-                     .has_value())
-        << "repeated name";
+    const std::size_t key_count = kCounters.size() + kGauges.size() + kHistograms.size();
+    const auto counters = [](std::initializer_list<std::uint64_t> gaps) {
+        return snapshot_bytes([&](bytes::ByteWriter& out) {
+            out.uvarint(gaps.size());
+            for (const std::uint64_t gap : gaps) {
+                out.uvarint(gap);
+                out.uvarint(1);
+            }
+        });
+    };
+    EXPECT_FALSE(parse_snapshot(counters({key_count})).has_value()) << "unknown key";
+    // A key is a distance past the previous one: a second zero gap names the
+    // next counter, never the same one again.
+    const auto two = parse_snapshot(counters({key(CounterId::scanner_retries), 0}));
+    ASSERT_TRUE(two.has_value());
+    EXPECT_EQ(two->find(CounterId::scanner_retries)->value(), 1u);
+    EXPECT_EQ(two->find(CounterId::scanner_retries + 1)->value(), 1u);
+    EXPECT_EQ(two->size(), 2u);
 
-    MetricsRegistry registry;
-    registry.histogram(HistogramId::quic_conn_min_rtt_ms).record(3.0);
-    const std::string hist = snapshot(registry);
-    ASSERT_TRUE(parse_snapshot(hist).has_value());
-    const std::size_t geometry_at = hist.find(' ', hist.find("min_rtt_ms")) + 1;
-    const std::size_t geometry_end = hist.find(" 24 ") + 4;
-    const std::string tail = hist.substr(geometry_end);
-    const std::string head = hist.substr(0, geometry_at);
-    // The writer's geometry parses; any other one (start, growth or bucket
-    // count) is not the catalog's.
-    EXPECT_TRUE(parse_snapshot(head + "0.10000000000000001 2 24 " + tail).has_value());
-    EXPECT_FALSE(parse_snapshot(head + "0.001 2 24 " + tail).has_value());
-    EXPECT_FALSE(parse_snapshot(head + "0.10000000000000001 4 24 " + tail).has_value());
-    EXPECT_FALSE(parse_snapshot(head + "0.10000000000000001 2 23 " + tail).has_value());
+    // Geometry is the catalog's: bucket 23 is the last of a sim-ms
+    // histogram, bucket 24 exists only in the wall-ms geometry.
+    const auto one_bucket = [](HistogramId id, std::uint64_t bucket) {
+        return snapshot_bytes([&](bytes::ByteWriter& out) {
+            out.uvarint(1);
+            out.uvarint(key(id));
+            out.uvarint(1);
+            out.f64(1.0);
+            out.f64(1.0);
+            out.f64(1.0);
+            out.uvarint(1);
+            out.uvarint(bucket);
+            out.uvarint(1);
+        });
+    };
+    EXPECT_TRUE(parse_snapshot(one_bucket(HistogramId::quic_conn_min_rtt_ms, 23)).has_value());
+    EXPECT_FALSE(parse_snapshot(one_bucket(HistogramId::quic_conn_min_rtt_ms, 24)).has_value());
+    EXPECT_TRUE(parse_snapshot(one_bucket(HistogramId::scanner_phase_attempt_ms, 24)).has_value());
+    EXPECT_FALSE(parse_snapshot(one_bucket(HistogramId::scanner_phase_attempt_ms, 32)).has_value());
 }
 
 TEST(Catalog, CampaignChunkSnapshotRoundTripsByteForByte) {

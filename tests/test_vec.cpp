@@ -202,7 +202,8 @@ TEST(VecEndToEnd, ConnectionsCarrySaturatedVec) {
     core::ObserverConfig vec_observer_config;
     vec_observer_config.require_vec = true;
     core::SpinEdgeObserver vec_observer{vec_observer_config};
-    for (const auto& ev : trace.received_one_rtt()) {
+    for (const auto& ev : trace.received) {
+        if (ev.type != quic::PacketType::one_rtt) continue;
         vec_observer.on_packet({ev.time, ev.packet_number, ev.spin, ev.vec});
     }
     ASSERT_TRUE(vec_observer.result().has_samples());
