@@ -20,8 +20,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "bench/trajectory.hpp"
 #include "bytes/bytes.hpp"
 #include "netsim/link.hpp"
@@ -225,7 +227,16 @@ int main(int argc, char** argv) {
         if (std::strncmp(argv[i], "--trajectory=", 13) == 0) {
             trajectory_path = argv[i] + 13;
         } else if (std::strncmp(argv[i], "--trajectory_count=", 19) == 0) {
-            trajectory_count = std::strtoull(argv[i] + 19, nullptr, 10);
+            // A count that does not parse whole, or 0, would measure nothing
+            // and still write a trajectory row.
+            if (!bench::parse_whole(std::string_view{argv[i] + 19}, trajectory_count) ||
+                trajectory_count == 0) {
+                std::fprintf(stderr,
+                             "bad argument '%s'\nusage: %s [--trajectory=FILE "
+                             "[--trajectory_count=N]] [google-benchmark flags]\n",
+                             argv[i], argv[0]);
+                return 2;
+            }
         } else {
             argv[kept++] = argv[i];
         }

@@ -10,7 +10,10 @@
 // campaign snapshot, and writes a machine-readable JSON sidecar
 // (campaign_mini.telemetry.json) for offline attribution.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "analysis/accuracy.hpp"
 #include "analysis/adoption.hpp"
@@ -21,11 +24,28 @@
 
 using namespace spinscope;
 
+namespace {
+
+int usage(const char* program) {
+    std::fprintf(stderr, "usage: %s [scale=20000]\n", program);
+    return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
     // 1:20000 scale keeps this example under a second; pass a different
     // divisor to look at larger universes.
     double scale = 20000.0;
-    if (argc > 1) scale = std::atof(argv[1]);
+    if (argc > 2) return usage(argv[0]);
+    if (argc > 1) {
+        const std::string_view text = argv[1];
+        const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), scale);
+        if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(scale) ||
+            scale <= 0.0) {
+            return usage(argv[0]);
+        }
+    }
 
     std::printf("building synthetic web population (1:%.0f of the paper's universe)...\n",
                 scale);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -45,21 +46,22 @@ namespace {
 constexpr faults::RetryPolicy kChunkRestart{2, Duration::millis(10), 2.0,
                                             Duration::millis(100), true};
 
+/// Redirects a scan follows past the landing page (paper §3.2).
+constexpr int kMaxRedirects = 3;
+/// Per-packet, per-direction reorder probability of every attempt's path.
+constexpr double kReorderRate = 0.0015;
+/// The scanner client spins unconditionally (lottery off), mirroring the
+/// paper's measurement client; what is measured is the server's policy.
+constexpr quic::SpinConfig kClientSpin{quic::SpinPolicy::spin, 0,
+                                       quic::SpinPolicy::always_zero};
+
 }  // namespace
 
 void ScanOptions::validate() {
-    const auto checked_probability = [](double p, const char* name) {
-        if (std::isnan(p)) {
-            throw std::invalid_argument(std::string{"scanner: ScanOptions."} + name +
-                                        " is NaN");
-        }
-        return std::clamp(p, 0.0, 1.0);
-    };
-    loss_rate = checked_probability(loss_rate, "loss_rate");
-    reorder_rate = checked_probability(reorder_rate, "reorder_rate");
-    if (max_redirects < 0) {
-        throw std::invalid_argument("scanner: ScanOptions.max_redirects is negative");
+    if (std::isnan(loss_rate)) {
+        throw std::invalid_argument("scanner: ScanOptions.loss_rate is NaN");
     }
+    loss_rate = std::clamp(loss_rate, 0.0, 1.0);
     if (attempt_deadline.is_negative() || attempt_deadline.is_zero()) {
         throw std::invalid_argument("scanner: ScanOptions.attempt_deadline must be > 0");
     }
@@ -170,7 +172,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     link.jitter_scale = one_way.scaled(0.03);
     link.jitter_sigma = 0.5;
     link.loss_probability = options_.loss_rate;
-    link.reorder_probability = options_.reorder_rate;
+    link.reorder_probability = kReorderRate;
     link.reorder_extra_min = Duration::micros(60);
     link.reorder_extra_max = Duration::from_ms(1.5);
     Path path{sim, link, link, rng};
@@ -186,7 +188,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
 
     ConnectionConfig client_cfg;
     client_cfg.role = quic::Role::client;
-    client_cfg.spin = options_.client_spin;
+    client_cfg.spin = kClientSpin;
     client_cfg.handshake_timeout = Duration::seconds(5);
     Connection client{sim, client_cfg, rng.fork(100),
                       [&path](Datagram dg) { path.forward_link().send(std::move(dg)); },
@@ -393,7 +395,7 @@ std::vector<DomainScan> Campaign::quarantine_scans(std::size_t chunk_index,
     return scans;
 }
 
-Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
+Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
     const ShardPlan plan{model_->domain_count(), options_.chunk_domains};
     if (chunk_index >= plan.chunk_count()) {
         throw std::out_of_range("scanner: scan_chunk index past chunk_count()");
@@ -406,7 +408,8 @@ Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
         const web::DomainBlock block = model_->materialize(
             static_cast<std::uint32_t>(plan.chunk_begin(chunk_index)),
             static_cast<std::uint32_t>(plan.chunk_end(chunk_index)));
-        ChunkScan out;
+        LiveChunk out;
+        out.record.chunk_index = chunk_index;
         if (metrics_ != nullptr) out.metrics = std::make_unique<telemetry::MetricsRegistry>();
         // Chunk-private datagram pool, same ownership story as the chunk
         // registry: touched by exactly one worker, so no locking. Datagram
@@ -416,7 +419,7 @@ Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
         // here. Pool counters depend on chunk geometry, which is why
         // deterministic_csv excludes the bytes.pool prefix.
         bytes::BufferPool pool;
-        std::vector<DomainScan>& scans = out.chunk.scans;
+        std::vector<DomainScan>& scans = out.record.scans;
         scans.reserve(block.size());
         for (const web::Domain& domain : block.domains) {
             // Per-domain fault isolation: one pathological target must cost
@@ -446,8 +449,8 @@ Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
     std::string error;
     for (int attempt = 1;; ++attempt) {
         try {
-            ChunkScan out = scan_once();
-            out.chunk.restarts = attempt - 1;
+            LiveChunk out = scan_once();
+            out.record.restarts = attempt - 1;
             return out;
         } catch (const std::exception& e) {
             error = e.what();
@@ -458,20 +461,21 @@ Campaign::ChunkScan Campaign::scan_chunk_into(std::size_t chunk_index) const {
         const Duration delay = kChunkRestart.backoff_delay(attempt, restart_rng);
         std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
     }
-    ChunkScan out;
-    out.chunk.scans = quarantine_scans(chunk_index, error);
-    out.chunk.restarts = kChunkRestart.max_attempts - 1;
-    out.chunk.quarantined = true;
-    out.chunk.quarantine_error = std::move(error);
+    LiveChunk out;
+    out.record.chunk_index = chunk_index;
+    out.record.scans = quarantine_scans(chunk_index, error);
+    out.record.restarts = kChunkRestart.max_attempts - 1;
+    out.record.quarantined = true;
+    out.record.quarantine_error = std::move(error);
     return out;
 }
 
-ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
-    ChunkScan scanned = scan_chunk_into(chunk_index);
+ChunkRecord Campaign::scan_chunk(std::size_t chunk_index) const {
+    LiveChunk scanned = scan_chunk_into(chunk_index);
     if (scanned.metrics != nullptr) {
-        scanned.chunk.telemetry_snapshot = telemetry::snapshot(*scanned.metrics);
+        scanned.record.telemetry_snapshot = telemetry::snapshot(*scanned.metrics);
     }
-    return std::move(scanned.chunk);
+    return std::move(scanned.record);
 }
 
 DomainScan Campaign::scan_domain_into(const web::Domain& domain,
@@ -504,7 +508,7 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
     // function of shard assignment — so the determinism contract holds.
     Duration budget = options_.domain_deadline;
     bool budget_exhausted = false;
-    for (int hop = 0; hop <= options_.max_redirects && !budget_exhausted; ++hop) {
+    for (int hop = 0; hop <= kMaxRedirects && !budget_exhausted; ++hop) {
         std::optional<AttemptOutcome> outcome;
         Duration backoff = Duration::zero();
         bool first_try_failed = false;
@@ -736,17 +740,7 @@ CampaignStats Campaign::run_impl(
         }
     };
 
-    // One chunk on its way to the merge: scanned (its registry handed over
-    // in memory), replayed from the journal (telemetry in the record's
-    // snapshot) or a quarantine placeholder.
-    struct ChunkItem {
-        ChunkRecord record;
-        std::unique_ptr<telemetry::MetricsRegistry> metrics;
-        int restarts = 0;               ///< crashed executions (0 when replayed)
-        std::int64_t scan_done_ns = 0;  ///< wall instant the scan finished
-    };
-
-    const auto merge_chunk = [&](ChunkItem& item, bool replayed) {
+    const auto merge_chunk = [&](LiveChunk& item, bool replayed) {
         ChunkRecord& record = item.record;
         const std::size_t begin = plan.chunk_begin(record.chunk_index);
         if (record.scans.size() != plan.chunk_end(record.chunk_index) - begin) {
@@ -789,7 +783,7 @@ CampaignStats Campaign::run_impl(
                 metrics_->merge_from(*parsed);
             }
         }
-        stats.worker_restarts += item.restarts;
+        stats.worker_restarts += record.restarts;
         if (record.quarantined) {
             ++stats.chunks_quarantined;
             stats.domains_quarantined += record.scans.size();
@@ -802,7 +796,7 @@ CampaignStats Campaign::run_impl(
                 trace->instant(
                     TraceClock::wall, wall_merge_lane, "quarantine", trace->wall_now_ns(),
                     {TraceArg::num("chunk", static_cast<std::uint64_t>(record.chunk_index)),
-                     TraceArg::num("attempts", static_cast<std::uint64_t>(item.restarts + 1)),
+                     TraceArg::num("attempts", static_cast<std::uint64_t>(record.restarts + 1)),
                      TraceArg::str("error", record.quarantine_error)});
             }
         }
@@ -856,131 +850,110 @@ CampaignStats Campaign::run_impl(
     }
 
     // ---- publishing ---------------------------------------------------------
-    // Journal-before-merge: a batch is durable before any of its chunks
-    // reaches the sink, so a crash in between costs nothing (reduce replays
-    // it) while the opposite order could emit output a reduce then repeats.
-    // A non-transient storage error must not kill a sweep whose OUTPUT is
-    // still perfectly computable (DESIGN.md §16): publishing stops, the
-    // cause is attributed loudly (stats flag + campaign.journal.* telemetry)
-    // and merging continues. Failures before any work — lock, header — still
-    // throw: refusing loudly beats running without the durability the caller
-    // asked for.
+    // Journal-before-merge: a chunk is durable before it reaches the sink, so
+    // a crash in between costs nothing (reduce replays it) while the opposite
+    // order could emit output a reduce then repeats. The writer decides where
+    // each batch file starts and ends; a chunk handed to it waits in `pending`
+    // until a commit has published it. A non-transient storage error must not
+    // kill a sweep whose OUTPUT is still perfectly computable (DESIGN.md §16):
+    // publishing stops, the cause is attributed loudly (stats flag +
+    // campaign.journal.* telemetry) and merging continues. Failures before any
+    // work — lock, header — still throw: refusing loudly beats running without
+    // the durability the caller asked for.
     bool publishing = journaling;
     MapBatchWriter writer{util::resolve_io(options_.io), dir, options_.journal_retry,
                           options_.seed};
-    const auto publish = [&](const MapBatch& batch, std::string_view framed) {
+    std::deque<LiveChunk> pending;
+    // Runs one writer commit, then merges every pending chunk it published.
+    const auto settle = [&](const auto& commit) {
         if (!publishing) return;
         const std::int64_t start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        const util::IoResult published = writer.publish(batch, {&framed, 1});
-        if (published) {
-            stats.journal_records_appended += batch.size();
-            if (trace != nullptr) {
-                trace->complete(
-                    TraceClock::wall, wall_merge_lane, "journal publish", start_ns,
-                    trace->wall_now_ns() - start_ns,
-                    {TraceArg::num("first", static_cast<std::uint64_t>(batch.first)),
-                     TraceArg::num("last", static_cast<std::uint64_t>(batch.last)),
-                     TraceArg::num("bytes", static_cast<std::uint64_t>(framed.size()))});
+        const std::uint64_t before = writer.published();
+        const util::IoResult committed = commit();
+        stats.journal_records_appended = writer.published();
+        if (trace != nullptr && writer.published() > before) {
+            trace->complete(TraceClock::wall, wall_merge_lane, "journal publish", start_ns,
+                            trace->wall_now_ns() - start_ns,
+                            {TraceArg::num("records", writer.published() - before)});
+        }
+        if (!committed) {
+            publishing = false;
+            const MapBatch& batch = writer.last_failed();
+            stats.journal_degraded = true;
+            stats.journal_degraded_error =
+                "scanner: cannot publish journal records for chunks " +
+                std::to_string(batch.first) + ".." + std::to_string(batch.last) +
+                " (domains [" + std::to_string(plan.chunk_begin(batch.first)) + ", " +
+                std::to_string(plan.chunk_end(batch.last)) + ")) in " + options_.journal_dir +
+                ": " + committed.message();
+            if (metrics_ != nullptr) {
+                metrics_->counter(CounterId::campaign_journal_degraded).add(1);
+                const auto cls = util::classify_io_error(committed.err);
+                metrics_->counter(telemetry::kIoErrorCounters[static_cast<std::size_t>(cls)])
+                    .add(1);
             }
-            return;
+            if (trace != nullptr) {
+                trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
+                               trace->wall_now_ns(),
+                               {TraceArg::str("error", stats.journal_degraded_error)});
+            }
         }
-        publishing = false;
-        stats.journal_degraded = true;
-        stats.journal_degraded_error =
-            "scanner: cannot publish journal records for chunks " +
-            std::to_string(batch.first) + ".." + std::to_string(batch.last) + " (domains [" +
-            std::to_string(plan.chunk_begin(batch.first)) + ", " +
-            std::to_string(plan.chunk_end(batch.last)) + ")) in " + options_.journal_dir +
-            ": " + published.message();
-        if (metrics_ != nullptr) {
-            metrics_->counter(CounterId::campaign_journal_degraded).add(1);
-            const auto cls = util::classify_io_error(published.err);
-            metrics_->counter(telemetry::kIoErrorCounters[static_cast<std::size_t>(cls)]).add(1);
-        }
-        if (trace != nullptr) {
-            trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
-                           trace->wall_now_ns(),
-                           {TraceArg::str("error", stats.journal_degraded_error)});
+        while (!pending.empty() &&
+               (!publishing || !writer.holds(pending.front().record.chunk_index))) {
+            merge_chunk(pending.front(), /*replayed=*/false);
+            pending.pop_front();
         }
     };
-    // Thread-safe: runs on shard workers (and inline on the merge thread).
-    // Never throws for a crashing chunk: scan_chunk_into restarts it, then
-    // hands back its quarantine placeholders.
-    const auto scan_item = [this](std::size_t chunk_index) {
-        ChunkScan scanned = scan_chunk_into(chunk_index);
-        ChunkItem item;
-        item.restarts = scanned.chunk.restarts;
-        item.record = to_chunk_record(chunk_index, std::move(scanned.chunk));
-        item.metrics = std::move(scanned.metrics);
-        return item;
+    // Hands a scanned chunk's record to the writer, or merges it at once when
+    // nothing is published. Records are encoded here on the merge thread, in
+    // parallel with the workers' scans: a run on N threads keeps N + 1 cores
+    // busy.
+    const auto hold = [&](LiveChunk&& item) {
+        if (!publishing) return merge_chunk(item, /*replayed=*/false);
+        if (item.metrics != nullptr) {
+            item.record.telemetry_snapshot = telemetry::snapshot(*item.metrics);
+        }
+        writer.add(item.record.chunk_index, frame_record(serialize_chunk_record(item.record)));
+        pending.push_back(std::move(item));
     };
 
     // ---- the merge loop -----------------------------------------------------
     // Recorded batches replay, one decoded record at a time, right before the
-    // first scanned chunk past them; scanned chunks collect into `pending`
-    // (consecutive chunks of one batch window) and are published as one
-    // file, then merged.
-    // Records are encoded here on the merge thread, in parallel with the
-    // workers' scans: a run on N threads keeps N + 1 cores busy.
+    // first scanned chunk past them, once every chunk below them is published
+    // and merged.
     std::size_t next_recorded = 0;
     std::uint64_t records_replayed = 0;
     std::uint64_t corrupt_chunks = 0;
-    std::vector<ChunkItem> pending;
-    // Publishes `items` (consecutive chunks of one batch) as one file — after
-    // `framed`, the frames of `replayed` records that start the batch when a
-    // replay stopped mid-batch — then merges them.
-    const auto commit = [&](std::vector<ChunkItem>& items, std::string framed = {},
-                            std::size_t replayed = 0) {
-        if (items.empty()) return;
-        if (publishing) {
-            for (ChunkItem& item : items) {
-                if (item.metrics != nullptr) {
-                    item.record.telemetry_snapshot = telemetry::snapshot(*item.metrics);
-                }
-                framed += frame_record(serialize_chunk_record(item.record));
-            }
-            publish({items.front().record.chunk_index - replayed,
-                     items.back().record.chunk_index},
-                    framed);
-        }
-        for (ChunkItem& item : items) merge_chunk(item, /*replayed=*/false);
-        items.clear();
-    };
     const auto replay_up_to = [&](std::size_t limit) {
         for (; next_recorded < recorded.size() && recorded[next_recorded].first < limit;
              ++next_recorded) {
             const MapBatch& batch = recorded[next_recorded];
-            std::string prefix;
-            const std::size_t replayed = replay_map_batch(
-                dir, batch,
-                [&](ChunkRecord&& record) {
-                    ChunkItem item;
-                    item.record = std::move(record);
+            settle([&] { return writer.commit_below(batch.first); });
+            const std::size_t replayed =
+                replay_map_batch(dir, batch, [&](ChunkRecord&& record, std::string_view) {
+                    LiveChunk item{std::move(record), nullptr};
                     merge_chunk(item, /*replayed=*/true);
-                },
-                &prefix);
+                });
             records_replayed += replayed;
             if (replayed == batch.size()) continue;
             // Unreadable from chunk first + replayed on (torn, bit-flipped or
             // unparseable): rescan the rest inline and republish the whole
-            // batch under its name — byte-identical by the purity contract,
-            // so the repair is idempotent.
+            // batch under its name, starting with the frames that replayed —
+            // byte-identical by the purity contract, so the repair is
+            // idempotent. Those frames are read again here, so an intact
+            // batch's replay copies none.
             corrupt_chunks += batch.size() - replayed;
-            std::vector<ChunkItem> rescanned;
-            for (std::size_t c = batch.first + replayed; c <= batch.last; ++c) {
-                rescanned.push_back(scan_item(c));
+            if (publishing) {
+                (void)replay_map_batch(dir, batch,
+                                       [&](ChunkRecord&& record, std::string_view frame) {
+                                           writer.add(record.chunk_index, std::string{frame});
+                                       });
             }
-            commit(rescanned, std::move(prefix), replayed);
+            for (std::size_t c = batch.first + replayed; c <= batch.last; ++c) {
+                hold(scan_chunk_into(c));
+            }
+            settle([&] { return writer.commit_below(batch.last + 1); });
         }
-    };
-    const auto take = [&](ChunkItem&& item) {
-        const std::size_t c = item.record.chunk_index;
-        if (!pending.empty() && !continues_map_batch(pending.back().record.chunk_index, c)) {
-            commit(pending);
-        }
-        replay_up_to(c);
-        pending.push_back(std::move(item));
-        if (!publishing || (c + 1) % kMapBatchChunks == 0) commit(pending);
     };
 
     // One missing chunk per work item: the campaign chunk is the unit of
@@ -988,15 +961,17 @@ CampaignStats Campaign::run_impl(
     // written by exactly one worker (inside scan_missing(m)) and read by the
     // merge thread only after run_sharded reports the chunk done; the shard
     // merge window bounds how many chunks are live past the merge frontier,
-    // so in-flight results cost O(window), never O(chunk count).
+    // so in-flight results cost O(window), never O(chunk count). Scan
+    // workers never throw for a crashing chunk: scan_chunk_into restarts it,
+    // then hands back its quarantine placeholders.
     const ShardConfig shard{options_.threads};
     const ShardPlan missing_plan{missing.size(), 1};
     const std::size_t window = std::max<std::size_t>(
         std::min<std::size_t>(shard.window_chunks(), missing.size()), 1);
-    std::vector<ChunkItem> scanned(window);
+    std::vector<LiveChunk> scanned(window);
     const auto scan_missing = [&](std::size_t m) {
         const std::int64_t start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        ChunkItem item = scan_item(missing[m]);
+        LiveChunk item = scan_chunk_into(missing[m]);
         if (trace != nullptr) {
             item.scan_done_ns = trace->wall_now_ns();
             trace->complete(
@@ -1009,13 +984,16 @@ CampaignStats Campaign::run_impl(
         scanned[m % window] = std::move(item);
     };
     const auto merge_missing = [&](std::size_t m) {
-        ChunkItem item = std::move(scanned[m % window]);
-        scanned[m % window] = ChunkItem{};  // release the slot's storage
-        take(std::move(item));
+        LiveChunk item = std::move(scanned[m % window]);
+        scanned[m % window] = LiveChunk{};  // release the slot's storage
+        replay_up_to(item.record.chunk_index);
+        hold(std::move(item));
+        // Every chunk below the next missing one is on disk or held.
+        const std::size_t frontier = m + 1 < missing.size() ? missing[m + 1] : plan.chunk_count();
+        settle([&] { return writer.commit_passed(frontier, plan.chunk_count()); });
     };
 
     run_sharded(shard, missing_plan, scan_missing, merge_missing);
-    commit(pending);
     replay_up_to(plan.chunk_count());
 
     if (metrics_ != nullptr) {

@@ -42,15 +42,10 @@ struct ScanOptions {
     bool ipv6 = false;
     /// Campaign week (0-based, CW 15/2022 == 0); drives longitudinal churn.
     int week = 0;
-    int max_redirects = 3;
     std::uint64_t seed = 0x5ca7;
     /// Per-packet, per-direction network impairments (calibrated so that
     /// R-vs-S spin results differ for ~0.3 % of connections, §5.2).
     double loss_rate = 0.0004;
-    double reorder_rate = 0.0015;
-    /// The scanner client spins unconditionally (lottery off), mirroring the
-    /// paper's measurement client; what is measured is the server's policy.
-    quic::SpinConfig client_spin{quic::SpinPolicy::spin, 0, quic::SpinPolicy::always_zero};
     /// Safety bound per connection attempt (simulated time).
     util::Duration attempt_deadline = util::Duration::seconds(60);
     /// Watchdog budget per DOMAIN (simulated time across all of its hops,
@@ -112,10 +107,11 @@ struct ScanOptions {
     /// keep null in production.
     std::function<void(std::size_t chunk)> chunk_fault_hook;
 
-    /// Sanitizes the knobs in place: NaN probabilities, a negative redirect
-    /// budget, a non-positive deadline and invalid retry/fault-plan settings
-    /// throw std::invalid_argument; finite out-of-range probabilities are
-    /// clamped into [0, 1]. Campaign's constructor applies this to its copy.
+    /// Sanitizes the knobs in place: a NaN loss rate, a non-positive
+    /// deadline, a zero record cap or chunk size and invalid
+    /// retry/fault-plan/observer settings throw std::invalid_argument; a
+    /// finite out-of-range loss rate is clamped into [0, 1]. Campaign's
+    /// constructor applies this to its copy.
     void validate();
 };
 
@@ -222,23 +218,27 @@ struct CampaignStats {
     [[nodiscard]] std::string render() const;
 };
 
-/// One chunk's worth of scan output in journal-ready form: the scans of the
-/// chunk's domains in domain-id order plus the chunk-private telemetry
-/// snapshot (empty when the campaign has no registry attached). This is what
-/// a multi-process worker sends its supervisor as one framed journal record
-/// (scanner::run_procs) and what Campaign::reduce folds back together.
-struct ScannedChunk {
+/// One scanned work chunk: the scans of its domains in domain-id order, the
+/// chunk-private telemetry snapshot (telemetry::snapshot form; empty when the
+/// campaign has no registry attached or the chunk was quarantined), and for a
+/// quarantined chunk the failure note (its scans are then
+/// Campaign::quarantine_scans). The one struct a chunk travels in from
+/// Campaign::scan_chunk to the merge, the run_procs worker channel and the
+/// journal (serialize_chunk_record).
+struct ChunkRecord {
+    std::size_t chunk_index = 0;
+    bool quarantined = false;
+    std::string quarantine_error;
     std::vector<DomainScan> scans;
     std::string telemetry_snapshot;
     /// Scan executions that crashed outside the per-domain isolation and
-    /// were re-executed.
+    /// were re-executed. In memory only: not journaled, so a replayed record
+    /// reads 0.
     int restarts = 0;
-    /// Every execution crashed: `scans` are the chunk's quarantine
-    /// placeholders, `quarantine_error` is the last crash's message and the
-    /// snapshot is empty.
-    bool quarantined = false;
-    std::string quarantine_error;
 };
+
+/// The older name of ChunkRecord, kept for callers that still use it.
+using ScannedChunk = ChunkRecord;
 
 /// Scans the domains of a population.
 ///
@@ -312,9 +312,9 @@ public:
     /// with the global chunk index) is re-executed after a jittered backoff
     /// drawn from faults::RetryPolicy::restart_stream(seed, chunk), and a
     /// chunk whose every execution crashed comes back quarantined (see
-    /// ScannedChunk) instead of throwing. Throws std::out_of_range for an
+    /// ChunkRecord) instead of throwing. Throws std::out_of_range for an
     /// index past chunk_count().
-    [[nodiscard]] ScannedChunk scan_chunk(std::size_t chunk_index) const;
+    [[nodiscard]] ChunkRecord scan_chunk(std::size_t chunk_index) const;
 
     /// Scans every domain, streaming results to `sink` in domain-id order
     /// (traces are large; aggregate, then drop them). Returns the sweep's
@@ -367,20 +367,21 @@ private:
         util::Duration sim_elapsed = util::Duration::zero();
     };
 
-    /// One scanned chunk as the merge loop receives it: the chunk-private
-    /// telemetry registry (null when the campaign has no registry, or when
-    /// the chunk was quarantined) is handed over in memory, so `chunk`'s
-    /// snapshot stays empty.
-    struct ChunkScan {
-        ScannedChunk chunk;
+    /// A chunk record on its way to the merge loop. A scanned chunk hands
+    /// its chunk-private telemetry registry over in memory (null when the
+    /// campaign has no registry, or the chunk was quarantined or replayed
+    /// from the journal, whose telemetry is the record's snapshot).
+    struct LiveChunk {
+        ChunkRecord record;
         std::unique_ptr<telemetry::MetricsRegistry> metrics;
+        std::int64_t scan_done_ns = 0;  ///< wall instant the scan finished
     };
 
     /// The supervised chunk scan behind scan_chunk() and every run()/reduce()
     /// worker: per-domain fault isolation over a freshly materialized block,
     /// with a chunk-private registry and buffer pool, restarted and then
     /// quarantined as scan_chunk() describes.
-    [[nodiscard]] ChunkScan scan_chunk_into(std::size_t chunk_index) const;
+    [[nodiscard]] LiveChunk scan_chunk_into(std::size_t chunk_index) const;
 
     /// scan_domain with telemetry routed into an explicit registry (the
     /// worker's chunk-private one; nullptr disables), so shard workers never

@@ -389,6 +389,12 @@ constexpr std::string_view kMapChunkSuffix = ".rec";
     return std::string{frame->payload};
 }
 
+/// True when chunk `next` joins the batch that ends with chunk `prev`: it
+/// follows it directly, inside the same window.
+[[nodiscard]] constexpr bool continues_map_batch(std::size_t prev, std::size_t next) noexcept {
+    return next == prev + 1 && next % kMapBatchChunks != 0;
+}
+
 /// True for header.rec and chunk-record filenames.
 [[nodiscard]] bool is_map_file(const std::string& name) {
     return name == kMapHeaderName || parse_batch_name(name);
@@ -499,6 +505,7 @@ util::IoResult MapBatchWriter::publish(const MapBatch& batch,
             util::write_file_atomic(*io_, map_batch_path(dir_, batch), framed);
         if (published) return published;
         ++io_errors_;
+        last_failed_ = batch;
         last_error_ = "publish chunks " + std::to_string(batch.first) + ".." +
                       std::to_string(batch.last) + " in " + dir_.string() + ": " +
                       published.message();
@@ -524,15 +531,22 @@ util::IoResult MapBatchWriter::commit_below(std::size_t limit) {
             batch.last = it->first;
             framed.push_back(it->second);
         }
-        if (result) result = publish(batch, framed);
+        if (result) {
+            result = publish(batch, framed);
+            if (result) published_ += batch.size();
+        }
         held_.erase(held_.begin(), it);
     }
     return result;
 }
 
-std::size_t replay_map_batch(const std::filesystem::path& dir, const MapBatch& batch,
-                             const std::function<void(ChunkRecord&&)>& visit,
-                             std::string* prefix) {
+util::IoResult MapBatchWriter::commit_passed(std::size_t frontier, std::size_t total) {
+    return commit_below(frontier >= total ? total : frontier - frontier % kMapBatchChunks);
+}
+
+std::size_t replay_map_batch(
+    const std::filesystem::path& dir, const MapBatch& batch,
+    const std::function<void(ChunkRecord&&, std::string_view frame)>& visit) {
     const auto bytes = read_file(map_batch_path(dir, batch));
     if (!bytes) return 0;
     // Two passes over the file's bytes: the first checks every frame, the
@@ -551,11 +565,8 @@ std::size_t replay_map_batch(const std::filesystem::path& dir, const MapBatch& b
     std::size_t start = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         auto record = parse_chunk_record(frames[i].payload);
-        if (!record || record->chunk_index != batch.first + i) {
-            if (prefix != nullptr) prefix->assign(*bytes, 0, start);
-            return i;
-        }
-        visit(std::move(*record));
+        if (!record || record->chunk_index != batch.first + i) return i;
+        visit(std::move(*record), std::string_view{*bytes}.substr(start, frames[i].size));
         start += frames[i].size;
     }
     return batch.size();
@@ -565,8 +576,10 @@ std::optional<std::vector<ChunkRecord>> read_map_batch(const std::filesystem::pa
                                                        const MapBatch& batch) {
     std::vector<ChunkRecord> records;
     records.reserve(batch.size());
-    const std::size_t read = replay_map_batch(
-        dir, batch, [&](ChunkRecord&& record) { records.push_back(std::move(record)); });
+    const std::size_t read =
+        replay_map_batch(dir, batch, [&](ChunkRecord&& record, std::string_view) {
+            records.push_back(std::move(record));
+        });
     if (read != batch.size()) return std::nullopt;
     return records;
 }
@@ -597,7 +610,8 @@ MapReplayResult read_map_journal(const std::filesystem::path& dir,
         }
     }
     for (const MapBatch& batch : list_map_batches(dir)) {
-        const std::size_t read = replay_map_batch(dir, batch, visit);
+        const std::size_t read = replay_map_batch(
+            dir, batch, [&](ChunkRecord&& record, std::string_view) { visit(std::move(record)); });
         out.chunks_read += read;
         out.corrupt_chunks += batch.size() - read;
     }

@@ -61,26 +61,6 @@ struct CampaignHeader {
     friend bool operator==(const CampaignHeader&, const CampaignHeader&) = default;
 };
 
-/// One journaled work chunk: the scans of its domains in domain-id order,
-/// the chunk-private telemetry snapshot (telemetry::snapshot form; empty
-/// when the campaign ran without a registry), and for a quarantined chunk
-/// the failure note (its scans are then Campaign::quarantine_scans).
-struct ChunkRecord {
-    std::size_t chunk_index = 0;
-    bool quarantined = false;
-    std::string quarantine_error;
-    std::vector<DomainScan> scans;
-    std::string telemetry_snapshot;
-};
-
-/// The record of chunk `chunk_index` as Campaign::scan_chunk returned it
-/// (its restart count is not journaled).
-[[nodiscard]] inline ChunkRecord to_chunk_record(std::size_t chunk_index,
-                                                 ScannedChunk&& scanned) {
-    return {chunk_index, scanned.quarantined, std::move(scanned.quarantine_error),
-            std::move(scanned.scans), std::move(scanned.telemetry_snapshot)};
-}
-
 /// A storage operation failed past the point of retrying. Carries the errno
 /// result and its reaction class so catch sites can tell a full or dying
 /// disk (fatal) from one whose contents can no longer be trusted
@@ -130,12 +110,6 @@ private:
 /// chunk. A fresh pass writes each whole window as one file in every mode.
 inline constexpr std::size_t kMapBatchChunks = 16;
 
-/// True when chunk `next` joins the batch that ends with chunk `prev`: it
-/// follows it directly, inside the same window.
-[[nodiscard]] constexpr bool continues_map_batch(std::size_t prev, std::size_t next) noexcept {
-    return next == prev + 1 && next % kMapBatchChunks != 0;
-}
-
 /// The chunk range [first, last] one record file holds.
 struct MapBatch {
     std::size_t first = 0;
@@ -181,27 +155,25 @@ std::vector<MapBatch> open_map_journal(util::PidLockFile& lock, const Campaign& 
 [[nodiscard]] bool write_map_chunk(const std::filesystem::path& dir,
                                    const ChunkRecord& record);
 
-/// The one journal writer. It holds framed chunk records, which may arrive
-/// in any order, and publishes them as batch files. A batch is a maximal run
-/// of held consecutive chunks inside one window (continues_map_batch), so
-/// chunks already on disk split a window into gap-filling files and a
-/// resumed pass never overlaps an existing file. Each publish retries
-/// transient storage errors on `retry`'s wall-clock schedule, with jitter
-/// from a stream keyed by the campaign seed that no scan draws from.
+/// The one journal writer, and the only code that decides where a batch file
+/// starts and ends. It holds framed chunk records, which may arrive in any
+/// order, and publishes them as batch files. A batch is a maximal run of
+/// held consecutive chunks inside one window, so chunks already on disk
+/// split a window into gap-filling files and a resumed pass never overlaps an
+/// existing file. Each publish retries transient storage errors on `retry`'s
+/// wall-clock schedule, with jitter from a stream keyed by the campaign seed
+/// that no scan draws from.
 class MapBatchWriter {
 public:
     MapBatchWriter(util::Io& io, std::filesystem::path dir, faults::RetryPolicy retry,
                    std::uint64_t seed);
 
-    /// Publishes `framed` — the batch's records, in pieces written back to
-    /// back — as `batch`'s file, retrying transient failures.
-    [[nodiscard]] util::IoResult publish(const MapBatch& batch,
-                                         std::span<const std::string_view> framed);
-
-    /// Holds chunk `chunk`'s framed record until commit_below.
+    /// Holds chunk `chunk`'s framed record until a commit publishes it.
     void add(std::size_t chunk, std::string framed) {
         held_.insert_or_assign(chunk, std::move(framed));
     }
+    /// Whether chunk `chunk`'s record is held, not yet committed.
+    [[nodiscard]] bool holds(std::size_t chunk) const { return held_.contains(chunk); }
 
     /// Publishes every held record below `limit`, batch by batch in
     /// ascending order; the caller promises no chunk below `limit` is still
@@ -209,18 +181,34 @@ public:
     /// returns that failure; either way nothing below `limit` stays held.
     [[nodiscard]] util::IoResult commit_below(std::size_t limit);
 
+    /// The commit rule of every pass: commits the windows `frontier` — the
+    /// lowest of the `total` chunks not yet done (on disk or added) — has
+    /// passed, or everything once it reaches `total`.
+    [[nodiscard]] util::IoResult commit_passed(std::size_t frontier, std::size_t total);
+
+    /// Records published so far.
+    [[nodiscard]] std::uint64_t published() const noexcept { return published_; }
     /// Failed write attempts so far, retried ones included.
     [[nodiscard]] std::uint64_t io_errors() const noexcept { return io_errors_; }
-    /// The most recent failed attempt: its batch and errno cause.
+    /// The batch of the most recent failed attempt.
+    [[nodiscard]] const MapBatch& last_failed() const noexcept { return last_failed_; }
+    /// That attempt's batch, directory and errno cause, in words.
     [[nodiscard]] const std::string& last_error() const noexcept { return last_error_; }
 
 private:
+    /// Publishes `framed` — the batch's records, in pieces written back to
+    /// back — as `batch`'s file, retrying transient failures.
+    [[nodiscard]] util::IoResult publish(const MapBatch& batch,
+                                         std::span<const std::string_view> framed);
+
     util::Io* io_;
     std::filesystem::path dir_;
     faults::RetryPolicy retry_;
     util::Rng retry_rng_;
     std::map<std::size_t, std::string> held_;
+    std::uint64_t published_ = 0;
     std::uint64_t io_errors_ = 0;
+    MapBatch last_failed_;
     std::string last_error_;
 };
 
@@ -240,12 +228,11 @@ private:
 /// length and CRC check, and no byte trails the last one, before the first
 /// record is visited; otherwise nothing is (0). A CRC-valid record that fails
 /// to parse or names the wrong chunk ends the stream there: the records
-/// before it were visited. `prefix`, when given, receives the frames of the
-/// visited records, so a caller can republish the batch with the rest
-/// rescanned.
-std::size_t replay_map_batch(const std::filesystem::path& dir, const MapBatch& batch,
-                             const std::function<void(ChunkRecord&&)>& visit,
-                             std::string* prefix = nullptr);
+/// before it were visited. `visit` also gets each record's whole frame, so a
+/// caller can republish the batch with the rest rescanned.
+std::size_t replay_map_batch(
+    const std::filesystem::path& dir, const MapBatch& batch,
+    const std::function<void(ChunkRecord&&, std::string_view frame)>& visit);
 
 /// The chunk-record files in `dir` that a reducer folds: ascending and
 /// disjoint. A file whose range overlaps an earlier-starting (or, at the

@@ -101,13 +101,11 @@ int worker_main(const Campaign& campaign, const ProcPoolOptions& options, unsign
                 send("start " + std::to_string(c) + "\n");
                 // Thread-level restart-then-quarantine happens inside
                 // scan_chunk, so the record matches what run() journals.
-                ScannedChunk scanned = campaign.scan_chunk(c);
-                const int restarts = scanned.restarts;
-                const ChunkRecord record = to_chunk_record(c, std::move(scanned));
+                const ChunkRecord record = campaign.scan_chunk(c);
                 if (hook) hook(slot, "scanned", c);
                 // `record <c> <restarts> <rss>`, then the journal frame the
                 // supervisor commits byte for byte.
-                send("record " + std::to_string(c) + " " + std::to_string(restarts) + " " +
+                send("record " + std::to_string(c) + " " + std::to_string(record.restarts) + " " +
                      std::to_string(telemetry::current_rss_bytes()) + "\n" +
                      frame_record(serialize_chunk_record(record)));
                 if (hook) hook(slot, "sent", c);
@@ -194,9 +192,7 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     std::optional<std::string> refusal;
     const auto commit_ready = [&] {
         while (frontier < total && done[frontier] != 0) ++frontier;
-        const std::size_t limit =
-            frontier == total ? total : frontier - frontier % kMapBatchChunks;
-        if (!writer.commit_below(limit) && !refusal) refusal = writer.last_error();
+        if (!writer.commit_passed(frontier, total) && !refusal) refusal = writer.last_error();
     };
     const auto record_chunk = [&](std::size_t c, std::string framed) {
         writer.add(c, std::move(framed));
@@ -460,11 +456,10 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     // inline into the same writer.
     for (std::size_t c = 0; c < total && !refusal; ++c) {
         if (done[c] != 0) continue;
-        ScannedChunk scanned = campaign.scan_chunk(c);
-        report.worker_thread_restarts += static_cast<std::uint64_t>(scanned.restarts);
+        const ChunkRecord record = campaign.scan_chunk(c);
+        report.worker_thread_restarts += static_cast<std::uint64_t>(record.restarts);
         ++report.chunks_scanned_inline;
-        record_chunk(c, frame_record(serialize_chunk_record(
-                            to_chunk_record(c, std::move(scanned)))));
+        record_chunk(c, frame_record(serialize_chunk_record(record)));
     }
 
     report.io_errors = writer.io_errors();

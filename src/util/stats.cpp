@@ -6,53 +6,6 @@
 
 namespace spinscope::util {
 
-void RunningStats::add(double x) noexcept {
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const auto na = static_cast<double>(n_);
-    const auto nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    n_ += other.n_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const noexcept {
-    if (n_ < 2) return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-std::optional<double> RunningStats::min() const noexcept {
-    if (n_ == 0) return std::nullopt;
-    return min_;
-}
-
-std::optional<double> RunningStats::max() const noexcept {
-    if (n_ == 0) return std::nullopt;
-    return max_;
-}
-
 std::optional<double> quantile(std::span<const double> values, double q) {
     if (values.empty()) return std::nullopt;
     q = std::clamp(q, 0.0, 1.0);

@@ -1,6 +1,6 @@
 // spinscope/util/stats.hpp
 //
-// Streaming statistics and binned histograms used by the analysis pipeline
+// Quantiles and binned histograms used by the analysis pipeline
 // (per-connection RTT aggregation, Figures 2-4 of the paper).
 
 #pragma once
@@ -13,34 +13,6 @@
 #include <vector>
 
 namespace spinscope::util {
-
-/// Numerically stable streaming moments (Welford) plus min/max.
-class RunningStats {
-public:
-    /// Adds one observation.
-    void add(double x) noexcept;
-
-    /// Merges another accumulator into this one (parallel reduction).
-    void merge(const RunningStats& other) noexcept;
-
-    [[nodiscard]] std::size_t count() const noexcept { return n_; }
-    [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
-    /// Mean of the observations; 0 when empty.
-    [[nodiscard]] double mean() const noexcept { return mean_; }
-    /// Unbiased sample variance; 0 with fewer than two observations.
-    [[nodiscard]] double variance() const noexcept;
-    [[nodiscard]] double stddev() const noexcept;
-    /// Smallest / largest observation; nullopt when empty.
-    [[nodiscard]] std::optional<double> min() const noexcept;
-    [[nodiscard]] std::optional<double> max() const noexcept;
-
-private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /// Linear-interpolation quantile of an unsorted sample (copies + sorts).
 /// q in [0, 1]; returns nullopt for an empty sample.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <stdexcept>
 
 namespace spinscope::web {
 
@@ -67,6 +68,11 @@ constexpr std::uint64_t kMaxPool = (1ULL << 28) - 1;
 }  // namespace
 
 PopulationModel::PopulationModel(const PopulationConfig& config) : config_{config} {
+    // compute_geometry divides by the scale and casts the quotients to
+    // sizes: zero, negative or non-finite would make them meaningless.
+    if (!std::isfinite(config.scale) || config.scale <= 0.0) {
+        throw std::invalid_argument("web: PopulationConfig.scale must be finite and > 0");
+    }
     build_profiles();
     compute_geometry();
 }

@@ -189,6 +189,7 @@ struct DomainBlock {
 /// chunk-size-independent (the §15 purity contract).
 class PopulationModel {
 public:
+    /// Throws std::invalid_argument for a scale that is not finite and > 0.
     explicit PopulationModel(const PopulationConfig& config);
 
     [[nodiscard]] const PopulationConfig& config() const noexcept { return config_; }

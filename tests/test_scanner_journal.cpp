@@ -271,10 +271,9 @@ TEST_F(JournalTest, GoldenCampaignTracesDecodeToWhatJsonlPrints) {
     const Campaign campaign{population, {}};
     std::size_t traces = 0;
     for (std::size_t c = 0; c < campaign.chunk_count(); ++c) {
-        ScannedChunk chunk = campaign.scan_chunk(c);
-        const std::vector<DomainScan> original = chunk.scans;
-        const auto parsed =
-            parse_chunk_record(serialize_chunk_record(to_chunk_record(c, std::move(chunk))));
+        const ChunkRecord chunk = campaign.scan_chunk(c);
+        const std::vector<DomainScan>& original = chunk.scans;
+        const auto parsed = parse_chunk_record(serialize_chunk_record(chunk));
         ASSERT_TRUE(parsed.has_value()) << "chunk " << c;
         ASSERT_EQ(parsed->scans.size(), original.size());
         for (std::size_t d = 0; d < original.size(); ++d) {

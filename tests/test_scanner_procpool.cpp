@@ -445,6 +445,73 @@ TEST_F(ProcPoolTest, MapPassOverAKilledRunKeepsItsBatches) {
     }
 }
 
+/// The file names in `dir`, sorted.
+std::vector<std::string> file_names(const std::filesystem::path& dir) {
+    std::vector<std::string> out;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        out.push_back(entry.path().filename().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST_F(ProcPoolTest, GapFillingWritesTheSameBatchFilesInEveryMode) {
+    // Kept batches [0, 3] and [8, 15] split the first window: reduce and a
+    // resumed map pass must both fill the gap with exactly one new file,
+    // [4, 7], and reduce to the unjournaled output.
+    const web::PopulationModel population = tiny_population();
+    ScanOptions options;
+    options.chunk_domains = 4;
+    const SweepResult baseline = run_single_process(population, options);
+
+    const auto kept_dir = dir_ / "kept";
+    options.journal_dir = kept_dir.string();
+    (void)run_single_process(population, options);
+    const auto window = read_map_batch(kept_dir, {0, 15});
+    ASSERT_TRUE(window.has_value());
+    ASSERT_TRUE(std::filesystem::remove(map_batch_path(kept_dir, {0, 15})));
+    MapBatchWriter writer{util::Io::real(), kept_dir, options.journal_retry, options.seed};
+    for (const ChunkRecord& record : *window) {
+        if (record.chunk_index < 4 || record.chunk_index >= 8) {
+            writer.add(record.chunk_index, frame_record(serialize_chunk_record(record)));
+        }
+    }
+    ASSERT_TRUE(writer.commit_below(16));
+    std::vector<std::string> want = file_names(kept_dir);
+    const std::vector<MapBatch> kept = list_map_batches(kept_dir);
+    ASSERT_EQ(kept.size(), 3u);
+    ASSERT_EQ(kept[0], (MapBatch{0, 3}));
+    ASSERT_EQ(kept[1], (MapBatch{8, 15}));
+    want.push_back(map_batch_path(kept_dir, {4, 7}).filename().string());
+    std::sort(want.begin(), want.end());
+
+    const auto reduce_dir = dir_ / "reduce";
+    const auto procs_dir = dir_ / "procs";
+    std::filesystem::copy(kept_dir, reduce_dir);
+    std::filesystem::copy(kept_dir, procs_dir);
+
+    options.journal_dir = reduce_dir.string();
+    {
+        Campaign campaign{population, options};
+        telemetry::MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        SweepResult reduced;
+        reduced.stats = campaign.reduce([&](const web::Domain& domain, DomainScan&& scan) {
+            reduced.order.push_back(domain.id);
+            reduced.stream += render_scan_stream(scan);
+        });
+        reduced.telemetry = telemetry::deterministic_csv(registry);
+        expect_same_sweep(reduced, baseline, "reduce");
+    }
+    EXPECT_EQ(file_names(reduce_dir), want) << "reduce";
+
+    options.journal_dir = procs_dir.string();
+    ProcPoolOptions pool = fast_pool(2);
+    pool.fresh = false;
+    expect_same_sweep(run_multi_process(population, options, pool), baseline, "procs");
+    EXPECT_EQ(file_names(procs_dir), want) << "procs";
+}
+
 // --- Chaos kill-sweep --------------------------------------------------------
 
 /// A worker's end of its supervisor channel: the only socket it holds.

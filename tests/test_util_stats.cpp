@@ -1,4 +1,4 @@
-// Unit tests for util statistics: RunningStats, quantile, Histogram,
+// Unit tests for util statistics: quantile, Histogram,
 // CategoricalCounts and the binomial pmf used for Figure 2's RFC overlays.
 
 #include <gtest/gtest.h>
@@ -6,68 +6,10 @@
 #include <cmath>
 #include <vector>
 
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace spinscope::util {
 namespace {
-
-TEST(RunningStats, EmptyState) {
-    RunningStats s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_FALSE(s.min().has_value());
-    EXPECT_FALSE(s.max().has_value());
-}
-
-TEST(RunningStats, KnownMoments) {
-    RunningStats s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-    EXPECT_DOUBLE_EQ(*s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(*s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleValueVarianceZero) {
-    RunningStats s;
-    s.add(42.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-}
-
-TEST(RunningStats, MergeEqualsConcatenation) {
-    Rng rng{77};
-    RunningStats all;
-    RunningStats left;
-    RunningStats right;
-    for (int i = 0; i < 500; ++i) {
-        const double v = rng.uniform_double(-5, 20);
-        all.add(v);
-        (i % 2 == 0 ? left : right).add(v);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(*left.min(), *all.min());
-    EXPECT_DOUBLE_EQ(*left.max(), *all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-    RunningStats a;
-    a.add(1.0);
-    a.add(3.0);
-    RunningStats b;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
 
 TEST(Quantile, EmptyReturnsNullopt) {
     EXPECT_FALSE(quantile({}, 0.5).has_value());

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -339,6 +341,14 @@ TEST(PopulationModel, EagerAndStreamingAreByteIdentical) {
             }
             ASSERT_EQ(checked, model.domain_count());
         }
+    }
+}
+
+TEST(PopulationModel, RejectsAScaleThatIsNotFiniteAndPositive) {
+    // The geometry divides by the scale: 0 once cast infinity to a size.
+    for (const double scale : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW((PopulationModel{{scale, 20230520}}), std::invalid_argument) << scale;
     }
 }
 
