@@ -92,7 +92,7 @@ int main() {
     std::printf("QUIC stack RTT  : mean %.2f ms (min %.2f ms, %zu samples)\n",
                 assessment.quic_mean_ms, assessment.quic_min_ms,
                 trace.metrics.rtt_samples_ms.size());
-    std::printf("spin-bit RTT (R): mean %.2f ms (%zu samples, %zu edges)\n",
+    std::printf("spin-bit RTT (R): mean %.2f ms (%zu samples, %u edges)\n",
                 assessment.spin_received.mean_ms(), assessment.spin_received.samples_ms.size(),
                 assessment.spin_received.edge_count);
     if (const auto ratio = assessment.mapped_ratio(core::PacketOrder::received)) {

@@ -79,9 +79,7 @@ ObserverRun ObserverReplay::run_constrained(const core::ConstrainedConfig& confi
     for (std::size_t i = 0; i < connections_.size(); ++i) {
         const auto stats = monitor.find_key(connections_[i].key);
         if (!stats) continue;
-        observed[i].edge_count = stats->edge_count;
-        observed[i].saw_zero = stats->saw_zero;
-        observed[i].saw_one = stats->saw_one;
+        static_cast<core::SpinEdgeState&>(observed[i]) = *stats;
         // The hardware estimate is one number: the integer EWMA. Wrap it as
         // a single sample so the Fig. 3/4 machinery (per-connection means)
         // scores it like any other estimator.

@@ -74,35 +74,13 @@ void ConstrainedMonitor::reset_slot(Slot& slot, std::uint64_t key) noexcept {
 
 void ConstrainedMonitor::track(Slot& slot, util::TimePoint at, bool spin) noexcept {
     ++slot.packets;
-    if (spin) {
-        slot.saw_one = true;
-    } else {
-        slot.saw_zero = true;
-    }
-    if (!slot.have_value) {
-        slot.have_value = true;
-        slot.spin = spin;
-        return;
-    }
-    if (spin == slot.spin) return;
-
-    // Spin edge. Mirrors SpinEdgeObserver::on_packet for a wire observer
-    // (no packet numbers, no VEC, no dynamic rejection) exactly — the
-    // interval comparison below is the same int64 nanosecond compare the
-    // float path performs before it ever converts to milliseconds.
-    slot.spin = spin;
-    ++slot.edge_count;
-    if (slot.last_edge_ns < 0) {
-        slot.last_edge_ns = at.count_nanos();
-        return;
-    }
-    const std::int64_t interval_ns = at.count_nanos() - slot.last_edge_ns;
-    slot.last_edge_ns = at.count_nanos();
-    if (interval_ns < config_.min_plausible_rtt.count_nanos()) {
+    const auto interval_ns = slot.edges.on_packet(at.count_nanos(), spin);
+    if (!interval_ns) return;
+    if (*interval_ns < config_.min_plausible_rtt.count_nanos()) {
         ++slot.rejected;
         return;
     }
-    const std::int64_t sample_us = interval_ns / 1'000;
+    const std::int64_t sample_us = *interval_ns / 1'000;
     if (!slot.have_srtt) {
         slot.srtt_scaled_us = sample_us << config_.ewma_shift;
         slot.have_srtt = true;
@@ -165,16 +143,8 @@ void ConstrainedMonitor::on_datagram(util::TimePoint at, bytes::ConstByteSpan da
 
 ConstrainedFlowStats ConstrainedMonitor::stats_of(const Slot& slot,
                                                   unsigned ewma_shift) noexcept {
-    ConstrainedFlowStats stats;
-    stats.packets = slot.packets;
-    stats.edge_count = slot.edge_count;
-    stats.samples = slot.samples;
-    stats.rejected_samples = slot.rejected;
-    stats.saw_zero = slot.saw_zero;
-    stats.saw_one = slot.saw_one;
-    stats.has_estimate = slot.have_srtt;
-    stats.srtt_us = slot.have_srtt ? (slot.srtt_scaled_us >> ewma_shift) : 0;
-    return stats;
+    return {slot.edges, slot.packets, slot.samples, slot.rejected,
+            slot.have_srtt ? (slot.srtt_scaled_us >> ewma_shift) : 0, slot.have_srtt};
 }
 
 std::vector<std::pair<std::string, ConstrainedFlowStats>> ConstrainedMonitor::flows()

@@ -1,7 +1,6 @@
 #include "core/observer.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "quic/packet.hpp"
 
@@ -38,71 +37,27 @@ SpinRttResult measure_spin_rtt(std::span<const SpinObservation> packets, PacketO
     }
 
     SpinRttResult result;
-    bool have_value = false;
-    bool current = false;
-    TimePoint last_edge = TimePoint::never();
     for (const auto& packet : view) {
-        if (packet.spin) {
-            result.saw_one = true;
-        } else {
-            result.saw_zero = true;
+        if (const auto interval_ns = result.on_packet(packet.time.count_nanos(), packet.spin)) {
+            result.samples_ms.push_back(Duration::nanos(*interval_ns).as_ms());
         }
-        if (!have_value) {
-            have_value = true;
-            current = packet.spin;
-            continue;
-        }
-        if (packet.spin == current) continue;
-        // Edge.
-        current = packet.spin;
-        ++result.edge_count;
-        if (!last_edge.is_never()) {
-            result.samples_ms.push_back((packet.time - last_edge).as_ms());
-        }
-        last_edge = packet.time;
     }
     return result;
 }
 
 void SpinEdgeObserver::on_packet(const SpinObservation& packet) {
-    if (packet.spin) {
-        result_.saw_one = true;
-    } else {
-        result_.saw_zero = true;
-    }
-    if (!have_value_) {
-        have_value_ = true;
-        current_value_ = packet.spin;
-        value_set_by_pn_ = packet.packet_number;
-        return;
-    }
-    if (packet.spin == current_value_) {
-        // Same value on a newer packet advances the PN watermark.
-        if (packet.packet_number > value_set_by_pn_) value_set_by_pn_ = packet.packet_number;
-        return;
-    }
-    if (config_.packet_number_filter && packet.packet_number < value_set_by_pn_) {
-        // A stale (reordered) packet from before the current value was set;
-        // RFC 9312: ignore it rather than treat it as an edge.
-        return;
-    }
-    if (config_.require_vec && packet.vec == 0) {
-        // VEC mode: a value change without an edge marking is a reordering
-        // artefact (or the peer does not implement the extension).
-        return;
-    }
+    // RFC 9312 gates: a value change on a stale (reordered) packet from
+    // before the current value was set is not an edge, nor, in VEC mode, one
+    // the peer did not mark (a reordering artefact, or no VEC support).
+    const bool change = result_.changes(packet.spin);
+    const bool admit =
+        !(config_.packet_number_filter && packet.packet_number < value_set_by_pn_) &&
+        !(config_.require_vec && packet.vec == 0);
+    if (!change || admit) value_set_by_pn_ = std::max(value_set_by_pn_, packet.packet_number);
+    const auto interval_ns = result_.on_packet(packet.time.count_nanos(), packet.spin, admit);
+    if (!interval_ns) return;
 
-    current_value_ = packet.spin;
-    value_set_by_pn_ = packet.packet_number;
-    ++result_.edge_count;
-
-    if (last_edge_.is_never()) {
-        last_edge_ = packet.time;
-        return;
-    }
-    const Duration interval = packet.time - last_edge_;
-    last_edge_ = packet.time;
-
+    const Duration interval = Duration::nanos(*interval_ns);
     const double sample_ms = interval.as_ms();
     bool reject = interval < config_.min_plausible_rtt;
     if (config_.require_vec && packet.vec < 3) {
