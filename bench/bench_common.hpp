@@ -8,7 +8,6 @@
 
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,8 +18,10 @@
 #include <system_error>
 #include <vector>
 
+#include "analysis/accuracy.hpp"
 #include "bench/progress.hpp"
 #include "bench/trajectory.hpp"
+#include "core/accuracy.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/journal.hpp"
 #include "scanner/procpool.hpp"
@@ -29,6 +30,7 @@
 #include "telemetry/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/proc.hpp"
+#include "web/population.hpp"
 
 namespace spinscope::bench {
 
@@ -93,9 +95,10 @@ bool parse_whole(std::string_view text, T& out) {
     return ec == std::errc{} && end == text.data() + text.size();
 }
 
-/// A downscale factor: a whole finite number above zero.
+/// A downscale factor the population model accepts: a whole finite number
+/// above zero whose domain count fits the 32-bit domain ids.
 inline bool parse_scale(std::string_view text, double& out) {
-    return parse_whole(text, out) && std::isfinite(out) && out > 0.0;
+    return parse_whole(text, out) && web::PopulationModel::valid_scale(out);
 }
 
 inline Options parse_options(int argc, char** argv, std::uint64_t default_count = 0) {
@@ -200,6 +203,45 @@ private:
     std::chrono::steady_clock::time_point start_;
 };
 
+/// Reports an output the harness could not write and exits 1: a bench run
+/// that lost an artifact has failed.
+[[noreturn]] inline void write_failed(const std::string& path) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    std::exit(1);
+}
+
+/// The campaign week of sample `sample` when `weeks` samples spread evenly
+/// over the 58-week campaign (CW 15/2022 - CW 20/2023), ends included.
+inline int sampled_week(unsigned sample, unsigned weeks) {
+    return static_cast<int>(sample * 57 / (weeks > 1 ? weeks - 1 : 1));
+}
+
+/// Feeds every OK connection of the spin-capable QUIC domains over `weeks`
+/// sampled weeks into `aggregator` and returns how many there were: the
+/// §5.1 corpus of Figures 3 and 4 ("all IPv4 connections with spin bit
+/// activity throughout the campaign").
+inline std::uint64_t build_accuracy_corpus(const web::PopulationModel& population,
+                                           unsigned weeks,
+                                           analysis::AccuracyAggregator& aggregator) {
+    std::uint64_t connections = 0;
+    const auto universe = population.materialize(0, population.domain_count());
+    for (unsigned sample = 0; sample < weeks; ++sample) {
+        scanner::ScanOptions scan_options;
+        scan_options.week = sampled_week(sample, weeks);
+        scanner::Campaign campaign{population, scan_options};
+        for (const auto& domain : universe.domains) {
+            if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
+            const auto scan = campaign.scan_domain(domain);
+            for (const auto& trace : scan.connections) {
+                if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
+                ++connections;
+                aggregator.add(core::assess_connection(trace));
+            }
+        }
+    }
+    return connections;
+}
+
 /// Runs (or, with --resume, continues) a campaign honouring the harness's
 /// journal, flight-recorder and progress options. Benches that drive a
 /// Campaign route it through here so every table/figure binary gets
@@ -275,22 +317,24 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
                         telemetry::TraceRecorder::wall_sidecar_path(options.trace_path)
                             .c_str());
         } else {
-            std::fprintf(stderr, "failed to write %s\n", options.trace_path.c_str());
+            write_failed(options.trace_path);
         }
     }
     return stats;
 }
 
-/// Writes the harness's --trajectory snapshot, if requested.
+/// Writes the harness's --trajectory snapshot, if requested; exits 1 when
+/// it cannot.
 inline void write_trajectory(const Options& options, const Trajectory& trajectory) {
     if (options.trajectory_path.empty()) return;
-    write_trajectory_file(options.trajectory_path, trajectory);
+    if (!write_trajectory_file(options.trajectory_path, trajectory)) std::exit(1);
 }
 
 /// Writes the run's metrics registry as a JSON sidecar next to the bench
 /// output, so a BENCH_*.json delta can be attributed to specific phases.
 /// `name` is the bench identifier ("table1"); the default path is
-/// <name>.telemetry.json. --telemetry=off suppresses the sidecar.
+/// <name>.telemetry.json. --telemetry=off suppresses the sidecar. Exits 1
+/// when the sidecar cannot be written.
 inline void write_telemetry(const Options& options, const char* name,
                             const telemetry::MetricsRegistry& registry) {
     if (options.telemetry_path == "off") return;
@@ -300,19 +344,20 @@ inline void write_telemetry(const Options& options, const char* name,
     if (telemetry::write_json_file(registry, path)) {
         std::printf("wrote %s (%zu metrics)\n", path.c_str(), registry.size());
     } else {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+        write_failed(path);
     }
 }
 
 /// Writes `content` to `<prefix><name>` atomically (write-temp + rename, so
-/// a crash mid-export never leaves a torn CSV) and reports the path.
+/// a crash mid-export never leaves a torn CSV) and reports the path. Exits 1
+/// when the file cannot be written.
 inline void write_csv(const Options& options, const char* name, const std::string& content) {
     if (options.csv_prefix.empty()) return;
     const std::string path = options.csv_prefix + name;
     if (util::write_file_atomic(util::Io::real(), path, content)) {
         std::printf("wrote %s\n", path.c_str());
     } else {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+        write_failed(path);
     }
 }
 

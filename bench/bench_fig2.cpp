@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     campaigns.reserve(weeks);
     for (unsigned sample = 0; sample < weeks; ++sample) {
         scanner::ScanOptions scan_options;
-        scan_options.week = static_cast<int>(sample * 57 / (weeks > 1 ? weeks - 1 : 1));
+        scan_options.week = bench::sampled_week(sample, weeks);
         if (sample == 0) {
             scan_options.threads = options.threads;
             scan_options.journal_dir = options.journal_dir;

@@ -15,38 +15,9 @@
 #include "analysis/accuracy.hpp"
 #include "analysis/csv.hpp"
 #include "bench/bench_common.hpp"
-#include "core/accuracy.hpp"
-#include "scanner/campaign.hpp"
 #include "web/population.hpp"
 
 using namespace spinscope;
-
-namespace {
-
-/// Feeds every spin-candidate connection of `weeks` sampled weeks into the
-/// aggregator — the §5.1 corpus ("all IPv4 connections with spin bit
-/// activity throughout the campaign").
-void build_corpus(const web::PopulationModel& population, unsigned weeks,
-                  analysis::AccuracyAggregator& aggregator, std::uint64_t& connections) {
-    const auto universe = population.materialize(0, population.domain_count());
-    for (unsigned sample = 0; sample < weeks; ++sample) {
-        const int week = static_cast<int>(sample * 57 / (weeks > 1 ? weeks - 1 : 1));
-        scanner::ScanOptions scan_options;
-        scan_options.week = week;
-        scanner::Campaign campaign{population, scan_options};
-        for (const auto& domain : universe.domains) {
-            if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
-            const auto scan = campaign.scan_domain(domain);
-            for (const auto& trace : scan.connections) {
-                if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
-                ++connections;
-                aggregator.add(core::assess_connection(trace));
-            }
-        }
-    }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
     const auto options = bench::parse_options(argc, argv, /*default_count=*/12);
@@ -55,8 +26,8 @@ int main(int argc, char** argv) {
     bench::Stopwatch watch;
     const web::PopulationModel population{{options.scale, options.seed}};
     analysis::AccuracyAggregator aggregator;
-    std::uint64_t connections = 0;
-    build_corpus(population, static_cast<unsigned>(options.count), aggregator, connections);
+    const std::uint64_t connections =
+        bench::build_accuracy_corpus(population, static_cast<unsigned>(options.count), aggregator);
 
     std::printf("%s\n", aggregator.render_abs_figure().c_str());
     bench::write_csv(options, "fig3.csv", analysis::abs_histogram_csv(aggregator));

@@ -13,8 +13,6 @@
 #include "analysis/accuracy.hpp"
 #include "analysis/csv.hpp"
 #include "bench/bench_common.hpp"
-#include "core/accuracy.hpp"
-#include "scanner/campaign.hpp"
 #include "web/population.hpp"
 
 using namespace spinscope;
@@ -25,25 +23,9 @@ int main(int argc, char** argv) {
 
     bench::Stopwatch watch;
     const web::PopulationModel population{{options.scale, options.seed}};
-    const auto universe = population.materialize(0, population.domain_count());
     analysis::AccuracyAggregator aggregator;
-    std::uint64_t connections = 0;
-    const auto weeks = static_cast<unsigned>(options.count);
-    for (unsigned sample = 0; sample < weeks; ++sample) {
-        const int week = static_cast<int>(sample * 57 / (weeks > 1 ? weeks - 1 : 1));
-        scanner::ScanOptions scan_options;
-        scan_options.week = week;
-        scanner::Campaign campaign{population, scan_options};
-        for (const auto& domain : universe.domains) {
-            if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
-            const auto scan = campaign.scan_domain(domain);
-            for (const auto& trace : scan.connections) {
-                if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
-                ++connections;
-                aggregator.add(core::assess_connection(trace));
-            }
-        }
-    }
+    const std::uint64_t connections =
+        bench::build_accuracy_corpus(population, static_cast<unsigned>(options.count), aggregator);
 
     std::printf("%s\n", aggregator.render_ratio_figure().c_str());
     bench::write_csv(options, "fig4.csv", analysis::ratio_histogram_csv(aggregator));

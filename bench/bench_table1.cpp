@@ -112,8 +112,9 @@ int main(int argc, char** argv) {
         }
         rows.push_back(run_at_scale(run, scales[i], /*print_tables=*/i == 0));
     }
-    if (!options.trajectory_path.empty()) {
-        bench::write_scale_sweep_file(options.trajectory_path, rows);
+    if (!options.trajectory_path.empty() &&
+        !bench::write_scale_sweep_file(options.trajectory_path, rows)) {
+        return 1;
     }
     return 0;
 }
