@@ -11,7 +11,6 @@
 // (campaign_mini.telemetry.json) for offline attribution.
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <string_view>
 
@@ -28,7 +27,7 @@ namespace {
 
 int usage(const char* program) {
     std::fprintf(stderr, "usage: %s [scale=20000]\n", program);
-    return 1;
+    return 2;
 }
 
 }  // namespace
@@ -41,8 +40,8 @@ int main(int argc, char** argv) {
     if (argc > 1) {
         const std::string_view text = argv[1];
         const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), scale);
-        if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(scale) ||
-            scale <= 0.0) {
+        if (ec != std::errc{} || end != text.data() + text.size() ||
+            !web::PopulationModel::valid_scale(scale)) {
             return usage(argv[0]);
         }
     }

@@ -10,7 +10,6 @@
 // usage: scan_to_qlog <dir> [scale] [week] [--ipv6]
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <string_view>
 #include <vector>
@@ -25,7 +24,7 @@ namespace {
 
 int usage(const char* program) {
     std::fprintf(stderr, "usage: %s <dir> [scale=20000] [week=57] [--ipv6]\n", program);
-    return 1;
+    return 2;
 }
 
 }  // namespace
@@ -49,8 +48,8 @@ int main(int argc, char** argv) {
     if (positional.size() > 1) {
         const std::string_view text = positional[1];
         const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), scale);
-        if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(scale) ||
-            scale <= 0.0) {
+        if (ec != std::errc{} || end != text.data() + text.size() ||
+            !web::PopulationModel::valid_scale(scale)) {
             return usage(argv[0]);
         }
     }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -67,11 +68,21 @@ constexpr std::uint64_t kMaxPool = (1ULL << 28) - 1;
 
 }  // namespace
 
+bool PopulationModel::valid_scale(double scale) noexcept {
+    // compute_geometry divides the universe by the scale and casts the
+    // quotients to sizes; their sum is the domain count.
+    const UniverseShape shape;
+    const double domains =
+        (shape.czds_domains + shape.toplist_domains * shape.toplist_outside_czds) / scale;
+    return std::isfinite(scale) && scale > 0.0 &&
+           domains <= static_cast<double>(std::numeric_limits<std::uint32_t>::max());
+}
+
 PopulationModel::PopulationModel(const PopulationConfig& config) : config_{config} {
-    // compute_geometry divides by the scale and casts the quotients to
-    // sizes: zero, negative or non-finite would make them meaningless.
-    if (!std::isfinite(config.scale) || config.scale <= 0.0) {
-        throw std::invalid_argument("web: PopulationConfig.scale must be finite and > 0");
+    if (!valid_scale(config.scale)) {
+        throw std::invalid_argument(
+            "web: PopulationConfig.scale must be finite, > 0 and leave at most 2^32 - 1 "
+            "domains");
     }
     build_profiles();
     compute_geometry();

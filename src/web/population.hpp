@@ -189,8 +189,12 @@ struct DomainBlock {
 /// chunk-size-independent (the §15 purity contract).
 class PopulationModel {
 public:
-    /// Throws std::invalid_argument for a scale that is not finite and > 0.
+    /// Throws std::invalid_argument when !valid_scale(config.scale).
     explicit PopulationModel(const PopulationConfig& config);
+
+    /// True when `scale` is finite, above zero and small enough a divisor
+    /// that the domain count fits the std::uint32_t domain ids.
+    [[nodiscard]] static bool valid_scale(double scale) noexcept;
 
     [[nodiscard]] const PopulationConfig& config() const noexcept { return config_; }
     [[nodiscard]] const UniverseShape& shape() const noexcept { return shape_; }

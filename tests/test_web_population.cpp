@@ -352,6 +352,16 @@ TEST(PopulationModel, RejectsAScaleThatIsNotFiniteAndPositive) {
     }
 }
 
+TEST(PopulationModel, RejectsAScaleWhoseDomainCountOverflowsTheIds) {
+    // Domain ids are std::uint32_t. 0.01 would mean 21.7 G domains; 1e-300
+    // once overflowed the size cast in the geometry. Neither model is built.
+    for (const double scale : {0.01, 1e-300}) {
+        EXPECT_FALSE(PopulationModel::valid_scale(scale)) << scale;
+        EXPECT_THROW((PopulationModel{{scale, 20230520}}), std::invalid_argument) << scale;
+    }
+    EXPECT_TRUE(PopulationModel::valid_scale(1.0));  // the paper's full universe
+}
+
 TEST(PopulationModel, MaterializeIsChunkAndOrderIndependent) {
     // ~10k randomized cases of the purity contract: materialize(begin, end)
     // must not depend on chunk size, on the order ranges are asked for, or
