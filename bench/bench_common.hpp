@@ -216,13 +216,14 @@ inline int sampled_week(unsigned sample, unsigned weeks) {
     return static_cast<int>(sample * 57 / (weeks > 1 ? weeks - 1 : 1));
 }
 
-/// Feeds every OK connection of the spin-capable QUIC domains over `weeks`
-/// sampled weeks into `aggregator` and returns how many there were: the
-/// §5.1 corpus of Figures 3 and 4 ("all IPv4 connections with spin bit
-/// activity throughout the campaign").
-inline std::uint64_t build_accuracy_corpus(const web::PopulationModel& population,
-                                           unsigned weeks,
-                                           analysis::AccuracyAggregator& aggregator) {
+/// Calls `visit(domain, sample, attempt, trace)` for every OK connection of
+/// the spin-capable QUIC domains over `weeks` sampled weeks and returns how
+/// many there were: the §5.1 corpus of Figures 3 and 4 ("all IPv4
+/// connections with spin bit activity throughout the campaign"). `attempt`
+/// indexes the trace within its DomainScan.
+template <typename Visit>
+std::uint64_t for_each_accuracy_connection(const web::PopulationModel& population,
+                                           unsigned weeks, Visit&& visit) {
     std::uint64_t connections = 0;
     const auto universe = population.materialize(0, population.domain_count());
     for (unsigned sample = 0; sample < weeks; ++sample) {
@@ -232,14 +233,25 @@ inline std::uint64_t build_accuracy_corpus(const web::PopulationModel& populatio
         for (const auto& domain : universe.domains) {
             if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
             const auto scan = campaign.scan_domain(domain);
-            for (const auto& trace : scan.connections) {
-                if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
+            for (std::size_t i = 0; i < scan.connections.size(); ++i) {
+                if (scan.connections[i].outcome != qlog::ConnectionOutcome::ok) continue;
                 ++connections;
-                aggregator.add(core::assess_connection(trace));
+                visit(domain, sample, i, scan.connections[i]);
             }
         }
     }
     return connections;
+}
+
+/// Feeds the accuracy corpus into `aggregator`; returns its connection count.
+inline std::uint64_t build_accuracy_corpus(const web::PopulationModel& population,
+                                           unsigned weeks,
+                                           analysis::AccuracyAggregator& aggregator) {
+    return for_each_accuracy_connection(
+        population, weeks,
+        [&aggregator](const web::Domain&, unsigned, std::size_t, const qlog::Trace& trace) {
+            aggregator.add(core::assess_connection(trace));
+        });
 }
 
 /// Runs (or, with --resume, continues) a campaign honouring the harness's
