@@ -6,8 +6,10 @@
 //
 // Allocation accounting works by interposition: a binary that wants heap
 // counters includes telemetry/alloc_interpose.hpp in EXACTLY ONE translation
-// unit, which defines global operator new/delete forwarding into the relaxed
-// atomics here. Binaries without the interposer read zeros and
+// unit, which defines global operator new/delete forwarding into the
+// counters here. Each thread counts into a block only it writes, so the
+// probe costs no locked instruction and no shared cache line; totals sum
+// the blocks. Binaries without the interposer read zeros and
 // alloc::active() == false — the probe never changes behaviour of code that
 // does not opt in (libraries must NOT include the interpose header).
 //
@@ -27,8 +29,10 @@ namespace spinscope::telemetry {
 
 namespace alloc {
 
-/// Feed one allocation into the counters (called by the interposed operator
-/// new; safe from any thread, relaxed ordering — counters, not fences).
+/// Feed one allocation into the calling thread's counters (called by the
+/// interposed operator new). The first call on a thread claims a counter
+/// block from static storage, so this never allocates; the block goes back
+/// with its counts when the thread exits, for the next thread to reuse.
 void record(std::size_t bytes) noexcept;
 
 /// Marks that an interposer is linked into this binary (called once by the
@@ -38,9 +42,14 @@ void mark_active() noexcept;
 /// True when telemetry/alloc_interpose.hpp is linked into this binary.
 [[nodiscard]] bool active() noexcept;
 
-/// Global totals since process start (0 without an interposer).
+/// Global totals since process start, exited threads included (0 without
+/// an interposer). Exact once the threads that allocated are joined.
 [[nodiscard]] std::uint64_t count() noexcept;
 [[nodiscard]] std::uint64_t bytes() noexcept;
+
+/// Counter blocks ever claimed: the peak number of allocating threads alive
+/// at once, not the number of threads that ever ran (blocks are reused).
+[[nodiscard]] std::size_t blocks_claimed() noexcept;
 
 }  // namespace alloc
 

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -228,6 +232,71 @@ TEST(MetricsRegistry, RepublishingExistingNamesAllocatesNothing) {
     EXPECT_EQ(allocs.count_since(), 0u);
     EXPECT_GT(instruments, 0u);
     EXPECT_EQ(registry.size(), instruments);
+}
+
+// --- Per-thread allocation probe -------------------------------------------
+//
+// Threads come from pthread_create, not std::thread, whose start allocates
+// its state object with operator new and would blur the exact sums below.
+
+struct AllocJob {
+    std::size_t allocs = 0;
+    std::size_t bytes = 0;
+};
+
+std::atomic<void*> g_alloc_sink{nullptr};
+
+void* allocate_job(void* arg) {
+    const auto& job = *static_cast<const AllocJob*>(arg);
+    for (std::size_t i = 0; i < job.allocs; ++i) {
+        void* p = ::operator new(job.bytes);
+        g_alloc_sink.store(p, std::memory_order_relaxed);  // keeps the pair
+        ::operator delete(p);
+    }
+    return nullptr;
+}
+
+/// Runs `jobs` on one thread each, all started before any is joined.
+void run_wave(std::span<AllocJob> jobs) {
+    pthread_t threads[8];
+    ASSERT_LE(jobs.size(), std::size(threads));
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_EQ(pthread_create(&threads[i], nullptr, allocate_job, &jobs[i]), 0);
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) pthread_join(threads[i], nullptr);
+}
+
+TEST(AllocProbe, SumsEveryThreadIncludingThoseThatExited) {
+    ASSERT_TRUE(alloc::active());
+    const AllocSnapshot start;
+    std::uint64_t want_count = 0;
+    std::uint64_t want_bytes = 0;
+    for (std::size_t wave = 0; wave < 4; ++wave) {
+        AllocJob jobs[3];
+        for (std::size_t t = 0; t < std::size(jobs); ++t) {
+            jobs[t] = {1000 + 37 * wave + t, 16 + 8 * t + wave};
+            want_count += jobs[t].allocs;
+            want_bytes += jobs[t].allocs * jobs[t].bytes;
+        }
+        run_wave(jobs);
+        // Every thread so far has exited; its counts must still be there.
+        EXPECT_EQ(start.count_since(), want_count) << "after wave " << wave;
+        EXPECT_EQ(start.bytes_since(), want_bytes) << "after wave " << wave;
+    }
+}
+
+TEST(AllocProbe, SequentialThreadsReuseOneBlockAndStayExact) {
+    ASSERT_TRUE(alloc::active());
+    const AllocSnapshot start;
+    const std::size_t blocks_before = alloc::blocks_claimed();
+    constexpr std::size_t kThreads = 300;  // more than the probe has blocks
+    AllocJob job{50, 24};
+    for (std::size_t i = 0; i < kThreads; ++i) run_wave({&job, 1});
+    EXPECT_EQ(start.count_since(), kThreads * job.allocs);
+    EXPECT_EQ(start.bytes_since(), kThreads * job.allocs * job.bytes);
+    // One thread alive at a time claims at most one block beyond the ones
+    // already held, however many threads ran.
+    EXPECT_LE(alloc::blocks_claimed(), blocks_before + 1);
 }
 
 TEST(Span, FinishRecordsIntoHistogram) {
