@@ -99,18 +99,21 @@ void BM_PeekShortHeader(benchmark::State& state) {
 BENCHMARK(BM_PeekShortHeader);
 
 void BM_AckFrameRoundTrip(benchmark::State& state) {
-    quic::AckFrame ack;
+    std::vector<quic::AckRange> ranges;
     std::uint64_t pn = 1'000'000;
     for (int i = 0; i < state.range(0); ++i) {
-        ack.ranges.push_back(quic::AckRange{pn - 3, pn});
+        ranges.push_back(quic::AckRange{pn - 3, pn});
         pn -= 10;
     }
+    quic::AckFrame ack;
+    ack.ranges = ranges;
     std::vector<std::uint8_t> wire;
+    quic::DecodedFrames decoded;
     for (auto _ : state) {
         wire.clear();
-        quic::encode_frame(wire, quic::Frame{ack}, 3);
-        auto decoded = quic::decode_frames(wire, 3);
-        benchmark::DoNotOptimize(decoded);
+        quic::Writer w{wire};
+        quic::encode_frame(w, quic::Frame{ack}, 3);
+        benchmark::DoNotOptimize(quic::decode_frames(wire, 3, decoded));
     }
 }
 BENCHMARK(BM_AckFrameRoundTrip)->Arg(1)->Arg(8)->Arg(32);

@@ -55,18 +55,20 @@ void BM_EncodeDeliverDecode(benchmark::State& state) {
     quic::PacketHeader header;
     header.type = quic::PacketType::one_rtt;
     header.dcid = quic::ConnectionId::from_u64(0x5c0);
-    std::vector<quic::Frame> frames;
+    const std::vector<std::uint8_t> body(1000, 0xab);
     quic::StreamFrame stream;
     stream.stream_id = 0;
-    stream.data.assign(1000, 0xab);
-    frames.emplace_back(stream);
+    stream.data = body;
+    const quic::Frame frames[] = {stream};
 
     std::size_t decoded_frames = 0;
-    link.set_receiver([&decoded_frames](bytes::ConstByteSpan dg) {
+    quic::DecodedFrames scratch;
+    link.set_receiver([&decoded_frames, &scratch](bytes::ConstByteSpan dg) {
         const auto packet = quic::decode_packet(dg, 8, quic::kInvalidPacketNumber);
         if (!packet) return;
-        const auto fr = quic::decode_frames(packet->payload, 3);
-        if (fr) decoded_frames += fr->size();
+        if (quic::decode_frames(packet->payload, 3, scratch)) {
+            decoded_frames += scratch.frames.size();
+        }
     });
 
     quic::PacketNumber pn = 0;

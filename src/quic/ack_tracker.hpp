@@ -59,7 +59,9 @@ public:
 
     /// Builds the ACK frame for everything received and resets the pending
     /// state. `now` stamps the ack_delay field (time since the largest
-    /// ack-eliciting packet arrived). Returns nullopt if nothing to ack.
+    /// ack-eliciting packet arrived). The frame views this tracker's ranges,
+    /// so encode it before the next on_packet_received(). Returns nullopt if
+    /// nothing to ack.
     [[nodiscard]] std::optional<AckFrame> build_ack(TimePoint now);
 
 private:

@@ -15,8 +15,9 @@ constexpr std::string_view kServerHello = "SHLO";
 constexpr std::string_view kServerFinished = "SFIN";
 constexpr std::string_view kClientFinished = "CFIN";
 
-[[nodiscard]] std::vector<std::uint8_t> token_bytes(std::string_view token) {
-    return {token.begin(), token.end()};
+/// A token's bytes; the tokens are literals, so the view never dangles.
+[[nodiscard]] std::span<const std::uint8_t> token_bytes(std::string_view token) {
+    return {reinterpret_cast<const std::uint8_t*>(token.data()), token.size()};
 }
 
 [[nodiscard]] bool crypto_is(const CryptoFrame& frame, std::string_view token) {
@@ -78,7 +79,7 @@ void Connection::connect() {
     assert(config_.role == Role::client);
     handshake_timer_.set_after(config_.handshake_timeout);
     arm_idle_timer();
-    send_packet(PnSpace::initial, {Frame{CryptoFrame{0, token_bytes(kClientHello)}}},
+    send_packet(PnSpace::initial, {CryptoFrame{0, token_bytes(kClientHello)}},
                 /*pad_to_mtu=*/true);
 }
 
@@ -103,7 +104,7 @@ void Connection::close(std::uint64_t error_code, const std::string& reason, bool
     frame.reason = reason;
     const PnSpace pn_space =
         handshake_complete_ ? PnSpace::application : PnSpace::initial;
-    send_packet(pn_space, {Frame{std::move(frame)}});
+    send_packet(pn_space, {frame});
     closed_ = true;
     teardown();
     if (on_closed) on_closed();
@@ -113,7 +114,7 @@ std::size_t Connection::cwnd_available() const noexcept {
     return bytes_in_flight_ >= cwnd_ ? 0 : cwnd_ - bytes_in_flight_;
 }
 
-void Connection::send_packet(PnSpace pn_space, std::vector<Frame> frames, bool pad_to_mtu) {
+void Connection::send_packet(PnSpace pn_space, const SendFrames& send_frames, bool pad_to_mtu) {
     Space& sp = space(pn_space);
     if (!sp.open) return;
 
@@ -129,6 +130,7 @@ void Connection::send_packet(PnSpace pn_space, std::vector<Frame> frames, bool p
         header.vec = bits.vec;
     }
 
+    const std::span<const Frame> frames = send_frames.span();
     const bool eliciting = any_ack_eliciting(frames);
     netsim::Datagram datagram = acquire_datagram();
     Writer w{datagram};
@@ -159,10 +161,12 @@ void Connection::send_packet(PnSpace pn_space, std::vector<Frame> frames, bool p
         record.pn = header.packet_number;
         record.sent_at = sim_->now();
         record.bytes = datagram.size();
-        for (auto& frame : frames) {
-            if (std::holds_alternative<CryptoFrame>(frame) ||
-                std::holds_alternative<StreamFrame>(frame)) {
-                record.retransmittable.push_back(std::move(frame));
+        for (const Frame& frame : frames) {
+            if (const auto* crypto = std::get_if<CryptoFrame>(&frame)) {
+                record.resend = *crypto;
+            } else if (const auto* stream = std::get_if<StreamFrame>(&frame)) {
+                record.resend = StreamRange{stream->stream_id, stream->offset,
+                                            stream->data.size(), stream->fin};
             }
         }
         bytes_in_flight_ += record.bytes;
@@ -217,7 +221,7 @@ void Connection::send_ack_only(PnSpace pn_space) {
     if (!sp.open) return;
     auto ack = sp.tracker.build_ack(sim_->now());
     if (!ack) return;
-    send_packet(pn_space, {Frame{std::move(*ack)}});
+    send_packet(pn_space, {*ack});
 }
 
 void Connection::pump() {
@@ -227,7 +231,7 @@ void Connection::pump() {
 
     bool ack_included = false;
     while (true) {
-        std::vector<Frame> frames;
+        SendFrames frames;
         std::size_t budget = config_.mtu - kHeaderMargin;
 
         if (!ack_included && app.tracker.ack_due_immediately()) {
@@ -235,14 +239,14 @@ void Connection::pump() {
             if (ack) {
                 // Rough ACK wire footprint: a handful of varints per range.
                 budget -= std::min<std::size_t>(budget, 8 + ack->ranges.size() * 4);
-                frames.emplace_back(std::move(*ack));
+                frames.push(*ack);
                 ack_included = true;
             }
         }
         if (flow_update_pending_) {
             // Grant double the received bytes, like a window that slides as
             // data is consumed.
-            frames.emplace_back(MaxDataFrame{flow_credit_granted_ * 2 + 65536});
+            frames.push(MaxDataFrame{flow_credit_granted_ * 2 + 65536});
             flow_update_pending_ = false;
             budget -= std::min<std::size_t>(budget, 10);
         }
@@ -253,20 +257,15 @@ void Connection::pump() {
                 std::min(budget, cwnd_room) - kStreamFrameMargin;
             for (auto& [stream_id, queue] : send_streams_) {
                 if (!queue.has_pending()) continue;
-                auto chunk = queue.next_chunk(chunk_cap);
+                const auto chunk = queue.next_chunk(chunk_cap);
                 if (!chunk) continue;
-                StreamFrame frame;
-                frame.stream_id = stream_id;
-                frame.offset = chunk->offset;
-                frame.fin = chunk->fin;
-                frame.data = std::move(chunk->data);
-                frames.emplace_back(std::move(frame));
+                frames.push(StreamFrame{stream_id, chunk->offset, chunk->fin, chunk->data});
                 break;  // one STREAM frame per packet keeps sizing simple
             }
         }
 
         if (frames.empty()) break;
-        send_packet(PnSpace::application, std::move(frames));
+        send_packet(PnSpace::application, frames);
     }
     arm_ack_timer();
 }
@@ -299,8 +298,7 @@ void Connection::handle_packet(const DecodedPacket& packet) {
     Space& sp = space(pn_space);
     if (!sp.open) return;
 
-    const auto frames = decode_frames(packet.payload, config_.params.ack_delay_exponent);
-    if (!frames) {
+    if (!decode_frames(packet.payload, config_.params.ack_delay_exponent, rx_frames_)) {
         // A frame-decode failure on a short-header packet that carries our
         // connection ID models post-decryption garbage from the peer: a
         // protocol violation (RFC 9000 §12.4), torn down with
@@ -312,7 +310,7 @@ void Connection::handle_packet(const DecodedPacket& packet) {
         return;
     }
 
-    const bool eliciting = any_ack_eliciting(*frames);
+    const bool eliciting = any_ack_eliciting(rx_frames_.frames);
     if (!sp.tracker.on_packet_received(packet.header.packet_number, eliciting, sim_->now())) {
         return;  // duplicate
     }
@@ -346,7 +344,7 @@ void Connection::handle_packet(const DecodedPacket& packet) {
                                  packet.header.vec});
     }
 
-    handle_frames(pn_space, *frames);
+    handle_frames(pn_space, rx_frames_.frames);
     if (closed_ || failed_) return;
 
     // Reactive sends (ACKs, flow updates, newly unblocked data) leave after
@@ -380,7 +378,7 @@ void Connection::flush_now() {
     arm_ack_timer();
 }
 
-void Connection::handle_frames(PnSpace pn_space, const std::vector<Frame>& frames) {
+void Connection::handle_frames(PnSpace pn_space, std::span<const Frame> frames) {
     for (const auto& frame : frames) {
         if (closed_ || failed_) return;
         if (const auto* ack = std::get_if<AckFrame>(&frame)) {
@@ -475,13 +473,10 @@ void Connection::detect_losses(PnSpace pn_space, TimePoint now) {
     counters_.packets_lost += lost.size();
     for (const auto& packet : lost) {
         bytes_in_flight_ -= std::min(bytes_in_flight_, packet.bytes);
-        for (const auto& frame : packet.retransmittable) {
-            if (const auto* stream = std::get_if<StreamFrame>(&frame)) {
-                send_streams_[stream->stream_id].requeue(
-                    SendQueue::Chunk{stream->offset, stream->data, stream->fin});
-            } else if (std::get_if<CryptoFrame>(&frame) != nullptr) {
-                send_packet(pn_space, {frame});
-            }
+        if (const auto* range = std::get_if<StreamRange>(&packet.resend)) {
+            send_streams_[range->stream_id].requeue(range->offset, range->length, range->fin);
+        } else if (const auto* crypto = std::get_if<CryptoFrame>(&packet.resend)) {
+            send_packet(pn_space, {*crypto});
         }
     }
     // Multiplicative decrease once per loss event.
@@ -496,19 +491,19 @@ void Connection::handle_crypto(PnSpace pn_space, const CryptoFrame& crypto) {
             if (server_saw_chlo_) return;  // PTO retransmission of CHLO
             server_saw_chlo_ = true;
             arm_idle_timer();
-            auto ack = space(PnSpace::initial).tracker.build_ack(sim_->now());
-            std::vector<Frame> initial_frames;
-            if (ack) initial_frames.emplace_back(std::move(*ack));
-            initial_frames.emplace_back(CryptoFrame{0, token_bytes(kServerHello)});
-            send_packet(PnSpace::initial, std::move(initial_frames));
-            send_packet(PnSpace::handshake, {Frame{CryptoFrame{0, token_bytes(kServerFinished)}}});
+            const auto ack = space(PnSpace::initial).tracker.build_ack(sim_->now());
+            SendFrames initial_frames;
+            if (ack) initial_frames.push(*ack);
+            initial_frames.push(CryptoFrame{0, token_bytes(kServerHello)});
+            send_packet(PnSpace::initial, initial_frames);
+            send_packet(PnSpace::handshake, {CryptoFrame{0, token_bytes(kServerFinished)}});
         } else if (pn_space == PnSpace::handshake && crypto_is(crypto, kClientFinished)) {
             if (handshake_confirmed_) return;
             handshake_complete_ = true;
             handshake_confirmed_ = true;
             send_ack_only(PnSpace::handshake);
             discard_space(PnSpace::initial);
-            send_packet(PnSpace::application, {Frame{HandshakeDoneFrame{}}});
+            send_packet(PnSpace::application, {HandshakeDoneFrame{}});
             if (on_handshake_complete) on_handshake_complete();
             pump();
         }
@@ -518,11 +513,11 @@ void Connection::handle_crypto(PnSpace pn_space, const CryptoFrame& crypto) {
     // Client side.
     if (pn_space == PnSpace::handshake && crypto_is(crypto, kServerFinished)) {
         if (handshake_complete_) return;
-        auto ack = space(PnSpace::handshake).tracker.build_ack(sim_->now());
-        std::vector<Frame> frames;
-        if (ack) frames.emplace_back(std::move(*ack));
-        frames.emplace_back(CryptoFrame{0, token_bytes(kClientFinished)});
-        send_packet(PnSpace::handshake, std::move(frames));
+        const auto ack = space(PnSpace::handshake).tracker.build_ack(sim_->now());
+        SendFrames frames;
+        if (ack) frames.push(*ack);
+        frames.push(CryptoFrame{0, token_bytes(kClientFinished)});
+        send_packet(PnSpace::handshake, frames);
         handshake_complete_ = true;
         handshake_timer_.cancel();
         discard_space(PnSpace::initial);
@@ -594,10 +589,16 @@ void Connection::on_pto() {
         const auto oldest = std::min_element(
             sp.in_flight.begin(), sp.in_flight.end(),
             [](const SentPacket& a, const SentPacket& b) { return a.sent_at < b.sent_at; });
-        std::vector<Frame> frames = oldest->retransmittable;
-        if (frames.empty()) frames.emplace_back(PingFrame{});
+        Frame probe = PingFrame{};
+        if (const auto* crypto = std::get_if<CryptoFrame>(&oldest->resend)) {
+            probe = *crypto;
+        } else if (const auto* range = std::get_if<StreamRange>(&oldest->resend)) {
+            probe = StreamFrame{range->stream_id, range->offset, range->fin,
+                                send_streams_[range->stream_id].sent_bytes(range->offset,
+                                                                           range->length)};
+        }
         const bool pad = pn_space == PnSpace::initial && config_.role == Role::client;
-        send_packet(pn_space, std::move(frames), pad);
+        send_packet(pn_space, {probe}, pad);
         arm_pto();
         return;
     }

@@ -23,7 +23,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "netsim/link.hpp"
@@ -143,8 +145,10 @@ public:
     void send_raw_payload(std::vector<std::uint8_t> payload);
 
     /// Feeds one received datagram as a borrowed view (wired to
-    /// netsim::Link's receiver); everything retained past the call is copied
-    /// out during decoding.
+    /// netsim::Link's receiver). Decoded frames view the datagram, and what
+    /// is retained past the call (stream bytes) is copied out while handling
+    /// them. Not re-entrant: a callback must not feed this connection another
+    /// datagram synchronously (links deliver through scheduled events).
     void on_datagram(bytes::ConstByteSpan datagram);
 
     // --- events ------------------------------------------------------------
@@ -181,11 +185,22 @@ public:
     void publish_metrics(telemetry::MetricsRegistry& registry) const;
 
 private:
+    /// A range of one stream as sent in a STREAM frame.
+    struct StreamRange {
+        std::uint64_t stream_id = 0;
+        std::uint64_t offset = 0;
+        std::uint64_t length = 0;
+        bool fin = false;
+    };
+
     struct SentPacket {
         PacketNumber pn = 0;
         TimePoint sent_at;
         std::size_t bytes = 0;
-        std::vector<Frame> retransmittable;  // CRYPTO/STREAM frames for loss recovery
+        /// What loss recovery resends: nothing, the CRYPTO frame (its data
+        /// is a static handshake token, so the view stays valid) or the
+        /// stream range, re-read from that stream's SendQueue.
+        std::variant<std::monostate, CryptoFrame, StreamRange> resend;
     };
 
     struct Space {
@@ -201,14 +216,14 @@ private:
     Space& space(PnSpace s) noexcept { return *spaces_[static_cast<std::size_t>(s)]; }
 
     // --- send path ---------------------------------------------------------
-    void send_packet(PnSpace pn_space, std::vector<Frame> frames, bool pad_to_mtu = false);
+    void send_packet(PnSpace pn_space, const SendFrames& frames, bool pad_to_mtu = false);
     void pump();                       ///< flush acks + stream data within cwnd
     void send_ack_only(PnSpace pn_space);
     [[nodiscard]] std::size_t cwnd_available() const noexcept;
 
     // --- receive path ------------------------------------------------------
     void handle_packet(const DecodedPacket& packet);
-    void handle_frames(PnSpace pn_space, const std::vector<Frame>& frames);
+    void handle_frames(PnSpace pn_space, std::span<const Frame> frames);
     void handle_ack(PnSpace pn_space, const AckFrame& ack);
     void handle_crypto(PnSpace pn_space, const CryptoFrame& crypto);
     void handle_stream(const StreamFrame& stream);
@@ -254,6 +269,8 @@ private:
 
     std::map<std::uint64_t, SendQueue> send_streams_;
     std::map<std::uint64_t, ReassemblyBuffer> recv_streams_;
+    /// The frames of the packet being handled; they view its datagram.
+    DecodedFrames rx_frames_;
 
     // Congestion state (bytes).
     std::size_t cwnd_ = 0;

@@ -26,61 +26,71 @@ constexpr std::uint8_t kStreamOff = 0x04;
 /// a hostile peer cannot poison RTT adjustment with a wrap-around delay.
 constexpr std::uint64_t kMaxAckDelayMicros = 1ULL << 42;
 
-[[nodiscard]] std::optional<AckFrame> decode_ack(Reader& r, std::uint8_t exponent) {
-    AckFrame ack;
+/// Decodes an ACK frame's ranges onto the end of `ranges`; the caller points
+/// the frame at them once the packet is decoded. False on malformed input.
+[[nodiscard]] bool decode_ack(Reader& r, std::uint8_t exponent, AckFrame& ack,
+                              std::vector<AckRange>& ranges) {
     const auto largest = r.varint();
     const auto delay_units = r.varint();
     const auto range_count = r.varint();
     const auto first_range = r.varint();
-    if (!largest || !delay_units || !range_count || !first_range) return std::nullopt;
-    if (*first_range > *largest) return std::nullopt;
+    if (!largest || !delay_units || !range_count || !first_range) return false;
+    if (*first_range > *largest) return false;
 
     const std::uint64_t delay_micros =
         std::min(*delay_units, kMaxAckDelayMicros >> exponent) << exponent;
     ack.ack_delay = Duration::micros(static_cast<std::int64_t>(delay_micros));
     PacketNumber smallest = *largest - *first_range;
-    ack.ranges.push_back(AckRange{smallest, *largest});
+    ranges.push_back(AckRange{smallest, *largest});
 
     for (std::uint64_t i = 0; i < *range_count; ++i) {
         const auto gap = r.varint();
         const auto length = r.varint();
-        if (!gap || !length) return std::nullopt;
+        if (!gap || !length) return false;
         // RFC 9000 §19.3.1: next largest = previous smallest - gap - 2.
-        if (smallest < *gap + 2) return std::nullopt;
+        if (smallest < *gap + 2) return false;
         const PacketNumber next_largest = smallest - *gap - 2;
-        if (*length > next_largest) return std::nullopt;
+        if (*length > next_largest) return false;
         smallest = next_largest - *length;
-        ack.ranges.push_back(AckRange{smallest, next_largest});
+        ranges.push_back(AckRange{smallest, next_largest});
     }
-    return ack;
+    return true;
+}
+
+/// True when `range` may follow `previous` in one ACK frame.
+[[nodiscard]] bool follows(const AckRange& previous, const AckRange& range) noexcept {
+    return range.largest + 2 <= previous.smallest;
 }
 
 void encode_ack(Writer& w, const AckFrame& ack, std::uint8_t exponent) {
     assert(!ack.ranges.empty());
     // Ranges must be descending with a gap of >= 2 between them (RFC 9000
-    // §19.3.1 cannot express adjacency). Drop violators up front rather than
-    // emit an unparseable frame; the tracker merges, so this never fires in
-    // practice.
-    std::vector<const AckRange*> valid;
-    valid.reserve(ack.ranges.size());
-    valid.push_back(&ack.ranges.front());
-    for (std::size_t i = 1; i < ack.ranges.size(); ++i) {
-        const auto& range = ack.ranges[i];
-        assert(range.largest + 2 <= valid.back()->smallest);
-        if (range.largest + 2 <= valid.back()->smallest) valid.push_back(&range);
+    // §19.3.1 cannot express adjacency). Skip violators rather than emit an
+    // unparseable frame — one pass counts the kept ranges, one writes them;
+    // the tracker merges, so this never fires in practice.
+    std::size_t kept = 1;
+    for (std::size_t i = 1, last = 0; i < ack.ranges.size(); ++i) {
+        assert(follows(ack.ranges[last], ack.ranges[i]));
+        if (follows(ack.ranges[last], ack.ranges[i])) {
+            ++kept;
+            last = i;
+        }
     }
 
     w.varint(kTypeAck);
-    const auto& first = *valid.front();
+    const AckRange& first = ack.ranges.front();
     w.varint(first.largest);
     const auto micros = static_cast<std::uint64_t>(std::max<std::int64_t>(
         0, ack.ack_delay.count_micros()));
     w.varint(micros >> exponent);
-    w.varint(valid.size() - 1);
+    w.varint(kept - 1);
     w.varint(first.largest - first.smallest);
-    for (std::size_t i = 1; i < valid.size(); ++i) {
-        w.varint(valid[i - 1]->smallest - valid[i]->largest - 2);
-        w.varint(valid[i]->largest - valid[i]->smallest);
+    for (std::size_t i = 1, last = 0; i < ack.ranges.size(); ++i) {
+        const AckRange& range = ack.ranges[i];
+        if (!follows(ack.ranges[last], range)) continue;
+        w.varint(ack.ranges[last].smallest - range.largest - 2);
+        w.varint(range.largest - range.smallest);
+        last = i;
     }
 }
 
@@ -149,23 +159,16 @@ void encode_frames(Writer& w, std::span<const Frame> frames,
     for (const auto& f : frames) encode_frame(w, f, ack_delay_exponent);
 }
 
-std::vector<std::uint8_t> encode_frames(std::span<const Frame> frames,
-                                        std::uint8_t ack_delay_exponent) {
-    std::vector<std::uint8_t> out;
-    Writer w{out};
-    encode_frames(w, frames, ack_delay_exponent);
-    return out;
-}
-
-std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> payload,
-                                                std::uint8_t ack_delay_exponent) {
-    std::vector<Frame> frames;
+bool decode_frames(std::span<const std::uint8_t> payload, std::uint8_t ack_delay_exponent,
+                   DecodedFrames& out) {
+    out.frames.clear();
+    out.ack_ranges.clear();
     Reader r{payload};
     while (!r.done()) {
         // Frame types must use the minimal varint encoding (RFC 9000 §12.4);
         // an overlong type is a FRAME_ENCODING_ERROR, not an alias.
         const auto type = r.varint_minimal();
-        if (!type) return std::nullopt;
+        if (!type) return false;
         switch (*type) {
             case kTypePadding: {
                 PaddingFrame pad;
@@ -173,27 +176,30 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                     (void)r.u8();
                     ++pad.length;
                 }
-                frames.emplace_back(pad);
+                out.frames.emplace_back(pad);
                 break;
             }
             case kTypePing:
-                frames.emplace_back(PingFrame{});
+                out.frames.emplace_back(PingFrame{});
                 break;
             case kTypeAck: {
-                auto ack = decode_ack(r, ack_delay_exponent);
-                if (!ack) return std::nullopt;
-                frames.emplace_back(std::move(*ack));
+                const std::size_t first = out.ack_ranges.size();
+                AckFrame ack;
+                if (!decode_ack(r, ack_delay_exponent, ack, out.ack_ranges)) return false;
+                // Sized now, pointed at the ranges once they stop moving.
+                ack.ranges = std::span<const AckRange>{out.ack_ranges}.subspan(first);
+                out.frames.emplace_back(ack);
                 break;
             }
             case kTypeCrypto: {
                 const auto offset = r.varint();
                 const auto length = r.varint();
-                if (!offset || !length) return std::nullopt;
+                if (!offset || !length) return false;
                 // RFC 9000 §19.6: offset + length must stay a valid varint.
-                if (*offset > kVarintMax - *length) return std::nullopt;
+                if (*offset > kVarintMax - *length) return false;
                 const auto data = r.bytes(*length);
-                if (!data) return std::nullopt;
-                frames.emplace_back(CryptoFrame{*offset, {data->begin(), data->end()}});
+                if (!data) return false;
+                out.frames.emplace_back(CryptoFrame{*offset, *data});
                 break;
             }
             case kTypeCloseTransport:
@@ -201,25 +207,25 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                 ConnectionCloseFrame close;
                 close.application = *type == kTypeCloseApplication;
                 const auto code = r.varint();
-                if (!code) return std::nullopt;
+                if (!code) return false;
                 close.error_code = *code;
-                if (!close.application && !r.varint()) return std::nullopt;
+                if (!close.application && !r.varint()) return false;
                 const auto reason_length = r.varint();
-                if (!reason_length) return std::nullopt;
+                if (!reason_length) return false;
                 const auto reason = r.bytes(*reason_length);
-                if (!reason) return std::nullopt;
-                close.reason.assign(reason->begin(), reason->end());
-                frames.emplace_back(std::move(close));
+                if (!reason) return false;
+                close.reason = {reinterpret_cast<const char*>(reason->data()), reason->size()};
+                out.frames.emplace_back(close);
                 break;
             }
             case kTypeMaxData: {
                 const auto maximum = r.varint();
-                if (!maximum) return std::nullopt;
-                frames.emplace_back(MaxDataFrame{*maximum});
+                if (!maximum) return false;
+                out.frames.emplace_back(MaxDataFrame{*maximum});
                 break;
             }
             case kTypeHandshakeDone:
-                frames.emplace_back(HandshakeDoneFrame{});
+                out.frames.emplace_back(HandshakeDoneFrame{});
                 break;
             default: {
                 if (*type >= kTypeStreamBase && *type <= (kTypeStreamBase | 0x07)) {
@@ -227,33 +233,43 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                     const auto bits = static_cast<std::uint8_t>(*type & 0x07);
                     stream.fin = (bits & kStreamFin) != 0;
                     const auto id = r.varint();
-                    if (!id) return std::nullopt;
+                    if (!id) return false;
                     stream.stream_id = *id;
                     if ((bits & kStreamOff) != 0) {
                         const auto offset = r.varint();
-                        if (!offset) return std::nullopt;
+                        if (!offset) return false;
                         stream.offset = *offset;
                     }
                     std::uint64_t length = r.remaining();
                     if ((bits & kStreamLen) != 0) {
                         const auto explicit_length = r.varint();
-                        if (!explicit_length) return std::nullopt;
+                        if (!explicit_length) return false;
                         length = *explicit_length;
                     }
                     // RFC 9000 §19.8: the final byte offset must stay a
                     // valid varint — rejects hostile offsets near 2^62.
-                    if (stream.offset > kVarintMax - length) return std::nullopt;
+                    if (stream.offset > kVarintMax - length) return false;
                     const auto data = r.bytes(static_cast<std::size_t>(length));
-                    if (!data) return std::nullopt;
-                    stream.data.assign(data->begin(), data->end());
-                    frames.emplace_back(std::move(stream));
+                    if (!data) return false;
+                    stream.data = *data;
+                    out.frames.emplace_back(stream);
                     break;
                 }
-                return std::nullopt;  // unknown frame type
+                return false;  // unknown frame type
             }
         }
     }
-    return frames;
+    // A later ACK frame may have moved the range storage: re-point each ACK
+    // at its ranges, which sit back to back in frame order.
+    std::size_t next = 0;
+    for (Frame& frame : out.frames) {
+        if (auto* ack = std::get_if<AckFrame>(&frame)) {
+            ack->ranges =
+                std::span<const AckRange>{out.ack_ranges}.subspan(next, ack->ranges.size());
+            next += ack->ranges.size();
+        }
+    }
+    return true;
 }
 
 }  // namespace spinscope::quic

@@ -58,17 +58,16 @@ void SendQueue::append(std::span<const std::uint8_t> data, bool fin) {
 
 std::optional<SendQueue::Chunk> SendQueue::next_chunk(std::size_t max_bytes) {
     if (!retransmit_.empty()) {
-        Chunk chunk = std::move(retransmit_.back());
+        const Lost lost = retransmit_.back();
         retransmit_.pop_back();
-        return chunk;
+        return Chunk{lost.offset, sent_bytes(lost.offset, lost.length), lost.fin};
     }
     if (!has_pending() || max_bytes == 0) return std::nullopt;
     Chunk chunk;
     chunk.offset = next_offset_;
     const std::uint64_t available = buffer_.size() - next_offset_;
     const std::uint64_t take = std::min<std::uint64_t>(available, max_bytes);
-    chunk.data.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(next_offset_),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(next_offset_ + take));
+    chunk.data = sent_bytes(next_offset_, take);
     next_offset_ += take;
     if (fin_ && next_offset_ == buffer_.size()) {
         chunk.fin = true;
@@ -77,6 +76,14 @@ std::optional<SendQueue::Chunk> SendQueue::next_chunk(std::size_t max_bytes) {
     return chunk;
 }
 
-void SendQueue::requeue(const Chunk& chunk) { retransmit_.push_back(chunk); }
+void SendQueue::requeue(std::uint64_t offset, std::uint64_t length, bool fin) {
+    retransmit_.push_back(Lost{offset, length, fin});
+}
+
+std::span<const std::uint8_t> SendQueue::sent_bytes(std::uint64_t offset,
+                                                    std::uint64_t length) const noexcept {
+    assert(offset + length <= buffer_.size());
+    return std::span<const std::uint8_t>{buffer_}.subspan(offset, length);
+}
 
 }  // namespace spinscope::quic

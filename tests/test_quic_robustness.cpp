@@ -157,8 +157,8 @@ TEST(Robustness, CodecFuzzNeverCrashes) {
         for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
         auto packet = decode_packet(bytes, 8, rng.uniform_u64(1000));
         if (packet) {
-            auto frames = decode_frames(packet->payload, 3);
-            benchmarkish_use(frames.has_value());
+            DecodedFrames frames;
+            benchmarkish_use(decode_frames(packet->payload, 3, frames));
         }
         auto view = peek_short_header(bytes);
         benchmarkish_use(view.has_value());
@@ -291,12 +291,14 @@ TEST(Robustness, HostileStreamOffsetIsBoundedNotAllocated) {
     // gigabyte of buffer.
     Pair pair;
     pair.server->on_stream_complete = [&pair](std::uint64_t, std::vector<std::uint8_t>) {
+        static constexpr std::uint8_t kData[] = {1, 2, 3};
         StreamFrame poison;
         poison.stream_id = 0;
         poison.offset = 1ULL << 30;
-        poison.data = {1, 2, 3};
+        poison.data = kData;
         std::vector<std::uint8_t> payload;
-        encode_frame(payload, Frame{poison}, 3);
+        Writer w{payload};
+        encode_frame(w, Frame{poison}, 3);
         pair.server->send_raw_payload(std::move(payload));
     };
     pair.client->connect();
@@ -308,13 +310,13 @@ TEST(Robustness, HostileStreamOffsetIsBoundedNotAllocated) {
 TEST(Robustness, OverlongFrameTypeEncodingRejected) {
     // RFC 9000 §12.4: frame types use the minimal varint encoding. 0x4001 is
     // an overlong PING and must not alias it.
+    DecodedFrames frames;
     const std::vector<std::uint8_t> overlong{0x40, 0x01};
-    EXPECT_FALSE(decode_frames(overlong, 3).has_value());
+    EXPECT_FALSE(decode_frames(overlong, 3, frames));
     const std::vector<std::uint8_t> minimal{0x01};
-    const auto frames = decode_frames(minimal, 3);
-    ASSERT_TRUE(frames.has_value());
-    ASSERT_EQ(frames->size(), 1u);
-    EXPECT_TRUE(std::holds_alternative<PingFrame>(frames->front()));
+    ASSERT_TRUE(decode_frames(minimal, 3, frames));
+    ASSERT_EQ(frames.frames.size(), 1u);
+    EXPECT_TRUE(std::holds_alternative<PingFrame>(frames.frames.front()));
 }
 
 TEST(Robustness, HugeAckDelayIsClampedNotOverflowed) {
@@ -327,9 +329,9 @@ TEST(Robustness, HugeAckDelayIsClampedNotOverflowed) {
     w.varint(kVarintMax);  // ack delay units
     w.varint(0);           // extra range count
     w.varint(1);           // first range
-    const auto frames = decode_frames(wire, /*ack_delay_exponent=*/20);
-    ASSERT_TRUE(frames.has_value());
-    const auto* ack = std::get_if<AckFrame>(&frames->front());
+    DecodedFrames frames;
+    ASSERT_TRUE(decode_frames(wire, /*ack_delay_exponent=*/20, frames));
+    const auto* ack = std::get_if<AckFrame>(&frames.frames.front());
     ASSERT_NE(ack, nullptr);
     EXPECT_FALSE(ack->ack_delay.is_negative());
     EXPECT_LE(ack->ack_delay.count_micros(), static_cast<std::int64_t>(1ULL << 42));
@@ -344,7 +346,8 @@ TEST(Robustness, FrameOffsetsNearVarintMaxRejected) {
     sw.varint(kVarintMax);
     sw.varint(1);
     sw.u8(0xAB);
-    EXPECT_FALSE(decode_frames(stream_wire, 3).has_value());
+    DecodedFrames frames;
+    EXPECT_FALSE(decode_frames(stream_wire, 3, frames));
 
     // CRYPTO: same rule (§19.6).
     std::vector<std::uint8_t> crypto_wire;
@@ -354,29 +357,31 @@ TEST(Robustness, FrameOffsetsNearVarintMaxRejected) {
     cw.varint(2);
     cw.u8(0x01);
     cw.u8(0x02);
-    EXPECT_FALSE(decode_frames(crypto_wire, 3).has_value());
+    EXPECT_FALSE(decode_frames(crypto_wire, 3, frames));
 }
 
 TEST(Robustness, TruncatedFramesNeverOverread) {
     // Every prefix of a valid multi-frame payload either decodes or fails
     // cleanly — no crash, no over-read (run under ASan to enforce).
-    std::vector<Frame> frames;
+    const std::vector<std::uint8_t> data(32, 0x5c);
     StreamFrame stream;
     stream.stream_id = 4;
     stream.offset = 100;
-    stream.data.assign(32, 0x5c);
-    frames.emplace_back(stream);
+    stream.data = data;
+    const AckRange ranges[] = {{3, 9}};
     AckFrame ack;
-    ack.ranges.push_back({3, 9});
+    ack.ranges = ranges;
     ack.ack_delay = Duration::millis(5);
-    frames.emplace_back(ack);
-    frames.emplace_back(PingFrame{});
-    const auto payload = encode_frames(frames, 3);
+    const std::vector<Frame> frames{Frame{stream}, Frame{ack}, Frame{PingFrame{}}};
+    std::vector<std::uint8_t> payload;
+    Writer w{payload};
+    encode_frames(w, frames, 3);
+    DecodedFrames decoded;
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
         const std::span<const std::uint8_t> prefix{payload.data(), cut};
-        benchmarkish_use(decode_frames(prefix, 3).has_value());
+        benchmarkish_use(decode_frames(prefix, 3, decoded));
     }
-    ASSERT_TRUE(decode_frames(payload, 3).has_value());
+    ASSERT_TRUE(decode_frames(payload, 3, decoded));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -127,13 +128,13 @@ TEST(SendQueue, RequeuePriority) {
     queue.append(data, true);
     auto lost = queue.next_chunk(4);
     ASSERT_TRUE(lost.has_value());
-    queue.requeue(*lost);
+    queue.requeue(lost->offset, lost->data.size(), lost->fin);
     EXPECT_TRUE(queue.has_pending());
     // Retransmission comes out before new data.
     const auto again = queue.next_chunk(100);
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->offset, lost->offset);
-    EXPECT_EQ(again->data, lost->data);
+    EXPECT_TRUE(std::ranges::equal(again->data, lost->data));
     // New data continues afterwards.
     const auto rest = queue.next_chunk(100);
     ASSERT_TRUE(rest.has_value());
@@ -147,7 +148,7 @@ TEST(SendQueue, RequeueOfFinChunkKeepsPendingUntilResent) {
     auto chunk = queue.next_chunk(10);
     ASSERT_TRUE(chunk->fin);
     EXPECT_FALSE(queue.has_pending());
-    queue.requeue(*chunk);
+    queue.requeue(chunk->offset, chunk->data.size(), chunk->fin);
     EXPECT_TRUE(queue.has_pending());
     auto again = queue.next_chunk(10);
     EXPECT_TRUE(again->fin);
