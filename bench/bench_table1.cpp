@@ -81,6 +81,19 @@ bench::Trajectory run_at_scale(const bench::Options& options, double scale,
         gauge != nullptr && gauge->has_value()) {
         trajectory.peak_worker_rss_bytes = static_cast<std::uint64_t>(gauge->value());
     }
+    // Under --procs the workers scan and the supervisor only commits and
+    // reduces: the scan's heap traffic is what the workers reported.
+    if (trajectory.alloc_probe && scanned > 0) {
+        const auto worker_total = [&registry](telemetry::CounterId id) {
+            const auto* counter = registry.find(id);
+            return counter != nullptr ? static_cast<double>(counter->value()) : 0.0;
+        };
+        const auto domains = static_cast<double>(scanned);
+        trajectory.allocs_per_domain +=
+            worker_total(telemetry::CounterId::obs_proc_worker_allocs) / domains;
+        trajectory.alloc_bytes_per_domain +=
+            worker_total(telemetry::CounterId::obs_proc_worker_alloc_bytes) / domains;
+    }
     return trajectory;
 }
 

@@ -19,7 +19,10 @@ Usage:
 
 Wall-clock throughput and RSS get wide tolerances (CI machines are noisy);
 the allocation counters are per-domain averages of a deterministic workload,
-so they get tight ones.
+so they get tight ones, and they are gated both ways: a candidate that beats
+the baseline by more than the tolerance fails as a stale baseline, because a
+stale baseline would let a regression of that size pass. The change that
+earned the gain re-baselines (REGEN=1 scripts/ci.sh bench) and records it.
 """
 
 import json
@@ -232,7 +235,9 @@ def compare_trajectory(baseline, candidate, base_name="baseline",
         else:
             ok = ratio <= 1.0 + tolerance
             direction = "larger"
-        status = "ok" if ok else "REGRESSION"
+        gain = ratio - 1.0 if higher_better else 1.0 - ratio
+        stale = metric in ALLOC_METRICS and gain > tolerance
+        status = "STALE BASELINE" if stale else ("ok" if ok else "REGRESSION")
         print(
             f"  {bench}/{metric}: {base_name} {base:.6g} -> {cand_name} "
             f"{cand:.6g} ({ratio:.1%} of baseline, tolerance {tolerance:.0%}) "
@@ -242,6 +247,11 @@ def compare_trajectory(baseline, candidate, base_name="baseline",
             failures.append(
                 f"{bench}/{metric}: {ratio:.2f}x of baseline is {direction} than "
                 f"the {tolerance:.0%} tolerance"
+            )
+        if stale:
+            failures.append(
+                f"{bench}/{metric}: {ratio:.2f}x of baseline beats it by more than "
+                f"the {tolerance:.0%} tolerance — the baseline is stale"
             )
     return failures
 
@@ -279,6 +289,25 @@ def self_test():
         if not compare(baseline, regressed):
             print(f"self-test FAILED: regression in {metric} was not detected")
             return 1
+
+    print("self-test: a deterministic metric beating its baseline past the "
+          "tolerance must fail as stale; a gain inside it must pass")
+    for metric in sorted(ALLOC_METRICS):
+        improved = json.loads(json.dumps(baseline))
+        improved["metrics"][metric] = baseline["metrics"][metric] * 0.5
+        if not compare(baseline, improved):
+            print(f"self-test FAILED: stale {metric} baseline was not detected")
+            return 1
+        slightly = json.loads(json.dumps(baseline))
+        slightly["metrics"][metric] = baseline["metrics"][metric] * 0.95
+        if compare(baseline, slightly):
+            print(f"self-test FAILED: a {metric} gain inside the tolerance was flagged")
+            return 1
+    faster = json.loads(json.dumps(baseline))
+    faster["metrics"]["domains_per_sec"] = baseline["metrics"]["domains_per_sec"] * 3
+    if compare(baseline, faster):
+        print("self-test FAILED: a wall-clock gain was flagged as stale")
+        return 1
 
     print("self-test: optional metrics absent from the baseline must be skipped")
     legacy = json.loads(json.dumps(baseline))

@@ -101,13 +101,17 @@ int worker_main(const Campaign& campaign, const ProcPoolOptions& options, unsign
                 send("start " + std::to_string(c) + "\n");
                 // Thread-level restart-then-quarantine happens inside
                 // scan_chunk, so the record matches what run() journals.
+                const telemetry::AllocSnapshot allocs;
                 const ChunkRecord record = campaign.scan_chunk(c);
+                const std::uint64_t chunk_allocs = allocs.count_since();
+                const std::uint64_t chunk_alloc_bytes = allocs.bytes_since();
                 if (hook) hook(slot, "scanned", c);
-                // `record <c> <restarts> <rss>`, then the journal frame the
-                // supervisor commits byte for byte.
+                // `record <c> <restarts> <rss> <allocs> <alloc bytes>`, then
+                // the journal frame the supervisor commits byte for byte.
                 send("record " + std::to_string(c) + " " + std::to_string(record.restarts) + " " +
-                     std::to_string(telemetry::current_rss_bytes()) + "\n" +
-                     frame_record(serialize_chunk_record(record)));
+                     std::to_string(telemetry::current_rss_bytes()) + " " +
+                     std::to_string(chunk_allocs) + " " + std::to_string(chunk_alloc_bytes) +
+                     "\n" + frame_record(serialize_chunk_record(record)));
                 if (hook) hook(slot, "sent", c);
             }
             inbox.erase(0, pos);
@@ -263,12 +267,12 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         mark(slot, "garbled channel");
     };
 
-    // `slot`'s `record <c> <restarts> <rss>` for its chunk in flight; false
-    // when the line is malformed or names another chunk, which garbles the
-    // channel.
+    // `slot`'s `record <c> <restarts> <rss> <allocs> <alloc bytes>` for its
+    // chunk in flight; false when the line is malformed or names another
+    // chunk, which garbles the channel.
     const auto handle_record = [&](WorkerSlot& slot, std::string_view line,
                                    std::string_view frame) {
-        std::uint64_t fields[3] = {};  // chunk, restarts, rss
+        std::uint64_t fields[5] = {};  // chunk, restarts, rss, allocs, alloc bytes
         if (!parse_line(line, "record", fields) || fields[0] != slot.chunk) {
             garble(slot);
             return false;
@@ -277,6 +281,8 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         slot.started = false;
         report.worker_thread_restarts += fields[1];
         slot.peak_rss = std::max(slot.peak_rss, fields[2]);
+        report.worker_allocs += fields[3];
+        report.worker_alloc_bytes += fields[4];
         mark(slot, line.substr(0, line.find(' ', 7)));
         record_chunk(fields[0], std::string{frame});
         return true;
@@ -486,6 +492,8 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         count(CounterId::obs_proc_chunks_quarantined, report.chunks_quarantined);
         count(CounterId::obs_proc_chunks_scanned_inline, report.chunks_scanned_inline);
         count(CounterId::obs_proc_io_errors, report.io_errors);
+        count(CounterId::obs_proc_worker_allocs, report.worker_allocs);
+        count(CounterId::obs_proc_worker_alloc_bytes, report.worker_alloc_bytes);
         metrics->gauge(telemetry::GaugeId::obs_proc_procs).set(static_cast<double>(options.procs));
         std::uint64_t peak = 0;
         for (const WorkerSlot& slot : slots) peak = std::max(peak, slot.peak_rss);

@@ -84,6 +84,11 @@ struct ProcPoolReport {
     /// Chunks the supervisor scanned inline because every worker slot had
     /// exhausted its restart budget (last-resort completion).
     std::uint64_t chunks_scanned_inline = 0;
+    /// Heap allocations and bytes the workers made scanning the chunks whose
+    /// records were committed, as each worker reported them with the record
+    /// (0 without the allocation probe, telemetry/alloc_interpose.hpp).
+    std::uint64_t worker_allocs = 0;
+    std::uint64_t worker_alloc_bytes = 0;
     /// Chunk records present in the map journal when the pass finished.
     std::uint64_t chunks_recorded = 0;
     std::uint64_t chunks_total = 0;

@@ -112,6 +112,8 @@ inline constexpr HistogramGeometry kSimMs = log_geometry(0.1, 2.0, 24);
     X(obs_proc_chunks_scanned_inline, "obs.proc.chunks_scanned_inline", host) \
     X(obs_proc_hang_kills, "obs.proc.hang_kills", host) \
     X(obs_proc_io_errors, "obs.proc.io_errors", host) \
+    X(obs_proc_worker_alloc_bytes, "obs.proc.worker_alloc_bytes", host) \
+    X(obs_proc_worker_allocs, "obs.proc.worker_allocs", host) \
     X(observer_collisions, "observer.collisions", deterministic) \
     X(observer_evictions, "observer.evictions", deterministic) \
     X(observer_flows, "observer.flows", deterministic) \

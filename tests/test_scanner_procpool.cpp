@@ -528,7 +528,7 @@ int worker_channel_fd() {
 /// restarted incarnation completes the work. Phases "torn", "crc" and "short"
 /// kill at "scanned" right after sending a bad record for the chunk: half a
 /// frame, a whole frame whose CRC does not check out, or a valid frame after
-/// a `record` line missing its restarts and rss fields.
+/// a `record` line missing its restarts, rss and allocation fields.
 ProcPoolOptions killing_pool(unsigned procs, const std::filesystem::path& marker_dir,
                              const char* phase, std::size_t chunk) {
     ProcPoolOptions pool = fast_pool(procs);
@@ -544,7 +544,7 @@ ProcPoolOptions killing_pool(unsigned procs, const std::filesystem::path& marker
             ChunkRecord fake;
             fake.chunk_index = c;
             std::string frame = frame_record(serialize_chunk_record(fake));
-            std::string line = "record " + std::to_string(c) + " 0 0\n";
+            std::string line = "record " + std::to_string(c) + " 0 0 0 0\n";
             if (phase_name == "torn") {
                 frame.resize(frame.size() / 2);
             } else if (phase_name == "crc") {
