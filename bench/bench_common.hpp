@@ -1,30 +1,35 @@
 // bench/bench_common.hpp
 //
 // Shared plumbing for the table/figure reproduction harnesses: command-line
-// options (scale, seed), wall-clock timing and banner output. Each bench
-// binary regenerates one table or figure of the paper; see EXPERIMENTS.md.
+// options (scale, seed), wall-clock timing, banner output and the two scan
+// paths the artifacts come from (run_campaign for the tables,
+// for_each_corpus_domain for the figures). Each table has its own binary;
+// bench_figures regenerates Figures 2-4 from one corpus. See EXPERIMENTS.md.
 
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <vector>
 
-#include "analysis/accuracy.hpp"
 #include "bench/progress.hpp"
 #include "bench/trajectory.hpp"
-#include "core/accuracy.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/journal.hpp"
 #include "scanner/procpool.hpp"
+#include "scanner/shard.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -43,7 +48,7 @@ struct Options {
     /// --trajectory instead of a single row. Empty = single --scale run.
     std::vector<double> scales;
     std::uint64_t seed = 20230520;
-    /// Extra per-bench knob (e.g. corpus size for the accuracy figures).
+    /// Extra per-bench knob (e.g. sampled weeks for bench_figures).
     std::uint64_t count = 0;
     /// When non-empty, figure benches also write their data series as
     /// <csv_prefix><figure>.csv for external plotting.
@@ -101,22 +106,28 @@ inline bool parse_scale(std::string_view text, double& out) {
     return parse_whole(text, out) && web::PopulationModel::valid_scale(out);
 }
 
-inline Options parse_options(int argc, char** argv, std::uint64_t default_count = 0) {
+/// Prints the usage and exits: 0 for --help (`bad` null, usage on stdout),
+/// 2 with the usage on stderr for an argument the harness refuses.
+[[noreturn]] inline void usage(const char* program, const char* bad) {
+    if (bad != nullptr) std::fprintf(stderr, "bad argument '%s'\n", bad);
+    std::fprintf(bad == nullptr ? stdout : stderr,
+                 "usage: %s [--scale=N] [--scales=A,B,C] [--seed=N] [--count=N] [--csv=prefix] "
+                 "[--telemetry=path|off] [--threads=N] [--journal=dir] [--procs=N] "
+                 "[--resume] [--scrub] [--trace=file] [--progress[=N]] "
+                 "[--trajectory=file]\n",
+                 program);
+    std::exit(bad == nullptr ? 0 : 2);
+}
+
+/// Parses the harness flags. `refused` names flags (as "--journal") this
+/// harness does not honour: they exit 2 with the usage rather than being
+/// ignored without a word.
+inline Options parse_options(int argc, char** argv, std::uint64_t default_count = 0,
+                             std::initializer_list<std::string_view> refused = {}) {
     Options options;
     options.count = default_count;
-    // --help prints the usage and exits 0; an unknown flag (a typo like
-    // --scal=5000) or a value that does not parse exits 2 with it.
-    const auto usage = [&](const char* bad) {
-        if (bad != nullptr) std::fprintf(stderr, "bad argument '%s'\n", bad);
-        std::fprintf(
-            bad == nullptr ? stdout : stderr,
-            "usage: %s [--scale=N] [--scales=A,B,C] [--seed=N] [--count=N] [--csv=prefix] "
-            "[--telemetry=path|off] [--threads=N] [--journal=dir] [--procs=N] "
-            "[--resume] [--scrub] [--trace=file] [--progress[=N]] "
-            "[--trajectory=file]\n",
-            argv[0]);
-        std::exit(bad == nullptr ? 0 : 2);
-    };
+    // --help prints the usage and exits 0; an unknown or refused flag (a
+    // typo like --scal=5000) or a value that does not parse exits 2 with it.
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
         const std::string_view a{arg};
@@ -125,6 +136,10 @@ inline Options parse_options(int argc, char** argv, std::uint64_t default_count 
             if (!a.starts_with(flag)) return std::nullopt;
             return a.substr(flag.size());
         };
+        const auto is_refused = [&a](std::string_view flag) {
+            return a.starts_with(flag) && (a.size() == flag.size() || a[flag.size()] == '=');
+        };
+        if (std::ranges::any_of(refused, is_refused)) usage(argv[0], arg);
         bool ok = true;
         if (const auto v = value("--scale=")) {
             ok = parse_scale(*v, options.scale);
@@ -165,9 +180,9 @@ inline Options parse_options(int argc, char** argv, std::uint64_t default_count 
         } else if (const auto v = value("--trajectory=")) {
             options.trajectory_path = *v;
         } else {
-            usage(a == "--help" ? nullptr : arg);
+            usage(argv[0], a == "--help" ? nullptr : arg);
         }
-        if (!ok) usage(arg);
+        if (!ok) usage(argv[0], arg);
     }
     if (options.resume && options.journal_dir.empty()) {
         std::fprintf(stderr, "--resume requires --journal=dir\n");
@@ -216,41 +231,60 @@ inline int sampled_week(unsigned sample, unsigned weeks) {
     return static_cast<int>(sample * 57 / (weeks > 1 ? weeks - 1 : 1));
 }
 
-/// Calls `visit(domain, sample, attempt, trace)` for every OK connection of
-/// the spin-capable QUIC domains over `weeks` sampled weeks and returns how
-/// many there were: the §5.1 corpus of Figures 3 and 4 ("all IPv4
-/// connections with spin bit activity throughout the campaign"). `attempt`
-/// indexes the trace within its DomainScan.
+/// Domains per corpus work block: the id range a worker materializes and
+/// scans at once. About 5 % of the ids are spin-capable QUIC domains, each
+/// held with all its weekly scans until merged, so a small block keeps the
+/// scans in flight few (peak RSS at 1:2000 grows by ~3 MB from 32 to 1024).
+inline constexpr std::size_t kCorpusBlockDomains = 32;
+
+/// The Figures 2-4 corpus (paper §4.2, §5.1): calls `visit(domain, scans)`
+/// for every spin-capable QUIC domain, in domain-id order, where
+/// `scans[sample]` is the domain's scan in sampled_week(sample, weeks).
+/// Workers (scanner::run_sharded, `threads` as ScanOptions::threads) each
+/// materialize one kCorpusBlockDomains block of ids at a time and scan its
+/// corpus domains through one Campaign per week; `visit` runs on the calling
+/// thread. A domain's scans do not depend on the thread count (DESIGN.md
+/// §9), and memory is bounded by the shard window, not by the universe.
 template <typename Visit>
-std::uint64_t for_each_accuracy_connection(const web::PopulationModel& population,
-                                           unsigned weeks, Visit&& visit) {
-    std::uint64_t connections = 0;
-    const auto universe = population.materialize(0, population.domain_count());
+void for_each_corpus_domain(const web::PopulationModel& population, unsigned weeks,
+                            unsigned threads, Visit&& visit) {
+    std::vector<scanner::Campaign> campaigns;
+    campaigns.reserve(weeks);
     for (unsigned sample = 0; sample < weeks; ++sample) {
         scanner::ScanOptions scan_options;
         scan_options.week = sampled_week(sample, weeks);
-        scanner::Campaign campaign{population, scan_options};
-        for (const auto& domain : universe.domains) {
-            if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
-            const auto scan = campaign.scan_domain(domain);
-            for (std::size_t i = 0; i < scan.connections.size(); ++i) {
-                if (scan.connections[i].outcome != qlog::ConnectionOutcome::ok) continue;
-                ++connections;
-                visit(domain, sample, i, scan.connections[i]);
-            }
-        }
+        campaigns.emplace_back(population, scan_options);
     }
-    return connections;
-}
-
-/// Feeds the accuracy corpus into `aggregator`; returns its connection count.
-inline std::uint64_t build_accuracy_corpus(const web::PopulationModel& population,
-                                           unsigned weeks,
-                                           analysis::AccuracyAggregator& aggregator) {
-    return for_each_accuracy_connection(
-        population, weeks,
-        [&aggregator](const web::Domain&, unsigned, std::size_t, const qlog::Trace& trace) {
-            aggregator.add(core::assess_connection(trace));
+    struct CorpusDomain {
+        web::Domain domain;
+        std::vector<scanner::DomainScan> scans;  ///< one per sampled week
+    };
+    const scanner::ShardConfig shard{threads};
+    const scanner::ShardPlan plan{population.domain_count(), kCorpusBlockDomains};
+    // Block c lives in slot c % window until merged: run_sharded admits
+    // block c + window only after block c's merge returned.
+    std::vector<std::vector<CorpusDomain>> slots(shard.window_chunks());
+    scanner::run_sharded(
+        shard, plan,
+        [&](std::size_t block) {
+            auto& slot = slots[block % slots.size()];
+            const auto universe = population.materialize(plan.chunk_begin(block),
+                                                         plan.chunk_end(block));
+            for (const web::Domain& domain : universe.domains) {
+                if (!domain.quic || population.org_of(domain).spin_host_rate <= 0.0) continue;
+                auto& entry = slot.emplace_back(CorpusDomain{domain, {}});
+                entry.scans.reserve(weeks);
+                for (const auto& campaign : campaigns) {
+                    entry.scans.push_back(campaign.scan_domain(domain));
+                }
+            }
+        },
+        [&](std::size_t block) {
+            auto& slot = slots[block % slots.size()];
+            for (const CorpusDomain& entry : slot) {
+                visit(entry.domain, std::span<const scanner::DomainScan>{entry.scans});
+            }
+            slot.clear();
         });
 }
 
@@ -272,50 +306,58 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
     }
 
     scanner::CampaignStats stats;
-    if (options.scrub) {
-        // Offline verify/repair before touching the journal (DESIGN.md §16):
-        // after this, reduce sees either a clean journal or an explicit
-        // rescan list — never a torn or corrupt record.
-        const scanner::ScrubReport report =
-            scanner::scrub_journal(options.journal_dir);
-        std::printf("%s", report.render().c_str());
-    }
-    if (options.procs > 0) {
-        // Crash-isolated map pass (DESIGN.md §11): fork N workers over a
-        // shared journal, then reduce it through the caller's sink. --resume
-        // keeps whatever chunks a previous (possibly killed) run journaled.
-        // The two phases are timed apart and the run's rate covers both.
-        scanner::ProcPoolOptions pool;
-        pool.procs = options.procs;
-        pool.fresh = !options.resume;
-        if (options.resume) {
+    // A journal of another campaign (other options, universe or metric
+    // catalog), a journal locked by a live run or a storage failure ends
+    // the run with one line and exit 1.
+    try {
+        if (options.scrub) {
+            // Offline verify/repair before touching the journal (DESIGN.md §16):
+            // after this, reduce sees either a clean journal or an explicit
+            // rescan list — never a torn or corrupt record.
+            const scanner::ScrubReport report =
+                scanner::scrub_journal(options.journal_dir);
+            std::printf("%s", report.render().c_str());
+        }
+        if (options.procs > 0) {
+            // Crash-isolated map pass (DESIGN.md §11): fork N workers over a
+            // shared journal, then reduce it through the caller's sink. --resume
+            // keeps whatever chunks a previous (possibly killed) run journaled.
+            // The two phases are timed apart and the run's rate covers both.
+            scanner::ProcPoolOptions pool;
+            pool.procs = options.procs;
+            pool.fresh = !options.resume;
+            if (options.resume) {
+                std::printf("resuming from journal %s\n", options.journal_dir.c_str());
+            }
+            const Stopwatch map_watch;
+            const scanner::ProcPoolReport report = scanner::run_procs(campaign, pool);
+            const double map_seconds = map_watch.seconds();
+            std::printf("map pass: %u worker procs, %llu/%llu chunks journaled "
+                        "(%llu proc restarts, %llu hang kills, %llu quarantined) in %.2f s\n",
+                        report.procs,
+                        static_cast<unsigned long long>(report.chunks_recorded),
+                        static_cast<unsigned long long>(report.chunks_total),
+                        static_cast<unsigned long long>(report.proc_restarts),
+                        static_cast<unsigned long long>(report.hang_kills),
+                        static_cast<unsigned long long>(report.chunks_quarantined), map_seconds);
+            stats = campaign.reduce(sink);
+            std::printf("reduce: %.2f s; map pass + reduce %.2f s\n", stats.wall_seconds,
+                        map_seconds + stats.wall_seconds);
+            stats.wall_seconds += map_seconds;
+            stats.proc_restarts = report.proc_restarts;
+            if (options.journal_is_temp) {
+                std::error_code ec;
+                std::filesystem::remove_all(options.journal_dir, ec);
+            }
+        } else if (options.resume) {
             std::printf("resuming from journal %s\n", options.journal_dir.c_str());
+            stats = campaign.reduce(sink);
+        } else {
+            stats = campaign.run(sink);
         }
-        const Stopwatch map_watch;
-        const scanner::ProcPoolReport report = scanner::run_procs(campaign, pool);
-        const double map_seconds = map_watch.seconds();
-        std::printf("map pass: %u worker procs, %llu/%llu chunks journaled "
-                    "(%llu proc restarts, %llu hang kills, %llu quarantined) in %.2f s\n",
-                    report.procs,
-                    static_cast<unsigned long long>(report.chunks_recorded),
-                    static_cast<unsigned long long>(report.chunks_total),
-                    static_cast<unsigned long long>(report.proc_restarts),
-                    static_cast<unsigned long long>(report.hang_kills),
-                    static_cast<unsigned long long>(report.chunks_quarantined), map_seconds);
-        stats = campaign.reduce(sink);
-        std::printf("reduce: %.2f s; map pass + reduce %.2f s\n", stats.wall_seconds,
-                    map_seconds + stats.wall_seconds);
-        stats.wall_seconds += map_seconds;
-        stats.proc_restarts = report.proc_restarts;
-        if (options.journal_is_temp) {
-            std::error_code ec;
-            std::filesystem::remove_all(options.journal_dir, ec);
-        }
-    } else if (options.resume) {
-        std::printf("resuming from journal %s\n", options.journal_dir.c_str());
-        stats = campaign.reduce(sink);
-    } else {
-        stats = campaign.run(sink);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "campaign failed: %s\n", e.what());
+        std::exit(1);
     }
 
     if (options.progress_every > 0) {

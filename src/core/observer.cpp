@@ -88,9 +88,4 @@ void SpinEdgeObserver::on_datagram(TimePoint at, bytes::ConstByteSpan datagram) 
     on_packet(SpinObservation{at, short_header_packets_++, view->spin, view->vec});
 }
 
-std::optional<double> SpinEdgeObserver::smoothed_ms() const noexcept {
-    if (!have_smoothed_) return std::nullopt;
-    return smoothed_ms_;
-}
-
 }  // namespace spinscope::core

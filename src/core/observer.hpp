@@ -152,8 +152,6 @@ public:
     }
     /// Samples rejected by the plausibility heuristics.
     [[nodiscard]] std::size_t rejected_samples() const noexcept { return rejected_; }
-    /// Current smoothed spin RTT (ms); nullopt before the first sample.
-    [[nodiscard]] std::optional<double> smoothed_ms() const noexcept;
 
 private:
     ObserverConfig config_;

@@ -144,11 +144,6 @@ bool Simulator::run_until(TimePoint deadline) {
     return heap_.empty();
 }
 
-void Simulator::run_steps(std::size_t max_events) {
-    check_owner();
-    for (std::size_t i = 0; i < max_events && !heap_.empty(); ++i) pop_and_run();
-}
-
 void Simulator::publish_metrics(telemetry::MetricsRegistry& registry) const {
     using telemetry::CounterId;
     registry.counter(CounterId::netsim_sim_events_scheduled).add(next_seq_);

@@ -70,9 +70,6 @@ public:
     /// min(deadline, last event time). Returns true if the queue was drained.
     bool run_until(TimePoint deadline);
 
-    /// Runs at most `max_events` further events (safety valve for tests).
-    void run_steps(std::size_t max_events);
-
     [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
     [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 

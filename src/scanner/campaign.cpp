@@ -48,7 +48,10 @@ constexpr faults::RetryPolicy kChunkRestart{2, Duration::millis(10), 2.0,
 
 /// Redirects a scan follows past the landing page (paper §3.2).
 constexpr int kMaxRedirects = 3;
-/// Per-packet, per-direction reorder probability of every attempt's path.
+/// Per-packet, per-direction loss and reorder probabilities of every
+/// attempt's path (calibrated so that R-vs-S spin results differ for
+/// ~0.3 % of connections, §5.2).
+constexpr double kLossRate = 0.0004;
 constexpr double kReorderRate = 0.0015;
 /// The scanner client spins unconditionally (lottery off), mirroring the
 /// paper's measurement client; what is measured is the server's policy.
@@ -58,10 +61,6 @@ constexpr quic::SpinConfig kClientSpin{quic::SpinPolicy::spin, 0,
 }  // namespace
 
 void ScanOptions::validate() {
-    if (std::isnan(loss_rate)) {
-        throw std::invalid_argument("scanner: ScanOptions.loss_rate is NaN");
-    }
-    loss_rate = std::clamp(loss_rate, 0.0, 1.0);
     if (attempt_deadline.is_negative() || attempt_deadline.is_zero()) {
         throw std::invalid_argument("scanner: ScanOptions.attempt_deadline must be > 0");
     }
@@ -171,7 +170,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     link.base_delay = one_way;
     link.jitter_scale = one_way.scaled(0.03);
     link.jitter_sigma = 0.5;
-    link.loss_probability = options_.loss_rate;
+    link.loss_probability = kLossRate;
     link.reorder_probability = kReorderRate;
     link.reorder_extra_min = Duration::micros(60);
     link.reorder_extra_max = Duration::from_ms(1.5);

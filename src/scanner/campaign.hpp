@@ -43,9 +43,6 @@ struct ScanOptions {
     /// Campaign week (0-based, CW 15/2022 == 0); drives longitudinal churn.
     int week = 0;
     std::uint64_t seed = 0x5ca7;
-    /// Per-packet, per-direction network impairments (calibrated so that
-    /// R-vs-S spin results differ for ~0.3 % of connections, §5.2).
-    double loss_rate = 0.0004;
     /// Safety bound per connection attempt (simulated time).
     util::Duration attempt_deadline = util::Duration::seconds(60);
     /// Watchdog budget per DOMAIN (simulated time across all of its hops,
@@ -107,11 +104,11 @@ struct ScanOptions {
     /// keep null in production.
     std::function<void(std::size_t chunk)> chunk_fault_hook;
 
-    /// Sanitizes the knobs in place: a NaN loss rate, a non-positive
-    /// deadline, a zero record cap or chunk size and invalid
-    /// retry/fault-plan/observer settings throw std::invalid_argument; a
-    /// finite out-of-range loss rate is clamped into [0, 1]. Campaign's
-    /// constructor applies this to its copy.
+    /// Sanitizes the knobs in place: a non-positive deadline, a zero record
+    /// cap or chunk size and invalid retry/fault-plan/observer settings
+    /// throw std::invalid_argument; finite out-of-range fault-plan
+    /// probabilities are clamped into [0, 1]. Campaign's constructor applies
+    /// this to its copy.
     void validate();
 };
 
@@ -272,6 +269,10 @@ public:
     /// recorder's wall sidecar. The campaign only records; the owner calls
     /// TraceRecorder::write after the run.
     void set_trace(telemetry::TraceRecorder* trace) noexcept { trace_ = trace; }
+
+    /// The universe this campaign scans (its seed is part of the journal's
+    /// campaign identity).
+    [[nodiscard]] const web::PopulationModel& population() const noexcept { return *model_; }
 
     /// Number of domains a run() will scan (progress/ETA sizing).
     [[nodiscard]] std::size_t domain_count() const { return model_->domain_count(); }

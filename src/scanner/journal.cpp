@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "bytes/cursor.hpp"
+#include "telemetry/catalog.hpp"
 #include "util/atomic_file.hpp"
 #include "util/checksum.hpp"
 #include "util/text_cursor.hpp"
@@ -170,6 +171,8 @@ std::string serialize_header(const CampaignHeader& header) {
                                      (header.has_telemetry ? kHeaderTelemetry : 0)));
     out.integer(header.chunk_domains);
     out.integer(header.domain_count);
+    out.integer(header.population_seed);
+    out.integer(header.catalog);
     return to_payload(bytes);
 }
 
@@ -182,7 +185,7 @@ std::optional<CampaignHeader> parse_header(std::string_view payload) {
     }
     const auto flags = read_flags(in, kHeaderIpv6 | kHeaderTelemetry);
     if (!flags || !in.integer(header.chunk_domains) || !in.integer(header.domain_count) ||
-        !in.done()) {
+        !in.integer(header.population_seed) || !in.integer(header.catalog) || !in.done()) {
         return std::nullopt;
     }
     header.ipv6 = (*flags & kHeaderIpv6) != 0;
@@ -437,8 +440,8 @@ void init_map_journal(util::Io& io, const std::filesystem::path& dir,
             if (parsed && !(*parsed == header)) {
                 throw std::invalid_argument(
                     "journal: map header mismatch — this journal belongs to a "
-                    "different campaign (seed/week/family/chunking/population "
-                    "differ)");
+                    "different campaign (seed/week/family/chunking/population or "
+                    "metric catalog differ)");
             }
         }
     }
@@ -470,9 +473,14 @@ std::vector<MapBatch> open_map_journal(util::PidLockFile& lock, const Campaign& 
                                  std::to_string(campaign.domain_count()) + ") in " +
                                  std::to_string(campaign.chunk_count()) + " chunks");
     }
-    const CampaignHeader header{options.seed,          options.week,
-                                options.ipv6,          options.chunk_domains,
-                                campaign.domain_count(), campaign.metrics() != nullptr};
+    const CampaignHeader header{options.seed,
+                                options.week,
+                                options.ipv6,
+                                options.chunk_domains,
+                                campaign.domain_count(),
+                                campaign.metrics() != nullptr,
+                                campaign.population().config().seed,
+                                telemetry::kCatalogFingerprint};
     init_map_journal(util::resolve_io(options.io), dir, header, wipe);
     std::vector<MapBatch> kept = list_map_batches(dir);
     if (!kept.empty() && kept.back().last >= campaign.chunk_count()) {

@@ -45,9 +45,9 @@
 namespace spinscope::scanner {
 
 /// Identity of the campaign a journal belongs to. Reduce refuses to mix
-/// journals across campaigns: every field here changes the scan stream, so
-/// replaying records produced under different options would silently corrupt
-/// the output.
+/// journals across campaigns: every field here changes the scan stream or
+/// how its records read, so replaying records produced under different
+/// options would silently corrupt the output.
 struct CampaignHeader {
     std::uint64_t seed = 0;
     int week = 0;
@@ -57,6 +57,11 @@ struct CampaignHeader {
     /// Whether the journaling campaign had a metrics registry attached (chunk
     /// records then carry telemetry snapshots).
     bool has_telemetry = false;
+    /// web::PopulationConfig::seed of the scanned universe.
+    std::uint64_t population_seed = 0;
+    /// telemetry::kCatalogFingerprint of the build that wrote the journal:
+    /// its snapshots' keys are that catalog's indices.
+    std::uint64_t catalog = 0;
 
     friend bool operator==(const CampaignHeader&, const CampaignHeader&) = default;
 };

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -201,6 +202,46 @@ inline constexpr std::array kCounters{SPINSCOPE_COUNTERS(SPINSCOPE_METRIC_INFO)}
 inline constexpr std::array kGauges{SPINSCOPE_GAUGES(SPINSCOPE_METRIC_INFO)};
 inline constexpr std::array kHistograms{SPINSCOPE_HISTOGRAMS(SPINSCOPE_METRIC_INFO)};
 #undef SPINSCOPE_METRIC_INFO
+
+namespace detail {
+
+constexpr std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value, int bytes = 8) {
+    for (int i = 0; i < bytes; ++i) {
+        hash = (hash ^ ((value >> (8 * i)) & 0xFFU)) * 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/// Folds one kind's entries; `histograms` says whether they carry a
+/// geometry (a null test on a constexpr pointer is not a constant
+/// expression in every sanitizer build).
+template <std::size_t N>
+constexpr std::uint64_t fold_catalog(std::uint64_t hash,
+                                     const std::array<MetricInfo, N>& catalog,
+                                     bool histograms) {
+    hash = fnv1a(hash, N);
+    for (const MetricInfo& entry : catalog) {
+        for (const char c : entry.name) hash = fnv1a(hash, static_cast<unsigned char>(c), 1);
+        hash = fnv1a(hash, static_cast<std::uint64_t>(entry.metric_class), 1);
+        if (histograms) {
+            hash = fnv1a(hash, entry.geometry->bucket_count);
+            hash = fnv1a(hash, std::bit_cast<std::uint64_t>(entry.geometry->min_value));
+            hash = fnv1a(hash, std::bit_cast<std::uint64_t>(entry.geometry->factor));
+        }
+    }
+    return hash;
+}
+
+}  // namespace detail
+
+/// FNV-1a of every entry's kind, name, class and histogram geometry.
+/// Telemetry snapshots are keyed by catalog index, so a build reads another
+/// build's snapshots only when their fingerprints agree; the campaign
+/// journal's header records it.
+inline constexpr std::uint64_t kCatalogFingerprint = detail::fold_catalog(
+    detail::fold_catalog(detail::fold_catalog(0xcbf29ce484222325ULL, kCounters, false),
+                         kGauges, false),
+    kHistograms, true);
 
 /// The counter `n` entries after `id`, for a family laid out in a known order.
 constexpr CounterId operator+(CounterId id, std::size_t n) {

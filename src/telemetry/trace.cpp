@@ -245,11 +245,6 @@ bool TraceRecorder::write(const std::string& path) const {
                                    to_json(TraceClock::wall) + "\n");
 }
 
-std::size_t TraceRecorder::event_count(TraceClock clock) const {
-    std::lock_guard<std::mutex> lock{mu_};
-    return clock == TraceClock::sim ? sim_events_.size() : wall_events_.size();
-}
-
 void TraceRecorder::publish_metrics(MetricsRegistry& registry) const {
     std::lock_guard<std::mutex> lock{mu_};
     registry.counter(CounterId::trace_events_sim).add(sim_events_.size());

@@ -101,9 +101,6 @@ public:
     /// `.wall.json` when `path` has no `.json` suffix).
     [[nodiscard]] static std::string wall_sidecar_path(const std::string& path);
 
-    /// Event counts per clock, for tests and capacity planning.
-    [[nodiscard]] std::size_t event_count(TraceClock clock) const;
-
     /// Publishes recorder bookkeeping as `trace.events_sim` /
     /// `trace.events_wall` / `trace.lanes` counters (excluded from the
     /// deterministic telemetry view — wall-event counts depend on thread

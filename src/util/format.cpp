@@ -31,14 +31,6 @@ std::string percent(double fraction, int decimals) {
     return fixed(fraction * 100.0, decimals) + " %";
 }
 
-std::string human_count(double value) {
-    const double a = std::fabs(value);
-    if (a >= 1e9) return fixed(value / 1e9, 2) + " G";
-    if (a >= 1e6) return fixed(value / 1e6, 2) + " M";
-    if (a >= 1e3) return fixed(value / 1e3, 1) + " k";
-    return fixed(value, 0);
-}
-
 void TextTable::add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
 
 std::string TextTable::render(bool with_header) const {

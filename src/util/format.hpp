@@ -31,9 +31,6 @@ namespace spinscope::util {
 /// 0.10168 -> "10.2 %" (one decimal, like the paper's tables).
 [[nodiscard]] std::string percent(double fraction, int decimals = 1);
 
-/// 802585 -> "802.6 k", 2257938 -> "2.26 M".
-[[nodiscard]] std::string human_count(double value);
-
 /// Fixed-decimal double.
 [[nodiscard]] std::string fixed(double value, int decimals);
 

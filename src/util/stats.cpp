@@ -56,22 +56,6 @@ double Histogram::overflow_share() const noexcept {
     return total_ == 0 ? 0.0 : static_cast<double>(overflow_) / static_cast<double>(total_);
 }
 
-double Histogram::share_between(std::size_t first_bin, std::size_t last_bin) const {
-    if (total_ == 0) return 0.0;
-    std::uint64_t acc = 0;
-    for (std::size_t i = first_bin; i < last_bin && i < counts_.size(); ++i) acc += counts_[i];
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
-double Histogram::fraction_below_edge(double threshold) const {
-    if (total_ == 0) return 0.0;
-    std::uint64_t acc = underflow_;
-    for (std::size_t i = 0; i + 1 < edges_.size(); ++i) {
-        if (edges_[i + 1] <= threshold) acc += counts_[i];
-    }
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
 void CategoricalCounts::add(std::size_t category, std::uint64_t n) {
     counts_.at(category) += n;
     total_ += n;

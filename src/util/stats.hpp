@@ -43,13 +43,6 @@ public:
     [[nodiscard]] double underflow_share() const noexcept;
     [[nodiscard]] double overflow_share() const noexcept;
 
-    /// Share of values in [lo_edge_index, hi_edge_index) bins combined.
-    [[nodiscard]] double share_between(std::size_t first_bin, std::size_t last_bin) const;
-
-    /// Fraction of all values strictly below `threshold` (threshold must be
-    /// one of the edges; computed exactly from bins + underflow).
-    [[nodiscard]] double fraction_below_edge(double threshold) const;
-
 private:
     std::vector<double> edges_;
     std::vector<std::uint64_t> counts_;

@@ -217,13 +217,16 @@ TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
         EXPECT_EQ(batch.saw_zero, spin.saw_zero);
         EXPECT_EQ(batch.saw_one, spin.saw_one);
         // Float-equivalent EWMA scaling: the integer estimate tracks the
-        // float one within the §14 precision bound (~2 µs steady state;
-        // 10 µs leaves margin without masking real divergence).
+        // float 7/8 EWMA of the accepted samples within the §14 precision
+        // bound (~2 µs steady state; 10 µs leaves margin without masking
+        // real divergence).
+        EXPECT_EQ(hard->has_estimate, !spin.samples_ms.empty());
         if (hard->has_estimate) {
-            EXPECT_NEAR(hard->srtt_ms(), ideal->observer.smoothed_ms().value_or(0.0), 0.010)
-                << "flow key " << key;
-        } else {
-            EXPECT_EQ(ideal->observer.smoothed_ms().value_or(0.0), 0.0);
+            double smoothed = spin.samples_ms.front();
+            for (std::size_t i = 1; i < spin.samples_ms.size(); ++i) {
+                smoothed = smoothed * 0.875 + spin.samples_ms[i] * 0.125;
+            }
+            EXPECT_NEAR(hard->srtt_ms(), smoothed, 0.010) << "flow key " << key;
         }
     }
 

@@ -158,8 +158,8 @@ TEST(StreamingObserver, DynamicRatioRejectsOutliers) {
     }
     observer.on_packet(obs(t - 40 + 2, pn++, value));  // 2 ms after last edge
     EXPECT_EQ(observer.rejected_samples(), 1u);
-    ASSERT_TRUE(observer.smoothed_ms().has_value());
-    EXPECT_NEAR(*observer.smoothed_ms(), 40.0, 1.0);
+    // The 2 ms outlier is not among the samples.
+    EXPECT_EQ(observer.result().samples_ms, std::vector<double>(4, 40.0));
 }
 
 TEST(StreamingObserver, PacketNumberFilterSuppressesStaleEdges) {

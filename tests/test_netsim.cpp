@@ -83,15 +83,6 @@ TEST(Simulator, EventsScheduledDuringRunExecute) {
     EXPECT_EQ(depth, 5);
 }
 
-TEST(Simulator, RunStepsBounds) {
-    Simulator sim;
-    int count = 0;
-    for (int i = 0; i < 10; ++i) sim.schedule_after(Duration::millis(i), [&] { ++count; });
-    sim.run_steps(4);
-    EXPECT_EQ(count, 4);
-    EXPECT_EQ(sim.pending(), 6u);
-}
-
 /// Milliseconds since the origin, for timer firing logs.
 std::int64_t at_ms(const Simulator& sim) {
     return (sim.now() - TimePoint::origin()).count_millis();
@@ -231,7 +222,7 @@ TEST(Timer, CallbackMayDestroyItsOwnTimer) {
         seen.push_back(payload);
     });
     timer->set_after(Duration::millis(1));
-    sim.run_steps(1);
+    sim.run_until(TimePoint::origin() + Duration::millis(1));
     EXPECT_EQ(seen, (std::vector<std::string>{payload}));
     EXPECT_EQ(sim.pending(), 1u);  // the dead timer's re-arm stays queued
 
@@ -270,31 +261,6 @@ TEST(Timer, CallbackMayConstructTimersThatGrowTheTable) {
     for (std::size_t i = 1; i < fired_ms.size(); ++i) EXPECT_LE(fired_ms[i - 1], fired_ms[i]);
     EXPECT_EQ(fired_ms.front(), 2);
     EXPECT_EQ(fired_ms.back(), 4);
-}
-
-TEST(Simulator, RunStepsSafetyValveStopsSelfRescheduling) {
-    // A pathological event that always reschedules itself would hang run();
-    // run_steps must bound it to exactly max_events callbacks.
-    Simulator sim;
-    std::uint64_t count = 0;
-    std::function<void()> reschedule = [&] {
-        ++count;
-        sim.schedule_after(Duration::millis(1), reschedule);
-    };
-    sim.schedule_after(Duration::millis(1), reschedule);
-    sim.run_steps(100);
-    EXPECT_EQ(count, 100u);
-    EXPECT_EQ(sim.pending(), 1u);  // the next self-rescheduled event remains
-    EXPECT_EQ(sim.processed(), 100u);
-}
-
-TEST(Simulator, RunStepsZeroIsNoOp) {
-    Simulator sim;
-    int count = 0;
-    sim.schedule_after(Duration::millis(1), [&] { ++count; });
-    sim.run_steps(0);
-    EXPECT_EQ(count, 0);
-    EXPECT_EQ(sim.pending(), 1u);
 }
 
 TEST(Simulator, TracksQueueDepthHighWaterMark) {
@@ -413,6 +379,8 @@ TEST(Simulator, SameInstantFifoHoldsAcrossRecycledSlots) {
     EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "a1", "a2", "b1", "b2", "late"}));
 
     // Many rounds of recycling: each instant keeps its scheduling order.
+    // An instant's first round runs the previous instant, so the later
+    // rounds schedule into its freed slots.
     std::vector<int> fired;
     int next = 0;
     for (int round = 0; round < 50; ++round) {
@@ -420,7 +388,7 @@ TEST(Simulator, SameInstantFifoHoldsAcrossRecycledSlots) {
         for (int i = 0; i < 3; ++i) {
             sim.schedule_at(when, [&fired, id = next++] { fired.push_back(id); });
         }
-        sim.run_steps(2);
+        sim.run_until(when - Duration::millis(1));
     }
     sim.run();
     ASSERT_EQ(fired.size(), 150u);
@@ -443,10 +411,12 @@ TEST(Simulator, DestructionReturnsEveryQueuedPooledBuffer) {
             // Direct events owning a pooled buffer too.
             sim.schedule_after(Duration::millis(100 + i), [buffer = pool.acquire(32)] {});
         }
-        sim.run_steps(5);  // some deliveries ran, freeing slots; most still queued
-        EXPECT_EQ(received, 5);
-        EXPECT_GT(sim.pending(), 0u);
-        EXPECT_EQ(pool.stats().outstanding, 35u);
+        // The deliveries ran, freeing their slots; the direct events are
+        // still queued.
+        sim.run_until(TimePoint::origin() + Duration::millis(50));
+        EXPECT_EQ(received, 20);
+        EXPECT_EQ(sim.pending(), 20u);
+        EXPECT_EQ(pool.stats().outstanding, 20u);
     }
     EXPECT_EQ(pool.stats().outstanding, 0u);
     EXPECT_EQ(pool.stats().acquires, 40u);

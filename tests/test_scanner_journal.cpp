@@ -63,6 +63,8 @@ CampaignHeader sample_header() {
     header.chunk_domains = 16;
     header.domain_count = 110;
     header.has_telemetry = true;
+    header.population_seed = 20230520;
+    header.catalog = telemetry::kCatalogFingerprint;
     return header;
 }
 
@@ -450,6 +452,43 @@ SweepResult run_to_completion(const web::PopulationModel& population, const Scan
     result.stats = reduce ? campaign.reduce(sink) : campaign.run(sink);
     result.telemetry = telemetry::deterministic_csv(registry);
     return result;
+}
+
+// A journal of another universe, or one whose telemetry snapshots are keyed
+// by another build's metric catalog, is a different campaign: resuming it
+// throws before a record is replayed (a foreign snapshot would not parse,
+// and foreign scans would merge into the wrong domains).
+TEST_F(JournalTest, ReduceRefusesAJournalOfAnotherPopulationOrCatalog) {
+    const web::PopulationModel population = tiny_population();
+    ScanOptions options;
+    options.journal_dir = (dir_ / "foreign").string();
+    (void)run_to_completion(population, options, /*reduce=*/false);
+    const auto batches = list_map_batches(options.journal_dir);
+    ASSERT_FALSE(batches.empty());
+
+    const web::PopulationModel other_seed{{2'000'000.0, 2}};
+    ASSERT_EQ(other_seed.domain_count(), population.domain_count());
+    EXPECT_THROW((void)run_to_completion(other_seed, options, /*reduce=*/true),
+                 std::invalid_argument);
+
+    std::vector<ChunkRecord> chunks;
+    MapReplayResult replay = read_map_journal(options.journal_dir, collect_into(chunks));
+    ASSERT_TRUE(replay.has_header);
+    EXPECT_EQ(replay.header.population_seed, 1u);
+    EXPECT_EQ(replay.header.catalog, telemetry::kCatalogFingerprint);
+    CampaignHeader other_catalog = replay.header;
+    other_catalog.catalog ^= 1;
+    ASSERT_TRUE(util::write_file_atomic(util::Io::real(), map_header_path(options.journal_dir),
+                                        frame_record(serialize_header(other_catalog)))
+                    .ok());
+    EXPECT_THROW((void)run_to_completion(population, options, /*reduce=*/true),
+                 std::invalid_argument);
+    // Neither refusal touched the records.
+    EXPECT_EQ(list_map_batches(options.journal_dir), batches);
+    chunks.clear();
+    replay = read_map_journal(options.journal_dir, collect_into(chunks));
+    EXPECT_EQ(replay.corrupt_chunks, 0u);
+    EXPECT_EQ(chunks.size(), Campaign(population, options).chunk_count());
 }
 
 /// Runs a journaled campaign and kills it (exception out of the sink) once

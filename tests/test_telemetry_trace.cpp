@@ -276,9 +276,6 @@ TEST(TraceRecorderTest, EmitsWellFormedChromeTraceJson) {
     trace.complete(TraceClock::wall, trace.lane(TraceClock::wall, "worker 0"),
                    "scan chunk", 0, 2000);
 
-    EXPECT_EQ(trace.event_count(TraceClock::sim), 3u);
-    EXPECT_EQ(trace.event_count(TraceClock::wall), 1u);
-
     for (const TraceClock clock : {TraceClock::sim, TraceClock::wall}) {
         const std::string json = trace.to_json(clock);
         EXPECT_TRUE(is_valid_json(json)) << json;

@@ -83,13 +83,6 @@ TEST(Format, Percent) {
     EXPECT_EQ(percent(1.0), "100.0 %");
 }
 
-TEST(Format, HumanCount) {
-    EXPECT_EQ(human_count(950), "950");
-    EXPECT_EQ(human_count(802585), "802.6 k");
-    EXPECT_EQ(human_count(2257938), "2.26 M");
-    EXPECT_EQ(human_count(2.2e9), "2.20 G");
-}
-
 TEST(Format, Fixed) {
     EXPECT_EQ(fixed(3.14159, 2), "3.14");
     EXPECT_EQ(fixed(-1.5, 0), "-2");  // round-half-even via printf

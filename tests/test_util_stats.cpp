@@ -66,33 +66,9 @@ TEST(Histogram, AddNWeights) {
     EXPECT_EQ(h.total(), 10u);
 }
 
-TEST(Histogram, FractionBelowEdge) {
-    Histogram h{{0.0, 25.0, 50.0, 100.0}};
-    h.add(-5.0);
-    h.add(10.0);
-    h.add(30.0);
-    h.add(70.0);
-    h.add(200.0);
-    EXPECT_NEAR(h.fraction_below_edge(0.0), 1.0 / 5.0, 1e-12);
-    EXPECT_NEAR(h.fraction_below_edge(25.0), 2.0 / 5.0, 1e-12);
-    EXPECT_NEAR(h.fraction_below_edge(50.0), 3.0 / 5.0, 1e-12);
-    EXPECT_NEAR(h.fraction_below_edge(100.0), 4.0 / 5.0, 1e-12);
-}
-
-TEST(Histogram, ShareBetween) {
-    Histogram h{{0.0, 1.0, 2.0, 3.0}};
-    h.add(0.5);
-    h.add(1.5);
-    h.add(2.5);
-    h.add(2.6);
-    EXPECT_NEAR(h.share_between(1, 3), 3.0 / 4.0, 1e-12);
-    EXPECT_NEAR(h.share_between(0, 1), 1.0 / 4.0, 1e-12);
-}
-
 TEST(Histogram, EmptySharesAreZero) {
     Histogram h{{0.0, 1.0}};
     EXPECT_DOUBLE_EQ(h.share(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.fraction_below_edge(1.0), 0.0);
 }
 
 TEST(CategoricalCounts, SharesAndBounds) {
