@@ -80,7 +80,7 @@ qlog::Trace run_connection(double reorder_rate, std::uint64_t seed, double rtt_m
         [&server](spinscope::bytes::ConstByteSpan dg) { server.on_datagram(dg); });
     path.return_link().set_receiver(
         [&client](spinscope::bytes::ConstByteSpan dg) { client.on_datagram(dg); });
-    server.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t>) {
+    server.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t>) {
         if (id == scanner::kRequestStream) {
             server.send_stream(id, scanner::build_body(150'000), true);
         }
@@ -88,7 +88,7 @@ qlog::Trace run_connection(double reorder_rate, std::uint64_t seed, double rtt_m
     client.on_handshake_complete = [&] {
         client.send_stream(scanner::kRequestStream, scanner::build_request("www.a"), true);
     };
-    client.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    client.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         client.close(0, "done");
     };
     client.connect();

@@ -75,7 +75,7 @@ Outcome sweep(bool naive_reflection, double reorder_rate, std::size_t connection
             [&server](spinscope::bytes::ConstByteSpan dg) { server.on_datagram(dg); });
         path.return_link().set_receiver(
             [&client](spinscope::bytes::ConstByteSpan dg) { client.on_datagram(dg); });
-        server.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t>) {
+        server.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t>) {
             if (id == scanner::kRequestStream) {
                 server.send_stream(id, scanner::build_body(120'000), true);
             }
@@ -89,7 +89,7 @@ Outcome sweep(bool naive_reflection, double reorder_rate, std::size_t connection
             // invisible).
             client.send_stream(4, std::vector<std::uint8_t>(100'000, 3), true);
         };
-        client.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+        client.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
             client.close(0, "done");
         };
         client.connect();

@@ -110,7 +110,7 @@ int main() {
             });
 
         run->server->on_stream_complete = [server = run->server.get()](
-                                              std::uint64_t id, std::vector<std::uint8_t>) {
+                                              std::uint64_t id, std::span<const std::uint8_t>) {
             if (id != scanner::kRequestStream) return;
             server->send_stream(scanner::kRequestStream, scanner::build_body(120'000), true);
         };
@@ -119,7 +119,7 @@ int main() {
                                 scanner::build_request("www.flow.example"), true);
         };
         run->client->on_stream_complete =
-            [client = run->client.get()](std::uint64_t, std::vector<std::uint8_t>) {
+            [client = run->client.get()](std::uint64_t, std::span<const std::uint8_t>) {
                 client->close(0, "done");
             };
         run->client->connect();

@@ -58,7 +58,7 @@ int main() {
     path.return_link().set_receiver(
         [&client](spinscope::bytes::ConstByteSpan dg) { client.on_datagram(dg); });
 
-    server.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t>) {
+    server.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t>) {
         if (id != scanner::kRequestStream) return;
         sim.schedule_after(util::Duration::millis(5), [&] {
             server.send_stream(scanner::kRequestStream,
@@ -71,7 +71,7 @@ int main() {
         client.send_stream(scanner::kRequestStream,
                            scanner::build_request("www.example.org"), true);
     };
-    client.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t> data) {
+    client.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t> data) {
         if (id != scanner::kRequestStream) return;
         const auto response = scanner::parse_response(data);
         std::printf("response: status=%d server=%s body=%zu bytes\n",

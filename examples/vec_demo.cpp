@@ -62,15 +62,20 @@ int main() {
     path.return_link().set_receiver(
         [&client](spinscope::bytes::ConstByteSpan dg) { client.on_datagram(dg); });
 
-    server.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t>) {
+    server.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t>) {
         if (id != scanner::kRequestStream) return;
-        server.send_stream(scanner::kRequestStream, scanner::build_body(400'000), true);
+        // A 400 kB body is longer than one build_body() view: two appends,
+        // with no simulated time between them, queue it whole.
+        server.send_stream(scanner::kRequestStream, scanner::build_body(scanner::kMaxBodyBytes),
+                           false);
+        server.send_stream(scanner::kRequestStream,
+                           scanner::build_body(400'000 - scanner::kMaxBodyBytes), true);
     };
     client.on_handshake_complete = [&] {
         client.send_stream(scanner::kRequestStream,
                            scanner::build_request("www.vec.example"), true);
     };
-    client.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    client.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         client.close(0, "done");
     };
     client.connect();

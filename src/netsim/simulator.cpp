@@ -30,9 +30,8 @@ void Simulator::check_owner() const {
     }
 }
 
-void Simulator::push_key(TimePoint t, std::uint32_t slot, std::uint32_t generation) {
-    if (t < now_) t = now_;
-    heap_.push_back(Key{t, next_seq_++, slot, generation});
+void Simulator::push_key(const Key& key) {
+    heap_.push_back(key);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     if (heap_.size() > queue_hwm_) queue_hwm_ = heap_.size();
 }
@@ -49,7 +48,7 @@ void Simulator::schedule_at(TimePoint t, Callback cb, EventCategory category) {
         reused.cb = std::move(cb);
         reused.category = category;
     }
-    push_key(t, slot, 0);
+    push_key(Key{std::max(t, now_), next_seq_++, slot});
 }
 
 void Simulator::schedule_after(Duration d, Callback cb, EventCategory category) {
@@ -64,10 +63,10 @@ void Simulator::pop_and_run() {
     now_ = key.at;
     ++processed_;
     if ((key.slot & kTimerTag) != 0) {
-        // Stale or not, a timer key is a processed "timer" event, so every
-        // netsim.sim.* count is independent of how often timers re-arm.
+        // Whether it fires, requeues or is dropped, a timer key is a
+        // processed "timer" event.
         ++category_counts_[static_cast<std::size_t>(EventCategory::timer)];
-        fire_timer(key.slot & ~kTimerTag, key.generation);
+        pop_timer_key(key.slot & ~kTimerTag, key.seq);
         return;
     }
     Slot& slot = slots_[key.slot];
@@ -79,10 +78,18 @@ void Simulator::pop_and_run() {
     cb();
 }
 
-void Simulator::fire_timer(std::uint32_t index, std::uint32_t generation) {
+void Simulator::pop_timer_key(std::uint32_t index, std::uint64_t seq) {
     // A deque reference: it stays valid while the callback grows the table.
     TimerEntry& entry = timers_[index];
-    if (entry.generation != generation || !entry.armed) return;
+    if (seq != entry.queued_seq) return;  // superseded by an earlier arm's key
+    entry.queued_seq = kNoKey;
+    if (!entry.armed) return;
+    if (seq != entry.arm_seq) {
+        // Re-armed later while this key waited: sort where that arm's own
+        // key would have, so same-instant order is the arm's.
+        queue_timer_key(index, entry.expiry, entry.arm_seq);
+        return;
+    }
     entry.armed = false;
     // The callback runs in place. If it destroys its own Timer, the entry is
     // only marked released, and is freed here once the callback returns.
@@ -91,6 +98,13 @@ void Simulator::fire_timer(std::uint32_t index, std::uint32_t generation) {
     ++entry.firing;
     entry.on_fire();
     if (--entry.firing == 0 && entry.released) free_timer(index);
+}
+
+void Simulator::queue_timer_key(std::uint32_t index, TimePoint at, std::uint64_t seq) {
+    TimerEntry& entry = timers_[index];
+    entry.queued_at = at;
+    entry.queued_seq = seq;
+    push_key(Key{at, seq, kTimerTag | index});
 }
 
 std::uint32_t Simulator::acquire_timer(Callback on_fire) {
@@ -126,10 +140,12 @@ void Simulator::free_timer(std::uint32_t index) noexcept {
 void Simulator::arm_timer(std::uint32_t index, TimePoint t) {
     check_owner();
     TimerEntry& entry = timers_[index];
-    ++entry.generation;
     entry.armed = true;
-    entry.expiry = t;
-    push_key(t, kTimerTag | index, entry.generation);
+    entry.expiry = std::max(t, now_);
+    entry.arm_seq = next_seq_++;
+    // A key already queued at or before the expiry moves there when popped.
+    if (entry.queued_seq != kNoKey && entry.queued_at <= entry.expiry) return;
+    queue_timer_key(index, entry.expiry, entry.arm_seq);
 }
 
 void Simulator::run() {

@@ -66,17 +66,22 @@ public:
     /// Runs events until the queue is empty.
     void run();
 
-    /// Runs events with timestamp <= deadline; the clock ends at
-    /// min(deadline, last event time). Returns true if the queue was drained.
+    /// Runs events with timestamp <= deadline; the clock ends at the
+    /// deadline (or stays where it was, if that is later). Returns true if
+    /// the queue was drained: no key is left in the heap.
     bool run_until(TimePoint deadline);
 
+    /// Keys in the heap: queued events, plus at most one key per timer
+    /// (two or more only after re-arms to earlier times).
     [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+    /// Keys popped so far (see Timer for what a timer key's pop does).
     [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
     // --- instrumentation ---------------------------------------------------
     /// Largest queue depth ever reached (after a push).
     [[nodiscard]] std::size_t queue_depth_high_water() const noexcept { return queue_hwm_; }
-    /// Total events ever scheduled (processed + dropped-by-never-running).
+    /// Total events ever scheduled, every timer arm included (each draws a
+    /// sequence number whether or not it queues a key).
     [[nodiscard]] std::uint64_t scheduled() const noexcept { return next_seq_; }
     /// Adds this simulator's stats into `registry` under `netsim.sim.*`:
     /// counters events_scheduled / events_processed / events.<category>
@@ -88,17 +93,18 @@ private:
     friend class Timer;
 
     static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-    /// Set in Key::slot when the key fires a timer: the low bits then index
-    /// timers_ instead of slots_. At over 100 bytes an entry, neither table
-    /// can reach 2^31 entries in memory.
+    /// TimerEntry::queued_seq of an entry with no key in the heap.
+    static constexpr std::uint64_t kNoKey = static_cast<std::uint64_t>(-1);
+    /// Set in Key::slot when the key belongs to a timer: the low bits then
+    /// index timers_ instead of slots_. At over 100 bytes an entry, neither
+    /// table can reach 2^31 entries in memory.
     static constexpr std::uint32_t kTimerTag = std::uint32_t{1} << 31;
 
     /// Heap entry: 24 bytes, so sifting never moves a callback.
     struct Key {
         TimePoint at;
         std::uint64_t seq;
-        std::uint32_t slot;        ///< index into slots_, or kTimerTag | timer index
-        std::uint32_t generation;  ///< timer keys only: the arm they belong to
+        std::uint32_t slot;  ///< index into slots_, or kTimerTag | timer index
     };
     static_assert(sizeof(Key) == 24);
     struct Later {
@@ -115,24 +121,32 @@ private:
         EventCategory category = EventCategory::untagged;
         std::uint32_t next_free = kNoSlot;
     };
-    /// One Timer's state: its fixed callback and the arm that may fire.
-    /// Arming bumps `generation` and queues a key carrying it; a popped key
-    /// whose generation is stale, or whose timer is disarmed, runs nothing.
-    /// The generation keeps counting across owners of a recycled entry, so
-    /// a dead Timer's queued keys do not fire its successor.
+    /// One Timer's state: its fixed callback, its current arm and the one
+    /// key it keeps in the heap. An arm draws a sequence number like any
+    /// schedule and fires at (expiry, arm_seq), where a key of its own would
+    /// sort. An arm at or after the queued key only records that position;
+    /// the queued key, once popped, requeues itself there. An earlier arm
+    /// queues a new key and leaves the old one to pop as a no-op. The queued
+    /// key describes the heap, not the owner, so it outlives a recycled
+    /// entry's owner; the arm it moves to is always the current owner's.
     struct TimerEntry {
         Callback on_fire;
         TimePoint expiry = TimePoint::never();
-        std::uint32_t generation = 0;
+        std::uint64_t arm_seq = 0;
+        TimePoint queued_at = TimePoint::never();
+        std::uint64_t queued_seq = kNoKey;
         std::uint32_t next_free = kNoSlot;
         std::uint32_t firing = 0;  ///< callbacks of this entry on the stack
         bool armed = false;
         bool released = false;  ///< owner gone mid-firing: free once it returns
     };
 
-    void push_key(TimePoint t, std::uint32_t slot, std::uint32_t generation);
+    void push_key(const Key& key);
     void pop_and_run();
-    void fire_timer(std::uint32_t index, std::uint32_t generation);
+    /// Handles a popped key of timer `index`: fires the arm it sorts as,
+    /// moves it to a deferred arm, or drops it.
+    void pop_timer_key(std::uint32_t index, std::uint64_t seq);
+    void queue_timer_key(std::uint32_t index, TimePoint at, std::uint64_t seq);
     /// Timer support: take an entry for `on_fire`, give back a cancelled
     /// one, arm one.
     [[nodiscard]] std::uint32_t acquire_timer(Callback on_fire);
@@ -170,10 +184,14 @@ private:
 
 /// A single re-armable, cancellable timer (QUIC PTO, idle timeout, delayed
 /// ACK) with one callback fixed at construction. Its state lives in the
-/// simulator's timer table, so arming allocates nothing: it bumps the
-/// entry's generation and queues one key. Re-arming or cancelling makes any
-/// earlier key stale; a stale key is still popped and counted as a
-/// processed "timer" event, but runs nothing.
+/// simulator's timer table, so arming allocates nothing, and it keeps at
+/// most one key in the event queue: re-arming to a time at or after that key
+/// only records the new expiry, and cancelling only disarms. The key, when
+/// popped, requeues itself at the current expiry, so the timer fires at the
+/// instant, and in the same-instant order, of its last arm. Every arm still
+/// draws a sequence number (`scheduled()` counts it); every popped key,
+/// including one that requeues or finds the timer cancelled, is a processed
+/// "timer" event.
 ///
 /// The callback may re-arm, cancel or destroy its own timer and construct
 /// other timers. The simulator must outlive every Timer built on it.
@@ -184,7 +202,7 @@ public:
     Timer(Simulator& sim, Callback on_fire)
         : sim_{&sim}, index_{sim.acquire_timer(std::move(on_fire))} {}
 
-    /// Destruction cancels: a queued key of this timer runs nothing.
+    /// Destruction cancels: a queued key of this timer fires nothing.
     ~Timer() {
         cancel();
         sim_->release_timer(index_);
@@ -199,12 +217,8 @@ public:
     /// Arms (or re-arms) the timer to fire after `d`.
     void set_after(Duration d) { set_at(sim_->now() + d); }
 
-    /// Disarms the timer; a queued key becomes a no-op.
-    void cancel() noexcept {
-        Simulator::TimerEntry& entry = sim_->timers_[index_];
-        ++entry.generation;
-        entry.armed = false;
-    }
+    /// Disarms the timer; its queued key, once popped, fires nothing.
+    void cancel() noexcept { sim_->timers_[index_].armed = false; }
 
     [[nodiscard]] bool armed() const noexcept { return sim_->timers_[index_].armed; }
     /// Expiry of the currently armed firing; TimePoint::never() if disarmed.

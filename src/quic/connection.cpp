@@ -544,7 +544,8 @@ void Connection::handle_stream(const StreamFrame& stream) {
     buffer.insert(stream.offset, stream.data);
     if (stream.fin) buffer.set_final_size(stream.offset + stream.data.size());
     if (buffer.complete() && on_stream_complete) {
-        on_stream_complete(stream.stream_id, buffer.take());
+        on_stream_complete(stream.stream_id, buffer.contents());
+        buffer.release();
         buffer.set_final_size(0);  // mark delivered; later duplicates ignored
     }
 }

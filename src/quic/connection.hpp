@@ -155,8 +155,8 @@ public:
     /// Fired once when the handshake completes (1-RTT send allowed).
     std::function<void()> on_handshake_complete;
     /// Fired when a peer stream is fully received (FIN + contiguous).
-    std::function<void(std::uint64_t stream_id, std::vector<std::uint8_t> data)>
-        on_stream_complete;
+    /// `data` views the reassembled stream and lives only for the call.
+    std::function<void(std::uint64_t stream_id, bytes::ConstByteSpan data)> on_stream_complete;
     /// Fired when the connection closes cleanly (sent or received CLOSE).
     std::function<void()> on_closed;
     /// Fired on handshake timeout, idle timeout or PTO exhaustion.

@@ -1,57 +1,126 @@
 #include "quic/stream.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 namespace spinscope::quic {
 
-void ReassemblyBuffer::insert(std::uint64_t offset, std::span<const std::uint8_t> data) {
-    if (data.empty()) return;
-    const std::uint64_t end = offset + data.size();
-    if (bytes_.size() < end) bytes_.resize(end);
-    std::copy(data.begin(), data.end(), bytes_.begin() + static_cast<std::ptrdiff_t>(offset));
+namespace {
 
-    // Merge [offset, end) into the run map.
-    std::uint64_t new_start = offset;
-    std::uint64_t new_end = end;
-    auto it = runs_.lower_bound(new_start);
-    if (it != runs_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= new_start) {
-            new_start = prev->first;
-            new_end = std::max(new_end, prev->second);
-            it = runs_.erase(prev);
+/// Storage below this size is not worth keeping between streams.
+constexpr std::size_t kSpareMinBytes = 16 * 1024;
+
+/// The calling thread's stream spare set (stream.hpp, SendQueue): at most
+/// this many buffers, each of at least kSpareMinBytes; an empty vector is an
+/// empty place.
+thread_local std::array<std::vector<std::uint8_t>, 2> t_spares;
+
+/// Makes room for `size` bytes in `bytes`, keeping its content, when that
+/// is past kSpareMinBytes and the largest spare holds it: the spare is
+/// swapped in. Otherwise the vector grows as it would anyway.
+void reserve_stream_bytes(std::vector<std::uint8_t>& bytes, std::uint64_t size) {
+    if (size <= bytes.capacity() || size < kSpareMinBytes) return;
+    auto& largest = *std::max_element(
+        t_spares.begin(), t_spares.end(),
+        [](const auto& a, const auto& b) { return a.capacity() < b.capacity(); });
+    if (largest.capacity() < size) return;
+    largest.assign(bytes.begin(), bytes.end());
+    bytes.swap(largest);
+    // The outgrown storage takes the spare's place if it is worth keeping.
+    if (largest.capacity() < kSpareMinBytes) {
+        largest = {};
+    } else {
+        largest.clear();
+    }
+}
+
+/// Gives the storage of `bytes` to the spare set when it is large enough
+/// and larger than the smallest spare (which it then replaces); either way
+/// `bytes` ends empty.
+void donate_stream_bytes(std::vector<std::uint8_t>& bytes) noexcept {
+    if (bytes.capacity() >= kSpareMinBytes) {
+        auto& smallest = *std::min_element(
+            t_spares.begin(), t_spares.end(),
+            [](const auto& a, const auto& b) { return a.capacity() < b.capacity(); });
+        if (smallest.capacity() < bytes.capacity()) {
+            bytes.clear();
+            smallest.swap(bytes);
         }
     }
-    while (it != runs_.end() && it->first <= new_end) {
-        new_end = std::max(new_end, it->second);
-        it = runs_.erase(it);
+    bytes = {};
+}
+
+}  // namespace
+
+void ReassemblyBuffer::insert(std::uint64_t offset, std::span<const std::uint8_t> data) {
+    const std::uint64_t end = offset + data.size();
+    if (data.empty() || end <= contiguous_) return;  // nothing new
+    if (offset < contiguous_) {
+        data = data.subspan(contiguous_ - offset);
+        offset = contiguous_;
     }
-    runs_.emplace(new_start, new_end);
+
+    // Write the bytes: over a gap's placeholder where they fill one, and
+    // appended past the end.
+    reserve_stream_bytes(bytes_, end);
+    if (bytes_.size() < offset) bytes_.resize(offset);
+    const std::size_t overwrite = std::min<std::uint64_t>(data.size(), bytes_.size() - offset);
+    std::copy_n(data.begin(), overwrite, bytes_.begin() + static_cast<std::ptrdiff_t>(offset));
+    bytes_.insert(bytes_.end(), data.begin() + static_cast<std::ptrdiff_t>(overwrite),
+                  data.end());
+
+    if (offset == contiguous_) {
+        // The prefix grows, swallowing every run it now reaches.
+        contiguous_ = end;
+        auto reached = runs_.begin();
+        for (; reached != runs_.end() && reached->begin <= contiguous_; ++reached) {
+            contiguous_ = std::max(contiguous_, reached->end);
+        }
+        runs_.erase(runs_.begin(), reached);
+        return;
+    }
+    // Past a gap: merge [offset, end) with every run it overlaps or touches.
+    auto first = std::lower_bound(runs_.begin(), runs_.end(), offset,
+                                  [](const Run& run, std::uint64_t at) { return run.end < at; });
+    Run merged{offset, end};
+    auto last = first;
+    for (; last != runs_.end() && last->begin <= end; ++last) {
+        merged.begin = std::min(merged.begin, last->begin);
+        merged.end = std::max(merged.end, last->end);
+    }
+    if (first == last) {
+        runs_.insert(first, merged);
+    } else {
+        *first = merged;
+        runs_.erase(first + 1, last);
+    }
 }
 
 void ReassemblyBuffer::set_final_size(std::uint64_t final_size) noexcept {
     final_size_ = final_size;
 }
 
-std::uint64_t ReassemblyBuffer::contiguous_length() const noexcept {
-    // Runs are merged on insert, so a run covering offset 0 starts at 0.
-    if (!runs_.empty() && runs_.begin()->first == 0) return runs_.begin()->second;
-    return 0;
-}
-
 bool ReassemblyBuffer::complete() const noexcept {
-    return final_size_.has_value() && contiguous_length() >= *final_size_;
+    return final_size_.has_value() && contiguous_ >= *final_size_;
 }
 
-std::vector<std::uint8_t> ReassemblyBuffer::take() {
+std::span<const std::uint8_t> ReassemblyBuffer::contents() const noexcept {
     assert(complete());
-    bytes_.resize(*final_size_);
-    runs_.clear();
-    return std::move(bytes_);
+    return std::span<const std::uint8_t>{bytes_}.first(*final_size_);
 }
+
+void ReassemblyBuffer::release() noexcept {
+    donate_stream_bytes(bytes_);
+    contiguous_ = 0;
+    runs_.clear();
+    final_size_.reset();
+}
+
+SendQueue::~SendQueue() { donate_stream_bytes(buffer_); }
 
 void SendQueue::append(std::span<const std::uint8_t> data, bool fin) {
+    reserve_stream_bytes(buffer_, buffer_.size() + data.size());
     buffer_.insert(buffer_.end(), data.begin(), data.end());
     if (fin) fin_ = true;
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -17,11 +16,20 @@ namespace spinscope::quic {
 /// Reassembles a byte stream from (offset, data) chunks that may arrive out
 /// of order or duplicated (retransmissions). Tracks the FIN offset and
 /// reports completion once bytes [0, fin_offset) are contiguous.
+///
+/// In-order data extends the received prefix in place: one copy, no zero
+/// fill and no per-insert allocation. Only data past a gap is recorded as a
+/// separate run. Storage that grew past 16 KiB draws on, and returns to, the
+/// calling thread's stream spare set (see SendQueue).
 class ReassemblyBuffer {
 public:
-    /// Inserts a chunk at `offset`. Overlaps are resolved byte-wise (later
-    /// identical data overwrites — sender never changes content at an
-    /// offset, so this is safe).
+    ReassemblyBuffer() = default;
+    ReassemblyBuffer(ReassemblyBuffer&&) noexcept = default;
+    ReassemblyBuffer& operator=(ReassemblyBuffer&&) noexcept = default;
+    ~ReassemblyBuffer() { release(); }
+
+    /// Inserts a chunk at `offset`. Bytes already received are not written
+    /// again: the sender never changes the content at an offset.
     void insert(std::uint64_t offset, std::span<const std::uint8_t> data);
 
     /// Marks the end of stream at `final_size` (offset just past the last
@@ -29,29 +37,56 @@ public:
     void set_final_size(std::uint64_t final_size) noexcept;
 
     /// Number of contiguous bytes available from offset 0.
-    [[nodiscard]] std::uint64_t contiguous_length() const noexcept;
+    [[nodiscard]] std::uint64_t contiguous_length() const noexcept { return contiguous_; }
 
     /// True once the FIN offset is known and all bytes up to it arrived.
     [[nodiscard]] bool complete() const noexcept;
 
-    /// Returns the full stream content; only valid when complete().
-    [[nodiscard]] std::vector<std::uint8_t> take();
+    /// The full stream content; only valid when complete(). The view lives
+    /// until the next insert() or release().
+    [[nodiscard]] std::span<const std::uint8_t> contents() const noexcept;
+
+    /// Drops every received byte and the final size, and hands the storage
+    /// to the spare set.
+    void release() noexcept;
 
     [[nodiscard]] bool has_final_size() const noexcept { return final_size_.has_value(); }
 
 private:
-    // Byte buffer grown on demand plus a "received" run-length map
-    // (start -> end, half-open), merged on insert.
+    /// A received range [begin, end) past the contiguous prefix.
+    struct Run {
+        std::uint64_t begin = 0;
+        std::uint64_t end = 0;
+    };
+
+    /// Received bytes, up to the furthest one; a gap reads as zeros until
+    /// its data arrives.
     std::vector<std::uint8_t> bytes_;
-    std::map<std::uint64_t, std::uint64_t> runs_;
+    /// Bytes [0, contiguous_) have all arrived.
+    std::uint64_t contiguous_ = 0;
+    /// Runs received past the first gap: sorted, disjoint, not touching, and
+    /// all beginning after contiguous_.
+    std::vector<Run> runs_;
     std::optional<std::uint64_t> final_size_;
 };
 
 /// Send side of one stream: a byte queue consumed in MTU-sized chunks. It
 /// keeps every byte ever appended, so a lost chunk is resent by re-reading
 /// its range rather than from a copy.
+///
+/// Stream spare set: the byte storage of a SendQueue or ReassemblyBuffer that
+/// grows past 16 KiB is taken from a per-thread set of spare buffers, and
+/// given back to it when the queue or buffer dies. The set holds at most two
+/// buffers of at least 16 KiB each and keeps the largest, so a scan worker
+/// reuses the pages of its previous attempts' response bodies and holds at
+/// most two bodies' worth of idle storage.
 class SendQueue {
 public:
+    SendQueue() = default;
+    SendQueue(SendQueue&&) noexcept = default;
+    SendQueue& operator=(SendQueue&&) noexcept = default;
+    ~SendQueue();
+
     /// Appends data (copied into the queue — the span need only live for
     /// the call); `fin` marks the end of the stream (no more appends).
     void append(std::span<const std::uint8_t> data, bool fin);

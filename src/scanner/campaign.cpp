@@ -275,7 +275,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
         server.send_stream(kServerControlStream, build_settings(true), true);
     };
     server.on_stream_complete = [&, serve_redirect](std::uint64_t stream_id,
-                                                    std::vector<std::uint8_t> data) {
+                                                    bytes::ConstByteSpan data) {
         if (stream_id != kRequestStream) return;
         const auto requested = parse_request(data);
         const std::string redirect_target =
@@ -319,7 +319,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
             const double sampled =
                 util::sample_lognormal(rng, stack.body_log_mu, stack.body_log_sigma);
             const auto body_size = static_cast<std::size_t>(
-                std::clamp(sampled, 400.0, 300'000.0));
+                std::clamp(sampled, 400.0, static_cast<double>(kMaxBodyBytes)));
             // Dynamic pages are generated and flushed in pieces (template
             // rendering, database queries); each app-limited pause can land
             // between two spin edges and inflate one RTT sample — the §5.2
@@ -352,7 +352,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
         client.send_stream(kClientControlStream, build_settings(false), true);
         client.send_stream(kRequestStream, build_request(host), true);
     };
-    client.on_stream_complete = [&](std::uint64_t stream_id, std::vector<std::uint8_t> data) {
+    client.on_stream_complete = [&](std::uint64_t stream_id, bytes::ConstByteSpan data) {
         if (stream_id != kRequestStream) return;
         out.response = parse_response(data);
         got_response = true;

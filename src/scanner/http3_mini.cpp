@@ -1,8 +1,8 @@
 #include "scanner/http3_mini.hpp"
 
-#include <algorithm>
+#include <array>
 #include <charconv>
-#include <cstring>
+#include <stdexcept>
 
 #include "util/format.hpp"
 
@@ -57,19 +57,23 @@ std::vector<std::uint8_t> build_response_headers(int status, const std::string& 
     return as_bytes(out);
 }
 
-std::vector<std::uint8_t> build_body(std::size_t size) {
-    static constexpr std::string_view kFiller = "<p>spinscope synthetic page content</p>";
-    std::vector<std::uint8_t> body(size);
-    std::size_t filled = std::min(size, kFiller.size());
-    if (filled > 0) std::memcpy(body.data(), kFiller.data(), filled);
-    // The filled prefix is a whole number of filler periods until the last
-    // copy, so doubling it continues the pattern: body[i] == kFiller[i % 39].
-    while (filled < size) {
-        const std::size_t n = std::min(filled, size - filled);
-        std::memcpy(body.data() + filled, body.data(), n);
-        filled += n;
+std::span<const std::uint8_t> build_body(std::size_t size) {
+    if (size > kMaxBodyBytes) {
+        throw std::length_error("http3_mini: a body of " + std::to_string(size) +
+                                " bytes exceeds kMaxBodyBytes (" +
+                                std::to_string(kMaxBodyBytes) + ")");
     }
-    return body;
+    struct Filler {
+        std::array<std::uint8_t, kMaxBodyBytes> bytes;
+        Filler() {
+            static constexpr std::string_view kFiller = "<p>spinscope synthetic page content</p>";
+            for (std::size_t i = 0; i < bytes.size(); ++i) {
+                bytes[i] = static_cast<std::uint8_t>(kFiller[i % kFiller.size()]);
+            }
+        }
+    };
+    static const Filler filler;
+    return std::span<const std::uint8_t>{filler.bytes}.first(size);
 }
 
 std::optional<ResponseInfo> parse_response(std::span<const std::uint8_t> response) {

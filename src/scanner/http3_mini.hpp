@@ -37,8 +37,14 @@ inline constexpr std::uint64_t kServerControlStream = 3;
                                                                const std::string& location,
                                                                const std::string& server_name);
 
-/// Pseudo page body of `size` bytes (deterministic filler).
-[[nodiscard]] std::vector<std::uint8_t> build_body(std::size_t size);
+/// Largest response body the campaign serves: its body-size clamp.
+inline constexpr std::size_t kMaxBodyBytes = 300'000;
+
+/// Pseudo page body of `size` bytes: byte i is
+/// "<p>spinscope synthetic page content</p>"[i % 39]. A view of one static
+/// filler, so building a body copies nothing; throws std::length_error when
+/// `size` exceeds kMaxBodyBytes.
+[[nodiscard]] std::span<const std::uint8_t> build_body(std::size_t size);
 
 /// Parsed response metadata.
 struct ResponseInfo {

@@ -424,6 +424,20 @@ void init_map_journal(util::Io& io, const std::filesystem::path& dir,
     // must not orphan every file published into it.
     (void)util::fsync_dir(io, dir.has_parent_path() ? dir.parent_path()
                                                     : std::filesystem::path{"."});
+    if (!wipe && std::filesystem::exists(map_header_path(dir))) {
+        // A header that does not frame-check or parse names no campaign, so
+        // no record beside it can be trusted: they are wiped and rescanned.
+        const auto existing = read_framed_file(map_header_path(dir));
+        const auto parsed = existing ? parse_header(*existing) : std::nullopt;
+        if (!parsed) {
+            wipe = true;
+        } else if (!(*parsed == header)) {
+            throw std::invalid_argument(
+                "journal: map header mismatch — this journal belongs to a "
+                "different campaign (seed/week/family/chunking/population or "
+                "metric catalog differ)");
+        }
+    }
     if (wipe) {
         for (const auto& entry : std::filesystem::directory_iterator(dir)) {
             if (is_map_file(entry.path().filename().string())) {
@@ -431,17 +445,6 @@ void init_map_journal(util::Io& io, const std::filesystem::path& dir,
                 if (!removed) {
                     throw_io("journal: cannot wipe " + entry.path().string(), removed);
                 }
-            }
-        }
-    } else {
-        const auto existing = read_framed_file(map_header_path(dir));
-        if (existing) {
-            const auto parsed = parse_header(*existing);
-            if (parsed && !(*parsed == header)) {
-                throw std::invalid_argument(
-                    "journal: map header mismatch — this journal belongs to a "
-                    "different campaign (seed/week/family/chunking/population or "
-                    "metric catalog differ)");
             }
         }
     }

@@ -134,7 +134,9 @@ struct MapBatch {
 /// chunk-record and header file first (a fresh run rescans everything); without
 /// it, an existing header must equal `header` (std::invalid_argument
 /// otherwise — the journal belongs to a different campaign) and finished
-/// chunks are kept for reuse. The header file is published atomically and
+/// chunks are kept for reuse; a header.rec that is present but does not
+/// frame-check or parse names no campaign, so the files are wiped as with
+/// `wipe`. The header file is published atomically and
 /// the directory entry fsynced. Throws std::runtime_error on I/O failure.
 void init_map_journal(const std::filesystem::path& dir, const CampaignHeader& header,
                       bool wipe);

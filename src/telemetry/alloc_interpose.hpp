@@ -13,7 +13,10 @@
 //
 // The replacement set is deliberately minimal — sized/aligned variants fall
 // back to these via the standard's forwarding rules, matching the original
-// bench interposition byte for byte in its reported counters.
+// bench interposition byte for byte in its reported counters. The nothrow
+// new is replaced as well: a sanitizer runtime supplies its own, which the
+// plain delete below (std::free) would then release mismatched, as
+// std::stable_sort's temporary buffer does.
 
 #pragma once
 
@@ -46,3 +49,10 @@ void* operator new(std::size_t size) {
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+    spinscope::telemetry::alloc::record(size);
+    return std::malloc(size);
+}
+
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 
 namespace spinscope::web {
 
@@ -503,33 +505,64 @@ faults::ServerFaultProfile PopulationModel::server_fault_profile(const Domain& d
     return profile;
 }
 
+namespace {
+
+/// Writes `value` in `base` at `out`, left-padded with zeros to `width`
+/// digits; returns the end. `out` has room for 10 digits.
+char* put_number(char* out, std::uint32_t value, int base = 10, std::size_t width = 0) {
+    char digits[10];
+    char* const end = std::to_chars(digits, digits + sizeof digits, value, base).ptr;
+    for (auto count = static_cast<std::size_t>(end - digits); count < width; ++count) {
+        *out++ = '0';
+    }
+    return std::copy(digits, end, out);
+}
+
+}  // namespace
+
 std::string PopulationModel::domain_name(const Domain& d) const {
-    static constexpr const char* kCnoTlds[] = {"com", "com", "com", "net", "org"};
-    static constexpr const char* kOtherTlds[] = {"xyz", "info", "online", "shop", "site"};
-    static constexpr const char* kExtraTlds[] = {"de", "io", "co", "us", "tv"};
-    const char* tld = "com";
+    static constexpr std::string_view kCnoTlds[] = {"com", "com", "com", "net", "org"};
+    static constexpr std::string_view kOtherTlds[] = {"xyz", "info", "online", "shop", "site"};
+    static constexpr std::string_view kExtraTlds[] = {"de", "io", "co", "us", "tv"};
+    std::string_view tld = "com";
     switch (d.segment()) {
         case Segment::czds_cno: tld = kCnoTlds[d.id % 5]; break;
         case Segment::czds_other: tld = kOtherTlds[d.id % 5]; break;
         case Segment::toplist_extra: tld = kExtraTlds[d.id % 5]; break;
     }
+    // "d%07u.%s"
     char buf[32];
-    std::snprintf(buf, sizeof buf, "d%07u.%s", d.id, tld);
-    return buf;
+    char* out = buf;
+    *out++ = 'd';
+    out = put_number(out, d.id, 10, 7);
+    *out++ = '.';
+    out = std::copy(tld.begin(), tld.end(), out);
+    return std::string(buf, out);
 }
 
 std::string PopulationModel::host_address(const Domain& d, bool ipv6) const {
     char buf[48];
+    char* out = buf;
     if (ipv6) {
-        std::snprintf(buf, sizeof buf, "fd00:%x::%x:%x", d.org + 1,
-                      static_cast<unsigned>(d.ipv6_host >> 16),
-                      static_cast<unsigned>(d.ipv6_host & 0xffff));
+        // "fd00:%x::%x:%x"
+        out = std::copy_n("fd00:", 5, out);
+        out = put_number(out, d.org + 1u, 16);
+        out = std::copy_n("::", 2, out);
+        const std::uint32_t host = d.ipv6_host;
+        out = put_number(out, host >> 16, 16);
+        *out++ = ':';
+        out = put_number(out, host & 0xffff, 16);
     } else {
+        // "10.%u.%u.%u"
         const std::uint32_t addr = d.ipv4_host;
-        std::snprintf(buf, sizeof buf, "10.%u.%u.%u", (d.org + 1) & 0xff, (addr >> 8) & 0xff,
-                      addr & 0xff);
+        out = std::copy_n("10.", 3, out);
+        out = put_number(out, (d.org + 1u) & 0xff);
+        *out++ = '.';
+        out = put_number(out, (addr >> 8) & 0xff);
+        *out++ = '.';
+        out = put_number(out, addr & 0xff);
     }
-    return buf;
+    return std::string(buf, out);
 }
 
 std::uint64_t PopulationModel::host_key(const Domain& d, bool ipv6) const {

@@ -586,7 +586,7 @@ TEST(ConstrainedMonitor, TracksRealConnectionsThroughSharedTap) {
                 client->on_datagram(dg);
             });
         run.server->on_stream_complete = [server = run.server.get()](
-                                             std::uint64_t, std::vector<std::uint8_t>) {
+                                             std::uint64_t, std::span<const std::uint8_t>) {
             server->send_stream(0, std::vector<std::uint8_t>(60'000, 1), true);
         };
         run.client->on_handshake_complete = [client = run.client.get()] {

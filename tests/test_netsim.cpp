@@ -129,30 +129,30 @@ TEST(Timer, DestructionWithPendingFiringIsSafe) {
         timer.set_after(Duration::millis(3));
     }  // timer destroyed with the event still queued
     sim.run();
-    EXPECT_EQ(fires, 0);  // the queued key is stale, its firing suppressed
+    EXPECT_EQ(fires, 0);  // the queued key finds its timer cancelled
     EXPECT_EQ(sim.processed(), 1u);
 }
 
 TEST(Timer, RearmWithStaleFiringQueuedFiresOnlyNewExpiry) {
-    // Arm at 5 ms, re-arm to 2 ms while the 5 ms firing is still queued: the
-    // stale queue entry must become a no-op (generation bumped), the new one
-    // must fire, and the timer must not "fire twice".
+    // Arm at 5 ms, re-arm to 2 ms while the 5 ms key is still queued: an
+    // earlier arm queues its own key, the 5 ms one must become a no-op, and
+    // the timer must not "fire twice".
     Simulator sim;
     std::vector<std::int64_t> fired_at;
     Timer timer{sim, [&] { fired_at.push_back(sim.now().count_nanos()); }};
     timer.set_after(Duration::millis(5));
     timer.set_after(Duration::millis(2));
-    EXPECT_EQ(sim.pending(), 2u);  // the stale entry is still in the queue
+    EXPECT_EQ(sim.pending(), 2u);  // the superseded key is still in the queue
     sim.run();
     ASSERT_EQ(fired_at.size(), 1u);
     EXPECT_EQ(fired_at[0], Duration::millis(2).count_nanos());
-    EXPECT_EQ(sim.processed(), 2u);  // stale entry processed as a no-op
+    EXPECT_EQ(sim.processed(), 2u);  // superseded key processed as a no-op
     EXPECT_FALSE(timer.armed());
 }
 
 TEST(Timer, RearmAfterPartialRunSuppressesStaleEntry) {
-    // Run past nothing, leave the first firing queued, then re-arm *later*:
-    // the earlier queued entry has a stale generation and must not fire.
+    // Run past nothing, leave the first key queued, then re-arm *later*: the
+    // queued key must not fire at 4 ms but move to the new expiry.
     Simulator sim;
     std::vector<std::int64_t> fired_ms;
     Timer timer{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
@@ -183,7 +183,7 @@ TEST(Timer, DestroyAfterPartialRunWithQueuedFiringIsSafe) {
         timer.set_after(Duration::millis(5));
         sim.run_until(TimePoint::origin() + Duration::millis(1));
         EXPECT_EQ(sim.pending(), 1u);
-    }  // destroyed while its (now stale) firing is still queued
+    }  // destroyed while its key is still queued
     sim.run();
     EXPECT_EQ(fires, 0);
 }
@@ -199,13 +199,15 @@ TEST(Timer, ArmRearmAndCancelAllocateNothing) {
     const telemetry::AllocSnapshot allocs;
     for (int i = 0; i < 1000; ++i) {
         timer.set_after(Duration::millis(2));
-        timer.set_after(Duration::millis(1));  // re-arm: the first key goes stale
+        timer.set_after(Duration::millis(1));  // earlier re-arm: a second key
         timer.cancel();
         timer.set_after(Duration::millis(3));
         sim.run();
     }
     EXPECT_EQ(allocs.count_since(), 0u);
     EXPECT_EQ(fires, 1001);
+    // Per round: the 1 ms key requeues to 3 ms, the 2 ms key is dropped and
+    // the requeued key fires.
     EXPECT_EQ(sim.processed(), 3001u);
 }
 
@@ -226,8 +228,9 @@ TEST(Timer, CallbackMayDestroyItsOwnTimer) {
     EXPECT_EQ(seen, (std::vector<std::string>{payload}));
     EXPECT_EQ(sim.pending(), 1u);  // the dead timer's re-arm stays queued
 
-    // A successor recycles the entry. Armed twice, its generation would
-    // match the dead timer's queued key if generations restarted per owner.
+    // A successor recycles the entry while the dead timer's 2 ms key is still
+    // queued. Both of its arms are later, so that key carries them: popped at
+    // 2 ms, it must move to the successor's last arm rather than fire.
     std::vector<std::int64_t> fired_ms;
     Timer successor{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
     successor.set_after(Duration::millis(5));
@@ -235,7 +238,11 @@ TEST(Timer, CallbackMayDestroyItsOwnTimer) {
     sim.run();
     EXPECT_EQ(fired_ms, (std::vector<std::int64_t>{6}));
     EXPECT_EQ(seen.size(), 1u);
-    EXPECT_EQ(sim.processed(), 4u);  // every key counts, stale ones included
+    // Three keys pop: the 1 ms firing, the dead timer's 2 ms key (requeued
+    // for the successor) and the successor's 6 ms firing. Each arm still
+    // draws a sequence number.
+    EXPECT_EQ(sim.processed(), 3u);
+    EXPECT_EQ(sim.scheduled(), 4u);
 }
 
 TEST(Timer, CallbackMayConstructTimersThatGrowTheTable) {
@@ -469,13 +476,94 @@ TEST(Timer, TimerEventsAreCategorized) {
     sim.run();
     EXPECT_EQ(category_counts(sim)[kTimer], 1u);
 
-    // A key made stale by a re-arm still counts as a processed timer event.
+    // A key that requeues for a later re-arm counts as a processed timer
+    // event, and so does its firing.
     timer.set_after(Duration::millis(1));
     timer.set_after(Duration::millis(2));
     sim.run();
     const auto counts = category_counts(sim);
     EXPECT_EQ(counts[kTimer], 3u);
     EXPECT_EQ(counts[kDelivery] + counts[kFlush], 0u);
+}
+
+TEST(Timer, ForwardRearmsKeepOneQueuedKey) {
+    Simulator sim;
+    std::vector<std::int64_t> fired_ms;
+    Timer timer{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
+    for (int i = 1; i <= 1000; ++i) {
+        timer.set_after(Duration::millis(i));
+        EXPECT_LE(sim.pending(), 1u);
+    }
+    EXPECT_EQ(sim.scheduled(), 1000u);
+    EXPECT_EQ(sim.queue_depth_high_water(), 1u);
+    sim.run();
+    EXPECT_EQ(fired_ms, (std::vector<std::int64_t>{1000}));
+    EXPECT_EQ(sim.processed(), 2u);  // the 1 ms key requeued once, then fired
+}
+
+TEST(Timer, DeferredRearmKeepsItsSameInstantOrder) {
+    // The re-arm to 10 ms draws its sequence number before the event below
+    // is scheduled for the same instant, so it fires first, although its key
+    // is requeued (at 5 ms) after that event was queued.
+    Simulator sim;
+    std::vector<std::string> order;
+    Timer timer{sim, [&] { order.push_back("timer"); }};
+    const auto at = TimePoint::origin() + Duration::millis(10);
+    timer.set_after(Duration::millis(5));
+    timer.set_at(at);
+    sim.schedule_at(at, [&] { order.push_back("event"); });
+    EXPECT_EQ(sim.pending(), 2u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"timer", "event"}));
+}
+
+TEST(Timer, CancelWhileARearmIsDeferredFiresNothing) {
+    Simulator sim;
+    int fires = 0;
+    Timer timer{sim, [&] { ++fires; }};
+    timer.set_after(Duration::millis(2));
+    timer.set_after(Duration::millis(8));
+    sim.run_until(TimePoint::origin() + Duration::millis(4));  // key moved to 8 ms
+    EXPECT_EQ(sim.pending(), 1u);
+    timer.cancel();
+    sim.run();
+    EXPECT_EQ(fires, 0);
+    EXPECT_FALSE(timer.armed());
+    EXPECT_EQ(sim.processed(), 2u);
+}
+
+TEST(Timer, EarlierRearmFiresOnTime) {
+    Simulator sim;
+    std::vector<std::int64_t> fired_ms;
+    Timer timer{sim, [&] { fired_ms.push_back(at_ms(sim)); }};
+    timer.set_after(Duration::millis(9));
+    timer.set_after(Duration::millis(12));  // deferred onto the 9 ms key
+    timer.set_after(Duration::millis(3));   // earlier than that key
+    sim.run();
+    EXPECT_EQ(fired_ms, (std::vector<std::int64_t>{3}));
+    EXPECT_FALSE(timer.armed());
+}
+
+TEST(Timer, RecycledEntryNeverFiresItsPreviousOwnersArm) {
+    Simulator sim;
+    std::vector<std::string> fired;
+    {
+        Timer first{sim, [&] { fired.push_back("first"); }};
+        first.set_after(Duration::millis(4));
+    }  // its 4 ms key stays queued
+    Timer second{sim, [&] { fired.push_back("second@" + std::to_string(at_ms(sim))); }};
+    sim.run_until(TimePoint::origin() + Duration::millis(10));
+    EXPECT_TRUE(fired.empty());  // the recycled entry is unarmed
+
+    {
+        Timer third{sim, [&] { fired.push_back("third"); }};
+        third.set_after(Duration::millis(5));  // 15 ms
+        third.set_after(Duration::millis(7));  // deferred: 17 ms
+    }  // destroyed with its key queued and a re-arm deferred
+    Timer fourth{sim, [&] { fired.push_back("fourth@" + std::to_string(at_ms(sim))); }};
+    fourth.set_after(Duration::millis(9));  // deferred onto the 15 ms key
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<std::string>{"fourth@19"}));
 }
 
 TEST(Timer, RearmFromInsideCallback) {

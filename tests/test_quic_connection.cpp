@@ -121,15 +121,15 @@ TEST(Connection, RequestResponseTransfer) {
     std::vector<std::uint8_t> received_request;
     std::vector<std::uint8_t> received_response;
 
-    pair.server_.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t> data) {
+    pair.server_.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t> data) {
         ASSERT_EQ(id, 0u);
-        received_request = std::move(data);
+        received_request.assign(data.begin(), data.end());
         pair.server_.send_stream(0, response, true);
     };
     pair.client_.on_handshake_complete = [&] { pair.client_.send_stream(0, request, true); };
-    pair.client_.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t> data) {
+    pair.client_.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t> data) {
         ASSERT_EQ(id, 0u);
-        received_response = std::move(data);
+        received_response.assign(data.begin(), data.end());
     };
     pair.client_.connect();
     pair.run();
@@ -139,7 +139,7 @@ TEST(Connection, RequestResponseTransfer) {
 
 TEST(Connection, SpinWaveVisibleOnLargeTransfer) {
     ConnectionPair pair;
-    pair.server_.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server_.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         pair.server_.send_stream(0, std::vector<std::uint8_t>(80'000, 1), true);
     };
     pair.client_.on_handshake_complete = [&] {
@@ -159,7 +159,7 @@ TEST(Connection, SpinWaveVisibleOnLargeTransfer) {
 
 TEST(Connection, ClientRttEstimateTracksPathRtt) {
     ConnectionPair pair;
-    pair.server_.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server_.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         pair.server_.send_stream(0, std::vector<std::uint8_t>(20'000, 1), true);
     };
     pair.client_.on_handshake_complete = [&] {
@@ -180,14 +180,14 @@ TEST(Connection, LostServerFlightIsRetransmitted) {
     pair.drop_return_ = [](int n, spinscope::bytes::ConstByteSpan) { return n >= 12 && n < 15; };
     std::vector<std::uint8_t> response(40'000, 7);
     std::vector<std::uint8_t> got;
-    pair.server_.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server_.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         pair.server_.send_stream(0, response, true);
     };
     pair.client_.on_handshake_complete = [&] {
         pair.client_.send_stream(0, std::vector<std::uint8_t>(100, 2), true);
     };
-    pair.client_.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t> data) {
-        got = std::move(data);
+    pair.client_.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t> data) {
+        got.assign(data.begin(), data.end());
     };
     pair.client_.connect();
     pair.run();
@@ -206,8 +206,8 @@ TEST(Connection, LostRequestRecoveredByPto) {
         return false;
     };
     std::vector<std::uint8_t> got;
-    pair.server_.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t> data) {
-        if (id == 0) got = std::move(data);
+    pair.server_.on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t> data) {
+        if (id == 0) got.assign(data.begin(), data.end());
     };
     pair.client_.on_handshake_complete = [&] {
         pair.client_.send_stream(0, std::vector<std::uint8_t>(200, 5), true);
@@ -264,7 +264,7 @@ TEST(Connection, NoTrafficAfterClose) {
 
 TEST(Connection, FlowControlUpdatesEmittedDuringDownload) {
     ConnectionPair pair;
-    pair.server_.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server_.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         pair.server_.send_stream(0, std::vector<std::uint8_t>(60'000, 1), true);
     };
     pair.client_.on_handshake_complete = [&] {
@@ -309,7 +309,7 @@ TEST(Connection, ServerHonoursDraftVersionInHeaders) {
 
 TEST(Connection, CountersAreConsistent) {
     ConnectionPair pair;
-    pair.server_.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server_.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         pair.server_.send_stream(0, std::vector<std::uint8_t>(30'000, 1), true);
     };
     pair.client_.on_handshake_complete = [&] {
@@ -327,7 +327,7 @@ TEST(Connection, GreasingServerShowsRandomSpin) {
     ConnectionConfig server_cfg;
     server_cfg.spin = {SpinPolicy::grease_per_packet, 0, SpinPolicy::always_zero};
     ConnectionPair pair{ConnectionPair::default_link(), {}, server_cfg};
-    pair.server_.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server_.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         pair.server_.send_stream(0, std::vector<std::uint8_t>(40'000, 1), true);
     };
     pair.client_.on_handshake_complete = [&] {

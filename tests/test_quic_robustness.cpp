@@ -40,13 +40,13 @@ struct Pair {
             [this](spinscope::bytes::ConstByteSpan dg) { server->on_datagram(dg); });
         path.return_link().set_receiver(
             [this](spinscope::bytes::ConstByteSpan dg) { client->on_datagram(dg); });
-        server->on_stream_complete = [this](std::uint64_t, std::vector<std::uint8_t>) {
+        server->on_stream_complete = [this](std::uint64_t, std::span<const std::uint8_t>) {
             server->send_stream(0, std::vector<std::uint8_t>(30'000, 1), true);
         };
         client->on_handshake_complete = [this] {
             client->send_stream(0, std::vector<std::uint8_t>(100, 2), true);
         };
-        client->on_stream_complete = [this](std::uint64_t, std::vector<std::uint8_t> data) {
+        client->on_stream_complete = [this](std::uint64_t, std::span<const std::uint8_t> data) {
             response_size = data.size();
             client->close(0, "done");
         };
@@ -201,7 +201,7 @@ TEST(Robustness, DecodedPacketsReencodeConsistently) {
 TEST(Robustness, StreamsOnManyIdsConcurrently) {
     Pair pair;
     std::map<std::uint64_t, std::size_t> received;
-    pair.server->on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t> data) {
+    pair.server->on_stream_complete = [&](std::uint64_t id, std::span<const std::uint8_t> data) {
         received[id] = data.size();
         if (received.size() == 4) {
             pair.server->send_stream(0, std::vector<std::uint8_t>(500, 1), true);
@@ -244,13 +244,13 @@ TEST(Robustness, SurvivesExtremeLoss) {
     path.return_link().set_receiver(
         [&client](spinscope::bytes::ConstByteSpan dg) { client.on_datagram(dg); });
     std::size_t got = 0;
-    server.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    server.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         server.send_stream(0, std::vector<std::uint8_t>(15'000, 1), true);
     };
     client.on_handshake_complete = [&] {
         client.send_stream(0, std::vector<std::uint8_t>(100, 2), true);
     };
-    client.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t> data) {
+    client.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t> data) {
         got = data.size();
         client.close(0, "done");
     };
@@ -271,7 +271,7 @@ TEST(Robustness, GarbagePayloadFromPeerIsProtocolError) {
     // (correct connection ID, junk frames). The client must classify this as
     // a protocol error — close cleanly, never crash or hang.
     Pair pair;
-    pair.server->on_stream_complete = [&pair](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server->on_stream_complete = [&pair](std::uint64_t, std::span<const std::uint8_t>) {
         std::vector<std::uint8_t> junk(48, 0xAA);
         junk[0] = 0x21;  // unknown frame type
         pair.server->send_raw_payload(std::move(junk));
@@ -290,7 +290,7 @@ TEST(Robustness, HostileStreamOffsetIsBoundedNotAllocated) {
     // trip the connection's reassembly bound (protocol error), not reserve a
     // gigabyte of buffer.
     Pair pair;
-    pair.server->on_stream_complete = [&pair](std::uint64_t, std::vector<std::uint8_t>) {
+    pair.server->on_stream_complete = [&pair](std::uint64_t, std::span<const std::uint8_t>) {
         static constexpr std::uint8_t kData[] = {1, 2, 3};
         StreamFrame poison;
         poison.stream_id = 0;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "scanner/campaign.hpp"
 #include "util/format.hpp"
 #include "scanner/http3_mini.hpp"
@@ -63,8 +66,13 @@ TEST(Http3Mini, ResponseRejectsGarbage) {
 TEST(Http3Mini, BodyIsDeterministicFiller) {
     const auto a = build_body(1000);
     const auto b = build_body(1000);
-    EXPECT_EQ(a, b);
+    EXPECT_TRUE(std::ranges::equal(a, b));
     EXPECT_EQ(a.size(), 1000u);
+}
+
+TEST(Http3Mini, BodyPastTheClampThrows) {
+    EXPECT_EQ(build_body(kMaxBodyBytes).size(), kMaxBodyBytes);
+    EXPECT_THROW((void)build_body(kMaxBodyBytes + 1), std::length_error);
 }
 
 TEST(Http3Mini, BodyMatchesThePerByteFillerDefinition) {
@@ -75,7 +83,7 @@ TEST(Http3Mini, BodyMatchesThePerByteFillerDefinition) {
         for (std::size_t i = 0; i < size; ++i) {
             expected[i] = static_cast<std::uint8_t>(filler[i % filler.size()]);
         }
-        EXPECT_EQ(build_body(size), expected) << "size " << size;
+        EXPECT_TRUE(std::ranges::equal(build_body(size), expected)) << "size " << size;
     }
 }
 

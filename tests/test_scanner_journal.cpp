@@ -682,6 +682,39 @@ TEST_F(JournalTest, OldTextJournalIsRescannedLikeADamagedOne) {
     EXPECT_TRUE(scrub_journal(options.journal_dir, {.repair = false}).clean());
 }
 
+TEST_F(JournalTest, UnreadableHeaderMeansNoRecordIsReplayed) {
+    // A CRC-valid frame of junk in header.rec names no campaign. The seed-1
+    // records beside it must not be replayed into a seed-2 reduce: every
+    // chunk is rescanned, and the result is the unjournaled seed-2 run.
+    const web::PopulationModel population = tiny_population();
+    ScanOptions seed1;
+    seed1.seed = 1;
+    seed1.journal_dir = (dir_ / "junk-header").string();
+    (void)run_to_completion(population, seed1, /*reduce=*/false);
+    ASSERT_FALSE(list_map_batches(seed1.journal_dir).empty());
+    ASSERT_TRUE(util::write_file_atomic(util::Io::real(), map_header_path(seed1.journal_dir),
+                                        frame_record("no campaign header at all"))
+                    .ok());
+
+    ScanOptions seed2 = seed1;
+    seed2.seed = 2;
+    ScanOptions unjournaled = seed2;
+    unjournaled.journal_dir.clear();
+    const SweepResult expected = run_to_completion(population, unjournaled, /*reduce=*/false);
+
+    std::atomic<std::size_t> chunks_scanned{0};
+    seed2.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
+    const SweepResult reduced = run_to_completion(population, seed2, /*reduce=*/true);
+    EXPECT_EQ(chunks_scanned.load(), Campaign(population, seed2).chunk_count());
+    EXPECT_EQ(reduced.stream, expected.stream);
+    EXPECT_EQ(reduced.telemetry, expected.telemetry);
+    expect_same_stats(reduced.stats, expected.stats);
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(seed2.journal_dir, collect_into(chunks));
+    ASSERT_TRUE(replay.has_header);
+    EXPECT_EQ(replay.header.seed, 2u);
+}
+
 TEST_F(JournalTest, UnparseableRecordMidBatchIsRescannedAndTheBatchRepublished) {
     const web::PopulationModel population = tiny_population();
     ScanOptions options;

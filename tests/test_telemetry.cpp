@@ -285,6 +285,19 @@ TEST(AllocProbe, SumsEveryThreadIncludingThoseThatExited) {
     }
 }
 
+TEST(AllocProbe, CountsTheNothrowNewThatStableSortBuffersUse) {
+    // std::stable_sort takes its temporary buffer from the nothrow new and
+    // returns it through the plain delete; both must be the probe's.
+    ASSERT_TRUE(alloc::active());
+    std::vector<int> values(256);
+    for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<int>(i * 37 % 101);
+    const AllocSnapshot start;
+    std::stable_sort(values.begin(), values.end());
+    EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
+    EXPECT_EQ(start.count_since(), 1u);
+    EXPECT_EQ(start.bytes_since(), values.size() / 2 * sizeof(int));
+}
+
 TEST(AllocProbe, SequentialThreadsReuseOneBlockAndStayExact) {
     ASSERT_TRUE(alloc::active());
     const AllocSnapshot start;

@@ -170,13 +170,13 @@ TEST(VecEndToEnd, ConnectionsCarrySaturatedVec) {
     path.return_link().set_receiver(
         [&client](spinscope::bytes::ConstByteSpan dg) { client.on_datagram(dg); });
 
-    server.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    server.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         server.send_stream(0, std::vector<std::uint8_t>(80'000, 1), true);
     };
     client.on_handshake_complete = [&] {
         client.send_stream(0, std::vector<std::uint8_t>(100, 2), true);
     };
-    client.on_stream_complete = [&](std::uint64_t, std::vector<std::uint8_t>) {
+    client.on_stream_complete = [&](std::uint64_t, std::span<const std::uint8_t>) {
         client.close(0, "done");
     };
     client.connect();

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -245,6 +246,49 @@ TEST(Population, NamesAndAddressesWellFormed) {
     EXPECT_EQ(v4.find("10."), 0u);
     const auto v6 = pop.host_address(d, true);
     EXPECT_EQ(v6.find("fd00:"), 0u);
+}
+
+TEST(Population, NamesAndAddressesKeepTheirPrintfFormat) {
+    // Pinned against the printf formats the names and addresses were first
+    // written with, over edge ids, org numbers and host bytes.
+    const PopulationModel pop{small_config()};
+    char want[64];
+    const std::uint32_t ids[] = {0, 7, 9'999'999, 10'000'000, 123'456'789, 0xffffffffu};
+    for (const std::uint32_t id : ids) {
+        for (std::uint32_t segment = 0; segment < 3; ++segment) {
+            Domain d;
+            d.id = id;
+            d.segment_raw = segment;
+            const std::string name = pop.domain_name(d);
+            std::snprintf(want, sizeof want, "d%07u.", id);
+            EXPECT_EQ(name.rfind(want, 0), 0u) << name;
+        }
+    }
+    Domain edge;
+    edge.id = 42;
+    EXPECT_EQ(pop.domain_name(edge), "d0000042.com");
+
+    const std::uint16_t orgs[] = {0, 1, 254, 255, 256, 0xfffe, 0xffff};
+    const std::uint32_t hosts[] = {0, 1, 0xff, 0x100, 0xffff, 0x10000, 0xabcdef, 0xfffffff};
+    for (const std::uint16_t org : orgs) {
+        for (const std::uint32_t host : hosts) {
+            Domain d;
+            d.org = org;
+            d.ipv4_host = host;
+            d.ipv6_host = host;
+            std::snprintf(want, sizeof want, "10.%u.%u.%u", (org + 1u) & 0xff,
+                          (host >> 8) & 0xff, host & 0xff);
+            EXPECT_EQ(pop.host_address(d, false), want);
+            std::snprintf(want, sizeof want, "fd00:%x::%x:%x", org + 1u, host >> 16,
+                          host & 0xffff);
+            EXPECT_EQ(pop.host_address(d, true), want);
+        }
+    }
+    edge.org = 0xffff;
+    edge.ipv4_host = 0x1234;
+    edge.ipv6_host = 0xfffffff;
+    EXPECT_EQ(pop.host_address(edge, false), "10.0.18.52");
+    EXPECT_EQ(pop.host_address(edge, true), "fd00:10000::fff:ffff");
 }
 
 TEST(Population, StacksCoverProfiles) {
