@@ -424,9 +424,10 @@ void init_map_journal(util::Io& io, const std::filesystem::path& dir,
     // must not orphan every file published into it.
     (void)util::fsync_dir(io, dir.has_parent_path() ? dir.parent_path()
                                                     : std::filesystem::path{"."});
-    if (!wipe && std::filesystem::exists(map_header_path(dir))) {
-        // A header that does not frame-check or parse names no campaign, so
-        // no record beside it can be trusted: they are wiped and rescanned.
+    if (!wipe) {
+        // A header that is absent, or does not frame-check or parse, names no
+        // campaign, so no record beside it can be trusted: they are wiped and
+        // rescanned.
         const auto existing = read_framed_file(map_header_path(dir));
         const auto parsed = existing ? parse_header(*existing) : std::nullopt;
         if (!parsed) {
@@ -698,6 +699,7 @@ ScrubReport scrub_journal(const std::filesystem::path& dir, const ScrubOptions& 
     };
 
     const auto header_path = map_header_path(dir);
+    const std::vector<MapBatch> batches = all_map_batches(dir);
     if (std::filesystem::is_regular_file(header_path)) {
         ++report.files_checked;
         const auto payload = read_framed_file(header_path);
@@ -710,20 +712,27 @@ ScrubReport scrub_journal(const std::filesystem::path& dir, const ScrubOptions& 
             damaged(ScrubDamage::header_corrupt, header_path,
                     "map header fails frame/CRC/body validation");
         }
+    } else if (!batches.empty()) {
+        report.findings.push_back(
+            {ScrubDamage::header_corrupt, kMapHeaderName, "map header is missing"});
     }
+    // Without a valid header the next reduce wipes every chunk file
+    // (init_map_journal), so all of them are rescanned.
+    const bool rescan_all = !report.has_header;
     // Every file, overlapping ones included: scrub judges what is on disk,
     // not just what a reducer would fold.
-    for (const MapBatch& batch : all_map_batches(dir)) {
+    for (const MapBatch& batch : batches) {
         ++report.files_checked;
         if (read_map_batch(dir, batch)) {
             report.records_intact += batch.size();
             report.chunks_intact += batch.size();
-            continue;
+            if (!rescan_all) continue;
+        } else {
+            damaged(ScrubDamage::corrupt_map_chunk, map_batch_path(dir, batch),
+                    "record file fails frame/CRC/body validation or names the wrong chunk; "
+                    "rescan chunks " +
+                        std::to_string(batch.first) + ".." + std::to_string(batch.last));
         }
-        damaged(ScrubDamage::corrupt_map_chunk, map_batch_path(dir, batch),
-                "record file fails frame/CRC/body validation or names the wrong chunk; "
-                "rescan chunks " +
-                    std::to_string(batch.first) + ".." + std::to_string(batch.last));
         for (std::size_t c = batch.first; c <= batch.last; ++c) {
             report.chunks_to_rescan.push_back(c);
         }

@@ -134,7 +134,7 @@ struct MapBatch {
 /// chunk-record and header file first (a fresh run rescans everything); without
 /// it, an existing header must equal `header` (std::invalid_argument
 /// otherwise — the journal belongs to a different campaign) and finished
-/// chunks are kept for reuse; a header.rec that is present but does not
+/// chunks are kept for reuse; a header.rec that is absent or does not
 /// frame-check or parse names no campaign, so the files are wiped as with
 /// `wipe`. The header file is published atomically and
 /// the directory entry fsynced. Throws std::runtime_error on I/O failure.
@@ -285,8 +285,10 @@ struct MapReplayResult {
 
 /// What kind of damage one finding describes.
 enum class ScrubDamage {
-    /// header.rec is unreadable. Quarantined; reduce republishes the header
-    /// and keeps the chunk files, which carry their own chunk indices.
+    /// header.rec is unreadable, or absent beside chunk files: the journal
+    /// names no campaign. Quarantined when present. The next reduce wipes
+    /// every chunk file and republishes the header, so every chunk on disk
+    /// is listed to rescan.
     header_corrupt,
     /// A chunk-record file failing frame/CRC/body validation or naming the
     /// wrong chunk. Quarantined; every chunk of its range is rescanned.

@@ -682,20 +682,12 @@ TEST_F(JournalTest, OldTextJournalIsRescannedLikeADamagedOne) {
     EXPECT_TRUE(scrub_journal(options.journal_dir, {.repair = false}).clean());
 }
 
-TEST_F(JournalTest, UnreadableHeaderMeansNoRecordIsReplayed) {
-    // A CRC-valid frame of junk in header.rec names no campaign. The seed-1
-    // records beside it must not be replayed into a seed-2 reduce: every
-    // chunk is rescanned, and the result is the unjournaled seed-2 run.
-    const web::PopulationModel population = tiny_population();
-    ScanOptions seed1;
-    seed1.seed = 1;
-    seed1.journal_dir = (dir_ / "junk-header").string();
-    (void)run_to_completion(population, seed1, /*reduce=*/false);
-    ASSERT_FALSE(list_map_batches(seed1.journal_dir).empty());
-    ASSERT_TRUE(util::write_file_atomic(util::Io::real(), map_header_path(seed1.journal_dir),
-                                        frame_record("no campaign header at all"))
-                    .ok());
-
+/// Reduces the journal of the finished seed-1 campaign `seed1`, whose header
+/// the caller made unusable, as seed 2. A journal without a valid header
+/// names no campaign, so no seed-1 record may be replayed: every chunk is
+/// rescanned, and the result is the unjournaled seed-2 run.
+void expect_seed2_reduce_rescans_every_chunk(const web::PopulationModel& population,
+                                             const ScanOptions& seed1) {
     ScanOptions seed2 = seed1;
     seed2.seed = 2;
     ScanOptions unjournaled = seed2;
@@ -713,6 +705,36 @@ TEST_F(JournalTest, UnreadableHeaderMeansNoRecordIsReplayed) {
     const MapReplayResult replay = read_map_journal(seed2.journal_dir, collect_into(chunks));
     ASSERT_TRUE(replay.has_header);
     EXPECT_EQ(replay.header.seed, 2u);
+}
+
+TEST_F(JournalTest, UnreadableHeaderMeansNoRecordIsReplayed) {
+    // A CRC-valid frame of junk in header.rec names no campaign.
+    const web::PopulationModel population = tiny_population();
+    ScanOptions seed1;
+    seed1.seed = 1;
+    seed1.journal_dir = (dir_ / "junk-header").string();
+    (void)run_to_completion(population, seed1, /*reduce=*/false);
+    ASSERT_FALSE(list_map_batches(seed1.journal_dir).empty());
+    ASSERT_TRUE(util::write_file_atomic(util::Io::real(), map_header_path(seed1.journal_dir),
+                                        frame_record("no campaign header at all"))
+                    .ok());
+    expect_seed2_reduce_rescans_every_chunk(population, seed1);
+}
+
+TEST_F(JournalTest, MissingHeaderMeansNoRecordIsReplayed) {
+    // Chunk files without a header.rec beside them name no campaign either.
+    const web::PopulationModel population = tiny_population();
+    ScanOptions seed1;
+    seed1.seed = 1;
+    seed1.journal_dir = (dir_ / "no-header").string();
+    (void)run_to_completion(population, seed1, /*reduce=*/false);
+    ASSERT_FALSE(list_map_batches(seed1.journal_dir).empty());
+    ASSERT_TRUE(std::filesystem::remove(map_header_path(seed1.journal_dir)));
+    const ScrubReport report = scrub_journal(seed1.journal_dir, {.repair = false});
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].damage, ScrubDamage::header_corrupt);
+    EXPECT_EQ(report.chunks_to_rescan.size(), Campaign(population, seed1).chunk_count());
+    expect_seed2_reduce_rescans_every_chunk(population, seed1);
 }
 
 TEST_F(JournalTest, UnparseableRecordMidBatchIsRescannedAndTheBatchRepublished) {
@@ -1027,7 +1049,7 @@ TEST_F(JournalTest, ScrubOfCleanJournalFindsNothing) {
     EXPECT_EQ(reduced.telemetry, baseline.telemetry);
 }
 
-TEST_F(JournalTest, ScrubQuarantinesACorruptHeaderAndReduceKeepsTheChunks) {
+TEST_F(JournalTest, ScrubQuarantinesACorruptHeaderAndReduceRescansEveryChunk) {
     const web::PopulationModel population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "hdr").string();
@@ -1045,21 +1067,22 @@ TEST_F(JournalTest, ScrubQuarantinesACorruptHeaderAndReduceKeepsTheChunks) {
     EXPECT_FALSE(report.has_header);
     EXPECT_EQ(report.findings[0].damage, ScrubDamage::header_corrupt);
     EXPECT_TRUE(report.findings[0].quarantined);
-    EXPECT_EQ(report.chunks_intact, 7u);  // chunk records name their own chunks
-    EXPECT_TRUE(report.chunks_to_rescan.empty());
+    EXPECT_EQ(report.chunks_intact, 7u);
+    // Intact records beside a header that names no campaign are not trusted.
+    EXPECT_EQ(report.chunks_to_rescan, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6}));
     EXPECT_GT(report.bytes_discarded, 0u);
     // Quarantined, never deleted: the damaged header lives under corrupt/.
     EXPECT_TRUE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
                                         "corrupt" / "header.rec"));
     EXPECT_FALSE(std::filesystem::exists(header));
 
-    // Reduce republishes the header and replays every chunk.
+    // Reduce republishes the header and rescans every chunk.
     std::atomic<std::size_t> chunks_scanned{0};
     ScanOptions reduce_options = options;
     reduce_options.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
     const SweepResult reduced =
         run_to_completion(population, reduce_options, /*reduce=*/true);
-    EXPECT_EQ(chunks_scanned.load(), 0u);
+    EXPECT_EQ(chunks_scanned.load(), 7u);
     EXPECT_EQ(reduced.stream, baseline.stream);
     EXPECT_EQ(reduced.telemetry, baseline.telemetry);
     expect_same_stats(reduced.stats, baseline.stats);
