@@ -68,18 +68,6 @@ Pipe::Pipe(Pipe&& other) noexcept
     other.child_fd_ = -1;
 }
 
-Pipe& Pipe::operator=(Pipe&& other) noexcept {
-    if (this != &other) {
-        close_parent();
-        close_child();
-        parent_fd_ = other.parent_fd_;
-        child_fd_ = other.child_fd_;
-        other.parent_fd_ = -1;
-        other.child_fd_ = -1;
-    }
-    return *this;
-}
-
 void Pipe::close_parent() noexcept {
 #ifndef _WIN32
     if (parent_fd_ >= 0) ::close(parent_fd_);

@@ -38,7 +38,6 @@ public:
     ~Pipe();
 
     Pipe(Pipe&& other) noexcept;
-    Pipe& operator=(Pipe&& other) noexcept;
     Pipe(const Pipe&) = delete;
     Pipe& operator=(const Pipe&) = delete;
 
