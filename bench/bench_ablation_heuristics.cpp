@@ -102,7 +102,7 @@ qlog::Trace run_connection(double reorder_rate, std::uint64_t seed, double rtt_m
 int main(int argc, char** argv) {
     constexpr std::string_view kFlags[] = {"--seed=N", "--count=N"};
     const auto options = bench::parse_options(argc, argv, kFlags, /*default_count=*/300);
-    bench::banner("Ablation — observer robustness heuristics vs reordering", options);
+    bench::banner("Ablation — observer robustness heuristics vs reordering", options, kFlags);
     const auto connections = static_cast<std::size_t>(options.count);
 
     const double kRtt = 40.0;

@@ -118,7 +118,7 @@ Outcome sweep(bool naive_reflection, double reorder_rate, std::size_t connection
 int main(int argc, char** argv) {
     constexpr std::string_view kFlags[] = {"--seed=N", "--count=N"};
     const auto options = bench::parse_options(argc, argv, kFlags, /*default_count=*/200);
-    bench::banner("Ablation — highest-PN spin reflection vs naive arrival order", options);
+    bench::banner("Ablation — highest-PN spin reflection vs naive arrival order", options, kFlags);
     const auto connections = static_cast<std::size_t>(options.count);
 
     bench::Stopwatch watch;

@@ -424,10 +424,15 @@ inline void write_csv(const Options& options, const char* name, const std::strin
     }
 }
 
-inline void banner(const char* what, const Options& options) {
+/// Prints the bench's header. The population scale is printed only by a
+/// bench whose `flags` include --scale: the others build no population.
+inline void banner(const char* what, const Options& options,
+                   std::span<const std::string_view> flags) {
     std::printf("=== spinscope bench: %s ===\n", what);
-    std::printf("population scale 1:%.0f, seed %llu", options.scale,
-                static_cast<unsigned long long>(options.seed));
+    if (std::ranges::any_of(flags, [](std::string_view e) { return flag_name(e) == "--scale"; })) {
+        std::printf("population scale 1:%.0f, ", options.scale);
+    }
+    std::printf("seed %llu", static_cast<unsigned long long>(options.seed));
     if (options.threads != 1) {
         std::printf(", campaign threads %u%s", options.threads,
                     options.threads == 0 ? " (hardware)" : "");

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
         bench::usage(argv[0], kFlags, bad.c_str());
     }
     const auto weeks = static_cast<unsigned>(options.count);
-    bench::banner("Figures 2-4 — RFC lottery compliance and spin RTT accuracy", options);
+    bench::banner("Figures 2-4 — RFC lottery compliance and spin RTT accuracy", options, kFlags);
 
     const bench::Stopwatch watch;
     const web::PopulationModel population{{options.scale, options.seed}};

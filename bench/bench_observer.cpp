@@ -324,7 +324,7 @@ void print_row(const Row& row) {
 int main(int argc, char** argv) {
     constexpr std::string_view kFlags[] = {"--scale=N", "--seed=N", "--count=N", "--trajectory=file"};
     const auto options = bench::parse_options(argc, argv, kFlags, /*default_count=*/20);
-    bench::banner("Constrained observer — accuracy vs hardware budget", options);
+    bench::banner("Constrained observer — accuracy vs hardware budget", options, kFlags);
     const std::uint64_t packets_per_flow = options.count;
 
     std::vector<Row> rows;

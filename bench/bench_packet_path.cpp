@@ -5,9 +5,8 @@
 // binary links telemetry/alloc_interpose.hpp (the shared operator new/delete
 // probe this file's private interposition was promoted into), so every
 // benchmark reports allocs_per_* counters straight into the standard
-// google-benchmark JSON (--benchmark_out). Comparing the pooled and unpooled
-// variants shows what the bytes::BufferPool datagram path saves; the
-// per-domain numbers are the ones quoted against the pre-refactor baseline.
+// google-benchmark JSON (--benchmark_out). The per-domain numbers are the
+// ones quoted against the pre-refactor baseline.
 //
 // Beyond the google-benchmark mode, `--trajectory=FILE` runs a fixed-size
 // scan-domain measurement and writes the BENCH_packet_path.json perf
@@ -41,16 +40,14 @@ using namespace spinscope;
 using telemetry::AllocSnapshot;
 
 // ---------------------------------------------------------------------------
-// Tight codec loop: one 1-RTT packet encoded into a (pooled) datagram,
+// Tight codec loop: one 1-RTT packet encoded into a pooled datagram,
 // pushed through a link, decoded at delivery.
 
 void BM_EncodeDeliverDecode(benchmark::State& state) {
-    const bool pooled = state.range(0) != 0;
     netsim::Simulator sim;
     netsim::LinkConfig config;
     config.base_delay = util::Duration::micros(50);
     netsim::Link link{sim, config, util::Rng{1}};
-    bytes::BufferPool pool;
 
     quic::PacketHeader header;
     header.type = quic::PacketType::one_rtt;
@@ -74,7 +71,7 @@ void BM_EncodeDeliverDecode(benchmark::State& state) {
     quic::PacketNumber pn = 0;
     const AllocSnapshot before;
     for (auto _ : state) {
-        netsim::Datagram wire = pooled ? pool.acquire(1500) : netsim::Datagram{};
+        netsim::Datagram wire = bytes::Recycler::local().acquire(1500);
         header.packet_number = pn++;
         quic::Writer w{wire};
         quic::encode_short_header(w, header, quic::kInvalidPacketNumber);
@@ -90,18 +87,15 @@ void BM_EncodeDeliverDecode(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(before.bytes_since()) / iters);
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
-BENCHMARK(BM_EncodeDeliverDecode)->Arg(0)->Arg(1)->ArgNames({"pooled"});
+BENCHMARK(BM_EncodeDeliverDecode);
 
 // ---------------------------------------------------------------------------
-// Full QUIC connection exchange, pooled vs unpooled datagram path.
+// Full QUIC connection exchange.
 
 void BM_ConnectionExchange(benchmark::State& state) {
-    const bool pooled = state.range(0) != 0;
     util::Rng rng{7};
     const AllocSnapshot before;
     for (auto _ : state) {
-        bytes::BufferPool pool;
-        bytes::BufferPool* pool_ptr = pooled ? &pool : nullptr;
         netsim::Simulator sim;
         netsim::LinkConfig link;
         link.base_delay = util::Duration::millis(15);
@@ -111,15 +105,13 @@ void BM_ConnectionExchange(benchmark::State& state) {
         quic::Connection client{sim, ccfg, rng.fork(1),
                                 [&path](netsim::Datagram dg) {
                                     path.forward_link().send(std::move(dg));
-                                },
-                                nullptr, pool_ptr};
+                                }};
         quic::ConnectionConfig scfg;
         scfg.role = quic::Role::server;
         quic::Connection server{sim, scfg, rng.fork(2),
                                 [&path](netsim::Datagram dg) {
                                     path.return_link().send(std::move(dg));
-                                },
-                                nullptr, pool_ptr};
+                                }};
         path.forward_link().set_receiver(
             [&server](bytes::ConstByteSpan dg) { server.on_datagram(dg); });
         path.return_link().set_receiver(
@@ -144,7 +136,7 @@ void BM_ConnectionExchange(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(before.bytes_since()) / iters);
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 30'000);
 }
-BENCHMARK(BM_ConnectionExchange)->Arg(0)->Arg(1)->ArgNames({"pooled"});
+BENCHMARK(BM_ConnectionExchange);
 
 // ---------------------------------------------------------------------------
 // Whole scanned domain (resolution, handshake, request, response, qlog),

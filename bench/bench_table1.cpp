@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     const auto options = bench::parse_options(argc, argv, kFlags);
     bench::banner("Tables 1–3 — IPv4 scan (CW 20, 2023): overview, AS organizations, "
                   "spin-bit configuration",
-                  options);
+                  options, kFlags);
 
     if (options.scales.empty()) {
         const auto trajectory = run_at_scale(options, options.scale, /*print_tables=*/true);

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                                            "--procs=N", "--resume", "--scrub", "--trace=file",
                                            "--progress[=N]"};
     const auto options = bench::parse_options(argc, argv, kFlags);
-    bench::banner("Table 4 — IPv6 overview (CW 20, 2023)", options);
+    bench::banner("Table 4 — IPv6 overview (CW 20, 2023)", options, kFlags);
 
     bench::Stopwatch watch;
     // Streaming population (DESIGN.md §15): no resident domain vector.

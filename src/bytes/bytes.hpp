@@ -1,23 +1,22 @@
 // spinscope/bytes/bytes.hpp
 //
-// Pooled byte storage for the packet hot path.
+// Recycled byte storage for the packet hot path.
 //
-// The scan pipeline used to copy every datagram as a fresh
-// std::vector<std::uint8_t> at each layer boundary (encode -> link ->
-// deliver -> decode). Buffer is a move-only byte container whose backing
-// storage is recycled through a BufferPool free list, so a campaign's
-// steady state allocates nothing per packet: a datagram's storage is
-// acquired at encode time, moved (never copied) through the simulator's
-// event queue, exposed to passive taps as a ConstByteSpan view, and
-// returned to the pool when the delivery event destroys it.
+// Buffer is a move-only byte container. A datagram's storage is acquired
+// from the calling thread's Recycler at encode time, moved (never copied)
+// through the simulator's event queue, exposed to passive taps as a
+// ConstByteSpan view, and handed back to a free list when the delivery
+// event destroys it, so a campaign's steady state allocates nothing per
+// packet. The same Recycler keeps the large stream buffers of quic's
+// SendQueue and ReassemblyBuffer between attempts.
 //
-// Thread affinity: BufferPool is deliberately unsynchronized and
-// chunk-private, exactly like the sharded campaign's per-chunk
-// MetricsRegistry (DESIGN.md §9-10). A pool must outlive every Buffer it
-// issued; buffers hold a raw back-pointer for recycling.
+// Thread affinity: a Recycler belongs to one thread and is unsynchronized.
+// A Buffer keeps only a pooled flag: when it is released, its storage goes
+// to the releasing thread's Recycler (DESIGN.md §10).
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -34,14 +33,12 @@ using ConstByteSpan = std::span<const std::uint8_t>;
 /// Mutable view of raw bytes.
 using ByteSpan = std::span<std::uint8_t>;
 
-class BufferPool;
-
-/// Move-only byte buffer, optionally backed by a BufferPool.
+/// Move-only byte buffer whose storage may come from a Recycler.
 ///
 /// API mirrors the std::vector subset the packet path uses, so a Buffer
 /// drops in where netsim::Datagram used to be a vector. Destruction (or
-/// assignment-over) recycles pooled storage back to the issuing pool;
-/// unpooled buffers simply free. The issuing pool must outlive the buffer.
+/// assignment-over) gives pooled storage to the releasing thread's
+/// Recycler; unpooled buffers simply free.
 class Buffer {
 public:
     Buffer() noexcept = default;
@@ -62,7 +59,7 @@ public:
     ~Buffer() { release(); }
 
     Buffer(Buffer&& other) noexcept
-        : storage_{std::move(other.storage_)}, pool_{std::exchange(other.pool_, nullptr)} {
+        : storage_{std::move(other.storage_)}, pooled_{std::exchange(other.pooled_, false)} {
         other.storage_.clear();
     }
 
@@ -71,7 +68,7 @@ public:
             release();
             storage_ = std::move(other.storage_);
             other.storage_.clear();
-            pool_ = std::exchange(other.pool_, nullptr);
+            pooled_ = std::exchange(other.pooled_, false);
         }
         return *this;
     }
@@ -105,83 +102,112 @@ public:
     [[nodiscard]] ByteSpan writable_span() noexcept { return {storage_}; }
     operator ConstByteSpan() const noexcept { return span(); }  // NOLINT
 
-    /// Deep copy drawing storage from the same pool (or unpooled when this
-    /// buffer is unpooled) — how the fault injector duplicates datagrams.
+    /// Deep copy, pooled from the calling thread's Recycler when this
+    /// buffer is pooled — how the fault injector duplicates datagrams.
     [[nodiscard]] Buffer clone() const;
 
-    /// Issuing pool, or nullptr for unpooled buffers.
-    [[nodiscard]] BufferPool* pool() const noexcept { return pool_; }
+    /// True when the storage returns to a Recycler on release.
+    [[nodiscard]] bool pooled() const noexcept { return pooled_; }
 
 private:
-    friend class BufferPool;
+    friend class Recycler;
     friend class ByteWriter;
 
     void release() noexcept;
 
     std::vector<std::uint8_t> storage_;
-    BufferPool* pool_ = nullptr;
+    bool pooled_ = false;
 };
 
-/// Recycling free list of byte-vector storage.
+/// The calling thread's recycler of byte storage, with two free lists.
 ///
-/// acquire() pops recycled storage when available (a hit) and allocates
-/// otherwise (a miss); a returning Buffer pushes its storage back unless
-/// the free list is at capacity (then the storage is freed — trimmed).
-/// Single-threaded by design: the sharded campaign gives each work chunk
-/// its own pool on the worker that runs it, mirroring the chunk-private
-/// MetricsRegistry, so no synchronization is needed and determinism is
-/// untouched (the pool only recycles capacity, never bytes: acquire()
-/// always returns an empty-but-reserved buffer).
-class BufferPool {
+/// Datagrams: acquire() pops recycled storage when there is some (a hit)
+/// and allocates otherwise (a miss); a released pooled Buffer pushes its
+/// storage back unless kMaxFree are already free (then the storage is
+/// freed: trimmed). Only capacity is recycled, never bytes: acquire()
+/// always returns an empty-but-reserved buffer, so recycling cannot change
+/// any output.
+///
+/// Streams: the storage of a SendQueue or ReassemblyBuffer that must grow
+/// past kStreamMinBytes is taken from at most two spares, and given back
+/// when the queue or buffer dies; the spares keep the largest storage, so
+/// a scan worker reuses its previous attempts' response bodies and holds
+/// at most two bodies' worth of idle storage.
+class Recycler {
 public:
-    /// Free-list capacity. A campaign attempt keeps only a handful of
-    /// datagrams in flight; 64 covers bursts without hoarding.
-    static constexpr std::size_t kDefaultMaxFree = 64;
+    /// Datagram free-list capacity. A campaign attempt keeps only a handful
+    /// of datagrams in flight; 64 covers bursts without hoarding.
+    static constexpr std::size_t kMaxFree = 64;
+    /// Stream storage below this size is not worth keeping between streams.
+    static constexpr std::size_t kStreamMinBytes = 16 * 1024;
 
-    explicit BufferPool(std::size_t max_free = kDefaultMaxFree) : max_free_{max_free} {}
+    /// The calling thread's recycler; it frees its storage when the thread
+    /// ends.
+    [[nodiscard]] static Recycler& local() noexcept;
 
-    ~BufferPool() = default;
-    BufferPool(const BufferPool&) = delete;
-    BufferPool& operator=(const BufferPool&) = delete;
+    Recycler(const Recycler&) = delete;
+    Recycler& operator=(const Recycler&) = delete;
 
-    /// Returns an empty Buffer with at least `size_hint` bytes reserved,
-    /// reusing recycled storage when available.
+    /// Returns an empty pooled Buffer with at least `size_hint` bytes
+    /// reserved, reusing recycled storage when there is some.
     [[nodiscard]] Buffer acquire(std::size_t size_hint = 0);
 
+    /// Makes room for `size` bytes in the stream storage `bytes`, keeping
+    /// its content: when `size` is past kStreamMinBytes and the largest
+    /// spare holds it, the spare is swapped in. Otherwise the vector grows
+    /// as it would anyway.
+    void reserve_stream(std::vector<std::uint8_t>& bytes, std::uint64_t size);
+
+    /// Takes the storage of `bytes` as a spare when it is at least
+    /// kStreamMinBytes and larger than the smallest spare (which it then
+    /// replaces); either way `bytes` ends empty.
+    void donate_stream(std::vector<std::uint8_t>& bytes) noexcept;
+
+    /// Datagram counts over the thread's life.
     struct Stats {
         std::uint64_t acquires = 0;  ///< total acquire() calls
         std::uint64_t hits = 0;      ///< served from the free list
         std::uint64_t misses = 0;    ///< needed a fresh allocation
         std::uint64_t recycled = 0;  ///< storages returned to the free list
         std::uint64_t trimmed = 0;   ///< returns dropped because the list was full
-        std::uint64_t outstanding = 0;       ///< pooled buffers currently alive
-        std::uint64_t outstanding_hwm = 0;   ///< high-water mark of outstanding
+        /// Acquired here less released here: a buffer released on another
+        /// thread counts there, so one thread alone may read below zero.
+        std::int64_t outstanding = 0;
+        std::int64_t outstanding_hwm = 0;  ///< high-water mark since mark()
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
     [[nodiscard]] std::size_t free_count() const noexcept { return free_.size(); }
 
-    /// Adds this pool's stats into `registry` under `bytes.pool.*`: counters
-    /// acquires / hits / misses / recycled / trimmed (additive across
-    /// chunk-registry merges) and an outstanding_hwm gauge (max-merged).
-    /// These depend on chunk geometry (ScanOptions::chunk_domains bounds the
-    /// reuse horizon), so the catalog classes them
-    /// MetricClass::chunk_geometry and telemetry::deterministic_csv drops them.
-    void publish_metrics(telemetry::MetricsRegistry& registry) const;
+    /// Starts a measured window (one chunk's scan): restarts the high-water
+    /// mark and returns the stats to publish against. Windows do not nest.
+    [[nodiscard]] Stats mark() noexcept;
+
+    /// Adds the window's change since `since` (what mark() returned) into
+    /// `registry` under `bytes.pool.*`: counters acquires / hits / misses /
+    /// recycled / trimmed (additive across chunk-registry merges) and an
+    /// outstanding_hwm gauge, the peak above the mark (max-merged). How
+    /// many of them hit depends on what scanned before on the thread, so
+    /// the catalog classes them MetricClass::chunk_geometry and
+    /// telemetry::deterministic_csv drops them.
+    void publish_since(const Stats& since, telemetry::MetricsRegistry& registry) const;
 
 private:
     friend class Buffer;
 
+    Recycler() = default;
+
     void recycle(std::vector<std::uint8_t>&& storage) noexcept;
 
     std::vector<std::vector<std::uint8_t>> free_;
-    std::size_t max_free_;
+    /// Stream spares; an empty vector is an empty place.
+    std::array<std::vector<std::uint8_t>, 2> stream_spares_;
     Stats stats_;
 };
 
 inline void Buffer::release() noexcept {
-    if (pool_ != nullptr) {
-        pool_->recycle(std::move(storage_));
-        pool_ = nullptr;
+    if (pooled_) {
+        Recycler::local().recycle(std::move(storage_));
+        pooled_ = false;
     }
 }
 

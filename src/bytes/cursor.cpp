@@ -39,12 +39,6 @@ std::optional<VarintDecode> decode_varint(ConstByteSpan in) noexcept {
     return VarintDecode{value, width};
 }
 
-void ByteWriter::u16(std::uint16_t v) {
-    auto& b = buffer();
-    b.push_back(static_cast<std::uint8_t>(v >> 8));
-    b.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
-
 void ByteWriter::u32(std::uint32_t v) {
     auto& b = buffer();
     for (int shift = 24; shift >= 0; shift -= 8) {
@@ -75,12 +69,6 @@ void ByteWriter::bytes(ConstByteSpan data) {
 void ByteWriter::fill(std::size_t n, std::uint8_t fill) {
     auto& b = buffer();
     b.insert(b.end(), n, fill);
-}
-
-std::optional<std::uint16_t> ByteReader::u16() noexcept {
-    const auto v = be_truncated(2);
-    if (!v) return std::nullopt;
-    return static_cast<std::uint16_t>(*v);
 }
 
 std::optional<std::uint32_t> ByteReader::u32() noexcept {

@@ -82,7 +82,6 @@ public:
 
     void u8(std::uint8_t v) { buffer().push_back(v); }
     /// Big-endian fixed-width writes (network byte order).
-    void u16(std::uint16_t v);
     void u32(std::uint32_t v);
     void u64(std::uint64_t v);
     /// Big-endian truncated write of the low `width` bytes (1..8) of `v`;
@@ -147,7 +146,6 @@ public:
         if (pos_ == data_.size()) return std::nullopt;
         return data_[pos_++];
     }
-    [[nodiscard]] std::optional<std::uint16_t> u16() noexcept;
     [[nodiscard]] std::optional<std::uint32_t> u32() noexcept;
     [[nodiscard]] std::optional<std::uint64_t> u64() noexcept;
     /// Big-endian read of `width` bytes (1..8) into the low bits.

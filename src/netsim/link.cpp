@@ -119,7 +119,7 @@ void Link::send(Datagram datagram) {
     if (fault.duplicate) {
         // The copy shares the original's arrival instant; scheduling order
         // keeps it right behind the original (stable same-time ordering).
-        // clone() draws the copy's storage from the original's pool.
+        // clone() of a pooled datagram is pooled too.
         schedule_delivery(datagram.clone(), arrival);
     }
     schedule_delivery(std::move(datagram), arrival);

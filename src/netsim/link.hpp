@@ -26,11 +26,11 @@
 
 namespace spinscope::netsim {
 
-/// A UDP-datagram-sized payload travelling the link: a move-only,
-/// pool-recyclable byte buffer. Endpoints acquire one from their chunk's
-/// bytes::BufferPool (or construct an unpooled one), encode in place, and
-/// move it into send(); the link moves it through the event queue and the
-/// storage returns to the pool when the delivery (or drop) destroys it.
+/// A UDP-datagram-sized payload travelling the link: a move-only byte
+/// buffer. Endpoints acquire one from their thread's bytes::Recycler (or
+/// construct an unpooled one), encode in place, and move it into send();
+/// the link moves it through the event queue and the storage returns to a
+/// recycler when the delivery (or drop) destroys it.
 using Datagram = bytes::Buffer;
 
 /// Static link behaviour. All probabilities in [0, 1].
@@ -87,7 +87,7 @@ class Link {
 public:
     /// Receiver invoked at delivery time (simulator clock already advanced).
     /// Receives a borrowed view of the wire bytes; the backing buffer lives
-    /// until the delivery event returns, then recycles to its pool.
+    /// until the delivery event returns, then recycles.
     using Receiver = std::function<void(bytes::ConstByteSpan)>;
     /// Passive tap invoked at the observation point with a borrowed view of
     /// the wire bytes (an on-path observer owns nothing). Taps see every

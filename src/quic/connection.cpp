@@ -52,13 +52,12 @@ constexpr std::uint64_t kMaxStreamBytes = 1ull << 24;
 }  // namespace
 
 Connection::Connection(netsim::Simulator& sim, ConnectionConfig config, util::Rng rng,
-                       SendFn send_fn, qlog::Trace* trace, bytes::BufferPool* pool)
+                       SendFn send_fn, qlog::Trace* trace)
     : sim_{&sim},
       config_{config},
       rng_{rng},
       send_fn_{std::move(send_fn)},
       trace_{trace},
-      pool_{pool},
       spin_{config.role, config.spin, rng_},
       rtt_{config.initial_rtt},
       pto_timer_{sim, [this] { on_pto(); }},
@@ -87,13 +86,6 @@ void Connection::send_stream(std::uint64_t id, bytes::ConstByteSpan data, bool f
     if (closed_ || failed_) return;
     send_streams_[id].append(data, fin);
     if (handshake_complete_) pump();
-}
-
-netsim::Datagram Connection::acquire_datagram() const {
-    if (pool_ != nullptr) return pool_->acquire(config_.mtu);
-    netsim::Datagram datagram;
-    datagram.reserve(config_.mtu);
-    return datagram;
 }
 
 void Connection::close(std::uint64_t error_code, const std::string& reason, bool application) {
@@ -132,7 +124,7 @@ void Connection::send_packet(PnSpace pn_space, const SendFrames& send_frames, bo
 
     const std::span<const Frame> frames = send_frames.span();
     const bool eliciting = any_ack_eliciting(frames);
-    netsim::Datagram datagram = acquire_datagram();
+    netsim::Datagram datagram = bytes::Recycler::local().acquire(config_.mtu);
     Writer w{datagram};
     if (header.type == PacketType::one_rtt) {
         // 1-RTT payloads extend to the end of the datagram, so frames are
@@ -147,7 +139,7 @@ void Connection::send_packet(PnSpace pn_space, const SendFrames& send_frames, bo
     } else {
         // Long headers carry an explicit Length field ahead of the payload,
         // so the frame bytes are staged in a pooled scratch buffer first.
-        netsim::Datagram scratch = acquire_datagram();
+        netsim::Datagram scratch = bytes::Recycler::local().acquire(config_.mtu);
         Writer pw{scratch};
         encode_frames(pw, frames, config_.params.ack_delay_exponent);
         if (pad_to_mtu && scratch.size() + kHeaderMargin < config_.mtu) {
@@ -199,7 +191,7 @@ void Connection::send_raw_payload(std::vector<std::uint8_t> payload) {
     header.spin = bits.spin;
     header.vec = bits.vec;
 
-    netsim::Datagram datagram = acquire_datagram();
+    netsim::Datagram datagram = bytes::Recycler::local().acquire(config_.mtu);
     encode_packet(datagram, header, payload, sp.largest_acked);
     ++counters_.packets_sent;
     counters_.bytes_sent += datagram.size();

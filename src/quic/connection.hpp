@@ -115,13 +115,11 @@ class Connection {
 public:
     using SendFn = std::function<void(netsim::Datagram)>;
 
-    /// `pool` (optional) supplies datagram storage: packets are encoded in
-    /// place into pooled buffers and the storage recycles once the link
-    /// delivery event drops it. The pool must outlive the connection and be
-    /// owned by the same thread (pools are chunk-private, like the sharded
-    /// campaign's MetricsRegistry). nullptr falls back to plain allocation.
+    /// Packets are encoded in place into datagrams from the calling thread's
+    /// bytes::Recycler; the storage recycles once the link delivery event
+    /// drops it.
     Connection(netsim::Simulator& sim, ConnectionConfig config, util::Rng rng, SendFn send_fn,
-               qlog::Trace* trace = nullptr, bytes::BufferPool* pool = nullptr);
+               qlog::Trace* trace = nullptr);
 
     Connection(const Connection&) = delete;
     Connection& operator=(const Connection&) = delete;
@@ -248,16 +246,11 @@ private:
     void detect_losses(PnSpace pn_space, TimePoint now);
     void discard_space(PnSpace pn_space);
 
-    /// Pool-backed when attached, plain otherwise; always empty with
-    /// `config_.mtu` bytes reserved.
-    [[nodiscard]] netsim::Datagram acquire_datagram() const;
-
     netsim::Simulator* sim_;
     ConnectionConfig config_;
     util::Rng rng_;
     SendFn send_fn_;
     qlog::Trace* trace_;
-    bytes::BufferPool* pool_;
 
     SpinState spin_;
     RttEstimator rtt_;

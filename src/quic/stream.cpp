@@ -1,57 +1,11 @@
 #include "quic/stream.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 
+#include "bytes/bytes.hpp"
+
 namespace spinscope::quic {
-
-namespace {
-
-/// Storage below this size is not worth keeping between streams.
-constexpr std::size_t kSpareMinBytes = 16 * 1024;
-
-/// The calling thread's stream spare set (stream.hpp, SendQueue): at most
-/// this many buffers, each of at least kSpareMinBytes; an empty vector is an
-/// empty place.
-thread_local std::array<std::vector<std::uint8_t>, 2> t_spares;
-
-/// Makes room for `size` bytes in `bytes`, keeping its content, when that
-/// is past kSpareMinBytes and the largest spare holds it: the spare is
-/// swapped in. Otherwise the vector grows as it would anyway.
-void reserve_stream_bytes(std::vector<std::uint8_t>& bytes, std::uint64_t size) {
-    if (size <= bytes.capacity() || size < kSpareMinBytes) return;
-    auto& largest = *std::max_element(
-        t_spares.begin(), t_spares.end(),
-        [](const auto& a, const auto& b) { return a.capacity() < b.capacity(); });
-    if (largest.capacity() < size) return;
-    largest.assign(bytes.begin(), bytes.end());
-    bytes.swap(largest);
-    // The outgrown storage takes the spare's place if it is worth keeping.
-    if (largest.capacity() < kSpareMinBytes) {
-        largest = {};
-    } else {
-        largest.clear();
-    }
-}
-
-/// Gives the storage of `bytes` to the spare set when it is large enough
-/// and larger than the smallest spare (which it then replaces); either way
-/// `bytes` ends empty.
-void donate_stream_bytes(std::vector<std::uint8_t>& bytes) noexcept {
-    if (bytes.capacity() >= kSpareMinBytes) {
-        auto& smallest = *std::min_element(
-            t_spares.begin(), t_spares.end(),
-            [](const auto& a, const auto& b) { return a.capacity() < b.capacity(); });
-        if (smallest.capacity() < bytes.capacity()) {
-            bytes.clear();
-            smallest.swap(bytes);
-        }
-    }
-    bytes = {};
-}
-
-}  // namespace
 
 void ReassemblyBuffer::insert(std::uint64_t offset, std::span<const std::uint8_t> data) {
     const std::uint64_t end = offset + data.size();
@@ -63,7 +17,7 @@ void ReassemblyBuffer::insert(std::uint64_t offset, std::span<const std::uint8_t
 
     // Write the bytes: over a gap's placeholder where they fill one, and
     // appended past the end.
-    reserve_stream_bytes(bytes_, end);
+    bytes::Recycler::local().reserve_stream(bytes_, end);
     if (bytes_.size() < offset) bytes_.resize(offset);
     const std::size_t overwrite = std::min<std::uint64_t>(data.size(), bytes_.size() - offset);
     std::copy_n(data.begin(), overwrite, bytes_.begin() + static_cast<std::ptrdiff_t>(offset));
@@ -111,16 +65,16 @@ std::span<const std::uint8_t> ReassemblyBuffer::contents() const noexcept {
 }
 
 void ReassemblyBuffer::release() noexcept {
-    donate_stream_bytes(bytes_);
+    bytes::Recycler::local().donate_stream(bytes_);
     contiguous_ = 0;
     runs_.clear();
     final_size_.reset();
 }
 
-SendQueue::~SendQueue() { donate_stream_bytes(buffer_); }
+SendQueue::~SendQueue() { bytes::Recycler::local().donate_stream(buffer_); }
 
 void SendQueue::append(std::span<const std::uint8_t> data, bool fin) {
-    reserve_stream_bytes(buffer_, buffer_.size() + data.size());
+    bytes::Recycler::local().reserve_stream(buffer_, buffer_.size() + data.size());
     buffer_.insert(buffer_.end(), data.begin(), data.end());
     if (fin) fin_ = true;
 }

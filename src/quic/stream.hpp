@@ -20,7 +20,7 @@ namespace spinscope::quic {
 /// In-order data extends the received prefix in place: one copy, no zero
 /// fill and no per-insert allocation. Only data past a gap is recorded as a
 /// separate run. Storage that grew past 16 KiB draws on, and returns to, the
-/// calling thread's stream spare set (see SendQueue).
+/// calling thread's bytes::Recycler.
 class ReassemblyBuffer {
 public:
     ReassemblyBuffer() = default;
@@ -47,7 +47,7 @@ public:
     [[nodiscard]] std::span<const std::uint8_t> contents() const noexcept;
 
     /// Drops every received byte and the final size, and hands the storage
-    /// to the spare set.
+    /// to the calling thread's bytes::Recycler.
     void release() noexcept;
 
     [[nodiscard]] bool has_final_size() const noexcept { return final_size_.has_value(); }
@@ -72,14 +72,8 @@ private:
 
 /// Send side of one stream: a byte queue consumed in MTU-sized chunks. It
 /// keeps every byte ever appended, so a lost chunk is resent by re-reading
-/// its range rather than from a copy.
-///
-/// Stream spare set: the byte storage of a SendQueue or ReassemblyBuffer that
-/// grows past 16 KiB is taken from a per-thread set of spare buffers, and
-/// given back to it when the queue or buffer dies. The set holds at most two
-/// buffers of at least 16 KiB each and keeps the largest, so a scan worker
-/// reuses the pages of its previous attempts' response bodies and holds at
-/// most two bodies' worth of idle storage.
+/// its range rather than from a copy. Storage that grew past 16 KiB draws on,
+/// and returns to, the calling thread's bytes::Recycler.
 class SendQueue {
 public:
     SendQueue() = default;

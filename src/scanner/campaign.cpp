@@ -132,7 +132,6 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
                                                int retry, bool serve_redirect,
                                                Duration deadline,
                                                telemetry::MetricsRegistry* metrics,
-                                               bytes::BufferPool* pool,
                                                core::ConstrainedMonitor* observer) const {
     // The watchdog capped this attempt below the normal per-attempt
     // deadline: a cut-off is then a kill, not an ordinary timeout.
@@ -191,7 +190,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     client_cfg.handshake_timeout = Duration::seconds(5);
     Connection client{sim, client_cfg, rng.fork(100),
                       [&path](Datagram dg) { path.forward_link().send(std::move(dg)); },
-                      &out.trace, pool};
+                      &out.trace};
 
     // Shared attempt epilogue: trace finalization (its own profiled phase),
     // the deadline-vs-drained outcome decision, and per-attempt telemetry.
@@ -262,8 +261,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
         active_fault == faults::ServerFaultMode::handshake_stall;
     server_cfg.fault_never_ack = active_fault == faults::ServerFaultMode::never_ack;
     Connection server{sim, server_cfg, rng.fork(200),
-                      [&path](Datagram dg) { path.return_link().send(std::move(dg)); },
-                      nullptr, pool};
+                      [&path](Datagram dg) { path.return_link().send(std::move(dg)); }};
 
     path.forward_link().set_receiver(
         [&server](bytes::ConstByteSpan dg) { server.on_datagram(dg); });
@@ -366,11 +364,10 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
 }
 
 DomainScan Campaign::scan_domain(const web::Domain& domain) const {
-    // One-off scans get a transient pool: the first attempt seeds it and
-    // later attempts of the same domain reuse the recycled datagram storage.
-    bytes::BufferPool pool;
-    DomainScan scan = scan_domain_into(domain, metrics_, &pool);
-    if (metrics_ != nullptr) pool.publish_metrics(*metrics_);
+    bytes::Recycler& recycler = bytes::Recycler::local();
+    const bytes::Recycler::Stats since = recycler.mark();
+    DomainScan scan = scan_domain_into(domain, metrics_);
+    if (metrics_ != nullptr) recycler.publish_since(since, *metrics_);
     return scan;
 }
 
@@ -410,14 +407,11 @@ Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
         LiveChunk out;
         out.record.chunk_index = chunk_index;
         if (metrics_ != nullptr) out.metrics = std::make_unique<telemetry::MetricsRegistry>();
-        // Chunk-private datagram pool, same ownership story as the chunk
-        // registry: touched by exactly one worker, so no locking. Datagram
-        // storage recycles across every attempt of the chunk's domains; all
-        // buffers are dead by the time the chunk completes (each attempt's
-        // simulator drains before the next starts), so the pool can die
-        // here. Pool counters depend on chunk geometry, which is why
-        // deterministic_csv excludes the bytes.pool prefix.
-        bytes::BufferPool pool;
+        // The chunk publishes what the worker's recycler did while scanning
+        // it; every buffer is back by the end (each attempt's simulator dies
+        // before the next starts).
+        bytes::Recycler& recycler = bytes::Recycler::local();
+        const bytes::Recycler::Stats since = recycler.mark();
         std::vector<DomainScan>& scans = out.record.scans;
         scans.reserve(block.size());
         for (const web::Domain& domain : block.domains) {
@@ -427,7 +421,7 @@ Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
             // way.
             DomainScan scan;
             try {
-                scan = scan_domain_into(domain, out.metrics.get(), &pool);
+                scan = scan_domain_into(domain, out.metrics.get());
             } catch (const std::exception& e) {
                 scan = DomainScan{};
                 scan.domain_id = domain.id;
@@ -435,7 +429,7 @@ Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
             }
             scans.push_back(std::move(scan));
         }
-        if (out.metrics != nullptr) pool.publish_metrics(*out.metrics);
+        if (out.metrics != nullptr) recycler.publish_since(since, *out.metrics);
         return out;
     };
 
@@ -478,8 +472,7 @@ ChunkRecord Campaign::scan_chunk(std::size_t chunk_index) const {
 }
 
 DomainScan Campaign::scan_domain_into(const web::Domain& domain,
-                                      telemetry::MetricsRegistry* metrics,
-                                      bytes::BufferPool* pool) const {
+                                      telemetry::MetricsRegistry* metrics) const {
     DomainScan scan;
     scan.domain_id = domain.id;
     {
@@ -514,7 +507,7 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
         for (int retry = 0;; ++retry) {
             const Duration deadline = std::min(options_.attempt_deadline, budget);
             outcome = run_attempt(domain, host, hop, retry, serve_redirect, deadline,
-                                  metrics, pool, observer ? &*observer : nullptr);
+                                  metrics, observer ? &*observer : nullptr);
             scan.sim_time += outcome->sim_elapsed;
             budget -= outcome->sim_elapsed;
             if (budget <= Duration::zero()) budget_exhausted = true;

@@ -380,20 +380,15 @@ private:
 
     /// The supervised chunk scan behind scan_chunk() and every run()/reduce()
     /// worker: per-domain fault isolation over a freshly materialized block,
-    /// with a chunk-private registry and buffer pool, restarted and then
-    /// quarantined as scan_chunk() describes.
+    /// with a chunk-private registry, restarted and then quarantined as
+    /// scan_chunk() describes.
     [[nodiscard]] LiveChunk scan_chunk_into(std::size_t chunk_index) const;
 
     /// scan_domain with telemetry routed into an explicit registry (the
     /// worker's chunk-private one; nullptr disables), so shard workers never
-    /// share a registry. `pool` is the chunk-private datagram buffer pool:
-    /// like the registry it is owned by exactly one worker at a time, so no
-    /// locking — and unlike the registry it may be null only for callers
-    /// that accept per-datagram heap traffic. scan_domain() delegates here
-    /// with metrics_ and a transient local pool.
+    /// share a registry. scan_domain() delegates here with metrics_.
     [[nodiscard]] DomainScan scan_domain_into(const web::Domain& domain,
-                                              telemetry::MetricsRegistry* metrics,
-                                              bytes::BufferPool* pool) const;
+                                              telemetry::MetricsRegistry* metrics) const;
 
     /// `deadline` is the effective simulated-time bound for this attempt:
     /// min(attempt_deadline, remaining domain watchdog budget). When the
@@ -406,7 +401,6 @@ private:
                                              int retry, bool serve_redirect,
                                              util::Duration deadline,
                                              telemetry::MetricsRegistry* metrics,
-                                             bytes::BufferPool* pool,
                                              core::ConstrainedMonitor* observer) const;
 
     /// The one merge loop: replays the journal's recorded chunks

@@ -24,7 +24,7 @@ namespace spinscope::telemetry {
 enum class MetricClass : std::uint8_t {
     deterministic,   ///< a pure function of (population, options, seed)
     wall_clock,      ///< host wall time: phase spans and wall-derived rates
-    chunk_geometry,  ///< chunk size or thread lanes (buffer pool, trace recorder)
+    chunk_geometry,  ///< chunk size or thread lanes (byte recycler, trace recorder)
     host,            ///< recovery bookkeeping (campaign.*) and host resources (obs.*)
 };
 

@@ -41,15 +41,6 @@ IoErrorClass classify_io_error(int err) noexcept {
     }
 }
 
-const char* to_cstring(IoErrorClass cls) noexcept {
-    switch (cls) {
-        case IoErrorClass::transient: return "transient";
-        case IoErrorClass::fatal: return "fatal";
-        case IoErrorClass::corrupting: return "corrupting";
-    }
-    return "fatal";
-}
-
 namespace {
 
 #ifndef _WIN32

@@ -52,7 +52,6 @@ struct IoResult {
 enum class IoErrorClass { transient, fatal, corrupting };
 
 [[nodiscard]] IoErrorClass classify_io_error(int err) noexcept;
-[[nodiscard]] const char* to_cstring(IoErrorClass cls) noexcept;
 
 /// Abstract write-side filesystem. Handles are plain ints (the real
 /// implementation hands out OS file descriptors); kBadFile marks failure.

@@ -1,21 +1,26 @@
-// Buffer/BufferPool semantics and a seeded property sweep over the byte
+// Buffer/Recycler semantics and a seeded property sweep over the byte
 // cursors: every schema round-trips exactly, every truncated prefix fails
 // cleanly (run under ASan to enforce no over-read), and ByteReader's varint
 // agrees with the free decode_varint on all valid inputs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bytes/bytes.hpp"
 #include "bytes/cursor.hpp"
+#include "scanner/campaign.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
+#include "web/population.hpp"
 
 namespace spinscope::bytes {
 namespace {
@@ -29,7 +34,7 @@ TEST(Buffer, DefaultIsEmptyAndUnpooled) {
     Buffer b;
     EXPECT_TRUE(b.empty());
     EXPECT_EQ(b.size(), 0u);
-    EXPECT_EQ(b.pool(), nullptr);
+    EXPECT_FALSE(b.pooled());
 }
 
 TEST(Buffer, VectorShapeOperations) {
@@ -79,107 +84,201 @@ TEST(Buffer, UnpooledCloneIsDeepAndUnpooled) {
     Buffer a = Buffer::copy_of(std::vector<std::uint8_t>{5, 6});
     Buffer b = a.clone();
     EXPECT_NE(a.data(), b.data());
-    EXPECT_EQ(b.pool(), nullptr);
+    EXPECT_FALSE(b.pooled());
     ASSERT_EQ(b.size(), 2u);
     EXPECT_EQ(b[1], 6);
 }
 
 // ---------------------------------------------------------------------------
-// BufferPool semantics
+// The per-thread datagram pool (Recycler; `bytes.pool.*` telemetry). Each
+// case runs on a fresh thread, so it starts from an empty recycler.
+
+template <typename Body>
+void on_fresh_thread(Body body) {
+    std::thread{body}.join();
+}
 
 TEST(BufferPool, FirstAcquireMissesThenRecycledStorageHits) {
-    BufferPool pool;
-    {
-        Buffer b = pool.acquire(1200);
-        EXPECT_GE(b.capacity(), 1200u);
-        EXPECT_TRUE(b.empty());  // capacity is recycled, bytes never are
-        EXPECT_EQ(b.pool(), &pool);
-        b.push_back(0xff);
-    }  // destructor recycles
-    EXPECT_EQ(pool.free_count(), 1u);
-    {
-        Buffer b = pool.acquire(100);
-        EXPECT_TRUE(b.empty());
-        EXPECT_GE(b.capacity(), 1200u);  // reused the recycled storage
-    }
-    const auto& s = pool.stats();
-    EXPECT_EQ(s.acquires, 2u);
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.recycled, 2u);
-    EXPECT_EQ(s.outstanding, 0u);
+    on_fresh_thread([] {
+        Recycler& recycler = Recycler::local();
+        {
+            Buffer b = recycler.acquire(1200);
+            EXPECT_GE(b.capacity(), 1200u);
+            EXPECT_TRUE(b.empty());  // capacity is recycled, bytes never are
+            EXPECT_TRUE(b.pooled());
+            b.push_back(0xff);
+        }  // destructor recycles
+        EXPECT_EQ(recycler.free_count(), 1u);
+        {
+            Buffer b = recycler.acquire(100);
+            EXPECT_TRUE(b.empty());
+            EXPECT_GE(b.capacity(), 1200u);  // reused the recycled storage
+        }
+        const auto& s = recycler.stats();
+        EXPECT_EQ(s.acquires, 2u);
+        EXPECT_EQ(s.misses, 1u);
+        EXPECT_EQ(s.hits, 1u);
+        EXPECT_EQ(s.recycled, 2u);
+        EXPECT_EQ(s.outstanding, 0);
+    });
 }
 
 TEST(BufferPool, OutstandingTracksLiveBuffersWithHighWaterMark) {
-    BufferPool pool;
-    {
-        Buffer a = pool.acquire();
-        Buffer b = pool.acquire();
-        EXPECT_EQ(pool.stats().outstanding, 2u);
-    }
-    EXPECT_EQ(pool.stats().outstanding, 0u);
-    { Buffer c = pool.acquire(); }
-    EXPECT_EQ(pool.stats().outstanding_hwm, 2u);
+    on_fresh_thread([] {
+        Recycler& recycler = Recycler::local();
+        {
+            Buffer a = recycler.acquire();
+            Buffer b = recycler.acquire();
+            EXPECT_EQ(recycler.stats().outstanding, 2);
+        }
+        EXPECT_EQ(recycler.stats().outstanding, 0);
+        { Buffer c = recycler.acquire(); }
+        EXPECT_EQ(recycler.stats().outstanding_hwm, 2);
+        // mark() restarts the high-water mark at the current level.
+        (void)recycler.mark();
+        EXPECT_EQ(recycler.stats().outstanding_hwm, 0);
+    });
 }
 
 TEST(BufferPool, FreeListIsCappedAndTrims) {
-    BufferPool pool{2};
-    {
-        Buffer a = pool.acquire();
-        Buffer b = pool.acquire();
-        Buffer c = pool.acquire();
-    }
-    EXPECT_EQ(pool.free_count(), 2u);
-    EXPECT_EQ(pool.stats().trimmed, 1u);
-    EXPECT_EQ(pool.stats().recycled, 2u);
+    on_fresh_thread([] {
+        Recycler& recycler = Recycler::local();
+        {
+            std::vector<Buffer> live;
+            for (std::size_t i = 0; i <= Recycler::kMaxFree; ++i) {
+                live.push_back(recycler.acquire());
+            }
+        }
+        EXPECT_EQ(recycler.free_count(), Recycler::kMaxFree);
+        EXPECT_EQ(recycler.stats().trimmed, 1u);
+        EXPECT_EQ(recycler.stats().recycled, Recycler::kMaxFree);
+    });
 }
 
 TEST(BufferPool, MovedFromBufferDoesNotDoubleRecycle) {
-    BufferPool pool;
-    {
-        Buffer a = pool.acquire();
-        Buffer b = std::move(a);
-        // `a` no longer owns pool storage; only `b`'s death may recycle.
-    }
-    EXPECT_EQ(pool.stats().recycled, 1u);
-    EXPECT_EQ(pool.stats().outstanding, 0u);
+    on_fresh_thread([] {
+        Recycler& recycler = Recycler::local();
+        {
+            Buffer a = recycler.acquire();
+            Buffer b = std::move(a);
+            // `a` no longer owns pooled storage; only `b`'s death may recycle.
+        }
+        EXPECT_EQ(recycler.stats().recycled, 1u);
+        EXPECT_EQ(recycler.stats().outstanding, 0);
+    });
 }
 
 TEST(BufferPool, CloneDrawsFromTheSamePool) {
-    BufferPool pool;
-    Buffer a = pool.acquire();
-    a.append(std::vector<std::uint8_t>{1, 2, 3});
-    Buffer b = a.clone();
-    EXPECT_EQ(b.pool(), &pool);
-    EXPECT_EQ(b.size(), 3u);
-    EXPECT_NE(a.data(), b.data());
+    on_fresh_thread([] {
+        Recycler& recycler = Recycler::local();
+        Buffer a = recycler.acquire();
+        a.append(std::vector<std::uint8_t>{1, 2, 3});
+        Buffer b = a.clone();
+        EXPECT_TRUE(b.pooled());
+        EXPECT_EQ(recycler.stats().acquires, 2u);
+        EXPECT_EQ(b.size(), 3u);
+        EXPECT_NE(a.data(), b.data());
+    });
 }
 
 TEST(BufferPool, PublishMetricsMergesAcrossChunkRegistries) {
-    // Two chunk-private pools publish into two chunk registries that merge
-    // into one — the sharded campaign's exact telemetry shape.
-    telemetry::MetricsRegistry merged;
-    for (int chunk = 0; chunk < 2; ++chunk) {
-        BufferPool pool;
-        {
-            Buffer a = pool.acquire();
-            Buffer b = pool.acquire();
+    // Two chunks on one worker publish their windows into two chunk
+    // registries that merge into one — the sharded campaign's exact
+    // telemetry shape. The second chunk finds the first one's storage.
+    on_fresh_thread([] {
+        Recycler& recycler = Recycler::local();
+        telemetry::MetricsRegistry merged;
+        for (int chunk = 0; chunk < 2; ++chunk) {
+            const Recycler::Stats since = recycler.mark();
+            {
+                Buffer a = recycler.acquire();
+                Buffer b = recycler.acquire();
+            }
+            { Buffer c = recycler.acquire(); }
+            telemetry::MetricsRegistry chunk_registry;
+            recycler.publish_since(since, chunk_registry);
+            merged.merge_from(chunk_registry);
         }
-        { Buffer c = pool.acquire(); }
-        telemetry::MetricsRegistry chunk_registry;
-        pool.publish_metrics(chunk_registry);
-        merged.merge_from(chunk_registry);
+        using telemetry::CounterId;
+        EXPECT_EQ(merged.counter(CounterId::bytes_pool_acquires).value(), 6u);
+        EXPECT_EQ(merged.counter(CounterId::bytes_pool_hits).value(), 4u);
+        EXPECT_EQ(merged.counter(CounterId::bytes_pool_misses).value(), 2u);
+        EXPECT_EQ(merged.counter(CounterId::bytes_pool_recycled).value(), 6u);
+        EXPECT_DOUBLE_EQ(merged.gauge(telemetry::GaugeId::bytes_pool_outstanding_hwm).value(),
+                         2.0);
+    });
+}
+
+TEST(BufferPool, ABufferReleasedOnAnotherThreadLandsInThatThreadsFreeList) {
+    Buffer moved;
+    on_fresh_thread([&moved] {
+        moved = Recycler::local().acquire(64);
+        moved.push_back(1);
+        EXPECT_EQ(Recycler::local().stats().outstanding, 1);
+    });
+    on_fresh_thread([&moved] {
+        { Buffer released = std::move(moved); }
+        const Recycler& recycler = Recycler::local();
+        EXPECT_EQ(recycler.free_count(), 1u);
+        EXPECT_EQ(recycler.stats().recycled, 1u);
+        EXPECT_EQ(recycler.stats().acquires, 0u);
+        EXPECT_EQ(recycler.stats().outstanding, -1);
+    });
+}
+
+class RecyclerCampaignTest : public ::testing::Test {
+protected:
+    RecyclerCampaignTest() : population_{{20000.0, 20230520}} {}
+
+    static std::uint64_t counter(const telemetry::MetricsRegistry& registry,
+                                 std::string_view name) {
+        const auto* c = registry.find_counter(name);
+        return c == nullptr ? 0 : c->value();
     }
-    using telemetry::CounterId;
-    EXPECT_EQ(merged.counter(CounterId::bytes_pool_acquires).value(), 6u);
-    EXPECT_EQ(merged.counter(CounterId::bytes_pool_hits).value(), 2u);
-    EXPECT_EQ(merged.counter(CounterId::bytes_pool_misses).value(), 4u);
-    EXPECT_DOUBLE_EQ(merged.gauge(telemetry::GaugeId::bytes_pool_outstanding_hwm).value(), 2.0);
+
+    web::PopulationModel population_;
+};
+
+TEST_F(RecyclerCampaignTest, ScanningADomainAgainOnTheSameThreadMissesNothing) {
+    const web::DomainBlock block = population_.materialize(0, 512);
+    const auto quic = std::ranges::find_if(
+        block.domains, [](const web::Domain& d) { return d.resolves && d.quic; });
+    ASSERT_NE(quic, block.domains.end());
+    on_fresh_thread([&] {
+        telemetry::MetricsRegistry registry;
+        scanner::Campaign campaign{population_, {}};
+        campaign.set_metrics(&registry);
+        (void)campaign.scan_domain(*quic);
+        const std::uint64_t first_acquires = counter(registry, "bytes.pool.acquires");
+        const std::uint64_t first_misses = counter(registry, "bytes.pool.misses");
+        EXPECT_GT(first_misses, 0u);
+        (void)campaign.scan_domain(*quic);
+        EXPECT_EQ(counter(registry, "bytes.pool.acquires"), 2 * first_acquires);
+        EXPECT_EQ(counter(registry, "bytes.pool.misses"), first_misses);
+    });
+}
+
+TEST_F(RecyclerCampaignTest, AChunkPublishesABalancedWindow) {
+    on_fresh_thread([&] {
+        telemetry::MetricsRegistry registry;
+        scanner::Campaign campaign{population_, {}};
+        campaign.set_metrics(&registry);
+        const scanner::ChunkRecord record = campaign.scan_chunk(0);
+        const auto chunk = telemetry::parse_snapshot(record.telemetry_snapshot);
+        ASSERT_TRUE(chunk.has_value());
+        const std::uint64_t acquires = counter(*chunk, "bytes.pool.acquires");
+        EXPECT_GT(acquires, 0u);
+        EXPECT_EQ(acquires, counter(*chunk, "bytes.pool.hits") +
+                                counter(*chunk, "bytes.pool.misses"));
+        // Every buffer the chunk drew came back before it ended.
+        EXPECT_EQ(acquires, counter(*chunk, "bytes.pool.recycled") +
+                                counter(*chunk, "bytes.pool.trimmed"));
+        EXPECT_EQ(Recycler::local().stats().outstanding, 0);
+    });
 }
 
 TEST(ByteWriter, WritesInPlaceIntoPooledBuffer) {
-    BufferPool pool;
-    Buffer b = pool.acquire(64);
+    Buffer b = Recycler::local().acquire(64);
     ByteWriter w{b};
     w.u8(0x40);
     w.varint(1200);
@@ -192,7 +291,7 @@ TEST(ByteWriter, WritesInPlaceIntoPooledBuffer) {
 // Cursor property sweep
 
 struct Field {
-    enum Kind { u8, u16, u32, u64, varint, be_truncated, raw_bytes, fill } kind;
+    enum Kind { u8, u32, u64, varint, be_truncated, raw_bytes, fill } kind;
     std::uint64_t value = 0;
     std::size_t width = 0;  // be_truncated / raw_bytes / fill length
 };
@@ -203,10 +302,9 @@ std::vector<Field> random_schema(Rng& rng) {
     fields.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         Field f;
-        f.kind = static_cast<Field::Kind>(rng.uniform_u64(8));
+        f.kind = static_cast<Field::Kind>(rng.uniform_u64(7));
         switch (f.kind) {
             case Field::u8: f.value = rng.uniform_u64(1ULL << 8); break;
-            case Field::u16: f.value = rng.uniform_u64(1ULL << 16); break;
             case Field::u32: f.value = rng.uniform_u64(1ULL << 32); break;
             case Field::u64: f.value = rng.next(); break;
             case Field::varint:
@@ -235,7 +333,6 @@ std::vector<std::uint8_t> encode_schema(const std::vector<Field>& fields) {
     for (const Field& f : fields) {
         switch (f.kind) {
             case Field::u8: w.u8(static_cast<std::uint8_t>(f.value)); break;
-            case Field::u16: w.u16(static_cast<std::uint16_t>(f.value)); break;
             case Field::u32: w.u32(static_cast<std::uint32_t>(f.value)); break;
             case Field::u64: w.u64(f.value); break;
             case Field::varint: w.varint(f.value); break;
@@ -262,12 +359,6 @@ bool read_field(ByteReader& r, const Field& f, bool check_values) {
     switch (f.kind) {
         case Field::u8: {
             const auto v = r.u8();
-            if (!v) return false;
-            check(*v);
-            return true;
-        }
-        case Field::u16: {
-            const auto v = r.u16();
             if (!v) return false;
             check(*v);
             return true;

@@ -205,13 +205,14 @@ TEST(MetricsRegistry, RepublishingExistingNamesAllocatesNothing) {
     ASSERT_TRUE(alloc::active());
     netsim::Simulator sim;
     netsim::Link link{sim, netsim::LinkConfig{}, util::Rng{2}};
-    bytes::BufferPool pool;
     qlog::Trace trace;
     quic::ConnectionConfig cfg;
     cfg.role = quic::Role::client;
     quic::Connection client{sim, cfg, util::Rng{1}, [](netsim::Datagram) {}, &trace};
     client.connect();
     sim.run();
+    bytes::Recycler& recycler = bytes::Recycler::local();
+    const bytes::Recycler::Stats since = recycler.stats();
 
     // A chunk registry costs no allocation to create, nor does an attempt's
     // first publish into it, nor any publish after that.
@@ -221,7 +222,7 @@ TEST(MetricsRegistry, RepublishingExistingNamesAllocatesNothing) {
         sim.publish_metrics(registry);
         link.publish_metrics(registry, netsim::LinkDirection::forward);
         client.publish_metrics(registry);
-        pool.publish_metrics(registry);
+        recycler.publish_since(since, registry);
         record_sim_time(registry, HistogramId::scanner_attempt_sim_ms,
                         sim.now() - util::TimePoint::origin());
         ScopedTimer timer{&registry, HistogramId::scanner_phase_attempt_ms};
@@ -709,9 +710,12 @@ TEST(Catalog, EnumFamiliesMatchTheirEnums) {
         return faults::to_cstring(static_cast<faults::ServerFaultMode>(v));
     }, 1);
     EXPECT_EQ(kServerFaultCounters.size() + 1, faults::kServerFaultModeCount);
-    expect_family(kIoErrorCounters, "campaign.journal.io_errors.", [](std::size_t v) {
-        return util::to_cstring(static_cast<util::IoErrorClass>(v));
-    }, 0);
+    // campaign.journal.io_errors.* is indexed by util::IoErrorClass value.
+    const char* const io_classes[] = {"transient", "fatal", "corrupting"};
+    static_assert(static_cast<std::size_t>(util::IoErrorClass::corrupting) == 2);
+    ASSERT_EQ(std::size(io_classes), kIoErrorCounters.size());
+    expect_family(kIoErrorCounters, "campaign.journal.io_errors.",
+                  [&io_classes](std::size_t v) { return io_classes[v]; }, 0);
 
     // netsim.sim.events.* is indexed by EventCategory value directly.
     const char* const categories[] = {"conn.flush", "link.delivery", "timer"};
