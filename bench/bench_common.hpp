@@ -68,7 +68,7 @@ struct Options {
     /// classic single-process run. Byte-identical output for every value.
     unsigned procs = 0;
     /// True when --procs had to synthesize journal_dir (no --journal given);
-    /// run_campaign removes the directory after a successful reduce.
+    /// run_campaign removes the directory when the campaign ends.
     bool journal_is_temp = false;
     /// Continue the journal left by a killed run (--resume; requires
     /// --journal): Campaign::reduce replays what it holds and scans the
@@ -318,6 +318,7 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
     // A journal of another campaign (other options, universe or metric
     // catalog), a journal locked by a live run or a storage failure ends
     // the run with one line and exit 1.
+    bool failed = false;
     try {
         if (options.scrub) {
             // Offline verify/repair before touching the journal (DESIGN.md §16):
@@ -354,10 +355,6 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
                         map_seconds + stats.wall_seconds);
             stats.wall_seconds += map_seconds;
             stats.proc_restarts = report.proc_restarts;
-            if (options.journal_is_temp) {
-                std::error_code ec;
-                std::filesystem::remove_all(options.journal_dir, ec);
-            }
         } else if (options.resume) {
             std::printf("resuming from journal %s\n", options.journal_dir.c_str());
             stats = campaign.reduce(sink);
@@ -366,8 +363,15 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
         }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "campaign failed: %s\n", e.what());
-        std::exit(1);
+        failed = true;
     }
+    // The journal parked in the temp directory goes whether or not the
+    // campaign finished.
+    if (options.journal_is_temp) {
+        std::error_code ec;
+        std::filesystem::remove_all(options.journal_dir, ec);
+    }
+    if (failed) std::exit(1);
 
     if (options.progress_every > 0) {
         reporter.finish(stats);

@@ -18,10 +18,10 @@
 #include <string>
 
 #include "analysis/accuracy.hpp"
+#include "analysis/adoption.hpp"
 #include "analysis/csv.hpp"
 #include "analysis/longitudinal.hpp"
 #include "bench/bench_common.hpp"
-#include "core/accuracy.hpp"
 #include "web/population.hpp"
 
 using namespace spinscope;
@@ -54,20 +54,11 @@ int main(int argc, char** argv) {
             std::uint32_t connected_mask = 0;
             std::uint32_t spun_mask = 0;
             for (unsigned sample = 0; sample < weeks; ++sample) {
-                const scanner::DomainScan& scan = scans[sample];
-                if (scan.quic_ok()) connected_mask |= 1U << sample;
-                // A domain spins in a week when one of its OK connections
-                // spins (analysis::classify_domain), so each connection is
-                // assessed once for both figures.
-                for (const qlog::Trace& trace : scan.connections) {
-                    if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
-                    ++connections;
-                    const core::ConnectionAssessment assessment = core::assess_connection(trace);
-                    if (assessment.behavior == core::SpinBehavior::spinning) {
-                        spun_mask |= 1U << sample;
-                    }
-                    accuracy.add(assessment);
-                }
+                const analysis::DomainVerdict verdict = analysis::assess_domain(scans[sample]);
+                if (!verdict.ok.empty()) connected_mask |= 1U << sample;
+                if (verdict.cls == analysis::DomainSpinClass::spinning) spun_mask |= 1U << sample;
+                connections += verdict.ok.size();
+                for (const core::ConnectionAssessment& a : verdict.ok) accuracy.add(a);
             }
             longitudinal.add_domain(connected_mask, spun_mask);
         });

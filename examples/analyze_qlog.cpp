@@ -37,12 +37,10 @@ int main(int argc, char** argv) {
             for (const scanner::DomainScan& scan : record.scans) {
                 ++domains;
                 connections += scan.connections.size();
-                for (const qlog::Trace& trace : scan.connections) {
-                    if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
-                    ++ok_connections;
-                    accuracy.add(core::assess_connection(trace));
-                }
-                ++by_class[static_cast<std::size_t>(analysis::classify_domain(scan))];
+                const analysis::DomainVerdict verdict = analysis::assess_domain(scan);
+                ok_connections += verdict.ok.size();
+                for (const core::ConnectionAssessment& a : verdict.ok) accuracy.add(a);
+                ++by_class[static_cast<std::size_t>(verdict.cls)];
             }
         });
     if (!journal.has_header) {

@@ -70,12 +70,9 @@ int main(int argc, char** argv) {
     std::uint64_t connections = 0;
     const scanner::CampaignStats stats =
         campaign.run([&](const web::Domain& domain, scanner::DomainScan&& scan) {
-            for (const auto& trace : scan.connections) {
-                if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
-                ++connections;
-                accuracy.add(core::assess_connection(trace));
-            }
-            adoption.add(domain, scan);
+            const analysis::DomainVerdict verdict = adoption.add(domain, scan);
+            connections += verdict.ok.size();
+            for (const core::ConnectionAssessment& a : verdict.ok) accuracy.add(a);
         });
     std::printf("scanned %llu domains, %llu QUIC connections\n\n",
                 static_cast<unsigned long long>(stats.domains_scanned),

@@ -10,16 +10,16 @@ using util::group_digits;
 using util::percent;
 using util::TextTable;
 
-DomainSpinClass classify_domain(const scanner::DomainScan& scan) {
-    bool any_quic = false;
+DomainVerdict assess_domain(const scanner::DomainScan& scan) {
+    DomainVerdict verdict;
     bool any_spin = false;
     bool any_grease = false;
     bool any_zero = false;
     bool any_one = false;
     for (const auto& trace : scan.connections) {
         if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
-        any_quic = true;
-        const auto assessment = core::assess_connection(trace);
+        const core::ConnectionAssessment& assessment =
+            verdict.ok.emplace_back(core::assess_connection(trace));
         switch (assessment.behavior) {
             case core::SpinBehavior::spinning: any_spin = true; break;
             case core::SpinBehavior::greased: any_grease = true; break;
@@ -28,12 +28,15 @@ DomainSpinClass classify_domain(const scanner::DomainScan& scan) {
             case core::SpinBehavior::no_one_rtt: break;
         }
     }
-    if (!any_quic) return DomainSpinClass::not_quic;
-    if (any_spin) return DomainSpinClass::spinning;
-    if (any_grease) return DomainSpinClass::greased;
-    if (any_zero && any_one) return DomainSpinClass::mixed;
-    if (any_one) return DomainSpinClass::all_one;
-    return DomainSpinClass::all_zero;  // all_zero or only no_one_rtt traces
+    verdict.cls = [&] {
+        if (verdict.ok.empty()) return DomainSpinClass::not_quic;
+        if (any_spin) return DomainSpinClass::spinning;
+        if (any_grease) return DomainSpinClass::greased;
+        if (any_zero && any_one) return DomainSpinClass::mixed;
+        if (any_one) return DomainSpinClass::all_one;
+        return DomainSpinClass::all_zero;  // all_zero or only no_one_rtt traces
+    }();
+    return verdict;
 }
 
 bool in_list(const web::Domain& domain, ListId list) noexcept {
@@ -90,9 +93,10 @@ AdoptionAggregator::AdoptionAggregator(const web::PopulationModel& model, bool i
     webserver_spin_counts_.assign(model.stacks().size(), 0);
 }
 
-void AdoptionAggregator::add(const web::Domain& domain, const scanner::DomainScan& scan) {
-    const DomainSpinClass domain_class = classify_domain(scan);
-    const bool quic_ok = domain_class != DomainSpinClass::not_quic;
+DomainVerdict AdoptionAggregator::add(const web::Domain& domain,
+                                      const scanner::DomainScan& scan) {
+    DomainVerdict verdict = assess_domain(scan);
+    const bool quic_ok = verdict.cls != DomainSpinClass::not_quic;
 
     for (std::size_t l = 0; l < kListCount; ++l) {
         const auto id = static_cast<ListId>(l);
@@ -105,7 +109,7 @@ void AdoptionAggregator::add(const web::Domain& domain, const scanner::DomainSca
         if (!quic_ok) continue;
         ++counters.domains_quic;
         counters.ips_quic.insert(domain);
-        switch (domain_class) {
+        switch (verdict.cls) {
             case DomainSpinClass::spinning:
                 ++counters.domains_spin;
                 counters.ips_spin.insert(domain);
@@ -121,17 +125,16 @@ void AdoptionAggregator::add(const web::Domain& domain, const scanner::DomainSca
     if (in_list(domain, ListId::cno) && quic_ok) {
         auto& org = orgs_.at(domain.org);
         const auto& stack = model_->org_of(domain).stack;
-        for (const auto& trace : scan.connections) {
-            if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
+        for (const core::ConnectionAssessment& assessment : verdict.ok) {
             ++org.connections;
             ++webserver_counts_.at(stack);
-            const auto assessment = core::assess_connection(trace);
             if (assessment.behavior == core::SpinBehavior::spinning) {
                 ++org.spin_connections;
                 ++webserver_spin_counts_.at(stack);
             }
         }
     }
+    return verdict;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> AdoptionAggregator::webserver_connections(

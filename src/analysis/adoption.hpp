@@ -27,9 +27,16 @@ enum class DomainSpinClass : std::uint8_t {
     mixed,      ///< fixed values differing across connections
 };
 
-/// Classifies one domain scan (paper §3.3 applied per connection, then
-/// folded: spinning > greased > fixed-value classes).
-[[nodiscard]] DomainSpinClass classify_domain(const scanner::DomainScan& scan);
+/// One domain's spin verdict: every OK connection assessed once (paper
+/// §3.3), then folded into the domain class (spinning > greased >
+/// fixed-value classes). Tables 1-3 and Figures 2-4 all read it.
+struct DomainVerdict {
+    DomainSpinClass cls = DomainSpinClass::not_quic;
+    /// One assessment per OK trace, in trace order.
+    std::vector<core::ConnectionAssessment> ok;
+};
+
+[[nodiscard]] DomainVerdict assess_domain(const scanner::DomainScan& scan);
 
 /// The list views of Table 1/4.
 enum class ListId : std::uint8_t { toplists = 0, czds = 1, cno = 2 };
@@ -102,8 +109,9 @@ class AdoptionAggregator {
 public:
     AdoptionAggregator(const web::PopulationModel& model, bool ipv6);
 
-    /// Folds one scanned domain into all aggregates.
-    void add(const web::Domain& domain, const scanner::DomainScan& scan);
+    /// Folds one scanned domain into all aggregates and returns its verdict,
+    /// so a caller that also feeds the accuracy figures assesses it once.
+    DomainVerdict add(const web::Domain& domain, const scanner::DomainScan& scan);
 
     [[nodiscard]] const ListCounters& list(ListId id) const {
         return lists_[static_cast<std::size_t>(id)];

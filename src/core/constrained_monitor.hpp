@@ -72,7 +72,7 @@ struct ConstrainedConfig {
     std::uint64_t lru_idle_packets = 1024;
 
     /// Throws std::invalid_argument on a nonsensical budget; called by the
-    /// monitor's constructor and by ScanOptions::validate().
+    /// monitor's constructor.
     void validate() const;
 };
 

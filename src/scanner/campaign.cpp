@@ -76,7 +76,6 @@ void ScanOptions::validate() {
     retry.validate();
     journal_retry.validate();
     if (fault_plan) fault_plan->validate();
-    if (observer) observer->validate();
 }
 
 bool DomainScan::quic_ok() const noexcept {
@@ -131,8 +130,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
                                                const std::string& host, int redirect_hop,
                                                int retry, bool serve_redirect,
                                                Duration deadline,
-                                               telemetry::MetricsRegistry* metrics,
-                                               core::ConstrainedMonitor* observer) const {
+                                               telemetry::MetricsRegistry* metrics) const {
     // The watchdog capped this attempt below the normal per-attempt
     // deadline: a cut-off is then a kill, not an ordinary timeout.
     const bool watchdog_capped = deadline < options_.attempt_deadline;
@@ -174,11 +172,6 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     link.reorder_extra_min = Duration::micros(60);
     link.reorder_extra_max = Duration::from_ms(1.5);
     Path path{sim, link, link, rng};
-    // The constrained observer sits on the server→client direction — the
-    // one the paper's passive measurement watches (the server reflects the
-    // client's spin; its packets carry the measurable wave) and the one
-    // whose DCID is the client-chosen connection ID.
-    if (observer != nullptr) path.return_link().add_tap(observer->tap());
     if (options_.fault_plan) {
         path.forward_link().attach_faults(*options_.fault_plan, Rng{attempt_seed ^ 0xFA017'F0ULL});
         path.return_link().attach_faults(*options_.fault_plan, Rng{attempt_seed ^ 0xFA017'F1ULL});
@@ -483,13 +476,6 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
     }
     if (!scan.resolved) return scan;
 
-    // Per-DOMAIN constrained observer (DESIGN.md §14): its counters are a
-    // pure function of this domain's packet stream, never of shard/chunk
-    // geometry, so the observer.* telemetry below stays byte-identical for
-    // every thread count and --procs setting.
-    std::optional<core::ConstrainedMonitor> observer;
-    if (options_.observer) observer.emplace(*options_.observer);
-
     std::string host = "www." + model_->domain_name(domain);
     bool serve_redirect = domain.redirects;
     // Backoff jitter runs on its own per-domain stream: with retries off it
@@ -506,8 +492,8 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
         bool first_try_failed = false;
         for (int retry = 0;; ++retry) {
             const Duration deadline = std::min(options_.attempt_deadline, budget);
-            outcome = run_attempt(domain, host, hop, retry, serve_redirect, deadline,
-                                  metrics, observer ? &*observer : nullptr);
+            outcome =
+                run_attempt(domain, host, hop, retry, serve_redirect, deadline, metrics);
             scan.sim_time += outcome->sim_elapsed;
             budget -= outcome->sim_elapsed;
             if (budget <= Duration::zero()) budget_exhausted = true;
@@ -554,28 +540,6 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
         if (metrics != nullptr) metrics->counter(CounterId::scanner_redirects_followed).add(1);
         host = outcome->response->location;
         serve_redirect = false;  // the canonical target serves the page
-    }
-    if (observer && metrics != nullptr) {
-        const core::ConstrainedTableCounters& t = observer->counters();
-        metrics->counter(CounterId::observer_offered).add(t.offered);
-        metrics->counter(CounterId::observer_non_flow).add(t.non_flow);
-        metrics->counter(CounterId::observer_sampled_out).add(t.sampled_out);
-        metrics->counter(CounterId::observer_tracked).add(t.tracked);
-        metrics->counter(CounterId::observer_untracked).add(t.untracked);
-        metrics->counter(CounterId::observer_collisions).add(t.collisions);
-        metrics->counter(CounterId::observer_evictions).add(t.evictions);
-        metrics->counter(CounterId::observer_flows).add(t.active_slots);
-        std::uint64_t samples = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t spin_candidates = 0;
-        for (const auto& [key, stats] : observer->flows()) {
-            samples += stats.samples;
-            rejected += stats.rejected_samples;
-            if (stats.spin_candidate()) ++spin_candidates;
-        }
-        metrics->counter(CounterId::observer_samples).add(samples);
-        metrics->counter(CounterId::observer_rejected_samples).add(rejected);
-        metrics->counter(CounterId::observer_spin_candidate_flows).add(spin_candidates);
     }
     return scan;
 }

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bytes/bytes.hpp"
-#include "core/constrained_monitor.hpp"
 #include "faults/faults.hpp"
 #include "faults/retry_policy.hpp"
 #include "qlog/trace.hpp"
@@ -88,15 +87,6 @@ struct ScanOptions {
     /// the journal instead of killing the sweep.
     faults::RetryPolicy journal_retry{3, util::Duration::millis(1), 4.0,
                                       util::Duration::millis(20), true};
-    /// Optional constrained on-path observer (DESIGN.md §14): when engaged,
-    /// every attempt's server→client direction is tapped by a per-DOMAIN
-    /// core::ConstrainedMonitor and its table counters are published as
-    /// observer.* telemetry after the domain completes. Per-domain scope
-    /// keeps the counters a pure function of the domain's own packet stream,
-    /// so they merge deterministically at every thread/chunk/process count
-    /// and may appear in telemetry::deterministic_csv (the golden fixture
-    /// pins them).
-    std::optional<core::ConstrainedConfig> observer;
     /// TEST/FAULT hook: invoked on the worker thread at the start of every
     /// chunk scan execution (with the global chunk index), OUTSIDE the
     /// per-domain isolation — a throw crashes the whole chunk and exercises
@@ -105,7 +95,7 @@ struct ScanOptions {
     std::function<void(std::size_t chunk)> chunk_fault_hook;
 
     /// Sanitizes the knobs in place: a non-positive deadline, a zero record
-    /// cap or chunk size and invalid retry/fault-plan/observer settings
+    /// cap or chunk size and invalid retry/fault-plan settings
     /// throw std::invalid_argument; finite out-of-range fault-plan
     /// probabilities are clamped into [0, 1]. Campaign's constructor applies
     /// this to its copy.
@@ -394,14 +384,11 @@ private:
     /// min(attempt_deadline, remaining domain watchdog budget). When the
     /// budget (not the per-attempt deadline) is what cut the simulation
     /// short, the outcome is watchdog_cancelled instead of attempt_timeout.
-    /// `observer` is the domain's constrained monitor (nullptr when
-    /// ScanOptions::observer is disengaged); it taps the return link.
     [[nodiscard]] AttemptOutcome run_attempt(const web::Domain& domain,
                                              const std::string& host, int redirect_hop,
                                              int retry, bool serve_redirect,
                                              util::Duration deadline,
-                                             telemetry::MetricsRegistry* metrics,
-                                             core::ConstrainedMonitor* observer) const;
+                                             telemetry::MetricsRegistry* metrics) const;
 
     /// The one merge loop: replays the journal's recorded chunks
     /// (`reuse_journal`, reduce) or starts it fresh (run), scans every chunk

@@ -115,17 +115,6 @@ inline constexpr HistogramGeometry kSimMs = log_geometry(0.1, 2.0, 24);
     X(obs_proc_io_errors, "obs.proc.io_errors", host) \
     X(obs_proc_worker_alloc_bytes, "obs.proc.worker_alloc_bytes", host) \
     X(obs_proc_worker_allocs, "obs.proc.worker_allocs", host) \
-    X(observer_collisions, "observer.collisions", deterministic) \
-    X(observer_evictions, "observer.evictions", deterministic) \
-    X(observer_flows, "observer.flows", deterministic) \
-    X(observer_non_flow, "observer.non_flow", deterministic) \
-    X(observer_offered, "observer.offered", deterministic) \
-    X(observer_rejected_samples, "observer.rejected_samples", deterministic) \
-    X(observer_sampled_out, "observer.sampled_out", deterministic) \
-    X(observer_samples, "observer.samples", deterministic) \
-    X(observer_spin_candidate_flows, "observer.spin_candidate_flows", deterministic) \
-    X(observer_tracked, "observer.tracked", deterministic) \
-    X(observer_untracked, "observer.untracked", deterministic) \
     X(quic_conn_attempts, "quic.conn.attempts", deterministic) \
     X(quic_conn_bytes_received, "quic.conn.bytes_received", deterministic) \
     X(quic_conn_bytes_sent, "quic.conn.bytes_sent", deterministic) \

@@ -44,43 +44,56 @@ scanner::DomainScan make_scan(std::vector<qlog::Trace> traces) {
     return scan;
 }
 
-// --- classify_domain ----------------------------------------------------------
+// --- assess_domain ------------------------------------------------------------
 
 TEST(ClassifyDomain, NotQuicWithoutOkConnections) {
     scanner::DomainScan scan;
     scan.resolved = true;
-    EXPECT_EQ(classify_domain(scan), DomainSpinClass::not_quic);
+    EXPECT_EQ(assess_domain(scan).cls, DomainSpinClass::not_quic);
     scan.connections.push_back(
         make_trace({}, {}, qlog::ConnectionOutcome::handshake_timeout));
-    EXPECT_EQ(classify_domain(scan), DomainSpinClass::not_quic);
+    EXPECT_EQ(assess_domain(scan).cls, DomainSpinClass::not_quic);
 }
 
 TEST(ClassifyDomain, SingleBehaviours) {
-    EXPECT_EQ(classify_domain(make_scan({make_trace({false, false, false}, {20.0})})),
+    EXPECT_EQ(assess_domain(make_scan({make_trace({false, false, false}, {20.0})})).cls,
               DomainSpinClass::all_zero);
-    EXPECT_EQ(classify_domain(make_scan({make_trace({true, true}, {20.0})})),
+    EXPECT_EQ(assess_domain(make_scan({make_trace({true, true}, {20.0})})).cls,
               DomainSpinClass::all_one);
-    EXPECT_EQ(classify_domain(make_scan({make_trace({false, true, false, true}, {20.0})})),
+    EXPECT_EQ(assess_domain(make_scan({make_trace({false, true, false, true}, {20.0})})).cls,
               DomainSpinClass::spinning);
 }
 
 TEST(ClassifyDomain, SpinningTakesPrecedence) {
     auto scan = make_scan({make_trace({false, false}, {20.0}),
                            make_trace({false, true, false, true}, {20.0})});
-    EXPECT_EQ(classify_domain(scan), DomainSpinClass::spinning);
+    EXPECT_EQ(assess_domain(scan).cls, DomainSpinClass::spinning);
 }
 
 TEST(ClassifyDomain, MixedFixedValues) {
     auto scan = make_scan({make_trace({false, false}, {20.0}),
                            make_trace({true, true}, {20.0})});
-    EXPECT_EQ(classify_domain(scan), DomainSpinClass::mixed);
+    EXPECT_EQ(assess_domain(scan).cls, DomainSpinClass::mixed);
 }
 
 TEST(ClassifyDomain, GreasedWhenFilterFires) {
     // Spin period 30 ms but stack says ~50 ms: the filter treats it as
     // presumed greasing.
     auto scan = make_scan({make_trace({false, true, false, true}, {50.0, 52.0})});
-    EXPECT_EQ(classify_domain(scan), DomainSpinClass::greased);
+    EXPECT_EQ(assess_domain(scan).cls, DomainSpinClass::greased);
+}
+
+TEST(ClassifyDomain, VerdictKeepsOkAssessmentsInTraceOrder) {
+    // A failed attempt between two OK ones is not assessed, and the OK ones
+    // keep their trace order.
+    const auto verdict = assess_domain(make_scan(
+        {make_trace({false, true, false, true}, {20.0}),
+         make_trace({false, true, false, true}, {20.0}, qlog::ConnectionOutcome::handshake_timeout),
+         make_trace({false, false, false}, {20.0})}));
+    EXPECT_EQ(verdict.cls, DomainSpinClass::spinning);
+    ASSERT_EQ(verdict.ok.size(), 2u);
+    EXPECT_EQ(verdict.ok[0].behavior, core::SpinBehavior::spinning);
+    EXPECT_EQ(verdict.ok[1].behavior, core::SpinBehavior::all_zero);
 }
 
 // --- in_list -------------------------------------------------------------------
@@ -157,7 +170,9 @@ TEST_F(AdoptionTest, OrgConnectionCounting) {
     ASSERT_NE(cno_domain, nullptr);
     aggregator_.add(*cno_domain,
                     make_scan({make_trace({false, true, false}, {25.0}),
-                               make_trace({false, false}, {25.0})}));
+                               make_trace({false, false}, {25.0}),
+                               make_trace({false, true, false}, {25.0},
+                                          qlog::ConnectionOutcome::handshake_timeout)}));
     const auto& orgs = aggregator_.orgs();
     std::uint64_t total = 0;
     std::uint64_t spin = 0;
@@ -165,8 +180,15 @@ TEST_F(AdoptionTest, OrgConnectionCounting) {
         total += org.connections;
         spin += org.spin_connections;
     }
-    EXPECT_EQ(total, 2u);  // both OK connections counted
+    EXPECT_EQ(total, 2u);  // both OK connections counted, the failed one not
     EXPECT_EQ(spin, 1u);   // only the flipping one
+    const auto sum = [](const std::vector<std::pair<std::string, std::uint64_t>>& counts) {
+        std::uint64_t n = 0;
+        for (const auto& entry : counts) n += entry.second;
+        return n;
+    };
+    EXPECT_EQ(sum(aggregator_.webserver_connections()), 2u);
+    EXPECT_EQ(sum(aggregator_.webserver_connections(/*spinning_only=*/true)), 1u);
 }
 
 TEST_F(AdoptionTest, RenderersProduceTables) {

@@ -115,11 +115,8 @@ TEST_F(PipelineTest, SpinningConnectionsProduceUsableAccuracyData) {
     analysis::AccuracyAggregator accuracy;
     for (const auto& domain : universe_.domains) {
         if (!domain.quic || population_.org_of(domain).spin_host_rate <= 0.0) continue;
-        const auto scan = campaign.scan_domain(domain);
-        for (const auto& trace : scan.connections) {
-            if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
-            accuracy.add(core::assess_connection(trace));
-        }
+        const auto verdict = analysis::assess_domain(campaign.scan_domain(domain));
+        for (const auto& assessment : verdict.ok) accuracy.add(assessment);
     }
     const auto headline = accuracy.headline(analysis::AccuracySeries::spin_received);
     ASSERT_GT(headline.connections, 10u);
@@ -144,7 +141,7 @@ TEST_F(PipelineTest, LongitudinalWeeksVary) {
         for (unsigned week = 0; week < 4; ++week) {
             const auto scan = campaigns[week].scan_domain(domain);
             if (scan.quic_ok()) connected |= 1U << week;
-            if (analysis::classify_domain(scan) == analysis::DomainSpinClass::spinning) {
+            if (analysis::assess_domain(scan).cls == analysis::DomainSpinClass::spinning) {
                 spun |= 1U << week;
             }
         }
