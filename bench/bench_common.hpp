@@ -205,9 +205,15 @@ inline Options parse_options(int argc, char** argv, std::span<const std::string_
         // The multi-process map pass needs a shared journal even when the
         // caller doesn't care about crash recovery; park one in the system
         // temp directory and clean it up after the reduce.
-        const auto dir = std::filesystem::temp_directory_path() /
-                         ("spinscope-bench-journal-" +
-                          std::to_string(util::current_pid()));
+        std::error_code error;
+        const auto temp = std::filesystem::temp_directory_path(error);
+        if (error) {
+            std::fprintf(stderr, "--procs needs a temp directory for its journal: %s\n",
+                         error.message().c_str());
+            std::exit(1);
+        }
+        const auto dir =
+            temp / ("spinscope-bench-journal-" + std::to_string(util::current_pid()));
         options.journal_dir = dir.string();
         options.journal_is_temp = true;
     }

@@ -11,6 +11,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <exception>
 #include <string_view>
 #include <vector>
 
@@ -68,10 +69,15 @@ int main(int argc, char** argv) {
     scanner::Campaign campaign{population, options};
 
     std::uint64_t traces = 0;
-    const scanner::CampaignStats stats =
-        campaign.run([&](const web::Domain&, scanner::DomainScan&& scan) {
+    scanner::CampaignStats stats;
+    try {
+        stats = campaign.run([&](const web::Domain&, scanner::DomainScan&& scan) {
             traces += scan.connections.size();
         });
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "campaign failed: %s\n", e.what());
+        return 1;
+    }
     if (stats.journal_degraded) {
         std::fprintf(stderr, "journal in %s is incomplete: %s\n", options.journal_dir.c_str(),
                      stats.journal_degraded_error.c_str());

@@ -160,8 +160,8 @@ inline constexpr std::size_t kServerFaultModeCount = 5;
 }
 
 /// A host's failure disposition. `per_attempt_probability` < 1 models
-/// transient faults (overload, flapping middlebox) that a retry can dodge;
-/// 1.0 models a persistently broken host.
+/// transient faults (overload, flapping middlebox) that fire on some
+/// attempts only; 1.0 models a persistently broken host.
 struct ServerFaultProfile {
     ServerFaultMode mode = ServerFaultMode::none;
     double per_attempt_probability = 0.0;

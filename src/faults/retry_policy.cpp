@@ -18,17 +18,10 @@ void RetryPolicy::validate() const {
     }
 }
 
-util::Rng RetryPolicy::backoff_stream(std::uint64_t campaign_seed,
-                                      std::uint64_t domain_id) noexcept {
-    // The 0xb0ff tweak separates the backoff stream from the domain's
-    // attempt streams; the constant is part of the golden-trace contract.
-    return util::Rng{util::derive_stream_seed(campaign_seed, domain_id) ^ 0xb0ffULL};
-}
-
 util::Rng RetryPolicy::restart_stream(std::uint64_t campaign_seed,
                                       std::uint64_t chunk_index) noexcept {
-    // 0x5afe ("safe") separates supervisor restart jitter from both the
-    // backoff streams (0xb0ff) and the domains' attempt streams.
+    // 0x5afe ("safe") separates supervisor restart jitter from the domains'
+    // attempt streams.
     return util::Rng{util::derive_stream_seed(campaign_seed, chunk_index) ^ 0x5afeULL};
 }
 

@@ -1,10 +1,12 @@
 // spinscope/faults/retry_policy.hpp
 //
-// Campaign retry policy: bounded attempts with capped exponential backoff
-// and full jitter, in simulated time.
+// Retry schedule of the campaign's supervisors: bounded attempts with capped
+// exponential backoff and full jitter. It paces crashed-chunk restarts
+// (scanner::Campaign::scan_chunk), worker process re-forks
+// (scanner::ProcPoolOptions::proc_restart) and transient journal write
+// errors (scanner::ScanOptions::journal_retry). Scans themselves never
+// retry: the paper's scanner makes one attempt per hop (paper §3.2).
 //
-// "A First Look at QUIC in the Wild" re-probed failed hosts before
-// classifying them as non-QUIC; the paper's scanner inherits that practice.
 // The policy is deterministic given an RNG stream, so identically seeded
 // campaigns schedule identical backoffs.
 
@@ -17,10 +19,10 @@ namespace spinscope::faults {
 
 using util::Duration;
 
-/// Retry schedule for one target. The default (max_attempts = 1) disables
-/// retrying entirely and is byte-identical to the pre-retry scanner.
+/// Retry schedule for one supervised operation. The default of one attempt
+/// never retries.
 struct RetryPolicy {
-    /// Total connection attempts per hop, including the first (>= 1).
+    /// Total attempts, including the first (>= 1).
     int max_attempts = 1;
     /// Backoff before retry k (1-based) is drawn from
     /// [0, min(max_backoff, initial_backoff * multiplier^(k-1))] when
@@ -30,25 +32,9 @@ struct RetryPolicy {
     Duration max_backoff = Duration::seconds(5);
     bool full_jitter = true;
 
-    /// True when `outcome_ok` is false and attempt `attempt` (0-based) was
-    /// not the last one allowed.
-    [[nodiscard]] bool should_retry(int attempt, bool outcome_ok) const noexcept {
-        return !outcome_ok && attempt + 1 < max_attempts;
-    }
-
-    /// Simulated-time backoff before retry `retry_index` (1-based: the wait
-    /// preceding the second attempt is retry_index 1). Deterministic in
-    /// (policy, rng state).
+    /// Backoff before retry `retry_index` (1-based: the wait preceding the
+    /// second attempt is retry_index 1). Deterministic in (policy, rng state).
     [[nodiscard]] Duration backoff_delay(int retry_index, util::Rng& rng) const;
-
-    /// The backoff-jitter RNG for one domain of one campaign: an independent
-    /// sub-stream keyed by (campaign seed, domain id) via
-    /// util::derive_stream_seed. Part of the sharded determinism contract
-    /// (DESIGN.md §9): retry schedules are a pure per-domain function, never
-    /// a function of shard assignment, worker thread or scan order, and a
-    /// policy that never retries never draws from the stream at all.
-    [[nodiscard]] static util::Rng backoff_stream(std::uint64_t campaign_seed,
-                                                  std::uint64_t domain_id) noexcept;
 
     /// The restart-jitter RNG for one work chunk of one campaign: the chunk
     /// supervisor (scanner::Campaign::scan_chunk) draws crashed-chunk restart

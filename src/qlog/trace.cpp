@@ -45,7 +45,7 @@ std::optional<quic::PacketType> packet_type_from(std::string_view token) {
 std::optional<ConnectionOutcome> outcome_from(std::string_view token) {
     for (auto o : {ConnectionOutcome::ok, ConnectionOutcome::handshake_timeout,
                    ConnectionOutcome::aborted, ConnectionOutcome::attempt_timeout,
-                   ConnectionOutcome::protocol_error, ConnectionOutcome::watchdog_cancelled}) {
+                   ConnectionOutcome::protocol_error}) {
         if (token == to_cstring(o)) return o;
     }
     return std::nullopt;

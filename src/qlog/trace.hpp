@@ -73,13 +73,10 @@ enum class ConnectionOutcome : std::uint8_t {
     protocol_error,     ///< peer sent undecodable or protocol-violating data
                         ///< (e.g. garbage frame payloads) and the connection
                         ///< was torn down with a transport error
-    watchdog_cancelled, ///< the campaign's per-domain simulated-time budget
-                        ///< (ScanOptions::domain_deadline) expired and the
-                        ///< hung simulation was killed by the watchdog
 };
 
 /// Number of ConnectionOutcome values (for outcome-indexed tables).
-inline constexpr std::size_t kConnectionOutcomeCount = 6;
+inline constexpr std::size_t kConnectionOutcomeCount = 5;
 
 [[nodiscard]] constexpr const char* to_cstring(ConnectionOutcome o) noexcept {
     switch (o) {
@@ -88,14 +85,13 @@ inline constexpr std::size_t kConnectionOutcomeCount = 6;
         case ConnectionOutcome::aborted: return "aborted";
         case ConnectionOutcome::attempt_timeout: return "attempt_timeout";
         case ConnectionOutcome::protocol_error: return "protocol_error";
-        case ConnectionOutcome::watchdog_cancelled: return "watchdog_cancelled";
     }
     return "?";
 }
 
 /// Hard cap on recorded packet events per direction of one trace. A healthy
-/// scan attempt records a few dozen events; a pathological retry storm or a
-/// hung simulation must not be able to grow a trace without bound. Overflow
+/// scan attempt records a few dozen events; a pathological retransmission storm
+/// or a hung simulation must not be able to grow a trace without bound. Overflow
 /// is counted in Trace::events_truncated instead of being recorded.
 inline constexpr std::size_t kMaxTraceEventsPerDirection = 1u << 16;
 

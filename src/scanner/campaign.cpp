@@ -46,8 +46,6 @@ namespace {
 constexpr faults::RetryPolicy kChunkRestart{2, Duration::millis(10), 2.0,
                                             Duration::millis(100), true};
 
-/// Redirects a scan follows past the landing page (paper §3.2).
-constexpr int kMaxRedirects = 3;
 /// Per-packet, per-direction loss and reorder probabilities of every
 /// attempt's path (calibrated so that R-vs-S spin results differ for
 /// ~0.3 % of connections, §5.2).
@@ -64,16 +62,9 @@ void ScanOptions::validate() {
     if (attempt_deadline.is_negative() || attempt_deadline.is_zero()) {
         throw std::invalid_argument("scanner: ScanOptions.attempt_deadline must be > 0");
     }
-    if (domain_deadline.is_negative() || domain_deadline.is_zero()) {
-        throw std::invalid_argument("scanner: ScanOptions.domain_deadline must be > 0");
-    }
-    if (max_attempt_records == 0) {
-        throw std::invalid_argument("scanner: ScanOptions.max_attempt_records must be >= 1");
-    }
     if (chunk_domains == 0) {
         throw std::invalid_argument("scanner: ScanOptions.chunk_domains must be >= 1");
     }
-    retry.validate();
     journal_retry.validate();
     if (fault_plan) fault_plan->validate();
 }
@@ -93,8 +84,6 @@ std::string CampaignStats::render() const {
     table.add_row({"QUIC-ok rate (resolved)", util::percent(quic_ok_rate())});
     table.add_row({"connections", util::group_digits(connections)});
     table.add_row({"redirects followed", util::group_digits(redirects_followed)});
-    table.add_row({"retries", util::group_digits(retries)});
-    table.add_row({"domains recovered by retry", util::group_digits(domains_recovered_by_retry)});
     table.add_row({"domains errored", util::group_digits(domains_errored)});
     // Recovery rows only when the supervisor actually intervened — the
     // healthy sweep's table stays as it always was.
@@ -128,12 +117,8 @@ std::string CampaignStats::render() const {
 
 Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
                                                const std::string& host, int redirect_hop,
-                                               int retry, bool serve_redirect,
-                                               Duration deadline,
+                                               bool serve_redirect,
                                                telemetry::MetricsRegistry* metrics) const {
-    // The watchdog capped this attempt below the normal per-attempt
-    // deadline: a cut-off is then a kill, not an ordinary timeout.
-    const bool watchdog_capped = deadline < options_.attempt_deadline;
     const web::PopulationModel& pop = *model_;
     // Redirect follow-ups are profiled as their own phase: their cost is
     // extra connections, which the first-attempt phase must not absorb.
@@ -147,15 +132,11 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     Simulator sim;
     // Attempt randomness is a domain-keyed sub-stream (the sharded
     // determinism contract, DESIGN.md §9): never a function of scan order,
-    // shard assignment or thread count. (hop | retry << 16) keeps retry 0
-    // byte-identical to the pre-retry seeding while giving every retry an
-    // independent stream.
-    const std::uint64_t attempt_key = static_cast<std::uint64_t>(redirect_hop) |
-                                      (static_cast<std::uint64_t>(retry) << 16);
+    // shard assignment or thread count.
     const std::uint64_t attempt_seed =
         util::derive_stream_seed(options_.seed, domain.id) ^
         (static_cast<std::uint64_t>(options_.week) << 32) ^
-        (options_.ipv6 ? 0x10000ULL : 0ULL) ^ attempt_key;
+        (options_.ipv6 ? 0x10000ULL : 0ULL) ^ static_cast<std::uint64_t>(redirect_hop);
     Rng rng{attempt_seed};
     // Fault decisions run on their own streams so attaching a fault plan (or
     // drawing a server-fault lottery that comes up healthy) never perturbs
@@ -199,12 +180,8 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
                 // pending: the attempt neither completed nor failed on its
                 // own. Record that distinctly instead of pretending the
                 // queue drained (the old behaviour left `aborted`, which
-                // conflated deadline hits with protocol-level aborts) — and
-                // distinguish the watchdog's kill from the ordinary
-                // per-attempt timeout.
-                out.trace.outcome = watchdog_capped
-                                        ? qlog::ConnectionOutcome::watchdog_cancelled
-                                        : qlog::ConnectionOutcome::attempt_timeout;
+                // conflated deadline hits with protocol-level aborts).
+                out.trace.outcome = qlog::ConnectionOutcome::attempt_timeout;
             }
         }
         out.sim_elapsed = sim.now() - TimePoint::origin();
@@ -223,7 +200,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
         // via PTO and gives up at the handshake timeout (paper §3.3: "check
         // whether the endpoints answer to QUIC packets").
         client.connect();
-        const bool drained = sim.run_until(TimePoint::origin() + deadline);
+        const bool drained = sim.run_until(TimePoint::origin() + options_.attempt_deadline);
         finish_attempt(drained, /*got_response=*/false);
         return out;
     }
@@ -232,8 +209,8 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     const bool spins = pop.host_spins(domain, options_.week, options_.ipv6);
 
     // Serving-side fault lottery: the mode is a host property, whether it
-    // fires is a per-attempt draw (transient faults are what retries can
-    // beat). A healthy profile draws nothing, keeping fault-free campaigns
+    // fires is a per-attempt draw (a transient fault spares some of a host's
+    // hops). A healthy profile draws nothing, keeping fault-free campaigns
     // byte-identical.
     const faults::ServerFaultProfile fault_profile =
         pop.server_fault_profile(domain, options_.ipv6);
@@ -351,7 +328,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     };
 
     client.connect();
-    const bool drained = sim.run_until(TimePoint::origin() + deadline);
+    const bool drained = sim.run_until(TimePoint::origin() + options_.attempt_deadline);
     finish_attempt(drained, got_response);
     return out;
 }
@@ -478,67 +455,23 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
 
     std::string host = "www." + model_->domain_name(domain);
     bool serve_redirect = domain.redirects;
-    // Backoff jitter runs on its own per-domain stream: with retries off it
-    // is never drawn from, and with them on it cannot perturb attempt seeds.
-    Rng backoff_rng = faults::RetryPolicy::backoff_stream(options_.seed, domain.id);
-    // Watchdog budget: total simulated time this domain may consume across
-    // every hop, retry and backoff. Purely per-domain bookkeeping — never a
-    // function of shard assignment — so the determinism contract holds.
-    Duration budget = options_.domain_deadline;
-    bool budget_exhausted = false;
-    for (int hop = 0; hop <= kMaxRedirects && !budget_exhausted; ++hop) {
-        std::optional<AttemptOutcome> outcome;
-        Duration backoff = Duration::zero();
-        bool first_try_failed = false;
-        for (int retry = 0;; ++retry) {
-            const Duration deadline = std::min(options_.attempt_deadline, budget);
-            outcome =
-                run_attempt(domain, host, hop, retry, serve_redirect, deadline, metrics);
-            scan.sim_time += outcome->sim_elapsed;
-            budget -= outcome->sim_elapsed;
-            if (budget <= Duration::zero()) budget_exhausted = true;
-            const bool ok = outcome->trace.outcome == qlog::ConnectionOutcome::ok;
-            if (outcome->trace.outcome == qlog::ConnectionOutcome::watchdog_cancelled) {
-                budget_exhausted = true;
-                if (metrics != nullptr) {
-                    metrics->counter(CounterId::scanner_watchdog_cancelled).add(1);
-                }
-            }
-            // Bounded attempt log: past the cap, the attempt still ran (and
-            // is counted below) but its record and trace are dropped.
-            if (scan.attempts.size() < options_.max_attempt_records) {
-                scan.attempts.push_back(DomainScan::AttemptRecord{
-                    hop, retry, outcome->trace.outcome, backoff, outcome->server_fault});
-                scan.connections.push_back(std::move(outcome->trace));
-            } else {
-                ++scan.attempts_truncated;
-            }
-            if (retry > 0) ++scan.retries;
-            if (ok) {
-                if (first_try_failed) scan.recovered_by_retry = true;
-                break;
-            }
-            first_try_failed = true;
-            if (budget_exhausted || !options_.retry.should_retry(retry, false)) break;
-            // Attempts run on per-attempt simulators, so the backoff is
-            // campaign bookkeeping in simulated time, not a sim event — but
-            // it still burns watchdog budget.
-            backoff = options_.retry.backoff_delay(retry + 1, backoff_rng);
-            scan.sim_time += backoff;
-            budget -= backoff;
-            if (budget <= Duration::zero()) {
-                budget_exhausted = true;
-                break;
-            }
-        }
-        const bool redirected =
-            outcome->response.has_value() && outcome->response->status == 301 &&
-            !outcome->response->location.empty();
-        scan.final_response = outcome->response;
+    // One attempt per hop, each cut at attempt_deadline: a domain makes at
+    // most kMaxRedirects + 1 attempts, so its attempt log and simulated time
+    // are bounded without a per-domain budget.
+    for (int hop = 0; hop <= kMaxRedirects; ++hop) {
+        AttemptOutcome outcome = run_attempt(domain, host, hop, serve_redirect, metrics);
+        scan.sim_time += outcome.sim_elapsed;
+        scan.attempts.push_back(
+            DomainScan::AttemptRecord{hop, outcome.trace.outcome, outcome.server_fault});
+        scan.connections.push_back(std::move(outcome.trace));
+        const bool redirected = outcome.response.has_value() &&
+                                outcome.response->status == 301 &&
+                                !outcome.response->location.empty();
+        scan.final_response = std::move(outcome.response);
         if (!redirected) break;
         ++scan.redirects_followed;
         if (metrics != nullptr) metrics->counter(CounterId::scanner_redirects_followed).add(1);
-        host = outcome->response->location;
+        host = scan.final_response->location;
         serve_redirect = false;  // the canonical target serves the page
     }
     return scan;
@@ -599,8 +532,8 @@ CampaignStats Campaign::run_impl(
     std::uint64_t traced_quic_ok = 0;
 
     // One chunk's sim-timeline events: a span covering the chunk's total
-    // simulated time, instants for retries/watchdog kills/quarantine at the
-    // owning domain's offset, and cumulative counter tracks. The `replayed`
+    // simulated time, a quarantine instant at its start, and cumulative
+    // counter tracks. The `replayed`
     // arg is ALWAYS present (0 or 1) so a reduce trace equals the
     // uninterrupted one after flipping that single flag.
     const auto trace_chunk = [&](std::size_t chunk_index,
@@ -611,11 +544,9 @@ CampaignStats Campaign::run_impl(
         std::int64_t dur_ns = 0;
         std::uint64_t quic_ok = 0;
         std::uint64_t errors = 0;
-        std::uint64_t retries = 0;
         for (const auto& scan : scans) {
             if (scan.quic_ok()) ++quic_ok;
             if (!scan.error.empty()) ++errors;
-            retries += scan.retries;
             dur_ns += scan.sim_time.count_nanos();
         }
         // The span first, instants after: per-lane timestamps then never
@@ -625,33 +556,12 @@ CampaignStats Campaign::run_impl(
             {TraceArg::num("chunk", static_cast<std::uint64_t>(chunk_index)),
              TraceArg::num("domains", static_cast<std::uint64_t>(scans.size())),
              TraceArg::num("quic_ok", quic_ok), TraceArg::num("errors", errors),
-             TraceArg::num("retries", retries),
              TraceArg::num("replayed", static_cast<std::uint64_t>(replayed ? 1 : 0)),
              TraceArg::num("quarantined",
                            static_cast<std::uint64_t>(quarantined ? 1 : 0))});
         if (quarantined) {
             trace->instant(TraceClock::sim, sim_lane, "quarantine", start_ns,
                            {TraceArg::num("chunk", static_cast<std::uint64_t>(chunk_index))});
-        }
-        std::int64_t offset_ns = 0;
-        for (const auto& scan : scans) {
-            if (scan.retries > 0) {
-                trace->instant(
-                    TraceClock::sim, sim_lane, "retry", start_ns + offset_ns,
-                    {TraceArg::num("domain", static_cast<std::uint64_t>(scan.domain_id)),
-                     TraceArg::num("retries", scan.retries)});
-            }
-            const bool watchdog_killed = std::any_of(
-                scan.attempts.begin(), scan.attempts.end(),
-                [](const DomainScan::AttemptRecord& a) {
-                    return a.outcome == qlog::ConnectionOutcome::watchdog_cancelled;
-                });
-            if (watchdog_killed) {
-                trace->instant(
-                    TraceClock::sim, sim_lane, "watchdog", start_ns + offset_ns,
-                    {TraceArg::num("domain", static_cast<std::uint64_t>(scan.domain_id))});
-            }
-            offset_ns += scan.sim_time.count_nanos();
         }
         sim_cursor_ns = start_ns + dur_ns;
         traced_domains += scans.size();
@@ -677,8 +587,6 @@ CampaignStats Campaign::run_impl(
         if (scan.quic_ok()) ++stats.domains_quic_ok;
         stats.connections += scan.connections.size();
         stats.redirects_followed += scan.redirects_followed;
-        stats.retries += scan.retries;
-        if (scan.recovered_by_retry) ++stats.domains_recovered_by_retry;
         if (!scan.error.empty()) ++stats.domains_errored;
         for (const auto& trace : scan.connections) {
             ++stats.outcomes[static_cast<std::size_t>(trace.outcome)];
@@ -964,8 +872,6 @@ CampaignStats Campaign::run_impl(
         }
         count(CounterId::scanner_domains_resolved, stats.domains_resolved);
         count(CounterId::scanner_domains_quic_ok, stats.domains_quic_ok);
-        count(CounterId::scanner_retries, stats.retries);
-        count(CounterId::scanner_domains_recovered_by_retry, stats.domains_recovered_by_retry);
         count(CounterId::scanner_domains_errored, stats.domains_errored);
         for (std::size_t o = 0; o < stats.outcomes.size(); ++o) {
             count(telemetry::kOutcomeCounters[o], stats.outcomes[o]);

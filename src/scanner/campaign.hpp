@@ -36,33 +36,25 @@ class TraceRecorder;
 
 namespace spinscope::scanner {
 
+/// Redirects a scan follows past the landing page (paper §3.2). A domain
+/// makes one attempt per hop, so its scan holds at most kMaxRedirects + 1
+/// attempts.
+inline constexpr int kMaxRedirects = 3;
+
 /// Knobs of one scan sweep.
 struct ScanOptions {
     bool ipv6 = false;
     /// Campaign week (0-based, CW 15/2022 == 0); drives longitudinal churn.
     int week = 0;
     std::uint64_t seed = 0x5ca7;
-    /// Safety bound per connection attempt (simulated time).
+    /// Safety bound per connection attempt (simulated time); a domain's scan
+    /// then takes at most (kMaxRedirects + 1) * attempt_deadline.
     util::Duration attempt_deadline = util::Duration::seconds(60);
-    /// Watchdog budget per DOMAIN (simulated time across all of its hops,
-    /// retries and backoffs). A domain whose simulations exceed it is cut
-    /// off: the running attempt ends with outcome watchdog_cancelled and no
-    /// further attempts are made. The default is far above any legitimate
-    /// scan (worst hostile-retry schedules stay under ~15 minutes), so it
-    /// only ever fires on genuinely hung simulations.
-    util::Duration domain_deadline = util::Duration::seconds(3600);
-    /// Cap on per-domain attempt records (and their traces). Overflow is
-    /// counted in DomainScan::attempts_truncated instead of growing the scan
-    /// without bound; unreachable under sane retry/redirect settings.
-    std::size_t max_attempt_records = 256;
     /// Adversarial network fault plan, attached to both directions of every
     /// attempt's path. nullopt attaches nothing; an engaged-but-empty plan
     /// attaches an idle injector, which draws no randomness and therefore
     /// yields byte-identical campaign results.
     std::optional<faults::FaultPlan> fault_plan;
-    /// Per-hop retry schedule. The default (single attempt, no retries) is
-    /// byte-identical to the pre-retry scanner.
-    faults::RetryPolicy retry{};
     /// Worker threads for run(); 0 = one per hardware thread. Every
     /// per-domain observable is derived from domain-keyed RNG sub-streams
     /// (util::derive_stream_seed), so stats, scan streams and deterministic
@@ -94,8 +86,8 @@ struct ScanOptions {
     /// keep null in production.
     std::function<void(std::size_t chunk)> chunk_fault_hook;
 
-    /// Sanitizes the knobs in place: a non-positive deadline, a zero record
-    /// cap or chunk size and invalid retry/fault-plan settings
+    /// Sanitizes the knobs in place: a non-positive deadline, a zero chunk
+    /// size and invalid journal-retry/fault-plan settings
     /// throw std::invalid_argument; finite out-of-range fault-plan
     /// probabilities are clamped into [0, 1]. Campaign's constructor applies
     /// this to its copy.
@@ -108,32 +100,23 @@ struct DomainScan {
     /// `connections`, same order).
     struct AttemptRecord {
         int redirect_hop = 0;  ///< 0 = landing page, n = nth redirect target
-        int retry = 0;         ///< 0 = first try at this hop
         qlog::ConnectionOutcome outcome = qlog::ConnectionOutcome::aborted;
-        /// Simulated-time backoff the retry policy waited before this attempt.
-        util::Duration backoff = util::Duration::zero();
         /// Server fault active during this attempt (none when healthy).
         faults::ServerFaultMode server_fault = faults::ServerFaultMode::none;
     };
 
     std::uint32_t domain_id = 0;
     bool resolved = false;  ///< DNS yielded an address of the scanned family
-    /// One trace per connection attempt (retries and followed redirects).
+    /// One trace per connection attempt (the landing page and each followed
+    /// redirect).
     std::vector<qlog::Trace> connections;
     /// Per-attempt taxonomy, parallel to `connections`.
     std::vector<AttemptRecord> attempts;
     /// Parsed response of the final connection, if any.
     std::optional<ResponseInfo> final_response;
     std::uint32_t redirects_followed = 0;
-    std::uint64_t retries = 0;  ///< attempts beyond the first, any hop
-    /// A hop whose first try failed later succeeded on a retry.
-    bool recovered_by_retry = false;
-    /// Attempts made but not recorded because ScanOptions::max_attempt_records
-    /// was reached (0 for every sane scan).
-    std::uint64_t attempts_truncated = 0;
-    /// Total simulated time this domain consumed (every attempt plus every
-    /// retry backoff — the watchdog's accounting). Journaled, so a reduce
-    /// over a killed run rebuilds the exact flight-recorder timeline.
+    /// Total simulated time this domain's attempts consumed. Journaled, so a
+    /// reduce over a killed run rebuilds the exact flight-recorder timeline.
     util::Duration sim_time = util::Duration::zero();
     /// Set when scanning this domain threw; the domain was skipped, the
     /// sweep continued (graceful degradation). Quarantined chunks produce
@@ -151,10 +134,8 @@ struct CampaignStats {
     std::uint64_t domains_scanned = 0;
     std::uint64_t domains_resolved = 0;
     std::uint64_t domains_quic_ok = 0;
-    std::uint64_t connections = 0;  ///< attempts incl. retries and redirects
+    std::uint64_t connections = 0;  ///< attempts incl. redirects
     std::uint64_t redirects_followed = 0;
-    std::uint64_t retries = 0;  ///< attempts beyond the first at some hop
-    std::uint64_t domains_recovered_by_retry = 0;
     std::uint64_t domains_errored = 0;  ///< scan threw; skipped, not fatal
     /// Chunks quarantined after exhausting their restarts (their domains
     /// are counted in domains_quarantined AND domains_errored).
@@ -252,11 +233,11 @@ public:
     /// Attaches a flight recorder: run()/reduce() then record the campaign
     /// timeline into it (pass nullptr to detach; must outlive the runs).
     /// Simulated-time events — chunk spans at cumulative sim offsets plus
-    /// retry/watchdog/quarantine instants — are recorded only on the merge
-    /// thread and are byte-identical for every thread count and across
-    /// kill/reduce (replayed chunks re-drive identical spans, flagged
-    /// `"replayed":1`). Wall-clock worker/merge/journal spans land in the
-    /// recorder's wall sidecar. The campaign only records; the owner calls
+    /// quarantine instants — are recorded only on the merge thread and are
+    /// byte-identical for every thread count and across kill/reduce
+    /// (replayed chunks re-drive identical spans, flagged `"replayed":1`).
+    /// Wall-clock worker/merge/journal spans land in the recorder's wall
+    /// sidecar. The campaign only records; the owner calls
     /// TraceRecorder::write after the run.
     void set_trace(telemetry::TraceRecorder* trace) noexcept { trace_ = trace; }
 
@@ -354,7 +335,7 @@ private:
         qlog::Trace trace;
         std::optional<ResponseInfo> response;
         faults::ServerFaultMode server_fault = faults::ServerFaultMode::none;
-        /// Simulated time the attempt consumed (watchdog accounting).
+        /// Simulated time the attempt consumed.
         util::Duration sim_elapsed = util::Duration::zero();
     };
 
@@ -380,14 +361,9 @@ private:
     [[nodiscard]] DomainScan scan_domain_into(const web::Domain& domain,
                                               telemetry::MetricsRegistry* metrics) const;
 
-    /// `deadline` is the effective simulated-time bound for this attempt:
-    /// min(attempt_deadline, remaining domain watchdog budget). When the
-    /// budget (not the per-attempt deadline) is what cut the simulation
-    /// short, the outcome is watchdog_cancelled instead of attempt_timeout.
     [[nodiscard]] AttemptOutcome run_attempt(const web::Domain& domain,
                                              const std::string& host, int redirect_hop,
-                                             int retry, bool serve_redirect,
-                                             util::Duration deadline,
+                                             bool serve_redirect,
                                              telemetry::MetricsRegistry* metrics) const;
 
     /// The one merge loop: replays the journal's recorded chunks

@@ -46,8 +46,7 @@ constexpr std::uint8_t kChunkTag = 0xc2;
 constexpr std::uint8_t kHeaderIpv6 = 1;
 constexpr std::uint8_t kHeaderTelemetry = 2;
 constexpr std::uint8_t kScanResolved = 1;
-constexpr std::uint8_t kScanRecovered = 2;
-constexpr std::uint8_t kScanResponse = 4;
+constexpr std::uint8_t kScanResponse = 2;
 
 [[nodiscard]] std::string to_payload(const std::vector<std::uint8_t>& bytes) {
     return {bytes.begin(), bytes.end()};
@@ -85,11 +84,8 @@ template <typename Enum>
 void write_scan(ByteWriter& out, const DomainScan& scan) {
     out.integer(scan.domain_id);
     out.u8(static_cast<std::uint8_t>((scan.resolved ? kScanResolved : 0) |
-                                     (scan.recovered_by_retry ? kScanRecovered : 0) |
                                      (scan.final_response ? kScanResponse : 0)));
     out.integer(scan.redirects_followed);
-    out.integer(scan.retries);
-    out.integer(scan.attempts_truncated);
     out.integer(scan.sim_time.count_nanos());
     out.text(scan.error);
     if (const auto& response = scan.final_response) {
@@ -101,9 +97,7 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
     out.uvarint(scan.attempts.size());
     for (const auto& attempt : scan.attempts) {
         out.integer(attempt.redirect_hop);
-        out.integer(attempt.retry);
         out.u8(static_cast<std::uint8_t>(attempt.outcome));
-        out.integer(attempt.backoff.count_nanos());
         out.u8(static_cast<std::uint8_t>(attempt.server_fault));
     }
     out.uvarint(scan.connections.size());
@@ -111,28 +105,20 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
 }
 
 [[nodiscard]] bool read_attempt(ByteReader& in, DomainScan::AttemptRecord& attempt) {
-    std::int64_t backoff_ns = 0;
-    if (!in.integer(attempt.redirect_hop) || !in.integer(attempt.retry) ||
-        !read_enum(in, qlog::kConnectionOutcomeCount, attempt.outcome) ||
-        !in.integer(backoff_ns) ||
-        !read_enum(in, faults::kServerFaultModeCount, attempt.server_fault)) {
-        return false;
-    }
-    attempt.backoff = util::Duration::nanos(backoff_ns);
-    return true;
+    return in.integer(attempt.redirect_hop) &&
+           read_enum(in, qlog::kConnectionOutcomeCount, attempt.outcome) &&
+           read_enum(in, faults::kServerFaultModeCount, attempt.server_fault);
 }
 
 [[nodiscard]] bool read_scan(ByteReader& in, DomainScan& scan) {
     std::int64_t sim_ns = 0;
     if (!in.integer(scan.domain_id)) return false;
-    const auto flags = read_flags(in, kScanResolved | kScanRecovered | kScanResponse);
-    if (!flags || !in.integer(scan.redirects_followed) || !in.integer(scan.retries) ||
-        !in.integer(scan.attempts_truncated) || !in.integer(sim_ns) ||
+    const auto flags = read_flags(in, kScanResolved | kScanResponse);
+    if (!flags || !in.integer(scan.redirects_followed) || !in.integer(sim_ns) ||
         !read_text(in, scan.error)) {
         return false;
     }
     scan.resolved = (*flags & kScanResolved) != 0;
-    scan.recovered_by_retry = (*flags & kScanRecovered) != 0;
     scan.sim_time = util::Duration::nanos(sim_ns);
     if ((*flags & kScanResponse) != 0) {
         ResponseInfo& response = scan.final_response.emplace();

@@ -131,7 +131,6 @@ inline constexpr HistogramGeometry kSimMs = log_geometry(0.1, 2.0, 24);
     X(scanner_connections, "scanner.connections", deterministic) \
     X(scanner_domains_errored, "scanner.domains_errored", deterministic) \
     X(scanner_domains_quic_ok, "scanner.domains_quic_ok", deterministic) \
-    X(scanner_domains_recovered_by_retry, "scanner.domains_recovered_by_retry", deterministic) \
     X(scanner_domains_resolved, "scanner.domains_resolved", deterministic) \
     X(scanner_domains_scanned, "scanner.domains_scanned", deterministic) \
     X(scanner_outcome_aborted, "scanner.outcome.aborted", deterministic) \
@@ -139,15 +138,12 @@ inline constexpr HistogramGeometry kSimMs = log_geometry(0.1, 2.0, 24);
     X(scanner_outcome_handshake_timeout, "scanner.outcome.handshake_timeout", deterministic) \
     X(scanner_outcome_ok, "scanner.outcome.ok", deterministic) \
     X(scanner_outcome_protocol_error, "scanner.outcome.protocol_error", deterministic) \
-    X(scanner_outcome_watchdog_cancelled, "scanner.outcome.watchdog_cancelled", deterministic) \
     X(scanner_redirects_followed, "scanner.redirects_followed", deterministic) \
-    X(scanner_retries, "scanner.retries", deterministic) \
     X(scanner_server_fault_garbage_payload, "scanner.server_fault.garbage_payload", deterministic) \
     X(scanner_server_fault_handshake_stall, "scanner.server_fault.handshake_stall", deterministic) \
     X(scanner_server_fault_mid_transfer_abort, \
       "scanner.server_fault.mid_transfer_abort", deterministic) \
     X(scanner_server_fault_never_ack, "scanner.server_fault.never_ack", deterministic) \
-    X(scanner_watchdog_cancelled, "scanner.watchdog_cancelled", deterministic) \
     X(trace_events_sim, "trace.events_sim", chunk_geometry) \
     X(trace_events_wall, "trace.events_wall", chunk_geometry) \
     X(trace_lanes, "trace.lanes", chunk_geometry)
@@ -272,7 +268,7 @@ constexpr std::size_t find_index(const std::array<MetricInfo, N>& catalog, std::
 inline constexpr std::array kOutcomeCounters{
     CounterId::scanner_outcome_ok, CounterId::scanner_outcome_handshake_timeout,
     CounterId::scanner_outcome_aborted, CounterId::scanner_outcome_attempt_timeout,
-    CounterId::scanner_outcome_protocol_error, CounterId::scanner_outcome_watchdog_cancelled};
+    CounterId::scanner_outcome_protocol_error};
 /// scanner.server_fault.<faults::ServerFaultMode>, from value 1: `none` is
 /// never counted.
 inline constexpr std::array kServerFaultCounters{

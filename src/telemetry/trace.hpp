@@ -3,8 +3,8 @@
 // Campaign flight recorder: a Chrome trace-event JSON writer (the format
 // chrome://tracing and Perfetto load directly) that records where a sharded
 // campaign spends its time — one lane per shard worker plus the merge
-// thread, chunk lifecycle spans, retry/quarantine/watchdog instant events
-// and counter tracks.
+// thread, chunk lifecycle spans, quarantine instant events and counter
+// tracks.
 //
 // Two clocks, two files. Every event carries one of two clocks:
 //

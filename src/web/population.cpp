@@ -497,7 +497,7 @@ faults::ServerFaultProfile PopulationModel::server_fault_profile(const Domain& d
         std::min<std::size_t>(mode_index, faults::kServerFaultModeCount - 1));
 
     // Persistent vs. transient is a host property as well; only transient
-    // faults leave room for retries to succeed.
+    // faults leave some of a host's attempts unfaulted.
     const bool transient =
         hashed_uniform(config_.seed, host, 31, 3) < config_.transient_fault_share;
     profile.per_attempt_probability =

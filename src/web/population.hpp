@@ -148,8 +148,8 @@ struct PopulationConfig {
     double host_fault_rate = 0.0;
     /// Among faulty hosts, the fraction whose failure is transient (fires
     /// per attempt with `transient_fault_probability`) rather than
-    /// persistent (fires on every attempt). Transient faults are what a
-    /// campaign retry policy can recover from.
+    /// persistent (fires on every attempt), so a transient host may fail
+    /// one hop and answer the next.
     double transient_fault_share = 0.7;
     double transient_fault_probability = 0.6;
 };

@@ -41,14 +41,11 @@ inline std::string golden_path(const std::string& filename) {
 inline std::string render_scan_stream(const scanner::DomainScan& scan) {
     std::string out = "# domain " + std::to_string(scan.domain_id) +
                       " resolved=" + (scan.resolved ? "1" : "0") +
-                      " retries=" + std::to_string(scan.retries) +
                       " redirects=" + std::to_string(scan.redirects_followed) + "\n";
     for (std::size_t i = 0; i < scan.connections.size(); ++i) {
         const auto& attempt = scan.attempts[i];
         out += "# attempt hop=" + std::to_string(attempt.redirect_hop) +
-               " retry=" + std::to_string(attempt.retry) +
                " outcome=" + qlog::to_cstring(attempt.outcome) +
-               " backoff_ns=" + std::to_string(attempt.backoff.count_nanos()) +
                " fault=" + faults::to_cstring(attempt.server_fault) + "\n";
         out += qlog::to_jsonl(scan.connections[i]);
     }

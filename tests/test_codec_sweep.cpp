@@ -67,9 +67,7 @@ const Corpus& corpus() {
         config.seed = 1;
         config.host_fault_rate = 0.3;
         const web::PopulationModel population{config};
-        ScanOptions options;
-        options.retry.max_attempts = 2;
-        Campaign campaign{population, options};
+        Campaign campaign{population, {}};
         telemetry::MetricsRegistry registry;
         campaign.set_metrics(&registry);
 

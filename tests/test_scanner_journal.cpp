@@ -1,6 +1,6 @@
 // Crash-safe campaign suite (DESIGN.md §11): record round-trips, batch-file
 // naming and validation, kill-and-reduce byte-identity, worker supervision
-// (restart + quarantine), scrub, and the hung-scan watchdog.
+// (restart + quarantine) and scrub.
 //
 // The recovery contract under test: a journaled campaign killed at ANY chunk
 // boundary and then reduced produces byte-identical sink streams, stats and
@@ -75,9 +75,6 @@ ChunkRecord sample_chunk(std::size_t index) {
     scan.domain_id = static_cast<std::uint32_t>(100 + index);
     scan.resolved = true;
     scan.redirects_followed = 1;
-    scan.retries = 2;
-    scan.recovered_by_retry = true;
-    scan.attempts_truncated = 3;
     scan.error = "weird bytes: % space\nnewline";
     ResponseInfo response;
     response.status = 301;
@@ -86,8 +83,7 @@ ChunkRecord sample_chunk(std::size_t index) {
     response.server_name = "nginx 1.2";
     scan.final_response = response;
     scan.attempts.push_back(DomainScan::AttemptRecord{
-        1, 2, qlog::ConnectionOutcome::watchdog_cancelled, util::Duration::millis(7),
-        faults::ServerFaultMode::none});
+        1, qlog::ConnectionOutcome::protocol_error, faults::ServerFaultMode::none});
     qlog::Trace trace;
     trace.host = "www.a.example";
     trace.ip = "10.1.2.3";
@@ -159,9 +155,6 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
     EXPECT_EQ(scan.domain_id, 104u);
     EXPECT_TRUE(scan.resolved);
     EXPECT_EQ(scan.redirects_followed, 1u);
-    EXPECT_EQ(scan.retries, 2u);
-    EXPECT_TRUE(scan.recovered_by_retry);
-    EXPECT_EQ(scan.attempts_truncated, 3u);
     EXPECT_EQ(scan.error, "weird bytes: % space\nnewline");
     ASSERT_TRUE(scan.final_response.has_value());
     EXPECT_EQ(scan.final_response->status, 301);
@@ -169,8 +162,8 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
     EXPECT_EQ(scan.final_response->location, "www.target.example");
     EXPECT_EQ(scan.final_response->server_name, "nginx 1.2");
     ASSERT_EQ(scan.attempts.size(), 1u);
-    EXPECT_EQ(scan.attempts[0].outcome, qlog::ConnectionOutcome::watchdog_cancelled);
-    EXPECT_EQ(scan.attempts[0].backoff, util::Duration::millis(7));
+    EXPECT_EQ(scan.attempts[0].redirect_hop, 1);
+    EXPECT_EQ(scan.attempts[0].outcome, qlog::ConnectionOutcome::protocol_error);
     ASSERT_EQ(scan.connections.size(), 1u);
     // The trace must re-serialize to the exact bytes the journal stored —
     // this is what makes reduced golden streams byte-identical.
@@ -432,8 +425,6 @@ void expect_same_stats(const CampaignStats& a, const CampaignStats& b) {
     EXPECT_EQ(a.domains_quic_ok, b.domains_quic_ok);
     EXPECT_EQ(a.connections, b.connections);
     EXPECT_EQ(a.redirects_followed, b.redirects_followed);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.domains_recovered_by_retry, b.domains_recovered_by_retry);
     EXPECT_EQ(a.domains_errored, b.domains_errored);
     EXPECT_EQ(a.outcomes, b.outcomes);
     EXPECT_EQ(a.server_faults, b.server_faults);
@@ -516,8 +507,7 @@ bool run_and_kill(const web::PopulationModel& population, const ScanOptions& opt
 TEST_F(JournalTest, ResumeAfterKillAtEveryChunkBoundaryIsByteIdentical) {
     const web::PopulationModel population = tiny_population();
     ScanOptions options;
-    options.retry.max_attempts = 2;  // exercise backoff streams across the kill
-    options.chunk_domains = 4;       // two batch files
+    options.chunk_domains = 4;  // two batch files
     const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
     const std::size_t domain_count = baseline.order.size();
     ASSERT_GT(domain_count, 80u);
@@ -1184,68 +1174,6 @@ TEST_F(JournalTest, ScrubWithoutRepairOnlyClassifies) {
     EXPECT_EQ(std::filesystem::file_size(batch), size);
     EXPECT_FALSE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
                                          "corrupt"));
-}
-
-// --- Watchdog and bounded buffers --------------------------------------------
-
-TEST(WatchdogTest, HungScanIsCancelledWithWatchdogOutcome) {
-    const web::PopulationModel population = tiny_population();
-    ScanOptions options;
-    options.retry.max_attempts = 3;
-    // Budget below one handshake timeout: every non-QUIC target's simulation
-    // is still busy when the watchdog fires.
-    options.domain_deadline = util::Duration::seconds(2);
-    Campaign campaign{population, options};
-    const CampaignStats stats = campaign.run([](const web::Domain&, DomainScan&&) {});
-    EXPECT_GT(stats.outcome(qlog::ConnectionOutcome::watchdog_cancelled), 0u);
-    // The watchdog kill is terminal for the domain: no retries follow it, so
-    // no domain records more than one watchdog_cancelled attempt... which
-    // also means the retry knob must not multiply cancelled attempts.
-    EXPECT_LE(stats.outcome(qlog::ConnectionOutcome::watchdog_cancelled),
-              stats.domains_resolved);
-}
-
-TEST(WatchdogTest, WatchdogKillStopsRetriesAndRedirects) {
-    const web::PopulationModel population = tiny_population();
-    ScanOptions options;
-    options.retry.max_attempts = 5;
-    options.domain_deadline = util::Duration::seconds(2);
-    Campaign campaign{population, options};
-    bool saw_cancelled = false;
-    (void)campaign.run([&](const web::Domain&, DomainScan&& scan) {
-        for (std::size_t i = 0; i < scan.attempts.size(); ++i) {
-            if (scan.attempts[i].outcome == qlog::ConnectionOutcome::watchdog_cancelled) {
-                saw_cancelled = true;
-                EXPECT_EQ(i + 1, scan.attempts.size())
-                    << "attempts continued after a watchdog kill";
-            }
-        }
-    });
-    EXPECT_TRUE(saw_cancelled);
-}
-
-TEST(WatchdogTest, DefaultDeadlineNeverFiresOnAHealthySweep) {
-    const web::PopulationModel population = tiny_population();
-    Campaign campaign{population, {}};
-    const CampaignStats stats = campaign.run([](const web::Domain&, DomainScan&&) {});
-    EXPECT_EQ(stats.outcome(qlog::ConnectionOutcome::watchdog_cancelled), 0u);
-}
-
-TEST(AttemptCapTest, AttemptRecordsAreBoundedAndCounted) {
-    const web::PopulationModel population = tiny_population();
-    ScanOptions options;
-    options.retry.max_attempts = 5;
-    options.max_attempt_records = 2;
-    Campaign campaign{population, options};
-    bool saw_truncation = false;
-    (void)campaign.run([&](const web::Domain&, DomainScan&& scan) {
-        EXPECT_LE(scan.attempts.size(), 2u);
-        EXPECT_LE(scan.connections.size(), 2u);
-        if (scan.attempts_truncated > 0) saw_truncation = true;
-    });
-    // ~90% of the tiny universe fails its handshake and retries 5 times —
-    // truncation must have kicked in somewhere.
-    EXPECT_TRUE(saw_truncation);
 }
 
 }  // namespace

@@ -91,8 +91,6 @@ void expect_same_stats(const CampaignStats& a, const CampaignStats& b) {
     EXPECT_EQ(a.domains_quic_ok, b.domains_quic_ok);
     EXPECT_EQ(a.connections, b.connections);
     EXPECT_EQ(a.redirects_followed, b.redirects_followed);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.domains_recovered_by_retry, b.domains_recovered_by_retry);
     EXPECT_EQ(a.domains_errored, b.domains_errored);
     EXPECT_EQ(a.outcomes, b.outcomes);
     EXPECT_EQ(a.server_faults, b.server_faults);
@@ -266,7 +264,6 @@ TEST_F(ProcPoolTest, CampaignsRefuseAJournalDirLockedByALiveProcess) {
 TEST_F(ProcPoolTest, MapReducePassIsByteIdenticalAcrossProcsAndThreads) {
     const web::PopulationModel population = tiny_population();
     ScanOptions options;
-    options.retry.max_attempts = 2;  // exercise backoff streams
     for (const unsigned threads : {1u, 2u}) {
         ScanOptions base = options;
         base.threads = threads;

@@ -1,7 +1,7 @@
-// Campaign resilience tests: hostile-universe sweeps finish and classify
-// every attempt, retries recover transiently-faulted domains, an attached
-// empty fault plan leaves campaign results byte-identical, and bad knobs are
-// rejected at construction.
+// Campaign resilience tests: hostile-universe sweeps finish, classify every
+// attempt and stay within the per-domain attempt and simulated-time bounds,
+// an attached empty fault plan leaves campaign results byte-identical, and
+// bad knobs are rejected at construction.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,15 @@ web::PopulationConfig hostile_config(double transient_share, double transient_pr
     return cfg;
 }
 
+/// One attempt per hop, each cut at attempt_deadline: a scan never holds
+/// more than kMaxRedirects + 1 attempts or that many deadlines of simulated
+/// time, however hostile its targets.
+void expect_bounded(const DomainScan& scan, const ScanOptions& options) {
+    const int hops = kMaxRedirects + 1;
+    EXPECT_LE(scan.attempts.size(), static_cast<std::size_t>(hops));
+    EXPECT_LE(scan.sim_time, options.attempt_deadline * hops);
+}
+
 TEST(Resilience, HostileSweepCompletesAndClassifiesEveryAttempt) {
     // Persistent faults only: every attempt against a QUIC host hits its
     // host's failure mode. The sweep must still finish, classify every
@@ -38,6 +47,7 @@ TEST(Resilience, HostileSweepCompletesAndClassifiesEveryAttempt) {
     std::uint64_t faulted_attempts = 0;
     const CampaignStats stats =
         campaign.run([&](const web::Domain&, DomainScan&& scan) {
+            expect_bounded(scan, campaign.options());
             ASSERT_EQ(scan.attempts.size(), scan.connections.size());
             for (std::size_t i = 0; i < scan.attempts.size(); ++i) {
                 EXPECT_EQ(scan.attempts[i].outcome, scan.connections[i].outcome);
@@ -69,77 +79,6 @@ TEST(Resilience, HostileSweepCompletesAndClassifiesEveryAttempt) {
     const std::string rendered = stats.render();
     EXPECT_NE(rendered.find("domains errored"), std::string::npos);
     EXPECT_NE(rendered.find("fault"), std::string::npos);
-}
-
-TEST(Resilience, RetriesRecoverTransientlyFaultedDomains) {
-    // Every host is broken, but every fault is transient (fires on 60 % of
-    // attempts). With three attempts per hop, a domain that failed its first
-    // try recovers unless all retries also draw the fault (~0.6^2 of the
-    // time), so well over half of the no-retry failures must come back.
-    const web::PopulationModel flaky{hostile_config(/*transient_share=*/1.0, 0.6)};
-
-    ScanOptions no_retry;  // default: single attempt
-    Campaign baseline{flaky, no_retry};
-
-    ScanOptions with_retry;
-    with_retry.retry.max_attempts = 3;
-    with_retry.retry.initial_backoff = util::Duration::millis(100);
-    Campaign retrying{flaky, with_retry};
-
-    std::uint64_t failed_without_retry = 0;
-    std::uint64_t recovered = 0;
-    std::uint64_t retries_spent = 0;
-    const auto universe = flaky.materialize(0, flaky.domain_count());
-    for (const auto& domain : universe.domains) {
-        if (!domain.resolves || !domain.quic) continue;
-        const DomainScan a = baseline.scan_domain(domain);
-        if (a.quic_ok()) continue;
-        ++failed_without_retry;
-
-        const DomainScan b = retrying.scan_domain(domain);
-        retries_spent += b.retries;
-        if (b.quic_ok()) {
-            ++recovered;
-            EXPECT_TRUE(b.recovered_by_retry);
-            EXPECT_GT(b.retries, 0u);
-            // The first success is a retry at the landing hop, and it waited
-            // a positive backoff before running.
-            for (const auto& attempt : b.attempts) {
-                if (attempt.outcome != qlog::ConnectionOutcome::ok) continue;
-                EXPECT_EQ(attempt.redirect_hop, 0);
-                EXPECT_GT(attempt.retry, 0);
-                EXPECT_FALSE(attempt.backoff.is_zero());
-                break;
-            }
-        }
-    }
-    ASSERT_GT(failed_without_retry, 10u) << "universe too small to be meaningful";
-    EXPECT_GT(retries_spent, 0u);
-    EXPECT_GE(recovered * 2, failed_without_retry)
-        << "retries must recover at least half of the transient failures ("
-        << recovered << "/" << failed_without_retry << ")";
-}
-
-TEST(Resilience, RetryStatsAggregateAcrossTheSweep) {
-    web::PopulationConfig cfg = hostile_config(1.0, 0.6);
-    cfg.scale = 2000000.0;  // ~100 domains: retries make attempts pricier
-    const web::PopulationModel flaky{cfg};
-    ScanOptions options;
-    options.retry.max_attempts = 2;
-    Campaign campaign{flaky, options};
-    std::uint64_t retries_seen = 0;
-    std::uint64_t recovered_seen = 0;
-    const CampaignStats stats =
-        campaign.run([&](const web::Domain&, DomainScan&& scan) {
-            retries_seen += scan.retries;
-            if (scan.recovered_by_retry) ++recovered_seen;
-        });
-    EXPECT_EQ(stats.retries, retries_seen);
-    EXPECT_EQ(stats.domains_recovered_by_retry, recovered_seen);
-    EXPECT_GT(stats.retries, 0u);
-    std::uint64_t outcome_total = 0;
-    for (const auto count : stats.outcomes) outcome_total += count;
-    EXPECT_EQ(outcome_total, stats.connections);
 }
 
 TEST(Resilience, EmptyFaultPlanIsByteIdenticalToNoPlan) {
@@ -174,7 +113,8 @@ TEST(Resilience, ActiveFaultPlanDegradesButNeverCrashesTheSweep) {
     plan.duplicate_probability = 0.05;
     options.fault_plan = plan;
     Campaign campaign{tiny, options};
-    const CampaignStats stats = campaign.run([](const web::Domain&, DomainScan&&) {});
+    const CampaignStats stats = campaign.run(
+        [&](const web::Domain&, DomainScan&& scan) { expect_bounded(scan, campaign.options()); });
     EXPECT_EQ(stats.domains_scanned, tiny.domain_count());
     EXPECT_EQ(stats.domains_errored, 0u);
     std::uint64_t outcome_total = 0;
@@ -186,7 +126,7 @@ TEST(Resilience, CampaignConstructorRejectsInvalidKnobs) {
     const web::PopulationModel tiny{{2000000.0, 1}};
 
     ScanOptions zero_attempts;
-    zero_attempts.retry.max_attempts = 0;
+    zero_attempts.journal_retry.max_attempts = 0;
     EXPECT_THROW((Campaign{tiny, zero_attempts}), std::invalid_argument);
 
     ScanOptions bad_plan;

@@ -376,7 +376,7 @@ TEST(Export, JsonContainsAllKindsInSortedOrder) {
 TEST(Export, JsonIsDeterministic) {
     auto build = [] {
         MetricsRegistry registry;
-        registry.counter(CounterId::scanner_retries).add(1);
+        registry.counter(CounterId::scanner_redirects_followed).add(1);
         registry.gauge(GaugeId::scanner_quic_ok_rate).set(3.0);
         registry.histogram(HistogramId::scanner_phase_attempt_ms).record(0.5);
         return to_json(registry);
@@ -464,7 +464,7 @@ TEST(Merge, RegistryMergeCreatesMissingAndCombinesExisting) {
     MetricsRegistry shard;
     shard.counter(CounterId::scanner_connections).add(41);
     shard.gauge(GaugeId::netsim_sim_queue_depth_hwm).set(7.0);
-    shard.counter(CounterId::scanner_retries).add(5);
+    shard.counter(CounterId::scanner_redirects_followed).add(5);
     shard.counter(CounterId::scanner_domains_errored).add(0);  // present at zero
     shard.histogram(HistogramId::scanner_attempt_sim_ms).record(1.5);
 
@@ -472,10 +472,10 @@ TEST(Merge, RegistryMergeCreatesMissingAndCombinesExisting) {
     EXPECT_EQ(base.size(), 5u);
     EXPECT_EQ(base.counter(CounterId::scanner_connections).value(), 42u);
     EXPECT_DOUBLE_EQ(base.gauge(GaugeId::netsim_sim_queue_depth_hwm).value(), 7.0);
-    ASSERT_NE(base.find_counter("scanner.retries"), nullptr);
-    EXPECT_EQ(base.find_counter("scanner.retries")->value(), 5u);
+    ASSERT_NE(base.find_counter("scanner.redirects_followed"), nullptr);
+    EXPECT_EQ(base.find_counter("scanner.redirects_followed")->value(), 5u);
     ASSERT_NE(base.find_counter("scanner.domains_errored"), nullptr);
-    EXPECT_EQ(base.find_counter("scanner.watchdog_cancelled"), nullptr);
+    EXPECT_EQ(base.find_counter("scanner.domains_quic_ok"), nullptr);
     const Histogram* merged = base.find_histogram("scanner.attempt_sim_ms");
     ASSERT_NE(merged, nullptr);
     EXPECT_EQ(merged->count(), 1u);
@@ -587,7 +587,7 @@ TEST(Export, ParseSnapshotRejectsMalformedInput) {
     EXPECT_EQ(snapshot(MetricsRegistry{}), "");
     // The old text form and other garbage.
     EXPECT_FALSE(parse_snapshot("bogus kind x 1\n").has_value());
-    EXPECT_FALSE(parse_snapshot("counter scanner.retries 1\n").has_value());
+    EXPECT_FALSE(parse_snapshot("counter scanner.redirects_followed 1\n").has_value());
     // An entry count of zero is not the writer's empty registry.
     EXPECT_FALSE(parse_snapshot(std::string(1, '\0')).has_value());
     // Bad has-value byte.
@@ -612,7 +612,7 @@ TEST(Export, ParseSnapshotRejectsMalformedInput) {
 TEST(Export, ParseSnapshotAcceptsOnlyTheWritersForm) {
     MetricsRegistry registry;
     registry.counter(CounterId::scanner_connections).add(1);
-    registry.counter(CounterId::scanner_retries).add(22);
+    registry.counter(CounterId::scanner_redirects_followed).add(22);
     registry.gauge(GaugeId::scanner_quic_ok_rate).set(0.25);
     (void)registry.histogram(HistogramId::scanner_phase_attempt_ms);
     const std::string bytes = snapshot(registry);
@@ -632,11 +632,11 @@ TEST(Export, ParseSnapshotAcceptsOnlyTheWritersForm) {
             out.uvarint(value);
         });
     };
-    EXPECT_TRUE(parse_snapshot(one_counter(key(CounterId::scanner_retries), 1)).has_value());
+    EXPECT_TRUE(parse_snapshot(one_counter(key(CounterId::scanner_redirects_followed), 1)).has_value());
     EXPECT_FALSE(parse_snapshot(one_counter(key(HistogramId::scanner_phase_resolve_ms) + 1, 1))
                      .has_value());
     // Varints are minimal: 0x40 0x01 is an overlong 1.
-    std::string overlong = one_counter(key(CounterId::scanner_retries), 1);
+    std::string overlong = one_counter(key(CounterId::scanner_redirects_followed), 1);
     overlong.replace(overlong.size() - 1, 1, "\x40\x01");
     EXPECT_FALSE(parse_snapshot(overlong).has_value());
     // An empty histogram is its zero count alone; a listed bucket is never empty.
@@ -740,10 +740,10 @@ TEST(Catalog, ParseSnapshotRejectsUnknownRepeatedAndForeignGeometry) {
     EXPECT_FALSE(parse_snapshot(counters({key_count})).has_value()) << "unknown key";
     // A key is a distance past the previous one: a second zero gap names the
     // next counter, never the same one again.
-    const auto two = parse_snapshot(counters({key(CounterId::scanner_retries), 0}));
+    const auto two = parse_snapshot(counters({key(CounterId::scanner_redirects_followed), 0}));
     ASSERT_TRUE(two.has_value());
-    EXPECT_EQ(two->find(CounterId::scanner_retries)->value(), 1u);
-    EXPECT_EQ(two->find(CounterId::scanner_retries + 1)->value(), 1u);
+    EXPECT_EQ(two->find(CounterId::scanner_redirects_followed)->value(), 1u);
+    EXPECT_EQ(two->find(CounterId::scanner_redirects_followed + 1)->value(), 1u);
     EXPECT_EQ(two->size(), 2u);
 
     // Geometry is the catalog's: bucket 23 is the last of a sim-ms

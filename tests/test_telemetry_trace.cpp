@@ -192,14 +192,13 @@ std::vector<ParsedEvent> parse_events(const std::string& json) {
 
 // --- Campaign harness --------------------------------------------------------
 
-// ~110 domains at seed 1 — 7 chunks at the default chunk_domains=16 (same
-// corpus as the journal suite, so chunk boundaries land where retries do).
+// ~110 domains at seed 1 — 7 chunks at the default chunk_domains=16 (the
+// same corpus as the journal suite).
 web::PopulationModel tiny_population() { return web::PopulationModel{{2'000'000.0, 1}}; }
 
 scanner::ScanOptions traced_options(unsigned threads) {
     scanner::ScanOptions options;
     options.threads = threads;
-    options.retry.max_attempts = 2;  // exercise retry instants and backoff spans
     return options;
 }
 
@@ -270,8 +269,8 @@ TEST(TraceRecorderTest, EmitsWellFormedChromeTraceJson) {
     trace.complete(TraceClock::sim, lane, "chunk", 1000, 500,
                    {TraceArg::num("chunk", std::uint64_t{0}),
                     TraceArg::str("note", "with \"quotes\"")});
-    trace.instant(TraceClock::sim, lane, "retry", 1200,
-                  {TraceArg::num("domain", std::uint64_t{7})});
+    trace.instant(TraceClock::sim, lane, "quarantine", 1200,
+                  {TraceArg::num("chunk", std::uint64_t{7})});
     trace.counter(TraceClock::sim, "domains", 1500, 16.0);
     trace.complete(TraceClock::wall, trace.lane(TraceClock::wall, "worker 0"),
                    "scan chunk", 0, 2000);
@@ -320,7 +319,7 @@ TEST_F(TraceTest, WriteEmitsSimFileAndWallSidecar) {
 
 TEST(TraceRecorderTest, BookkeepingMetricsStayOutOfTheDeterministicView) {
     TraceRecorder trace;
-    trace.instant(TraceClock::sim, trace.lane(TraceClock::sim, "merge"), "retry", 1);
+    trace.instant(TraceClock::sim, trace.lane(TraceClock::sim, "merge"), "quarantine", 1);
     MetricsRegistry registry;
     registry.counter(CounterId::scanner_connections).add(5);
     trace.publish_metrics(registry);
@@ -390,7 +389,6 @@ TEST(CampaignTraceTest, SimTraceIsByteIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(is_valid_json(baseline.sim)) << baseline.sim;
     ASSERT_TRUE(is_valid_json(baseline.wall));
     EXPECT_NE(baseline.sim.find("\"name\":\"chunk\""), std::string::npos);
-    EXPECT_NE(baseline.sim.find("\"name\":\"retry\""), std::string::npos);
     EXPECT_NE(baseline.sim.find("\"name\":\"domains\""), std::string::npos);
     EXPECT_NE(baseline.sim.find("\"replayed\":0"), std::string::npos);
     // Wall sidecar carries the scheduling story (worker + merge lanes).
