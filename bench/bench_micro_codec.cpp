@@ -240,6 +240,22 @@ void BM_ChunkRecordParse(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkRecordParse);
 
+/// The path Campaign::reduce takes: every record decoded in place into one
+/// ChunkRecord, whose storage the earlier records already grew.
+void BM_ChunkRecordParseReused(benchmark::State& state) {
+    const JournalCorpus& corpus = journal_corpus();
+    scanner::ChunkRecord record;
+    for (auto _ : state) {
+        for (const std::string& payload : corpus.records) {
+            const bool parsed = scanner::parse_chunk_record(payload, record);
+            benchmark::DoNotOptimize(parsed);
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * corpus.record_bytes);
+}
+BENCHMARK(BM_ChunkRecordParseReused);
+
 void BM_SnapshotParse(benchmark::State& state) {
     const JournalCorpus& corpus = journal_corpus();
     for (auto _ : state) {

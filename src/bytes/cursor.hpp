@@ -214,6 +214,9 @@ public:
     [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
     /// Remaining bytes as a view without advancing.
     [[nodiscard]] ConstByteSpan peek_rest() const noexcept { return data_.subspan(pos_); }
+    /// Advances past `n` bytes the caller read through peek_rest(); `n` must
+    /// not exceed remaining().
+    void skip(std::size_t n) noexcept { pos_ += n; }
 
 private:
     /// uvarint() at its escape: the 8-byte varint kVarintMax, then a u64 of

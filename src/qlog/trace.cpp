@@ -311,6 +311,95 @@ void write_events(ByteWriter& out, const std::vector<PacketEvent>& events) {
     }
 }
 
+/// One write_events() event into `ev`, each field through the checked
+/// readers; `time` and `pn` are the previous event's, advanced to this one's.
+[[nodiscard]] bool read_event(ByteReader& in, PacketEvent& ev, std::uint64_t& time,
+                              std::uint64_t& pn) {
+    const auto type = in.u8();
+    const auto flags = in.u8();
+    if (!type || *type > static_cast<std::uint8_t>(quic::PacketType::version_negotiation) ||
+        !flags) {
+        return false;
+    }
+    ev.type = static_cast<quic::PacketType>(*type);
+    ev.spin = (*flags & 1) != 0;
+    ev.ack_eliciting = (*flags & 2) != 0;
+    ev.vec = static_cast<std::uint8_t>(*flags >> 2);
+    if (ev.vec == kVecEscape) {
+        const auto vec = in.u8();
+        if (!vec || *vec < kVecEscape) return false;
+        ev.vec = *vec;
+    }
+    const auto dt = in.svarint();
+    const auto dpn = in.svarint();
+    if (!dt || !dpn || !in.integer(ev.size)) return false;
+    time += static_cast<std::uint64_t>(*dt);
+    pn += static_cast<std::uint64_t>(*dpn);
+    ev.time = TimePoint::from_nanos(static_cast<std::int64_t>(time));
+    ev.packet_number = pn;
+    return true;
+}
+
+/// The longest event read_event_fast() decodes: type, flags, and dt, dpn and
+/// size as 4-byte varints.
+constexpr std::size_t kMaxFastEvent = 14;
+
+/// The minimal 1-, 2- or 4-byte varint at `p` into `v`, returning its width;
+/// 0 for an 8-byte or overlong one, which only the checked reader decides.
+[[nodiscard]] inline std::size_t fast_varint(const std::uint8_t* p, std::uint64_t& v) noexcept {
+    switch (p[0] >> 6) {
+        case 0:
+            v = p[0];
+            return 1;
+        case 1:
+            v = (std::uint64_t{p[0] & 0x3fU} << 8) | p[1];
+            return v >= 0x40 ? 2 : 0;
+        case 2:
+            v = (std::uint64_t{p[0] & 0x3fU} << 24) | (std::uint64_t{p[1]} << 16) |
+                (std::uint64_t{p[2]} << 8) | p[3];
+            return v >= 0x4000 ? 4 : 0;
+        default:
+            return 0;
+    }
+}
+
+/// read_event() with one bounds check for the whole event, when at least
+/// kMaxFastEvent bytes remain: the fields are read straight from the bytes.
+/// False, with nothing consumed, for anything else — the last bytes of the
+/// input, a bad type, the VEC escape, an 8-byte or overlong varint — so
+/// read_event() decides those and the accepted inputs stay its own.
+[[nodiscard]] bool read_event_fast(ByteReader& in, PacketEvent& ev, std::uint64_t& time,
+                                   std::uint64_t& pn) {
+    if (in.remaining() < kMaxFastEvent) return false;
+    const std::uint8_t* p = in.peek_rest().data();
+    const unsigned vec = p[1] >> 2U;
+    if (p[0] > static_cast<std::uint8_t>(quic::PacketType::version_negotiation) ||
+        vec == kVecEscape) {
+        return false;
+    }
+    std::uint64_t dt = 0;
+    std::uint64_t dpn = 0;
+    std::uint64_t size = 0;
+    std::size_t at = 2;
+    const auto field = [&](std::uint64_t& v) {
+        const std::size_t width = fast_varint(p + at, v);
+        at += width;
+        return width != 0;
+    };
+    if (!field(dt) || !field(dpn) || !field(size)) return false;
+    ev.type = static_cast<quic::PacketType>(p[0]);
+    ev.spin = (p[1] & 1U) != 0;
+    ev.ack_eliciting = (p[1] & 2U) != 0;
+    ev.vec = static_cast<std::uint8_t>(vec);
+    ev.size = static_cast<std::uint32_t>(size);
+    time += static_cast<std::uint64_t>(bytes::unzigzag(dt));
+    pn += static_cast<std::uint64_t>(bytes::unzigzag(dpn));
+    ev.time = TimePoint::from_nanos(static_cast<std::int64_t>(time));
+    ev.packet_number = pn;
+    in.skip(at);
+    return true;
+}
+
 [[nodiscard]] bool read_events(ByteReader& in, std::vector<PacketEvent>& out) {
     const auto count = in.count();
     if (!count) return false;
@@ -318,28 +407,7 @@ void write_events(ByteWriter& out, const std::vector<PacketEvent>& events) {
     std::uint64_t time = 0;
     std::uint64_t pn = 0;
     for (PacketEvent& ev : out) {
-        const auto type = in.u8();
-        const auto flags = in.u8();
-        if (!type || *type > static_cast<std::uint8_t>(quic::PacketType::version_negotiation) ||
-            !flags) {
-            return false;
-        }
-        ev.type = static_cast<quic::PacketType>(*type);
-        ev.spin = (*flags & 1) != 0;
-        ev.ack_eliciting = (*flags & 2) != 0;
-        ev.vec = static_cast<std::uint8_t>(*flags >> 2);
-        if (ev.vec == kVecEscape) {
-            const auto vec = in.u8();
-            if (!vec || *vec < kVecEscape) return false;
-            ev.vec = *vec;
-        }
-        const auto dt = in.svarint();
-        const auto dpn = in.svarint();
-        if (!dt || !dpn || !in.integer(ev.size)) return false;
-        time += static_cast<std::uint64_t>(*dt);
-        pn += static_cast<std::uint64_t>(*dpn);
-        ev.time = TimePoint::from_nanos(static_cast<std::int64_t>(time));
-        ev.packet_number = pn;
+        if (!read_event_fast(in, ev, time, pn) && !read_event(in, ev, time, pn)) return false;
     }
     return true;
 }

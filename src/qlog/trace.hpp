@@ -142,7 +142,8 @@ struct Trace {
 /// millisecond (integer nanoseconds; non-finite values are escaped).
 void write_binary(bytes::ByteWriter& out, const Trace& trace);
 
-/// Reads one write_binary() trace into `out` (a default Trace). False, with
+/// Reads one write_binary() trace into `out`, overwriting every field and
+/// keeping the storage of its strings and vectors. False, with
 /// `out` in an unspecified state, on anything write_binary would not emit:
 /// overlong varints, out-of-range enums or integers, counts past the bytes
 /// left, control bytes in a name, a non-canonical RTT value. Never throws.

@@ -782,9 +782,11 @@ CampaignStats Campaign::run_impl(
     };
 
     // ---- the merge loop -----------------------------------------------------
-    // Recorded batches replay, one decoded record at a time, right before the
-    // first scanned chunk past them, once every chunk below them is published
-    // and merged.
+    // Recorded batches replay right before the first scanned chunk past them,
+    // once every chunk below them is published and merged. Each record is
+    // decoded in place into `replay`, which keeps its storage from chunk to
+    // chunk.
+    LiveChunk replay;
     std::size_t next_recorded = 0;
     std::uint64_t records_replayed = 0;
     std::uint64_t corrupt_chunks = 0;
@@ -794,9 +796,8 @@ CampaignStats Campaign::run_impl(
             const MapBatch& batch = recorded[next_recorded];
             settle([&] { return writer.commit_below(batch.first); });
             const std::size_t replayed =
-                replay_map_batch(dir, batch, [&](ChunkRecord&& record, std::string_view) {
-                    LiveChunk item{std::move(record), nullptr};
-                    merge_chunk(item, /*replayed=*/true);
+                replay_map_batch(dir, batch, replay.record, [&](ChunkRecord&, std::string_view) {
+                    merge_chunk(replay, /*replayed=*/true);
                 });
             records_replayed += replayed;
             if (replayed == batch.size()) continue;
@@ -808,8 +809,8 @@ CampaignStats Campaign::run_impl(
             // batch's replay copies none.
             corrupt_chunks += batch.size() - replayed;
             if (publishing) {
-                (void)replay_map_batch(dir, batch,
-                                       [&](ChunkRecord&& record, std::string_view frame) {
+                (void)replay_map_batch(dir, batch, replay.record,
+                                       [&](ChunkRecord& record, std::string_view frame) {
                                            writer.add(record.chunk_index, std::string{frame});
                                        });
             }

@@ -290,7 +290,8 @@ public:
 
     /// Scans every domain, streaming results to `sink` in domain-id order
     /// (traces are large; aggregate, then drop them). Returns the sweep's
-    /// aggregate stats.
+    /// aggregate stats. The sink contract, shared with reduce(): a scan is
+    /// valid until the sink returns; a sink that keeps one moves from it.
     ///
     /// Sharded execution: domains are chunked (ScanOptions::chunk_domains)
     /// and scanned by ScanOptions::threads workers, each attempt on its own
@@ -306,10 +307,13 @@ public:
 
     /// Folds the journal at ScanOptions::journal_dir — the batch files a
     /// killed run() or a run_procs map pass published — into one merged
-    /// result: replaying recorded chunks one decoded record at a time and
-    /// scanning missing ones in strict ascending chunk order through the
-    /// exact merge loop run() uses, so the sink stream, stats and
-    /// deterministic telemetry are byte-identical to an uninterrupted run().
+    /// result: replaying recorded chunks and scanning missing ones in strict
+    /// ascending chunk order through the exact merge loop run() uses, so the
+    /// sink stream, stats and deterministic telemetry are byte-identical to
+    /// an uninterrupted run(). Every recorded chunk is decoded in place into
+    /// one reused ChunkRecord (parse_chunk_record), so its scans hand the
+    /// sink storage that the next chunk's decode overwrites — run()'s sink
+    /// contract: valid until the sink returns, moved from to keep.
     /// Chunks it scans are published back into the journal first
     /// (journal-before-merge, idempotent), so a killed reduce is rerunnable;
     /// a file whose frames fail validation is rescanned whole, and one whose

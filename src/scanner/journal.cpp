@@ -75,10 +75,24 @@ template <typename Enum>
     return true;
 }
 
-/// Room to reserve for `count` parsed elements: a count read off the input
-/// is untrusted, and every element takes at least a few bytes of it.
-[[nodiscard]] std::size_t reserve_bound(std::size_t count, const ByteReader& in) {
-    return std::min(count, in.remaining() / 8);
+/// Decodes `count` elements into `out` in place with `read`: the elements
+/// already there are overwritten and keep their storage, extra ones are
+/// dropped, and missing ones are appended one at a time. A count read off
+/// the input is untrusted, so room is reserved only for as many elements as
+/// the bytes left could hold at a few bytes each.
+template <typename T, typename Read>
+[[nodiscard]] bool read_each(ByteReader& in, std::size_t count, std::vector<T>& out,
+                             Read read) {
+    if (out.size() > count) {
+        out.erase(out.begin() + static_cast<std::ptrdiff_t>(count), out.end());
+    } else {
+        out.reserve(std::min(count, in.remaining() / 8));
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        if (i == out.size()) out.emplace_back();
+        if (!read(in, out[i])) return false;
+    }
+    return true;
 }
 
 void write_scan(ByteWriter& out, const DomainScan& scan) {
@@ -110,6 +124,7 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
            read_enum(in, faults::kServerFaultModeCount, attempt.server_fault);
 }
 
+/// Reads one write_scan() scan into `scan`, overwriting every field.
 [[nodiscard]] bool read_scan(ByteReader& in, DomainScan& scan) {
     std::int64_t sim_ns = 0;
     if (!in.integer(scan.domain_id)) return false;
@@ -121,25 +136,19 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
     scan.resolved = (*flags & kScanResolved) != 0;
     scan.sim_time = util::Duration::nanos(sim_ns);
     if ((*flags & kScanResponse) != 0) {
-        ResponseInfo& response = scan.final_response.emplace();
+        ResponseInfo& response =
+            scan.final_response ? *scan.final_response : scan.final_response.emplace();
         if (!in.integer(response.status) || !in.integer(response.body_bytes) ||
             !read_text(in, response.location) || !read_text(in, response.server_name)) {
             return false;
         }
+    } else {
+        scan.final_response.reset();
     }
     const auto attempts = in.count();
-    if (!attempts) return false;
-    scan.attempts.reserve(reserve_bound(*attempts, in));
-    for (std::size_t a = 0; a < *attempts; ++a) {
-        if (!read_attempt(in, scan.attempts.emplace_back())) return false;
-    }
+    if (!attempts || !read_each(in, *attempts, scan.attempts, read_attempt)) return false;
     const auto connections = in.count();
-    if (!connections) return false;
-    scan.connections.reserve(reserve_bound(*connections, in));
-    for (std::size_t c = 0; c < *connections; ++c) {
-        if (!qlog::read_binary(in, scan.connections.emplace_back())) return false;
-    }
-    return true;
+    return connections && read_each(in, *connections, scan.connections, qlog::read_binary);
 }
 
 }  // namespace
@@ -193,21 +202,22 @@ std::string serialize_chunk_record(const ChunkRecord& record) {
     return to_payload(bytes);
 }
 
-std::optional<ChunkRecord> parse_chunk_record(std::string_view payload) {
+bool parse_chunk_record(std::string_view payload, ChunkRecord& record) {
     ByteReader in{bytes::byte_view(payload)};
-    ChunkRecord record;
     const auto tag = in.u8();
-    if (!tag || *tag != kChunkTag || !in.integer(record.chunk_index)) return std::nullopt;
+    if (!tag || *tag != kChunkTag || !in.integer(record.chunk_index)) return false;
     const auto quarantined = read_flags(in, 1);
-    if (!quarantined || !read_text(in, record.quarantine_error)) return std::nullopt;
+    if (!quarantined || !read_text(in, record.quarantine_error)) return false;
     record.quarantined = *quarantined != 0;
+    record.restarts = 0;
     const auto domains = in.count();
-    if (!domains) return std::nullopt;
-    record.scans.reserve(reserve_bound(*domains, in));
-    for (std::size_t d = 0; d < *domains; ++d) {
-        if (!read_scan(in, record.scans.emplace_back())) return std::nullopt;
-    }
-    if (!read_text(in, record.telemetry_snapshot) || !in.done()) return std::nullopt;
+    return domains && read_each(in, *domains, record.scans, read_scan) &&
+           read_text(in, record.telemetry_snapshot) && in.done();
+}
+
+std::optional<ChunkRecord> parse_chunk_record(std::string_view payload) {
+    ChunkRecord record;
+    if (!parse_chunk_record(payload, record)) return std::nullopt;
     return record;
 }
 
@@ -543,12 +553,12 @@ util::IoResult MapBatchWriter::commit_passed(std::size_t frontier, std::size_t t
 }
 
 std::size_t replay_map_batch(
-    const std::filesystem::path& dir, const MapBatch& batch,
-    const std::function<void(ChunkRecord&&, std::string_view frame)>& visit) {
+    const std::filesystem::path& dir, const MapBatch& batch, ChunkRecord& record,
+    const std::function<void(ChunkRecord&, std::string_view frame)>& visit) {
     const auto bytes = read_file(map_batch_path(dir, batch));
     if (!bytes) return 0;
     // Two passes over the file's bytes: the first checks every frame, the
-    // second decodes them one at a time.
+    // second decodes them one at a time into `record`.
     std::vector<Frame> frames;
     frames.reserve(batch.size());
     std::string_view rest = *bytes;
@@ -562,9 +572,11 @@ std::size_t replay_map_batch(
     if (!rest.empty()) return 0;
     std::size_t start = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        auto record = parse_chunk_record(frames[i].payload);
-        if (!record || record->chunk_index != batch.first + i) return i;
-        visit(std::move(*record), std::string_view{*bytes}.substr(start, frames[i].size));
+        if (!parse_chunk_record(frames[i].payload, record) ||
+            record.chunk_index != batch.first + i) {
+            return i;
+        }
+        visit(record, std::string_view{*bytes}.substr(start, frames[i].size));
         start += frames[i].size;
     }
     return batch.size();
@@ -574,9 +586,10 @@ std::optional<std::vector<ChunkRecord>> read_map_batch(const std::filesystem::pa
                                                        const MapBatch& batch) {
     std::vector<ChunkRecord> records;
     records.reserve(batch.size());
+    ChunkRecord record;
     const std::size_t read =
-        replay_map_batch(dir, batch, [&](ChunkRecord&& record, std::string_view) {
-            records.push_back(std::move(record));
+        replay_map_batch(dir, batch, record, [&](ChunkRecord& decoded, std::string_view) {
+            records.push_back(std::move(decoded));
         });
     if (read != batch.size()) return std::nullopt;
     return records;
@@ -584,9 +597,12 @@ std::optional<std::vector<ChunkRecord>> read_map_batch(const std::filesystem::pa
 
 std::optional<ChunkRecord> read_map_chunk(const std::filesystem::path& dir,
                                           std::size_t chunk_index) {
-    auto records = read_map_batch(dir, {chunk_index, chunk_index});
-    if (!records) return std::nullopt;
-    return std::move(records->front());
+    ChunkRecord record;
+    const MapBatch batch{chunk_index, chunk_index};
+    if (replay_map_batch(dir, batch, record, [](ChunkRecord&, std::string_view) {}) != 1) {
+        return std::nullopt;
+    }
+    return record;
 }
 
 std::vector<MapBatch> list_map_batches(const std::filesystem::path& dir) {
@@ -607,9 +623,11 @@ MapReplayResult read_map_journal(const std::filesystem::path& dir,
             out.has_header = true;
         }
     }
+    ChunkRecord record;
     for (const MapBatch& batch : list_map_batches(dir)) {
         const std::size_t read = replay_map_batch(
-            dir, batch, [&](ChunkRecord&& record, std::string_view) { visit(std::move(record)); });
+            dir, batch, record,
+            [&](ChunkRecord& decoded, std::string_view) { visit(std::move(decoded)); });
         out.chunks_read += read;
         out.corrupt_chunks += batch.size() - read;
     }

@@ -95,6 +95,13 @@ private:
 [[nodiscard]] std::optional<CampaignHeader> parse_header(std::string_view payload);
 [[nodiscard]] std::string serialize_chunk_record(const ChunkRecord& record);
 [[nodiscard]] std::optional<ChunkRecord> parse_chunk_record(std::string_view payload);
+/// The one chunk-record decoder, in place: on success every field of
+/// `record` holds the payload's value (restarts 0), whatever it held before —
+/// a moved-from record included — and each vector and string keeps its
+/// storage, so a reader that decodes every record into one ChunkRecord
+/// reuses it from record to record. False on what the nullopt form rejects,
+/// with `record` valid but unspecified.
+[[nodiscard]] bool parse_chunk_record(std::string_view payload, ChunkRecord& record);
 
 /// Frames `payload` as one journal record (`#rec <len> <crc>\n` + payload).
 [[nodiscard]] std::string frame_record(const std::string& payload);
@@ -230,16 +237,18 @@ private:
 [[nodiscard]] std::optional<std::vector<ChunkRecord>> read_map_batch(
     const std::filesystem::path& dir, const MapBatch& batch);
 
-/// Streams the records of one batch file to `visit` in chunk order, decoding
-/// one at a time, and returns how many it visited. Every frame passes its
-/// length and CRC check, and no byte trails the last one, before the first
-/// record is visited; otherwise nothing is (0). A CRC-valid record that fails
-/// to parse or names the wrong chunk ends the stream there: the records
-/// before it were visited. `visit` also gets each record's whole frame, so a
-/// caller can republish the batch with the rest rescanned.
+/// Streams the records of one batch file to `visit` in chunk order, each
+/// decoded in place into the caller's `record` (parse_chunk_record), and
+/// returns how many it visited. A visited record is valid until `visit`
+/// returns; `visit` may move from it. Every frame passes its length and CRC
+/// check, and no byte trails the last one, before the first record is
+/// visited; otherwise nothing is (0). A CRC-valid record that fails to parse
+/// or names the wrong chunk ends the stream there: the records before it were
+/// visited. `visit` also gets each record's whole frame, so a caller can
+/// republish the batch with the rest rescanned.
 std::size_t replay_map_batch(
-    const std::filesystem::path& dir, const MapBatch& batch,
-    const std::function<void(ChunkRecord&&, std::string_view frame)>& visit);
+    const std::filesystem::path& dir, const MapBatch& batch, ChunkRecord& record,
+    const std::function<void(ChunkRecord&, std::string_view frame)>& visit);
 
 /// The chunk-record files in `dir` that a reducer folds: ascending and
 /// disjoint. A file whose range overlaps an earlier-starting (or, at the
@@ -265,7 +274,8 @@ struct MapReplayResult {
 /// Streams every intact chunk record of the journal at `dir` to `visit`, in
 /// ascending chunk order, through replay_map_batch. The chunks need NOT be
 /// a contiguous prefix — a killed pass leaves gaps. One batch file's bytes
-/// and one decoded record are held at a time. Never modifies the directory.
+/// and one decoded record, reused for every chunk, are held at a time.
+/// Never modifies the directory.
 /// This is how the journal is read as a dataset (the paper's Appendix B qlog
 /// baselines): each decoded trace is what its qlog::to_jsonl lines print,
 /// and to_jsonl renders it as JSON lines.

@@ -391,5 +391,104 @@ TEST(Qlog, BinaryReaderRejectsWhatTheWriterNeverEmits) {
     EXPECT_FALSE(read_back(escaped).has_value());
 }
 
+/// Events whose dt, dpn and size each take a 1-, 2-, 4- and 8-byte varint
+/// (the others one byte), the 14-byte event with all three at four bytes,
+/// and VECs around the flags byte's escape, cycling through the packet types.
+std::vector<PacketEvent> boundary_events() {
+    // A delta of each width after zigzag (dt, dpn) or as is (size).
+    const std::int64_t deltas[] = {-5, 900, -40'000'000, 5'000'000'000'000};
+    const std::uint32_t sizes[] = {40, 1200, 100'000, 3'000'000'000};
+    struct Shape {
+        std::int64_t dt;
+        std::int64_t dpn;
+        std::uint32_t size;
+        std::uint8_t vec;
+    };
+    std::vector<Shape> shapes;
+    for (int w = 0; w < 4; ++w) {
+        shapes.push_back({deltas[w], 1, sizes[0], 0});
+        shapes.push_back({3, deltas[w], sizes[0], 1});
+        shapes.push_back({3, 1, sizes[w], 2});
+    }
+    shapes.push_back({deltas[2], deltas[2], sizes[2], 62});
+    shapes.push_back({deltas[1], deltas[1], sizes[1], 63});
+    shapes.push_back({deltas[2], deltas[2], sizes[2], 200});
+    shapes.push_back({deltas[3], deltas[3], sizes[3], 255});
+    std::vector<PacketEvent> events;
+    std::int64_t time = 0;
+    std::uint64_t pn = 0;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        time += shapes[i].dt;
+        pn += static_cast<std::uint64_t>(shapes[i].dpn);
+        events.push_back({TimePoint::from_nanos(time), static_cast<quic::PacketType>(i % 6), pn,
+                          i % 2 == 0, shapes[i].size, i % 3 == 0, shapes[i].vec});
+    }
+    return events;
+}
+
+bool same_events(const std::vector<PacketEvent>& a, const std::vector<PacketEvent>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const PacketEvent& x, const PacketEvent& y) {
+                          return x.time == y.time && x.type == y.type &&
+                                 x.packet_number == y.packet_number && x.spin == y.spin &&
+                                 x.size == y.size && x.ack_eliciting == y.ack_eliciting &&
+                                 x.vec == y.vec;
+                      });
+}
+
+/// read_back() from a heap block of exactly the input's size, so a sanitizer
+/// build reports any read past its end.
+std::optional<Trace> read_back_exact(std::string_view bytes) {
+    const std::vector<std::uint8_t> copy(bytes.begin(), bytes.end());
+    bytes::ByteReader in{copy};
+    Trace trace;
+    if (!read_binary(in, trace) || !in.done()) return std::nullopt;
+    return trace;
+}
+
+// The event reader takes every event with at least 14 bytes behind it in one
+// bounds check and leaves the rest — the last bytes of the input, 8-byte
+// varints, the VEC escape — to the checked reads. Both must decode the same
+// bytes to the same event, and accept exactly the writer's form.
+TEST(Qlog, EventsDecodeAlikeAtEveryVarintWidthAndAtTheEndOfTheInput) {
+    const std::vector<PacketEvent> events = boundary_events();
+    // Early in `sent`, every event has the rest of the trace behind it; as the
+    // last event of `received`, only the six bytes of empty metrics follow,
+    // so it ends within the last 13 bytes of the input.
+    for (std::size_t n = 1; n <= events.size(); ++n) {
+        Trace trace;
+        trace.sent = events;
+        trace.received.assign(events.begin(), events.begin() + static_cast<std::ptrdiff_t>(n));
+        const std::string binary = binary_of(trace);
+        const auto decoded = read_back_exact(binary);
+        ASSERT_TRUE(decoded.has_value()) << n;
+        EXPECT_TRUE(same_events(decoded->sent, trace.sent)) << n;
+        EXPECT_TRUE(same_events(decoded->received, trace.received)) << n;
+        EXPECT_EQ(to_jsonl(*decoded), to_jsonl(trace)) << n;
+    }
+    // Every cut is refused, and every byte changed to any other value is
+    // refused or re-encodes to exactly the changed bytes.
+    Trace trace;
+    trace.sent = events;
+    trace.received = events;
+    const std::string binary = binary_of(trace);
+    ASSERT_LT(binary.size(), 1024u);
+    for (std::size_t n = 0; n < binary.size(); ++n) {
+        EXPECT_FALSE(read_back_exact(std::string_view{binary}.substr(0, n)).has_value()) << n;
+    }
+    int accepted = 0;
+    for (std::size_t at = 0; at < binary.size(); ++at) {
+        for (unsigned flip = 1; flip < 256; ++flip) {
+            std::string mutant = binary;
+            mutant[at] = static_cast<char>(static_cast<unsigned char>(mutant[at]) ^ flip);
+            const auto decoded = read_back_exact(mutant);
+            if (!decoded) continue;
+            ++accepted;
+            ASSERT_EQ(binary_of(*decoded), mutant) << "byte " << at << " ^ " << flip;
+        }
+    }
+    EXPECT_GT(accepted, 0);
+}
+
 }  // namespace
 }  // namespace spinscope::qlog

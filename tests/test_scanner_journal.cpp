@@ -16,10 +16,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "golden.hpp"
@@ -321,6 +323,130 @@ TEST_F(JournalTest, JournaledGoldenCampaignReducesToTheGoldenFixtures) {
     EXPECT_TRUE(spinscope::testing::matches_golden("campaign_small.traces.jsonl", traces));
     EXPECT_TRUE(spinscope::testing::matches_golden("campaign_small.telemetry.csv",
                                                    telemetry::deterministic_csv(registry)));
+}
+
+// --- In-place decode ----------------------------------------------------------
+//
+// Campaign::reduce decodes every record into one ChunkRecord, so a decode
+// must overwrite every field a record held before, whatever a sink did to it.
+
+/// A universe with faulty hosts (server faults, redirects, failed attempts)
+/// whose chunk 3 crashes on every execution and is quarantined.
+web::PopulationModel faulty_population() {
+    web::PopulationConfig config;
+    config.scale = 2'000'000.0;
+    config.seed = 1;
+    config.host_fault_rate = 0.3;
+    return web::PopulationModel{config};
+}
+
+ScanOptions faulty_options(const std::filesystem::path& dir) {
+    ScanOptions options;
+    options.journal_dir = dir.string();
+    options.chunk_fault_hook = [](std::size_t chunk) {
+        if (chunk == 3) throw std::runtime_error("poisoned chunk");
+    };
+    return options;
+}
+
+/// Every record payload in the journal at `dir`, as its files hold them.
+std::vector<std::string> journal_payloads(const std::filesystem::path& dir) {
+    std::vector<std::string> payloads;
+    for (const MapBatch& batch : list_map_batches(dir)) {
+        std::ifstream file{map_batch_path(dir, batch), std::ios::binary};
+        std::string bytes{std::istreambuf_iterator<char>{file}, {}};
+        std::string_view rest = bytes;
+        while (!rest.empty()) {
+            const auto size = frame_size(rest);
+            EXPECT_TRUE(size && *size > 0);
+            if (!size || *size == 0) return {};
+            const std::string_view frame = rest.substr(0, *size);
+            payloads.emplace_back(frame.substr(frame.find('\n') + 1));
+            rest.remove_prefix(*size);
+        }
+    }
+    return payloads;
+}
+
+/// Every field of `scan`, as the journal writes it.
+std::string scan_bytes(const DomainScan& scan) {
+    ChunkRecord one;
+    one.scans.push_back(scan);
+    return serialize_chunk_record(one);
+}
+
+TEST_F(JournalTest, OneReusedRecordDecodesEveryRecordOfARealJournal) {
+    const web::PopulationModel population = faulty_population();
+    ScanOptions options = faulty_options(dir_);
+    options.chunk_domains = 1;  // a record per domain: some hold much, some nothing
+    {
+        Campaign campaign{population, options};
+        telemetry::MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        (void)campaign.run([](const web::Domain&, DomainScan&&) {});
+    }
+    std::vector<std::string> payloads = journal_payloads(dir_);
+    ASSERT_EQ(payloads.size(), population.domain_count());
+    // Largest first, then smallest first: every record that holds something
+    // comes before one that lacks it, and every small one before a large one.
+    std::stable_sort(payloads.begin(), payloads.end(),
+                     [](const std::string& a, const std::string& b) { return a.size() > b.size(); });
+    const std::vector<std::string> largest_first = payloads;
+    payloads.insert(payloads.end(), largest_first.rbegin(), largest_first.rend());
+
+    // What the order must exercise: a field set, then left unset.
+    const std::vector<std::pair<const char*, bool (*)(const ChunkRecord&)>> features = {
+        {"response", [](const ChunkRecord& r) { return r.scans[0].final_response.has_value(); }},
+        {"error", [](const ChunkRecord& r) { return !r.scans[0].error.empty(); }},
+        {"quarantine", [](const ChunkRecord& r) { return r.quarantined; }},
+        {"redirect", [](const ChunkRecord& r) { return r.scans[0].redirects_followed > 0; }},
+        {"telemetry", [](const ChunkRecord& r) { return !r.telemetry_snapshot.empty(); }},
+        {"long trace",
+         [](const ChunkRecord& r) {
+             return std::any_of(r.scans[0].connections.begin(), r.scans[0].connections.end(),
+                                [](const qlog::Trace& t) { return t.received.size() >= 30; });
+         }},
+    };
+    std::vector<int> seen(features.size(), 0);  // bit 0: set, bit 1: unset after set
+
+    ChunkRecord reused;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        reused.restarts = 5;  // in-memory only: a decode reads 0
+        ASSERT_TRUE(parse_chunk_record(payloads[i], reused)) << i;
+        ASSERT_EQ(serialize_chunk_record(reused), payloads[i]) << "record " << i;
+        EXPECT_EQ(reused.restarts, 0);
+        for (std::size_t f = 0; f < features.size(); ++f) {
+            seen[f] |= features[f].second(reused) ? 1 : (seen[f] & 1) << 1;
+        }
+    }
+    for (std::size_t f = 0; f < features.size(); ++f) {
+        EXPECT_EQ(seen[f], 3) << features[f].first << " never set and then unset";
+    }
+}
+
+TEST_F(JournalTest, ReduceStreamsScansASinkMovesFromAsRunDoes) {
+    const web::PopulationModel population = faulty_population();
+    const ScanOptions options = faulty_options(dir_);
+    std::string streams[2];
+    for (const bool reduce : {false, true}) {
+        Campaign campaign{population, options};
+        telemetry::MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        std::vector<DomainScan> kept;
+        const auto sink = [&](const web::Domain&, DomainScan&& scan) {
+            kept.push_back(std::move(scan));
+        };
+        const CampaignStats stats = reduce ? campaign.reduce(sink) : campaign.run(sink);
+        EXPECT_EQ(stats.chunks_quarantined, 1u);
+        for (const DomainScan& scan : kept) streams[reduce ? 1 : 0] += scan_bytes(scan);
+        if (reduce) {
+            const auto* replayed =
+                registry.find(telemetry::CounterId::campaign_journal_records_replayed);
+            ASSERT_NE(replayed, nullptr);
+            EXPECT_EQ(replayed->value(), campaign.chunk_count());
+        }
+    }
+    EXPECT_EQ(streams[1], streams[0]);
 }
 
 // --- Record files ------------------------------------------------------------
