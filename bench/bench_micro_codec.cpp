@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -185,7 +187,10 @@ BENCHMARK(BM_QlogParse)->Arg(50)->Arg(500);
 /// Journal payloads of a real ~1k-domain campaign (1:200000 of the Table 1
 /// universe, seed 1, metrics registry attached): every chunk's record, its
 /// serialized payload and its telemetry snapshot, as a campaign writes them
-/// and Campaign::reduce reads them back.
+/// and Campaign::reduce reads them back. Building it checks that every
+/// record decodes in both forms back to its own bytes and that every
+/// snapshot parses, and exits 1 otherwise: the parse benchmarks discard
+/// their results, so a codec that rejected everything would read as fast.
 struct JournalCorpus {
     std::vector<scanner::ChunkRecord> chunks;
     std::vector<std::string> records;
@@ -209,6 +214,19 @@ const JournalCorpus& journal_corpus() {
                                   std::move(chunk.telemetry_snapshot)});
             out.records.push_back(scanner::serialize_chunk_record(out.chunks.back()));
             out.record_bytes += static_cast<std::int64_t>(out.records.back().size());
+        }
+        scanner::ChunkRecord reused;
+        for (std::size_t c = 0; c < out.records.size(); ++c) {
+            const std::string& payload = out.records[c];
+            const auto fresh = scanner::parse_chunk_record(payload);
+            const bool ok = fresh && scanner::serialize_chunk_record(*fresh) == payload &&
+                            scanner::parse_chunk_record(payload, reused) &&
+                            scanner::serialize_chunk_record(reused) == payload &&
+                            telemetry::parse_snapshot(out.snapshots[c]).has_value();
+            if (!ok) {
+                std::fprintf(stderr, "journal corpus: chunk %zu does not round-trip\n", c);
+                std::exit(1);
+            }
         }
         return out;
     }();

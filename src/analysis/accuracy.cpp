@@ -1,6 +1,5 @@
 #include "analysis/accuracy.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -20,11 +19,8 @@ std::vector<double> ratio_edges() {
     return {-8, -4, -3, -2, -1.25, -1.0, 1.0, 1.25, 1.5, 2, 3, 4, 8, 16};
 }
 
-[[nodiscard]] double share_where(const std::vector<double>& values,
-                                 bool (*predicate)(double)) {
-    if (values.empty()) return 0.0;
-    const auto n = std::count_if(values.begin(), values.end(), predicate);
-    return static_cast<double>(n) / static_cast<double>(values.size());
+[[nodiscard]] double share(std::uint64_t n, std::uint64_t total) {
+    return total == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(total);
 }
 
 }  // namespace
@@ -49,8 +45,6 @@ AccuracyAggregator::AccuracyAggregator() {
         abs_.emplace_back(abs_edges());
         ratio_.emplace_back(ratio_edges());
     }
-    abs_values_.resize(kSeriesCount);
-    ratio_values_.resize(kSeriesCount);
 }
 
 void AccuracyAggregator::add_series(AccuracySeries series,
@@ -62,8 +56,15 @@ void AccuracyAggregator::add_series(AccuracySeries series,
     const auto idx = static_cast<std::size_t>(series);
     abs_[idx].add(*abs_diff);
     ratio_[idx].add(*ratio);
-    abs_values_[idx].push_back(*abs_diff);
-    ratio_values_[idx].push_back(*ratio);
+    HeadlineCounts& c = counts_[idx];
+    ++c.connections;
+    if (*abs_diff > 0.0) ++c.overestimate;
+    if (std::fabs(*abs_diff) <= 25.0) ++c.within_25ms;
+    if (*abs_diff > 200.0) ++c.over_200ms;
+    if (std::fabs(*ratio) <= 1.25) ++c.within_ratio_125;
+    if (std::fabs(*ratio) <= 2.0) ++c.within_ratio_2;
+    if (*ratio > 3.0) ++c.over_ratio_3;
+    if (*ratio < 0.0) ++c.underestimate;
 }
 
 void AccuracyAggregator::add(const core::ConnectionAssessment& assessment) {
@@ -91,20 +92,16 @@ void AccuracyAggregator::add(const core::ConnectionAssessment& assessment) {
 }
 
 AccuracyHeadline AccuracyAggregator::headline(AccuracySeries s) const {
-    const auto idx = static_cast<std::size_t>(s);
+    const HeadlineCounts& c = counts_[static_cast<std::size_t>(s)];
     AccuracyHeadline h;
-    const auto& abs_values = abs_values_[idx];
-    const auto& ratio_values = ratio_values_[idx];
-    h.connections = abs_values.size();
-    h.overestimate_share = share_where(abs_values, [](double v) { return v > 0.0; });
-    h.within_25ms_share = share_where(abs_values, [](double v) { return std::fabs(v) <= 25.0; });
-    h.over_200ms_share = share_where(abs_values, [](double v) { return v > 200.0; });
-    h.within_ratio_125_share =
-        share_where(ratio_values, [](double v) { return std::fabs(v) <= 1.25; });
-    h.within_ratio_2_share =
-        share_where(ratio_values, [](double v) { return std::fabs(v) <= 2.0; });
-    h.over_ratio_3_share = share_where(ratio_values, [](double v) { return v > 3.0; });
-    h.underestimate_share = share_where(ratio_values, [](double v) { return v < 0.0; });
+    h.connections = c.connections;
+    h.overestimate_share = share(c.overestimate, c.connections);
+    h.within_25ms_share = share(c.within_25ms, c.connections);
+    h.over_200ms_share = share(c.over_200ms, c.connections);
+    h.within_ratio_125_share = share(c.within_ratio_125, c.connections);
+    h.within_ratio_2_share = share(c.within_ratio_2, c.connections);
+    h.over_ratio_3_share = share(c.over_ratio_3, c.connections);
+    h.underestimate_share = share(c.underestimate, c.connections);
     return h;
 }
 

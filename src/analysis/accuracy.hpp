@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,10 +90,22 @@ private:
     void add_series(AccuracySeries series, const core::ConnectionAssessment& assessment,
                     core::PacketOrder order);
 
+    /// Per series, the connections each headline share counts: its state
+    /// is fixed-size however many connections are added.
+    struct HeadlineCounts {
+        std::uint64_t connections = 0;
+        std::uint64_t overestimate = 0;
+        std::uint64_t within_25ms = 0;
+        std::uint64_t over_200ms = 0;
+        std::uint64_t within_ratio_125 = 0;
+        std::uint64_t within_ratio_2 = 0;
+        std::uint64_t over_ratio_3 = 0;
+        std::uint64_t underestimate = 0;
+    };
+
     std::vector<util::Histogram> abs_;
     std::vector<util::Histogram> ratio_;
-    std::vector<std::vector<double>> abs_values_;    // per series, for headline shares
-    std::vector<std::vector<double>> ratio_values_;
+    std::array<HeadlineCounts, kSeriesCount> counts_{};
     ReorderingImpact reordering_;
 };
 

@@ -361,7 +361,7 @@ std::vector<DomainScan> Campaign::quarantine_scans(std::size_t chunk_index,
     return scans;
 }
 
-Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
+ChunkRecord Campaign::scan_chunk(std::size_t chunk_index) const {
     const ShardPlan plan{model_->domain_count(), options_.chunk_domains};
     if (chunk_index >= plan.chunk_count()) {
         throw std::out_of_range("scanner: scan_chunk index past chunk_count()");
@@ -374,16 +374,16 @@ Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
         const web::DomainBlock block = model_->materialize(
             static_cast<std::uint32_t>(plan.chunk_begin(chunk_index)),
             static_cast<std::uint32_t>(plan.chunk_end(chunk_index)));
-        LiveChunk out;
-        out.record.chunk_index = chunk_index;
-        if (metrics_ != nullptr) out.metrics = std::make_unique<telemetry::MetricsRegistry>();
+        ChunkRecord record;
+        record.chunk_index = chunk_index;
+        std::unique_ptr<telemetry::MetricsRegistry> metrics;
+        if (metrics_ != nullptr) metrics = std::make_unique<telemetry::MetricsRegistry>();
         // The chunk publishes what the worker's recycler did while scanning
         // it; every buffer is back by the end (each attempt's simulator dies
         // before the next starts).
         bytes::Recycler& recycler = bytes::Recycler::local();
         const bytes::Recycler::Stats since = recycler.mark();
-        std::vector<DomainScan>& scans = out.record.scans;
-        scans.reserve(block.size());
+        record.scans.reserve(block.size());
         for (const web::Domain& domain : block.domains) {
             // Per-domain fault isolation: one pathological target must cost
             // one scan record, never the sweep. Telemetry may be partially
@@ -391,16 +391,19 @@ Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
             // way.
             DomainScan scan;
             try {
-                scan = scan_domain_into(domain, out.metrics.get());
+                scan = scan_domain_into(domain, metrics.get());
             } catch (const std::exception& e) {
                 scan = DomainScan{};
                 scan.domain_id = domain.id;
                 scan.error = e.what();
             }
-            scans.push_back(std::move(scan));
+            record.scans.push_back(std::move(scan));
         }
-        if (out.metrics != nullptr) recycler.publish_since(since, *out.metrics);
-        return out;
+        if (metrics != nullptr) {
+            recycler.publish_since(since, *metrics);
+            record.telemetry_snapshot = telemetry::snapshot(*metrics);
+        }
+        return record;
     };
 
     // A crash outside the per-domain isolation is often environmental
@@ -412,9 +415,9 @@ Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
     std::string error;
     for (int attempt = 1;; ++attempt) {
         try {
-            LiveChunk out = scan_once();
-            out.record.restarts = attempt - 1;
-            return out;
+            ChunkRecord record = scan_once();
+            record.restarts = attempt - 1;
+            return record;
         } catch (const std::exception& e) {
             error = e.what();
         } catch (...) {
@@ -424,21 +427,13 @@ Campaign::LiveChunk Campaign::scan_chunk_into(std::size_t chunk_index) const {
         const Duration delay = kChunkRestart.backoff_delay(attempt, restart_rng);
         std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
     }
-    LiveChunk out;
-    out.record.chunk_index = chunk_index;
-    out.record.scans = quarantine_scans(chunk_index, error);
-    out.record.restarts = kChunkRestart.max_attempts - 1;
-    out.record.quarantined = true;
-    out.record.quarantine_error = std::move(error);
-    return out;
-}
-
-ChunkRecord Campaign::scan_chunk(std::size_t chunk_index) const {
-    LiveChunk scanned = scan_chunk_into(chunk_index);
-    if (scanned.metrics != nullptr) {
-        scanned.record.telemetry_snapshot = telemetry::snapshot(*scanned.metrics);
-    }
-    return std::move(scanned.record);
+    ChunkRecord record;
+    record.chunk_index = chunk_index;
+    record.scans = quarantine_scans(chunk_index, error);
+    record.restarts = kChunkRestart.max_attempts - 1;
+    record.quarantined = true;
+    record.quarantine_error = std::move(error);
+    return record;
 }
 
 DomainScan Campaign::scan_domain_into(const web::Domain& domain,
@@ -456,20 +451,19 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
     std::string host = "www." + model_->domain_name(domain);
     bool serve_redirect = domain.redirects;
     // One attempt per hop, each cut at attempt_deadline: a domain makes at
-    // most kMaxRedirects + 1 attempts, so its attempt log and simulated time
-    // are bounded without a per-domain budget.
-    for (int hop = 0; hop <= kMaxRedirects; ++hop) {
+    // most kMaxRedirects + 1 attempts, so its traces and simulated time are
+    // bounded without a per-domain budget. A 301 at the last hop ends the
+    // scan unfollowed.
+    for (int hop = 0;; ++hop) {
         AttemptOutcome outcome = run_attempt(domain, host, hop, serve_redirect, metrics);
         scan.sim_time += outcome.sim_elapsed;
-        scan.attempts.push_back(
-            DomainScan::AttemptRecord{hop, outcome.trace.outcome, outcome.server_fault});
+        scan.server_faults[static_cast<std::size_t>(hop)] = outcome.server_fault;
         scan.connections.push_back(std::move(outcome.trace));
         const bool redirected = outcome.response.has_value() &&
                                 outcome.response->status == 301 &&
                                 !outcome.response->location.empty();
         scan.final_response = std::move(outcome.response);
-        if (!redirected) break;
-        ++scan.redirects_followed;
+        if (!redirected || hop == kMaxRedirects) break;
         if (metrics != nullptr) metrics->counter(CounterId::scanner_redirects_followed).add(1);
         host = scan.final_response->location;
         serve_redirect = false;  // the canonical target serves the page
@@ -586,13 +580,11 @@ CampaignStats Campaign::run_impl(
         if (scan.resolved) ++stats.domains_resolved;
         if (scan.quic_ok()) ++stats.domains_quic_ok;
         stats.connections += scan.connections.size();
-        stats.redirects_followed += scan.redirects_followed;
+        stats.redirects_followed += scan.redirects_followed();
         if (!scan.error.empty()) ++stats.domains_errored;
-        for (const auto& trace : scan.connections) {
-            ++stats.outcomes[static_cast<std::size_t>(trace.outcome)];
-        }
-        for (const auto& attempt : scan.attempts) {
-            ++stats.server_faults[static_cast<std::size_t>(attempt.server_fault)];
+        for (std::size_t hop = 0; hop < scan.connections.size(); ++hop) {
+            ++stats.outcomes[static_cast<std::size_t>(scan.connections[hop].outcome)];
+            ++stats.server_faults[static_cast<std::size_t>(scan.server_faults[hop])];
         }
 
         sink(domain, std::move(scan));
@@ -604,8 +596,10 @@ CampaignStats Campaign::run_impl(
         }
     };
 
-    const auto merge_chunk = [&](LiveChunk& item, bool replayed) {
-        ChunkRecord& record = item.record;
+    // `scan_done_ns` is the wall instant a traced run's worker finished the
+    // chunk (0 for a replayed or inline-rescanned chunk).
+    const auto merge_chunk = [&](ChunkRecord& record, bool replayed,
+                                 std::int64_t scan_done_ns) {
         const std::size_t begin = plan.chunk_begin(record.chunk_index);
         if (record.scans.size() != plan.chunk_end(record.chunk_index) - begin) {
             throw std::invalid_argument(
@@ -614,38 +608,32 @@ CampaignStats Campaign::run_impl(
                 std::to_string(record.scans.size()) + " scans");
         }
         const std::int64_t merge_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        if (trace != nullptr && item.metrics != nullptr) {
-            // Chunk-local efficiency, sampled from the chunk's private
-            // registry before it merges away: datagram-pool hit rate and the
-            // simulator event-queue high-water mark. Read-only probes — the
-            // merged registry must not grow instruments just because a
-            // recorder is attached.
-            const auto* hits = item.metrics->find(CounterId::bytes_pool_hits);
-            const auto* acquires = item.metrics->find(CounterId::bytes_pool_acquires);
-            if (hits != nullptr && acquires != nullptr && acquires->value() > 0) {
-                trace->counter(TraceClock::wall, "pool hit rate", merge_start_ns,
-                               static_cast<double>(hits->value()) /
-                                   static_cast<double>(acquires->value()));
-            }
-            const auto* hwm = item.metrics->find(telemetry::GaugeId::netsim_sim_queue_depth_hwm);
-            if (hwm != nullptr && hwm->has_value()) {
-                trace->counter(TraceClock::wall, "event queue hwm", merge_start_ns,
-                               hwm->value());
-            }
-        }
         // Chunk telemetry first, then per-scan bookkeeping.
-        if (metrics_ != nullptr) {
-            if (item.metrics != nullptr) {
-                metrics_->merge_from(*item.metrics);
-            } else if (!record.telemetry_snapshot.empty()) {
-                auto parsed = telemetry::parse_snapshot(record.telemetry_snapshot);
-                if (!parsed) {
-                    throw std::invalid_argument(
-                        "scanner: journal telemetry snapshot is malformed at " +
-                        describe_chunk(plan, record.chunk_index));
-                }
-                metrics_->merge_from(*parsed);
+        if (metrics_ != nullptr && !record.telemetry_snapshot.empty()) {
+            const auto parsed = telemetry::parse_snapshot(record.telemetry_snapshot);
+            if (!parsed) {
+                throw std::invalid_argument("scanner: chunk telemetry snapshot is malformed at " +
+                                            describe_chunk(plan, record.chunk_index));
             }
+            if (trace != nullptr && !replayed) {
+                // Chunk-local efficiency of a chunk this run scanned:
+                // datagram-pool hit rate and the simulator event-queue
+                // high-water mark. Read-only probes — the merged registry must
+                // not grow instruments just because a recorder is attached.
+                const auto* hits = parsed->find(CounterId::bytes_pool_hits);
+                const auto* acquires = parsed->find(CounterId::bytes_pool_acquires);
+                if (hits != nullptr && acquires != nullptr && acquires->value() > 0) {
+                    trace->counter(TraceClock::wall, "pool hit rate", merge_start_ns,
+                                   static_cast<double>(hits->value()) /
+                                       static_cast<double>(acquires->value()));
+                }
+                const auto* hwm = parsed->find(telemetry::GaugeId::netsim_sim_queue_depth_hwm);
+                if (hwm != nullptr && hwm->has_value()) {
+                    trace->counter(TraceClock::wall, "event queue hwm", merge_start_ns,
+                                   hwm->value());
+                }
+            }
+            metrics_->merge_from(*parsed);
         }
         stats.worker_restarts += record.restarts;
         if (record.quarantined) {
@@ -678,9 +666,9 @@ CampaignStats Campaign::run_impl(
             const std::int64_t end_ns = trace->wall_now_ns();
             std::vector<TraceArg> args{
                 TraceArg::num("chunk", static_cast<std::uint64_t>(record.chunk_index))};
-            if (item.scan_done_ns > 0) {
+            if (scan_done_ns > 0) {
                 args.push_back(TraceArg::num(
-                    "queued_ms", static_cast<double>(merge_start_ns - item.scan_done_ns) / 1e6));
+                    "queued_ms", static_cast<double>(merge_start_ns - scan_done_ns) / 1e6));
             }
             trace->complete(TraceClock::wall, wall_merge_lane, "merge chunk", merge_start_ns,
                             end_ns - merge_start_ns, std::move(args));
@@ -727,7 +715,8 @@ CampaignStats Campaign::run_impl(
     bool publishing = journaling;
     MapBatchWriter writer{util::resolve_io(options_.io), dir, options_.journal_retry,
                           options_.seed};
-    std::deque<LiveChunk> pending;
+    // (record, scan_done_ns) of each scanned chunk held for its commit.
+    std::deque<std::pair<ChunkRecord, std::int64_t>> pending;
     // Runs one writer commit, then merges every pending chunk it published.
     const auto settle = [&](const auto& commit) {
         if (!publishing) return;
@@ -763,8 +752,8 @@ CampaignStats Campaign::run_impl(
             }
         }
         while (!pending.empty() &&
-               (!publishing || !writer.holds(pending.front().record.chunk_index))) {
-            merge_chunk(pending.front(), /*replayed=*/false);
+               (!publishing || !writer.holds(pending.front().first.chunk_index))) {
+            merge_chunk(pending.front().first, /*replayed=*/false, pending.front().second);
             pending.pop_front();
         }
     };
@@ -772,13 +761,10 @@ CampaignStats Campaign::run_impl(
     // nothing is published. Records are encoded here on the merge thread, in
     // parallel with the workers' scans: a run on N threads keeps N + 1 cores
     // busy.
-    const auto hold = [&](LiveChunk&& item) {
-        if (!publishing) return merge_chunk(item, /*replayed=*/false);
-        if (item.metrics != nullptr) {
-            item.record.telemetry_snapshot = telemetry::snapshot(*item.metrics);
-        }
-        writer.add(item.record.chunk_index, frame_record(serialize_chunk_record(item.record)));
-        pending.push_back(std::move(item));
+    const auto hold = [&](ChunkRecord&& record, std::int64_t scan_done_ns) {
+        if (!publishing) return merge_chunk(record, /*replayed=*/false, scan_done_ns);
+        writer.add(record.chunk_index, frame_record(serialize_chunk_record(record)));
+        pending.emplace_back(std::move(record), scan_done_ns);
     };
 
     // ---- the merge loop -----------------------------------------------------
@@ -786,7 +772,7 @@ CampaignStats Campaign::run_impl(
     // once every chunk below them is published and merged. Each record is
     // decoded in place into `replay`, which keeps its storage from chunk to
     // chunk.
-    LiveChunk replay;
+    ChunkRecord replay;
     std::size_t next_recorded = 0;
     std::uint64_t records_replayed = 0;
     std::uint64_t corrupt_chunks = 0;
@@ -796,26 +782,28 @@ CampaignStats Campaign::run_impl(
             const MapBatch& batch = recorded[next_recorded];
             settle([&] { return writer.commit_below(batch.first); });
             const std::size_t replayed =
-                replay_map_batch(dir, batch, replay.record, [&](ChunkRecord&, std::string_view) {
-                    merge_chunk(replay, /*replayed=*/true);
+                replay_map_batch(dir, batch, replay, [&](ChunkRecord&, std::string_view) {
+                    merge_chunk(replay, /*replayed=*/true, 0);
                 });
             records_replayed += replayed;
             if (replayed == batch.size()) continue;
             // Unreadable from chunk first + replayed on (torn, bit-flipped or
             // unparseable): rescan the rest inline and republish the whole
-            // batch under its name, starting with the frames that replayed —
-            // byte-identical by the purity contract, so the repair is
-            // idempotent. Those frames are read again here, so an intact
-            // batch's replay copies none.
+            // batch under its name, starting with the frames that replayed,
+            // copied verbatim. A rescanned record equals the lost one in its
+            // scans and deterministic telemetry (§9; only the wall-clock
+            // scanner.phase.*_ms histograms differ), so the repair changes no
+            // output. Those frames are read again here, so an intact batch's
+            // replay copies none.
             corrupt_chunks += batch.size() - replayed;
             if (publishing) {
-                (void)replay_map_batch(dir, batch, replay.record,
+                (void)replay_map_batch(dir, batch, replay,
                                        [&](ChunkRecord& record, std::string_view frame) {
                                            writer.add(record.chunk_index, std::string{frame});
                                        });
             }
             for (std::size_t c = batch.first + replayed; c <= batch.last; ++c) {
-                hold(scan_chunk_into(c));
+                hold(scan_chunk(c), 0);
             }
             settle([&] { return writer.commit_below(batch.last + 1); });
         }
@@ -827,32 +815,32 @@ CampaignStats Campaign::run_impl(
     // merge thread only after run_sharded reports the chunk done; the shard
     // merge window bounds how many chunks are live past the merge frontier,
     // so in-flight results cost O(window), never O(chunk count). Scan
-    // workers never throw for a crashing chunk: scan_chunk_into restarts it,
-    // then hands back its quarantine placeholders.
+    // workers never throw for a crashing chunk: scan_chunk restarts it, then
+    // hands back its quarantine placeholders.
     const ShardConfig shard{options_.threads};
     const ShardPlan missing_plan{missing.size(), 1};
     const std::size_t window = std::max<std::size_t>(
         std::min<std::size_t>(shard.window_chunks(), missing.size()), 1);
-    std::vector<LiveChunk> scanned(window);
+    std::vector<ChunkRecord> scanned(window);
+    std::vector<std::int64_t> scan_done_ns(window);
     const auto scan_missing = [&](std::size_t m) {
         const std::int64_t start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        LiveChunk item = scan_chunk_into(missing[m]);
+        ChunkRecord record = scan_chunk(missing[m]);
         if (trace != nullptr) {
-            item.scan_done_ns = trace->wall_now_ns();
+            scan_done_ns[m % window] = trace->wall_now_ns();
             trace->complete(
                 TraceClock::wall, trace->wall_lane_for_current_thread("worker"),
-                "scan chunk", start_ns, item.scan_done_ns - start_ns,
+                "scan chunk", start_ns, scan_done_ns[m % window] - start_ns,
                 {TraceArg::num("chunk", static_cast<std::uint64_t>(missing[m])),
-                 TraceArg::num("domains",
-                               static_cast<std::uint64_t>(item.record.scans.size()))});
+                 TraceArg::num("domains", static_cast<std::uint64_t>(record.scans.size()))});
         }
-        scanned[m % window] = std::move(item);
+        scanned[m % window] = std::move(record);
     };
     const auto merge_missing = [&](std::size_t m) {
-        LiveChunk item = std::move(scanned[m % window]);
-        scanned[m % window] = LiveChunk{};  // release the slot's storage
-        replay_up_to(item.record.chunk_index);
-        hold(std::move(item));
+        ChunkRecord record = std::move(scanned[m % window]);
+        scanned[m % window] = ChunkRecord{};  // release the slot's storage
+        replay_up_to(record.chunk_index);
+        hold(std::move(record), scan_done_ns[m % window]);
         // Every chunk below the next missing one is on disk or held.
         const std::size_t frontier = m + 1 < missing.size() ? missing[m + 1] : plan.chunk_count();
         settle([&] { return writer.commit_passed(frontier, plan.chunk_count()); });

@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -96,25 +95,17 @@ struct ScanOptions {
 
 /// Everything recorded about one domain in one sweep.
 struct DomainScan {
-    /// Error taxonomy of one connection attempt (one entry per trace in
-    /// `connections`, same order).
-    struct AttemptRecord {
-        int redirect_hop = 0;  ///< 0 = landing page, n = nth redirect target
-        qlog::ConnectionOutcome outcome = qlog::ConnectionOutcome::aborted;
-        /// Server fault active during this attempt (none when healthy).
-        faults::ServerFaultMode server_fault = faults::ServerFaultMode::none;
-    };
-
     std::uint32_t domain_id = 0;
     bool resolved = false;  ///< DNS yielded an address of the scanned family
-    /// One trace per connection attempt (the landing page and each followed
-    /// redirect).
+    /// One trace per connection attempt, in hop order: index 0 is the landing
+    /// page, index n the nth redirect target. Each trace carries its
+    /// attempt's outcome (qlog::Trace::outcome).
     std::vector<qlog::Trace> connections;
-    /// Per-attempt taxonomy, parallel to `connections`.
-    std::vector<AttemptRecord> attempts;
+    /// Server fault active during each attempt, indexed like `connections`
+    /// (none when healthy, and past the last connection).
+    std::array<faults::ServerFaultMode, kMaxRedirects + 1> server_faults{};
     /// Parsed response of the final connection, if any.
     std::optional<ResponseInfo> final_response;
-    std::uint32_t redirects_followed = 0;
     /// Total simulated time this domain's attempts consumed. Journaled, so a
     /// reduce over a killed run rebuilds the exact flight-recorder timeline.
     util::Duration sim_time = util::Duration::zero();
@@ -125,6 +116,10 @@ struct DomainScan {
 
     /// True if any connection completed the QUIC handshake.
     [[nodiscard]] bool quic_ok() const noexcept;
+    /// Redirects followed: every connection past the landing page.
+    [[nodiscard]] std::uint32_t redirects_followed() const noexcept {
+        return connections.empty() ? 0 : static_cast<std::uint32_t>(connections.size() - 1);
+    }
 };
 
 /// Aggregate snapshot of one sweep — what the scanner actually did (the
@@ -190,9 +185,9 @@ struct CampaignStats {
 /// chunk-private telemetry snapshot (telemetry::snapshot form; empty when the
 /// campaign has no registry attached or the chunk was quarantined), and for a
 /// quarantined chunk the failure note (its scans are then
-/// Campaign::quarantine_scans). The one struct a chunk travels in from
-/// Campaign::scan_chunk to the merge, the run_procs worker channel and the
-/// journal (serialize_chunk_record).
+/// Campaign::quarantine_scans). The one form a chunk takes from
+/// Campaign::scan_chunk to the merge, over the run_procs worker channel and
+/// in the journal (serialize_chunk_record).
 struct ChunkRecord {
     std::size_t chunk_index = 0;
     bool quarantined = false;
@@ -273,11 +268,12 @@ public:
     /// Scans a single domain (resolution, connection, redirects).
     [[nodiscard]] DomainScan scan_domain(const web::Domain& domain) const;
 
-    /// Scans one GLOBAL chunk into journal-ready form: the chunk scan run()
-    /// merges, with its chunk-private telemetry registry snapshotted (only
-    /// when a registry is attached to the campaign) — byte-identical to what
-    /// run() produces and journals for the same chunk. This is the unit of
-    /// work the run_procs supervisor assigns to a worker (DESIGN.md §11).
+    /// Scans one GLOBAL chunk into journal-ready form: its domains scanned
+    /// with per-domain fault isolation over a freshly materialized block,
+    /// and its chunk-private telemetry registry snapshotted into the record
+    /// (only when a registry is attached to the campaign). This is the unit
+    /// of work of every run()/reduce() worker and of the run_procs
+    /// supervisor (DESIGN.md §11).
     ///
     /// The one chunk supervisor: an execution that throws OUTSIDE the
     /// per-domain isolation (ScanOptions::chunk_fault_hook fires at entry
@@ -294,11 +290,12 @@ public:
     /// valid until the sink returns; a sink that keeps one moves from it.
     ///
     /// Sharded execution: domains are chunked (ScanOptions::chunk_domains)
-    /// and scanned by ScanOptions::threads workers, each attempt on its own
-    /// single-owner netsim::Simulator with telemetry captured into a
-    /// per-chunk registry; the calling thread merges chunks strictly in
-    /// domain-id order — stats accumulation, telemetry merge_from, sink and
-    /// progress all happen there. wall_seconds is aggregated once at merge
+    /// and scanned by ScanOptions::threads workers (scan_chunk), each
+    /// attempt on its own single-owner netsim::Simulator with telemetry
+    /// captured into a per-chunk registry that travels as the record's
+    /// snapshot; the calling thread merges chunks strictly in domain-id
+    /// order — stats accumulation, telemetry merge_from, sink and progress
+    /// all happen there. wall_seconds is aggregated once at merge
     /// time, not per domain. With ScanOptions::journal_dir set, the run
     /// starts a fresh journal there and group-commits each kMapBatchChunks
     /// window of chunk records into one file (scanner::MapBatchWriter)
@@ -342,22 +339,6 @@ private:
         /// Simulated time the attempt consumed.
         util::Duration sim_elapsed = util::Duration::zero();
     };
-
-    /// A chunk record on its way to the merge loop. A scanned chunk hands
-    /// its chunk-private telemetry registry over in memory (null when the
-    /// campaign has no registry, or the chunk was quarantined or replayed
-    /// from the journal, whose telemetry is the record's snapshot).
-    struct LiveChunk {
-        ChunkRecord record;
-        std::unique_ptr<telemetry::MetricsRegistry> metrics;
-        std::int64_t scan_done_ns = 0;  ///< wall instant the scan finished
-    };
-
-    /// The supervised chunk scan behind scan_chunk() and every run()/reduce()
-    /// worker: per-domain fault isolation over a freshly materialized block,
-    /// with a chunk-private registry, restarted and then quarantined as
-    /// scan_chunk() describes.
-    [[nodiscard]] LiveChunk scan_chunk_into(std::size_t chunk_index) const;
 
     /// scan_domain with telemetry routed into an explicit registry (the
     /// worker's chunk-private one; nullptr disables), so shard workers never

@@ -36,11 +36,12 @@ template <typename T>
 using bytes::ByteReader;
 using bytes::ByteWriter;
 
-/// First byte of a header and of a chunk-record payload. Neither is
-/// printable, so a journal written in the old text form (`campaign ...`,
-/// `chunk ...`) fails to parse and is rescanned like any damaged record.
-constexpr std::uint8_t kHeaderTag = 0xc1;
-constexpr std::uint8_t kChunkTag = 0xc2;
+/// First byte of a header and of a chunk-record payload. Each layout takes
+/// tags no older layout used (the text form began with a printable byte,
+/// the previous binary form with 0xc1/0xc2), so an older build's journal
+/// fails to parse and is rescanned like any damaged record.
+constexpr std::uint8_t kHeaderTag = 0xc3;
+constexpr std::uint8_t kChunkTag = 0xc4;
 
 /// Flag bits of a header's and of a domain scan's flags byte.
 constexpr std::uint8_t kHeaderIpv6 = 1;
@@ -99,7 +100,6 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
     out.integer(scan.domain_id);
     out.u8(static_cast<std::uint8_t>((scan.resolved ? kScanResolved : 0) |
                                      (scan.final_response ? kScanResponse : 0)));
-    out.integer(scan.redirects_followed);
     out.integer(scan.sim_time.count_nanos());
     out.text(scan.error);
     if (const auto& response = scan.final_response) {
@@ -108,20 +108,13 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
         out.text(response->location);
         out.text(response->server_name);
     }
-    out.uvarint(scan.attempts.size());
-    for (const auto& attempt : scan.attempts) {
-        out.integer(attempt.redirect_hop);
-        out.u8(static_cast<std::uint8_t>(attempt.outcome));
-        out.u8(static_cast<std::uint8_t>(attempt.server_fault));
-    }
+    // Each attempt is its fault byte and its trace; a scan holds at most
+    // kMaxRedirects + 1 of them (server_faults.at throws past that).
     out.uvarint(scan.connections.size());
-    for (const auto& trace : scan.connections) qlog::write_binary(out, trace);
-}
-
-[[nodiscard]] bool read_attempt(ByteReader& in, DomainScan::AttemptRecord& attempt) {
-    return in.integer(attempt.redirect_hop) &&
-           read_enum(in, qlog::kConnectionOutcomeCount, attempt.outcome) &&
-           read_enum(in, faults::kServerFaultModeCount, attempt.server_fault);
+    for (std::size_t hop = 0; hop < scan.connections.size(); ++hop) {
+        out.u8(static_cast<std::uint8_t>(scan.server_faults.at(hop)));
+        qlog::write_binary(out, scan.connections[hop]);
+    }
 }
 
 /// Reads one write_scan() scan into `scan`, overwriting every field.
@@ -129,8 +122,7 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
     std::int64_t sim_ns = 0;
     if (!in.integer(scan.domain_id)) return false;
     const auto flags = read_flags(in, kScanResolved | kScanResponse);
-    if (!flags || !in.integer(scan.redirects_followed) || !in.integer(sim_ns) ||
-        !read_text(in, scan.error)) {
+    if (!flags || !in.integer(sim_ns) || !read_text(in, scan.error)) {
         return false;
     }
     scan.resolved = (*flags & kScanResolved) != 0;
@@ -145,10 +137,14 @@ void write_scan(ByteWriter& out, const DomainScan& scan) {
     } else {
         scan.final_response.reset();
     }
-    const auto attempts = in.count();
-    if (!attempts || !read_each(in, *attempts, scan.attempts, read_attempt)) return false;
     const auto connections = in.count();
-    return connections && read_each(in, *connections, scan.connections, qlog::read_binary);
+    if (!connections || *connections > scan.server_faults.size()) return false;
+    scan.server_faults.fill(faults::ServerFaultMode::none);
+    std::size_t hop = 0;
+    return read_each(in, *connections, scan.connections, [&](ByteReader& r, qlog::Trace& trace) {
+        return read_enum(r, faults::kServerFaultModeCount, scan.server_faults[hop++]) &&
+               qlog::read_binary(r, trace);
+    });
 }
 
 }  // namespace

@@ -18,10 +18,11 @@
 // and is rescanned like any damaged record. The same frames cross the
 // run_procs worker channel, so a torn send is caught like a torn file. Each
 // file is published with one write, one fsync and one rename, so a crash
-// leaves it whole or absent. Chunk scans are pure functions of (options,
-// chunk geometry) — DESIGN.md §9 — so republishing a chunk is idempotent;
-// Campaign::reduce folds the files back in strict chunk order and scans
-// whatever is missing.
+// leaves it whole or absent. A chunk's scans and deterministic telemetry are
+// pure functions of (options, chunk geometry) — DESIGN.md §9 — so a
+// republished chunk changes no output (its record bytes may differ in the
+// wall-clock scanner.phase.*_ms histograms); Campaign::reduce folds the
+// files back in strict chunk order and scans whatever is missing.
 
 #pragma once
 
@@ -90,7 +91,9 @@ private:
 /// serialize_* emit — no overlong varint, out-of-range enum or integer,
 /// reserved flag bit, count past the bytes left or trailing byte: anything
 /// else is nullopt. They never throw on bad bytes. Traces decode to exactly
-/// parse_jsonl(to_jsonl(trace)) (qlog::write_binary).
+/// parse_jsonl(to_jsonl(trace)) (qlog::write_binary). A scan holds at most
+/// kMaxRedirects + 1 connections: serialize_chunk_record throws
+/// std::out_of_range past that, and the parsers reject it.
 [[nodiscard]] std::string serialize_header(const CampaignHeader& header);
 [[nodiscard]] std::optional<CampaignHeader> parse_header(std::string_view payload);
 [[nodiscard]] std::string serialize_chunk_record(const ChunkRecord& record);

@@ -8,16 +8,16 @@
 // adds the layer for OOM kills, segfaults and wedged processes. Workers are
 // disposable and touch no file; the supervisor is the only scheduler and the
 // journal's only writer. Each worker talks to it over one socketpair: `scan
-// <c>` out; `start <c>`, then `record <c> <restarts> <rss>` and the chunk's
-// journal frame (frame_record bytes) back. Records go through one
-// MapBatchWriter into the same batch files run() writes. A worker that dies
-// after `start <c>` before a complete, CRC-valid record of c arrived charges
-// c once; at chunk_attempts charges c's quarantine placeholder is journaled
-// like any other record. Chunk scans are pure (DESIGN.md §9), so `kill -9`
-// of any worker at any instant changes nothing: Campaign::reduce afterwards
-// folds the journal into output byte-identical to a single-process run. A
-// worker exits on EOF on its channel and, on Linux, dies with its
-// supervisor.
+// <c>` out; `start <c>`, then `record <c> <restarts> <rss> <allocs> <alloc
+// bytes>` and the chunk's journal frame (frame_record bytes) back. Records
+// go through one MapBatchWriter into the same batch files run() writes. A
+// worker that dies after `start <c>` before a complete, CRC-valid record of
+// c arrived charges c once; at chunk_attempts charges c's quarantine
+// placeholder is journaled like any other record. Chunk scans are pure
+// (DESIGN.md §9), so `kill -9` of any worker at any instant changes nothing:
+// Campaign::reduce afterwards folds the journal into output byte-identical
+// to a single-process run. A worker exits on EOF on its channel and, on
+// Linux, dies with its supervisor.
 
 #pragma once
 

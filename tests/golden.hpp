@@ -34,20 +34,20 @@ inline std::string golden_path(const std::string& filename) {
     return std::string{SPINSCOPE_GOLDEN_DIR} + "/" + filename;
 }
 
-/// Canonical text form of one domain's scan: a comment header, one comment
-/// line per attempt (the error taxonomy), then the qlog JSONL of every
-/// connection. This is the "DomainScan stream" the determinism suite and
-/// the golden fixtures compare.
+/// Canonical text form of one domain's scan: a comment header, then per
+/// attempt a comment line (its hop, the trace's outcome and the server
+/// fault) and the qlog JSONL of its connection. This is the "DomainScan
+/// stream" the determinism suite and the golden fixtures compare.
 inline std::string render_scan_stream(const scanner::DomainScan& scan) {
     std::string out = "# domain " + std::to_string(scan.domain_id) +
                       " resolved=" + (scan.resolved ? "1" : "0") +
-                      " redirects=" + std::to_string(scan.redirects_followed) + "\n";
-    for (std::size_t i = 0; i < scan.connections.size(); ++i) {
-        const auto& attempt = scan.attempts[i];
-        out += "# attempt hop=" + std::to_string(attempt.redirect_hop) +
-               " outcome=" + qlog::to_cstring(attempt.outcome) +
-               " fault=" + faults::to_cstring(attempt.server_fault) + "\n";
-        out += qlog::to_jsonl(scan.connections[i]);
+                      " redirects=" + std::to_string(scan.redirects_followed()) + "\n";
+    for (std::size_t hop = 0; hop < scan.connections.size(); ++hop) {
+        const qlog::Trace& trace = scan.connections[hop];
+        out += "# attempt hop=" + std::to_string(hop) +
+               " outcome=" + qlog::to_cstring(trace.outcome) +
+               " fault=" + faults::to_cstring(scan.server_faults[hop]) + "\n";
+        out += qlog::to_jsonl(trace);
     }
     return out;
 }

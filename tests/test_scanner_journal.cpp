@@ -76,7 +76,6 @@ ChunkRecord sample_chunk(std::size_t index) {
     DomainScan scan;
     scan.domain_id = static_cast<std::uint32_t>(100 + index);
     scan.resolved = true;
-    scan.redirects_followed = 1;
     scan.error = "weird bytes: % space\nnewline";
     ResponseInfo response;
     response.status = 301;
@@ -84,8 +83,7 @@ ChunkRecord sample_chunk(std::size_t index) {
     response.location = "www.target.example";
     response.server_name = "nginx 1.2";
     scan.final_response = response;
-    scan.attempts.push_back(DomainScan::AttemptRecord{
-        1, qlog::ConnectionOutcome::protocol_error, faults::ServerFaultMode::none});
+    scan.server_faults[0] = faults::ServerFaultMode::never_ack;
     qlog::Trace trace;
     trace.host = "www.a.example";
     trace.ip = "10.1.2.3";
@@ -156,16 +154,14 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
     const DomainScan& scan = parsed->scans[0];
     EXPECT_EQ(scan.domain_id, 104u);
     EXPECT_TRUE(scan.resolved);
-    EXPECT_EQ(scan.redirects_followed, 1u);
+    EXPECT_EQ(scan.redirects_followed(), 0u);
     EXPECT_EQ(scan.error, "weird bytes: % space\nnewline");
     ASSERT_TRUE(scan.final_response.has_value());
     EXPECT_EQ(scan.final_response->status, 301);
     EXPECT_EQ(scan.final_response->body_bytes, 12345u);
     EXPECT_EQ(scan.final_response->location, "www.target.example");
     EXPECT_EQ(scan.final_response->server_name, "nginx 1.2");
-    ASSERT_EQ(scan.attempts.size(), 1u);
-    EXPECT_EQ(scan.attempts[0].redirect_hop, 1);
-    EXPECT_EQ(scan.attempts[0].outcome, qlog::ConnectionOutcome::protocol_error);
+    EXPECT_EQ(scan.server_faults, record.scans[0].server_faults);
     ASSERT_EQ(scan.connections.size(), 1u);
     // The trace must re-serialize to the exact bytes the journal stored —
     // this is what makes reduced golden streams byte-identical.
@@ -210,11 +206,7 @@ TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
         return !parse_chunk_record(serialize_chunk_record(record)).has_value();
     };
     EXPECT_TRUE(rejects([](DomainScan& scan) {
-        scan.attempts[0].outcome = static_cast<qlog::ConnectionOutcome>(qlog::kConnectionOutcomeCount);
-    }));
-    EXPECT_TRUE(rejects([](DomainScan& scan) {
-        scan.attempts[0].server_fault =
-            static_cast<faults::ServerFaultMode>(faults::kServerFaultModeCount);
+        scan.server_faults[0] = static_cast<faults::ServerFaultMode>(faults::kServerFaultModeCount);
     }));
     EXPECT_TRUE(rejects([](DomainScan& scan) {
         scan.connections[0].outcome =
@@ -250,6 +242,38 @@ TEST_F(JournalTest, DecodersAcceptOnlyTheWritersForm) {
     ASSERT_NE(framed.substr(0, framed.find('\n') + 1), upper_head);
     ASSERT_TRUE(write_batch(dir_, {4, 4}, upper_head + payload));
     EXPECT_FALSE(read_map_batch(dir_, {4, 4}).has_value());
+}
+
+TEST_F(JournalTest, DecoderRejectsAScanPastTheHopBound) {
+    // A scan is one fault byte and one trace per attempt, at most
+    // kMaxRedirects + 1 of them.
+    ChunkRecord record = sample_chunk(4);
+    DomainScan& scan = record.scans[0];
+    const auto hops = static_cast<std::size_t>(kMaxRedirects) + 1;
+    scan.connections.resize(hops - 1, scan.connections[0]);
+    const std::string one_short = serialize_chunk_record(record);
+    scan.connections.push_back(scan.connections[0]);
+    const std::string full = serialize_chunk_record(record);
+    const auto parsed = parse_chunk_record(full);
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_EQ(parsed->scans[0].connections.size(), hops);
+    EXPECT_EQ(serialize_chunk_record(*parsed), full);
+
+    // The payloads part at the connection count; one attempt is the bytes
+    // the full payload has more. Splice in one more copy of the first.
+    const auto count_at = static_cast<std::size_t>(
+        std::mismatch(full.begin(), full.end(), one_short.begin()).first - full.begin());
+    ASSERT_EQ(static_cast<std::size_t>(full[count_at]), hops);
+    const std::size_t attempt_bytes = full.size() - one_short.size();
+    const std::string over = full.substr(0, count_at) + static_cast<char>(hops + 1) +
+                             full.substr(count_at + 1, attempt_bytes) + full.substr(count_at + 1);
+    EXPECT_FALSE(parse_chunk_record(over).has_value());
+    ChunkRecord reused = *parsed;
+    EXPECT_FALSE(parse_chunk_record(over, reused));
+
+    // The writer refuses such a scan rather than emit it.
+    scan.connections.push_back(scan.connections[0]);
+    EXPECT_THROW((void)serialize_chunk_record(record), std::out_of_range);
 }
 
 // --- JSON-lines compatibility oracle --------------------------------------
@@ -399,7 +423,7 @@ TEST_F(JournalTest, OneReusedRecordDecodesEveryRecordOfARealJournal) {
         {"response", [](const ChunkRecord& r) { return r.scans[0].final_response.has_value(); }},
         {"error", [](const ChunkRecord& r) { return !r.scans[0].error.empty(); }},
         {"quarantine", [](const ChunkRecord& r) { return r.quarantined; }},
-        {"redirect", [](const ChunkRecord& r) { return r.scans[0].redirects_followed > 0; }},
+        {"redirect", [](const ChunkRecord& r) { return r.scans[0].redirects_followed() > 0; }},
         {"telemetry", [](const ChunkRecord& r) { return !r.telemetry_snapshot.empty(); }},
         {"long trace",
          [](const ChunkRecord& r) {
@@ -415,6 +439,13 @@ TEST_F(JournalTest, OneReusedRecordDecodesEveryRecordOfARealJournal) {
         ASSERT_TRUE(parse_chunk_record(payloads[i], reused)) << i;
         ASSERT_EQ(serialize_chunk_record(reused), payloads[i]) << "record " << i;
         EXPECT_EQ(reused.restarts, 0);
+        for (const DomainScan& scan : reused.scans) {
+            for (std::size_t hop = scan.connections.size(); hop < scan.server_faults.size();
+                 ++hop) {
+                EXPECT_EQ(scan.server_faults[hop], faults::ServerFaultMode::none)
+                    << "record " << i << " keeps a fault past its last attempt";
+            }
+        }
         for (std::size_t f = 0; f < features.size(); ++f) {
             seen[f] |= features[f].second(reused) ? 1 : (seen[f] & 1) << 1;
         }
@@ -795,6 +826,68 @@ TEST_F(JournalTest, OldTextJournalIsRescannedLikeADamagedOne) {
     EXPECT_EQ(reduced.telemetry, baseline.telemetry);
     expect_same_stats(reduced.stats, baseline.stats);
     EXPECT_TRUE(read_map_batch(options.journal_dir, batch).has_value());
+    EXPECT_TRUE(scrub_journal(options.journal_dir, {.repair = false}).clean());
+}
+
+/// `payload` with its first byte, the layout tag, set to `tag`.
+std::string with_tag(std::string payload, std::uint8_t tag) {
+    payload[0] = static_cast<char>(tag);
+    return payload;
+}
+
+TEST_F(JournalTest, PreviousBinaryLayoutJournalIsNeverDecoded) {
+    // The previous binary layout tagged its header 0xc1 and its records
+    // 0xc2. Records that carry those tags around this layout's bytes must
+    // not parse: a reduce replays none of them and rescans every chunk, and
+    // read_map_journal and scrub report the journal as damaged.
+    const web::PopulationModel population = tiny_population();
+    ScanOptions options;
+    options.journal_dir = (dir_ / "previous").string();
+    const SweepResult baseline = run_to_completion(population, options, /*reduce=*/false);
+    const MapBatch batch{0, 6};
+    ASSERT_EQ(list_map_batches(options.journal_dir), std::vector<MapBatch>{batch});
+    const std::vector<std::string> payloads = journal_payloads(options.journal_dir);
+    ASSERT_EQ(payloads.size(), batch.size());
+    std::string previous_batch;
+    for (const std::string& payload : payloads) {
+        previous_batch += frame_record(with_tag(payload, 0xc2));
+    }
+    ASSERT_TRUE(write_batch(options.journal_dir, batch, previous_batch));
+    std::ifstream header_file{map_header_path(options.journal_dir), std::ios::binary};
+    const std::string header_frame{std::istreambuf_iterator<char>{header_file}, {}};
+    const std::string header = header_frame.substr(header_frame.find('\n') + 1);
+    ASSERT_TRUE(parse_header(header).has_value());
+    ASSERT_TRUE(util::write_file_atomic(util::Io::real(), map_header_path(options.journal_dir),
+                                        frame_record(with_tag(header, 0xc1)))
+                    .ok());
+
+    std::vector<ChunkRecord> chunks;
+    const MapReplayResult replay = read_map_journal(options.journal_dir, collect_into(chunks));
+    EXPECT_FALSE(replay.has_header);
+    EXPECT_EQ(replay.chunks_read, 0u);
+    EXPECT_EQ(replay.corrupt_chunks, batch.size());
+    EXPECT_TRUE(chunks.empty());
+    const ScrubReport report = scrub_journal(options.journal_dir, {.repair = false});
+    ASSERT_FALSE(report.findings.empty());
+    EXPECT_EQ(report.findings[0].damage, ScrubDamage::header_corrupt);
+    EXPECT_FALSE(report.has_header);
+    EXPECT_EQ(report.chunks_to_rescan.size(), batch.size());
+
+    std::atomic<std::size_t> chunks_scanned{0};
+    ScanOptions reduce_options = options;
+    reduce_options.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
+    Campaign campaign{population, reduce_options};
+    telemetry::MetricsRegistry registry;
+    campaign.set_metrics(&registry);
+    std::string stream;
+    const CampaignStats stats = campaign.reduce(
+        [&](const web::Domain&, DomainScan&& scan) { stream += render_scan_stream(scan); });
+    EXPECT_EQ(chunks_scanned.load(), batch.size());
+    EXPECT_EQ(registry.find(telemetry::CounterId::campaign_journal_records_replayed), nullptr)
+        << "0 records replayed";
+    EXPECT_EQ(stream, baseline.stream);
+    EXPECT_EQ(telemetry::deterministic_csv(registry), baseline.telemetry);
+    expect_same_stats(stats, baseline.stats);
     EXPECT_TRUE(scrub_journal(options.journal_dir, {.repair = false}).clean());
 }
 
